@@ -8,7 +8,9 @@
 //! (`inhale`/`exhale`, loops with invariants, method calls).
 
 use daenerys_algebra::Q;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Types of the IDF language.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -317,12 +319,73 @@ pub struct Program {
     pub fields: Vec<(String, Type)>,
     /// Methods in declaration order.
     pub methods: Vec<Method>,
+    /// Name → position of `methods`, built on the first
+    /// [`Program::method`] call.
+    index: MethodIndex,
+}
+
+/// The lazily built name → position index behind [`Program::method`].
+/// Like [`Span`], it is metadata: it compares equal to every other
+/// index, and a clone starts empty (the clone builds its own on first
+/// lookup), so equality and cloning see only fields and methods.
+/// Each name maps to its first position (the first declaration wins).
+#[derive(Default)]
+struct MethodIndex(OnceLock<HashMap<String, usize>>);
+
+impl Clone for MethodIndex {
+    fn clone(&self) -> MethodIndex {
+        MethodIndex::default()
+    }
+}
+
+impl PartialEq for MethodIndex {
+    /// Always true: the index never participates in structural equality.
+    fn eq(&self, _other: &MethodIndex) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for MethodIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("MethodIndex")
+    }
 }
 
 impl Program {
-    /// Looks up a method by name.
+    /// A program with the given fields and methods.
+    pub fn new(fields: Vec<(String, Type)>, methods: Vec<Method>) -> Program {
+        Program {
+            fields,
+            methods,
+            index: MethodIndex::default(),
+        }
+    }
+
+    /// Looks up a method by name: the first declaration of `name`, as
+    /// `methods.iter().find(..)` would return, in O(1) after the first
+    /// call builds the index.
+    ///
+    /// `methods` is public, so it can be edited after the index is
+    /// built. A lookup falls back to the scan when the indexed slot no
+    /// longer carries `name` or `name` is not indexed, so the result
+    /// always has the requested name and is `None` exactly when the
+    /// scan's is. It differs from the scan only if an edit since the
+    /// first lookup put a new *earlier* duplicate of `name` in place; a
+    /// clone or [`Program::new`] starts a fresh index.
     pub fn method(&self, name: &str) -> Option<&Method> {
-        self.methods.iter().find(|m| m.name == name)
+        let index = self.index.0.get_or_init(|| {
+            let mut index = HashMap::with_capacity(self.methods.len());
+            for (i, m) in self.methods.iter().enumerate() {
+                index.entry(m.name.clone()).or_insert(i);
+            }
+            index
+        });
+        let slot = index.get(name).and_then(|&i| self.methods.get(i));
+        match slot {
+            Some(m) if m.name == name => Some(m),
+            // Not indexed, or a stale slot: the scan is the truth.
+            _ => self.methods.iter().find(|m| m.name == name),
+        }
     }
 
     /// Looks up a field's type.
@@ -367,10 +430,7 @@ mod tests {
 
     #[test]
     fn program_lookup() {
-        let p = Program {
-            fields: vec![("val".into(), Type::Int)],
-            methods: vec![],
-        };
+        let p = Program::new(vec![("val".into(), Type::Int)], vec![]);
         assert_eq!(p.field_type("val"), Some(Type::Int));
         assert_eq!(p.field_type("nope"), None);
         assert!(p.method("m").is_none());

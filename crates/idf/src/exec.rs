@@ -31,7 +31,7 @@ use crate::stability::{self, StabilityClass};
 use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness};
 use daenerys_algebra::Q;
 use daenerys_obs::{Event, MetricsRegistry, TraceCollector, TraceHandle, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -503,14 +503,17 @@ impl StoreAccess<'_> {
         }
     }
 
-    /// A clone of the persisted dependency graph as of the last run
-    /// (the "previous" side of spec-dirtiness planning), taken before
-    /// this run's nodes are absorbed.
-    fn graph_snapshot(&self) -> Option<crate::depgraph::DepGraph> {
+    /// The spec-dirty roots of `cur` against the persisted dependency
+    /// graph as of the last run (the "previous" side of planning),
+    /// computed on the borrowed graph before this run's nodes are
+    /// absorbed.
+    fn spec_dirty_roots(&self, cur: &crate::depgraph::DepGraph) -> BTreeSet<String> {
         match self {
-            StoreAccess::None => None,
-            StoreAccess::Owned(s) => Some(s.graph().clone()),
-            StoreAccess::Shared(m) => Some(lock_store(m).graph().clone()),
+            StoreAccess::None => BTreeSet::new(),
+            StoreAccess::Owned(s) => crate::depgraph::DepGraph::spec_dirty_roots(s.graph(), cur),
+            StoreAccess::Shared(m) => {
+                crate::depgraph::DepGraph::spec_dirty_roots(lock_store(m).graph(), cur)
+            }
         }
     }
 
@@ -848,15 +851,13 @@ impl<'a> Verifier<'a> {
             // reproduces the stored verdict bit for bit; a missing or
             // damaged graph only widens this cone (absent nodes are
             // roots), never narrows it.
-            if let Some(prev) = store.graph_snapshot() {
-                let roots = crate::depgraph::DepGraph::spec_dirty_roots(&prev, cur);
-                if !roots.is_empty() {
-                    let dirty = cur.reverse_reachable(&roots);
-                    for (i, name) in names.iter().enumerate() {
-                        if restored[i].is_some() && dirty.contains(name) {
-                            restored[i] = None;
-                            dirty_transitive += 1;
-                        }
+            let roots = store.spec_dirty_roots(cur);
+            if !roots.is_empty() {
+                let dirty = cur.reverse_reachable(&roots);
+                for (i, name) in names.iter().enumerate() {
+                    if restored[i].is_some() && dirty.contains(name) {
+                        restored[i] = None;
+                        dirty_transitive += 1;
                     }
                 }
             }
@@ -1131,14 +1132,15 @@ impl<'a> Verifier<'a> {
         name: &str,
         started: Instant,
     ) -> Result<VerifyStats, VerifyError> {
-        let Some(method) = self.program.method(name).cloned() else {
+        let program = self.program;
+        let Some(method) = program.method(name) else {
             let failure =
                 self.oblige_failure(None, format!("cannot verify unknown method {}", name));
             return Err(VerifyError {
                 failures: vec![failure],
             });
         };
-        let Some(body) = method.body.clone() else {
+        let Some(body) = &method.body else {
             let failure = self.oblige_failure(
                 None,
                 format!(
@@ -1168,7 +1170,7 @@ impl<'a> Verifier<'a> {
         // Static stability analysis of the method's spec assertions
         // (pre, post, loop invariants), run before execution so the
         // verdicts can be traced and can gate `deny_unstable`.
-        let spec_verdicts = stability::analyze_method(&method);
+        let spec_verdicts = stability::analyze_method(method);
         if self.collector.is_enabled() {
             for v in &spec_verdicts {
                 let mut fields = vec![
@@ -1229,7 +1231,7 @@ impl<'a> Verifier<'a> {
         let body_span = self.collector.span_start("body");
         let mut finals = Vec::new();
         for s in states {
-            finals.extend(self.exec_block(s, &body));
+            finals.extend(self.exec_block(s, body));
         }
         self.collector.span_end(body_span);
 
@@ -2117,8 +2119,9 @@ impl<'a> Verifier<'a> {
                 out
             }
             Stmt::Call(targets, mname, args) => {
-                let callee = match self.program.method(mname) {
-                    Some(m) => m.clone(),
+                let program = self.program;
+                let callee = match program.method(mname) {
+                    Some(m) => m,
                     None => {
                         self.oblige_failure(
                             Some(&state),

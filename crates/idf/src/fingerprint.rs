@@ -16,6 +16,7 @@
 use crate::ast::{Method, Program, Stmt};
 use crate::diag::splitmix64;
 use crate::exec::{Backend, VerifierConfig};
+use crate::pretty::Interface;
 use std::fmt;
 
 /// A 128-bit semantic fingerprint (two independently seeded 64-bit
@@ -64,11 +65,11 @@ impl Hasher {
         }
     }
 
-    fn write(&mut self, text: &str) {
-        for &b in text.as_bytes() {
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
-        }
+    /// Hashes `value`'s display text as one field, streamed through the
+    /// hash without building the string.
+    fn write(&mut self, value: impl fmt::Display) {
+        // `write_str` below never fails.
+        let _ = fmt::write(self, format_args!("{}", value));
         // A field separator that no text byte can produce, so
         // ("ab", "c") and ("a", "bc") hash differently.
         self.hi = self.hi.wrapping_mul(FNV_PRIME) ^ 0xff;
@@ -80,6 +81,16 @@ impl Hasher {
             hi: splitmix64(self.hi),
             lo: splitmix64(self.lo ^ 0x9e37_79b9),
         }
+    }
+}
+
+impl fmt::Write for Hasher {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for &b in text.as_bytes() {
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
 }
 
@@ -115,11 +126,7 @@ pub fn direct_callees(method: &Method) -> Vec<String> {
 /// differ only in formatting normalize to the same string — callers are
 /// invalidated by what a spec *means*, never by how it was typed.
 pub fn normalized_interface(method: &Method) -> String {
-    Method {
-        body: None,
-        ..method.clone()
-    }
-    .to_string()
+    Interface(method).to_string()
 }
 
 /// Fingerprint of a method's [`normalized_interface`] alone — the value
@@ -129,7 +136,7 @@ pub fn normalized_interface(method: &Method) -> String {
 pub fn interface_fingerprint(method: &Method) -> Fingerprint {
     let mut h = Hasher::new();
     h.write("interface");
-    h.write(&normalized_interface(method));
+    h.write(Interface(method));
     h.finish()
 }
 
@@ -165,9 +172,9 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
 pub fn config_fingerprint(backend: Backend, config: &VerifierConfig) -> Fingerprint {
     let mut h = Hasher::new();
     h.write("config");
-    h.write(&config_text(backend, config, ""));
+    h.write(config_text(backend, config, ""));
     h.write("faults");
-    h.write(&format!("{:?}", config.faults));
+    h.write(format_args!("{:?}", config.faults));
     h.finish()
 }
 
@@ -184,10 +191,10 @@ pub fn method_fingerprint(
 ) -> Fingerprint {
     let mut h = Hasher::new();
     h.write("method");
-    h.write(&method.to_string());
+    h.write(method);
     h.write("fields");
     for (name, ty) in &program.fields {
-        h.write(&format!("{}:{}", name, ty));
+        h.write(format_args!("{}:{}", name, ty));
     }
     h.write("callees");
     for callee in direct_callees(method) {
@@ -198,13 +205,13 @@ pub fn method_fingerprint(
                 // body (calls are verified against specs) and never the
                 // raw source text (formatting-only spec edits must not
                 // invalidate callers).
-                h.write(&normalized_interface(m));
+                h.write(Interface(m));
             }
-            None => h.write(&format!("missing:{}", callee)),
+            None => h.write(format_args!("missing:{}", callee)),
         }
     }
     h.write("config");
-    h.write(&config_text(backend, config, &method.name));
+    h.write(config_text(backend, config, &method.name));
     h.finish()
 }
 

@@ -252,19 +252,25 @@ fn write_stmt(s: &Stmt, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Resul
     }
 }
 
-impl fmt::Display for Method {
+/// A method's interface — header line, `requires` and `ensures`, each
+/// newline-terminated — displayed without its body. This is exactly the
+/// text `Method` prints for a bodyless method.
+pub(crate) struct Interface<'a>(pub(crate) &'a Method);
+
+impl fmt::Display for Interface<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "method {}(", self.name)?;
-        for (i, (x, t)) in self.params.iter().enumerate() {
+        let m = self.0;
+        write!(f, "method {}(", m.name)?;
+        for (i, (x, t)) in m.params.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{}: {}", x, t)?;
         }
         write!(f, ")")?;
-        if !self.returns.is_empty() {
+        if !m.returns.is_empty() {
             write!(f, " returns (")?;
-            for (i, (x, t)) in self.returns.iter().enumerate() {
+            for (i, (x, t)) in m.returns.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -273,8 +279,14 @@ impl fmt::Display for Method {
             write!(f, ")")?;
         }
         writeln!(f)?;
-        writeln!(f, "  requires {}", self.requires)?;
-        writeln!(f, "  ensures {}", self.ensures)?;
+        writeln!(f, "  requires {}", m.requires)?;
+        writeln!(f, "  ensures {}", m.ensures)
+    }
+}
+
+impl fmt::Display for Method {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", Interface(self))?;
         match &self.body {
             None => Ok(()),
             Some(b) => write_block(b, 0, f),

@@ -6,7 +6,7 @@
 //! so the symbolic executor can assume a well-formed program.
 
 use crate::ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A well-formedness diagnosis. Diagnoses raised at an AST node that
@@ -289,7 +289,8 @@ impl<'a> Checker<'a> {
                 self.scope = saved;
             }
             Stmt::Call(targets, m, args) => {
-                let Some(callee) = self.program.method(m).cloned() else {
+                let program = self.program;
+                let Some(callee) = program.method(m) else {
                     self.error(format!("call to unknown method {}", m));
                     return;
                 };
@@ -378,9 +379,10 @@ pub fn check_program_traced(
 /// Returns every diagnosis found (empty never — `Ok(())` means none).
 pub fn check_program(program: &Program) -> Result<(), Vec<WfError>> {
     let mut errors = Vec::new();
-    // Duplicate field/method names.
-    for (i, (f, _)) in program.fields.iter().enumerate() {
-        if program.fields[..i].iter().any(|(g, _)| g == f) {
+    // Duplicate field/method names, reported at each repeat.
+    let mut seen = HashSet::new();
+    for (f, _) in &program.fields {
+        if !seen.insert(f) {
             errors.push(WfError {
                 method: String::new(),
                 message: format!("duplicate field {}", f),
@@ -388,8 +390,9 @@ pub fn check_program(program: &Program) -> Result<(), Vec<WfError>> {
             });
         }
     }
-    for (i, m) in program.methods.iter().enumerate() {
-        if program.methods[..i].iter().any(|n| n.name == m.name) {
+    let mut seen = HashSet::new();
+    for m in &program.methods {
+        if !seen.insert(&m.name) {
             errors.push(WfError {
                 method: String::new(),
                 message: format!("duplicate method {}", m.name),

@@ -122,20 +122,22 @@ fn arb_program() -> impl Strategy<Value = Program> {
         arb_assertion(),
         arb_assertion(),
     )
-        .prop_map(|(body, requires, ensures)| Program {
-            fields: vec![("v".to_string(), Type::Int)],
-            methods: vec![Method {
-                name: "m".to_string(),
-                params: vec![
-                    ("a".to_string(), Type::Ref),
-                    ("b".to_string(), Type::Ref),
-                    ("n".to_string(), Type::Int),
-                ],
-                returns: vec![("r".to_string(), Type::Int)],
-                requires,
-                ensures,
-                body: Some(body),
-            }],
+        .prop_map(|(body, requires, ensures)| {
+            Program::new(
+                vec![("v".to_string(), Type::Int)],
+                vec![Method {
+                    name: "m".to_string(),
+                    params: vec![
+                        ("a".to_string(), Type::Ref),
+                        ("b".to_string(), Type::Ref),
+                        ("n".to_string(), Type::Int),
+                    ],
+                    returns: vec![("r".to_string(), Type::Int)],
+                    requires,
+                    ensures,
+                    body: Some(body),
+                }],
+            )
         })
 }
 
