@@ -13,10 +13,10 @@
 //!    wall-clock gate on purpose: their search difference is
 //!    microseconds against a ~2ms parse/translate floor, so a timing
 //!    comparison there measures the scheduler, not the solver.
-//! 2. **Search cost never creeps**: the deterministic counters —
-//!    `conflicts` under the CDCL core, `dpll_branches` under the
-//!    legacy DPLL core — must stay within 10% of the checked-in
-//!    baselines in `BASELINE_solver.json` at the repo root.
+//! 2. **Search cost never creeps**: the deterministic learn-on
+//!    counters — `conflicts` and `decisions` — must stay within 10% of
+//!    the checked-in baselines in `BASELINE_solver.json` at the repo
+//!    root.
 //!
 //! Both counters are bit-deterministic (fixed VSIDS decay, smallest-
 //! index tie-break, Luby restarts), so the 10% headroom is purely for
@@ -29,7 +29,7 @@
 //! Exits 0 when every gate holds, 1 on a regression, 2 on usage error.
 
 use daenerys_bench::run_backend_with;
-use daenerys_idf::{diverging_program, Backend, SolverCore, VerifierConfig};
+use daenerys_idf::{diverging_program, Backend, VerifierConfig};
 use daenerys_obs::parse_json;
 use std::path::PathBuf;
 use std::process::exit;
@@ -49,7 +49,6 @@ struct Row {
     learn_decisions: usize,
     none_decisions: usize,
     conflicts: usize,
-    dpll_branches: usize,
 }
 
 fn main() {
@@ -82,18 +81,17 @@ fn main() {
 
     let rows: Vec<Row> = KS.iter().map(|&k| measure(k, repeat)).collect();
     println!("solver regression sweep (best of {} runs)\n", repeat);
-    println!("   k |  µs_lrn µs_none | dec_lrn dec_none |  confl br_dpll");
-    println!("  {}", "-".repeat(58));
+    println!("   k |  µs_lrn µs_none | dec_lrn dec_none |  confl");
+    println!("  {}", "-".repeat(50));
     for r in &rows {
         println!(
-            "  {:>2} | {:>7.1} {:>7.1} | {:>7} {:>8} | {:>6} {:>7}",
+            "  {:>2} | {:>7.1} {:>7.1} | {:>7} {:>8} | {:>6}",
             r.k,
             r.learn_best.as_secs_f64() * 1e6,
             r.none_best.as_secs_f64() * 1e6,
             r.learn_decisions,
             r.none_decisions,
             r.conflicts,
-            r.dpll_branches,
         );
     }
 
@@ -127,7 +125,7 @@ fn main() {
     match read_baseline(&baseline_path) {
         Some(baseline) => {
             for r in &rows {
-                let Some((_, conflicts, branches)) = baseline.iter().copied().find(|b| b.0 == r.k)
+                let Some((_, conflicts, decisions)) = baseline.iter().copied().find(|b| b.0 == r.k)
                 else {
                     failures.push(format!("k={}: missing from the baseline file", r.k));
                     continue;
@@ -136,9 +134,9 @@ fn main() {
                 check_counter(
                     &mut failures,
                     r.k,
-                    "dpll_branches",
-                    r.dpll_branches,
-                    branches,
+                    "decisions",
+                    r.learn_decisions,
+                    decisions,
                 );
             }
         }
@@ -173,9 +171,9 @@ fn default_baseline_path() -> PathBuf {
         .join("BASELINE_solver.json")
 }
 
-/// One sweep size: best-of-N wall clock for learn vs. no-learn under
-/// the CDCL core, plus the deterministic search counters for both
-/// cores (memo caches off so the counters measure raw search).
+/// One sweep size: best-of-N wall clock for learn vs. no-learn, plus
+/// the deterministic search counters of both settings (memo caches off
+/// so the counters measure raw search).
 fn measure(k: usize, repeat: usize) -> Row {
     let src = diverging_program(k);
     let base = VerifierConfig {
@@ -187,15 +185,10 @@ fn measure(k: usize, repeat: usize) -> Row {
         learn: false,
         ..base.clone()
     };
-    let dpll_cfg = VerifierConfig {
-        solver: SolverCore::Dpll,
-        ..base.clone()
-    };
     let learn_best = best_of(&src, &learn_cfg, repeat);
     let none_best = best_of(&src, &none_cfg, repeat);
     let counted = run_backend_with(&src, Backend::Destabilized, learn_cfg);
     let no_learn = run_backend_with(&src, Backend::Destabilized, none_cfg);
-    let dpll = run_backend_with(&src, Backend::Destabilized, dpll_cfg);
     Row {
         k,
         learn_best,
@@ -203,7 +196,6 @@ fn measure(k: usize, repeat: usize) -> Row {
         learn_decisions: counted.total(|s| s.solver_branches),
         none_decisions: no_learn.total(|s| s.solver_branches),
         conflicts: counted.total(|s| s.solver_conflicts),
-        dpll_branches: dpll.total(|s| s.solver_branches),
     }
 }
 
@@ -233,15 +225,15 @@ fn render_baseline(rows: &[Row]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"k\": {}, \"conflicts\": {}, \"dpll_branches\": {}}}",
-                r.k, r.conflicts, r.dpll_branches
+                "{{\"k\": {}, \"conflicts\": {}, \"decisions\": {}}}",
+                r.k, r.conflicts, r.learn_decisions
             )
         })
         .collect();
     format!("{{\"cases\": [{}]}}\n", cases.join(", "))
 }
 
-/// Parses the baseline into `(k, conflicts, dpll_branches)` triples.
+/// Parses the baseline into `(k, conflicts, decisions)` triples.
 fn read_baseline(path: &std::path::Path) -> Option<Vec<(usize, usize, usize)>> {
     let text = std::fs::read_to_string(path).ok()?;
     let json = parse_json(text.trim()).ok()?;
@@ -250,7 +242,7 @@ fn read_baseline(path: &std::path::Path) -> Option<Vec<(usize, usize, usize)>> {
     for case in cases {
         let obj = case.as_obj()?;
         let num = |key: &str| -> Option<usize> { Some(obj.get(key)?.as_num()? as usize) };
-        out.push((num("k")?, num("conflicts")?, num("dpll_branches")?));
+        out.push((num("k")?, num("conflicts")?, num("decisions")?));
     }
     Some(out)
 }

@@ -22,14 +22,12 @@
 //!
 //! ```text
 //! store_replay [--methods N] [--depth N] [--fan-out N] [--diamond PCT]
-//!              [--seed N] [--store-format daes1|jsonl] [--threads LIST]
+//!              [--seed N] [--threads LIST]
 //!              [--max-load-ms MS] [--expect-reverified N] [--out FILE]
 //! ```
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
-use daenerys_idf::{
-    parse_program, Backend, SessionHost, StoreFormat, Verdict, VerdictStore, VerifierConfig,
-};
+use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerdictStore, VerifierConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -46,7 +44,6 @@ struct Phase {
 
 struct Options {
     spec: CorpusSpec,
-    store_format: Option<StoreFormat>,
     threads: Vec<usize>,
     max_load_ms: f64,
     expect_reverified: Option<usize>,
@@ -56,7 +53,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: store_replay [--methods N] [--depth N] [--fan-out N] [--diamond PCT]\n\
-         \x20                   [--seed N] [--store-format daes1|jsonl] [--threads LIST]\n\
+         \x20                   [--seed N] [--threads LIST]\n\
          \x20                   [--max-load-ms MS] [--expect-reverified N] [--out FILE]"
     );
     std::process::exit(2);
@@ -65,7 +62,6 @@ fn usage() -> ! {
 fn parse_options() -> Options {
     let mut opts = Options {
         spec: CorpusSpec::default(),
-        store_format: None,
         threads: vec![1, 2, 8],
         max_load_ms: 50.0,
         expect_reverified: None,
@@ -93,12 +89,6 @@ fn parse_options() -> Options {
             "--seed" => opts.spec.seed = num("a seed") as u64,
             "--max-load-ms" => opts.max_load_ms = num("milliseconds") as f64,
             "--expect-reverified" => opts.expect_reverified = Some(num("a count")),
-            "--store-format" => {
-                opts.store_format = Some(StoreFormat::parse(&value).unwrap_or_else(|| {
-                    eprintln!("store_replay: unknown store format {:?}", value);
-                    usage();
-                }))
-            }
             "--threads" => {
                 opts.threads = value
                     .split(',')
@@ -126,12 +116,7 @@ fn parse_options() -> Options {
 
 /// One verification pass against the store in `dir`; returns the
 /// normalized verdicts, the re-verified count, and the wall time.
-fn run(
-    src: &str,
-    dir: &Path,
-    threads: usize,
-    format: Option<StoreFormat>,
-) -> (BTreeMap<String, Verdict>, usize, f64) {
+fn run(src: &str, dir: &Path, threads: usize) -> (BTreeMap<String, Verdict>, usize, f64) {
     let program = parse_program(src).unwrap_or_else(|e| {
         eprintln!("store_replay: generated corpus failed to parse: {:?}", e);
         std::process::exit(1);
@@ -139,7 +124,6 @@ fn run(
     let config = VerifierConfig {
         threads,
         cache_dir: Some(dir.to_path_buf()),
-        store_format: format,
         ..VerifierConfig::default()
     };
     let start = Instant::now();
@@ -210,7 +194,7 @@ fn main() {
     }
 
     // Phase 1: cold — fresh store, the whole corpus verifies.
-    let (cold_verdicts, reverified, wall_ms) = run(&base, &cold_dir, threads, opts.store_format);
+    let (cold_verdicts, reverified, wall_ms) = run(&base, &cold_dir, threads);
     gate(
         &mut phases,
         &mut failures,
@@ -236,7 +220,7 @@ fn main() {
         ));
     }
     drop(store);
-    let (warm_verdicts, reverified, wall_ms) = run(&base, &cold_dir, threads, opts.store_format);
+    let (warm_verdicts, reverified, wall_ms) = run(&base, &cold_dir, threads);
     gate(
         &mut phases,
         &mut failures,
@@ -263,8 +247,7 @@ fn main() {
     for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
         let dir = scratch.join(edit.name());
         snapshot(&cold_dir, &dir);
-        let (_, reverified, wall_ms) =
-            run(&corpus.source(Some(edit)), &dir, threads, opts.store_format);
+        let (_, reverified, wall_ms) = run(&corpus.source(Some(edit)), &dir, threads);
         let expected = corpus.expected_reverified(edit);
         if edit == Edit::TouchHubSpec {
             if let Some(want) = opts.expect_reverified {
@@ -299,7 +282,7 @@ fn main() {
     for &t in &opts.threads {
         let dir = scratch.join(format!("diff-{}", t));
         snapshot(&cold_dir, &dir);
-        let (verdicts, _, _) = run(&base, &dir, t, opts.store_format);
+        let (verdicts, _, _) = run(&base, &dir, t);
         let identical = verdicts == cold_verdicts;
         if !identical {
             failures.push(format!(
@@ -314,15 +297,12 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"methods\": {}, \"depth\": {}, \"fan_out\": {}, \"diamond_pct\": {}, \"seed\": {}, \"store_format\": \"{}\", \"threads\": [{}]}},",
+        "  \"config\": {{\"methods\": {}, \"depth\": {}, \"fan_out\": {}, \"diamond_pct\": {}, \"seed\": {}, \"store_format\": \"daes1\", \"threads\": [{}]}},",
         opts.spec.methods,
         opts.spec.depth,
         opts.spec.fan_out,
         opts.spec.diamond_pct,
         opts.spec.seed,
-        opts.store_format
-            .unwrap_or(StoreFormat::Daes1)
-            .name(),
         opts.threads
             .iter()
             .map(|t| t.to_string())

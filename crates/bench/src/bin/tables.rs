@@ -5,12 +5,11 @@
 //! ```text
 //! cargo run -p daenerys-bench --bin tables [--t1] [--t2] [--t3] [--t4] \
 //!     [--f1] [--f2] [--f3] [--json] [--no-cache] [--no-simplify] \
-//!     [--no-learn] [--solver CORE] [--threads N] [--timeout-ms N] \
+//!     [--no-learn] [--threads N] [--timeout-ms N] \
 //!     [--fuel N] [--repeat N] [--trace-out PATH] [--profile] \
 //!     [--incremental] [--cache-dir PATH] [--expect-reverified N] \
-//!     [--out-dir PATH] [--deny-unstable] [--explain-stability] \
-//!     [--store-format FMT]
-//! cargo run -p daenerys-bench --bin tables store migrate <dir> <daes1|jsonl>
+//!     [--out-dir PATH] [--deny-unstable] [--explain-stability]
+//! cargo run -p daenerys-bench --bin tables store dump <dir>
 //! ```
 //!
 //! With no table/figure flags, every table and figure is printed.
@@ -21,11 +20,6 @@
 //! * `--no-simplify` disables intern-time canonicalization and
 //!   `--no-learn` conflict-clause learning, isolating each
 //!   query-avoidance layer for A/B measurement.
-//! * `--solver CORE` selects the SAT core: `cdcl` (default; watched
-//!   literals, first-UIP learning, theory propagation) or `dpll` (the
-//!   legacy recursive core). Answer-transparent by construction but
-//!   answer-affecting for the incremental fingerprint, so verdicts
-//!   cached under one core are never reused under the other.
 //! * `--incremental` adds the F1 incremental section: each case is
 //!   verified against the persistent verdict store under `--cache-dir`
 //!   (default `target/ivc`), its restored verdicts are checked
@@ -36,15 +30,12 @@
 //!   `PROFILE_verifier.txt`) under `PATH` (default `target/bench`, so
 //!   casual runs never litter the repo root; pass `--out-dir .` to
 //!   refresh a committed baseline in place).
-//! * `--store-format FMT` forces the verdict store's on-disk encoding
-//!   (`daes1`, the sharded binary default, or `jsonl`, the legacy
-//!   line-JSON import/export format); without it the format is
-//!   auto-detected from the cache directory. Cost only, never answers.
-//! * `store migrate <dir> <daes1|jsonl>` (subcommand) rewrites an
-//!   existing store in the other format with bit-identical verdicts.
+//! * `store dump <dir>` (subcommand) prints the verdict store under
+//!   `<dir>` as JSON, one object per live entry (a one-way export; the
+//!   store itself is only ever read and written as `DAES1` shards).
 //! * `--timeout-ms N` sets a per-method wall-clock deadline and
 //!   `--fuel N` a per-method solver-fuel budget (conflicts +
-//!   propagations under CDCL, search nodes under `--solver dpll`); a
+//!   propagations); a
 //!   method that blows its budget is reported (and counted in the
 //!   JSON) as `Unknown` instead of hanging the harness.
 //! * `--repeat N` measures each timed row as the median of `N` runs
@@ -76,14 +67,14 @@ use daenerys_core::{check_stable, stabilize_fast, Assert, CameraKind, Term, Univ
 use daenerys_heaplang::{explore, parse, Machine};
 use daenerys_idf::{
     all_cases, analyze_program, chain_program, diverging_program, parse_program, positive_cases,
-    scaling_program, Backend, SolverCore, StabilityClass, VerifierConfig,
+    scaling_program, Backend, StabilityClass, VerdictStore, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, JsonlSink, MemorySink, TraceHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-const KNOWN_FLAGS: [&str; 25] = [
+const KNOWN_FLAGS: [&str; 23] = [
     "--t1",
     "--t2",
     "--t3",
@@ -95,7 +86,6 @@ const KNOWN_FLAGS: [&str; 25] = [
     "--no-cache",
     "--no-simplify",
     "--no-learn",
-    "--solver",
     "--threads",
     "--timeout-ms",
     "--fuel",
@@ -108,7 +98,6 @@ const KNOWN_FLAGS: [&str; 25] = [
     "--out-dir",
     "--deny-unstable",
     "--explain-stability",
-    "--store-format",
 ];
 
 /// Parsed command line.
@@ -153,32 +142,9 @@ fn parse_args() -> Opts {
             "--no-cache" => opts.config.cache = false,
             "--no-simplify" => opts.config.simplify = false,
             "--no-learn" => opts.config.learn = false,
-            "--solver" => {
-                i += 1;
-                match args.get(i).and_then(|v| SolverCore::parse(v)) {
-                    Some(core) => opts.config.solver = core,
-                    None => {
-                        eprintln!("tables: --solver needs `dpll` or `cdcl`");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--incremental" => {
                 if opts.cache_dir.is_none() {
                     opts.cache_dir = Some(std::path::PathBuf::from("target/ivc"));
-                }
-            }
-            "--store-format" => {
-                i += 1;
-                match args
-                    .get(i)
-                    .and_then(|v| daenerys_idf::StoreFormat::parse(v))
-                {
-                    Some(format) => opts.config.store_format = Some(format),
-                    None => {
-                        eprintln!("tables: --store-format needs `daes1` or `jsonl`");
-                        std::process::exit(2);
-                    }
                 }
             }
             "--cache-dir" => {
@@ -287,39 +253,25 @@ fn parse_args() -> Opts {
     opts
 }
 
-/// The `store` subcommand: offline verdict-store maintenance.
+/// The `store` subcommand: offline verdict-store inspection.
 ///
-/// `tables store migrate <dir> <daes1|jsonl>` rewrites the store under
-/// `<dir>` in the requested format (verdicts bit-identical, source
-/// files removed) — the JSONL import/export path for the default
-/// sharded binary stores.
+/// `tables store dump <dir>` prints the store under `<dir>` as JSON, one
+/// object per live entry on stdout (see [`VerdictStore::dump`]), and
+/// the corrupt-record count on stderr when there are any.
 fn store_command(args: &[String]) -> ! {
     match args {
-        [op, dir, format] if op == "migrate" => {
-            let Some(to) = daenerys_idf::StoreFormat::parse(format) else {
-                eprintln!("tables: store migrate needs a target format `daes1` or `jsonl`");
-                std::process::exit(2);
-            };
-            let dir = std::path::Path::new(dir);
-            match daenerys_idf::VerdictStore::migrate(dir, to) {
-                Ok(store) => {
-                    println!(
-                        "migrated {} to {}: {} entries, {} corrupt records skipped",
-                        dir.display(),
-                        to.name(),
-                        store.len(),
-                        store.corrupt_lines()
-                    );
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("tables: store migrate failed: {}", e);
-                    std::process::exit(1);
-                }
+        [op, dir] if op == "dump" => {
+            let store = VerdictStore::open(std::path::Path::new(dir));
+            for line in store.dump() {
+                println!("{}", line);
             }
+            if store.corrupt_lines() > 0 {
+                eprintln!("tables: {} corrupt records skipped", store.corrupt_lines());
+            }
+            std::process::exit(0);
         }
         _ => {
-            eprintln!("tables: usage: tables store migrate <dir> <daes1|jsonl>");
+            eprintln!("tables: usage: tables store dump <dir>");
             std::process::exit(2);
         }
     }
@@ -451,7 +403,8 @@ fn phase_profile(src: &str, backend: Backend, base: &VerifierConfig) -> ProfileR
 
 /// `--profile`: phase attribution of the positive case studies (plus
 /// the exponential diverging case) on the destabilized backend, each
-/// with its release-over-release counters (`dpll_branches`,
+/// with its release-over-release counters (`dpll_branches` — the
+/// solver's decision count, under its historical name — `conflicts`,
 /// `learned_clauses`, `methods_reverified`), printed and written to
 /// `PROFILE_verifier.txt` under `--out-dir`.
 fn run_profile(opts: &Opts) {
@@ -752,10 +705,7 @@ fn figure_f1(opts: &Opts) {
         learn: false,
         ..opts.config.clone()
     };
-    println!(
-        "\nF1c. Diverging sweep: clause learning on vs. off ({} core, destabilized)\n",
-        opts.config.solver.name()
-    );
+    println!("\nF1c. Diverging sweep: clause learning on vs. off (cdcl core, destabilized)\n");
     println!(
         "    {:>4} | {:>8} {:>8} | {:>7} {:>7} | {:>6} {:>5} {:>6} {:>7} | {:>8}",
         "k",
@@ -802,7 +752,8 @@ fn figure_f1(opts: &Opts) {
     }
 }
 
-/// Sizes of the F1 diverging sweep (`2^k` raw DPLL branches each).
+/// Sizes of the F1 diverging sweep (`2^k` leaves each for a search
+/// without learning).
 const DIVERGING_SIZES: [usize; 4] = [2, 4, 6, 8];
 
 /// One row of the F1 incremental section: case name, method count,
@@ -1017,11 +968,10 @@ fn write_bench_json(
     }
     let json = format!
         (
-        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"cache\": {}, \"simplify\": {}, \"learn\": {}, \"solver\": \"{}\", \"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"cache\": {}, \"simplify\": {}, \"learn\": {}, \"solver\": \"cdcl\", \"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
         opts.config.cache,
         opts.config.simplify,
         opts.config.learn,
-        opts.config.solver.name(),
         opts.config.deny_unstable,
         opts.cache_dir.is_some(),
         opts.config.threads,

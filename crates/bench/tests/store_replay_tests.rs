@@ -3,7 +3,7 @@
 //! a ~200-method corpus so they run on every `cargo test`.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
-use daenerys_idf::{parse_program, Backend, StoreFormat, Verdict, Verifier, VerifierConfig};
+use daenerys_idf::{parse_program, Backend, Verdict, Verifier, VerifierConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -17,17 +17,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run(
-    src: &str,
-    dir: &Path,
-    threads: usize,
-    format: Option<StoreFormat>,
-) -> (BTreeMap<String, Verdict>, usize) {
+fn run(src: &str, dir: &Path, threads: usize) -> (BTreeMap<String, Verdict>, usize) {
     let program = parse_program(src).unwrap();
     let config = VerifierConfig {
         threads,
         cache_dir: Some(dir.to_path_buf()),
-        store_format: format,
         ..VerifierConfig::default()
     };
     let mut verifier = Verifier::with_config(&program, Backend::Destabilized, config);
@@ -50,18 +44,19 @@ fn snapshot(from: &Path, to: &Path) {
     }
 }
 
-fn sweep(format: Option<StoreFormat>, tag: &str) {
+#[test]
+fn daes1_sweep_replays_edits_against_ground_truth() {
     let corpus = Corpus::generate(CorpusSpec {
         methods: 200,
         depth: 8,
         ..CorpusSpec::default()
     });
     let base = corpus.source(None);
-    let root = temp_dir(tag);
+    let root = temp_dir("daes1");
     let cold_dir = root.join("cold");
 
     // Cold: everything verifies.
-    let (cold, reverified) = run(&base, &cold_dir, 1, format);
+    let (cold, reverified) = run(&base, &cold_dir, 1);
     assert_eq!(reverified, corpus.len());
     assert!(cold.values().all(Verdict::is_verified));
 
@@ -70,7 +65,7 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     for threads in [1usize, 2, 8] {
         let dir = root.join(format!("warm-{}", threads));
         snapshot(&cold_dir, &dir);
-        let (warm, reverified) = run(&base, &dir, threads, format);
+        let (warm, reverified) = run(&base, &dir, threads);
         assert_eq!(reverified, 0, "warm no-edit run at {} threads", threads);
         assert_eq!(
             warm, cold,
@@ -84,7 +79,7 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
         let dir = root.join(edit.name());
         snapshot(&cold_dir, &dir);
-        let (verdicts, reverified) = run(&corpus.source(Some(edit)), &dir, 2, format);
+        let (verdicts, reverified) = run(&corpus.source(Some(edit)), &dir, 2);
         assert_eq!(
             reverified,
             corpus.expected_reverified(edit),
@@ -97,14 +92,35 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// One store carried through a sequence of edits and their reverts:
+/// the store keeps one fingerprint per method, so undoing an edit
+/// re-verifies exactly the cone the edit did, and the persisted
+/// dependency graph tracks each step.
 #[test]
-fn daes1_sweep_replays_edits_against_ground_truth() {
-    sweep(Some(StoreFormat::Daes1), "daes1");
-}
+fn reverting_an_edit_reverifies_the_same_cone() {
+    let corpus = Corpus::generate(CorpusSpec {
+        methods: 200,
+        depth: 8,
+        ..CorpusSpec::default()
+    });
+    let base = corpus.source(None);
+    let dir = temp_dir("revert");
 
-#[test]
-fn jsonl_sweep_replays_edits_against_ground_truth() {
-    sweep(Some(StoreFormat::Jsonl), "jsonl");
+    let (cold, reverified) = run(&base, &dir, 2);
+    assert_eq!(reverified, corpus.len());
+    for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
+        let cone = corpus.expected_reverified(edit);
+        let (edited, reverified) = run(&corpus.source(Some(edit)), &dir, 2);
+        assert_eq!(reverified, cone, "edit {:?}", edit);
+        assert!(edited.values().all(Verdict::is_verified));
+        let (reverted, reverified) = run(&base, &dir, 2);
+        assert_eq!(reverified, cone, "revert of {:?}", edit);
+        assert_eq!(reverted, cold, "revert of {:?} restores the verdicts", edit);
+    }
+    let (_, reverified) = run(&base, &dir, 2);
+    assert_eq!(reverified, 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The hub-edit cone is a real monorepo shape: strictly bigger than

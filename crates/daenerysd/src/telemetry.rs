@@ -23,8 +23,8 @@
 //! * `daenerysd.errors{tenant}` — error responses (parse/internal)
 //! * `daenerysd.latency_us{tenant}` — whole-request wall latency,
 //!   microseconds (histogram)
-//! * `daenerysd.fuel{tenant}` — fuel spent per request, the
-//!   `conflicts + propagations + branches` proxy (histogram)
+//! * `daenerysd.fuel{tenant}` — solver fuel spent per request, in the
+//!   budget's unit: `conflicts + propagations` (histogram)
 //! * `daenerysd.cache_hits{tenant}` / `daenerysd.cache_misses{tenant}`
 //!   — solver query-cache traffic
 //! * `daenerysd.solver_conflicts{tenant}` /

@@ -217,6 +217,50 @@ fn metrics_scrape_carries_tenant_labels_and_monotone_quantiles() {
     assert_eq!(snapshot.responses_ok, N);
 }
 
+/// The `daenerysd.fuel` histogram records the budget's own unit —
+/// conflicts plus propagations — so one request's sample equals what an
+/// in-process verifier spends on the same program under the same
+/// budget.
+#[test]
+fn fuel_histogram_matches_in_process_solver_fuel() {
+    let source = daenerys_idf::diverging_program(4);
+    let program = daenerys_idf::parse_program(&source).unwrap();
+    let config = daenerys_idf::VerifierConfig {
+        budget: daenerysd::TenantPolicy::default().effective_budget(None, None),
+        ..daenerys_idf::VerifierConfig::default()
+    };
+    let expected: u64 =
+        daenerys_idf::Verifier::with_config(&program, daenerys_idf::Backend::Destabilized, config)
+            .verify_all()
+            .expect("the diverging program verifies")
+            .values()
+            .map(|s| (s.solver_conflicts + s.solver_propagations) as u64)
+            .sum();
+    assert!(expected > 0, "the program exercises the solver");
+
+    let (addr, flag, handle) = start(test_config());
+    let client = Client::new(addr);
+    let (resp, _) = client
+        .request_with_retry(&Request::new(1, "acme", source.as_str()))
+        .expect("verify succeeds");
+    assert!(matches!(resp, Response::Ok { .. }));
+    let metrics = scrape(&client, &AdminRequest::Metrics { id: 2 });
+    let fuel = metrics.as_obj().unwrap()["histograms"]
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_obj)
+        .find(|h| {
+            h["name"].as_str() == Some("daenerysd.fuel")
+                && h["labels"].as_obj().and_then(|l| l["tenant"].as_str()) == Some("acme")
+        })
+        .expect("daenerysd.fuel{tenant=acme} is recorded")
+        .clone();
+    assert_eq!(num(&fuel, "count"), 1.0);
+    assert_eq!(num(&fuel, "sum") as u64, expected);
+    stop(&flag, handle);
+}
+
 /// The trace tail pages events in seq order and every element is a
 /// standalone line the JSONL validator accepts — the scrape *is* a
 /// trace stream.

@@ -1,10 +1,8 @@
 //! Resource budgets and deterministic fault injection for the verifier.
 //!
 //! A [`Budget`] bounds each axis of verification work — wall-clock
-//! deadline, solver fuel (conflicts + propagated literals under the
-//! CDCL core, search nodes under the legacy DPLL core),
-//! symbolic-execution states,
-//! and interned terms. Budgets are checked *cooperatively* at the
+//! deadline, solver fuel (conflicts + propagated literals),
+//! symbolic-execution states, and interned terms. Budgets are checked *cooperatively* at the
 //! existing loop sites in `exec`/`smt`, so exhaustion prunes the run
 //! and surfaces as a deterministic `Verdict::Unknown { reason }`
 //! rather than a hang or a panic.
@@ -23,7 +21,7 @@ pub enum BudgetAxis {
     /// Wall-clock deadline per method ([`Budget::deadline_ms`]).
     Deadline,
     /// Solver fuel per method ([`Budget::solver_fuel`]): conflicts +
-    /// propagations under CDCL, search nodes under legacy DPLL.
+    /// propagations.
     SolverFuel,
     /// Symbolic-execution states per method ([`Budget::max_states`]).
     States,
@@ -70,8 +68,7 @@ pub struct Budget {
     /// Wall-clock deadline in milliseconds per method.
     pub deadline_ms: Option<u64>,
     /// Solver fuel units the solver may spend per method: one unit
-    /// per conflict and per propagated literal under the CDCL core,
-    /// one per search-node entry under the legacy DPLL core.
+    /// per conflict and per propagated literal.
     pub solver_fuel: Option<u64>,
     /// Symbolic-execution states explored per method.
     pub max_states: Option<u64>,
@@ -99,7 +96,7 @@ impl Budget {
         self
     }
 
-    /// Sets the per-method DPLL-branch fuel.
+    /// Sets the per-method solver fuel (conflicts + propagations).
     pub fn with_solver_fuel(mut self, fuel: u64) -> Budget {
         self.solver_fuel = Some(fuel);
         self

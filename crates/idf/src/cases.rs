@@ -426,9 +426,10 @@ pub fn chain_program(n: usize) -> String {
 ///
 /// `diverge`'s single obligation asks whether `x0 + … + x{k-1} >= 0`
 /// follows from `xi == 0 || xi == 1` for each `i`. Refuting the
-/// negation forces the DPLL search to close all `2^k` disjunction
-/// branches (every leaf is a distinct theory query, so the caches
-/// cannot collapse them): branch count grows exponentially in `k`.
+/// negation forces a case-splitting search to close all `2^k`
+/// disjunction branches (every leaf is a distinct theory query, so the
+/// caches cannot collapse them): without clause learning the decision
+/// count grows exponentially in `k`.
 /// Under a finite [`crate::Budget::solver_fuel`] smaller than `2^k`
 /// the method degrades to a deterministic `Unknown` while `before` and
 /// `after` verify bit-identically to a fault-free run — at any thread

@@ -25,12 +25,12 @@
 //! only costs extra re-verification.
 //!
 //! The graph file (`depgraph.jsonl`, one node per line) lives next to
-//! the verdict store in the cache directory and is format-independent:
-//! migrating the store between JSONL and `DAES1` leaves it alone.
+//! the verdict store's `DAES1` shards in the cache directory, in its
+//! own file.
 
 use crate::ast::Program;
 use crate::fingerprint::{direct_callees, interface_fingerprint, Fingerprint};
-use daenerys_obs::parse_json;
+use daenerys_obs::{escape_json, parse_json};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::fs;
@@ -272,15 +272,15 @@ impl DepGraph {
 fn encode_node(out: &mut String, name: &str, node: &DepNode) {
     let _ = write!(
         out,
-        "{{\"method\":\"{}\",\"iface\":\"{}\",\"callees\":[",
-        crate::store::esc(name),
+        "{{\"method\":{},\"iface\":\"{}\",\"callees\":[",
+        escape_json(name),
         node.interface
     );
     for (i, callee) in node.callees.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\"", crate::store::esc(callee));
+        out.push_str(&escape_json(callee));
     }
     out.push_str("]}");
 }

@@ -140,11 +140,19 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
     h.finish()
 }
 
+/// The solver's answer epoch, hashed into every store key. Bump it when
+/// a fix changes what the solver may answer for some formula, so that
+/// verdicts stored by the older solver are re-verified once instead of
+/// restored. Epoch 2 began when cross-query lemmas had to be theory
+/// lemmas (DESIGN.md §12.2); keys from before it ended in `solver=Cdcl`.
+pub const SOLVER_EPOCH: u32 = 2;
+
 /// The canonical text of the configuration knobs that can change
 /// `method`'s verdict. Cost-only knobs (`threads`, `cache`, tracing,
 /// `cache_dir`, `explain_stability`) are excluded: they are property-tested to be
 /// answer-transparent, so a verdict cached under one setting is valid
-/// under any other.
+/// under any other. The trailing [`SOLVER_EPOCH`] moves every key when
+/// the solver's answers change.
 pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> String {
     let faults: Vec<String> = config
         .faults
@@ -152,7 +160,7 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
         .map(|k| format!("{:?}", k))
         .collect();
     format!(
-        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={};solver={:?}",
+        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={};epoch={}",
         backend,
         config.budget,
         faults,
@@ -160,7 +168,7 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
         config.simplify,
         config.learn,
         config.deny_unstable,
-        config.solver
+        SOLVER_EPOCH,
     )
 }
 
@@ -333,6 +341,18 @@ mod tests {
     }
 
     #[test]
+    fn default_config_text_is_pinned() {
+        // Store keys hash this text: any byte change re-verifies every
+        // stored method.
+        assert_eq!(
+            config_text(Backend::Destabilized, &VerifierConfig::default(), "m"),
+            "backend=Destabilized;budget=Budget { deadline_ms: None, solver_fuel: None, \
+             max_states: None, max_terms: None };faults=[];retry_unknown=true;simplify=true;\
+             learn=true;deny_unstable=false;epoch=2"
+        );
+    }
+
+    #[test]
     fn config_fingerprint_covers_answer_affecting_knobs_only() {
         let base = VerifierConfig::default();
         let a = config_fingerprint(Backend::Destabilized, &base);
@@ -355,7 +375,6 @@ mod tests {
                 &VerifierConfig {
                     threads: 8,
                     cache: false,
-                    store_format: Some(crate::store::StoreFormat::Jsonl),
                     ..base.clone()
                 }
             ),
@@ -386,10 +405,6 @@ mod tests {
             },
             VerifierConfig {
                 deny_unstable: true,
-                ..base.clone()
-            },
-            VerifierConfig {
-                solver: crate::smt::SolverCore::Dpll,
                 ..base.clone()
             },
         ] {

@@ -51,12 +51,12 @@ pub use parser::{
     parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS,
 };
 pub use session::{Session, SessionError, SessionHost, VerifyOutcome, VerifyRequest};
-pub use smt::{Answer, Solver, SolverCore};
+pub use smt::{Answer, Solver};
 pub use stability::{
     agrees_with_oracle, analyze_method, analyze_program, classify, Classification, Finding,
     FindingKind, SpecSite, SpecVerdict, StabilityClass,
 };
-pub use store::{StoreFormat, StoredVerdict, VerdictStore};
+pub use store::{StoredVerdict, VerdictStore};
 pub use sym::{Sort, Sym, SymExpr, SymSupply, Term, TermArena, TermId, Witness};
 pub use translate::{
     env_of, full_ownership, obj_of, strip_old, translate_assertion, translate_assertion_traced,

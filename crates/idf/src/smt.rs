@@ -3,7 +3,10 @@
 //! Viper delegates these queries to Z3; building the full substrate
 //! ourselves, we implement the fragment the IDF case studies need:
 //!
-//! * boolean structure by DPLL-style case splitting;
+//! * boolean structure by conflict-driven clause learning (CDCL):
+//!   two-watched-literal propagation, first-UIP analysis, VSIDS
+//!   ordering, Luby restarts, and a theory-propagation layer
+//!   (congruence closure + difference bounds);
 //! * linear integer arithmetic by Fourier–Motzkin elimination with
 //!   integer tightening (`a < b` ⇒ `a ≤ b − 1`);
 //! * reference equalities by union-find with disequality checking.
@@ -21,11 +24,11 @@
 //!   repeated spec boundaries), and a repeat is answered without any
 //!   solving;
 //! * a **theory cache** keyed on the set of theory literals of a full
-//!   DPLL assignment — union-find construction, Gaussian substitution,
-//!   and Fourier–Motzkin elimination are all functions of that set
-//!   alone, so queries whose path conditions share a prefix reuse the
-//!   ground-theory work of their common branches instead of repeating
-//!   it.
+//!   propositional assignment — union-find construction, Gaussian
+//!   substitution, and Fourier–Motzkin elimination are all functions
+//!   of that set alone, so queries whose path conditions share a
+//!   prefix reuse the ground-theory work of their common branches
+//!   instead of repeating it.
 //!
 //! Both caches are exact (keys are complete inputs of the computation
 //! they index), so answers are bit-identical with caching on or off;
@@ -34,11 +37,6 @@
 use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
-
-/// Largest theory-conflict core the solver will try to minimize.
-/// Minimization costs one (memoized) theory check per literal, so huge
-/// leaf assignments are learned from only when they are worth the scan.
-const MINIMIZE_LIMIT: usize = 64;
 
 /// Widest clause retained after minimization. Wide clauses almost never
 /// propagate (every literal must be falsified first) but are scanned on
@@ -49,63 +47,13 @@ const MAX_LEARN_WIDTH: usize = 8;
 /// clearing keeps real runs far below it).
 const MAX_LEARNED_CLAUSES: usize = 512;
 
-/// Per-method budget of theory checks spent on conflict analysis
-/// (core re-verification + minimization trials). Structured corpora
-/// learn their few useful lemmas within it; pathological corpora whose
-/// every leaf conflicts on a *distinct* core (e.g. the diverging
-/// sweep) exhaust it quickly and fall back to plain search instead of
-/// paying a Fourier–Motzkin run per literal per conflict. Refilled by
-/// [`Solver::clear_learned`] at method boundaries, so it is
-/// deterministic per method and thread-count independent.
-const LEARN_FUEL_PER_METHOD: u64 = 256;
-
 /// Search-loop iterations between wall-clock deadline polls (a power of
 /// two; the check is a masked counter increment on the off iterations).
 /// The first iteration of every search polls immediately, so an
 /// already-expired deadline aborts before any work; thereafter at most
-/// 64 conflicts/branches run between polls, which bounds how far a hard
+/// 64 conflicts/decisions run between polls, which bounds how far a hard
 /// query can overshoot its deadline.
 const DEADLINE_POLL_MASK: u32 = 63;
-
-/// Which search core answers satisfiability queries.
-///
-/// Both cores decide the same fragment and return identical answers on
-/// every query (the differential proptests pin this); they differ only
-/// in cost. The selector is answer-affecting *in principle* (a future
-/// core could change Unknown frontiers), so it is part of the verdict
-/// fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub enum SolverCore {
-    /// The legacy recursive case-splitting DPLL, with the optional
-    /// clause-learning extension ([`Solver::learn_enabled`]).
-    Dpll,
-    /// Conflict-driven clause learning: two-watched-literal
-    /// propagation, first-UIP analysis with clause minimization,
-    /// deterministic VSIDS ordering, LBD-based clause deletion on a
-    /// fixed cadence, Luby restarts, and a theory-propagation layer
-    /// (congruence closure + difference bounds).
-    #[default]
-    Cdcl,
-}
-
-impl SolverCore {
-    /// Parses the `--solver` flag value.
-    pub fn parse(s: &str) -> Option<SolverCore> {
-        match s {
-            "dpll" => Some(SolverCore::Dpll),
-            "cdcl" => Some(SolverCore::Cdcl),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`dpll`/`cdcl`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverCore::Dpll => "dpll",
-            SolverCore::Cdcl => "cdcl",
-        }
-    }
-}
 
 /// The answer to an entailment query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -244,7 +192,7 @@ pub struct Solver {
     pub sorts: BTreeMap<Sym, Sort>,
     /// Number of entailment queries answered.
     pub queries: usize,
-    /// Number of DPLL branches explored across all queries.
+    /// CDCL decisions across all queries.
     pub branches: usize,
     /// Whether the memo layers are consulted (answers are identical
     /// either way; off = measure the uncached cost).
@@ -260,10 +208,8 @@ pub struct Solver {
     pub theory_hits: usize,
     /// Theory-cache misses.
     pub theory_misses: usize,
-    /// Remaining solver fuel; `None` means unlimited. Under the CDCL
-    /// core one unit is charged per conflict and per propagated
-    /// literal; under the legacy DPLL core each search-node entry
-    /// consumes one unit. At zero the solver answers `Unknown` instead
+    /// Remaining solver fuel; `None` means unlimited. One unit is
+    /// charged per conflict and per propagated literal. At zero the solver answers `Unknown` instead
     /// of searching further (cooperative budget exhaustion).
     pub fuel: Option<u64>,
     /// Sticky flag: set once any query was truncated by fuel
@@ -273,7 +219,7 @@ pub struct Solver {
     /// Wall-clock deadline for the current method's queries; `None`
     /// means unlimited. Unlike the per-method deadline check at
     /// statement boundaries, this one is polled *inside* the search
-    /// loops (every `DEADLINE_POLL_MASK + 1` conflicts/branches), so a
+    /// loop (every `DEADLINE_POLL_MASK + 1` conflicts/decisions), so a
     /// single pathologically hard query still returns `Unknown` within
     /// a small multiple of its deadline instead of running to
     /// completion.
@@ -282,26 +228,20 @@ pub struct Solver {
     /// Like fuel truncation, a deadline-truncated answer reflects the
     /// budget, not the formula, and is never cached.
     pub deadline_exhausted: bool,
-    /// Poll counter for the deadline check in the non-CDCL search loops.
-    deadline_poll: u32,
     /// Fault injection: degrade every answer to `Answer::Unknown` once
     /// `queries` exceeds this count. Injected answers bypass the caches
     /// entirely.
     pub unknown_after: Option<usize>,
-    /// Whether the clause-learning search core runs: unit propagation,
-    /// pure-literal elimination on boolean symbols, and conflict-driven
-    /// clause learning with lemmas retained across queries (cleared at
+    /// Whether the search learns: first-UIP conflict clauses with
+    /// backjumping, and lemmas retained across queries (cleared at
     /// method boundaries by the verifier). Learned clauses are valid
-    /// theory lemmas, so they change cost, never answers; off
-    /// reproduces the plain case-splitting DPLL for measurement.
+    /// theory lemmas, so they change cost, never answers; off runs a
+    /// chronological-backtracking search for measurement.
     pub learn_enabled: bool,
     /// Total theory-conflict clauses learned across all queries
     /// (monotone; clearing retained clauses does not reset it).
     pub learned_clauses: usize,
-    /// Which search core answers queries (CDCL by default; the legacy
-    /// DPLL stays selectable via `--solver=dpll`).
-    pub core: SolverCore,
-    /// CDCL conflicts across all queries (0 under the legacy core).
+    /// CDCL conflicts across all queries.
     pub conflicts: usize,
     /// CDCL restarts across all queries (Luby schedule).
     pub restarts: usize,
@@ -313,8 +253,9 @@ pub struct Solver {
     query_cache: HashMap<(Vec<TermId>, TermId), Answer>,
     theory_cache: HashMap<Vec<(Atom, bool)>, SatAnswer>,
     learned: Vec<Vec<(Atom, bool)>>,
-    learned_index: HashSet<Vec<(Atom, bool)>>,
-    learn_fuel: u64,
+    /// Every export candidate already checked for retention, kept or
+    /// rejected, so no candidate is checked twice within a method.
+    lemmas_checked: HashSet<Vec<(Atom, bool)>>,
 }
 
 impl Default for Solver {
@@ -332,11 +273,9 @@ impl Default for Solver {
             fuel_exhausted: false,
             deadline: None,
             deadline_exhausted: false,
-            deadline_poll: 0,
             unknown_after: None,
             learn_enabled: true,
             learned_clauses: 0,
-            core: SolverCore::default(),
             conflicts: 0,
             restarts: 0,
             propagations: 0,
@@ -344,8 +283,7 @@ impl Default for Solver {
             query_cache: HashMap::new(),
             theory_cache: HashMap::new(),
             learned: Vec::new(),
-            learned_index: HashSet::new(),
-            learn_fuel: LEARN_FUEL_PER_METHOD,
+            lemmas_checked: HashSet::new(),
         }
     }
 }
@@ -407,30 +345,6 @@ impl Solver {
         answer
     }
 
-    /// Polls the wall-clock deadline (every [`DEADLINE_POLL_MASK`]+1
-    /// calls; the first call always checks). Returns `true` — setting
-    /// the sticky `deadline_exhausted` flag — once the deadline has
-    /// passed; the search loops then abandon the query with
-    /// `SatAnswer::Unknown`.
-    fn deadline_tripped(&mut self) -> bool {
-        if self.deadline_exhausted {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        self.deadline_poll = self.deadline_poll.wrapping_add(1);
-        if self.deadline_poll & DEADLINE_POLL_MASK != 1 {
-            return false;
-        }
-        if Instant::now() >= deadline {
-            self.deadline_exhausted = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Checks whether the path condition is consistent (used to prune
     /// infeasible branches). `consistent(pc)` is `pc ⊭ false` with
     /// Unknown treated as consistent (conservative: keep exploring), so
@@ -453,69 +367,42 @@ impl Solver {
         self.entails(arena, &pc_ids, g)
     }
 
-    /// Forgets the learned clauses and refills the conflict-analysis
-    /// fuel. The verifier calls this at every method boundary: each
-    /// method's lemma set is then a function of that method's own query
-    /// sequence, which is what keeps verdicts, stats, and traces
-    /// bit-identical at any worker count.
+    /// Forgets the learned clauses. The verifier calls this at every
+    /// method boundary: each method's lemma set is then a function of
+    /// that method's own query sequence, which is what keeps verdicts,
+    /// stats, and traces bit-identical at any worker count.
     pub fn clear_learned(&mut self) {
         self.learned.clear();
-        self.learned_index.clear();
-        self.learn_fuel = LEARN_FUEL_PER_METHOD;
+        self.lemmas_checked.clear();
     }
 
+    /// Answers one satisfiability query.
+    ///
+    /// The formula is abstracted to a propositional skeleton over
+    /// theory atoms, which is Tseitin-encoded to CNF (atom indices
+    /// become the first variables, auxiliary definition variables
+    /// follow), the retained cross-query lemmas are instantiated as
+    /// initial clauses, and the engine runs to a verdict. Afterwards the
+    /// theory lemmas the engine learned over pure atom variables are
+    /// exported back into the cross-query store, and the engine's
+    /// counters and remaining fuel fold into the solver's.
     fn sat(&mut self, arena: &mut TermArena, f: TermId) -> SatAnswer {
         let mut atoms = AtomTable::default();
         let skeleton = self.abstract_bool(arena, f, true, &mut atoms);
-        if self.core == SolverCore::Cdcl {
-            return self.cdcl_sat(&skeleton, &atoms);
-        }
-        let mut assignment: Vec<Option<bool>> = vec![None; atoms.list.len()];
-        if !self.learn_enabled {
-            return self.dpll(&skeleton, &atoms.list, &mut assignment);
-        }
-        // Instantiate retained lemmas over this query's atom table. A
-        // clause applies only when every one of its atoms occurs in the
-        // formula — so propagation never assigns atoms the formula does
-        // not mention, and the leaf theory keys stay comparable to the
-        // naive search's.
-        let clauses: Vec<Vec<(usize, bool)>> = self
-            .learned
-            .iter()
-            .filter_map(|clause| {
-                clause
-                    .iter()
-                    .map(|(a, pol)| atoms.index.get(a).map(|&i| (i, *pol)))
-                    .collect()
-            })
-            .collect();
-        self.cdpll(&skeleton, &atoms.list, &clauses, &mut assignment)
-    }
-
-    /// Answers one satisfiability query with the CDCL core.
-    ///
-    /// The skeleton is Tseitin-encoded to CNF (atom indices become the
-    /// first variables, auxiliary definition variables follow), the
-    /// retained cross-query lemmas are instantiated as initial clauses,
-    /// and the engine runs to a verdict. Afterwards the engine's
-    /// untainted conflict lemmas over pure atom variables are exported
-    /// back into the cross-query store, exactly like the legacy
-    /// clause-learning core, and the engine's counters and remaining
-    /// fuel fold into the solver's.
-    fn cdcl_sat(&mut self, skeleton: &BForm, atoms: &AtomTable) -> SatAnswer {
         let mut eng = CdclEngine::new(
             atoms.list.clone(),
             self.learn_enabled,
             self.fuel,
             self.deadline,
         );
-        if !eng.encode(skeleton) {
+        if !eng.encode(&skeleton) {
             // Propositionally false at the root: no search, no fuel.
             return SatAnswer::Unsat;
         }
         if self.learn_enabled {
             // Instantiate retained lemmas whose atoms all occur in this
-            // query (same applicability rule as the legacy core).
+            // query, so propagation never assigns atoms the formula
+            // does not mention.
             let instantiated: Vec<Vec<(usize, bool)>> = self
                 .learned
                 .iter()
@@ -540,23 +427,43 @@ impl Solver {
         self.propagations += eng.propagations as usize;
         self.theory_props += eng.theory_props as usize;
         self.learned_clauses += eng.learned_total as usize;
-        if self.learn_enabled {
-            for clause in eng.exported() {
-                if self.learned.len() >= MAX_LEARNED_CLAUSES {
-                    break;
-                }
-                let mut lemma: Vec<(Atom, bool)> = clause
-                    .iter()
-                    .map(|&(i, pol)| (atoms.list[i].clone(), pol))
-                    .collect();
-                lemma.sort_unstable();
-                lemma.dedup();
-                if self.learned_index.insert(lemma.clone()) {
-                    self.learned.push(lemma);
-                }
-            }
+        // A truncated search's clauses are left behind with its answer.
+        if self.learn_enabled && !eng.fuel_exhausted && !eng.deadline_exhausted {
+            self.retain_lemmas(eng.exported(), &atoms);
         }
         verdict
+    }
+
+    /// Moves a finished query's export candidates into the cross-query
+    /// lemma set. Analysis drops root-level literals, so a conflict
+    /// clause may hold only under the query's own facts; a candidate is
+    /// kept only when the theories refute its negation, so that it holds
+    /// in every query. Each candidate is a conflict clause the search
+    /// already charged one fuel unit for, so the checks are bounded by
+    /// the fuel; they stop at the wall-clock deadline.
+    fn retain_lemmas(&mut self, candidates: Vec<Vec<(usize, bool)>>, atoms: &AtomTable) {
+        for clause in candidates {
+            if self.learned.len() >= MAX_LEARNED_CLAUSES
+                || self.deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                break;
+            }
+            let mut lemma: Vec<(Atom, bool)> = clause
+                .iter()
+                .map(|&(i, pol)| (atoms.list[i].clone(), pol))
+                .collect();
+            lemma.sort_unstable();
+            lemma.dedup();
+            if !self.lemmas_checked.insert(lemma.clone()) {
+                continue;
+            }
+            let mut negation: Vec<(Atom, bool)> =
+                lemma.iter().map(|(a, pol)| (a.clone(), !pol)).collect();
+            negation.sort_unstable();
+            if self.theory_decide(negation) == SatAnswer::Unsat {
+                self.learned.push(lemma);
+            }
+        }
     }
 
     /// Converts a boolean term to a skeleton, interning atoms.
@@ -726,284 +633,15 @@ impl Solver {
         }
     }
 
-    fn dpll(
-        &mut self,
-        skeleton: &BForm,
-        atoms: &[Atom],
-        assignment: &mut Vec<Option<bool>>,
-    ) -> SatAnswer {
-        match self.fuel {
-            Some(0) => {
-                self.fuel_exhausted = true;
-                return SatAnswer::Unknown;
-            }
-            Some(f) => self.fuel = Some(f - 1),
-            None => {}
-        }
-        if self.deadline_tripped() {
-            return SatAnswer::Unknown;
-        }
-        self.branches += 1;
-        match simplify(skeleton, assignment) {
-            BForm::False => SatAnswer::Unsat,
-            BForm::True => self.theory_check(atoms, assignment),
-            reduced => {
-                let pick = first_lit(&reduced).expect("non-constant form has a literal");
-                assignment[pick] = Some(true);
-                let r1 = self.dpll(&reduced, atoms, assignment);
-                if r1 == SatAnswer::Sat {
-                    assignment[pick] = None;
-                    return SatAnswer::Sat;
-                }
-                assignment[pick] = Some(false);
-                let r2 = self.dpll(&reduced, atoms, assignment);
-                assignment[pick] = None;
-                match (r1, r2) {
-                    (_, SatAnswer::Sat) => SatAnswer::Sat,
-                    (SatAnswer::Unsat, SatAnswer::Unsat) => SatAnswer::Unsat,
-                    _ => SatAnswer::Unknown,
-                }
-            }
-        }
-    }
-
-    /// The clause-learning search: [`Solver::dpll`] extended with unit
-    /// propagation (formula conjuncts and learned-clause units),
-    /// pure-literal elimination on boolean symbols, and pruning by the
-    /// retained lemmas. Fuel and branch accounting are identical to the
-    /// naive search — one unit of each per entry — so budgets compare
-    /// the two cores on equal terms.
-    fn cdpll(
-        &mut self,
-        skeleton: &BForm,
-        atoms: &[Atom],
-        clauses: &[Vec<(usize, bool)>],
-        assignment: &mut Vec<Option<bool>>,
-    ) -> SatAnswer {
-        match self.fuel {
-            Some(0) => {
-                self.fuel_exhausted = true;
-                return SatAnswer::Unknown;
-            }
-            Some(f) => self.fuel = Some(f - 1),
-            None => {}
-        }
-        if self.deadline_tripped() {
-            return SatAnswer::Unknown;
-        }
-        self.branches += 1;
-        // Only boolean symbols are ever purified, so the whole
-        // pure-literal pass (a formula walk plus a polarity map per
-        // propagation round) is skipped on the many queries that are
-        // pure arithmetic.
-        let has_bool_syms = atoms.iter().any(|a| matches!(a, Atom::BoolSym(_)));
-        // Literals assigned by propagation in this frame, unwound on
-        // every exit path.
-        let mut trail: Vec<usize> = Vec::new();
-        let verdict = 'search: loop {
-            let current = simplify(skeleton, assignment);
-            if matches!(current, BForm::False) {
-                break 'search SatAnswer::Unsat;
-            }
-            // A falsified lemma refutes the branch before any theory
-            // work: the clause is valid in every theory model.
-            let mut unit: Option<(usize, bool)> = None;
-            for clause in clauses {
-                let mut satisfied = false;
-                let mut open = None;
-                let mut open_count = 0;
-                for &(i, pol) in clause {
-                    match assignment[i] {
-                        Some(v) if v == pol => {
-                            satisfied = true;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => {
-                            open_count += 1;
-                            open = Some((i, pol));
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                if open_count == 0 {
-                    break 'search SatAnswer::Unsat;
-                }
-                if open_count == 1 && unit.is_none() {
-                    unit = open;
-                }
-            }
-            if matches!(current, BForm::True) {
-                break 'search self.decide_leaf(atoms, assignment);
-            }
-            if let Some((i, pol)) = unit {
-                assignment[i] = Some(pol);
-                trail.push(i);
-                continue;
-            }
-            // Unit propagation from the formula: bare literals on the
-            // reduced conjunction spine are forced.
-            let mut units: Vec<(usize, bool)> = Vec::new();
-            collect_units(&current, &mut units);
-            let mut forced = false;
-            for (i, pol) in units {
-                match assignment[i] {
-                    None => {
-                        assignment[i] = Some(pol);
-                        trail.push(i);
-                        forced = true;
-                    }
-                    Some(v) if v != pol => break 'search SatAnswer::Unsat,
-                    Some(_) => {}
-                }
-            }
-            if forced {
-                continue;
-            }
-            // Pure-literal elimination, boolean symbols only. A
-            // BoolSym atom has no theory meaning, so committing its
-            // unique polarity preserves satisfiability exactly. Theory
-            // atoms are NOT safe to purify: assigning a pure `x ≤ 0`
-            // true strengthens the constraint set a leaf hands the
-            // theories and could flip a satisfiable leaf to conflict.
-            if has_bool_syms {
-                let mut polarity: BTreeMap<usize, (bool, bool)> = BTreeMap::new();
-                collect_polarities(&current, &mut polarity);
-                for clause in clauses {
-                    if clause.iter().any(|&(i, pol)| assignment[i] == Some(pol)) {
-                        continue;
-                    }
-                    for &(i, pol) in clause {
-                        if assignment[i].is_none() {
-                            let e = polarity.entry(i).or_insert((false, false));
-                            if pol {
-                                e.0 = true;
-                            } else {
-                                e.1 = true;
-                            }
-                        }
-                    }
-                }
-                let mut purified = false;
-                for (i, (pos, neg)) in &polarity {
-                    if pos != neg
-                        && assignment[*i].is_none()
-                        && matches!(atoms[*i], Atom::BoolSym(_))
-                    {
-                        assignment[*i] = Some(*pos);
-                        trail.push(*i);
-                        purified = true;
-                    }
-                }
-                if purified {
-                    continue;
-                }
-            }
-            // Branch, deterministically, on the first open literal.
-            let pick = first_lit(&current).expect("non-constant form has a literal");
-            assignment[pick] = Some(true);
-            let r1 = self.cdpll(&current, atoms, clauses, assignment);
-            if r1 == SatAnswer::Sat {
-                assignment[pick] = None;
-                break 'search SatAnswer::Sat;
-            }
-            assignment[pick] = Some(false);
-            let r2 = self.cdpll(&current, atoms, clauses, assignment);
-            assignment[pick] = None;
-            break 'search match (r1, r2) {
-                (_, SatAnswer::Sat) => SatAnswer::Sat,
-                (SatAnswer::Unsat, SatAnswer::Unsat) => SatAnswer::Unsat,
-                _ => SatAnswer::Unknown,
-            };
-        };
-        for i in trail {
-            assignment[i] = None;
-        }
-        verdict
-    }
-
-    /// Theory-checks a leaf of the clause-learning search and, on
-    /// conflict, learns a minimized refutation clause.
-    fn decide_leaf(&mut self, atoms: &[Atom], assignment: &[Option<bool>]) -> SatAnswer {
-        let key = theory_key(atoms, assignment);
-        let verdict = self.theory_decide(key.clone());
-        if verdict == SatAnswer::Unsat {
-            self.learn_conflict(&key);
-        }
-        verdict
-    }
-
-    /// Learns the negation of a minimized theory-conflict core as a
-    /// clause. Cores are LinLe/RefEq literals only — boolean symbols
-    /// never feed the theories, and `Opaque` atoms can only degrade a
-    /// verdict toward `Unknown`, so a conflict never depends on either.
-    fn learn_conflict(&mut self, key: &[(Atom, bool)]) {
-        if self.learned.len() >= MAX_LEARNED_CLAUSES {
-            return;
-        }
-        let mut core: Vec<(Atom, bool)> = key
-            .iter()
-            .filter(|(a, _)| matches!(a, Atom::LinLe(_) | Atom::RefEq(..)))
-            .cloned()
-            .collect();
-        if core.is_empty() || core.len() > MINIMIZE_LIMIT {
-            return;
-        }
-        // Conflict analysis costs one theory check to re-verify the
-        // filtered core plus up to one minimization trial per literal.
-        // Charge the worst case against the per-method fuel up front:
-        // once it runs dry, conflicts stop being analyzed and search
-        // proceeds at plain-DPLL cost (answers are unaffected — lemmas
-        // only ever prune).
-        let needed = 1 + core.len() as u64;
-        if self.learn_fuel < needed {
-            return;
-        }
-        self.learn_fuel -= needed;
-        if self.theory_decide(core.clone()) != SatAnswer::Unsat {
-            return;
-        }
-        // Greedy single-pass minimization: drop every literal whose
-        // removal keeps the core in conflict (each trial is a memoized
-        // theory check). Literals whose removal degrades the verdict to
-        // Unknown are kept — a lemma must be certain.
-        let mut i = 0;
-        while i < core.len() && core.len() > 1 {
-            let mut trial = core.clone();
-            trial.remove(i);
-            if self.theory_decide(trial) == SatAnswer::Unsat {
-                core.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if core.len() > MAX_LEARN_WIDTH {
-            return;
-        }
-        let clause: Vec<(Atom, bool)> = core.into_iter().map(|(a, pol)| (a, !pol)).collect();
-        if self.learned_index.insert(clause.clone()) {
-            self.learned.push(clause);
-            self.learned_clauses += 1;
-        }
-    }
-
-    /// Checks a full propositional assignment against the theories.
+    /// Checks a sorted, deduplicated theory-literal set — a full
+    /// propositional assignment's theory literals — against the
+    /// theories.
     ///
-    /// The verdict is a function of the *set* of assigned theory
-    /// literals alone (union-find connectivity and Fourier–Motzkin are
-    /// order-independent), so it is memoized on the sorted literal set:
-    /// DPLL leaves within one query, and across queries whose path
-    /// conditions share a prefix, reuse each other's ground work.
-    fn theory_check(&mut self, atoms: &[Atom], assignment: &[Option<bool>]) -> SatAnswer {
-        let key = theory_key(atoms, assignment);
-        self.theory_decide(key)
-    }
-
-    /// Decides a sorted, deduplicated theory-literal set (the memoized
-    /// core of [`Solver::theory_check`], also driven directly by
-    /// conflict-core minimization).
+    /// The verdict is a function of the *set* alone (union-find
+    /// connectivity and Fourier–Motzkin are order-independent), so it
+    /// is memoized on it: leaves within one query, and across queries
+    /// whose path conditions share a prefix, reuse each other's ground
+    /// work.
     fn theory_decide(&mut self, key: Vec<(Atom, bool)>) -> SatAnswer {
         if self.cache_enabled {
             if let Some(&cached) = self.theory_cache.get(&key) {
@@ -1069,7 +707,7 @@ impl Solver {
     }
 }
 
-// ===================== CDCL core =====================
+// ===================== CDCL engine =====================
 
 /// Conflicts before the first Luby restart; later intervals are this
 /// times the Luby sequence (1, 1, 2, 1, 1, 2, 4, …).
@@ -1108,9 +746,9 @@ fn lit_neg(l: usize) -> usize {
 
 /// An exact rational variable bound `num/den` (`den > 0`), tagged with
 /// the literal that imposed it. Bounds stay rational — never rounded to
-/// integers — so the propagation layer proves exactly what the legacy
-/// core's (rational) Fourier–Motzkin leaf check proves, keeping the two
-/// cores answer-identical.
+/// integers — so the propagation layer proves exactly what the
+/// (rational) Fourier–Motzkin leaf check proves: propagation prunes
+/// search but never changes an answer.
 type RatBound = (i128, i128, usize);
 
 /// The result of a Tseitin encoding step.
@@ -1133,8 +771,8 @@ struct CClause {
     /// in-query pruning under the taint flag, but never exported as a
     /// theory lemma.
     tainted: bool,
-    /// A conflict-learned theory lemma over pure atom variables —
-    /// eligible for cross-query retention.
+    /// An untainted conflict-learned clause over pure atom variables —
+    /// a candidate for cross-query retention (see [`Solver::sat`]).
     export: bool,
     lbd: u32,
     deleted: bool,
@@ -1204,8 +842,8 @@ struct CdclEngine {
     flipped: Vec<bool>,
     qhead: usize,
     /// Variables occurring in the problem clauses — the only ones the
-    /// search decides, so unconstrained atoms stay unassigned exactly
-    /// as in the legacy core (their theory meaning is existential).
+    /// search decides, so unconstrained atoms stay unassigned (their
+    /// theory meaning is existential).
     decidable: Vec<bool>,
     activity: Vec<f64>,
     act_inc: f64,
@@ -1308,8 +946,8 @@ impl CdclEngine {
         }
     }
 
-    /// Engine-side twin of [`Solver::deadline_tripped`]: polls the
-    /// wall-clock deadline once per conflict/decision iteration of the
+    /// Polls the wall-clock deadline once per conflict/decision
+    /// iteration of the
     /// CDCL main loop (masked to one `Instant::now()` every
     /// [`DEADLINE_POLL_MASK`]+1 iterations, with the first iteration
     /// always checked).
@@ -1408,8 +1046,9 @@ impl CdclEngine {
         }
     }
 
-    /// Adds a problem clause (Tseitin definition or root assertion),
-    /// marking its variables decidable.
+    /// Adds a problem clause (Tseitin definition, root assertion, or
+    /// instantiated cross-query lemma), marking its variables
+    /// decidable.
     fn add_problem_clause(&mut self, mut lits: Vec<usize>) {
         lits.sort_unstable();
         lits.dedup();
@@ -1434,7 +1073,7 @@ impl CdclEngine {
     }
 
     /// Instantiates one retained cross-query lemma as an initial
-    /// (protected, exportable-again) clause.
+    /// clause.
     fn add_lemma(&mut self, lemma: &[(usize, bool)]) {
         let lits: Vec<usize> = lemma.iter().map(|&(i, pol)| mk_lit(i, pol)).collect();
         self.add_problem_clause(lits);
@@ -2165,17 +1804,12 @@ impl CdclEngine {
         }
     }
 
-    /// The untainted conflict lemmas over pure atom variables, for
-    /// cross-query retention (same width cap as the legacy core).
+    /// The live export candidates of at most [`MAX_LEARN_WIDTH`]
+    /// literals, over atom indices.
     fn exported(&self) -> Vec<Vec<(usize, bool)>> {
         self.clauses
             .iter()
-            .filter(|c| {
-                c.export
-                    && !c.deleted
-                    && c.lits.len() <= MAX_LEARN_WIDTH
-                    && c.lits.iter().all(|&l| lit_var(l) < self.natoms)
-            })
+            .filter(|c| c.export && !c.deleted && c.lits.len() <= MAX_LEARN_WIDTH)
             .map(|c| c.lits.iter().map(|&l| (lit_var(l), lit_pol(l))).collect())
             .collect()
     }
@@ -2284,88 +1918,6 @@ fn ref_term(arena: &TermArena, id: TermId) -> Option<RefTerm> {
         Term::Null => Some(RefTerm::Null),
         Term::Sym(s) => Some(RefTerm::Sym(s)),
         _ => None,
-    }
-}
-
-fn simplify(f: &BForm, assignment: &[Option<bool>]) -> BForm {
-    match f {
-        BForm::True => BForm::True,
-        BForm::False => BForm::False,
-        BForm::Lit(i, pol) => match assignment[*i] {
-            None => BForm::Lit(*i, *pol),
-            Some(v) => {
-                if v == *pol {
-                    BForm::True
-                } else {
-                    BForm::False
-                }
-            }
-        },
-        BForm::And(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
-            (BForm::False, _) | (_, BForm::False) => BForm::False,
-            (BForm::True, x) | (x, BForm::True) => x,
-            (x, y) => BForm::And(Box::new(x), Box::new(y)),
-        },
-        BForm::Or(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
-            (BForm::True, _) | (_, BForm::True) => BForm::True,
-            (BForm::False, x) | (x, BForm::False) => x,
-            (x, y) => BForm::Or(Box::new(x), Box::new(y)),
-        },
-    }
-}
-
-fn first_lit(f: &BForm) -> Option<usize> {
-    match f {
-        BForm::True | BForm::False => None,
-        BForm::Lit(i, _) => Some(*i),
-        BForm::And(a, b) | BForm::Or(a, b) => first_lit(a).or_else(|| first_lit(b)),
-    }
-}
-
-/// The sorted, deduplicated assigned-literal set — the memoization key
-/// of a theory check and the raw material of a conflict core.
-fn theory_key(atoms: &[Atom], assignment: &[Option<bool>]) -> Vec<(Atom, bool)> {
-    let mut key: Vec<(Atom, bool)> = atoms
-        .iter()
-        .zip(assignment.iter())
-        .filter_map(|(a, v)| v.map(|pol| (a.clone(), pol)))
-        .collect();
-    key.sort_unstable();
-    key.dedup();
-    key
-}
-
-/// Collects the forced literals on the conjunction spine of a reduced
-/// formula: every bare literal conjoined at the top level must hold.
-fn collect_units(f: &BForm, out: &mut Vec<(usize, bool)>) {
-    match f {
-        BForm::Lit(i, pol) => out.push((*i, *pol)),
-        BForm::And(a, b) => {
-            collect_units(a, out);
-            collect_units(b, out);
-        }
-        _ => {}
-    }
-}
-
-/// Records which polarities each atom occurs with in a reduced formula
-/// (`.0` = positive seen, `.1` = negative seen). A `BTreeMap` keeps the
-/// subsequent pure-literal sweep deterministic.
-fn collect_polarities(f: &BForm, out: &mut BTreeMap<usize, (bool, bool)>) {
-    match f {
-        BForm::Lit(i, pol) => {
-            let e = out.entry(*i).or_insert((false, false));
-            if *pol {
-                e.0 = true;
-            } else {
-                e.1 = true;
-            }
-        }
-        BForm::And(a, b) | BForm::Or(a, b) => {
-            collect_polarities(a, out);
-            collect_polarities(b, out);
-        }
-        _ => {}
     }
 }
 
@@ -2514,6 +2066,10 @@ impl UnionFind {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/query_stream.rs"]
+mod query_stream;
 
 #[cfg(test)]
 mod tests {
@@ -2721,14 +2277,8 @@ mod tests {
         let pc = vec![SymExpr::lt(x.clone(), y.clone())];
         let _ = cx.entails(&pc, &SymExpr::le(x, y));
         assert_eq!(cx.solver.queries, 1);
-        // Fuel-unit counters must move: search nodes under the legacy
-        // DPLL core, conflicts+propagations under CDCL.
-        match cx.solver.core {
-            SolverCore::Dpll => assert!(cx.solver.branches >= 1),
-            SolverCore::Cdcl => {
-                assert!(cx.solver.conflicts + cx.solver.propagations >= 1)
-            }
-        }
+        // The fuel-unit counters must move.
+        assert!(cx.solver.conflicts + cx.solver.propagations >= 1);
     }
 
     #[test]
@@ -2745,7 +2295,7 @@ mod tests {
         assert_eq!(cx.solver.cache_hits, 1);
         assert_eq!(
             cx.solver.branches, branches_after_first,
-            "a cache hit must not re-run DPLL"
+            "a cache hit must not re-run the search"
         );
         // Same conditions in a different order share the entry.
         let pc2 = vec![
@@ -2889,15 +2439,82 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // CDCL core: differential vs. legacy DPLL, theory layer, fuel.
+    // CDCL vs. a truth-table oracle, theory layer, fuel.
     // --------------------------------------------------------------
 
+    /// Skeletons with more atoms than this are left to the CDCL search
+    /// alone (the oracle enumerates `2^atoms` assignments).
+    const ORACLE_MAX_ATOMS: usize = 16;
+
+    /// The reference the CDCL search is checked against. It abstracts
+    /// `¬goal ∧ pc` exactly as [`Solver::entails`] does, enumerates
+    /// every assignment of the skeleton's atoms, and asks the theory
+    /// layer about each one that satisfies the skeleton: `Invalid` if
+    /// any is theory-satisfiable, else `Unknown` if any is undecided,
+    /// else `Valid`. `None` when the skeleton has too many atoms.
+    fn truth_table(
+        solver: &mut Solver,
+        arena: &mut TermArena,
+        pc: &[SymExpr],
+        goal: &SymExpr,
+    ) -> Option<Answer> {
+        let goal = arena.intern_expr(goal);
+        let mut formula = arena.not(goal);
+        for c in pc {
+            let c = arena.intern_expr(c);
+            formula = arena.and(formula, c);
+        }
+        let mut atoms = AtomTable::default();
+        let skeleton = solver.abstract_bool(arena, formula, true, &mut atoms);
+        let n = atoms.list.len();
+        if n > ORACLE_MAX_ATOMS {
+            return None;
+        }
+        let mut unknown = false;
+        for bits in 0u32..1 << n {
+            let value = |i: usize| bits >> i & 1 == 1;
+            if !eval(&skeleton, &value) {
+                continue;
+            }
+            let mut key: Vec<(Atom, bool)> = atoms
+                .list
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.clone(), value(i)))
+                .collect();
+            key.sort_unstable();
+            match solver.theory_decide(key) {
+                SatAnswer::Sat => return Some(Answer::Invalid),
+                SatAnswer::Unknown => unknown = true,
+                SatAnswer::Unsat => {}
+            }
+        }
+        Some(if unknown {
+            Answer::Unknown
+        } else {
+            Answer::Valid
+        })
+    }
+
+    /// Evaluates a skeleton under a total assignment of its atoms.
+    fn eval(f: &BForm, value: &dyn Fn(usize) -> bool) -> bool {
+        match f {
+            BForm::True => true,
+            BForm::False => false,
+            BForm::Lit(i, pol) => value(*i) == *pol,
+            BForm::And(a, b) => eval(a, value) && eval(b, value),
+            BForm::Or(a, b) => eval(a, value) || eval(b, value),
+        }
+    }
+
     #[test]
-    fn cdcl_and_dpll_cores_agree() {
-        let run = |core: SolverCore| {
+    fn cdcl_matches_the_truth_table_oracle() {
+        for learn in [true, false] {
             let (mut cx, s) = int_solver(3);
-            cx.solver.core = core;
+            let mut oracle = cx.solver.clone();
+            let mut oracle_arena = TermArena::new();
             cx.solver.cache_enabled = false;
+            cx.solver.learn_enabled = learn;
             let x = s[0].clone();
             let y = s[1].clone();
             let (dpc, dgoal) = diverging_queries(&s);
@@ -2928,12 +2545,154 @@ mod tests {
                 (dpc.clone(), dgoal.clone()),
                 (dpc, dgoal),
             ];
+            for (pc, goal) in &queries {
+                let expected = truth_table(&mut oracle, &mut oracle_arena, pc, goal)
+                    .expect("every fixed query is small enough for the oracle");
+                assert_eq!(
+                    cx.entails(pc, goal),
+                    expected,
+                    "learn={} pc={:?} goal={:?}",
+                    learn,
+                    pc,
+                    goal
+                );
+            }
+        }
+    }
+
+    /// A conflict clause learned in one query can lean on that query's
+    /// own facts; retained for a later query whose facts differ, it
+    /// refuted a real model and turned `Invalid` into `Valid` (a case
+    /// the stream oracle below found). Here `x = -4, y = 0, z = -2`
+    /// satisfies the second query's path condition and violates its
+    /// goal.
+    #[test]
+    fn lemmas_learned_under_one_querys_facts_stay_out_of_the_next() {
+        let (mut cx, s) = int_solver(3);
+        cx.solver.cache_enabled = false;
+        let (x, y, z) = (s[0].clone(), s[1].clone(), s[2].clone());
+        let int = SymExpr::int;
+        let first_pc = vec![
+            SymExpr::le(
+                SymExpr::add(x.clone(), y.clone()),
+                SymExpr::add(y.clone(), SymExpr::mul(int(2), z.clone())),
+            ),
+            SymExpr::eq(
+                int(2),
+                SymExpr::add(SymExpr::mul(int(-2), y.clone()), z.clone()),
+            ),
+            SymExpr::or(
+                SymExpr::le(y.clone(), SymExpr::add(y.clone(), int(3))),
+                SymExpr::and(
+                    SymExpr::le(
+                        SymExpr::add(SymExpr::mul(int(2), z.clone()), x.clone()),
+                        SymExpr::add(int(-6), y.clone()),
+                    ),
+                    SymExpr::eq(
+                        SymExpr::add(int(5), y.clone()),
+                        SymExpr::mul(int(2), z.clone()),
+                    ),
+                ),
+            ),
+        ];
+        let first_goal = SymExpr::or(
+            SymExpr::not(SymExpr::eq(
+                SymExpr::add(int(4), SymExpr::mul(int(2), y.clone())),
+                SymExpr::add(z.clone(), int(-2)),
+            )),
+            SymExpr::lt(
+                SymExpr::add(z.clone(), SymExpr::mul(int(-2), z.clone())),
+                int(6),
+            ),
+        );
+        let second_pc = vec![
+            SymExpr::or(
+                SymExpr::eq(
+                    SymExpr::add(SymExpr::mul(int(-2), z.clone()), y.clone()),
+                    SymExpr::add(int(4), y.clone()),
+                ),
+                SymExpr::eq(
+                    SymExpr::add(SymExpr::mul(int(-2), z.clone()), z.clone()),
+                    int(-6),
+                ),
+            ),
+            SymExpr::eq(
+                SymExpr::add(SymExpr::mul(int(2), y.clone()), x.clone()),
+                SymExpr::add(int(-2), z.clone()),
+            ),
+            SymExpr::or(
+                SymExpr::not(SymExpr::lt(
+                    x.clone(),
+                    SymExpr::add(z.clone(), SymExpr::mul(int(2), z.clone())),
+                )),
+                SymExpr::le(
+                    SymExpr::add(y.clone(), x.clone()),
+                    SymExpr::add(SymExpr::mul(int(-1), x), y.clone()),
+                ),
+            ),
+        ];
+        let second_goal = SymExpr::lt(SymExpr::add(int(5), y), SymExpr::add(z.clone(), z));
+        cx.entails(&first_pc, &first_goal);
+        assert_eq!(cx.entails(&second_pc, &second_goal), Answer::Invalid);
+    }
+
+    /// Differential: on random linear streams, the CDCL search answers
+    /// every query as the truth-table oracle does, with learning on and
+    /// off. The generated fragment is linear arithmetic under the
+    /// propositional connectives — exactly the domain of the theory
+    /// layer — and each stream is replayed so cross-query lemma
+    /// retention is exercised too.
+    #[test]
+    fn cdcl_matches_the_oracle_on_query_streams() {
+        use proptest::prelude::*;
+        use proptest::test_runner::{TestCaseError, TestRunner};
+        let stream_strategy = super::query_stream::arb_query_stream();
+        let (mut queries, mut checked) = (0usize, 0usize);
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(512));
+        runner.run_named("cdcl_matches_the_oracle_on_query_streams", |rng| {
+            let stream = stream_strategy.generate(rng);
+            let mut oracle = Solver::new();
+            let mut oracle_arena = TermArena::new();
+            for i in 0..3 {
+                oracle.declare(Sym(i), Sort::Int);
+            }
+            let expected: Vec<Option<Answer>> = stream
+                .iter()
+                .map(|(pc, goal)| truth_table(&mut oracle, &mut oracle_arena, pc, goal))
+                .collect();
+            for learn in [true, false] {
+                let mut cdcl = Solver::new();
+                cdcl.cache_enabled = false;
+                cdcl.learn_enabled = learn;
+                let mut arena = TermArena::new();
+                for i in 0..3 {
+                    cdcl.declare(Sym(i), Sort::Int);
+                }
+                let replayed = stream
+                    .iter()
+                    .zip(&expected)
+                    .chain(stream.iter().zip(&expected));
+                for ((pc, goal), want) in replayed {
+                    let got = cdcl.entails_exprs(&mut arena, pc, goal);
+                    queries += 1;
+                    let Some(want) = *want else { continue };
+                    checked += 1;
+                    if got != want {
+                        return Err(TestCaseError::fail(format!(
+                            "learn={} cdcl={:?} oracle={:?} for pc={:?}, goal={:?}",
+                            learn, got, want, pc, goal
+                        )));
+                    }
+                }
+            }
+            Ok(())
+        });
+        assert!(
+            checked * 100 >= queries * 95,
+            "the oracle checked only {} of {} queries",
+            checked,
             queries
-                .into_iter()
-                .map(|(pc, g)| cx.entails(&pc, &g))
-                .collect::<Vec<Answer>>()
-        };
-        assert_eq!(run(SolverCore::Cdcl), run(SolverCore::Dpll));
+        );
     }
 
     #[test]
@@ -2964,12 +2723,10 @@ mod tests {
         let mut pc = pc;
         pc.push(SymExpr::not(SymExpr::eq(e[3].clone(), e[0].clone())));
         assert!(!cx.consistent(&pc));
-        if cx.solver.core == SolverCore::Cdcl {
-            assert!(
-                cx.solver.conflicts >= 1,
-                "the diseq-in-class conflict should be counted"
-            );
-        }
+        assert!(
+            cx.solver.conflicts >= 1,
+            "the diseq-in-class conflict should be counted"
+        );
     }
 
     #[test]
@@ -2997,9 +2754,6 @@ mod tests {
     fn theory_propagation_prunes_diverging_search() {
         let (mut cx, s) = int_solver(4);
         cx.solver.cache_enabled = false;
-        if cx.solver.core != SolverCore::Cdcl {
-            return;
-        }
         let (pc, goal) = diverging_queries(&s);
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
@@ -3037,13 +2791,52 @@ mod tests {
         );
     }
 
+    /// A truncated search leaves its conflict clauses behind: only a
+    /// query that ran to its answer feeds the cross-query lemma set.
+    #[test]
+    fn fuel_truncated_queries_retain_no_lemmas() {
+        // Two chained orderings, each broken unless a side variable is
+        // non-positive: its conflict clauses mix theory lemmas with
+        // clauses that lean on the path condition.
+        let query = |s: &[SymExpr]| {
+            let (x, y, z, w) = (s[0].clone(), s[1].clone(), s[2].clone(), s[3].clone());
+            let nonpos = |v: &SymExpr| SymExpr::le(v.clone(), SymExpr::int(0));
+            let pc = vec![
+                SymExpr::or(SymExpr::le(x.clone(), y.clone()), nonpos(&z)),
+                SymExpr::or(SymExpr::lt(y.clone(), x), nonpos(&z)),
+                SymExpr::or(SymExpr::le(y.clone(), z.clone()), nonpos(&w)),
+                SymExpr::or(SymExpr::lt(z.clone(), y), nonpos(&w)),
+            ];
+            (pc, nonpos(&SymExpr::add(z, w)))
+        };
+        let (mut full, s) = int_solver(4);
+        let (pc, goal) = query(&s);
+        assert_eq!(full.entails(&pc, &goal), Answer::Valid);
+        let retained = full.solver.learned.len();
+        assert!(
+            retained > 0 && retained < full.solver.lemmas_checked.len(),
+            "a finished query keeps its theory lemmas and rejects the rest"
+        );
+        let fuel = (full.solver.conflicts + full.solver.propagations) as u64;
+
+        let (mut starved, s) = int_solver(4);
+        let (pc, goal) = query(&s);
+        starved.solver.fuel = Some(fuel / 2);
+        assert_eq!(starved.entails(&pc, &goal), Answer::Unknown);
+        assert!(
+            starved.solver.learned_clauses > 0,
+            "the truncated search learned"
+        );
+        assert!(starved.solver.learned.is_empty());
+        assert!(starved.solver.lemmas_checked.is_empty());
+    }
+
     #[test]
     fn deadline_exhausted_answers_are_not_cached() {
         let (mut cx, s) = int_solver(3);
         let (pc, goal) = diverging_queries(&s);
         // A deadline already in the past trips on the search's first
-        // poll (the poll mask always checks the first iteration), in
-        // either core.
+        // poll (the poll mask always checks the first iteration).
         cx.solver.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
         assert_eq!(
             cx.entails(&pc, &goal),
@@ -3055,7 +2848,6 @@ mod tests {
         // memoized, so the same query now re-solves to Valid.
         cx.solver.deadline = None;
         cx.solver.deadline_exhausted = false;
-        cx.solver.deadline_poll = 0;
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert_eq!(
             cx.solver.cache_hits, 0,

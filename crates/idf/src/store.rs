@@ -7,28 +7,23 @@
 //! `Unknown` or `CrashedInternal`: an indefinite answer must be
 //! retried on the next run, not replayed from disk.
 //!
-//! Two on-disk formats are supported, auto-detected by
-//! [`VerdictStore::open`] and interconvertible via
-//! [`VerdictStore::migrate`]:
+//! The on-disk encoding is **`DAES1`**: 16 shard files
+//! (`verdicts-0.daes` … `verdicts-f.daes`), selected by the top nibble
+//! of the method key's name fingerprint — the shard must be stable
+//! under *verdict* fingerprint churn or last-wins replay would split
+//! one method's history across files. Each shard is a checksummed
+//! fixed-layout header followed by length-prefixed records with
+//! fixed-width little-endian integer fields and a per-record checksum;
+//! loading streams the file once, skips corrupt records with a count,
+//! and treats a cut-off tail (crash mid-append) as truncation, never
+//! poison. Saving rewrites every shard compacted (tombstones and
+//! superseded records dropped) through temp-file renames. Any other
+//! file in the directory (such as a `verdicts.jsonl` left by the
+//! retired line-JSON encoding) is ignored and never touched: its
+//! methods simply re-verify. [`VerdictStore::dump`] is the one-way
+//! export, one JSON object per live entry.
 //!
-//! - **`DAES1`** (the default for new stores): 16 shard files
-//!   (`verdicts-0.daes` … `verdicts-f.daes`), selected by the top
-//!   nibble of the method key's name fingerprint — the shard must be
-//!   stable under *verdict* fingerprint churn or last-wins replay
-//!   would split one method's history across files. Each shard is a
-//!   checksummed fixed-layout header followed by length-prefixed
-//!   records with fixed-width little-endian integer fields and a
-//!   per-record checksum; loading streams the file once, skips
-//!   corrupt records with a count, and treats a cut-off tail (crash
-//!   mid-append) as truncation, never poison. Saving rewrites every
-//!   shard compacted (tombstones and superseded records dropped)
-//!   through temp-file renames.
-//! - **JSONL** (`verdicts.jsonl`, the legacy/import-export format):
-//!   one zero-dependency JSON object per line (read back with
-//!   [`daenerys_obs::parse_json`]), later lines winning over earlier
-//!   ones, corrupt lines skipped with a count.
-//!
-//! Either way, durable appends ([`VerdictStore::record_durable`])
+//! Durable appends ([`VerdictStore::record_durable`])
 //! accumulate *dead weight* — superseded records and evict tombstones
 //! that replay discards. The store tracks that debt (including debt
 //! inherited from disk at open) and compacts automatically once it
@@ -36,17 +31,16 @@
 //! stops growing without bound between explicit saves.
 //!
 //! The store directory also carries the method → callee-spec
-//! dependency graph ([`crate::depgraph::DepGraph`], its own
-//! format-independent file) used for transitive spec-dirtiness.
+//! dependency graph ([`crate::depgraph::DepGraph`], in its own file)
+//! used for transitive spec-dirtiness.
 
 use crate::depgraph::DepGraph;
 use crate::diag::FailureReport;
 use crate::exec::{Obligation, Verdict, VerifyStats};
 use crate::fingerprint::Fingerprint;
 use crate::smt::Answer;
-use daenerys_obs::{parse_json, Json};
+use daenerys_obs::Json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -60,39 +54,10 @@ pub struct StoredVerdict {
     pub verdict: Verdict,
 }
 
-/// The on-disk encoding of a [`VerdictStore`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StoreFormat {
-    /// The sharded binary format (default for new stores).
-    Daes1,
-    /// The legacy line-JSON format (import/export path).
-    Jsonl,
-}
-
-impl StoreFormat {
-    /// Parses a `--store-format` value (`daes1` | `jsonl`).
-    pub fn parse(s: &str) -> Option<StoreFormat> {
-        match s {
-            "daes1" => Some(StoreFormat::Daes1),
-            "jsonl" => Some(StoreFormat::Jsonl),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`daes1` | `jsonl`).
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreFormat::Daes1 => "daes1",
-            StoreFormat::Jsonl => "jsonl",
-        }
-    }
-}
-
 /// The persistent verdict store backing `--cache-dir`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct VerdictStore {
     dir: PathBuf,
-    format: StoreFormat,
     entries: BTreeMap<String, StoredVerdict>,
     /// Undecodable records skipped during the last
     /// [`VerdictStore::open`] (surfaced as the `store.corrupt_lines`
@@ -121,9 +86,6 @@ pub struct VerdictStore {
 const COMPACT_MIN_DEAD: usize = 64;
 
 impl VerdictStore {
-    /// The JSONL store file name within the cache directory.
-    pub const FILE_NAME: &'static str = "verdicts.jsonl";
-
     /// Number of `DAES1` shard files.
     pub const SHARD_COUNT: usize = 16;
 
@@ -132,21 +94,12 @@ impl VerdictStore {
         format!("verdicts-{:x}.daes", i)
     }
 
-    /// Opens (or initializes) the store under `dir`, auto-detecting
-    /// the format: `DAES1` shards win over a legacy `verdicts.jsonl`;
-    /// a fresh directory starts as `DAES1`. Missing files and
-    /// unreadable/corrupt records load as absent entries — a damaged
-    /// store costs re-verification, never a wrong verdict.
+    /// Opens (or initializes) the store under `dir`. Missing shards
+    /// and unreadable/corrupt records load as absent entries — a
+    /// damaged store costs re-verification, never a wrong verdict.
     pub fn open(dir: &Path) -> VerdictStore {
-        Self::open_with(dir, Self::detect_format(dir))
-    }
-
-    /// [`VerdictStore::open`] with the format forced instead of
-    /// detected (only that format's files are read).
-    pub fn open_with(dir: &Path, format: StoreFormat) -> VerdictStore {
         let mut store = VerdictStore {
             dir: dir.to_path_buf(),
-            format,
             entries: BTreeMap::new(),
             corrupt_lines: 0,
             truncated_tail: false,
@@ -154,29 +107,23 @@ impl VerdictStore {
             graph: DepGraph::load(dir),
             graph_changed: false,
         };
-        match format {
-            StoreFormat::Jsonl => store.load_jsonl(),
-            StoreFormat::Daes1 => store.load_daes1(),
+        let mut replayed = 0usize;
+        for shard in 0..Self::SHARD_COUNT {
+            let path = dir.join(Self::shard_file_name(shard));
+            let Ok(bytes) = fs::read(&path) else {
+                continue;
+            };
+            match decode_shard(&bytes, shard, &mut store.entries, &mut replayed) {
+                ShardEnd::Clean => {}
+                ShardEnd::Corrupt(n) => store.corrupt_lines += n,
+                ShardEnd::Truncated(n) => {
+                    store.corrupt_lines += n;
+                    store.truncated_tail = true;
+                }
+            }
         }
+        store.dead_records = replayed.saturating_sub(store.entries.len());
         store
-    }
-
-    /// The format files present under `dir` resolve to: shard files →
-    /// `DAES1`, a lone `verdicts.jsonl` → JSONL, neither → `DAES1`.
-    pub fn detect_format(dir: &Path) -> StoreFormat {
-        let any_shard = (0..Self::SHARD_COUNT).any(|i| dir.join(Self::shard_file_name(i)).exists());
-        if any_shard {
-            StoreFormat::Daes1
-        } else if dir.join(Self::FILE_NAME).exists() {
-            StoreFormat::Jsonl
-        } else {
-            StoreFormat::Daes1
-        }
-    }
-
-    /// The format this store reads and writes.
-    pub fn format(&self) -> StoreFormat {
-        self.format
     }
 
     /// The cache directory this store lives in.
@@ -184,97 +131,12 @@ impl VerdictStore {
         &self.dir
     }
 
-    /// Rewrites the store under `dir` in format `to` (a compaction
-    /// when the formats already agree), removing the other format's
-    /// files afterwards so detection is unambiguous. Verdicts survive
-    /// bit-identically; the dependency graph file is format-independent
-    /// and untouched. Returns the migrated store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the target files or removing
-    /// the source files.
-    pub fn migrate(dir: &Path, to: StoreFormat) -> io::Result<VerdictStore> {
-        let mut store = Self::open(dir);
-        let from = store.format;
-        store.format = to;
-        store.save()?;
-        store.dead_records = 0;
-        if from != to {
-            match from {
-                StoreFormat::Jsonl => {
-                    let _ = fs::remove_file(dir.join(Self::FILE_NAME));
-                }
-                StoreFormat::Daes1 => {
-                    for i in 0..Self::SHARD_COUNT {
-                        let _ = fs::remove_file(dir.join(Self::shard_file_name(i)));
-                    }
-                }
-            }
-        }
-        Ok(store)
-    }
-
-    fn load_jsonl(&mut self) {
-        let path = self.dir.join(Self::FILE_NAME);
-        let mut replayed = 0usize;
-        if let Ok(text) = fs::read_to_string(&path) {
-            let complete_tail = text.is_empty() || text.ends_with('\n');
-            let last = text.lines().count().saturating_sub(1);
-            for (i, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match decode_any_line(line) {
-                    Some(Line::Put(name, stored)) => {
-                        replayed += 1;
-                        self.entries.insert(name, stored);
-                    }
-                    Some(Line::Evict(name)) => {
-                        replayed += 1;
-                        self.entries.remove(&name);
-                    }
-                    None => {
-                        self.corrupt_lines += 1;
-                        // A final line with no newline that fails to
-                        // decode is a crash mid-append: skip it with a
-                        // counted warning instead of treating the
-                        // store as damaged.
-                        if i == last && !complete_tail {
-                            self.truncated_tail = true;
-                        }
-                    }
-                }
-            }
-        }
-        self.dead_records = replayed.saturating_sub(self.entries.len());
-    }
-
-    fn load_daes1(&mut self) {
-        let mut replayed = 0usize;
-        for shard in 0..Self::SHARD_COUNT {
-            let path = self.dir.join(Self::shard_file_name(shard));
-            let Ok(bytes) = fs::read(&path) else {
-                continue;
-            };
-            match decode_shard(&bytes, shard, &mut self.entries, &mut replayed) {
-                ShardEnd::Clean => {}
-                ShardEnd::Corrupt(n) => self.corrupt_lines += n,
-                ShardEnd::Truncated(n) => {
-                    self.corrupt_lines += n;
-                    self.truncated_tail = true;
-                }
-            }
-        }
-        self.dead_records = replayed.saturating_sub(self.entries.len());
-    }
-
     /// Undecodable records skipped by the last [`VerdictStore::open`].
     pub fn corrupt_lines(&self) -> usize {
         self.corrupt_lines
     }
 
-    /// True when a file ended in a record cut off mid-write (crash
+    /// True when a shard ended in a record cut off mid-write (crash
     /// mid-append) that was skipped on load.
     pub fn truncated_tail(&self) -> bool {
         self.truncated_tail
@@ -369,7 +231,7 @@ impl VerdictStore {
     }
 
     /// Records a verdict (exactly as [`VerdictStore::record`]) *and*
-    /// appends the change to the store file immediately, flushed, so a
+    /// appends the change to its shard file immediately, flushed, so a
     /// SIGKILL'd process loses at most the verdict currently being
     /// written. Definite verdicts append their entry record;
     /// indefinite verdicts append an evict tombstone that
@@ -401,43 +263,21 @@ impl VerdictStore {
             return Ok(definite);
         }
         fs::create_dir_all(&self.dir)?;
-        match self.format {
-            StoreFormat::Jsonl => {
-                let mut line = String::new();
-                if definite {
-                    let stored = self
-                        .entries
-                        .get(method)
-                        .expect("record returned true, entry present");
-                    encode_line(&mut line, method, stored);
-                } else {
-                    let _ = write!(
-                        line,
-                        "{{\"method\":\"{}\",\"verdict\":\"evict\"}}",
-                        esc(method)
-                    );
-                }
-                line.push('\n');
-                append_flushed(&self.dir.join(Self::FILE_NAME), line.as_bytes(), &[])?;
-            }
-            StoreFormat::Daes1 => {
-                let shard = shard_of(method);
-                let frame = if definite {
-                    let stored = self
-                        .entries
-                        .get(method)
-                        .expect("record returned true, entry present");
-                    encode_frame(RECORD_PUT, &encode_put_payload(method, stored))
-                } else {
-                    encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(method))
-                };
-                append_flushed(
-                    &self.dir.join(Self::shard_file_name(shard)),
-                    &frame,
-                    &shard_header(shard),
-                )?;
-            }
-        }
+        let shard = shard_of(method);
+        let frame = if definite {
+            let stored = self
+                .entries
+                .get(method)
+                .expect("record returned true, entry present");
+            encode_frame(RECORD_PUT, &encode_put_payload(method, stored))
+        } else {
+            encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(method))
+        };
+        append_flushed(
+            &self.dir.join(Self::shard_file_name(shard)),
+            &frame,
+            &shard_header(shard),
+        )?;
         Ok(definite)
     }
 
@@ -452,54 +292,119 @@ impl VerdictStore {
     /// the files.
     pub fn save(&self) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
-        match self.format {
-            StoreFormat::Jsonl => {
-                let mut out = String::new();
-                for (name, stored) in &self.entries {
-                    encode_line(&mut out, name, stored);
-                    out.push('\n');
-                }
-                let path = self.dir.join(Self::FILE_NAME);
-                let tmp = path.with_extension("jsonl.tmp");
-                fs::write(&tmp, out)?;
-                fs::rename(&tmp, &path)?;
-            }
-            StoreFormat::Daes1 => {
-                // Every shard is rewritten — including empties — so a
-                // compaction truncates stale data instead of leaving
-                // orphaned records in shards the surviving entries no
-                // longer map to.
-                let mut shards: Vec<Vec<u8>> = (0..Self::SHARD_COUNT)
-                    .map(|i| shard_header(i).to_vec())
-                    .collect();
-                for (name, stored) in &self.entries {
-                    let frame = encode_frame(RECORD_PUT, &encode_put_payload(name, stored));
-                    shards[shard_of(name)].extend_from_slice(&frame);
-                }
-                for (i, bytes) in shards.iter().enumerate() {
-                    let path = self.dir.join(Self::shard_file_name(i));
-                    let tmp = path.with_extension("daes.tmp");
-                    fs::write(&tmp, bytes)?;
-                    fs::rename(&tmp, &path)?;
-                }
-            }
+        // Every shard is rewritten — including empties — so a
+        // compaction truncates stale data instead of leaving orphaned
+        // records in shards the surviving entries no longer map to.
+        let mut shards: Vec<Vec<u8>> = (0..Self::SHARD_COUNT)
+            .map(|i| shard_header(i).to_vec())
+            .collect();
+        for (name, stored) in &self.entries {
+            let frame = encode_frame(RECORD_PUT, &encode_put_payload(name, stored));
+            shards[shard_of(name)].extend_from_slice(&frame);
+        }
+        for (i, bytes) in shards.iter().enumerate() {
+            let path = self.dir.join(Self::shard_file_name(i));
+            let tmp = path.with_extension("daes.tmp");
+            fs::write(&tmp, bytes)?;
+            fs::rename(&tmp, &path)?;
         }
         if self.graph_changed {
             self.graph.save(&self.dir)?;
         }
         Ok(())
     }
+
+    /// The live entries as JSON text, one object per entry in key
+    /// order. An object holds `method`, `fp` and `verdict`
+    /// (`verified`/`failed`), plus the normalized `stats` of a verified
+    /// entry or the `failures` and `report` of a failed one; fields are
+    /// rendered in alphabetical order. This is a one-way export for reading
+    /// and tooling; the store never reads it back.
+    pub fn dump(&self) -> impl Iterator<Item = String> + '_ {
+        self.entries
+            .iter()
+            .map(|(name, stored)| dump_entry(name, stored).render())
+    }
 }
 
-/// Appends `frame` to `path`, flushed; `header` is written first when
-/// the file is new or empty (the `DAES1` shard preamble — empty for
-/// JSONL).
+/// The [`VerdictStore::dump`] object of one entry.
+fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
+    let text = |s: &str| Json::Str(s.to_string());
+    let strs = |items: &[String]| Json::Arr(items.iter().map(|s| text(s)).collect());
+    let obj = |fields: Vec<(&str, Json)>| {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let mut fields = vec![
+        ("method", text(name)),
+        ("fp", text(&stored.fingerprint.to_string())),
+    ];
+    match &stored.verdict {
+        Verdict::Verified(stats) => {
+            fields.push(("verdict", text("verified")));
+            let values = STAT_KEYS
+                .iter()
+                .zip(stat_values(stats))
+                .map(|(k, v)| (*k, Json::Num(v as f64)))
+                .collect();
+            fields.push(("stats", obj(values)));
+        }
+        Verdict::Failed { failures, report } => {
+            fields.push(("verdict", text("failed")));
+            let failures = failures
+                .iter()
+                .map(|o| {
+                    obj(vec![
+                        ("description", text(&o.description)),
+                        ("outcome", text(answer_name(o.outcome))),
+                    ])
+                })
+                .collect();
+            fields.push(("failures", Json::Arr(failures)));
+            let hot_queries = report
+                .hot_queries
+                .iter()
+                .map(|q| {
+                    obj(vec![
+                        ("description", text(&q.description)),
+                        ("fuel", Json::Num(q.fuel as f64)),
+                        ("cache_hit", Json::Bool(q.cache_hit)),
+                        ("learned", Json::Num(q.learned as f64)),
+                        ("pc_hash", text(&format!("{:016x}", q.pc_hash))),
+                        ("answer", text(answer_name(q.answer))),
+                    ])
+                })
+                .collect();
+            fields.push((
+                "report",
+                obj(vec![
+                    ("first_failure", text(&report.first_failure)),
+                    ("chunks", strs(&report.chunks)),
+                    ("path_condition", strs(&report.path_condition)),
+                    ("hot_queries", Json::Arr(hot_queries)),
+                ]),
+            ));
+        }
+        // `record` never admits these.
+        Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
+            fields.push(("verdict", text("unpersistable")));
+        }
+    }
+    obj(fields)
+}
+
+/// Appends `frame` to `path`, flushed; `header` (the `DAES1` shard
+/// preamble) is written first when the file is new or empty.
 fn append_flushed(path: &Path, frame: &[u8], header: &[u8]) -> io::Result<()> {
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    if !header.is_empty() && file.metadata()?.len() == 0 {
+    if file.metadata()?.len() == 0 {
         io::Write::write_all(&mut file, header)?;
     }
     io::Write::write_all(&mut file, frame)?;
@@ -824,8 +729,7 @@ fn decode_shard(
         pos = start + len;
         if fnv64(payload) != sum {
             // Framing is intact, the payload is rotten: skip exactly
-            // this record and keep scanning — the binary mirror of the
-            // JSONL corrupt-line skip.
+            // this record and keep scanning.
             corrupt += 1;
             continue;
         }
@@ -855,41 +759,14 @@ fn decode_shard(
 }
 
 // ---------------------------------------------------------------------
-// JSONL codec (legacy + import/export).
+// Shared by the DAES1 codec and the JSON dump.
 // ---------------------------------------------------------------------
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn answer_name(a: Answer) -> &'static str {
     match a {
         Answer::Valid => "valid",
         Answer::Invalid => "invalid",
         Answer::Unknown => "unknown",
-    }
-}
-
-fn parse_answer(s: &str) -> Option<Answer> {
-    match s {
-        "valid" => Some(Answer::Valid),
-        "invalid" => Some(Answer::Invalid),
-        "unknown" => Some(Answer::Unknown),
-        _ => None,
     }
 }
 
@@ -963,185 +840,6 @@ fn stats_from_values(v: [usize; 17]) -> VerifyStats {
     s
 }
 
-fn encode_stats(out: &mut String, s: &VerifyStats) {
-    out.push('{');
-    for (i, (key, v)) in STAT_KEYS.iter().zip(stat_values(s)).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", key, v);
-    }
-    out.push('}');
-}
-
-fn decode_stats(obj: &BTreeMap<String, Json>) -> Option<VerifyStats> {
-    let get = |key: &str| -> Option<usize> {
-        let n = obj.get(key)?.as_num()?;
-        (n >= 0.0 && n.fract() == 0.0).then_some(n as usize)
-    };
-    let mut values = [0usize; 17];
-    for (slot, key) in values.iter_mut().zip(STAT_KEYS) {
-        *slot = get(key)?;
-    }
-    Some(stats_from_values(values))
-}
-
-fn encode_strings(out: &mut String, items: &[String]) {
-    out.push('[');
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", esc(s));
-    }
-    out.push(']');
-}
-
-fn decode_strings(json: &Json) -> Option<Vec<String>> {
-    json.as_arr()?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect()
-}
-
-fn encode_line(out: &mut String, name: &str, stored: &StoredVerdict) {
-    let _ = write!(
-        out,
-        "{{\"method\":\"{}\",\"fp\":\"{}\",",
-        esc(name),
-        stored.fingerprint
-    );
-    match &stored.verdict {
-        Verdict::Verified(stats) => {
-            out.push_str("\"verdict\":\"verified\",\"stats\":");
-            encode_stats(out, stats);
-        }
-        Verdict::Failed { failures, report } => {
-            out.push_str("\"verdict\":\"failed\",\"failures\":[");
-            for (i, o) in failures.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"description\":\"{}\",\"outcome\":\"{}\"}}",
-                    esc(&o.description),
-                    answer_name(o.outcome)
-                );
-            }
-            let _ = write!(
-                out,
-                "],\"report\":{{\"first_failure\":\"{}\",\"chunks\":",
-                esc(&report.first_failure)
-            );
-            encode_strings(out, &report.chunks);
-            out.push_str(",\"path_condition\":");
-            encode_strings(out, &report.path_condition);
-            out.push_str(",\"hot_queries\":[");
-            for (i, q) in report.hot_queries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"description\":\"{}\",\"fuel\":{},\"cache_hit\":{},\"learned\":{},\
-                     \"pc_hash\":\"{:016x}\",\"answer\":\"{}\"}}",
-                    esc(&q.description),
-                    q.fuel,
-                    q.cache_hit,
-                    q.learned,
-                    q.pc_hash,
-                    answer_name(q.answer)
-                );
-            }
-            out.push_str("]}");
-        }
-        // `record` never admits these; encode defensively as a line
-        // `decode_line` will reject.
-        Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
-            out.push_str("\"verdict\":\"unpersistable\"");
-        }
-    }
-    out.push('}');
-}
-
-/// One decoded store line: an entry upsert or an evict tombstone
-/// (appended by [`VerdictStore::record_durable`] for indefinite
-/// verdicts).
-enum Line {
-    Put(String, StoredVerdict),
-    Evict(String),
-}
-
-fn decode_any_line(line: &str) -> Option<Line> {
-    let json = parse_json(line).ok()?;
-    let obj = json.as_obj()?;
-    if obj.get("verdict")?.as_str()? == "evict" {
-        return Some(Line::Evict(obj.get("method")?.as_str()?.to_string()));
-    }
-    let (name, stored) = decode_line(line)?;
-    Some(Line::Put(name, stored))
-}
-
-fn decode_line(line: &str) -> Option<(String, StoredVerdict)> {
-    let json = parse_json(line).ok()?;
-    let obj = json.as_obj()?;
-    let name = obj.get("method")?.as_str()?.to_string();
-    let fingerprint = Fingerprint::parse(obj.get("fp")?.as_str()?)?;
-    let verdict = match obj.get("verdict")?.as_str()? {
-        "verified" => Verdict::Verified(decode_stats(obj.get("stats")?.as_obj()?)?),
-        "failed" => {
-            let failures = obj
-                .get("failures")?
-                .as_arr()?
-                .iter()
-                .map(|f| {
-                    let f = f.as_obj()?;
-                    Some(Obligation {
-                        description: f.get("description")?.as_str()?.to_string(),
-                        outcome: parse_answer(f.get("outcome")?.as_str()?)?,
-                    })
-                })
-                .collect::<Option<Vec<Obligation>>>()?;
-            let r = obj.get("report")?.as_obj()?;
-            let hot_queries = r
-                .get("hot_queries")?
-                .as_arr()?
-                .iter()
-                .map(|q| {
-                    let q = q.as_obj()?;
-                    Some(crate::diag::QueryCost {
-                        description: q.get("description")?.as_str()?.to_string(),
-                        fuel: q.get("fuel")?.as_num()? as u64,
-                        cache_hit: matches!(q.get("cache_hit")?, Json::Bool(true)),
-                        learned: q.get("learned")?.as_num()? as u64,
-                        pc_hash: u64::from_str_radix(q.get("pc_hash")?.as_str()?, 16).ok()?,
-                        answer: parse_answer(q.get("answer")?.as_str()?)?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Verdict::Failed {
-                failures,
-                report: FailureReport {
-                    method: name.clone(),
-                    first_failure: r.get("first_failure")?.as_str()?.to_string(),
-                    chunks: decode_strings(r.get("chunks")?)?,
-                    path_condition: decode_strings(r.get("path_condition")?)?,
-                    hot_queries,
-                },
-            }
-        }
-        _ => return None,
-    };
-    Some((
-        name,
-        StoredVerdict {
-            fingerprint,
-            verdict,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1167,7 +865,7 @@ mod tests {
             }],
             report: FailureReport {
                 // Matches the key the test stores the verdict under:
-                // both codecs rebuild `report.method` from the entry's
+                // the codec rebuilds `report.method` from the entry's
                 // key rather than persisting it twice.
                 method: "bad".to_string(),
                 first_failure: "[Invalid] postcondition".to_string(),
@@ -1186,46 +884,30 @@ mod tests {
     }
 
     #[test]
-    fn fresh_stores_default_to_daes1_and_legacy_files_detect_jsonl() {
-        let dir = temp_dir("detect");
-        assert_eq!(VerdictStore::detect_format(&dir), StoreFormat::Daes1);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(VerdictStore::FILE_NAME), "").unwrap();
-        assert_eq!(VerdictStore::detect_format(&dir), StoreFormat::Jsonl);
-        // Shards outrank the legacy file once both exist.
-        fs::write(dir.join(VerdictStore::shard_file_name(3)), "").unwrap();
-        assert_eq!(VerdictStore::detect_format(&dir), StoreFormat::Daes1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn roundtrips_verified_and_failed() {
-        for format in [StoreFormat::Daes1, StoreFormat::Jsonl] {
-            let dir = temp_dir(&format!("roundtrip-{}", format.name()));
-            let mut store = VerdictStore::open_with(&dir, format);
-            let stats = VerifyStats {
-                obligations: 2,
-                solver_queries: 5,
-                learned_clauses: 1,
-                wall_nanos: 999,
-                threads: 4,
-                ..VerifyStats::default()
-            };
-            assert!(store.record("ok", fp(1), &Verdict::Verified(stats.clone())));
-            assert!(store.record("bad", fp(2), &sample_failed()));
-            store.save().unwrap();
+        let dir = temp_dir("roundtrip");
+        let mut store = VerdictStore::open(&dir);
+        let stats = VerifyStats {
+            obligations: 2,
+            solver_queries: 5,
+            learned_clauses: 1,
+            wall_nanos: 999,
+            threads: 4,
+            ..VerifyStats::default()
+        };
+        assert!(store.record("ok", fp(1), &Verdict::Verified(stats.clone())));
+        assert!(store.record("bad", fp(2), &sample_failed()));
+        store.save().unwrap();
 
-            let reloaded = VerdictStore::open(&dir);
-            assert_eq!(reloaded.format(), format, "saved format is detected");
-            assert_eq!(reloaded.len(), 2);
-            assert_eq!(
-                reloaded.lookup("ok", fp(1)),
-                Some(&Verdict::Verified(stats.normalized())),
-                "stats are persisted normalized"
-            );
-            assert_eq!(reloaded.lookup("bad", fp(2)), Some(&sample_failed()));
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!(
+            reloaded.lookup("ok", fp(1)),
+            Some(&Verdict::Verified(stats.normalized())),
+            "stats are persisted normalized"
+        );
+        assert_eq!(reloaded.lookup("bad", fp(2)), Some(&sample_failed()));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1269,51 +951,9 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_lines_are_tolerated() {
-        let dir = temp_dir("corrupt");
-        let mut store = VerdictStore::open_with(&dir, StoreFormat::Jsonl);
-        store.record("keep", fp(7), &Verdict::Verified(VerifyStats::default()));
-        store.save().unwrap();
-        let path = dir.join(VerdictStore::FILE_NAME);
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.insert_str(0, "not json at all\n{\"method\":\"half\"\n\n");
-        text.push_str("{\"method\":\"x\",\"fp\":\"zz\",\"verdict\":\"verified\"}\n");
-        fs::write(&path, text).unwrap();
-        let reloaded = VerdictStore::open(&dir);
-        assert_eq!(reloaded.format(), StoreFormat::Jsonl);
-        assert_eq!(reloaded.len(), 1);
-        assert!(reloaded.lookup("keep", fp(7)).is_some());
-        assert_eq!(reloaded.corrupt_lines(), 3);
-        assert!(
-            !reloaded.truncated_tail(),
-            "file ends in a newline, so the tail is complete"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_tail_is_skipped_and_counted() {
-        let dir = temp_dir("truncated");
-        let mut store = VerdictStore::open_with(&dir, StoreFormat::Jsonl);
-        store.record("keep", fp(7), &Verdict::Verified(VerifyStats::default()));
-        store.save().unwrap();
-        let path = dir.join(VerdictStore::FILE_NAME);
-        let mut text = fs::read_to_string(&path).unwrap();
-        // A crash mid-append: the final line is cut off with no newline.
-        text.push_str("{\"method\":\"half\",\"fp\":\"dead");
-        fs::write(&path, text).unwrap();
-        let reloaded = VerdictStore::open(&dir);
-        assert!(reloaded.lookup("keep", fp(7)).is_some());
-        assert_eq!(reloaded.corrupt_lines(), 1);
-        assert!(reloaded.truncated_tail());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn shard_payload_corruption_is_skipped_and_counted() {
         let dir = temp_dir("shard-corrupt");
         let mut store = VerdictStore::open(&dir);
-        assert_eq!(store.format(), StoreFormat::Daes1);
         store
             .record_durable("keep", fp(7), &Verdict::Verified(VerifyStats::default()))
             .unwrap();
@@ -1400,156 +1040,184 @@ mod tests {
 
     #[test]
     fn durable_appends_survive_reopen_without_save() {
-        for format in [StoreFormat::Daes1, StoreFormat::Jsonl] {
-            let dir = temp_dir(&format!("durable-{}", format.name()));
-            let mut store = VerdictStore::open_with(&dir, format);
-            assert!(store
-                .record_durable("ok", fp(1), &Verdict::Verified(VerifyStats::default()))
-                .unwrap());
-            assert!(store
-                .record_durable("bad", fp(2), &sample_failed())
-                .unwrap());
-            drop(store); // no save(): the appends alone must persist
-            let reloaded = VerdictStore::open(&dir);
-            assert_eq!(reloaded.format(), format);
-            assert_eq!(reloaded.len(), 2);
-            assert!(reloaded.lookup("ok", fp(1)).is_some());
-            assert_eq!(reloaded.lookup("bad", fp(2)), Some(&sample_failed()));
-            assert_eq!(reloaded.corrupt_lines(), 0);
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let dir = temp_dir("durable");
+        let mut store = VerdictStore::open(&dir);
+        assert!(store
+            .record_durable("ok", fp(1), &Verdict::Verified(VerifyStats::default()))
+            .unwrap());
+        assert!(store
+            .record_durable("bad", fp(2), &sample_failed())
+            .unwrap());
+        drop(store); // no save(): the appends alone must persist
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.len(), 2);
+        assert!(reloaded.lookup("ok", fp(1)).is_some());
+        assert_eq!(reloaded.lookup("bad", fp(2)), Some(&sample_failed()));
+        assert_eq!(reloaded.corrupt_lines(), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn durable_evict_tombstones_replay_last_wins() {
-        for format in [StoreFormat::Daes1, StoreFormat::Jsonl] {
-            let dir = temp_dir(&format!("tombstone-{}", format.name()));
-            let mut store = VerdictStore::open_with(&dir, format);
-            store
-                .record_durable("m", fp(1), &Verdict::Verified(VerifyStats::default()))
-                .unwrap();
-            assert!(!store
-                .record_durable(
-                    "m",
-                    fp(1),
-                    &Verdict::CrashedInternal {
-                        message: "boom".to_string(),
-                    },
-                )
-                .unwrap());
-            drop(store);
-            let reloaded = VerdictStore::open(&dir);
-            assert!(
-                reloaded.lookup("m", fp(1)).is_none(),
-                "the appended tombstone evicts the earlier entry on replay"
-            );
-            assert_eq!(
-                reloaded.corrupt_lines(),
-                0,
-                "a tombstone is a decodable record, not corruption"
-            );
-            assert_eq!(
-                reloaded.dead_records(),
-                2,
-                "the put and its tombstone are both dead weight on disk"
-            );
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let dir = temp_dir("tombstone");
+        let mut store = VerdictStore::open(&dir);
+        store
+            .record_durable("m", fp(1), &Verdict::Verified(VerifyStats::default()))
+            .unwrap();
+        assert!(!store
+            .record_durable(
+                "m",
+                fp(1),
+                &Verdict::CrashedInternal {
+                    message: "boom".to_string(),
+                },
+            )
+            .unwrap());
+        drop(store);
+        let reloaded = VerdictStore::open(&dir);
+        assert!(
+            reloaded.lookup("m", fp(1)).is_none(),
+            "the appended tombstone evicts the earlier entry on replay"
+        );
+        assert_eq!(
+            reloaded.corrupt_lines(),
+            0,
+            "a tombstone is a decodable record, not corruption"
+        );
+        assert_eq!(
+            reloaded.dead_records(),
+            2,
+            "the put and its tombstone are both dead weight on disk"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn later_lines_win() {
+    fn fresh_stores_open_empty_and_save_daes1_shards() {
+        let dir = temp_dir("fresh");
+        let mut store = VerdictStore::open(&dir);
+        assert!(store.is_empty());
+        assert_eq!(store.corrupt_lines(), 0);
+        assert!(!store.truncated_tail());
+        assert_eq!(store.dead_records(), 0);
+        assert!(!dir.exists(), "opening a fresh store writes nothing");
+
+        store.record("m", fp(1), &Verdict::Verified(VerifyStats::default()));
+        store.save().unwrap();
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let mut expected: Vec<String> = (0..VerdictStore::SHARD_COUNT)
+            .map(VerdictStore::shard_file_name)
+            .collect();
+        expected.sort();
+        assert_eq!(names, expected, "exactly the DAES1 shards, no temp files");
+        for i in 0..VerdictStore::SHARD_COUNT {
+            let bytes = fs::read(dir.join(VerdictStore::shard_file_name(i))).unwrap();
+            assert_eq!(&bytes[..SHARD_HEADER_LEN], &shard_header(i)[..]);
+            assert_eq!(
+                bytes.len() > SHARD_HEADER_LEN,
+                i == shard_of("m"),
+                "only the key's shard holds a record"
+            );
+        }
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.len(), 1);
+        assert!(reloaded.lookup("m", fp(1)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn later_records_win() {
         let dir = temp_dir("lastwins");
-        fs::create_dir_all(&dir).unwrap();
-        let mut text = String::new();
-        encode_line(
-            &mut text,
-            "m",
-            &StoredVerdict {
-                fingerprint: fp(1),
-                verdict: Verdict::Verified(VerifyStats::default()),
-            },
-        );
-        text.push('\n');
-        encode_line(
-            &mut text,
-            "m",
-            &StoredVerdict {
-                fingerprint: fp(2),
-                verdict: Verdict::Verified(VerifyStats::default()),
-            },
-        );
-        text.push('\n');
-        fs::write(dir.join(VerdictStore::FILE_NAME), text).unwrap();
+        let mut store = VerdictStore::open(&dir);
+        for n in [1, 2] {
+            store
+                .record_durable("m", fp(n), &Verdict::Verified(VerifyStats::default()))
+                .unwrap();
+        }
+        drop(store);
         let store = VerdictStore::open(&dir);
-        assert_eq!(store.format(), StoreFormat::Jsonl);
         assert!(store.lookup("m", fp(1)).is_none());
         assert!(store.lookup("m", fp(2)).is_some());
-        assert_eq!(store.dead_records(), 1, "the buried line counts as dead");
+        assert_eq!(store.dead_records(), 1, "the buried record counts as dead");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn append_debt_triggers_auto_compaction() {
-        for format in [StoreFormat::Daes1, StoreFormat::Jsonl] {
-            let dir = temp_dir(&format!("compact-{}", format.name()));
-            let mut store = VerdictStore::open_with(&dir, format);
-            // Re-record one method far past the compaction threshold:
-            // without compaction the log would hold every version.
-            for round in 0..(COMPACT_MIN_DEAD * 3) as u64 {
-                store
-                    .record_durable("m", fp(round), &Verdict::Verified(VerifyStats::default()))
-                    .unwrap();
-            }
-            assert!(
-                store.dead_records() <= COMPACT_MIN_DEAD + 1,
-                "debt was reclaimed (left: {})",
-                store.dead_records()
-            );
-            drop(store);
-            let reloaded = VerdictStore::open(&dir);
-            assert_eq!(reloaded.len(), 1);
-            assert!(
-                reloaded.dead_records() <= COMPACT_MIN_DEAD + 1,
-                "the on-disk log was compacted (dead: {})",
-                reloaded.dead_records()
-            );
-            let _ = fs::remove_dir_all(&dir);
+        let dir = temp_dir("compact");
+        let mut store = VerdictStore::open(&dir);
+        // Re-record one method far past the compaction threshold:
+        // without compaction the log would hold every version.
+        for round in 0..(COMPACT_MIN_DEAD * 3) as u64 {
+            store
+                .record_durable("m", fp(round), &Verdict::Verified(VerifyStats::default()))
+                .unwrap();
         }
+        assert!(
+            store.dead_records() <= COMPACT_MIN_DEAD + 1,
+            "debt was reclaimed (left: {})",
+            store.dead_records()
+        );
+        drop(store);
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.len(), 1);
+        assert!(
+            reloaded.dead_records() <= COMPACT_MIN_DEAD + 1,
+            "the on-disk log was compacted (dead: {})",
+            reloaded.dead_records()
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn migration_roundtrip_is_bit_identical() {
-        let dir = temp_dir("migrate");
-        // Start from a legacy JSONL store with both verdict shapes.
-        let mut store = VerdictStore::open_with(&dir, StoreFormat::Jsonl);
-        store.record("ok", fp(1), &Verdict::Verified(VerifyStats::default()));
+    fn dump_prints_one_object_per_live_entry() {
+        let dir = temp_dir("dump");
+        let mut store = VerdictStore::open(&dir);
+        let stats = VerifyStats {
+            obligations: 3,
+            ..VerifyStats::default()
+        };
+        store.record("ok", fp(1), &Verdict::Verified(stats));
         store.record("bad", fp(2), &sample_failed());
-        store.save().unwrap();
-        let original = fs::read_to_string(dir.join(VerdictStore::FILE_NAME)).unwrap();
-
-        let migrated = VerdictStore::migrate(&dir, StoreFormat::Daes1).unwrap();
-        assert_eq!(migrated.format(), StoreFormat::Daes1);
-        assert!(
-            !dir.join(VerdictStore::FILE_NAME).exists(),
-            "the source file is removed so detection is unambiguous"
+        store.record("gone", fp(3), &Verdict::Verified(VerifyStats::default()));
+        store.record(
+            "gone",
+            fp(3),
+            &Verdict::CrashedInternal {
+                message: "boom".to_string(),
+            },
         );
-        let daes = VerdictStore::open(&dir);
-        assert_eq!(daes.format(), StoreFormat::Daes1);
-        assert_eq!(daes.len(), 2);
-        assert_eq!(daes.lookup("bad", fp(2)), Some(&sample_failed()));
-
-        let back = VerdictStore::migrate(&dir, StoreFormat::Jsonl).unwrap();
-        assert_eq!(back.format(), StoreFormat::Jsonl);
-        for i in 0..VerdictStore::SHARD_COUNT {
-            assert!(!dir.join(VerdictStore::shard_file_name(i)).exists());
-        }
-        let roundtripped = fs::read_to_string(dir.join(VerdictStore::FILE_NAME)).unwrap();
+        let lines: Vec<String> = store.dump().collect();
+        assert_eq!(lines.len(), store.len());
+        let objects: Vec<BTreeMap<String, Json>> = lines
+            .iter()
+            .map(|l| {
+                daenerys_obs::parse_json(l)
+                    .expect("every dump line parses")
+                    .as_obj()
+                    .expect("every dump line is an object")
+                    .clone()
+            })
+            .collect();
+        let field = |o: &BTreeMap<String, Json>, k: &str| o[k].as_str().unwrap().to_string();
+        let methods: Vec<String> = objects.iter().map(|o| field(o, "method")).collect();
+        assert_eq!(methods, ["bad", "ok"], "key order, evicted entry absent");
+        assert_eq!(field(&objects[0], "verdict"), "failed");
+        assert_eq!(field(&objects[0], "fp"), fp(2).to_string());
+        let report = objects[0]["report"].as_obj().unwrap();
         assert_eq!(
-            original, roundtripped,
-            "JSONL → DAES1 → JSONL reproduces the file bit for bit"
+            report["hot_queries"].as_arr().unwrap()[0].as_obj().unwrap()["pc_hash"],
+            Json::Str("ffffffffffffffff".to_string())
         );
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(field(&objects[1], "verdict"), "verified");
+        assert_eq!(
+            objects[1]["stats"].as_obj().unwrap()["obligations"],
+            Json::Num(3.0)
+        );
     }
 
     #[test]

@@ -4,13 +4,17 @@
 use daenerys_algebra::Q;
 use daenerys_idf::{
     diverging_program, parse_program, Assertion, Backend, Budget, BudgetAxis, Expr, FaultKind,
-    FaultPlan, Method, Op, Program, Solver, SolverCore, Sort, Stmt, Sym, SymExpr, TermArena, Type,
-    Verdict, Verifier, VerifierConfig,
+    FaultPlan, Method, Op, Program, Solver, Sort, Stmt, Sym, SymExpr, TermArena, Type, Verdict,
+    Verifier, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Once};
+
+#[path = "support/query_stream.rs"]
+mod query_stream;
+use query_stream::arb_query_stream;
 
 /// Quiets the default panic hook for injected-fault payloads so the
 /// chaos property below does not spray backtraces; real panics still
@@ -141,35 +145,6 @@ fn arb_program() -> impl Strategy<Value = Program> {
         })
 }
 
-/// A linear Int term over the symbols `x0..x2`.
-fn arb_lin_term() -> impl Strategy<Value = SymExpr> {
-    let atom = prop_oneof![
-        (0u32..3).prop_map(|i| SymExpr::sym(Sym(i))),
-        (-6i64..=6).prop_map(SymExpr::int),
-        ((-2i64..=2), (0u32..3))
-            .prop_map(|(c, i)| SymExpr::mul(SymExpr::int(c), SymExpr::sym(Sym(i)))),
-    ];
-    (atom.clone(), atom).prop_map(|(a, b)| SymExpr::add(a, b))
-}
-
-/// A boolean query formula: comparisons of linear terms under the
-/// propositional connectives.
-fn arb_formula() -> impl Strategy<Value = SymExpr> {
-    let cmp = (arb_lin_term(), arb_lin_term(), 0u8..3).prop_map(|(a, b, k)| match k {
-        0 => SymExpr::eq(a, b),
-        1 => SymExpr::lt(a, b),
-        _ => SymExpr::le(a, b),
-    });
-    cmp.prop_recursive(2, 12, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::and(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::or(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::implies(a, b)),
-            inner.clone().prop_map(SymExpr::not),
-        ]
-    })
-}
-
 /// An arbitrary fault aimed at the chaos target method.
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
@@ -212,17 +187,6 @@ fn arb_budget() -> impl Strategy<Value = Budget> {
         })
 }
 
-/// A stream of entailment queries `(pc, goal)`.
-fn arb_query_stream() -> impl Strategy<Value = Vec<(Vec<SymExpr>, SymExpr)>> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(arb_formula(), 0..4),
-            arb_formula(),
-        ),
-        1..8,
-    )
-}
-
 /// Verifies `p` under the given solver toggles, projected to what must
 /// be invariant: each method's definite verdict (`Some(true)` verified,
 /// `Some(false)` failed, `None` indefinite) and its failed obligations.
@@ -235,17 +199,6 @@ fn toggled_verdicts(
     learn: bool,
     threads: usize,
 ) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
-    toggled_verdicts_core(p, simplify, learn, threads, SolverCore::default())
-}
-
-/// As [`toggled_verdicts`], with an explicit SAT core.
-fn toggled_verdicts_core(
-    p: &Program,
-    simplify: bool,
-    learn: bool,
-    threads: usize,
-    solver: SolverCore,
-) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
     let mut v = Verifier::with_config(
         p,
         Backend::Destabilized,
@@ -253,7 +206,6 @@ fn toggled_verdicts_core(
             threads,
             simplify,
             learn,
-            solver,
             ..VerifierConfig::default()
         },
     );
@@ -303,44 +255,42 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
     for simplify in [true, false] {
         for learn in [true, false] {
             for threads in [1usize, 2, 8] {
-                for solver in [SolverCore::Cdcl, SolverCore::Dpll] {
-                    assert_eq!(
-                        baseline,
-                        toggled_verdicts_core(&p, simplify, learn, threads, solver),
-                        "verdicts diverge at simplify={}, learn={}, threads={}, solver={:?}",
-                        simplify,
-                        learn,
-                        threads,
-                        solver
-                    );
-                }
+                assert_eq!(
+                    baseline,
+                    toggled_verdicts(&p, simplify, learn, threads),
+                    "verdicts diverge at simplify={}, learn={}, threads={}",
+                    simplify,
+                    learn,
+                    threads
+                );
             }
         }
     }
 }
 
-/// Differential (program level): the CDCL and legacy DPLL cores give
-/// bit-identical verdicts on the exponential diverging family — the
-/// workload the CDCL core was built to collapse — at every thread
-/// count and learning setting.
+/// Program level: on the exponential diverging family — the workload
+/// the CDCL search was built to collapse — every method verifies, at
+/// every thread count and learning setting (the map two independent
+/// search cores agreed on before one was retired).
 #[test]
-fn cdcl_matches_dpll_on_diverging_programs() {
+fn diverging_programs_verify_at_every_learn_and_thread_setting() {
     for k in [1usize, 2, 4, 6] {
         let p = parse_program(&diverging_program(k)).unwrap();
-        let baseline = toggled_verdicts_core(&p, true, true, 1, SolverCore::Cdcl);
+        let expected: Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> =
+            ["after", "before", "diverge"]
+                .iter()
+                .map(|name| (name.to_string(), Some(true), Vec::new()))
+                .collect();
         for learn in [true, false] {
             for threads in [1usize, 2, 8] {
-                for solver in [SolverCore::Cdcl, SolverCore::Dpll] {
-                    assert_eq!(
-                        baseline,
-                        toggled_verdicts_core(&p, true, learn, threads, solver),
-                        "verdicts diverge at k={}, learn={}, threads={}, solver={:?}",
-                        k,
-                        learn,
-                        threads,
-                        solver
-                    );
-                }
+                assert_eq!(
+                    expected,
+                    toggled_verdicts(&p, true, learn, threads),
+                    "verdicts diverge at k={}, learn={}, threads={}",
+                    k,
+                    learn,
+                    threads
+                );
             }
         }
     }
@@ -432,42 +382,12 @@ proptest! {
         );
     }
 
-    /// Differential: the CDCL core and the legacy recursive DPLL core
-    /// answer every query identically on random linear streams. The
-    /// generated fragment is linear arithmetic under the propositional
-    /// connectives — exactly the domain of the CDCL theory layer — and
-    /// the stream is replayed so cross-query lemma retention is
-    /// exercised on both sides.
-    #[test]
-    fn cdcl_core_matches_dpll_on_query_streams(stream in arb_query_stream()) {
-        let mut cdcl = Solver::new();
-        let mut dpll = Solver::new();
-        cdcl.core = SolverCore::Cdcl;
-        dpll.core = SolverCore::Dpll;
-        cdcl.cache_enabled = false;
-        dpll.cache_enabled = false;
-        let mut arena_c = TermArena::new();
-        let mut arena_d = TermArena::new();
-        for i in 0..3 {
-            cdcl.declare(Sym(i), Sort::Int);
-            dpll.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let ac = cdcl.entails_exprs(&mut arena_c, pc, goal);
-            let ad = dpll.entails_exprs(&mut arena_d, pc, goal);
-            prop_assert_eq!(
-                ac, ad,
-                "cores disagree for pc={:?}, goal={:?}", pc, goal
-            );
-        }
-    }
-
     /// Differential (program level): on arbitrary programs, each
     /// (canonicalization, learning) setting is exactly thread-
     /// transparent, and across the learning toggle *definite* verdicts
-    /// always agree. On nonlinear programs the CDCL core may decide an
-    /// obligation naive DPLL leaves Unknown (propagation skips a
-    /// theory-Unknown leaf), and canonicalization may merge commuted
+    /// always agree. On nonlinear programs learning may decide an
+    /// obligation the no-learn search leaves Unknown (propagation skips
+    /// a theory-Unknown leaf), and canonicalization may merge commuted
     /// opaque atoms — both are precision improvements, so bit-exact
     /// toggle equality is asserted only on the linear fragment (see
     /// `canonicalization_is_answer_transparent` and
@@ -491,12 +411,12 @@ proptest! {
             per_learn.push(baseline);
         }
         // Across the learning toggle, a method definitely verified by
-        // one core must never be definitely failed by the other.
+        // one setting must never be definitely failed by the other.
         for ((name, with, _), (_, without, _)) in per_learn[0].iter().zip(&per_learn[1]) {
             if let (Some(a), Some(b)) = (with, without) {
                 prop_assert_eq!(
                     a, b,
-                    "cores give contradictory definite verdicts for {} (simplify={}) on:\n{}",
+                    "learn on/off give contradictory definite verdicts for {} (simplify={}) on:\n{}",
                     name, simplify, p
                 );
             }

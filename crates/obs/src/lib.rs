@@ -35,7 +35,7 @@ pub mod sink;
 pub mod trace;
 
 pub use event::{Event, EventKind, Value};
-pub use json::{parse as parse_json, validate_event_line, Json, JsonError};
+pub use json::{escape as escape_json, parse as parse_json, validate_event_line, Json, JsonError};
 pub use labels::{LabeledRegistry, Labels, SharedRegistry};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use render::{caret_line, fmt_count, fmt_nanos, gutter, ColorMode, Style, TextTable};

@@ -98,12 +98,11 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
     echo "daemon exited $DAEMON_STATUS after SIGTERM"; cat "$LOG"; exit 1;
 }
 
-# Zero leaked sessions, store flushed and clean. Fresh stores write
-# the sharded DAES1 format; accept a legacy JSONL store too so the
-# smoke keeps passing against older on-disk state.
+# Zero leaked sessions, store flushed and clean, written as DAES1
+# shards (the store's only encoding).
 grep -q '"leaked_sessions":0' "$OUT_DIR/metrics.json"
 grep -q '"store_corrupt_lines":0' "$OUT_DIR/metrics.json"
-ls "$STORE_DIR"/verdicts-*.daes > /dev/null 2>&1 || test -s "$STORE_DIR/verdicts.jsonl"
+ls "$STORE_DIR"/verdicts-*.daes > /dev/null
 
 echo "server smoke PASSED ($ADDR)"
 cat "$OUT_DIR/metrics.json"

@@ -22,9 +22,9 @@ use std::collections::BTreeMap;
 use std::sync::Once;
 
 /// A three-method program: two well-behaved siblings around one method
-/// whose single obligation forces the DPLL core through `2^K` branches
-/// — comfortably past the 64-branch fuel used below, small enough that
-/// the fault-free reference runs stay fast in debug builds.
+/// whose single obligation costs the solver far more than the 64 units
+/// of fuel used below, while staying small enough that the fault-free
+/// reference runs stay fast in debug builds.
 const DIVERGE_K: usize = 7;
 
 fn diverging() -> daenerys::idf::Program {
