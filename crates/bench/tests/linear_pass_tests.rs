@@ -1,21 +1,26 @@
-//! The whole-program passes stay linear in program size, and the
-//! clone-free normalized interface prints what the old body-stripped
-//! clone printed on generated corpora (so stored fingerprints still hit).
+//! The whole-program passes stay linear in program size, the normalized
+//! interface prints what the old body-stripped clone printed on
+//! generated corpora, and an incremental pass stores every verdict
+//! under the method's own `method_fingerprint`.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec};
 use daenerys_idf::{
-    check_program, method_fingerprint, normalized_interface, parse_program, Backend, Method,
-    Program, VerifierConfig,
+    check_program, config_fingerprint, method_fingerprint, normalized_interface, parse_program,
+    Backend, Method, Program, VerdictStore, Verifier, VerifierConfig,
 };
 use std::time::{Duration, Instant};
 
-fn corpus_program(methods: usize) -> Program {
-    let corpus = Corpus::generate(CorpusSpec {
+fn corpus_source(methods: usize) -> String {
+    Corpus::generate(CorpusSpec {
         methods,
         depth: 20,
         ..CorpusSpec::default()
-    });
-    parse_program(&corpus.source(None)).expect("generated corpora parse")
+    })
+    .source(None)
+}
+
+fn corpus_program(methods: usize) -> Program {
+    parse_program(&corpus_source(methods)).expect("generated corpora parse")
 }
 
 #[test]
@@ -32,15 +37,44 @@ fn normalized_interface_is_byte_identical_on_a_1k_corpus() {
     }
 }
 
-/// `check_program` plus `method_fingerprint` of every method, the
-/// per-edit front half of an incremental run.
-fn front_half(program: &Program) -> Duration {
+#[test]
+fn pass_fingerprints_match_method_fingerprint_on_a_1k_corpus() {
+    let program = corpus_program(1000);
+    let dir = std::env::temp_dir().join(format!("daenerys-linear-fp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = VerifierConfig {
+        cache_dir: Some(dir.clone()),
+        ..VerifierConfig::default()
+    };
+    let verdicts = Verifier::with_config(&program, Backend::Destabilized, config.clone())
+        .verify_all_verdicts();
+    assert_eq!(verdicts.len(), 1000);
+    let store = VerdictStore::open(&dir);
+    assert_eq!(store.len(), 1000, "every verdict is definite and stored");
+    let cfg_fp = config_fingerprint(Backend::Destabilized, &config);
+    for m in &program.methods {
+        let fp = method_fingerprint(&program, m, Backend::Destabilized, &config);
+        assert!(
+            store
+                .lookup(&format!("{}@{}", m.name, cfg_fp), fp)
+                .is_some(),
+            "{} is stored under its method_fingerprint",
+            m.name
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `parse_program`, `check_program` and `method_fingerprint` of every
+/// method: the per-edit front half of an incremental run.
+fn front_half(source: &str) -> Duration {
     let config = VerifierConfig::default();
     let started = Instant::now();
-    check_program(program).expect("generated corpora are well-formed");
+    let program = parse_program(source).expect("generated corpora parse");
+    check_program(&program).expect("generated corpora are well-formed");
     for m in &program.methods {
         std::hint::black_box(method_fingerprint(
-            program,
+            &program,
             m,
             Backend::Destabilized,
             &config,
@@ -49,9 +83,9 @@ fn front_half(program: &Program) -> Duration {
     started.elapsed()
 }
 
-fn min_of_3(program: &Program) -> Duration {
+fn min_of_3(source: &str) -> Duration {
     (0..3)
-        .map(|_| front_half(program))
+        .map(|_| front_half(source))
         .min()
         .expect("three runs")
 }
@@ -61,7 +95,7 @@ fn front_half_scales_linearly() {
     // 4x the methods: linear passes take about 4x the time, quadratic
     // ones about 16x. Min-of-3 damps scheduler noise; the bound leaves
     // 2x headroom over linear without gating on absolute time.
-    let (small, large) = (corpus_program(2000), corpus_program(8000));
+    let (small, large) = (corpus_source(2000), corpus_source(8000));
     let (t_small, t_large) = (min_of_3(&small), min_of_3(&large));
     let ratio = t_large.as_secs_f64() / t_small.as_secs_f64();
     assert!(

@@ -10,10 +10,11 @@
 use daenerys_algebra::Q;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 /// Types of the IDF language.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Type {
     /// Mathematical integers.
     Int,
@@ -34,7 +35,7 @@ impl fmt::Display for Type {
 }
 
 /// Binary operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[allow(missing_docs)]
 pub enum Op {
     Add,
@@ -53,10 +54,10 @@ pub enum Op {
 
 /// A source position: 1-based line and column, with `0:0` meaning
 /// "unknown" (synthesized nodes). Spans are *metadata*: they compare
-/// equal to every other span, so derived equality on AST nodes ignores
-/// positions — two programs that print the same are equal, and
-/// fingerprints/round-trip tests are unaffected by where a node came
-/// from.
+/// equal to every other span and hash to nothing, so derived equality
+/// and hashing on AST nodes ignore positions — two programs that print
+/// the same are equal, and fingerprints/round-trip tests are unaffected
+/// by where a node came from.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// 1-based line (0 = unknown).
@@ -89,6 +90,12 @@ impl PartialEq for Span {
 
 impl Eq for Span {}
 
+impl Hash for Span {
+    /// Hashes nothing, to agree with `==`: derived hashes of AST nodes
+    /// (the structural fingerprints) ignore positions too.
+    fn hash<H: Hasher>(&self, _state: &mut H) {}
+}
+
 impl fmt::Display for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)
@@ -96,7 +103,7 @@ impl fmt::Display for Span {
 }
 
 /// Expressions (program and specification level).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),
@@ -184,7 +191,7 @@ pub fn fraction_literal(e: &Expr) -> Option<Q> {
 }
 
 /// Specification assertions.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Assertion {
     /// A boolean expression (may be heap-dependent).
     Expr(Expr),
@@ -271,7 +278,7 @@ impl Assertion {
 }
 
 /// Statements.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Stmt {
     /// `var x: T := e`.
     VarDecl(String, Type, Expr),

@@ -16,7 +16,7 @@
 use std::fmt;
 
 /// One resource axis a [`Budget`] can bound (and a fault can exhaust).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum BudgetAxis {
     /// Wall-clock deadline per method ([`Budget::deadline_ms`]).
     Deadline,
@@ -151,7 +151,7 @@ impl Budget {
 }
 
 /// A deterministic fault to inject while verifying one method.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FaultKind {
     /// Degrade every solver answer after the method's first `n` queries
     /// to `Answer::Unknown` (bypassing the caches, so no wrong entry is
@@ -168,7 +168,7 @@ pub enum FaultKind {
 }
 
 /// A [`FaultKind`] aimed at one method by name.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Fault {
     /// The method the fault applies to.
     pub method: String,
@@ -182,7 +182,7 @@ pub struct Fault {
 /// Faults fire at fixed, repeatable points — query counts and state
 /// counts of the targeted method's own isolated run — so the same plan
 /// produces byte-identical verdicts at any thread count.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct FaultPlan {
     /// The faults, applied in order.
     pub faults: Vec<Fault>,

@@ -37,13 +37,14 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// One method's node: its normalized-interface fingerprint and its
+/// One method's node: its interface fingerprint and its
 /// direct-callee edges (sorted, deduplicated).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DepNode {
-    /// Fingerprint of the method's normalized interface (signature +
+    /// Fingerprint of the method's interface (name, signature and
     /// contract, body dropped) — the value whose movement makes the
-    /// method a spec-dirty root.
+    /// method a spec-dirty root, and the value its callers' fingerprints
+    /// hash in place of its spec.
     pub interface: Fingerprint,
     /// Names the method's body calls directly (the edge list). Empty
     /// for leaves and bodyless methods.
@@ -68,17 +69,20 @@ impl DepGraph {
 
     /// Builds the graph of `program`: every declared method is a node
     /// (bodyless methods too — callers depend on their specs), with
-    /// edges from [`direct_callees`].
+    /// edges from [`direct_callees`]. A name declared twice keeps its
+    /// first declaration, the one [`Program::method`] finds.
     pub fn of_program(program: &Program) -> DepGraph {
         let mut nodes = BTreeMap::new();
         for m in &program.methods {
-            nodes.insert(
-                m.name.clone(),
-                DepNode {
-                    interface: interface_fingerprint(m),
-                    callees: direct_callees(m),
-                },
-            );
+            if !nodes.contains_key(m.name.as_str()) {
+                nodes.insert(
+                    m.name.clone(),
+                    DepNode {
+                        interface: interface_fingerprint(m),
+                        callees: direct_callees(m),
+                    },
+                );
+            }
         }
         DepGraph { nodes }
     }

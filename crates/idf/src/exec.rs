@@ -787,7 +787,7 @@ impl<'a> Verifier<'a> {
         // Incremental mode: restore every method whose semantic
         // fingerprint matches a stored *definite* verdict; only the
         // rest are scheduled. Fingerprints cover bodies, contracts,
-        // direct-callee *normalized interfaces*, and the
+        // direct-callee *interface fingerprints*, and the
         // answer-affecting config knobs (see `fingerprint`), so a
         // restored verdict is the one re-verification would produce.
         //
@@ -809,14 +809,13 @@ impl<'a> Verifier<'a> {
         if let Some(cur) = &cur_graph {
             let cfg_fp = crate::fingerprint::config_fingerprint(self.backend, &self.config);
             keys = names.iter().map(|n| format!("{}@{}", n, cfg_fp)).collect();
+            // Fields and config are hashed once for the pass, and every
+            // interface once, in the graph.
+            let pass =
+                crate::fingerprint::PassInputs::new(self.program, self.backend, &self.config);
             for (i, name) in names.iter().enumerate() {
                 let method = self.program.method(name).expect("scheduled methods exist");
-                let fp = crate::fingerprint::method_fingerprint(
-                    self.program,
-                    method,
-                    self.backend,
-                    &self.config,
-                );
+                let fp = pass.method_in(method, cur);
                 fingerprints[i] = Some(fp);
                 restored[i] = store.lookup(&keys[i], fp);
                 if restored[i].is_none() {

@@ -12,21 +12,40 @@
 //! method; editing a *spec* additionally invalidates the direct
 //! callers; performance-only knobs (`threads`, `cache`, tracing,
 //! `cache_dir` itself) are deliberately excluded.
+//!
+//! The hash is *structural*: the AST's derived [`Hash`] feeds each
+//! node's variant tag and then its children in order, with strings
+//! terminated and lists length-prefixed, so two different trees never
+//! feed the same words. Spans hash to nothing, because
+//! [`Span`](crate::ast::Span) equality ignores them: two methods get the
+//! same fingerprint exactly when they are equal ASTs (up to a 128-bit
+//! hash collision), and whitespace, comments and source positions never
+//! move a fingerprint.
+//!
+//! Hashes compose by value. A method hashes its own and each callee's
+//! [`interface_fingerprint`] rather than their trees; the field
+//! declarations and the configuration are each hashed once per pass.
+//! An incremental pass reads the interface fingerprints from the
+//! [`DepGraph`] it builds anyway, so each interface is hashed once per
+//! pass; [`method_fingerprint`] is the same core for one method on its
+//! own.
 
 use crate::ast::{Method, Program, Stmt};
+use crate::budget::FaultPlan;
+use crate::depgraph::DepGraph;
 use crate::diag::splitmix64;
 use crate::exec::{Backend, VerifierConfig};
 use crate::pretty::Interface;
 use std::fmt;
+use std::hash::Hash;
 
-/// A 128-bit semantic fingerprint (two independently seeded 64-bit
-/// FNV-1a/splitmix rolling hashes, so an accidental collision must
-/// defeat both streams at once).
+/// A 128-bit semantic fingerprint (two independently keyed 64-bit hash
+/// lanes, so an accidental collision must defeat both at once).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Fingerprint {
-    /// First hash stream.
+    /// First hash lane.
     pub hi: u64,
-    /// Second (differently seeded) hash stream.
+    /// Second (differently keyed) hash lane.
     pub lo: u64,
 }
 
@@ -37,46 +56,82 @@ impl fmt::Display for Fingerprint {
 }
 
 impl Fingerprint {
-    /// Parses the 32-hex-digit form produced by `Display`.
+    /// Parses the form `Display` writes: exactly 32 lowercase hex
+    /// digits. Anything else — other lengths, uppercase digits, signs,
+    /// non-ASCII characters — is `None`.
     pub fn parse(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
+        let digits = s.as_bytes();
+        if digits.len() != 32
+            || !digits
+                .iter()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
             return None;
         }
+        // All ASCII, so both halves are on character boundaries.
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
         let lo = u64::from_str_radix(&s[16..], 16).ok()?;
         Some(Fingerprint { hi, lo })
     }
 }
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const SEED_HI: u64 = 0xcbf2_9ce4_8422_2325;
-const SEED_LO: u64 = 0x6c62_272e_07bb_0142;
+/// The first word of every fingerprint, naming what it is of, and the
+/// markers inside a method's fingerprint.
+#[derive(Clone, Copy)]
+enum Tag {
+    Method = 1,
+    Interface,
+    Fields,
+    Config,
+    ConfigPlan,
+    Callee,
+    MissingCallee,
+    Fault,
+}
 
+const KEY_HI: u64 = 0x9e37_79b9_7f4a_7c15;
+const KEY_LO: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// Two 64-bit lanes absorbing one word at a time. Each step multiplies
+/// by an odd key and folds the high half down, a bijection of the lane
+/// for a fixed word (and of the word for a fixed lane), so two streams
+/// that differ in one word never collide.
+///
+/// AST nodes feed it through their derived [`Hash`]: a discriminant per
+/// enum variant, then the fields in order, with strings terminated and
+/// sequences length-prefixed by `std`, so the stream is prefix-free.
 struct Hasher {
     hi: u64,
     lo: u64,
 }
 
 impl Hasher {
-    fn new() -> Hasher {
-        Hasher {
-            hi: SEED_HI,
-            lo: SEED_LO,
-        }
+    fn new(tag: Tag) -> Hasher {
+        let mut h = Hasher {
+            hi: 0xcbf2_9ce4_8422_2325,
+            lo: 0x6c62_272e_07bb_0142,
+        };
+        h.tag(tag);
+        h
     }
 
-    /// Hashes `value`'s display text as one field, streamed through the
-    /// hash without building the string.
-    fn write(&mut self, value: impl fmt::Display) {
-        // `write_str` below never fails.
-        let _ = fmt::write(self, format_args!("{}", value));
-        // A field separator that no text byte can produce, so
-        // ("ab", "c") and ("a", "bc") hash differently.
-        self.hi = self.hi.wrapping_mul(FNV_PRIME) ^ 0xff;
-        self.lo = self.lo.wrapping_mul(FNV_PRIME) ^ 0xfe;
+    fn word(&mut self, w: u64) {
+        let hi = (self.hi ^ w).wrapping_mul(KEY_HI);
+        self.hi = hi ^ (hi >> 29);
+        let lo = (self.lo ^ w.rotate_left(32)).wrapping_mul(KEY_LO);
+        self.lo = lo ^ (lo >> 31);
     }
 
-    fn finish(self) -> Fingerprint {
+    fn tag(&mut self, tag: Tag) {
+        self.word(tag as u64);
+    }
+
+    fn absorb(&mut self, fp: Fingerprint) {
+        self.word(fp.hi);
+        self.word(fp.lo);
+    }
+
+    fn into_fingerprint(self) -> Fingerprint {
         Fingerprint {
             hi: splitmix64(self.hi),
             lo: splitmix64(self.lo ^ 0x9e37_79b9),
@@ -84,13 +139,54 @@ impl Hasher {
     }
 }
 
-impl fmt::Write for Hasher {
-    fn write_str(&mut self, text: &str) -> fmt::Result {
-        for &b in text.as_bytes() {
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
+impl std::hash::Hasher for Hasher {
+    /// Length, then the bytes in little-endian 8-byte words (the last
+    /// zero-padded; the length keeps the padding unambiguous).
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
-        Ok(())
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    // Integers are one word each (two for 128 bits), independent of
+    // the host's byte order and pointer width. The signed forms
+    // delegate to these.
+    fn write_u8(&mut self, n: u8) {
+        self.word(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.word(n as u64);
+        self.word((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    /// The first lane of the fingerprint so far; fingerprints use both.
+    fn finish(&self) -> u64 {
+        splitmix64(self.hi)
     }
 }
 
@@ -123,21 +219,27 @@ pub fn direct_callees(method: &Method) -> Vec<String> {
 /// The canonical, *normalized* interface of a method: its signature and
 /// contract pretty-printed from the AST with the body dropped. Parsing
 /// already discards whitespace and comments, so two spec texts that
-/// differ only in formatting normalize to the same string — callers are
-/// invalidated by what a spec *means*, never by how it was typed.
+/// differ only in formatting normalize to the same string. This is the
+/// text form of what [`interface_fingerprint`] hashes.
 pub fn normalized_interface(method: &Method) -> String {
     Interface(method).to_string()
 }
 
-/// Fingerprint of a method's [`normalized_interface`] alone — the value
-/// the dependency graph ([`crate::depgraph`]) persists per node so a
-/// later run can tell *which* specs changed (and dirty their transitive
-/// callers) without rehashing caller bodies.
+/// Fingerprint of a method's interface alone — name, parameters,
+/// returns, `requires` and `ensures`, never the body. The dependency
+/// graph ([`crate::depgraph`]) persists it per node so a later run can
+/// tell *which* specs changed (and dirty their transitive callers), and
+/// a caller's [`method_fingerprint`] hashes it in place of the callee's
+/// spec: callers are invalidated by what a spec *means*, never by how it
+/// was typed.
 pub fn interface_fingerprint(method: &Method) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.write("interface");
-    h.write(Interface(method));
-    h.finish()
+    let mut h = Hasher::new(Tag::Interface);
+    method.name.hash(&mut h);
+    method.params.hash(&mut h);
+    method.returns.hash(&mut h);
+    method.requires.hash(&mut h);
+    method.ensures.hash(&mut h);
+    h.into_fingerprint()
 }
 
 /// The solver's answer epoch, hashed into every store key. Bump it when
@@ -147,23 +249,19 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
 /// lemmas (DESIGN.md §12.2); keys from before it ended in `solver=Cdcl`.
 pub const SOLVER_EPOCH: u32 = 2;
 
-/// The canonical text of the configuration knobs that can change
-/// `method`'s verdict. Cost-only knobs (`threads`, `cache`, tracing,
-/// `cache_dir`, `explain_stability`) are excluded: they are property-tested to be
+/// The canonical text of the configuration knobs that can change a
+/// verdict, apart from the fault plan: a method's fingerprint adds the
+/// faults aimed at it, and [`config_fingerprint`] the whole plan.
+/// Cost-only knobs (`threads`, `cache`, tracing, `cache_dir`,
+/// `explain_stability`) are excluded: they are property-tested to be
 /// answer-transparent, so a verdict cached under one setting is valid
 /// under any other. The trailing [`SOLVER_EPOCH`] moves every key when
 /// the solver's answers change.
-pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> String {
-    let faults: Vec<String> = config
-        .faults
-        .for_method(method)
-        .map(|k| format!("{:?}", k))
-        .collect();
+pub fn config_text(backend: Backend, config: &VerifierConfig) -> String {
     format!(
-        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={};epoch={}",
+        "backend={:?};budget={:?};retry_unknown={};simplify={};learn={};deny_unstable={};epoch={}",
         backend,
         config.budget,
-        faults,
         config.retry_unknown,
         config.simplify,
         config.learn,
@@ -173,20 +271,100 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
 }
 
 /// Fingerprint of the whole answer-affecting configuration for a run
-/// (every knob in [`config_text`], with the full fault plan instead of
-/// one method's slice). Two daemon tenants whose configs agree here can
+/// (every knob in [`config_text`], plus the full fault plan). Two daemon tenants whose configs agree here can
 /// share one verdict-store read side; two that disagree must not
 /// thrash each other's entries.
 pub fn config_fingerprint(backend: Backend, config: &VerifierConfig) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.write("config");
-    h.write(config_text(backend, config, ""));
-    h.write("faults");
-    h.write(format_args!("{:?}", config.faults));
-    h.finish()
+    let mut h = Hasher::new(Tag::ConfigPlan);
+    config_text(backend, config).hash(&mut h);
+    config.faults.hash(&mut h);
+    h.into_fingerprint()
 }
 
-/// Computes `method`'s semantic fingerprint within `program`.
+/// The fingerprint inputs every method of one pass shares: the field
+/// declarations and the [`config_text`], each hashed once. A method adds the faults aimed at it
+/// itself, and only when there are any.
+pub(crate) struct PassInputs<'c> {
+    fields: Fingerprint,
+    config: Fingerprint,
+    faults: &'c FaultPlan,
+}
+
+impl<'c> PassInputs<'c> {
+    /// Hashes the shared inputs of a pass over `program`.
+    pub(crate) fn new(
+        program: &Program,
+        backend: Backend,
+        config: &'c VerifierConfig,
+    ) -> PassInputs<'c> {
+        let mut fields = Hasher::new(Tag::Fields);
+        program.fields.hash(&mut fields);
+        let mut knobs = Hasher::new(Tag::Config);
+        config_text(backend, config).hash(&mut knobs);
+        PassInputs {
+            fields: fields.into_fingerprint(),
+            config: knobs.into_fingerprint(),
+            faults: &config.faults,
+        }
+    }
+
+    /// `method`'s fingerprint, reading its own interface fingerprint,
+    /// its callee edges and its callees' interface fingerprints from
+    /// `graph`, which must be the [`DepGraph::of_program`] of the
+    /// program `method` was looked up in by name.
+    pub(crate) fn method_in(&self, method: &Method, graph: &DepGraph) -> Fingerprint {
+        let node = graph
+            .node(&method.name)
+            .expect("the graph holds every method of its program");
+        self.method(method, node.interface, &node.callees, |callee| {
+            graph.node(callee).map(|n| n.interface)
+        })
+    }
+
+    /// The core: `method`'s body, its own `interface` fingerprint, each
+    /// of its sorted, deduplicated `callees` (its interface fingerprint,
+    /// or the missing marker and its name), the shared inputs, and the
+    /// faults aimed at it.
+    fn method(
+        &self,
+        method: &Method,
+        interface: Fingerprint,
+        callees: &[String],
+        callee_interface: impl Fn(&str) -> Option<Fingerprint>,
+    ) -> Fingerprint {
+        let mut h = Hasher::new(Tag::Method);
+        h.absorb(interface);
+        method.body.hash(&mut h);
+        h.absorb(self.fields);
+        callees.len().hash(&mut h);
+        for callee in callees {
+            // A callee contributes its interface, never its body (calls
+            // are verified against specs). An undeclared one is hashed
+            // by name, so *adding* the declaration later changes the
+            // fingerprint.
+            match callee_interface(callee) {
+                Some(fp) => {
+                    h.tag(Tag::Callee);
+                    h.absorb(fp);
+                }
+                None => {
+                    h.tag(Tag::MissingCallee);
+                    callee.hash(&mut h);
+                }
+            }
+        }
+        h.absorb(self.config);
+        for kind in self.faults.for_method(&method.name) {
+            h.tag(Tag::Fault);
+            kind.hash(&mut h);
+        }
+        h.into_fingerprint()
+    }
+}
+
+/// Computes `method`'s semantic fingerprint within `program`: the same
+/// core an incremental pass runs per method, with the shared inputs and
+/// the interface fingerprints computed for this one call.
 ///
 /// A callee with no declaration in `program` is hashed by name with an
 /// explicit "missing" marker, so *adding* the declaration later changes
@@ -197,30 +375,12 @@ pub fn method_fingerprint(
     backend: Backend,
     config: &VerifierConfig,
 ) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.write("method");
-    h.write(method);
-    h.write("fields");
-    for (name, ty) in &program.fields {
-        h.write(format_args!("{}:{}", name, ty));
-    }
-    h.write("callees");
-    for callee in direct_callees(method) {
-        match program.method(&callee) {
-            Some(m) => {
-                // The callee's *normalized interface*: its signature
-                // and contract pretty-printed from the AST, never its
-                // body (calls are verified against specs) and never the
-                // raw source text (formatting-only spec edits must not
-                // invalidate callers).
-                h.write(Interface(m));
-            }
-            None => h.write(format_args!("missing:{}", callee)),
-        }
-    }
-    h.write("config");
-    h.write(config_text(backend, config, &method.name));
-    h.finish()
+    PassInputs::new(program, backend, config).method(
+        method,
+        interface_fingerprint(method),
+        &direct_callees(method),
+        |callee| program.method(callee).map(interface_fingerprint),
+    )
 }
 
 #[cfg(test)]
@@ -246,6 +406,60 @@ mod tests {
         let p = parse_program(src).unwrap();
         let m = p.method(name).unwrap();
         method_fingerprint(&p, m, Backend::Destabilized, config)
+    }
+
+    #[test]
+    fn parse_accepts_only_what_display_writes() {
+        let a = Fingerprint {
+            hi: 0x0123_4567_89ab_cdef,
+            lo: 0xfedc_ba98_7654_3210,
+        };
+        assert_eq!(Fingerprint::parse(&a.to_string()), Some(a));
+        for bad in [
+            // 32 bytes with a two-byte character across byte 16.
+            "000000000000000é000000000000000",
+            // `from_str_radix` alone would accept a sign.
+            "+000000000000000+000000000000000",
+            "0123456789ABCDEF0123456789abcdef",
+            "0123456789abcdef0123456789abcde",
+            "",
+        ] {
+            assert_eq!(Fingerprint::parse(bad), None, "{:?}", bad);
+        }
+    }
+
+    #[test]
+    fn pass_fingerprints_match_method_fingerprint() {
+        // `ghost` is called but never declared: the missing marker.
+        let src = SRC.replace("{ r := n }", "{ call r := ghost(n) }");
+        let p = parse_program(&src).unwrap();
+        let graph = DepGraph::of_program(&p);
+        let faulted = VerifierConfig {
+            faults: FaultPlan::none().inject("double", crate::budget::FaultKind::PanicAtState(2)),
+            ..VerifierConfig::default()
+        };
+        for cfg in [VerifierConfig::default(), faulted] {
+            let pass = PassInputs::new(&p, Backend::Destabilized, &cfg);
+            for m in &p.methods {
+                assert_eq!(
+                    pass.method_in(m, &graph),
+                    method_fingerprint(&p, m, Backend::Destabilized, &cfg),
+                    "{}",
+                    m.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faults_move_only_the_targeted_method() {
+        let base = VerifierConfig::default();
+        let faulted = VerifierConfig {
+            faults: FaultPlan::none().inject("get", crate::budget::FaultKind::PanicAtState(2)),
+            ..base.clone()
+        };
+        assert_ne!(fp(SRC, "get", &base), fp(SRC, "get", &faulted));
+        assert_eq!(fp(SRC, "free", &base), fp(SRC, "free", &faulted));
     }
 
     #[test]
@@ -345,9 +559,9 @@ mod tests {
         // Store keys hash this text: any byte change re-verifies every
         // stored method.
         assert_eq!(
-            config_text(Backend::Destabilized, &VerifierConfig::default(), "m"),
+            config_text(Backend::Destabilized, &VerifierConfig::default()),
             "backend=Destabilized;budget=Budget { deadline_ms: None, solver_fuel: None, \
-             max_states: None, max_terms: None };faults=[];retry_unknown=true;simplify=true;\
+             max_states: None, max_terms: None };retry_unknown=true;simplify=true;\
              learn=true;deny_unstable=false;epoch=2"
         );
     }

@@ -1,12 +1,17 @@
 //! Lexer for the IDF surface syntax.
+//!
+//! Tokens borrow their identifier text from the source ([`Tok::Ident`]
+//! holds a `&str`), so lexing allocates only the token and offset
+//! vectors; the parser copies an identifier into a `String` once, when
+//! it builds the AST node that owns it.
 
 use std::fmt;
 
-/// Tokens of the IDF language.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Tok {
+/// Tokens of the IDF language, borrowing identifiers from the source.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Tok<'s> {
     /// Identifier.
-    Ident(String),
+    Ident(&'s str),
     /// Integer literal.
     Int(i64),
     /// Keyword.
@@ -76,7 +81,7 @@ pub enum Sy {
     Question,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{}", s),
@@ -141,26 +146,33 @@ fn keyword(s: &str) -> Option<Kw> {
 /// # Errors
 ///
 /// Returns [`LexError`] on unknown characters or malformed literals.
-pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
-    Ok(lex_spanned(src)?.into_iter().map(|(t, _)| t).collect())
+pub fn lex(src: &str) -> Result<Vec<Tok<'_>>, LexError> {
+    Ok(lex_spanned(src)?.0)
 }
 
-/// Tokenizes IDF source keeping each token's starting byte offset —
-/// the spans that let the parser report source positions (line and
-/// column) in its diagnostics.
+/// Tokenizes IDF source into the tokens and, in a parallel vector,
+/// each token's starting byte offset — the spans that let the parser
+/// report source positions (line and column) in its diagnostics.
 ///
 /// # Errors
 ///
 /// Returns [`LexError`] on unknown characters or malformed literals.
-pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
+pub fn lex_spanned(src: &str) -> Result<(Vec<Tok<'_>>, Vec<usize>), LexError> {
     let b = src.as_bytes();
     let mut i = 0;
-    let mut out = Vec::new();
+    let mut toks = Vec::new();
+    let mut starts = Vec::new();
+    // Every arm advances over ASCII bytes only (comments stop at an
+    // ASCII delimiter), so `i` is always on a character boundary.
     while i < b.len() {
         let c = b[i] as char;
         let tok_start = i;
+        let mut push = |t| {
+            toks.push(t);
+            starts.push(tok_start);
+        };
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             '/' if b.get(i + 1) == Some(&b'/') => {
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
@@ -184,99 +196,99 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                 }
             }
             '(' => {
-                out.push((Tok::Sym(Sy::LParen), tok_start));
+                push(Tok::Sym(Sy::LParen));
                 i += 1;
             }
             ')' => {
-                out.push((Tok::Sym(Sy::RParen), tok_start));
+                push(Tok::Sym(Sy::RParen));
                 i += 1;
             }
             '{' => {
-                out.push((Tok::Sym(Sy::LBrace), tok_start));
+                push(Tok::Sym(Sy::LBrace));
                 i += 1;
             }
             '}' => {
-                out.push((Tok::Sym(Sy::RBrace), tok_start));
+                push(Tok::Sym(Sy::RBrace));
                 i += 1;
             }
             ',' => {
-                out.push((Tok::Sym(Sy::Comma), tok_start));
+                push(Tok::Sym(Sy::Comma));
                 i += 1;
             }
             ';' => {
-                out.push((Tok::Sym(Sy::Semi), tok_start));
+                push(Tok::Sym(Sy::Semi));
                 i += 1;
             }
             '.' => {
-                out.push((Tok::Sym(Sy::Dot), tok_start));
+                push(Tok::Sym(Sy::Dot));
                 i += 1;
             }
             '?' => {
-                out.push((Tok::Sym(Sy::Question), tok_start));
+                push(Tok::Sym(Sy::Question));
                 i += 1;
             }
             ':' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Assign), tok_start));
+                push(Tok::Sym(Sy::Assign));
                 i += 2;
             }
             ':' => {
-                out.push((Tok::Sym(Sy::Colon), tok_start));
+                push(Tok::Sym(Sy::Colon));
                 i += 1;
             }
             '=' if b.get(i + 1) == Some(&b'=') && b.get(i + 2) == Some(&b'>') => {
-                out.push((Tok::Sym(Sy::Implies), tok_start));
+                push(Tok::Sym(Sy::Implies));
                 i += 3;
             }
             '=' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::EqEq), tok_start));
+                push(Tok::Sym(Sy::EqEq));
                 i += 2;
             }
             '!' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Ne), tok_start));
+                push(Tok::Sym(Sy::Ne));
                 i += 2;
             }
             '!' => {
-                out.push((Tok::Sym(Sy::Bang), tok_start));
+                push(Tok::Sym(Sy::Bang));
                 i += 1;
             }
             '<' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Le), tok_start));
+                push(Tok::Sym(Sy::Le));
                 i += 2;
             }
             '<' => {
-                out.push((Tok::Sym(Sy::Lt), tok_start));
+                push(Tok::Sym(Sy::Lt));
                 i += 1;
             }
             '>' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Ge), tok_start));
+                push(Tok::Sym(Sy::Ge));
                 i += 2;
             }
             '>' => {
-                out.push((Tok::Sym(Sy::Gt), tok_start));
+                push(Tok::Sym(Sy::Gt));
                 i += 1;
             }
             '+' => {
-                out.push((Tok::Sym(Sy::Plus), tok_start));
+                push(Tok::Sym(Sy::Plus));
                 i += 1;
             }
             '-' => {
-                out.push((Tok::Sym(Sy::Minus), tok_start));
+                push(Tok::Sym(Sy::Minus));
                 i += 1;
             }
             '*' => {
-                out.push((Tok::Sym(Sy::Star), tok_start));
+                push(Tok::Sym(Sy::Star));
                 i += 1;
             }
             '/' => {
-                out.push((Tok::Sym(Sy::Slash), tok_start));
+                push(Tok::Sym(Sy::Slash));
                 i += 1;
             }
             '&' if b.get(i + 1) == Some(&b'&') => {
-                out.push((Tok::Sym(Sy::AndAnd), tok_start));
+                push(Tok::Sym(Sy::AndAnd));
                 i += 2;
             }
             '|' if b.get(i + 1) == Some(&b'|') => {
-                out.push((Tok::Sym(Sy::OrOr), tok_start));
+                push(Tok::Sym(Sy::OrOr));
                 i += 2;
             }
             c if c.is_ascii_digit() => {
@@ -288,7 +300,7 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                     pos: start,
                     message: "integer literal out of range".into(),
                 })?;
-                out.push((Tok::Int(n), tok_start));
+                push(Tok::Int(n));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -302,19 +314,22 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                 }
                 let text = &src[start..i];
                 match keyword(text) {
-                    Some(k) => out.push((Tok::Kw(k), tok_start)),
-                    None => out.push((Tok::Ident(text.to_string()), tok_start)),
+                    Some(k) => push(Tok::Kw(k)),
+                    None => push(Tok::Ident(text)),
                 }
             }
-            other => {
+            _ => {
+                // Decode the whole character, so a non-ASCII one is
+                // reported as itself rather than as its first byte.
+                let other = src[i..].chars().next().expect("i is inside src");
                 return Err(LexError {
                     pos: i,
                     message: format!("unexpected character {:?}", other),
-                })
+                });
             }
         }
     }
-    Ok(out)
+    Ok((toks, starts))
 }
 
 #[cfg(test)]
@@ -358,5 +373,37 @@ mod tests {
     fn errors() {
         assert!(lex("#").is_err());
         assert!(lex("/* open").is_err());
+    }
+
+    #[test]
+    fn identifiers_borrow_the_source() {
+        let src = "method m(a: Ref)";
+        let (toks, starts) = lex_spanned(src).unwrap();
+        assert_eq!(toks[1], Tok::Ident("m"));
+        assert_eq!(starts[1], 7);
+        match toks[3] {
+            Tok::Ident(a) => assert!(std::ptr::eq(a.as_ptr(), src[9..].as_ptr())),
+            other => panic!("expected an identifier, found {:?}", other),
+        }
+        assert_eq!(toks.len(), starts.len());
+        assert_eq!(format!("{:?}", toks[1]), "Ident(\"m\")");
+    }
+
+    #[test]
+    fn non_ascii_characters_are_reported_whole() {
+        for (src, pos, shown) in [
+            ("method é()", 7, "'é'"),
+            ("x → y", 2, "'→'"),
+            ("x\u{a0}y", 1, "'\\u{a0}'"),
+        ] {
+            let e = lex(src).unwrap_err();
+            assert_eq!(e.pos, pos, "{:?}", src);
+            assert_eq!(
+                e.message,
+                format!("unexpected character {}", shown),
+                "{:?}",
+                src
+            );
+        }
     }
 }

@@ -209,8 +209,9 @@ pub fn parse_assertion(src: &str) -> Result<Assertion, ParseError> {
     Ok(a)
 }
 
-struct P {
-    toks: Vec<Tok>,
+struct P<'s> {
+    /// Tokens, borrowing identifier text from the source.
+    toks: Vec<Tok<'s>>,
     /// Starting byte offset of each token (parallel to `toks`).
     spans: Vec<usize>,
     i: usize,
@@ -219,16 +220,15 @@ struct P {
     src_len: usize,
 }
 
-impl P {
-    fn new(src: &str) -> Result<P, ParseError> {
-        let spanned = lex_spanned(src).map_err(|e| ParseError::from_lex(e, src))?;
+impl<'s> P<'s> {
+    fn new(src: &'s str) -> Result<P<'s>, ParseError> {
+        let (toks, spans) = lex_spanned(src).map_err(|e| ParseError::from_lex(e, src))?;
         let mut line_starts = vec![0];
         for (i, b) in src.bytes().enumerate() {
             if b == b'\n' {
                 line_starts.push(i + 1);
             }
         }
-        let (toks, spans) = spanned.into_iter().unzip();
         Ok(P {
             toks,
             spans,
@@ -263,7 +263,7 @@ impl P {
 
     /// The tail of a `field` declaration (the keyword already eaten).
     fn field_rest(&mut self) -> Result<(String, Type), ParseError> {
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         self.expect_sym(Sy::Colon)?;
         let ty = self.ty()?;
         Ok((name, ty))
@@ -281,11 +281,11 @@ impl P {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'s>> {
         self.toks.get(self.i)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
+    fn peek2(&self) -> Option<&Tok<'s>> {
         self.toks.get(self.i + 1)
     }
 
@@ -327,8 +327,10 @@ impl P {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().cloned() {
+    /// The next identifier, borrowed from the source: the caller copies
+    /// it into the AST node it builds.
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
+        match self.peek().copied() {
             Some(Tok::Ident(s)) => {
                 self.i += 1;
                 Ok(s)
@@ -354,7 +356,7 @@ impl P {
         let mut out = Vec::new();
         if !self.eat_sym(Sy::RParen) {
             loop {
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 self.expect_sym(Sy::Colon)?;
                 let ty = self.ty()?;
                 out.push((name, ty));
@@ -369,7 +371,7 @@ impl P {
 
     fn method(&mut self) -> Result<Method, ParseError> {
         self.expect_kw(Kw::Method)?;
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         let params = self.params()?;
         let returns = if self.eat_kw(Kw::Returns) {
             self.params()?
@@ -421,7 +423,7 @@ impl P {
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw(Kw::Var) {
-            let x = self.ident()?;
+            let x = self.ident()?.to_string();
             self.expect_sym(Sy::Colon)?;
             let ty = self.ty()?;
             self.expect_sym(Sy::Assign)?;
@@ -462,30 +464,30 @@ impl P {
         }
         if self.eat_kw(Kw::Call) {
             // call [targets :=] m(args)
-            let first = self.ident()?;
+            let first = self.ident()?.to_string();
             if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
                 let args = self.call_args()?;
                 return Ok(Stmt::Call(Vec::new(), first, args));
             }
             let mut targets = vec![first];
             while self.eat_sym(Sy::Comma) {
-                targets.push(self.ident()?);
+                targets.push(self.ident()?.to_string());
             }
             self.expect_sym(Sy::Assign)?;
-            let m = self.ident()?;
+            let m = self.ident()?.to_string();
             let args = self.call_args()?;
             return Ok(Stmt::Call(targets, m, args));
         }
         // Assignment forms: `x := ...` or `e.f := e`.
         if let (Some(Tok::Ident(x)), Some(Tok::Sym(Sy::Assign))) = (self.peek(), self.peek2()) {
-            let x = x.clone();
+            let x = x.to_string();
             self.i += 2;
             if self.eat_kw(Kw::New) {
                 self.expect_sym(Sy::LParen)?;
                 let mut fields = Vec::new();
                 if !self.eat_sym(Sy::RParen) {
                     loop {
-                        let f = self.ident()?;
+                        let f = self.ident()?.to_string();
                         self.expect_sym(Sy::Colon)?;
                         let e = self.expr()?;
                         fields.push((f, e));
@@ -605,11 +607,11 @@ impl P {
         if self.eat_kw(Kw::Write) {
             return Ok(Q::ONE);
         }
-        match self.peek().cloned() {
+        match self.peek().copied() {
             Some(Tok::Int(n)) => {
                 self.i += 1;
                 if self.eat_sym(Sy::Slash) {
-                    match self.peek().cloned() {
+                    match self.peek().copied() {
                         Some(Tok::Int(d)) if d != 0 => {
                             self.i += 1;
                             Ok(Q::new(n as i128, d as i128))
@@ -742,13 +744,13 @@ impl P {
         let mut e = self.atom()?;
         while self.eat_sym(Sy::Dot) {
             let f = self.ident()?;
-            e = Expr::field_at(e, &f, self.span_at(start));
+            e = Expr::field_at(e, f, self.span_at(start));
         }
         Ok(e)
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
+        match self.peek().copied() {
             Some(Tok::Int(n)) => {
                 self.i += 1;
                 Ok(Expr::Int(n))
@@ -786,7 +788,7 @@ impl P {
             }
             Some(Tok::Ident(x)) => {
                 self.i += 1;
-                Ok(Expr::Var(x))
+                Ok(Expr::var(x))
             }
             Some(Tok::Sym(Sy::LParen)) => {
                 self.i += 1;

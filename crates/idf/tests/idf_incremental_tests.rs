@@ -4,7 +4,8 @@
 //! bit-identically, and never persist an indefinite outcome.
 
 use daenerys_idf::{
-    diverging_program, parse_program, Backend, Budget, Program, Verdict, VerdictStore, Verifier,
+    all_cases, config_fingerprint, diverging_program, method_fingerprint, parse_program, Backend,
+    Budget, DepGraph, FaultKind, FaultPlan, Program, Verdict, VerdictStore, Verifier,
     VerifierConfig,
 };
 use std::collections::BTreeMap;
@@ -253,4 +254,107 @@ fn non_incremental_runs_report_no_reverified_count() {
     let mut v = Verifier::new(&program, Backend::Destabilized);
     let _ = v.verify_all_verdicts();
     assert_eq!(v.methods_reverified(), None);
+}
+
+/// Runs one cold incremental pass of `program` under `cfg` and asserts
+/// that every definite verdict it stored sits under the method's
+/// [`method_fingerprint`]: the fingerprints a pass computes in one
+/// batch, from its dependency graph, are the one-method ones.
+fn assert_pass_fingerprints_are_method_fingerprints(program: &Program, cfg: &VerifierConfig) {
+    let (verdicts, _) = run(program, cfg);
+    let dir = cfg.cache_dir.as_ref().expect("an incremental config");
+    let store = VerdictStore::open(dir);
+    let cfg_fp = config_fingerprint(Backend::Destabilized, cfg);
+    let mut definite = 0;
+    for (name, verdict) in &verdicts {
+        if matches!(verdict, Verdict::Verified(_) | Verdict::Failed { .. }) {
+            definite += 1;
+            let method = program.method(name).unwrap();
+            let fp = method_fingerprint(program, method, Backend::Destabilized, cfg);
+            assert!(
+                store.lookup(&format!("{}@{}", name, cfg_fp), fp).is_some(),
+                "{} is stored under its method_fingerprint",
+                name
+            );
+        }
+    }
+    assert_eq!(store.len(), definite, "one entry per definite verdict");
+}
+
+#[test]
+fn pass_fingerprints_match_method_fingerprint_on_f1() {
+    for case in all_cases() {
+        let dir = temp_dir(&format!("batch-{}", case.name));
+        let program = parse_program(case.source).unwrap();
+        assert_pass_fingerprints_are_method_fingerprints(&program, &config(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn pass_fingerprints_match_method_fingerprint_under_a_fault_plan() {
+    // A fault that never fires keeps `double`'s verdict definite (so it
+    // is stored) while putting a fault slice into its fingerprint only.
+    let dir = temp_dir("batch-faults");
+    let program = parse_program(SRC).unwrap();
+    let cfg = VerifierConfig {
+        faults: FaultPlan::none().inject("double", FaultKind::SolverUnknownAfter(1_000_000)),
+        ..config(&dir)
+    };
+    assert_pass_fingerprints_are_method_fingerprints(&program, &cfg);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
+    // A 32-byte `iface` with a two-byte character across byte 16 used
+    // to panic inside `VerdictStore::open`. It must load as an absent
+    // node instead: `get` becomes a spec-dirty root, so it and its
+    // caller `double` re-verify, and `free` stays warm.
+    let dir = temp_dir("damaged-iface");
+    let cfg = config(&dir);
+    let program = parse_program(SRC).unwrap();
+    let (first, cold) = run(&program, &cfg);
+    assert_eq!(cold, 3);
+    let path = dir.join(DepGraph::FILE_NAME);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let damaged: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("{\"method\":\"get\"") {
+                let at = line.find("\"iface\":\"").unwrap() + "\"iface\":\"".len();
+                format!(
+                    "{}000000000000000é000000000000000{}",
+                    &line[..at],
+                    &line[at + 32..]
+                )
+            } else {
+                line.to_string()
+            }
+        })
+        .collect();
+    assert_ne!(damaged.join("\n"), text.trim_end());
+    std::fs::write(&path, damaged.join("\n")).unwrap();
+    let store = VerdictStore::open(&dir);
+    assert!(
+        store.graph().node("get").is_none(),
+        "the damaged node is dropped"
+    );
+    assert!(store.graph().node("double").is_some());
+    drop(store);
+    let mut v = Verifier::with_config(&program, Backend::Destabilized, cfg.clone());
+    let second: BTreeMap<String, Verdict> = v
+        .verify_all_verdicts()
+        .into_iter()
+        .map(|(name, verdict)| (name, verdict.normalized()))
+        .collect();
+    assert_eq!(
+        v.reverified_methods(),
+        Some(&["get".to_string(), "double".to_string()][..]),
+        "the dropped node's caller cone re-verifies"
+    );
+    assert_eq!(first, second);
+    let (_, warm) = run(&program, &cfg);
+    assert_eq!(warm, 0, "the rewritten graph is whole again");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,9 +3,9 @@
 
 use daenerys_algebra::Q;
 use daenerys_idf::{
-    diverging_program, parse_program, Assertion, Backend, Budget, BudgetAxis, Expr, FaultKind,
-    FaultPlan, Method, Op, Program, Solver, Sort, Stmt, Sym, SymExpr, TermArena, Type, Verdict,
-    Verifier, VerifierConfig,
+    diverging_program, interface_fingerprint, method_fingerprint, parse_program, Assertion,
+    Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op, Program, Solver, Sort,
+    Stmt, Sym, SymExpr, TermArena, Type, Verdict, Verifier, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
@@ -458,6 +458,53 @@ proptest! {
         let reparsed = parse_program(&printed);
         prop_assert!(reparsed.is_ok(), "unparseable:\n{}", printed);
         prop_assert_eq!(reparsed.unwrap(), p, "roundtrip mismatch:\n{}", printed);
+    }
+
+    /// Fingerprints track AST equality exactly. `q` takes each of the
+    /// contract parts and the body from either `p` or `other`, so the
+    /// pairs are often equal in some parts and not in others: the
+    /// method fingerprints agree exactly when the methods are equal,
+    /// the interface fingerprints exactly when the interfaces are, and
+    /// a print/parse round trip (real spans in place of unknown ones)
+    /// moves neither.
+    #[test]
+    fn method_fingerprints_track_ast_equality(
+        p in arb_program(),
+        other in arb_program(),
+        pick in (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let cfg = VerifierConfig::default();
+        let (mp, mo) = (&p.methods[0], &other.methods[0]);
+        let mut q = p.clone();
+        let mq = &mut q.methods[0];
+        if pick.0 {
+            mq.requires = mo.requires.clone();
+        }
+        if pick.1 {
+            mq.ensures = mo.ensures.clone();
+        }
+        if pick.2 {
+            mq.body = mo.body.clone();
+        }
+        let fp = |prog: &Program| {
+            method_fingerprint(prog, &prog.methods[0], Backend::Destabilized, &cfg)
+        };
+        let (mp, mq) = (mp, &q.methods[0]);
+        prop_assert_eq!(mp == mq, fp(&p) == fp(&q), "p:\n{}\nq:\n{}", p, q);
+        let same_interface = mp.requires == mq.requires && mp.ensures == mq.ensures;
+        prop_assert_eq!(
+            same_interface,
+            interface_fingerprint(mp) == interface_fingerprint(mq),
+            "p:\n{}\nq:\n{}",
+            p,
+            q
+        );
+        let reparsed = parse_program(&p.to_string()).unwrap();
+        prop_assert_eq!(fp(&p), fp(&reparsed));
+        prop_assert_eq!(
+            interface_fingerprint(mp),
+            interface_fingerprint(&reparsed.methods[0])
+        );
     }
 
     /// The verifier never panics on arbitrary well-formed programs, and
