@@ -7,7 +7,7 @@
 //! ```
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec};
-use daenerys_idf::{parse_program, Backend, DepGraph, VerdictStore, Verifier, VerifierConfig};
+use daenerys_idf::{parse_program, Backend, DepGraph, SessionHost, VerdictStore, VerifierConfig};
 use std::time::Instant;
 
 fn main() {
@@ -27,9 +27,9 @@ fn main() {
         cache_dir: Some(dir.clone()),
         ..VerifierConfig::default()
     };
-    let mut v = Verifier::with_config(&program, Backend::Destabilized, config);
-    let _ = v.verify_all_verdicts();
-    drop(v);
+    let host = SessionHost::new(Backend::Destabilized, config);
+    let _ = host.session().verify_program(&program);
+    drop(host);
     for rep in 0..3 {
         let t = Instant::now();
         let store = VerdictStore::open(&dir);

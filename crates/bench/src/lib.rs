@@ -113,7 +113,7 @@ pub fn run_backend_with(src: &str, backend: Backend, config: VerifierConfig) -> 
     // The harness is a Session client like every other front end (the
     // CLI, the daemon): the host owns the warm store when the config
     // has a `cache_dir`, and the timed region covers store open +
-    // verification, exactly as the owned-verifier path did.
+    // verification.
     let start = Instant::now();
     let host = SessionHost::new(backend, config);
     let outcome = host.session().verify_program(&program);

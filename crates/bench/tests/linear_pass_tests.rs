@@ -6,7 +6,7 @@
 use daenerys_bench::corpus::{Corpus, CorpusSpec};
 use daenerys_idf::{
     check_program, config_fingerprint, method_fingerprint, normalized_interface, parse_program,
-    Backend, Method, Program, VerdictStore, Verifier, VerifierConfig,
+    Backend, Method, Program, SessionHost, VerdictStore, VerifierConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -46,8 +46,10 @@ fn pass_fingerprints_match_method_fingerprint_on_a_1k_corpus() {
         cache_dir: Some(dir.clone()),
         ..VerifierConfig::default()
     };
-    let verdicts = Verifier::with_config(&program, Backend::Destabilized, config.clone())
-        .verify_all_verdicts();
+    let verdicts = SessionHost::new(Backend::Destabilized, config.clone())
+        .session()
+        .verify_program(&program)
+        .verdicts;
     assert_eq!(verdicts.len(), 1000);
     let store = VerdictStore::open(&dir);
     assert_eq!(store.len(), 1000, "every verdict is definite and stored");

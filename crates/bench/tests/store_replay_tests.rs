@@ -3,7 +3,7 @@
 //! a ~200-method corpus so they run on every `cargo test`.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
-use daenerys_idf::{parse_program, Backend, Verdict, Verifier, VerifierConfig};
+use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerifierConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -24,13 +24,15 @@ fn run(src: &str, dir: &Path, threads: usize) -> (BTreeMap<String, Verdict>, usi
         cache_dir: Some(dir.to_path_buf()),
         ..VerifierConfig::default()
     };
-    let mut verifier = Verifier::with_config(&program, Backend::Destabilized, config);
-    let verdicts = verifier
-        .verify_all_verdicts()
+    let outcome = SessionHost::new(Backend::Destabilized, config)
+        .session()
+        .verify_program(&program);
+    let verdicts = outcome
+        .verdicts
         .into_iter()
         .map(|(name, verdict)| (name, verdict.normalized()))
         .collect();
-    (verdicts, verifier.methods_reverified().unwrap())
+    (verdicts, outcome.reverified.unwrap())
 }
 
 fn snapshot(from: &Path, to: &Path) {

@@ -246,9 +246,9 @@ impl Client {
     /// Sends with retry: failed transports, chaos-faulted sends,
     /// transient error responses, and admission refusals all back off
     /// and retry until a definitive response or the attempt budget
-    /// runs out. A parse error is *definitive* — the server decoded
-    /// the request fine and the program doesn't parse — so it is
-    /// returned, not retried.
+    /// runs out. A parse or wf error is *definitive* — the server
+    /// decoded the request fine and the program doesn't parse or is
+    /// ill-formed — so it is returned, not retried.
     ///
     /// Returns the definitive response and the number of attempts
     /// consumed.
@@ -264,7 +264,7 @@ impl Client {
                 Ok(resp @ Response::Ok { .. }) => return Ok((resp, attempt + 1)),
                 Ok(
                     resp @ Response::Err {
-                        code: ErrorCode::Parse,
+                        code: ErrorCode::Parse | ErrorCode::Wf,
                         ..
                     },
                 ) => return Ok((resp, attempt + 1)),

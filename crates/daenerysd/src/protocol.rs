@@ -414,6 +414,9 @@ impl Frame {
 pub enum ErrorCode {
     /// The program source did not parse (diagnostics in the message).
     Parse,
+    /// The program parsed but is not well-formed (diagnoses in the
+    /// message).
+    Wf,
     /// The frame payload was not a well-formed request.
     BadRequest,
     /// The request panicked the verifier; contained, this request
@@ -428,6 +431,7 @@ impl ErrorCode {
     pub fn name(self) -> &'static str {
         match self {
             ErrorCode::Parse => "parse",
+            ErrorCode::Wf => "wf",
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::Internal => "internal",
             ErrorCode::Shutdown => "shutdown",
@@ -437,6 +441,7 @@ impl ErrorCode {
     fn parse(s: &str) -> Option<ErrorCode> {
         match s {
             "parse" => Some(ErrorCode::Parse),
+            "wf" => Some(ErrorCode::Wf),
             "bad_request" => Some(ErrorCode::BadRequest),
             "internal" => Some(ErrorCode::Internal),
             "shutdown" => Some(ErrorCode::Shutdown),
@@ -811,12 +816,20 @@ mod tests {
             refused
         );
 
-        let err = Response::Err {
-            id: 0,
-            code: ErrorCode::BadRequest,
-            message: "payload is not JSON: ...".to_string(),
-        };
-        assert_eq!(Response::decode(err.encode().as_bytes()).unwrap(), err);
+        for code in [
+            ErrorCode::Parse,
+            ErrorCode::Wf,
+            ErrorCode::BadRequest,
+            ErrorCode::Internal,
+            ErrorCode::Shutdown,
+        ] {
+            let err = Response::Err {
+                id: 0,
+                code,
+                message: "payload is not JSON: ...".to_string(),
+            };
+            assert_eq!(Response::decode(err.encode().as_bytes()).unwrap(), err);
+        }
     }
 
     #[test]

@@ -643,10 +643,13 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
                 reverified: outcome.reverified.map(|n| n as u64),
             }
         }
-        Ok(Err(SessionError::Parse(errs))) => Response::Err {
+        Ok(Err(e)) => Response::Err {
             id: req.id,
-            code: ErrorCode::Parse,
-            message: format!("{} parse error(s); first: {}", errs.len(), errs[0]),
+            code: match e {
+                SessionError::Parse(_) => ErrorCode::Parse,
+                SessionError::Wf(_) => ErrorCode::Wf,
+            },
+            message: e.to_string(),
         },
         Err(panic) => {
             shared

@@ -20,7 +20,7 @@
 //! * `daenerysd.verdict.verified{tenant}` / `.failed` / `.unknown` /
 //!   `.crashed` — per-method verdict counts by wire kind
 //! * `daenerysd.refused{tenant}` — admission refusals
-//! * `daenerysd.errors{tenant}` — error responses (parse/internal)
+//! * `daenerysd.errors{tenant}` — error responses (parse/wf/internal)
 //! * `daenerysd.latency_us{tenant}` — whole-request wall latency,
 //!   microseconds (histogram)
 //! * `daenerysd.fuel{tenant}` — solver fuel spent per request, in the
@@ -39,9 +39,10 @@
 //!   (the span-name prefix before `:`, e.g. `exec:m` → `exec`),
 //!   recorded by the sink tee (histogram)
 //!
-//! The trace layer's run-global unlabeled registry (`solver.conflict`,
-//! `theory.propagate`, …) is folded into every `metrics` scrape with
-//! empty labels.
+//! The trace layer's run-global registry (`solver.conflict`,
+//! `theory.propagate`, …, and `store.corrupt_lines` /
+//! `store.truncated_tail` when the store opened damaged) records with
+//! empty labels and is merged into every `metrics` scrape.
 //!
 //! ## Sampling policy
 //!
@@ -54,7 +55,7 @@
 //! attribution land in `_server`.
 
 use crate::admission::AdmissionStats;
-use daenerys_obs::{Event, LabeledRegistry, Labels, MetricsRegistry, SharedRegistry, Sink};
+use daenerys_obs::{Event, Labels, MetricsRegistry, SharedRegistry, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -260,11 +261,11 @@ impl Telemetry {
     }
 
     /// The `metrics` body: a point-in-time merge of every registry
-    /// shard, with the trace layer's run-global registry (`trace`)
-    /// folded in under empty labels.
+    /// shard with the trace layer's run-global registry (whose cells
+    /// carry empty labels).
     pub fn metrics_json(&self, trace_global: &MetricsRegistry) -> String {
         let mut snap = self.registry.snapshot();
-        snap.merge_plain(trace_global, &Labels::none());
+        snap.merge(trace_global);
         snap.to_json()
     }
 
@@ -347,10 +348,6 @@ impl Sink for TelemetrySink {
         }
     }
 }
-
-/// Convenience: the labeled-registry snapshot type re-exported for
-/// scrape consumers.
-pub type TelemetrySnapshot = LabeledRegistry;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

@@ -340,3 +340,53 @@ fn disabled_telemetry_answers_with_a_typed_error() {
     assert!(matches!(resp, Response::Ok { .. }));
     stop(&flag, handle);
 }
+
+/// Store damage found when the daemon opens its store reaches the
+/// `metrics` scrape: a shard whose last record was torn mid-append
+/// reports `store.truncated_tail` = 1 with empty labels.
+#[test]
+fn torn_store_tail_is_reported_in_the_metrics_scrape() {
+    let dir = std::env::temp_dir().join(format!("daenerysd-torn-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let base = daenerys_idf::VerifierConfig {
+        cache_dir: Some(dir.clone()),
+        ..daenerys_idf::VerifierConfig::default()
+    };
+    let host = daenerys_idf::SessionHost::new(daenerys_idf::Backend::Destabilized, base.clone());
+    assert!(host.session().verify_source(GOOD).unwrap().verdicts["set"].is_verified());
+    drop(host);
+    let mut torn = 0;
+    for i in 0..daenerys_idf::VerdictStore::SHARD_COUNT {
+        let path = dir.join(daenerys_idf::VerdictStore::shard_file_name(i));
+        if let Ok(bytes) = std::fs::read(&path) {
+            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+            torn += 1;
+        }
+    }
+    assert_eq!(torn, 1, "one verdict, one shard");
+
+    let (addr, flag, handle) = start(ServerConfig {
+        base,
+        ..test_config()
+    });
+    let client = Client::new(addr);
+    let metrics = scrape(&client, &AdminRequest::Metrics { id: 1 });
+    let unlabeled = |name: &str| {
+        metrics.as_obj().unwrap()["counters"]
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_obj)
+            .find(|c| {
+                c["name"].as_str() == Some(name)
+                    && c["labels"]
+                        .as_obj()
+                        .is_some_and(std::collections::BTreeMap::is_empty)
+            })
+            .map(|c| num(c, "value"))
+    };
+    assert_eq!(unlabeled("store.truncated_tail"), Some(1.0));
+    assert_eq!(unlabeled("store.corrupt_lines"), Some(1.0));
+    stop(&flag, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

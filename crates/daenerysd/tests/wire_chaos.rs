@@ -18,7 +18,7 @@
 use daenerys_idf::VerdictStore;
 use daenerysd::chaos::WireFaultPlan;
 use daenerysd::client::{Client, RetryPolicy};
-use daenerysd::protocol::{read_frame, write_frame, Request, Response};
+use daenerysd::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
 use daenerysd::server::{MetricsSnapshot, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -391,4 +391,30 @@ fn over_budget_tenants_are_refused_not_queued() {
     let snap = stop(&flag, handle);
     assert_eq!(snap.requests_refused, 1, "{:?}", snap);
     assert_eq!(snap.leaked_sessions, 0);
+}
+
+/// A program `daenerys verify` rejects as ill-formed is rejected the
+/// same way over the wire: two declarations of `m`, the first of which
+/// verifies, answer a definitive `wf` error — never `m = Verified`.
+#[test]
+fn ill_formed_programs_answer_wf_not_verified() {
+    let (addr, flag, handle) = start(test_config(None));
+    let client = Client::new(addr);
+    let duplicate = "method m() returns (r: Int) ensures r == 1 { r := 1 }
+method m() returns (r: Int) ensures r == 2 { r := 1 }";
+    let (resp, attempts) = client
+        .request_with_retry(&Request::new(1, "acme", duplicate))
+        .expect("a wf error is a definitive answer");
+    assert_eq!(attempts, 1, "wf errors are not retried");
+    match resp {
+        Response::Err { id, code, message } => {
+            assert_eq!(id, 1);
+            assert_eq!(code, ErrorCode::Wf);
+            assert_eq!(code.name(), "wf");
+            assert!(message.contains("duplicate method m"), "{}", message);
+        }
+        other => panic!("expected a wf error, got {:?}", other),
+    }
+    let snapshot = stop(&flag, handle);
+    assert_eq!(snapshot.responses_ok, 0);
 }

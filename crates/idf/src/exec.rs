@@ -25,16 +25,20 @@
 
 use crate::ast::{fraction_literal, Assertion, Expr, Op, Program, Stmt, Type};
 use crate::budget::{Budget, BudgetAxis, FaultKind, FaultPlan};
+use crate::depgraph::DepGraph;
 use crate::diag::{self, FailureReport, QueryCost, QueryLog};
+use crate::fingerprint::Fingerprint;
 use crate::smt::{Answer, Solver};
 use crate::stability::{self, StabilityClass};
+use crate::store::{lock, VerdictStore};
 use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness};
 use daenerys_algebra::Q;
-use daenerys_obs::{Event, MetricsRegistry, TraceCollector, TraceHandle, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use daenerys_obs::{Event, Labels, MetricsRegistry, TraceCollector, TraceHandle, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Which verification backend to run.
@@ -92,10 +96,12 @@ pub struct VerifierConfig {
     /// Attach rendered per-finding provenance to `stability.classify`
     /// trace events (default: `false`). Cost only, never answers.
     pub explain_stability: bool,
-    /// Directory of the persistent incremental verdict store. `Some`
-    /// turns on incremental verification: methods whose semantic
-    /// fingerprint matches a prior `Verified`/`Failed` entry are not
-    /// re-verified (default: `None` — every method is verified).
+    /// Directory of the persistent incremental verdict store, read
+    /// only by [`crate::session::SessionHost::new`], which opens the
+    /// store there and verifies every session incrementally: methods
+    /// whose semantic fingerprint matches a prior `Verified`/`Failed`
+    /// entry are not re-verified (default: `None` — every method is
+    /// verified). A bare [`Verifier`] never touches the store.
     pub cache_dir: Option<std::path::PathBuf>,
     /// The flight recorder (default: disabled — zero overhead).
     /// Workers buffer events per method and [`Verifier::verify_all`]'s
@@ -434,99 +440,20 @@ struct FailureCtx {
     path_condition: Vec<String>,
 }
 
-/// How the fan-out engine reaches the persistent verdict store.
-enum StoreAccess<'a> {
-    /// No [`VerifierConfig::cache_dir`]: verdicts are not persisted.
-    None,
-    /// The CLI path: this run owns the store, records in memory, and
-    /// compacts to disk once at the end.
-    Owned(crate::store::VerdictStore),
-    /// The daemon path: a warm store shared across concurrent
-    /// sessions. The lock is held only per-lookup and per-record;
-    /// records append durably so a killed daemon loses at most one
-    /// verdict.
-    Shared(&'a std::sync::Mutex<crate::store::VerdictStore>),
-}
-
-/// Locks a shared store, tolerating poisoning: the store's file format
-/// is valid line-by-line, so a panic mid-record cannot leave the map
-/// in a state worth refusing.
-fn lock_store(
-    m: &std::sync::Mutex<crate::store::VerdictStore>,
-) -> std::sync::MutexGuard<'_, crate::store::VerdictStore> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl StoreAccess<'_> {
-    /// True when verdicts are being restored/recorded at all.
-    fn is_present(&self) -> bool {
-        !matches!(self, StoreAccess::None)
-    }
-
-    /// The stored verdict for `method` under exactly `fp`, cloned out
-    /// so no lock outlives the call.
-    fn lookup(&self, method: &str, fp: crate::fingerprint::Fingerprint) -> Option<Verdict> {
-        match self {
-            StoreAccess::None => None,
-            StoreAccess::Owned(s) => s.lookup(method, fp).cloned(),
-            StoreAccess::Shared(m) => lock_store(m).lookup(method, fp).cloned(),
-        }
-    }
-
-    /// Records a verdict (best-effort on the durable path: an
-    /// unwritable cache directory costs future reuse, never
-    /// correctness).
-    fn record(&mut self, method: &str, fp: crate::fingerprint::Fingerprint, verdict: &Verdict) {
-        match self {
-            StoreAccess::None => {}
-            StoreAccess::Owned(s) => {
-                s.record(method, fp, verdict);
-            }
-            StoreAccess::Shared(m) => {
-                let _ = lock_store(m).record_durable(method, fp, verdict);
-            }
-        }
-    }
-
-    /// The spec-dirty roots of `cur` against the persisted dependency
-    /// graph as of the last run (the "previous" side of planning),
-    /// computed on the borrowed graph before this run's nodes are
-    /// absorbed.
-    fn spec_dirty_roots(&self, cur: &crate::depgraph::DepGraph) -> BTreeSet<String> {
-        match self {
-            StoreAccess::None => BTreeSet::new(),
-            StoreAccess::Owned(s) => crate::depgraph::DepGraph::spec_dirty_roots(s.graph(), cur),
-            StoreAccess::Shared(m) => {
-                crate::depgraph::DepGraph::spec_dirty_roots(lock_store(m).graph(), cur)
-            }
-        }
-    }
-
-    /// Upserts the current program's dependency nodes into the store's
-    /// graph (in memory; persisted at [`StoreAccess::finish`] so a run
-    /// killed mid-verify re-plans from the *old* interfaces).
-    fn absorb_graph(&mut self, cur: &crate::depgraph::DepGraph) {
-        match self {
-            StoreAccess::None => {}
-            StoreAccess::Owned(s) => s.absorb_graph(cur),
-            StoreAccess::Shared(m) => lock_store(m).absorb_graph(cur),
-        }
-    }
-
-    /// End-of-run persistence: the owned path compacts to disk (graph
-    /// included); the shared path already appended verdicts durably
-    /// and only flushes the graph here.
-    fn finish(self) {
-        match self {
-            StoreAccess::None => {}
-            StoreAccess::Owned(s) => {
-                let _ = s.save();
-            }
-            StoreAccess::Shared(m) => {
-                let _ = lock_store(m).persist_graph();
-            }
-        }
-    }
+/// What an incremental pass did with the verdict store — the
+/// accounting [`crate::session::VerifyOutcome`] reports.
+#[derive(Debug)]
+pub(crate) struct StorePass {
+    /// The methods the pass re-verified (the dirty cone), in program
+    /// order.
+    pub(crate) reverified: Vec<String>,
+    /// Verdicts served straight from the store.
+    pub(crate) hits: usize,
+    /// Methods with no stored verdict under their fingerprint.
+    pub(crate) misses: usize,
+    /// Matching entries discarded because a transitive callee's spec
+    /// changed.
+    pub(crate) dirty_transitive: usize,
 }
 
 /// The outcome of verifying one method in isolation. Trace events and
@@ -569,20 +496,6 @@ pub struct Verifier<'a> {
     /// invalidation scans (set at each spec boundary, see
     /// [`Verifier::enter_spec`]).
     spec_scan_exempt: bool,
-    /// How many methods the last `verify_all`/`verify_all_verdicts`
-    /// run actually re-verified (`None` before any run, or when the
-    /// run was not incremental).
-    reverified: Option<usize>,
-    /// Store-plane accounting for the last incremental run (`None`
-    /// for non-incremental runs): verdicts served from the store,
-    /// genuine fingerprint misses, and matching entries discarded
-    /// because a transitive callee's spec changed.
-    store_hits: Option<usize>,
-    store_misses: Option<usize>,
-    store_dirty_transitive: Option<usize>,
-    /// Names of the methods the last incremental run re-verified, in
-    /// program order — the dirty cone a front end (watch mode) prints.
-    reverified_names: Option<Vec<String>>,
 }
 
 impl<'a> Verifier<'a> {
@@ -622,51 +535,7 @@ impl<'a> Verifier<'a> {
             query_log: QueryLog::default(),
             failure_ctx: None,
             spec_scan_exempt: false,
-            reverified: None,
-            store_hits: None,
-            store_misses: None,
-            store_dirty_transitive: None,
-            reverified_names: None,
         }
-    }
-
-    /// How many methods the last `verify_all`/`verify_all_verdicts`
-    /// run re-verified, when it was incremental
-    /// ([`VerifierConfig::cache_dir`] set): methods restored from the
-    /// verdict store are not counted. `None` before any run or for
-    /// non-incremental runs (which always re-verify everything).
-    pub fn methods_reverified(&self) -> Option<usize> {
-        self.reverified
-    }
-
-    /// Methods whose verdict the last incremental run served straight
-    /// from the store (fingerprint matched and the dependency graph
-    /// had no objection). `None` for non-incremental runs.
-    pub fn store_hits(&self) -> Option<usize> {
-        self.store_hits
-    }
-
-    /// Methods the last incremental run found no matching store entry
-    /// for (first sight, an edit, or an answer-affecting config
-    /// change). `None` for non-incremental runs.
-    pub fn store_misses(&self) -> Option<usize> {
-        self.store_misses
-    }
-
-    /// Methods whose stored verdict *matched* but was discarded
-    /// because a transitive callee's specification changed — the
-    /// dependency graph's conservative dirtiness cone beyond what
-    /// direct-callee fingerprints already catch. `None` for
-    /// non-incremental runs.
-    pub fn store_dirty_transitive(&self) -> Option<usize> {
-        self.store_dirty_transitive
-    }
-
-    /// The names of the methods the last incremental run re-verified
-    /// (the dirty cone), in program order. `None` for non-incremental
-    /// runs; empty when the warm store absorbed everything.
-    pub fn reverified_methods(&self) -> Option<&[String]> {
-        self.reverified_names.as_deref()
     }
 
     /// Verifies every method with a body; returns per-method stats.
@@ -688,7 +557,7 @@ impl<'a> Verifier<'a> {
     pub fn verify_all(&mut self) -> Result<BTreeMap<String, VerifyStats>, VerifyError> {
         let mut out = BTreeMap::new();
         let mut failures = Vec::new();
-        for (name, verdict) in self.run_all() {
+        for (name, verdict) in self.run_pass(None).0 {
             match verdict {
                 Verdict::Verified(stats) => {
                     out.insert(name, stats);
@@ -718,64 +587,31 @@ impl<'a> Verifier<'a> {
     /// sibling verdict bit-identical to a fault-free run at any thread
     /// count.
     pub fn verify_all_verdicts(&mut self) -> BTreeMap<String, Verdict> {
-        self.run_all().into_iter().collect()
+        self.run_pass(None).0.into_iter().collect()
     }
 
-    /// [`Verifier::verify_all_verdicts`] against a *shared* persistent
-    /// [`crate::store::VerdictStore`] — the daemon path, where many
-    /// concurrent sessions reuse one warm store instead of each
-    /// opening [`VerifierConfig::cache_dir`].
-    ///
-    /// The store lock is held only briefly: once per method at plan
-    /// time (fingerprint lookup) and once per definite verdict at
-    /// record time, where the verdict is appended durably
-    /// ([`crate::store::VerdictStore::record_durable`]) so a killed
-    /// daemon loses at most one verdict. A poisoned lock is tolerated
-    /// (the store's invariants hold line-by-line).
-    pub fn verify_all_verdicts_shared(
-        &mut self,
-        store: &std::sync::Mutex<crate::store::VerdictStore>,
-    ) -> BTreeMap<String, Verdict> {
-        self.run_all_with(StoreAccess::Shared(store))
-            .into_iter()
-            .collect()
-    }
-
-    /// The shared fan-out engine behind [`Verifier::verify_all`] and
-    /// [`Verifier::verify_all_verdicts`]: verify every method with a
-    /// body in isolation (concurrently across
+    /// The fan-out engine behind [`Verifier::verify_all`],
+    /// [`Verifier::verify_all_verdicts`] and
+    /// [`crate::session::Session`]: verify every method with a body in
+    /// isolation (concurrently across
     /// [`VerifierConfig::effective_threads`] workers, each unit behind
     /// `catch_unwind`), then merge obligations and statistics in
     /// program (method-declaration) order.
-    fn run_all(&mut self) -> Vec<(String, Verdict)> {
-        let store = self
-            .config
-            .cache_dir
-            .as_deref()
-            .map(crate::store::VerdictStore::open);
-        if let Some(store) = &store {
-            // Surface crash-mid-append damage as counters: a truncated
-            // final line costs one verdict, never the store.
-            if store.corrupt_lines() > 0 {
-                let mut m = daenerys_obs::MetricsRegistry::new();
-                m.add("store.corrupt_lines", store.corrupt_lines() as u64);
-                if store.truncated_tail() {
-                    m.add("store.truncated_tail", 1);
-                }
-                self.config.trace.merge_metrics(&m);
-            }
-        }
-        let access = match store {
-            Some(s) => StoreAccess::Owned(s),
-            None => StoreAccess::None,
-        };
-        self.run_all_with(access)
-    }
-
-    /// [`Verifier::run_all`] with the verdict store already resolved:
-    /// owned (opened from [`VerifierConfig::cache_dir`]), shared (the
-    /// daemon's warm `Mutex`-guarded store), or absent.
-    fn run_all_with(&mut self, mut store: StoreAccess<'_>) -> Vec<(String, Verdict)> {
+    ///
+    /// With `store` (the [`crate::session::SessionHost`]'s warm store)
+    /// the pass is incremental: it restores every method whose
+    /// fingerprint matches a stored definite verdict, appends each new
+    /// verdict durably ([`VerdictStore::record_durable`]) so a killed
+    /// process loses at most the append in flight, persists the
+    /// dependency graph at the end, and reports its [`StorePass`]
+    /// accounting. The lock is taken once to plan (lookups,
+    /// spec-dirty roots, graph absorb), once per verdict to record and
+    /// once to persist the graph, so concurrent sessions share the
+    /// store.
+    pub(crate) fn run_pass(
+        &mut self,
+        store: Option<&Mutex<VerdictStore>>,
+    ) -> (Vec<(String, Verdict)>, Option<StorePass>) {
         let names: Vec<String> = self
             .program
             .methods
@@ -796,32 +632,39 @@ impl<'a> Verifier<'a> {
         // with different budgets, a `--no-learn` flip) coexist in one
         // store instead of thrashing each other's entries — and
         // tenants with *identical* config share one warm read side.
-        let mut fingerprints: Vec<Option<crate::fingerprint::Fingerprint>> =
-            vec![None; names.len()];
         let mut keys: Vec<String> = Vec::new();
+        let mut fingerprints: Vec<Fingerprint> = Vec::new();
         let mut restored: Vec<Option<Verdict>> = vec![None; names.len()];
-        let mut hits = 0usize;
-        let mut misses = 0usize;
-        let mut dirty_transitive = 0usize;
-        let cur_graph = store
-            .is_present()
-            .then(|| crate::depgraph::DepGraph::of_program(self.program));
-        if let Some(cur) = &cur_graph {
+        let mut accounting = None;
+        let cur_graph = store.map(|_| DepGraph::of_program(self.program));
+        if let (Some(store), Some(cur)) = (store, &cur_graph) {
             let cfg_fp = crate::fingerprint::config_fingerprint(self.backend, &self.config);
             keys = names.iter().map(|n| format!("{}@{}", n, cfg_fp)).collect();
             // Fields and config are hashed once for the pass, and every
             // interface once, in the graph.
             let pass =
                 crate::fingerprint::PassInputs::new(self.program, self.backend, &self.config);
-            for (i, name) in names.iter().enumerate() {
-                let method = self.program.method(name).expect("scheduled methods exist");
-                let fp = pass.method_in(method, cur);
-                fingerprints[i] = Some(fp);
-                restored[i] = store.lookup(&keys[i], fp);
-                if restored[i].is_none() {
-                    misses += 1;
-                }
-            }
+            fingerprints = names
+                .iter()
+                .map(|name| {
+                    let method = self.program.method(name).expect("scheduled methods exist");
+                    pass.method_in(method, cur)
+                })
+                .collect();
+            let roots = {
+                let mut s = lock(store);
+                restored = keys
+                    .iter()
+                    .zip(&fingerprints)
+                    .map(|(key, &fp)| s.lookup(key, fp).cloned())
+                    .collect();
+                // The "previous" side of planning is the graph as of
+                // the last pass, before this pass's nodes are absorbed.
+                let roots = DepGraph::spec_dirty_roots(s.graph(), cur);
+                s.absorb_graph(cur);
+                roots
+            };
+            let misses = restored.iter().filter(|r| r.is_none()).count();
             // Transitive spec dirtiness: a changed (or new, or
             // deleted) callee *interface* forces every reverse-
             // reachable caller to re-verify, even where its own
@@ -831,7 +674,7 @@ impl<'a> Verifier<'a> {
             // reproduces the stored verdict bit for bit; a missing or
             // damaged graph only widens this cone (absent nodes are
             // roots), never narrows it.
-            let roots = store.spec_dirty_roots(cur);
+            let mut dirty_transitive = 0usize;
             if !roots.is_empty() {
                 let dirty = cur.reverse_reachable(&roots);
                 for (i, name) in names.iter().enumerate() {
@@ -841,7 +684,7 @@ impl<'a> Verifier<'a> {
                     }
                 }
             }
-            store.absorb_graph(cur);
+            let mut hits = 0usize;
             for (i, r) in restored.iter_mut().enumerate() {
                 if let Some(v) = r {
                     // Stored failure reports carry the store key;
@@ -853,6 +696,23 @@ impl<'a> Verifier<'a> {
                     hits += 1;
                 }
             }
+            let mut m = MetricsRegistry::new();
+            let none = Labels::none();
+            m.add("store.hits", &none, hits as u64);
+            m.add("store.misses", &none, misses as u64);
+            m.add("store.dirty_transitive", &none, dirty_transitive as u64);
+            self.config.trace.merge_metrics(&m);
+            accounting = Some(StorePass {
+                // Program order, not dispatch order: the cone reads the
+                // same at any thread count or schedule.
+                reverified: (0..names.len())
+                    .filter(|&i| restored[i].is_none())
+                    .map(|i| names[i].clone())
+                    .collect(),
+                hits,
+                misses,
+                dirty_transitive,
+            });
         }
         let mut pending: Vec<usize> = (0..names.len())
             .filter(|&i| restored[i].is_none())
@@ -863,24 +723,6 @@ impl<'a> Verifier<'a> {
             // program-order merge below keeps results and traces
             // identical whatever the schedule.
             pending = cur.topo_order(&names, &pending);
-        }
-        self.reverified = store.is_present().then_some(pending.len());
-        self.reverified_names = store.is_present().then(|| {
-            // Program order, not dispatch order: the cone reads the
-            // same at any thread count or schedule.
-            let mut sorted = pending.clone();
-            sorted.sort_unstable();
-            sorted.iter().map(|&i| names[i].clone()).collect()
-        });
-        self.store_hits = store.is_present().then_some(hits);
-        self.store_misses = store.is_present().then_some(misses);
-        self.store_dirty_transitive = store.is_present().then_some(dirty_transitive);
-        if store.is_present() {
-            let mut m = daenerys_obs::MetricsRegistry::new();
-            m.add("store.hits", hits as u64);
-            m.add("store.misses", misses as u64);
-            m.add("store.dirty_transitive", dirty_transitive as u64);
-            self.config.trace.merge_metrics(&m);
         }
 
         let threads = self.config.effective_threads().min(pending.len()).max(1);
@@ -952,14 +794,20 @@ impl<'a> Verifier<'a> {
             }
             self.config.trace.emit(outcome.events);
             self.config.trace.merge_metrics(&outcome.metrics);
-            if let Some(fp) = fingerprints[i] {
-                store.record(&keys[i], fp, &verdict);
+            if let (Some(store), Some(&fp)) = (store, fingerprints.get(i)) {
+                // Best-effort: an unwritable cache directory costs
+                // future reuse, never correctness.
+                let _ = lock(store).record_durable(&keys[i], fp, &verdict);
             }
             out.push((names[i].clone(), verdict));
         }
-        store.finish();
+        if let Some(store) = store {
+            // Persisted last, so a pass killed mid-verify re-plans
+            // from the *old* interfaces.
+            let _ = lock(store).persist_graph();
+        }
         self.config.trace.flush();
-        out
+        (out, accounting)
     }
 
     /// Verifies one method.

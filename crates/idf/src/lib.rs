@@ -1,6 +1,11 @@
 //! # `daenerys-idf` — a Viper-style implicit-dynamic-frames verifier
 //!
 //! The automated-verifier side of the paper's bridge.
+//!
+//! Front ends verify through a [`SessionHost`] and its [`Session`]s:
+//! [`Session::verify`] takes source text through parsing, the
+//! well-formedness check and verification against the host's verdict
+//! store. [`Verifier`] is the storeless engine underneath.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -63,67 +68,3 @@ pub use translate::{
     translate_expr, TEnv, TranslateError,
 };
 pub use wf::{check_program, check_program_traced, WfError};
-
-/// One-call pipeline: parse → well-formedness check → verify.
-///
-/// # Errors
-///
-/// Returns a rendered error string for parse errors, well-formedness
-/// diagnoses, or failed proof obligations.
-///
-/// # Examples
-///
-/// ```
-/// use daenerys_idf::{verify_source, Backend};
-///
-/// let stats = verify_source(
-///     "field v: Int
-///      method zero(c: Ref) requires acc(c.v) ensures acc(c.v) && c.v == 0
-///      { c.v := 0 }",
-///     Backend::Destabilized,
-/// )?;
-/// assert_eq!(stats.len(), 1);
-/// # Ok::<(), String>(())
-/// ```
-pub fn verify_source(
-    src: &str,
-    backend: Backend,
-) -> Result<std::collections::BTreeMap<String, VerifyStats>, String> {
-    let program = parse_program(src).map_err(|e| e.to_string())?;
-    check_program(&program).map_err(|es| {
-        es.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    })?;
-    let mut verifier = Verifier::new(&program, backend);
-    verifier.verify_all().map_err(|e| e.to_string())
-}
-
-/// [`verify_source`] with an explicit [`VerifierConfig`]. When the
-/// config's [`daenerys_obs::TraceHandle`] is enabled, the front-end
-/// phases (`parse`, `wf`) are spanned and emitted ahead of the
-/// per-method `exec:<name>` spans the verifier produces.
-///
-/// # Errors
-///
-/// Same as [`verify_source`].
-pub fn verify_source_with(
-    src: &str,
-    backend: Backend,
-    config: VerifierConfig,
-) -> Result<std::collections::BTreeMap<String, VerifyStats>, String> {
-    let mut collector = config.trace.collector();
-    let program = parse_program_traced(src, &mut collector).map_err(|e| e.to_string())?;
-    check_program_traced(&program, &mut collector).map_err(|es| {
-        es.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    })?;
-    let (events, metrics) = collector.take();
-    config.trace.emit(events);
-    config.trace.merge_metrics(&metrics);
-    let mut verifier = Verifier::with_config(&program, backend, config);
-    verifier.verify_all().map_err(|e| e.to_string())
-}

@@ -1,15 +1,21 @@
-//! The library-level session API the verification daemon drives.
+//! The one way into the verifier and its store.
 //!
-//! `tables` (the bench CLI) owns a program for one process lifetime;
-//! the daemon instead serves many programs from many tenants against
-//! one warm process. [`SessionHost`] is that warm core — the base
-//! [`VerifierConfig`] and the shared persistent [`VerdictStore`] —
-//! and [`Session`] is one client's view of it: a per-session budget
-//! envelope layered over the base, a capped recovery parser in front,
-//! and every request verified through the host's shared store
-//! ([`crate::exec::Verifier::verify_all_verdicts_shared`]) so
-//! concurrent sessions reuse each other's definite verdicts without
-//! reopening the file.
+//! Every front end — the `daenerys` CLI and its watch mode, the
+//! `daenerysd` daemon, the `tables`/`store_replay` harnesses and the
+//! benchmark — verifies through a [`SessionHost`]. The host is the
+//! warm core: the base [`VerifierConfig`] and, when
+//! [`VerifierConfig::cache_dir`] is set, the persistent
+//! [`VerdictStore`], which only [`SessionHost::new`] opens. A
+//! [`Session`] is one client's view of it: a per-session budget
+//! envelope layered over the base, and every request verified against
+//! the host's store, so concurrent sessions reuse each other's
+//! definite verdicts without reopening the files.
+//!
+//! [`Session::verify`] is the source-level entry: a capped recovery
+//! parse, the well-formedness check, then verification, so a
+//! `Verified` means the same on every route.
+//! [`Session::verify_program_with`] is the entry for front ends that
+//! have already parsed and checked the program themselves.
 //!
 //! The host is `Sync`: sessions on different threads verify
 //! concurrently, serializing only the brief store lookups/appends.
@@ -17,7 +23,9 @@
 use crate::budget::Budget;
 use crate::exec::{Backend, Verdict, Verifier, VerifierConfig, VerifyStats};
 use crate::parser::{parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS};
-use crate::store::VerdictStore;
+use crate::store::{lock, VerdictStore};
+use crate::wf::{check_program, WfError};
+use daenerys_obs::{Labels, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Mutex;
@@ -38,10 +46,26 @@ impl SessionHost {
     /// Builds a host for `backend` over `base`. When
     /// [`VerifierConfig::cache_dir`] is set, the persistent store is
     /// opened once here and shared (warm) across every session; the
-    /// per-request config never reopens it.
+    /// per-request config never reopens it. Damage found at open is
+    /// counted into `base.trace` as `store.corrupt_lines` (and
+    /// `store.truncated_tail` for a record cut off mid-append), only
+    /// when nonzero: a damaged store costs re-verification, never a
+    /// wrong verdict.
     pub fn new(backend: Backend, base: VerifierConfig) -> SessionHost {
         let store = base.cache_dir.as_deref().map(VerdictStore::open);
         let store_corrupt_lines = store.as_ref().map_or(0, VerdictStore::corrupt_lines);
+        if store_corrupt_lines > 0 {
+            let mut m = MetricsRegistry::new();
+            m.add(
+                "store.corrupt_lines",
+                &Labels::none(),
+                store_corrupt_lines as u64,
+            );
+            if store.as_ref().is_some_and(VerdictStore::truncated_tail) {
+                m.add("store.truncated_tail", &Labels::none(), 1);
+            }
+            base.trace.merge_metrics(&m);
+        }
         SessionHost {
             backend,
             base,
@@ -148,16 +172,17 @@ pub struct VerifyOutcome {
     /// order; `None` when the host has no store. Watch-mode front ends
     /// print exactly this set.
     pub reverified_methods: Option<Vec<String>>,
-    /// Methods served straight from the warm store (see
-    /// [`crate::exec::Verifier::store_hits`]); `None` without a store.
+    /// Methods served straight from the warm store (fingerprint
+    /// matched and the dependency graph had no objection); `None`
+    /// without a store.
     pub store_hits: Option<usize>,
-    /// Methods with no matching store entry (see
-    /// [`crate::exec::Verifier::store_misses`]); `None` without a
-    /// store.
+    /// Methods with no matching store entry (first sight, an edit, or
+    /// an answer-affecting config change); `None` without a store.
     pub store_misses: Option<usize>,
-    /// Matching entries discarded because a transitive callee's spec
-    /// changed (see [`crate::exec::Verifier::store_dirty_transitive`]);
-    /// `None` without a store.
+    /// Methods whose stored verdict *matched* but was discarded
+    /// because a transitive callee's spec changed — the dependency
+    /// graph's conservative dirtiness cone beyond what direct-callee
+    /// fingerprints already catch; `None` without a store.
     pub store_dirty_transitive: Option<usize>,
     /// Request-wide aggregate of the per-method statistics (only
     /// [`Verdict::Verified`] carries stats, so failed/unknown methods
@@ -173,6 +198,9 @@ pub enum SessionError {
     /// The source did not parse; every diagnostic collected (capped at
     /// the request's `max_errors` plus a sentinel).
     Parse(Vec<ParseError>),
+    /// The source parsed but is not well-formed (see
+    /// [`check_program`]); every diagnosis, in check order.
+    Wf(Vec<WfError>),
 }
 
 impl std::fmt::Display for SessionError {
@@ -180,6 +208,14 @@ impl std::fmt::Display for SessionError {
         match self {
             SessionError::Parse(errs) => {
                 write!(f, "{} parse error(s); first: {}", errs.len(), errs[0])
+            }
+            SessionError::Wf(errs) => {
+                write!(
+                    f,
+                    "{} well-formedness error(s); first: {}",
+                    errs.len(),
+                    errs[0]
+                )
             }
         }
     }
@@ -192,29 +228,47 @@ impl Session<'_> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Parse`] when the source does not parse.
+    /// As [`Session::verify`].
     pub fn verify_source(&self, source: &str) -> Result<VerifyOutcome, SessionError> {
         self.verify(&VerifyRequest::new(source))
     }
 
-    /// Verifies one request: capped recovery parse, then every method
-    /// through the host's warm store. Per-method faults degrade that
-    /// method's verdict (the `Verifier`'s isolation), never the
-    /// session.
+    /// Verifies one request: capped recovery parse, the
+    /// well-formedness check, then every method through the host's
+    /// warm store. Per-method faults degrade that method's verdict
+    /// (the `Verifier`'s isolation), never the session.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Parse`] when the source does not parse.
+    /// [`SessionError::Parse`] when the source does not parse, and
+    /// [`SessionError::Wf`] when it is not well-formed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use daenerys_idf::{Backend, SessionHost, VerifierConfig};
+    ///
+    /// let host = SessionHost::new(Backend::Destabilized, VerifierConfig::default());
+    /// let outcome = host.session().verify_source(
+    ///     "field v: Int
+    ///      method zero(c: Ref) requires acc(c.v) ensures acc(c.v) && c.v == 0
+    ///      { c.v := 0 }",
+    /// )?;
+    /// assert!(outcome.verdicts["zero"].is_verified());
+    /// # Ok::<(), daenerys_idf::SessionError>(())
+    /// ```
     pub fn verify(&self, req: &VerifyRequest) -> Result<VerifyOutcome, SessionError> {
         let program = parse_program_with_recovery_capped(&req.source, req.max_errors)
             .map_err(SessionError::Parse)?;
+        check_program(&program).map_err(SessionError::Wf)?;
         Ok(self.verify_program_with(&program, req.budget, req.trace.clone()))
     }
 
     /// Verifies an already-parsed program with the session's budget and
-    /// default knobs — the parse-free entry point for clients that own
-    /// the front end (the `daenerys` CLI re-rendering parse diagnostics
-    /// itself, the bench harness keeping parsing out of timed regions).
+    /// default knobs — the parse- and wf-free entry point for clients
+    /// that own the front end and have run [`check_program`]
+    /// themselves (the `daenerys` CLI re-rendering diagnostics itself,
+    /// the bench harness keeping parsing out of timed regions).
     ///
     /// Every method still flows through the host's warm store, so
     /// incremental counts ([`VerifyOutcome::reverified`] and friends)
@@ -234,17 +288,12 @@ impl Session<'_> {
     ) -> VerifyOutcome {
         let config = VerifierConfig {
             budget: budget.unwrap_or(self.budget),
-            // The host's store is reached via the shared path below;
-            // a per-request open would race the warm copy.
-            cache_dir: None,
             trace: trace.unwrap_or_else(|| self.host.base.trace.clone()),
             ..self.host.base.clone()
         };
         let mut verifier = Verifier::with_config(program, self.host.backend, config);
-        let verdicts = match self.host.store() {
-            Some(store) => verifier.verify_all_verdicts_shared(store),
-            None => verifier.verify_all_verdicts(),
-        };
+        let (verdicts, pass) = verifier.run_pass(self.host.store());
+        let verdicts: BTreeMap<String, Verdict> = verdicts.into_iter().collect();
         let mut stats = VerifyStats::default();
         for v in verdicts.values() {
             if let Verdict::Verified(s) = v {
@@ -253,18 +302,14 @@ impl Session<'_> {
         }
         VerifyOutcome {
             verdicts,
-            reverified: verifier.methods_reverified(),
-            reverified_methods: verifier.reverified_methods().map(<[String]>::to_vec),
-            store_hits: verifier.store_hits(),
-            store_misses: verifier.store_misses(),
-            store_dirty_transitive: verifier.store_dirty_transitive(),
+            reverified: pass.as_ref().map(|p| p.reverified.len()),
+            store_hits: pass.as_ref().map(|p| p.hits),
+            store_misses: pass.as_ref().map(|p| p.misses),
+            store_dirty_transitive: pass.as_ref().map(|p| p.dirty_transitive),
+            reverified_methods: pass.map(|p| p.reverified),
             stats,
         }
     }
-}
-
-fn lock(m: &Mutex<VerdictStore>) -> std::sync::MutexGuard<'_, VerdictStore> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -299,8 +344,29 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
     fn parse_errors_are_reported_not_panicked() {
         let host = SessionHost::new(Backend::Destabilized, VerifierConfig::default());
         let err = host.session().verify_source("method oops {").unwrap_err();
-        let SessionError::Parse(errs) = err;
+        let SessionError::Parse(errs) = err else {
+            panic!("expected parse errors, got {:?}", err);
+        };
         assert!(!errs.is_empty());
+    }
+
+    #[test]
+    fn ill_formed_sources_are_refused_before_verification() {
+        // The first `m` verifies on its own; the program as a whole is
+        // not well-formed, so no verdict may come back for it.
+        let host = SessionHost::new(Backend::Destabilized, VerifierConfig::default());
+        let err = host
+            .session()
+            .verify_source(
+                "method m() returns (r: Int) ensures r == 1 { r := 1 }
+                 method m() returns (r: Int) ensures r == 2 { r := 1 }",
+            )
+            .unwrap_err();
+        let SessionError::Wf(errs) = &err else {
+            panic!("expected wf errors, got {:?}", err);
+        };
+        assert!(errs.iter().any(|e| e.message == "duplicate method m"));
+        assert!(err.to_string().contains("well-formedness"));
     }
 
     #[test]

@@ -23,12 +23,19 @@
 //! methods simply re-verify. [`VerdictStore::dump`] is the one-way
 //! export, one JSON object per live entry.
 //!
-//! Durable appends ([`VerdictStore::record_durable`])
-//! accumulate *dead weight* — superseded records and evict tombstones
-//! that replay discards. The store tracks that debt (including debt
-//! inherited from disk at open) and compacts automatically once it
-//! exceeds the live entry count, so a long-lived daemon's store file
-//! stops growing without bound between explicit saves.
+//! [`crate::session::SessionHost`] is the one owner of an open store:
+//! every verification pass records through durable appends
+//! ([`VerdictStore::record_durable`]), so a killed process loses at
+//! most the append in flight, and [`VerdictStore::save`] is the
+//! graceful-shutdown compaction. Appends accumulate *dead weight* —
+//! superseded records and evict tombstones that replay discards. The
+//! store tracks that debt (including debt inherited from disk at open)
+//! and compacts automatically once it exceeds the live entry count, so
+//! a long-lived daemon's store file stops growing without bound
+//! between explicit saves. A shard whose scan at open did not end
+//! clean (damaged header, rotten record, torn tail) is never appended
+//! to: its first write rewrites it from memory, so the damage heals
+//! instead of swallowing every later append.
 //!
 //! The store directory also carries the method → callee-spec
 //! dependency graph ([`crate::depgraph::DepGraph`], in its own file)
@@ -44,6 +51,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One stored method verdict.
 #[derive(Clone, PartialEq, Debug)]
@@ -79,6 +87,10 @@ pub struct VerdictStore {
     /// directory (see [`crate::depgraph`]).
     graph: DepGraph,
     graph_changed: bool,
+    /// Shards whose scan at open did not end clean. An append there
+    /// would land after the damage, where the next open drops it, so
+    /// [`VerdictStore::record_durable`] rewrites such a shard whole.
+    damaged: [bool; VerdictStore::SHARD_COUNT],
 }
 
 /// Minimum dead-weight before auto-compaction triggers, so tiny stores
@@ -106,6 +118,7 @@ impl VerdictStore {
             dead_records: 0,
             graph: DepGraph::load(dir),
             graph_changed: false,
+            damaged: [false; Self::SHARD_COUNT],
         };
         let mut replayed = 0usize;
         for shard in 0..Self::SHARD_COUNT {
@@ -114,13 +127,14 @@ impl VerdictStore {
                 continue;
             };
             match decode_shard(&bytes, shard, &mut store.entries, &mut replayed) {
-                ShardEnd::Clean => {}
+                ShardEnd::Clean => continue,
                 ShardEnd::Corrupt(n) => store.corrupt_lines += n,
                 ShardEnd::Truncated(n) => {
                     store.corrupt_lines += n;
                     store.truncated_tail = true;
                 }
             }
+            store.damaged[shard] = true;
         }
         store.dead_records = replayed.saturating_sub(store.entries.len());
         store
@@ -216,8 +230,7 @@ impl VerdictStore {
     }
 
     /// Writes the dependency graph file if it changed since load — the
-    /// shared-store path's end-of-run hook (the owned path goes
-    /// through [`VerdictStore::save`]).
+    /// end-of-pass hook ([`VerdictStore::save`] writes it too).
     ///
     /// # Errors
     ///
@@ -238,7 +251,9 @@ impl VerdictStore {
     /// [`VerdictStore::open`] replays last-wins. When the appended
     /// dead weight outgrows the live entries the log is compacted in
     /// place (see [`VerdictStore::save`]), so a long-lived daemon's
-    /// store stops growing without bound.
+    /// store stops growing without bound. The first write into a shard
+    /// that was damaged at open rewrites that shard from memory
+    /// instead of appending after the damage.
     ///
     /// # Errors
     ///
@@ -264,6 +279,12 @@ impl VerdictStore {
         }
         fs::create_dir_all(&self.dir)?;
         let shard = shard_of(method);
+        if self.damaged[shard] {
+            let live = self.entries.iter().filter(|(k, _)| shard_of(k) == shard);
+            self.write_shard(shard, live)?;
+            self.damaged[shard] = false;
+            return Ok(definite);
+        }
         let frame = if definite {
             let stored = self
                 .entries
@@ -290,28 +311,37 @@ impl VerdictStore {
     ///
     /// Propagates I/O errors from creating the directory or writing
     /// the files.
-    pub fn save(&self) -> io::Result<()> {
+    pub fn save(&mut self) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         // Every shard is rewritten — including empties — so a
         // compaction truncates stale data instead of leaving orphaned
         // records in shards the surviving entries no longer map to.
-        let mut shards: Vec<Vec<u8>> = (0..Self::SHARD_COUNT)
-            .map(|i| shard_header(i).to_vec())
-            .collect();
-        for (name, stored) in &self.entries {
-            let frame = encode_frame(RECORD_PUT, &encode_put_payload(name, stored));
-            shards[shard_of(name)].extend_from_slice(&frame);
+        let mut shards: Vec<Vec<(&String, &StoredVerdict)>> = vec![Vec::new(); Self::SHARD_COUNT];
+        for entry in &self.entries {
+            shards[shard_of(entry.0)].push(entry);
         }
-        for (i, bytes) in shards.iter().enumerate() {
-            let path = self.dir.join(Self::shard_file_name(i));
-            let tmp = path.with_extension("daes.tmp");
-            fs::write(&tmp, bytes)?;
-            fs::rename(&tmp, &path)?;
+        for (i, live) in shards.into_iter().enumerate() {
+            self.write_shard(i, live)?;
         }
-        if self.graph_changed {
-            self.graph.save(&self.dir)?;
+        self.damaged = [false; Self::SHARD_COUNT];
+        self.persist_graph()
+    }
+
+    /// Rewrites shard `i` to hold exactly `live` (one put record per
+    /// entry), atomically through a temp-file rename.
+    fn write_shard<'e>(
+        &self,
+        i: usize,
+        live: impl IntoIterator<Item = (&'e String, &'e StoredVerdict)>,
+    ) -> io::Result<()> {
+        let mut bytes = shard_header(i).to_vec();
+        for (name, stored) in live {
+            bytes.extend_from_slice(&encode_frame(RECORD_PUT, &encode_put_payload(name, stored)));
         }
-        Ok(())
+        let path = self.dir.join(Self::shard_file_name(i));
+        let tmp = path.with_extension("daes.tmp");
+        fs::write(&tmp, bytes)?;
+        fs::rename(&tmp, &path)
     }
 
     /// The live entries as JSON text, one object per entry in key
@@ -325,6 +355,13 @@ impl VerdictStore {
             .iter()
             .map(|(name, stored)| dump_entry(name, stored).render())
     }
+}
+
+/// Locks a shared store, tolerating poisoning: every record on disk
+/// is self-contained and the map is updated one entry at a time, so a
+/// panic mid-record cannot leave a store worth refusing.
+pub(crate) fn lock(m: &Mutex<VerdictStore>) -> MutexGuard<'_, VerdictStore> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The [`VerdictStore::dump`] object of one entry.

@@ -5,7 +5,7 @@
 //! dirty only itself, and formatting-only spec edits must dirty
 //! nothing at all.
 
-use daenerys_idf::{parse_program, Backend, DepGraph, Verdict, Verifier, VerifierConfig};
+use daenerys_idf::{parse_program, Backend, DepGraph, SessionHost, Verdict, VerifierConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -99,9 +99,11 @@ fn run(src: &str, dir: &std::path::Path) -> (BTreeMap<String, Verdict>, usize, u
         cache_dir: Some(dir.to_path_buf()),
         ..VerifierConfig::default()
     };
-    let mut v = Verifier::with_config(&program, Backend::Destabilized, cfg);
-    let verdicts: BTreeMap<String, Verdict> = v
-        .verify_all_verdicts()
+    let outcome = SessionHost::new(Backend::Destabilized, cfg)
+        .session()
+        .verify_program(&program);
+    let verdicts: BTreeMap<String, Verdict> = outcome
+        .verdicts
         .into_iter()
         .map(|(name, verdict)| (name, verdict.normalized()))
         .collect();
@@ -111,8 +113,8 @@ fn run(src: &str, dir: &std::path::Path) -> (BTreeMap<String, Verdict>, usize, u
     );
     (
         verdicts,
-        v.methods_reverified().expect("incremental run"),
-        v.store_dirty_transitive().expect("incremental run"),
+        outcome.reverified.expect("incremental run"),
+        outcome.store_dirty_transitive.expect("incremental run"),
     )
 }
 

@@ -5,8 +5,8 @@
 
 use daenerys_idf::{
     all_cases, config_fingerprint, diverging_program, method_fingerprint, parse_program, Backend,
-    Budget, DepGraph, FaultKind, FaultPlan, Program, Verdict, VerdictStore, Verifier,
-    VerifierConfig,
+    Budget, DepGraph, FaultKind, FaultPlan, Program, SessionHost, Verdict, VerdictStore, Verifier,
+    VerifierConfig, VerifyOutcome,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,16 +38,24 @@ fn config(dir: &std::path::Path) -> VerifierConfig {
     }
 }
 
+/// One incremental pass through a fresh host over `cfg`'s store — a
+/// process restart between passes, with no `flush_store`: only the
+/// durable appends carry verdicts from one pass to the next.
+fn pass(program: &Program, cfg: &VerifierConfig) -> VerifyOutcome {
+    let host = SessionHost::new(Backend::Destabilized, cfg.clone());
+    host.session().verify_program(program)
+}
+
 /// Runs one incremental pass; returns (normalized verdicts, reverified).
 fn run(program: &Program, cfg: &VerifierConfig) -> (BTreeMap<String, Verdict>, usize) {
-    let mut v = Verifier::with_config(program, Backend::Destabilized, cfg.clone());
-    let verdicts = v
-        .verify_all_verdicts()
+    let outcome = pass(program, cfg);
+    let verdicts = outcome
+        .verdicts
         .into_iter()
         .map(|(name, verdict)| (name, verdict.normalized()))
         .collect();
-    let reverified = v
-        .methods_reverified()
+    let reverified = outcome
+        .reverified
         .expect("incremental runs report a reverified count");
     (verdicts, reverified)
 }
@@ -248,14 +256,6 @@ fn answer_affecting_config_switch_invalidates_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn non_incremental_runs_report_no_reverified_count() {
-    let program = parse_program(SRC).unwrap();
-    let mut v = Verifier::new(&program, Backend::Destabilized);
-    let _ = v.verify_all_verdicts();
-    assert_eq!(v.methods_reverified(), None);
-}
-
 /// Runs one cold incremental pass of `program` under `cfg` and asserts
 /// that every definite verdict it stored sits under the method's
 /// [`method_fingerprint`]: the fingerprints a pass computes in one
@@ -342,19 +342,69 @@ fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
     );
     assert!(store.graph().node("double").is_some());
     drop(store);
-    let mut v = Verifier::with_config(&program, Backend::Destabilized, cfg.clone());
-    let second: BTreeMap<String, Verdict> = v
-        .verify_all_verdicts()
+    let outcome = pass(&program, &cfg);
+    assert_eq!(
+        outcome.reverified_methods,
+        Some(vec!["get".to_string(), "double".to_string()]),
+        "the dropped node's caller cone re-verifies"
+    );
+    let second: BTreeMap<String, Verdict> = outcome
+        .verdicts
         .into_iter()
         .map(|(name, verdict)| (name, verdict.normalized()))
         .collect();
-    assert_eq!(
-        v.reverified_methods(),
-        Some(&["get".to_string(), "double".to_string()][..]),
-        "the dropped node's caller cone re-verifies"
-    );
     assert_eq!(first, second);
     let (_, warm) = run(&program, &cfg);
     assert_eq!(warm, 0, "the rewritten graph is whole again");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Damages every shard file of the store in `dir` with `damage`, then
+/// runs four passes, each through a fresh host and none flushed (a
+/// daemon restarted after `kill -9`), and returns their re-verified
+/// counts.
+fn passes_after_damage(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> Vec<usize> {
+    let dir = temp_dir(tag);
+    let cfg = config(&dir);
+    let program = parse_program(SRC).unwrap();
+    let (cold, reverified) = run(&program, &cfg);
+    assert_eq!(reverified, 3);
+    let mut damaged = 0;
+    for i in 0..VerdictStore::SHARD_COUNT {
+        let path = dir.join(VerdictStore::shard_file_name(i));
+        if let Ok(mut bytes) = std::fs::read(&path) {
+            damage(&mut bytes);
+            std::fs::write(&path, bytes).unwrap();
+            damaged += 1;
+        }
+    }
+    assert!(damaged > 0, "the cold pass wrote shards");
+    let counts = (0..4)
+        .map(|_| {
+            let (verdicts, reverified) = run(&program, &cfg);
+            assert_eq!(verdicts, cold, "damage never changes a verdict");
+            reverified
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    counts
+}
+
+#[test]
+fn torn_shard_tails_heal_on_the_next_append() {
+    // Three bytes torn off every shard: each shard's last record is
+    // cut mid-write. The first pass re-verifies the lost methods and
+    // rewrites their shards instead of appending after the torn tail.
+    let counts = passes_after_damage("torn-tail", |bytes| {
+        bytes.truncate(bytes.len() - 3);
+    });
+    assert_eq!(counts, [3, 0, 0, 0]);
+}
+
+#[test]
+fn damaged_shard_headers_heal_on_the_next_append() {
+    let counts = passes_after_damage("bad-header", |bytes| {
+        bytes[..6].copy_from_slice(b"XXXXXX");
+    });
+    assert_eq!(counts, [3, 0, 0, 0]);
 }

@@ -1,19 +1,13 @@
-//! Labeled metrics: `{metric name} × {label set} → counter/histogram`.
+//! Metric label sets and the sharded, thread-shared registry.
 //!
-//! [`MetricsRegistry`] keys metrics by name alone, which is right for
-//! the per-method trace path (attribution lives in the event stream).
-//! A multi-tenant daemon instead needs *dimensional* metrics — the
-//! same `daenerysd.latency_us` histogram split by `tenant`, the same
-//! `daenerysd.phase_nanos` split by `phase` — so the telemetry plane
-//! layers [`LabeledRegistry`] on top: each metric name owns a map from
-//! [`Labels`] (a sorted key→value set) to its counter or
-//! [`Histogram`]. Steady-state stamping is two `BTreeMap` lookups and
-//! allocates only the first time a (name, labels) pair is seen.
+//! Every [`MetricsRegistry`] cell is keyed by a metric name and a
+//! [`Labels`] set (a sorted key→value map); the empty set
+//! ([`Labels::none`]) is how run-global, unattributed metrics — the
+//! whole trace layer — are recorded.
 //!
 //! Workers never contend on one registry mutex: [`SharedRegistry`]
-//! shards by thread, each worker stamps its own shard, and scrapes
-//! merge all shards on the (rare) read path. All arithmetic saturates
-//! — a long-lived daemon pins at `u64::MAX` rather than panicking.
+//! shards one [`MetricsRegistry`] by thread, each worker stamps its
+//! own shard, and scrapes merge all shards on the (rare) read path.
 //!
 //! ## Label schema
 //!
@@ -26,10 +20,9 @@
 //!   `pre`, `body`, `post`, `branch`, `loop`)
 //! * `backend` — the verification backend serving the request
 
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
@@ -41,7 +34,8 @@ use std::sync::Mutex;
 pub struct Labels(BTreeMap<String, String>);
 
 impl Labels {
-    /// The empty label set (used for run-global metrics).
+    /// The empty label set: run-global metrics, including everything
+    /// the trace layer records.
     pub fn none() -> Labels {
         Labels::default()
     }
@@ -85,190 +79,7 @@ impl Labels {
     }
 }
 
-/// A registry of `(name, labels) → counter/histogram` cells.
-///
-/// See the [module docs](self) for the layering over
-/// [`MetricsRegistry`] and the label schema.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct LabeledRegistry {
-    counters: BTreeMap<String, BTreeMap<Labels, u64>>,
-    histograms: BTreeMap<String, BTreeMap<Labels, Histogram>>,
-}
-
-impl LabeledRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> LabeledRegistry {
-        LabeledRegistry::default()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Adds `delta` to the `(name, labels)` counter (saturating).
-    pub fn add(&mut self, name: &str, labels: &Labels, delta: u64) {
-        let cells = match self.counters.get_mut(name) {
-            Some(cells) => cells,
-            None => self.counters.entry(name.to_string()).or_default(),
-        };
-        match cells.get_mut(labels) {
-            Some(c) => *c = c.saturating_add(delta),
-            None => {
-                cells.insert(labels.clone(), delta);
-            }
-        }
-    }
-
-    /// Records one sample into the `(name, labels)` histogram.
-    pub fn record(&mut self, name: &str, labels: &Labels, value: u64) {
-        let cells = match self.histograms.get_mut(name) {
-            Some(cells) => cells,
-            None => self.histograms.entry(name.to_string()).or_default(),
-        };
-        match cells.get_mut(labels) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                cells.insert(labels.clone(), h);
-            }
-        }
-    }
-
-    /// Current value of one counter cell (0 when never touched).
-    pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
-        self.counters
-            .get(name)
-            .and_then(|cells| cells.get(labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// One histogram cell, if any sample was recorded.
-    pub fn histogram(&self, name: &str, labels: &Labels) -> Option<&Histogram> {
-        self.histograms
-            .get(name)
-            .and_then(|cells| cells.get(labels))
-    }
-
-    /// All counter cells, `(name, labels, value)`, in (name, labels)
-    /// order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, &Labels, u64)> {
-        self.counters
-            .iter()
-            .flat_map(|(name, cells)| cells.iter().map(move |(l, v)| (name.as_str(), l, *v)))
-    }
-
-    /// All histogram cells, `(name, labels, histogram)`, in
-    /// (name, labels) order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Labels, &Histogram)> {
-        self.histograms
-            .iter()
-            .flat_map(|(name, cells)| cells.iter().map(move |(l, h)| (name.as_str(), l, h)))
-    }
-
-    /// Folds another labeled registry into this one (cell-wise
-    /// saturating add/merge).
-    pub fn merge(&mut self, other: &LabeledRegistry) {
-        for (name, cells) in &other.counters {
-            for (labels, v) in cells {
-                self.add(name, labels, *v);
-            }
-        }
-        for (name, cells) in &other.histograms {
-            let into = match self.histograms.get_mut(name.as_str()) {
-                Some(into) => into,
-                None => self.histograms.entry(name.clone()).or_default(),
-            };
-            for (labels, h) in cells {
-                match into.get_mut(labels) {
-                    Some(mine) => mine.merge(h),
-                    None => {
-                        into.insert(labels.clone(), h.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Folds an unlabeled [`MetricsRegistry`] in, stamping every
-    /// metric with `labels` — how the trace layer's run-global
-    /// registry joins a labeled scrape.
-    pub fn merge_plain(&mut self, plain: &MetricsRegistry, labels: &Labels) {
-        for (name, v) in plain.counters() {
-            self.add(name, labels, v);
-        }
-        for (name, h) in plain.histograms() {
-            let into = match self.histograms.get_mut(name) {
-                Some(into) => into,
-                None => self.histograms.entry(name.to_string()).or_default(),
-            };
-            match into.get_mut(labels) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    into.insert(labels.clone(), h.clone());
-                }
-            }
-        }
-    }
-
-    /// Renders the whole registry as one compact JSON object:
-    ///
-    /// ```json
-    /// {"counters":[{"name":"...","labels":{...},"value":N},...],
-    ///  "histograms":[{"name":"...","labels":{...},"count":N,"sum":N,
-    ///                 "min":N,"max":N,"mean":F,
-    ///                 "p50":N,"p95":N,"p99":N},...]}
-    /// ```
-    ///
-    /// Cells appear in deterministic (name, labels) order; the
-    /// quantiles carry the bucket-upper-bound error documented on
-    /// [`Histogram::quantile`]. Values at or above 2⁵³ lose precision
-    /// in readers that parse numbers as `f64` (ours does) — accepted,
-    /// since saturated cells are already a signal, not a measurement.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, (name, labels, v)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"value\":{}}}",
-                crate::json::escape(name),
-                labels.to_json(),
-                v
-            );
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, (name, labels, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"mean\":{:.1},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
-                crate::json::escape(name),
-                labels.to_json(),
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// A lock-cheap shared handle over a [`LabeledRegistry`].
+/// A lock-cheap shared handle over a [`MetricsRegistry`].
 ///
 /// Writers stamp the shard owned by their thread (shard = hash of
 /// `ThreadId` mod shard count), so concurrent workers contend only
@@ -277,7 +88,7 @@ impl LabeledRegistry {
 /// scrapes are rare, so the read path pays the full cost.
 #[derive(Debug)]
 pub struct SharedRegistry {
-    shards: Vec<Mutex<LabeledRegistry>>,
+    shards: Vec<Mutex<MetricsRegistry>>,
 }
 
 impl Default for SharedRegistry {
@@ -291,19 +102,19 @@ impl SharedRegistry {
     pub fn new(shards: usize) -> SharedRegistry {
         SharedRegistry {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(LabeledRegistry::new()))
+                .map(|_| Mutex::new(MetricsRegistry::new()))
                 .collect(),
         }
     }
 
-    fn shard(&self) -> &Mutex<LabeledRegistry> {
+    fn shard(&self) -> &Mutex<MetricsRegistry> {
         let mut hasher = DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
         let i = (hasher.finish() as usize) % self.shards.len();
         &self.shards[i]
     }
 
-    fn with_shard<R>(&self, f: impl FnOnce(&mut LabeledRegistry) -> R) -> R {
+    fn with_shard<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
         let mut guard = self
             .shard()
             .lock()
@@ -324,7 +135,7 @@ impl SharedRegistry {
 
     /// Merges a whole registry into this thread's shard (how a worker
     /// flushes per-request metrics in one lock acquisition).
-    pub fn merge(&self, other: &LabeledRegistry) {
+    pub fn merge(&self, other: &MetricsRegistry) {
         self.with_shard(|r| r.merge(other));
     }
 
@@ -332,8 +143,8 @@ impl SharedRegistry {
     /// registry. Shards are locked one at a time, so a snapshot
     /// overlapping concurrent writes is per-shard (not globally)
     /// atomic — fine for monitoring, by design.
-    pub fn snapshot(&self) -> LabeledRegistry {
-        let mut out = LabeledRegistry::new();
+    pub fn snapshot(&self) -> MetricsRegistry {
+        let mut out = MetricsRegistry::new();
         for shard in &self.shards {
             let guard = shard
                 .lock()
@@ -351,78 +162,6 @@ mod tests {
 
     fn t(name: &str) -> Labels {
         Labels::none().with("tenant", name)
-    }
-
-    #[test]
-    fn cells_are_independent_per_label_set() {
-        let mut r = LabeledRegistry::new();
-        r.add("req", &t("a"), 2);
-        r.add("req", &t("b"), 3);
-        r.add("req", &t("a"), 1);
-        r.record("lat", &t("a"), 10);
-        r.record("lat", &t("a"), 20);
-        assert_eq!(r.counter("req", &t("a")), 3);
-        assert_eq!(r.counter("req", &t("b")), 3);
-        assert_eq!(r.counter("req", &t("c")), 0);
-        assert_eq!(r.histogram("lat", &t("a")).unwrap().count, 2);
-        assert!(r.histogram("lat", &t("b")).is_none());
-    }
-
-    #[test]
-    fn merge_is_cellwise_and_saturating() {
-        let mut a = LabeledRegistry::new();
-        a.add("req", &t("a"), u64::MAX - 1);
-        let mut b = LabeledRegistry::new();
-        b.add("req", &t("a"), 5);
-        b.add("req", &t("b"), 1);
-        b.record("lat", &t("b"), 7);
-        a.merge(&b);
-        assert_eq!(a.counter("req", &t("a")), u64::MAX, "saturates");
-        assert_eq!(a.counter("req", &t("b")), 1);
-        assert_eq!(a.histogram("lat", &t("b")).unwrap().sum, 7);
-    }
-
-    #[test]
-    fn merge_plain_stamps_labels() {
-        let mut plain = MetricsRegistry::new();
-        plain.add("solver.conflict", 4);
-        plain.record("fuel", 9);
-        let mut r = LabeledRegistry::new();
-        r.merge_plain(&plain, &t("a"));
-        assert_eq!(r.counter("solver.conflict", &t("a")), 4);
-        assert_eq!(r.histogram("fuel", &t("a")).unwrap().count, 1);
-    }
-
-    #[test]
-    fn to_json_parses_and_carries_quantiles() {
-        let mut r = LabeledRegistry::new();
-        r.add("req", &t("a"), 3);
-        for v in [1, 2, 3, 100] {
-            r.record("lat", &Labels::none().with("tenant", "a\"quoted"), v);
-        }
-        let json = r.to_json();
-        let v = crate::json::parse(&json).expect("scrape is valid JSON");
-        let obj = v.as_obj().unwrap();
-        let counters = obj["counters"].as_arr().unwrap();
-        assert_eq!(counters.len(), 1);
-        let c0 = counters[0].as_obj().unwrap();
-        assert_eq!(c0["name"].as_str(), Some("req"));
-        assert_eq!(c0["value"].as_num(), Some(3.0));
-        let hists = obj["histograms"].as_arr().unwrap();
-        let h0 = hists[0].as_obj().unwrap();
-        assert_eq!(
-            h0["labels"].as_obj().unwrap()["tenant"].as_str(),
-            Some("a\"quoted"),
-            "labels escape correctly"
-        );
-        let (p50, p95, p99) = (
-            h0["p50"].as_num().unwrap(),
-            h0["p95"].as_num().unwrap(),
-            h0["p99"].as_num().unwrap(),
-        );
-        assert!(p50 <= p95 && p95 <= p99, "p50 ≤ p95 ≤ p99");
-        // Empty registry still renders a parseable shell.
-        crate::json::parse(&LabeledRegistry::new().to_json()).unwrap();
     }
 
     #[test]

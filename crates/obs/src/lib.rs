@@ -1,9 +1,12 @@
 //! # `daenerys-obs` — the verifier flight recorder
 //!
 //! A zero-dependency observability layer for the Daenerys pipeline:
-//! structured [`Event`]s (span start/end, point events, gauges), a
-//! [`MetricsRegistry`] of counters and log₂ histograms, and pluggable
-//! [`Sink`]s (null, in-memory ring buffer, JSONL, human-readable text).
+//! structured [`Event`]s (span start/end, point events, gauges), one
+//! [`MetricsRegistry`] of counters and log₂ histograms keyed by name ×
+//! [`Labels`] (the trace layer records unlabeled cells, the daemon's
+//! telemetry plane tenant- and phase-stamped ones, through the sharded
+//! [`SharedRegistry`]), and pluggable [`Sink`]s (null, in-memory ring
+//! buffer, JSONL, human-readable text).
 //!
 //! ## Determinism contract
 //!
@@ -36,7 +39,7 @@ pub mod trace;
 
 pub use event::{Event, EventKind, Value};
 pub use json::{escape as escape_json, parse as parse_json, validate_event_line, Json, JsonError};
-pub use labels::{LabeledRegistry, Labels, SharedRegistry};
+pub use labels::{Labels, SharedRegistry};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use render::{caret_line, fmt_count, fmt_nanos, gutter, ColorMode, Style, TextTable};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink, TextSink};

@@ -1,5 +1,21 @@
-//! Counters and log₂ histograms.
+//! Counters and log₂ histograms, keyed by metric name × [`Labels`].
+//!
+//! One [`MetricsRegistry`] type serves every producer. The trace
+//! layer's per-method and run-global registries record under
+//! [`Labels::none`] (attribution lives in the event stream); the
+//! daemon's telemetry plane stamps dimensional cells — the same
+//! `daenerysd.latency_us` histogram split by `tenant`, the same
+//! `daenerysd.phase_nanos` split by `phase` — into a sharded
+//! [`crate::SharedRegistry`]. A scrape merges both with
+//! [`MetricsRegistry::merge`].
+//!
+//! Each metric name owns a map from [`Labels`] to its counter or
+//! [`Histogram`]. Steady-state stamping is two `BTreeMap` lookups and
+//! allocates only the first time a (name, labels) pair is seen. All
+//! arithmetic saturates — a long-lived daemon pins at `u64::MAX`
+//! rather than panicking.
 
+use crate::labels::Labels;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -110,21 +126,22 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters and histograms.
+/// A registry of `(name, labels) → counter/histogram` cells.
 ///
 /// Per-method registries are filled worker-side and merged on the
 /// deterministic program-order path, mirroring the event stream.
-/// Counter names are dotted paths owned by the emitting subsystem
+/// Metric names are dotted paths owned by the emitting subsystem
 /// (e.g. `solver.queries`; `stability.skips` — invalidation scans the
 /// baseline backend elided because the static stability analyzer
 /// proved the governing spec (framed-)stable; and the CDCL core's
 /// search counters `solver.conflict`, `solver.restart`, and
 /// `theory.propagate` — one bump per learnt conflict, per Luby
-/// restart, and per theory-layer propagation respectively).
+/// restart, and per theory-layer propagation respectively). See the
+/// [`crate::labels`] module for the label schema.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<String, BTreeMap<Labels, u64>>,
+    histograms: BTreeMap<String, BTreeMap<Labels, Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -138,71 +155,134 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Adds `delta` to the named counter (saturating — a long-lived
-    /// daemon pins at `u64::MAX` rather than panicking on overflow).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        let c = self.counters.entry(name.to_string()).or_insert(0);
-        *c = c.saturating_add(delta);
+    /// Adds `delta` to the `(name, labels)` counter (saturating).
+    pub fn add(&mut self, name: &str, labels: &Labels, delta: u64) {
+        let cells = match self.counters.get_mut(name) {
+            Some(cells) => cells,
+            None => self.counters.entry(name.to_string()).or_default(),
+        };
+        match cells.get_mut(labels) {
+            Some(c) => *c = c.saturating_add(delta),
+            None => {
+                cells.insert(labels.clone(), delta);
+            }
+        }
     }
 
-    /// Records one sample into the named histogram.
-    pub fn record(&mut self, name: &str, value: u64) {
+    /// Records one sample into the `(name, labels)` histogram.
+    pub fn record(&mut self, name: &str, labels: &Labels, value: u64) {
+        let mut one = Histogram::default();
+        one.record(value);
+        self.merge_histogram(name, labels, &one);
+    }
+
+    fn merge_histogram(&mut self, name: &str, labels: &Labels, h: &Histogram) {
+        let cells = match self.histograms.get_mut(name) {
+            Some(cells) => cells,
+            None => self.histograms.entry(name.to_string()).or_default(),
+        };
+        match cells.get_mut(labels) {
+            Some(mine) => mine.merge(h),
+            None => {
+                cells.insert(labels.clone(), h.clone());
+            }
+        }
+    }
+
+    /// Current value of one counter cell (0 when never touched).
+    pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
+        self.counters
+            .get(name)
+            .and_then(|cells| cells.get(labels))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// One histogram cell, if any sample was recorded.
+    pub fn histogram(&self, name: &str, labels: &Labels) -> Option<&Histogram> {
         self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+            .get(name)
+            .and_then(|cells| cells.get(labels))
     }
 
-    /// Current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// All counter cells, `(name, labels, value)`, in (name, labels)
+    /// order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, &Labels, u64)> {
+        self.counters
+            .iter()
+            .flat_map(|(name, cells)| cells.iter().map(move |(l, v)| (name.as_str(), l, *v)))
     }
 
-    /// The named histogram, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    /// All histogram cells, `(name, labels, histogram)`, in
+    /// (name, labels) order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Labels, &Histogram)> {
+        self.histograms
+            .iter()
+            .flat_map(|(name, cells)| cells.iter().map(move |(l, h)| (name.as_str(), l, h)))
     }
 
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
-    }
-
-    /// Folds another registry into this one (counters add, histograms
-    /// merge; both saturating).
+    /// Folds another registry into this one (cell-wise saturating
+    /// add/merge).
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            let c = self.counters.entry(k.clone()).or_insert(0);
-            *c = c.saturating_add(*v);
+        for (name, labels, v) in other.counters() {
+            self.add(name, labels, v);
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (name, labels, h) in other.histograms() {
+            self.merge_histogram(name, labels, h);
         }
     }
 
-    /// A human-readable dump, one metric per line, in name order.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "counter   {:<28} {}", k, v);
-        }
-        for (k, h) in &self.histograms {
-            let _ = writeln!(
+    /// Renders the whole registry as one compact JSON object:
+    ///
+    /// ```json
+    /// {"counters":[{"name":"...","labels":{...},"value":N},...],
+    ///  "histograms":[{"name":"...","labels":{...},"count":N,"sum":N,
+    ///                 "min":N,"max":N,"mean":F,
+    ///                 "p50":N,"p95":N,"p99":N},...]}
+    /// ```
+    ///
+    /// Cells appear in deterministic (name, labels) order; the
+    /// quantiles carry the bucket-upper-bound error documented on
+    /// [`Histogram::quantile`]. Values at or above 2⁵³ lose precision
+    /// in readers that parse numbers as `f64` (ours does) — accepted,
+    /// since saturated cells are already a signal, not a measurement.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"counters\":[");
+        for (i, (name, labels, v)) in self.counters().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
                 out,
-                "histogram {:<28} count={} sum={} min={} max={} mean={:.1}",
-                k,
+                "{{\"name\":{},\"labels\":{},\"value\":{}}}",
+                crate::json::escape(name),
+                labels.to_json(),
+                v
+            );
+        }
+        out.push_str("],\"histograms\":[");
+        for (i, (name, labels, h)) in self.histograms().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"name\":{},\"labels\":{},\"count\":{},\"sum\":{},\
+                 \"min\":{},\"max\":{},\"mean\":{:.1},\
+                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
+                crate::json::escape(name),
+                labels.to_json(),
                 h.count,
                 h.sum,
                 if h.count == 0 { 0 } else { h.min },
                 h.max,
-                h.mean()
+                h.mean(),
+                h.quantile(0.50),
+                h.quantile(0.95),
+                h.quantile(0.99),
             );
         }
+        out.push_str("]}");
         out
     }
 }
@@ -280,16 +360,21 @@ mod tests {
         assert_eq!(h.quantile(f64::NAN), h.quantile(0.0), "NaN reads as 0");
     }
 
+    fn t(name: &str) -> Labels {
+        Labels::none().with("tenant", name)
+    }
+
     #[test]
     fn merges_saturate_instead_of_panicking() {
+        let none = Labels::none();
         let mut a = MetricsRegistry::new();
-        a.add("c", u64::MAX - 1);
+        a.add("c", &none, u64::MAX - 1);
         let mut b = MetricsRegistry::new();
-        b.add("c", u64::MAX);
+        b.add("c", &none, u64::MAX);
         a.merge(&b);
-        assert_eq!(a.counter("c"), u64::MAX);
-        a.add("c", 7);
-        assert_eq!(a.counter("c"), u64::MAX);
+        assert_eq!(a.counter("c", &none), u64::MAX);
+        a.add("c", &none, 7);
+        assert_eq!(a.counter("c", &none), u64::MAX);
 
         let mut h = Histogram {
             count: u64::MAX,
@@ -307,21 +392,96 @@ mod tests {
 
     #[test]
     fn registry_merge_is_additive() {
+        let none = Labels::none();
         let mut a = MetricsRegistry::new();
-        a.add("queries", 2);
-        a.record("fuel", 5);
+        a.add("queries", &none, 2);
+        a.record("fuel", &none, 5);
         let mut b = MetricsRegistry::new();
-        b.add("queries", 3);
-        b.add("states", 1);
-        b.record("fuel", 7);
+        b.add("queries", &none, 3);
+        b.add("states", &none, 1);
+        b.record("fuel", &none, 7);
         a.merge(&b);
-        assert_eq!(a.counter("queries"), 5);
-        assert_eq!(a.counter("states"), 1);
-        let h = a.histogram("fuel").unwrap();
+        assert_eq!(a.counter("queries", &none), 5);
+        assert_eq!(a.counter("states", &none), 1);
+        let h = a.histogram("fuel", &none).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 12);
-        let text = a.render_text();
-        assert!(text.contains("queries"));
-        assert!(text.contains("histogram"));
+    }
+
+    #[test]
+    fn cells_are_independent_per_label_set() {
+        let mut r = MetricsRegistry::new();
+        r.add("req", &t("a"), 2);
+        r.add("req", &t("b"), 3);
+        r.add("req", &t("a"), 1);
+        r.record("lat", &t("a"), 10);
+        r.record("lat", &t("a"), 20);
+        assert_eq!(r.counter("req", &t("a")), 3);
+        assert_eq!(r.counter("req", &t("b")), 3);
+        assert_eq!(r.counter("req", &t("c")), 0);
+        assert_eq!(r.histogram("lat", &t("a")).unwrap().count, 2);
+        assert!(r.histogram("lat", &t("b")).is_none());
+    }
+
+    #[test]
+    fn merge_is_cellwise_and_saturating() {
+        let mut a = MetricsRegistry::new();
+        a.add("req", &t("a"), u64::MAX - 1);
+        let mut b = MetricsRegistry::new();
+        b.add("req", &t("a"), 5);
+        b.add("req", &t("b"), 1);
+        b.record("lat", &t("b"), 7);
+        a.merge(&b);
+        assert_eq!(a.counter("req", &t("a")), u64::MAX, "saturates");
+        assert_eq!(a.counter("req", &t("b")), 1);
+        assert_eq!(a.histogram("lat", &t("b")).unwrap().sum, 7);
+    }
+
+    #[test]
+    fn unlabeled_and_labeled_cells_of_one_name_stay_apart() {
+        // A trace registry (unlabeled) merged into a tenant-stamped
+        // scrape keeps both cells of the same metric name.
+        let mut trace = MetricsRegistry::new();
+        trace.add("solver.conflict", &Labels::none(), 4);
+        trace.record("fuel", &Labels::none(), 9);
+        let mut scrape = MetricsRegistry::new();
+        scrape.add("solver.conflict", &t("a"), 1);
+        scrape.merge(&trace);
+        assert_eq!(scrape.counter("solver.conflict", &Labels::none()), 4);
+        assert_eq!(scrape.counter("solver.conflict", &t("a")), 1);
+        assert_eq!(scrape.histogram("fuel", &Labels::none()).unwrap().count, 1);
+        assert!(scrape.histogram("fuel", &t("a")).is_none());
+    }
+
+    #[test]
+    fn to_json_parses_and_carries_quantiles() {
+        let mut r = MetricsRegistry::new();
+        r.add("req", &t("a"), 3);
+        for v in [1, 2, 3, 100] {
+            r.record("lat", &Labels::none().with("tenant", "a\"quoted"), v);
+        }
+        let json = r.to_json();
+        let v = crate::json::parse(&json).expect("scrape is valid JSON");
+        let obj = v.as_obj().unwrap();
+        let counters = obj["counters"].as_arr().unwrap();
+        assert_eq!(counters.len(), 1);
+        let c0 = counters[0].as_obj().unwrap();
+        assert_eq!(c0["name"].as_str(), Some("req"));
+        assert_eq!(c0["value"].as_num(), Some(3.0));
+        let hists = obj["histograms"].as_arr().unwrap();
+        let h0 = hists[0].as_obj().unwrap();
+        assert_eq!(
+            h0["labels"].as_obj().unwrap()["tenant"].as_str(),
+            Some("a\"quoted"),
+            "labels escape correctly"
+        );
+        let (p50, p95, p99) = (
+            h0["p50"].as_num().unwrap(),
+            h0["p95"].as_num().unwrap(),
+            h0["p99"].as_num().unwrap(),
+        );
+        assert!(p50 <= p95 && p95 <= p99, "p50 ≤ p95 ≤ p99");
+        // Empty registry still renders a parseable shell.
+        crate::json::parse(&MetricsRegistry::new().to_json()).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! The trace handle and per-worker collectors.
 
 use crate::event::{Event, EventKind, Value};
+use crate::labels::Labels;
 use crate::metrics::MetricsRegistry;
 use crate::sink::Sink;
 use std::fmt;
@@ -160,7 +161,7 @@ impl TraceCollector {
     }
 
     /// Records a gauge sample (emitted as an event *and* folded into
-    /// the metrics registry).
+    /// the metrics registry, unlabeled).
     pub fn gauge(&mut self, name: &str, value: u64) {
         if !self.enabled {
             return;
@@ -170,23 +171,23 @@ impl TraceCollector {
             name.to_string(),
             vec![("value".to_string(), Value::UInt(value))],
         );
-        self.metrics.record(name, value);
+        self.metrics.record(name, &Labels::none(), value);
     }
 
-    /// Adds to a named counter (metrics only, no event).
+    /// Adds to a named, unlabeled counter (metrics only, no event).
     pub fn counter(&mut self, name: &str, delta: u64) {
         if !self.enabled {
             return;
         }
-        self.metrics.add(name, delta);
+        self.metrics.add(name, &Labels::none(), delta);
     }
 
-    /// Records a histogram sample (metrics only, no event).
+    /// Records an unlabeled histogram sample (metrics only, no event).
     pub fn histogram(&mut self, name: &str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.metrics.record(name, value);
+        self.metrics.record(name, &Labels::none(), value);
     }
 
     /// Drains the collector into its buffered events and metrics.
@@ -410,11 +411,11 @@ mod tests {
             .unwrap();
         assert!(end.field_u64("duration_nanos").unwrap() > 0);
         assert_eq!(
-            a.1.counter("budget.states"),
+            a.1.counter("budget.states", &Labels::none()),
             0,
             "gauge is a histogram, not a counter"
         );
-        assert!(a.1.histogram("budget.states").is_some());
+        assert!(a.1.histogram("budget.states", &Labels::none()).is_some());
     }
 
     #[test]
