@@ -28,6 +28,7 @@
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
 use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerdictStore, VerifierConfig};
+use daenerys_obs::escape_json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -152,10 +153,6 @@ fn snapshot(from: &Path, to: &Path) {
             std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy store file");
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -311,8 +308,8 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"hub\": \"{}\", \"hub_cone\": {},\n  \"phases\": [\n",
-        json_escape(&Corpus::method_name(hub)),
+        "  \"hub\": {}, \"hub_cone\": {},\n  \"phases\": [\n",
+        escape_json(&Corpus::method_name(hub)),
         cone
     );
     for (i, p) in phases.iter().enumerate() {

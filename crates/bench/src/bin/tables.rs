@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! cargo run -p daenerys-bench --bin tables [--t1] [--t2] [--t3] [--t4] \
-//!     [--f1] [--f2] [--f3] [--json] [--no-cache] [--no-simplify] \
-//!     [--no-learn] [--threads N] [--timeout-ms N] \
+//!     [--f1] [--f2] [--f3] [--json] [--threads N] [--timeout-ms N] \
 //!     [--fuel N] [--repeat N] [--trace-out PATH] [--profile] \
 //!     [--incremental] [--cache-dir PATH] [--expect-reverified N] \
 //!     [--out-dir PATH] [--deny-unstable] [--explain-stability]
@@ -14,12 +13,8 @@
 //!
 //! With no table/figure flags, every table and figure is printed.
 //!
-//! * `--no-cache` disables the solver's memo layers (the pre-cache
-//!   pipeline) and `--threads N` pins the verification fan-out — both
-//!   change cost only, never answers.
-//! * `--no-simplify` disables intern-time canonicalization and
-//!   `--no-learn` conflict-clause learning, isolating each
-//!   query-avoidance layer for A/B measurement.
+//! * `--threads N` pins the verification fan-out, which changes cost
+//!   only, never answers.
 //! * `--incremental` adds the F1 incremental section: each case is
 //!   verified against the persistent verdict store under `--cache-dir`
 //!   (default `target/ivc`), its restored verdicts are checked
@@ -43,8 +38,8 @@
 //!   config block.
 //! * `--json` additionally writes `BENCH_verifier.json` (machine-readable
 //!   F1 data: per-case wall time, phase attribution, solver queries,
-//!   and cache hit rate for both backends, plus the cached-vs-uncached
-//!   chain sweep).
+//!   and cache hit rate for both backends, plus the chain and diverging
+//!   sweeps).
 //! * `--trace-out PATH` streams the flight-recorder trace (spans,
 //!   solver queries, budget gauges) of every verification as JSONL to
 //!   `PATH`; validate it with the `trace_validate` binary.
@@ -74,7 +69,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-const KNOWN_FLAGS: [&str; 23] = [
+const KNOWN_FLAGS: [&str; 20] = [
     "--t1",
     "--t2",
     "--t3",
@@ -83,9 +78,6 @@ const KNOWN_FLAGS: [&str; 23] = [
     "--f2",
     "--f3",
     "--json",
-    "--no-cache",
-    "--no-simplify",
-    "--no-learn",
     "--threads",
     "--timeout-ms",
     "--fuel",
@@ -139,9 +131,6 @@ fn parse_args() -> Opts {
             "--profile" => opts.profile = true,
             "--deny-unstable" => opts.config.deny_unstable = true,
             "--explain-stability" => opts.config.explain_stability = true,
-            "--no-cache" => opts.config.cache = false,
-            "--no-simplify" => opts.config.simplify = false,
-            "--no-learn" => opts.config.learn = false,
             "--incremental" => {
                 if opts.cache_dir.is_none() {
                     opts.cache_dir = Some(std::path::PathBuf::from("target/ivc"));
@@ -630,8 +619,8 @@ fn table_t4() {
 const CHAIN_SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
 
 /// F1: verifier scaling — time and work vs. program size, plus the
-/// chain sweep measuring the fast pipeline (hash-consing + solver
-/// cache) against the pre-cache path (`--no-cache --threads 1`).
+/// chain sweep (solver memo counters) and the diverging sweep (search
+/// counters).
 fn figure_f1(opts: &Opts) {
     println!("\nF1. Verifier scaling (n objects updated; spec reads every field)\n");
     println!(
@@ -657,92 +646,50 @@ fn figure_f1(opts: &Opts) {
         );
     }
 
-    let cached = VerifierConfig {
-        cache: true,
-        ..opts.config.clone()
-    };
-    let uncached = VerifierConfig {
-        threads: 1,
-        cache: false,
-        ..opts.config.clone()
-    };
-    println!("\nF1b. Chain sweep: memoized pipeline vs. pre-cache path (destabilized)\n");
+    println!("\nF1b. Chain sweep: solver memo (destabilized)\n");
     println!(
-        "    {:>4} | {:>8} {:>8} | {:>6} {:>6} {:>6} | {:>8}",
-        "n", "µs_memo", "µs_cold", "q", "hits", "miss", "speedup"
+        "    {:>4} | {:>8} {:>8} | {:>6} {:>6} {:>6}",
+        "n", "µs_D", "µs_S", "q", "hits", "miss"
     );
-    println!("    {}", "-".repeat(62));
+    println!("    {}", "-".repeat(50));
     let mut chain_rows = Vec::new();
     for n in CHAIN_SIZES {
         let src = chain_program(n);
-        let dm = measure_median(&src, Backend::Destabilized, &cached, opts.repeat);
-        let dc = measure_median(&src, Backend::Destabilized, &uncached, opts.repeat);
-        let sm = measure_median(&src, Backend::StableBaseline, &cached, opts.repeat);
-        let sc = measure_median(&src, Backend::StableBaseline, &uncached, opts.repeat);
-        let speedup = dc.time.as_secs_f64() / dm.time.as_secs_f64().max(1e-9);
+        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
+        let s = measure_median(&src, Backend::StableBaseline, &opts.config, opts.repeat);
         println!(
-            "    {:>4} | {:>8} {:>8} | {:>6} {:>6} {:>6} | {:>7.2}x",
+            "    {:>4} | {:>8} {:>8} | {:>6} {:>6} {:>6}",
             n,
-            micros(dm.time),
-            micros(dc.time),
-            dm.total(|x| x.solver_queries),
-            dm.total(|x| x.cache_hits),
-            dm.total(|x| x.cache_misses),
-            speedup,
+            micros(d.time),
+            micros(s.time),
+            d.total(|x| x.solver_queries),
+            d.total(|x| x.cache_hits),
+            d.total(|x| x.cache_misses),
         );
-        chain_rows.push((n, dm, dc, sm, sc));
+        chain_rows.push((n, d, s));
     }
 
-    // F1c: the exponential case — conflict-clause learning on vs. off
-    // on the selected core, A/B'd regardless of the session's
-    // `--no-learn` setting so the work counters stay comparable
-    // release over release.
-    let learn_on = VerifierConfig {
-        learn: true,
-        ..opts.config.clone()
-    };
-    let learn_off = VerifierConfig {
-        learn: false,
-        ..opts.config.clone()
-    };
-    println!("\nF1c. Diverging sweep: clause learning on vs. off (cdcl core, destabilized)\n");
+    println!("\nF1c. Diverging sweep: clause-learning search (cdcl core, destabilized)\n");
     println!(
-        "    {:>4} | {:>8} {:>8} | {:>7} {:>7} | {:>6} {:>5} {:>6} {:>7} | {:>8}",
-        "k",
-        "µs_lrn",
-        "µs_none",
-        "br_lrn",
-        "br_none",
-        "confl",
-        "rst",
-        "tprops",
-        "learned",
-        "br_ratio"
+        "    {:>4} | {:>8} | {:>9} {:>6} {:>5} {:>6} {:>7}",
+        "k", "µs", "decisions", "confl", "rst", "tprops", "learned"
     );
-    println!("    {}", "-".repeat(86));
+    println!("    {}", "-".repeat(58));
     let mut diverging_rows = Vec::new();
     for k in DIVERGING_SIZES {
         let src = diverging_program(k);
-        let dl = measure_median(&src, Backend::Destabilized, &learn_on, opts.repeat);
-        let dn = measure_median(&src, Backend::Destabilized, &learn_off, opts.repeat);
-        let (bl, bn) = (
-            dl.total(|x| x.solver_branches),
-            dn.total(|x| x.solver_branches),
-        );
+        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
         println!(
-            "    {:>4} | {:>8} {:>8} | {:>7} {:>7} | {:>6} {:>5} {:>6} {:>7} | {:>7.2}x",
+            "    {:>4} | {:>8} | {:>9} {:>6} {:>5} {:>6} {:>7}",
             k,
-            micros(dl.time),
-            micros(dn.time),
-            bl,
-            bn,
-            dl.total(|x| x.solver_conflicts),
-            dl.total(|x| x.solver_restarts),
-            dl.total(|x| x.theory_props),
-            dl.total(|x| x.learned_clauses),
-            bn as f64 / bl.max(1) as f64,
+            micros(d.time),
+            d.total(|x| x.solver_branches),
+            d.total(|x| x.solver_conflicts),
+            d.total(|x| x.solver_restarts),
+            d.total(|x| x.theory_props),
+            d.total(|x| x.learned_clauses),
         );
-        diverging_rows.push((k, dl, dn));
+        diverging_rows.push((k, d));
     }
 
     let incremental_rows = incremental_section(opts);
@@ -752,8 +699,7 @@ fn figure_f1(opts: &Opts) {
     }
 }
 
-/// Sizes of the F1 diverging sweep (`2^k` leaves each for a search
-/// without learning).
+/// Sizes of the F1 diverging sweep (`2^k` propositional leaves each).
 const DIVERGING_SIZES: [usize; 4] = [2, 4, 6, 8];
 
 /// One row of the F1 incremental section: case name, method count,
@@ -852,7 +798,7 @@ fn run_json(run: &BackendRun) -> String {
         hits as f64 / (hits + misses) as f64
     };
     format!(
-        "{{\"wall_micros\": {:.1}, \"solver_queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"dpll_branches\": {}, \"conflicts\": {}, \"restarts\": {}, \"theory_props\": {}, \"learned_clauses\": {}, \"obligations\": {}, \"interned_terms\": {}, \"stability_skips\": {}, \"unknown_methods\": {}, \"budget_exhausted\": {}, \"methods_reverified\": {}}}",
+        "{{\"wall_micros\": {:.1}, \"solver_queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"decisions\": {}, \"conflicts\": {}, \"restarts\": {}, \"theory_props\": {}, \"learned_clauses\": {}, \"obligations\": {}, \"interned_terms\": {}, \"stability_skips\": {}, \"unknown_methods\": {}, \"budget_exhausted\": {}, \"methods_reverified\": {}}}",
         run.time.as_secs_f64() * 1e6,
         run.total(|x| x.solver_queries),
         hits,
@@ -891,8 +837,8 @@ fn phases_json(p: &ProfileReport) -> String {
 /// the incremental section.
 fn write_bench_json(
     opts: &Opts,
-    chain_rows: &[(usize, BackendRun, BackendRun, BackendRun, BackendRun)],
-    diverging_rows: &[(usize, BackendRun, BackendRun)],
+    chain_rows: &[(usize, BackendRun, BackendRun)],
+    diverging_rows: &[(usize, BackendRun)],
     incremental_rows: &[IncrementalRow],
 ) {
     let mut cases = Vec::new();
@@ -935,26 +881,17 @@ fn write_bench_json(
         ));
     }
     let mut chain = Vec::new();
-    for (n, dm, dc, sm, sc) in chain_rows {
-        let speedup = dc.time.as_secs_f64() / dm.time.as_secs_f64().max(1e-9);
+    for (n, d, s) in chain_rows {
         chain.push(format!(
-            "    {{\"n\": {}, \"destabilized\": {{\"memoized\": {}, \"uncached\": {}, \"speedup\": {:.2}}}, \"stable_baseline\": {{\"memoized\": {}, \"uncached\": {}}}}}",
+            "    {{\"n\": {}, \"destabilized\": {{\"memoized\": {}}}, \"stable_baseline\": {{\"memoized\": {}}}}}",
             n,
-            run_json(dm),
-            run_json(dc),
-            speedup,
-            run_json(sm),
-            run_json(sc)
+            run_json(d),
+            run_json(s)
         ));
     }
     let mut diverging = Vec::new();
-    for (k, dl, dn) in diverging_rows {
-        diverging.push(format!(
-            "    {{\"k\": {}, \"learn\": {}, \"no_learn\": {}}}",
-            k,
-            run_json(dl),
-            run_json(dn)
-        ));
+    for (k, d) in diverging_rows {
+        diverging.push(format!("    {{\"k\": {}, \"learn\": {}}}", k, run_json(d)));
     }
     let mut incremental = Vec::new();
     for (name, methods, reverified, time) in incremental_rows {
@@ -968,10 +905,7 @@ fn write_bench_json(
     }
     let json = format!
         (
-        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"cache\": {}, \"simplify\": {}, \"learn\": {}, \"solver\": \"cdcl\", \"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
-        opts.config.cache,
-        opts.config.simplify,
-        opts.config.learn,
+        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"solver\": \"cdcl\", \"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
         opts.config.deny_unstable,
         opts.cache_dir.is_some(),
         opts.config.threads,

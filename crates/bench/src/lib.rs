@@ -47,10 +47,9 @@ impl BackendRun {
 
     /// Hard counter invariant: every solver query is answered either
     /// by the memo table or by a fresh decision, in *every* mode —
-    /// cached, uncached, single- or multi-threaded, incremental. A
-    /// violation means a counting path regressed (the pre-PR-4
-    /// baseline reported `cache_misses: 0` for uncached chain runs),
-    /// so the harness refuses to emit numbers built on it.
+    /// single- or multi-threaded, incremental. A violation means a
+    /// counting path regressed, so the harness refuses to emit numbers
+    /// built on it.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 //! machine consumers (the repo carries no serde).
 
 use daenerys_idf::{MethodCost, StabilityClass};
-use daenerys_obs::{fmt_count, ColorMode, Style, TextTable};
+use daenerys_obs::{escape_json, fmt_count, ColorMode, Style, TextTable};
 use std::fmt::Write as _;
 
 /// Renders the cost report as an aligned table plus a hot-spec
@@ -67,16 +67,16 @@ pub fn render_table(costs: &[MethodCost], color: ColorMode) -> String {
 /// order preserved).
 pub fn render_json(file: &str, costs: &[MethodCost]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"file\": \"{}\",", json_escape(file));
+    let _ = writeln!(out, "  \"file\": {},", escape_json(file));
     let _ = writeln!(out, "  \"methods\": [");
     for (i, c) in costs.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"method\": \"{}\", \"fuel\": {}, \"queries\": {}, \"paths\": {}, \
+            "    {{\"method\": {}, \"fuel\": {}, \"queries\": {}, \"paths\": {}, \
              \"splits\": {}, \"invalidation_scans\": {}, \"branches\": {}, \"loops\": {}, \
              \"calls\": {}, \"writes\": {}, \"spec_reads\": {}, \"accs\": {}, \
              \"stability\": \"{}\", \"hot_unstable\": {}}}{}",
-            json_escape(&c.method),
+            escape_json(&c.method),
             c.fuel,
             c.queries,
             c.paths,
@@ -109,10 +109,6 @@ pub fn render_json(file: &str, costs: &[MethodCost]) -> String {
     );
     out.push_str("}\n");
     out
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

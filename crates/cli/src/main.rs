@@ -26,7 +26,7 @@ use daenerys_idf::{
     Budget, Program, SessionHost, StabilityClass, VerifierConfig, VerifyOutcome,
     DEFAULT_MAX_ERRORS,
 };
-use daenerys_obs::ColorMode;
+use daenerys_obs::{escape_json, ColorMode};
 use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -213,8 +213,8 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
     if cli.json {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"file\": \"{}\",\n  \"methods\": {},\n  \"spec_sites\": {},\n  \"unstable\": {},\n  \"lints\": [\n",
-            json_escape(&file.name),
+            "  \"file\": {},\n  \"methods\": {},\n  \"spec_sites\": {},\n  \"unstable\": {},\n  \"lints\": [\n",
+            escape_json(&file.name),
             program.methods.len(),
             verdicts.len(),
             unstable,
@@ -225,13 +225,13 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
             .collect();
         for (i, v) in shown.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"method\": \"{}\", \"site\": \"{}\", \"class\": \"{}\", \"findings\": [{}]}}{}\n",
-                json_escape(&v.method),
+                "    {{\"method\": {}, \"site\": \"{}\", \"class\": \"{}\", \"findings\": [{}]}}{}\n",
+                escape_json(&v.method),
                 v.site,
                 v.class,
                 v.findings
                     .iter()
-                    .map(|f| format!("\"{}\"", json_escape(&f.to_string())))
+                    .map(|f| escape_json(&f.to_string()))
                     .collect::<Vec<_>>()
                     .join(", "),
                 if i + 1 < shown.len() { "," } else { "" },
@@ -298,15 +298,15 @@ fn print_outcome(
         .count();
     if cli.json {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(&file.name)));
+        out.push_str(&format!("  \"file\": {},\n", escape_json(&file.name)));
         out.push_str("  \"verdicts\": {\n");
         let n = outcome.verdicts.len();
         for (i, (name, v)) in outcome.verdicts.iter().enumerate() {
             clean &= v.is_verified();
             out.push_str(&format!(
-                "    \"{}\": \"{}\"{}\n",
-                json_escape(name),
-                json_escape(&v.to_string()),
+                "    {}: {}{}\n",
+                escape_json(name),
+                escape_json(&v.to_string()),
                 if i + 1 < n { "," } else { "" },
             ));
         }
@@ -450,10 +450,6 @@ fn watch_loop(cli: &Cli, host: &SessionHost, renderer: &Renderer) -> i32 {
             let _ = watch_pass(cli, host, renderer);
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -194,6 +194,24 @@ fn cost_report_is_deterministic_and_json_mode_parses() {
 }
 
 #[test]
+fn json_output_escapes_control_characters_in_file_names() {
+    let dir = scratch("json-escape");
+    let name = "tab\tname.idf";
+    std::fs::write(
+        dir.join(name),
+        "field v: Int\nmethod set(c: Ref) requires acc(c.v) ensures acc(c.v) && c.v == 1 { c.v := 1 }\n",
+    )
+    .unwrap();
+    for cmd in ["verify", "check", "cost"] {
+        let json = stdout(&daenerys(&dir, &[cmd, name, "--json"]));
+        let parsed = daenerys_obs::parse_json(&json)
+            .unwrap_or_else(|e| panic!("{cmd} --json does not parse ({e}):\n{json}"));
+        let file = parsed.as_obj().and_then(|o| o.get("file")?.as_str());
+        assert_eq!(file, Some(name), "{cmd} --json:\n{json}");
+    }
+}
+
+#[test]
 fn watch_once_gates_on_the_exact_dirty_cone() {
     let dir = scratch("watch");
     let base: String = (0..12)

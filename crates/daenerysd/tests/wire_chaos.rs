@@ -349,19 +349,17 @@ fn over_budget_tenants_are_refused_not_queued() {
     config.policy.max_in_flight = 1;
     // A deep queue proves refusal is *admission*, not queue overflow.
     config.queue_cap = 16;
-    // Learning off makes the diverging query genuinely slow, so the
-    // first request reliably holds its slot while the second arrives.
-    config.base.learn = false;
     let (addr, flag, handle) = start(config);
 
     // One connection, two back-to-back requests for the same tenant:
-    // the first is admitted and burns its whole deadline; the second
-    // must be refused immediately while the first still runs.
+    // the first (a diverging query that runs for seconds unbudgeted) is
+    // admitted and burns its whole deadline; the second must be refused
+    // immediately while the first still runs.
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(15)))
         .unwrap();
-    let mut slow = Request::new(1, "greedy", daenerys_idf::diverging_program(18));
+    let mut slow = Request::new(1, "greedy", daenerys_idf::diverging_program(256));
     slow.deadline_ms = Some(1_500);
     let second = Request::new(2, "greedy", GOOD);
     write_frame(&mut stream, slow.encode().as_bytes()).unwrap();

@@ -397,8 +397,8 @@ pub fn scaling_program(n: usize) -> String {
 /// transitive-chain condition. Every branch re-poses the same two
 /// path-consistency questions — whose answers need a Fourier–Motzkin
 /// pass over the whole `x0 < … < x7` chain — so the memoizing solver
-/// answers all but the first pair from cache, while the uncached path
-/// pays the full theory cost `2n` times.
+/// answers all but the first pair from cache instead of paying the
+/// full theory cost `2n` times.
 pub fn chain_program(n: usize) -> String {
     const VARS: usize = 8;
     let params: Vec<String> = (0..VARS).map(|i| format!("x{}: Int", i)).collect();

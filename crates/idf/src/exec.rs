@@ -52,9 +52,8 @@ pub enum Backend {
 
 /// Tuning knobs for the verifier pipeline.
 ///
-/// The *performance* knobs (`threads`, `cache`) change cost, never
-/// answers: outcomes and normalized statistics are identical for every
-/// setting. The *resilience* knobs (`budget`, `faults`) can degrade a
+/// The *performance* knob (`threads`) changes cost, never answers:
+/// outcomes and normalized statistics are identical for every setting. The *resilience* knobs (`budget`, `faults`) can degrade a
 /// method's verdict to [`Verdict::Unknown`] or
 /// [`Verdict::CrashedInternal`] — but deterministically (the
 /// wall-clock deadline excepted), and never for sibling methods: each
@@ -66,9 +65,6 @@ pub struct VerifierConfig {
     /// Worker threads for [`Verifier::verify_all`]; `0` means one per
     /// available CPU.
     pub threads: usize,
-    /// Whether the solver's memo layers (query + theory cache) are
-    /// consulted.
-    pub cache: bool,
     /// Per-method resource budget (default: unlimited on every axis).
     pub budget: Budget,
     /// Deterministic fault-injection plan for chaos testing (default:
@@ -78,15 +74,6 @@ pub struct VerifierConfig {
     /// ([`Budget::escalated`]) budget before settling on `Unknown`
     /// (default: `true`; a no-op under the unlimited budget).
     pub retry_unknown: bool,
-    /// Canonicalize terms at intern time (constant folding, commuted
-    /// argument ordering, neutral/absorbing-element elimination) so
-    /// equal obligations hash-cons to the same term (default: `true`).
-    pub simplify: bool,
-    /// Enable clause learning in the solver: first-UIP conflict
-    /// clauses with backjumping, retained across queries within a
-    /// method (default: `true`). Off runs a chronological-backtracking
-    /// search, for measurement.
-    pub learn: bool,
     /// Fail any method whose specification contains an assertion the
     /// static stability analyzer classifies
     /// [`StabilityClass::Unstable`] (default: `false`). This is an
@@ -114,12 +101,9 @@ impl Default for VerifierConfig {
     fn default() -> VerifierConfig {
         VerifierConfig {
             threads: 0,
-            cache: true,
             budget: Budget::UNLIMITED,
             faults: FaultPlan::default(),
             retry_unknown: true,
-            simplify: true,
-            learn: true,
             deny_unstable: false,
             explain_stability: false,
             cache_dir: None,
@@ -500,7 +484,7 @@ pub struct Verifier<'a> {
 
 impl<'a> Verifier<'a> {
     /// Creates a verifier for `program` using `backend` and the default
-    /// configuration (caching on, one thread per CPU).
+    /// configuration (one thread per CPU).
     pub fn new(program: &'a Program, backend: Backend) -> Verifier<'a> {
         Verifier::with_config(program, backend, VerifierConfig::default())
     }
@@ -511,19 +495,14 @@ impl<'a> Verifier<'a> {
         backend: Backend,
         config: VerifierConfig,
     ) -> Verifier<'a> {
-        let mut solver = Solver::new();
-        solver.cache_enabled = config.cache;
-        solver.learn_enabled = config.learn;
-        let mut arena = TermArena::new();
-        arena.set_simplify(config.simplify);
         let collector = config.trace.collector();
         Verifier {
             program,
             backend,
             config,
-            solver,
+            solver: Solver::new(),
             supply: SymSupply::new(),
-            arena,
+            arena: TermArena::new(),
             obligations: Vec::new(),
             stats: VerifyStats::default(),
             method_started: Instant::now(),
@@ -629,7 +608,7 @@ impl<'a> Verifier<'a> {
         //
         // Entries are keyed `{method}@{config-fingerprint}` so runs
         // under different answer-affecting configs (daemon tenants
-        // with different budgets, a `--no-learn` flip) coexist in one
+        // with different budgets, a `deny_unstable` flip) coexist in one
         // store instead of thrashing each other's entries — and
         // tenants with *identical* config share one warm read side.
         let mut keys: Vec<String> = Vec::new();

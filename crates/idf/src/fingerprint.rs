@@ -252,21 +252,15 @@ pub const SOLVER_EPOCH: u32 = 2;
 /// The canonical text of the configuration knobs that can change a
 /// verdict, apart from the fault plan: a method's fingerprint adds the
 /// faults aimed at it, and [`config_fingerprint`] the whole plan.
-/// Cost-only knobs (`threads`, `cache`, tracing, `cache_dir`,
+/// Cost-only knobs (`threads`, tracing, `cache_dir`,
 /// `explain_stability`) are excluded: they are property-tested to be
 /// answer-transparent, so a verdict cached under one setting is valid
 /// under any other. The trailing [`SOLVER_EPOCH`] moves every key when
 /// the solver's answers change.
 pub fn config_text(backend: Backend, config: &VerifierConfig) -> String {
     format!(
-        "backend={:?};budget={:?};retry_unknown={};simplify={};learn={};deny_unstable={};epoch={}",
-        backend,
-        config.budget,
-        config.retry_unknown,
-        config.simplify,
-        config.learn,
-        config.deny_unstable,
-        SOLVER_EPOCH,
+        "backend={:?};budget={:?};retry_unknown={};deny_unstable={};epoch={}",
+        backend, config.budget, config.retry_unknown, config.deny_unstable, SOLVER_EPOCH,
     )
 }
 
@@ -561,8 +555,8 @@ mod tests {
         assert_eq!(
             config_text(Backend::Destabilized, &VerifierConfig::default()),
             "backend=Destabilized;budget=Budget { deadline_ms: None, solver_fuel: None, \
-             max_states: None, max_terms: None };retry_unknown=true;simplify=true;\
-             learn=true;deny_unstable=false;epoch=2"
+             max_states: None, max_terms: None };retry_unknown=true;\
+             deny_unstable=false;epoch=2"
         );
     }
 
@@ -588,7 +582,6 @@ mod tests {
                 Backend::Destabilized,
                 &VerifierConfig {
                     threads: 8,
-                    cache: false,
                     ..base.clone()
                 }
             ),
@@ -601,14 +594,6 @@ mod tests {
         let base = VerifierConfig::default();
         let a = fp(SRC, "get", &base);
         for cfg in [
-            VerifierConfig {
-                simplify: false,
-                ..base.clone()
-            },
-            VerifierConfig {
-                learn: false,
-                ..base.clone()
-            },
             VerifierConfig {
                 retry_unknown: false,
                 ..base.clone()
@@ -632,10 +617,6 @@ mod tests {
             },
             VerifierConfig {
                 threads: 8,
-                ..base.clone()
-            },
-            VerifierConfig {
-                cache: false,
                 ..base.clone()
             },
             VerifierConfig {

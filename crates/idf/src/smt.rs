@@ -31,8 +31,7 @@
 //!   instead of repeating it.
 //!
 //! Both caches are exact (keys are complete inputs of the computation
-//! they index), so answers are bit-identical with caching on or off;
-//! `cache_enabled` exists to measure the difference, not to change it.
+//! they index), so a memoized answer is the one a re-solve would give.
 
 use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -186,7 +185,7 @@ enum Cmp {
 
 /// The decision procedure, with query statistics (reported by the
 /// evaluation harness).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Solver {
     /// Sorts of the symbols in play.
     pub sorts: BTreeMap<Sym, Sort>,
@@ -194,14 +193,9 @@ pub struct Solver {
     pub queries: usize,
     /// CDCL decisions across all queries.
     pub branches: usize,
-    /// Whether the memo layers are consulted (answers are identical
-    /// either way; off = measure the uncached cost).
-    pub cache_enabled: bool,
     /// Query-cache hits (whole entailments answered from memory).
     pub cache_hits: usize,
-    /// Query-cache misses (entailments actually solved). With the
-    /// cache disabled every query counts as a miss, so
-    /// `hits + misses == queries` holds in either mode.
+    /// Query-cache misses (entailments actually solved).
     pub cache_misses: usize,
     /// Theory-cache hits (ground-theory checks reused across branches
     /// and across queries sharing a path-condition prefix).
@@ -232,12 +226,6 @@ pub struct Solver {
     /// `queries` exceeds this count. Injected answers bypass the caches
     /// entirely.
     pub unknown_after: Option<usize>,
-    /// Whether the search learns: first-UIP conflict clauses with
-    /// backjumping, and lemmas retained across queries (cleared at
-    /// method boundaries by the verifier). Learned clauses are valid
-    /// theory lemmas, so they change cost, never answers; off runs a
-    /// chronological-backtracking search for measurement.
-    pub learn_enabled: bool,
     /// Total theory-conflict clauses learned across all queries
     /// (monotone; clearing retained clauses does not reset it).
     pub learned_clauses: usize,
@@ -258,38 +246,8 @@ pub struct Solver {
     lemmas_checked: HashSet<Vec<(Atom, bool)>>,
 }
 
-impl Default for Solver {
-    fn default() -> Solver {
-        Solver {
-            sorts: BTreeMap::new(),
-            queries: 0,
-            branches: 0,
-            cache_enabled: true,
-            cache_hits: 0,
-            cache_misses: 0,
-            theory_hits: 0,
-            theory_misses: 0,
-            fuel: None,
-            fuel_exhausted: false,
-            deadline: None,
-            deadline_exhausted: false,
-            unknown_after: None,
-            learn_enabled: true,
-            learned_clauses: 0,
-            conflicts: 0,
-            restarts: 0,
-            propagations: 0,
-            theory_props: 0,
-            query_cache: HashMap::new(),
-            theory_cache: HashMap::new(),
-            learned: Vec::new(),
-            lemmas_checked: HashSet::new(),
-        }
-    }
-}
-
 impl Solver {
-    /// A fresh solver (caching on).
+    /// A fresh solver.
     pub fn new() -> Solver {
         Solver::default()
     }
@@ -315,15 +273,10 @@ impl Solver {
         let mut key: Vec<TermId> = pc.to_vec();
         key.sort_unstable();
         key.dedup();
-        if self.cache_enabled {
-            if let Some(&cached) = self.query_cache.get(&(key.clone(), goal)) {
-                self.cache_hits += 1;
-                return cached;
-            }
+        if let Some(&cached) = self.query_cache.get(&(key.clone(), goal)) {
+            self.cache_hits += 1;
+            return cached;
         }
-        // With the cache disabled every query is a miss by definition —
-        // counting it keeps reported hit rates honest (misses == queries
-        // instead of a misleading 0/0).
         self.cache_misses += 1;
         let mut formula = arena.not(goal);
         for &c in &key {
@@ -339,7 +292,7 @@ impl Solver {
         // budgeted) run read it back as the formula's answer. Once
         // either axis is exhausted every subsequent answer is suspect,
         // so caching stops entirely.
-        if self.cache_enabled && !self.fuel_exhausted && !self.deadline_exhausted {
+        if !self.fuel_exhausted && !self.deadline_exhausted {
             self.query_cache.insert((key, goal), answer);
         }
         answer
@@ -389,33 +342,26 @@ impl Solver {
     fn sat(&mut self, arena: &mut TermArena, f: TermId) -> SatAnswer {
         let mut atoms = AtomTable::default();
         let skeleton = self.abstract_bool(arena, f, true, &mut atoms);
-        let mut eng = CdclEngine::new(
-            atoms.list.clone(),
-            self.learn_enabled,
-            self.fuel,
-            self.deadline,
-        );
+        let mut eng = CdclEngine::new(atoms.list.clone(), self.fuel, self.deadline);
         if !eng.encode(&skeleton) {
             // Propositionally false at the root: no search, no fuel.
             return SatAnswer::Unsat;
         }
-        if self.learn_enabled {
-            // Instantiate retained lemmas whose atoms all occur in this
-            // query, so propagation never assigns atoms the formula
-            // does not mention.
-            let instantiated: Vec<Vec<(usize, bool)>> = self
-                .learned
-                .iter()
-                .filter_map(|clause| {
-                    clause
-                        .iter()
-                        .map(|(a, pol)| atoms.index.get(a).map(|&i| (i, *pol)))
-                        .collect()
-                })
-                .collect();
-            for c in instantiated {
-                eng.add_lemma(&c);
-            }
+        // Instantiate retained lemmas whose atoms all occur in this
+        // query, so propagation never assigns atoms the formula does not
+        // mention.
+        let instantiated: Vec<Vec<(usize, bool)>> = self
+            .learned
+            .iter()
+            .filter_map(|clause| {
+                clause
+                    .iter()
+                    .map(|(a, pol)| atoms.index.get(a).map(|&i| (i, *pol)))
+                    .collect()
+            })
+            .collect();
+        for c in instantiated {
+            eng.add_lemma(&c);
         }
         let verdict = eng.solve(self);
         self.fuel = eng.fuel;
@@ -428,7 +374,7 @@ impl Solver {
         self.theory_props += eng.theory_props as usize;
         self.learned_clauses += eng.learned_total as usize;
         // A truncated search's clauses are left behind with its answer.
-        if self.learn_enabled && !eng.fuel_exhausted && !eng.deadline_exhausted {
+        if !eng.fuel_exhausted && !eng.deadline_exhausted {
             self.retain_lemmas(eng.exported(), &atoms);
         }
         verdict
@@ -643,13 +589,11 @@ impl Solver {
     /// whose path conditions share a prefix, reuse each other's ground
     /// work.
     fn theory_decide(&mut self, key: Vec<(Atom, bool)>) -> SatAnswer {
-        if self.cache_enabled {
-            if let Some(&cached) = self.theory_cache.get(&key) {
-                self.theory_hits += 1;
-                return cached;
-            }
-            self.theory_misses += 1;
+        if let Some(&cached) = self.theory_cache.get(&key) {
+            self.theory_hits += 1;
+            return cached;
         }
+        self.theory_misses += 1;
 
         // Opaque atoms poison certainty of Sat.
         let mut unknown = false;
@@ -700,9 +644,7 @@ impl Solver {
             result = SatAnswer::Unknown;
         }
 
-        if self.cache_enabled {
-            self.theory_cache.insert(key, result);
-        }
+        self.theory_cache.insert(key, result);
         result
     }
 }
@@ -784,9 +726,8 @@ enum TheoryResult {
     Quiet,
     /// Propagated at least one literal; run BCP again.
     Progress,
-    /// Theory conflict. Carries the conflict clause index when clause
-    /// learning is on; `None` under the chronological (no-learn) search.
-    Conflict(Option<usize>),
+    /// Theory conflict, carrying the conflict clause index.
+    Conflict(usize),
 }
 
 /// The outcome of checking a total assignment against the theories.
@@ -837,9 +778,6 @@ struct CdclEngine {
     reason: Vec<Option<usize>>,
     trail: Vec<usize>,
     trail_lim: Vec<usize>,
-    /// Per-level "second phase tried" flags for the chronological
-    /// (no-learn) search.
-    flipped: Vec<bool>,
     qhead: usize,
     /// Variables occurring in the problem clauses — the only ones the
     /// search decides, so unconstrained atoms stay unassigned (their
@@ -848,7 +786,6 @@ struct CdclEngine {
     activity: Vec<f64>,
     act_inc: f64,
     seen: Vec<bool>,
-    learn: bool,
     fuel: Option<u64>,
     fuel_exhausted: bool,
     deadline: Option<Instant>,
@@ -869,12 +806,7 @@ struct CdclEngine {
 }
 
 impl CdclEngine {
-    fn new(
-        atoms: Vec<Atom>,
-        learn: bool,
-        fuel: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> CdclEngine {
+    fn new(atoms: Vec<Atom>, fuel: Option<u64>, deadline: Option<Instant>) -> CdclEngine {
         let natoms = atoms.len();
         CdclEngine {
             atoms,
@@ -888,13 +820,11 @@ impl CdclEngine {
             reason: vec![None; natoms],
             trail: Vec::new(),
             trail_lim: Vec::new(),
-            flipped: Vec::new(),
             qhead: 0,
             decidable: vec![false; natoms],
             activity: vec![0.0; natoms],
             act_inc: 1.0,
             seen: vec![false; natoms],
-            learn,
             fuel,
             fuel_exhausted: false,
             deadline,
@@ -1166,7 +1096,6 @@ impl CdclEngine {
     fn backtrack(&mut self, lvl: u32) {
         while self.current_level() > lvl {
             let start = self.trail_lim.pop().expect("level exists");
-            self.flipped.pop();
             while self.trail.len() > start {
                 let l = self.trail.pop().expect("trail non-empty");
                 let v = lit_var(l);
@@ -1240,25 +1169,18 @@ impl CdclEngine {
     /// currently-true literals that imply it in the theory).
     fn theory_enqueue(&mut self, lit: usize, expl: &[usize]) {
         self.theory_props += 1;
-        let why = if self.learn {
-            Some(self.explanation_clause(lit, expl))
-        } else {
-            None
-        };
-        self.assign_lit(lit, why, true);
+        let why = self.explanation_clause(lit, expl);
+        self.assign_lit(lit, Some(why), true);
     }
 
-    /// Builds a theory-conflict clause from a set of currently-true
-    /// literals that are jointly theory-inconsistent.
-    fn theory_conflict(&mut self, expl: Vec<usize>) -> TheoryResult {
-        if !self.learn {
-            return TheoryResult::Conflict(None);
-        }
+    /// Gets (or creates) the theory-conflict clause over a set of
+    /// currently-true literals that are jointly theory-inconsistent.
+    fn theory_conflict(&mut self, expl: Vec<usize>) -> usize {
         let mut lits: Vec<usize> = expl.iter().map(|&e| lit_neg(e)).collect();
         lits.sort_unstable();
         lits.dedup();
         if let Some(&ci) = self.expl_index.get(&lits) {
-            return TheoryResult::Conflict(Some(ci));
+            return ci;
         }
         let key = lits.clone();
         let mut ordered = lits;
@@ -1268,7 +1190,7 @@ impl CdclEngine {
             self.attach_watches(ci);
         }
         self.expl_index.insert(key, ci);
-        TheoryResult::Conflict(Some(ci))
+        ci
     }
 
     /// One theory-propagation pass, recomputed from the assigned atom
@@ -1341,7 +1263,7 @@ impl CdclEngine {
         for (x, &(ln2, ld, ll)) in &lower {
             if let Some(&(un, ud, ul)) = upper.get(x) {
                 if ln2 * ud > un * ld {
-                    return self.theory_conflict(vec![ll, ul]);
+                    return TheoryResult::Conflict(self.theory_conflict(vec![ll, ul]));
                 }
             }
         }
@@ -1350,7 +1272,7 @@ impl CdclEngine {
             if uf.find(a) == uf.find(b) {
                 let mut expl = eq_lits.clone();
                 expl.push(l);
-                return self.theory_conflict(expl);
+                return TheoryResult::Conflict(self.theory_conflict(expl));
             }
         }
         // … or a multi-variable constraint whose minimum under the
@@ -1360,7 +1282,7 @@ impl CdclEngine {
                 if min > 0 {
                     let mut expl = used;
                     expl.push(*l);
-                    return self.theory_conflict(expl);
+                    return TheoryResult::Conflict(self.theory_conflict(expl));
                 }
             }
         }
@@ -1600,27 +1522,6 @@ impl CdclEngine {
         true
     }
 
-    /// Chronological backtracking for the no-learn search: flip the
-    /// deepest not-yet-flipped decision. Returns false when the tree is
-    /// exhausted.
-    fn chrono_backtrack(&mut self) -> bool {
-        loop {
-            if self.trail_lim.is_empty() {
-                return false;
-            }
-            let lvl = self.trail_lim.len();
-            let dlit = self.trail[self.trail_lim[lvl - 1]];
-            let was_flipped = self.flipped[lvl - 1];
-            self.backtrack(lvl as u32 - 1);
-            if !was_flipped {
-                self.trail_lim.push(self.trail.len());
-                self.flipped.push(true);
-                self.assign_lit(lit_neg(dlit), None, false);
-                return true;
-            }
-        }
-    }
-
     /// LBD-based clause deletion at the fixed cadence: among deletable
     /// learned clauses (LBD > 2, not protected, not currently a
     /// reason), the worse half — by (LBD, length, age) — is dropped.
@@ -1674,16 +1575,8 @@ impl CdclEngine {
                 if expl.is_empty() || expl.iter().all(|&l| self.level[lit_var(l)] == 0) {
                     return LeafOutcome::Done;
                 }
-                if self.learn {
-                    match self.theory_conflict(expl) {
-                        TheoryResult::Conflict(Some(ci)) => {
-                            if !self.resolve_conflict(ci) {
-                                return LeafOutcome::Done;
-                            }
-                        }
-                        _ => unreachable!("learning conflicts carry a clause"),
-                    }
-                } else if !self.chrono_backtrack() {
+                let ci = self.theory_conflict(expl);
+                if !self.resolve_conflict(ci) {
                     return LeafOutcome::Done;
                 }
                 LeafOutcome::Continue
@@ -1699,24 +1592,19 @@ impl CdclEngine {
                 }
                 self.conflicts += 1;
                 self.charge_fuel(1);
-                if self.learn {
-                    let dlits: Vec<usize> = self.trail_lim.iter().map(|&s| self.trail[s]).collect();
-                    // Deepest decision first, so lits[0] is asserting
-                    // after the backjump and lits[1] is the watch at
-                    // the new level.
-                    let lits: Vec<usize> = dlits.iter().rev().map(|&l| lit_neg(l)).collect();
-                    let deepest = lits[0];
-                    let lbd = lits.len() as u32;
-                    let ci = self.push_clause(lits, true, true, true, false, lbd);
-                    if self.clauses[ci].lits.len() >= 2 {
-                        self.attach_watches(ci);
-                    }
-                    let bj = self.current_level() - 1;
-                    self.backtrack(bj);
-                    if !self.assign_lit(deepest, Some(ci), true) {
-                        return LeafOutcome::Done;
-                    }
-                } else if !self.chrono_backtrack() {
+                let dlits: Vec<usize> = self.trail_lim.iter().map(|&s| self.trail[s]).collect();
+                // Deepest decision first, so lits[0] is asserting after
+                // the backjump and lits[1] is the watch at the new level.
+                let lits: Vec<usize> = dlits.iter().rev().map(|&l| lit_neg(l)).collect();
+                let deepest = lits[0];
+                let lbd = lits.len() as u32;
+                let ci = self.push_clause(lits, true, true, true, false, lbd);
+                if self.clauses[ci].lits.len() >= 2 {
+                    self.attach_watches(ci);
+                }
+                let bj = self.current_level() - 1;
+                self.backtrack(bj);
+                if !self.assign_lit(deepest, Some(ci), true) {
                     return LeafOutcome::Done;
                 }
                 LeafOutcome::Continue
@@ -1752,9 +1640,9 @@ impl CdclEngine {
             if self.deadline_tripped() {
                 return SatAnswer::Unknown;
             }
-            let conflict: Option<Option<usize>> = loop {
+            let conflict: Option<usize> = loop {
                 if let Some(ci) = self.propagate() {
-                    break Some(Some(ci));
+                    break Some(ci);
                 }
                 if self.fuel_exhausted {
                     return SatAnswer::Unknown;
@@ -1769,7 +1657,7 @@ impl CdclEngine {
                 return SatAnswer::Unknown;
             }
             match conflict {
-                Some(c) => {
+                Some(ci) => {
                     self.conflicts += 1;
                     self.charge_fuel(1);
                     if self.fuel_exhausted {
@@ -1778,12 +1666,7 @@ impl CdclEngine {
                     if self.current_level() == 0 {
                         return self.final_verdict();
                     }
-                    if self.learn {
-                        let ci = c.expect("learning conflicts carry a clause");
-                        if !self.resolve_conflict(ci) {
-                            return self.final_verdict();
-                        }
-                    } else if !self.chrono_backtrack() {
+                    if !self.resolve_conflict(ci) {
                         return self.final_verdict();
                     }
                 }
@@ -1791,7 +1674,6 @@ impl CdclEngine {
                     Some(v) => {
                         self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
-                        self.flipped.push(false);
                         self.assign_lit(mk_lit(v, true), None, false);
                     }
                     None => match self.leaf(solver) {
@@ -2308,40 +2190,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_off_gives_identical_answers() {
-        let build = |enabled: bool| {
-            let (mut cx, s) = int_solver(2);
-            cx.solver.cache_enabled = enabled;
-            let x = s[0].clone();
-            let y = s[1].clone();
-            let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
-                (
-                    vec![SymExpr::le(x.clone(), y.clone())],
-                    SymExpr::lt(x.clone(), y.clone()),
-                ),
-                (
-                    vec![SymExpr::lt(x.clone(), y.clone())],
-                    SymExpr::le(x.clone(), y.clone()),
-                ),
-                (
-                    vec![SymExpr::lt(x.clone(), y.clone())],
-                    SymExpr::le(x.clone(), y.clone()),
-                ),
-                (vec![], SymExpr::eq(x.clone(), x.clone())),
-                (
-                    vec![
-                        SymExpr::lt(x.clone(), SymExpr::int(0)),
-                        SymExpr::lt(SymExpr::int(0), x.clone()),
-                    ],
-                    SymExpr::bool(false),
-                ),
-            ];
-            queries
-                .into_iter()
-                .map(|(pc, g)| cx.entails(&pc, &g))
-                .collect::<Vec<Answer>>()
-        };
-        assert_eq!(build(true), build(false));
+    fn consistency_checks_share_the_entailment_memo() {
+        let (mut cx, s) = int_solver(1);
+        let x = s[0].clone();
+        let pc = vec![
+            SymExpr::lt(x.clone(), SymExpr::int(0)),
+            SymExpr::lt(SymExpr::int(0), x),
+        ];
+        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Valid);
+        let branches = cx.solver.branches;
+        assert!(!cx.consistent(&pc));
+        assert_eq!(cx.solver.cache_hits, 1, "consistent(pc) is pc ⊨ false");
+        assert_eq!(
+            cx.solver.branches, branches,
+            "a cache hit must not re-run the search"
+        );
     }
 
     /// A diverging-style query set: each variable is pinned to `{0, 1}`
@@ -2364,60 +2227,40 @@ mod tests {
         (pc, SymExpr::le(SymExpr::int(0), sum))
     }
 
-    #[test]
-    fn learning_gives_identical_answers() {
-        let build = |learn: bool| {
-            let (mut cx, s) = int_solver(3);
-            cx.solver.learn_enabled = learn;
-            let x = s[0].clone();
-            let y = s[1].clone();
-            let (dpc, dgoal) = diverging_queries(&s);
-            let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
-                (
-                    vec![SymExpr::le(x.clone(), y.clone())],
-                    SymExpr::lt(x.clone(), y.clone()),
-                ),
-                (
-                    vec![SymExpr::lt(x.clone(), y.clone())],
-                    SymExpr::le(x.clone(), y.clone()),
-                ),
-                (vec![], SymExpr::eq(x.clone(), x.clone())),
-                (
-                    vec![
-                        SymExpr::lt(x.clone(), SymExpr::int(0)),
-                        SymExpr::lt(SymExpr::int(0), x.clone()),
-                    ],
-                    SymExpr::bool(false),
-                ),
-                (dpc.clone(), dgoal.clone()),
-                (dpc, dgoal),
-            ];
-            queries
-                .into_iter()
-                .map(|(pc, g)| cx.entails(&pc, &g))
-                .collect::<Vec<Answer>>()
-        };
-        assert_eq!(build(true), build(false));
+    /// Two chained orderings, each broken unless a side variable is
+    /// non-positive: its conflict clauses mix theory lemmas, which are
+    /// retained, with clauses that lean on the path condition, which
+    /// are not.
+    fn chained_orderings(s: &[SymExpr]) -> (Vec<SymExpr>, SymExpr) {
+        let (x, y, z, w) = (s[0].clone(), s[1].clone(), s[2].clone(), s[3].clone());
+        let nonpos = |v: &SymExpr| SymExpr::le(v.clone(), SymExpr::int(0));
+        let pc = vec![
+            SymExpr::or(SymExpr::le(x.clone(), y.clone()), nonpos(&z)),
+            SymExpr::or(SymExpr::lt(y.clone(), x), nonpos(&z)),
+            SymExpr::or(SymExpr::le(y.clone(), z.clone()), nonpos(&w)),
+            SymExpr::or(SymExpr::lt(z.clone(), y), nonpos(&w)),
+        ];
+        (pc, nonpos(&SymExpr::add(z, w)))
     }
 
     #[test]
     fn learned_clauses_prune_repeated_branching() {
-        let branches_of_second_run = |learn: bool| {
-            let (mut cx, s) = int_solver(3);
-            cx.solver.learn_enabled = learn;
-            // Disable memoization so the second run actually re-solves.
-            cx.solver.cache_enabled = false;
-            let (pc, goal) = diverging_queries(&s);
-            assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-            let after_first = cx.solver.branches;
-            assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-            cx.solver.branches - after_first
-        };
-        let naive = branches_of_second_run(false);
-        let learned = branches_of_second_run(true);
+        let (mut cx, s) = int_solver(4);
+        let (pc, goal) = chained_orderings(&s);
+        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
-            learned < naive,
-            "learned clauses should prune the re-solved search: {learned} vs {naive}"
+            !cx.solver.learned.is_empty(),
+            "the first solve retains lemmas"
+        );
+        let first = cx.solver.branches;
+        // Forget the memoized answer so the second run re-solves, now
+        // against the lemmas the first run retained.
+        cx.solver.query_cache.clear();
+        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
+        let second = cx.solver.branches - first;
+        assert!(
+            second < first,
+            "retained lemmas should prune the re-solved search: {second} vs {first}"
         );
     }
 
@@ -2429,7 +2272,7 @@ mod tests {
         let learned = cx.solver.learned_clauses;
         assert!(learned >= 1, "a theory conflict should learn a clause");
         cx.solver.clear_learned();
-        cx.solver.cache_enabled = false;
+        cx.solver.query_cache.clear();
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
             cx.solver.learned_clauses > learned,
@@ -2507,57 +2350,61 @@ mod tests {
         }
     }
 
+    /// Fixed queries, each answered by the search and then again by
+    /// the memo: both answers must be the oracle's.
     #[test]
     fn cdcl_matches_the_truth_table_oracle() {
-        for learn in [true, false] {
-            let (mut cx, s) = int_solver(3);
-            let mut oracle = cx.solver.clone();
-            let mut oracle_arena = TermArena::new();
-            cx.solver.cache_enabled = false;
-            cx.solver.learn_enabled = learn;
-            let x = s[0].clone();
-            let y = s[1].clone();
-            let (dpc, dgoal) = diverging_queries(&s);
-            let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
-                (
-                    vec![SymExpr::le(x.clone(), y.clone())],
-                    SymExpr::lt(x.clone(), y.clone()),
+        let (mut cx, s) = int_solver(3);
+        let mut oracle = cx.solver.clone();
+        let mut oracle_arena = TermArena::new();
+        let x = s[0].clone();
+        let y = s[1].clone();
+        let (dpc, dgoal) = diverging_queries(&s);
+        let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
+            (
+                vec![SymExpr::le(x.clone(), y.clone())],
+                SymExpr::lt(x.clone(), y.clone()),
+            ),
+            (
+                vec![SymExpr::lt(x.clone(), y.clone())],
+                SymExpr::le(x.clone(), y.clone()),
+            ),
+            (vec![], SymExpr::eq(x.clone(), x.clone())),
+            (
+                vec![
+                    SymExpr::lt(x.clone(), SymExpr::int(0)),
+                    SymExpr::lt(SymExpr::int(0), x.clone()),
+                ],
+                SymExpr::bool(false),
+            ),
+            (
+                vec![],
+                SymExpr::eq(
+                    SymExpr::Mul(Box::new(x.clone()), Box::new(y.clone())),
+                    SymExpr::int(3),
                 ),
-                (
-                    vec![SymExpr::lt(x.clone(), y.clone())],
-                    SymExpr::le(x.clone(), y.clone()),
-                ),
-                (vec![], SymExpr::eq(x.clone(), x.clone())),
-                (
-                    vec![
-                        SymExpr::lt(x.clone(), SymExpr::int(0)),
-                        SymExpr::lt(SymExpr::int(0), x.clone()),
-                    ],
-                    SymExpr::bool(false),
-                ),
-                (
-                    vec![],
-                    SymExpr::eq(
-                        SymExpr::Mul(Box::new(x.clone()), Box::new(y.clone())),
-                        SymExpr::int(3),
-                    ),
-                ),
-                (dpc.clone(), dgoal.clone()),
-                (dpc, dgoal),
-            ];
+            ),
+            (dpc, dgoal),
+        ];
+        for pass in ["search", "memo"] {
             for (pc, goal) in &queries {
                 let expected = truth_table(&mut oracle, &mut oracle_arena, pc, goal)
                     .expect("every fixed query is small enough for the oracle");
                 assert_eq!(
                     cx.entails(pc, goal),
                     expected,
-                    "learn={} pc={:?} goal={:?}",
-                    learn,
+                    "{} pass: pc={:?} goal={:?}",
+                    pass,
                     pc,
                     goal
                 );
             }
         }
+        assert_eq!(
+            cx.solver.cache_hits,
+            queries.len(),
+            "the second pass must be answered from the memo"
+        );
     }
 
     /// A conflict clause learned in one query can lean on that query's
@@ -2569,7 +2416,6 @@ mod tests {
     #[test]
     fn lemmas_learned_under_one_querys_facts_stay_out_of_the_next() {
         let (mut cx, s) = int_solver(3);
-        cx.solver.cache_enabled = false;
         let (x, y, z) = (s[0].clone(), s[1].clone(), s[2].clone());
         let int = SymExpr::int;
         let first_pc = vec![
@@ -2636,12 +2482,13 @@ mod tests {
         assert_eq!(cx.entails(&second_pc, &second_goal), Answer::Invalid);
     }
 
-    /// Differential: on random linear streams, the CDCL search answers
-    /// every query as the truth-table oracle does, with learning on and
-    /// off. The generated fragment is linear arithmetic under the
-    /// propositional connectives — exactly the domain of the theory
-    /// layer — and each stream is replayed so cross-query lemma
-    /// retention is exercised too.
+    /// Differential: on random linear streams, the solver answers every
+    /// query as the truth-table oracle does. The generated fragment is
+    /// linear arithmetic under the propositional connectives — exactly
+    /// the domain of the theory layer. Each stream runs three times on
+    /// one solver: solved, replayed from the memo, then re-solved with
+    /// the memo cleared against every lemma the earlier passes
+    /// retained.
     #[test]
     fn cdcl_matches_the_oracle_on_query_streams() {
         use proptest::prelude::*;
@@ -2660,27 +2507,24 @@ mod tests {
                 .iter()
                 .map(|(pc, goal)| truth_table(&mut oracle, &mut oracle_arena, pc, goal))
                 .collect();
-            for learn in [true, false] {
-                let mut cdcl = Solver::new();
-                cdcl.cache_enabled = false;
-                cdcl.learn_enabled = learn;
-                let mut arena = TermArena::new();
-                for i in 0..3 {
-                    cdcl.declare(Sym(i), Sort::Int);
+            let mut cdcl = Solver::new();
+            let mut arena = TermArena::new();
+            for i in 0..3 {
+                cdcl.declare(Sym(i), Sort::Int);
+            }
+            for pass in ["search", "memo", "re-solve"] {
+                if pass == "re-solve" {
+                    cdcl.query_cache.clear();
                 }
-                let replayed = stream
-                    .iter()
-                    .zip(&expected)
-                    .chain(stream.iter().zip(&expected));
-                for ((pc, goal), want) in replayed {
+                for ((pc, goal), want) in stream.iter().zip(&expected) {
                     let got = cdcl.entails_exprs(&mut arena, pc, goal);
                     queries += 1;
                     let Some(want) = *want else { continue };
                     checked += 1;
                     if got != want {
                         return Err(TestCaseError::fail(format!(
-                            "learn={} cdcl={:?} oracle={:?} for pc={:?}, goal={:?}",
-                            learn, got, want, pc, goal
+                            "{} pass: cdcl={:?} oracle={:?} for pc={:?}, goal={:?}",
+                            pass, got, want, pc, goal
                         )));
                     }
                 }
@@ -2753,7 +2597,6 @@ mod tests {
     #[test]
     fn theory_propagation_prunes_diverging_search() {
         let (mut cx, s) = int_solver(4);
-        cx.solver.cache_enabled = false;
         let (pc, goal) = diverging_queries(&s);
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
@@ -2795,22 +2638,8 @@ mod tests {
     /// query that ran to its answer feeds the cross-query lemma set.
     #[test]
     fn fuel_truncated_queries_retain_no_lemmas() {
-        // Two chained orderings, each broken unless a side variable is
-        // non-positive: its conflict clauses mix theory lemmas with
-        // clauses that lean on the path condition.
-        let query = |s: &[SymExpr]| {
-            let (x, y, z, w) = (s[0].clone(), s[1].clone(), s[2].clone(), s[3].clone());
-            let nonpos = |v: &SymExpr| SymExpr::le(v.clone(), SymExpr::int(0));
-            let pc = vec![
-                SymExpr::or(SymExpr::le(x.clone(), y.clone()), nonpos(&z)),
-                SymExpr::or(SymExpr::lt(y.clone(), x), nonpos(&z)),
-                SymExpr::or(SymExpr::le(y.clone(), z.clone()), nonpos(&w)),
-                SymExpr::or(SymExpr::lt(z.clone(), y), nonpos(&w)),
-            ];
-            (pc, nonpos(&SymExpr::add(z, w)))
-        };
         let (mut full, s) = int_solver(4);
-        let (pc, goal) = query(&s);
+        let (pc, goal) = chained_orderings(&s);
         assert_eq!(full.entails(&pc, &goal), Answer::Valid);
         let retained = full.solver.learned.len();
         assert!(
@@ -2820,7 +2649,7 @@ mod tests {
         let fuel = (full.solver.conflicts + full.solver.propagations) as u64;
 
         let (mut starved, s) = int_solver(4);
-        let (pc, goal) = query(&s);
+        let (pc, goal) = chained_orderings(&s);
         starved.solver.fuel = Some(fuel / 2);
         assert_eq!(starved.entails(&pc, &goal), Answer::Unknown);
         assert!(

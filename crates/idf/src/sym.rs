@@ -323,16 +323,15 @@ macro_rules! bin {
 /// grows; [`TermArena::len`] is the interned-term metric reported by
 /// the evaluation harness.
 ///
-/// With simplification enabled (the default), the constructors
-/// additionally *canonicalize* at intern time — commutative arguments
+/// The constructors additionally *canonicalize* at intern time —
+/// commutative arguments
 /// are ordered by id, idempotent and complementary boolean pairs
 /// collapse, self-comparisons fold (`x ≤ x`, `a − a`), and boolean
 /// `ite` shells reduce — so syntactically different but equal terms
 /// hash-cons to the same [`TermId`]. All the extra rules are semantic
 /// equivalences, so they change term counts and solver cost, never
-/// answers; [`TermArena::set_simplify`] turns them off to measure the
-/// difference.
-#[derive(Clone, Debug)]
+/// answers.
+#[derive(Clone, Debug, Default)]
 pub struct TermArena {
     nodes: Vec<Term>,
     index: HashMap<Term, TermId>,
@@ -341,24 +340,10 @@ pub struct TermArena {
     /// reports the overrun so the verifier's cooperative budget checks
     /// can prune the run.
     limit: Option<usize>,
-    /// Whether the canonicalizing rewrite rules (beyond plain constant
-    /// folding) run at intern time.
-    simplify: bool,
-}
-
-impl Default for TermArena {
-    fn default() -> TermArena {
-        TermArena {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-            limit: None,
-            simplify: true,
-        }
-    }
 }
 
 impl TermArena {
-    /// An empty arena (simplification on).
+    /// An empty arena.
     pub fn new() -> TermArena {
         TermArena::default()
     }
@@ -385,24 +370,10 @@ impl TermArena {
         self.limit.is_some_and(|l| self.nodes.len() > l)
     }
 
-    /// Enables or disables the canonicalizing rewrite rules. Plain
-    /// constant folding always runs; the toggle covers only the
-    /// canonicalization layer (commutative ordering, idempotence,
-    /// complements, self-comparisons, boolean `ite` shells), so `off`
-    /// reproduces the pre-canonicalization pipeline for measurement.
-    pub fn set_simplify(&mut self, on: bool) {
-        self.simplify = on;
-    }
-
-    /// Whether the canonicalizing rewrite rules are enabled.
-    pub fn simplify_enabled(&self) -> bool {
-        self.simplify
-    }
-
-    /// Orders a commutative argument pair by id (canonicalization on
-    /// only), so `x ⊕ y` and `y ⊕ x` intern to one node.
+    /// Orders a commutative argument pair by id, so `x ⊕ y` and
+    /// `y ⊕ x` intern to one node.
     fn commute(&self, a: TermId, b: TermId) -> (TermId, TermId) {
-        if self.simplify && a.raw() > b.raw() {
+        if a.raw() > b.raw() {
             (b, a)
         } else {
             (a, b)
@@ -461,7 +432,7 @@ impl TermArena {
     /// `a - b` with constant folding; canonicalization folds `a − a`
     /// to `0`.
     pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
-        if self.simplify && a == b {
+        if a == b {
             return self.int(0);
         }
         match (self.node(a), self.node(b)) {
@@ -505,7 +476,7 @@ impl TermArena {
     /// `a < b` with folding; canonicalization folds the irreflexive
     /// self-comparison `a < a` to `false`.
     pub fn lt(&mut self, a: TermId, b: TermId) -> TermId {
-        if self.simplify && a == b {
+        if a == b {
             return self.bool(false);
         }
         match (self.node(a), self.node(b)) {
@@ -517,7 +488,7 @@ impl TermArena {
     /// `a <= b` with folding; canonicalization folds the reflexive
     /// self-comparison `a ≤ a` to `true`.
     pub fn le(&mut self, a: TermId, b: TermId) -> TermId {
-        if self.simplify && a == b {
+        if a == b {
             return self.bool(true);
         }
         match (self.node(a), self.node(b)) {
@@ -546,13 +517,11 @@ impl TermArena {
             (_, Term::Bool(true)) => a,
             (Term::Bool(false), _) | (_, Term::Bool(false)) => self.bool(false),
             (na, nb) => {
-                if self.simplify {
-                    if a == b {
-                        return a;
-                    }
-                    if na == Term::Not(b) || nb == Term::Not(a) {
-                        return self.bool(false);
-                    }
+                if a == b {
+                    return a;
+                }
+                if na == Term::Not(b) || nb == Term::Not(a) {
+                    return self.bool(false);
                 }
                 self.intern(Term::And(a, b))
             }
@@ -568,13 +537,11 @@ impl TermArena {
             (_, Term::Bool(false)) => a,
             (Term::Bool(true), _) | (_, Term::Bool(true)) => self.bool(true),
             (na, nb) => {
-                if self.simplify {
-                    if a == b {
-                        return a;
-                    }
-                    if na == Term::Not(b) || nb == Term::Not(a) {
-                        return self.bool(true);
-                    }
+                if a == b {
+                    return a;
+                }
+                if na == Term::Not(b) || nb == Term::Not(a) {
+                    return self.bool(true);
                 }
                 self.intern(Term::Or(a, b))
             }
@@ -598,12 +565,10 @@ impl TermArena {
             Term::Bool(true) => t,
             Term::Bool(false) => e,
             _ => {
-                if self.simplify {
-                    match (self.node(t), self.node(e)) {
-                        (Term::Bool(true), Term::Bool(false)) => return c,
-                        (Term::Bool(false), Term::Bool(true)) => return self.not(c),
-                        _ => {}
-                    }
+                match (self.node(t), self.node(e)) {
+                    (Term::Bool(true), Term::Bool(false)) => return c,
+                    (Term::Bool(false), Term::Bool(true)) => return self.not(c),
+                    _ => {}
                 }
                 self.intern(Term::Ite(c, t, e))
             }
@@ -839,20 +804,15 @@ mod tests {
     }
 
     #[test]
-    fn simplify_off_reproduces_plain_interning() {
+    fn implication_desugars_to_disjunction() {
         let mut a = TermArena::new();
-        a.set_simplify(false);
-        assert!(!a.simplify_enabled());
-        let x = a.sym(Sym(0));
-        let y = a.sym(Sym(1));
-        assert_ne!(a.add(x, y), a.add(y, x), "no commutative ordering");
-        let le = a.le(x, x);
-        assert_eq!(a.to_expr(le).to_string(), "(s0 <= s0)");
-        // Constant folding is not part of the toggle.
-        let two = a.int(2);
-        let three = a.int(3);
-        let five = a.int(5);
-        assert_eq!(a.add(two, three), five);
+        let p = a.sym(Sym(0));
+        let q = a.sym(Sym(1));
+        let np = a.not(p);
+        let t = a.bool(true);
+        assert_eq!(a.implies(p, q), a.or(np, q), "p ==> q ≡ !p || q");
+        assert_eq!(a.implies(p, p), t, "p ==> p");
+        assert_eq!(a.implies(np, p), p, "!p ==> p ≡ p || p");
     }
 
     #[test]

@@ -222,26 +222,26 @@ fn legacy_jsonl_store_is_ignored_and_left_untouched() {
 
 #[test]
 fn answer_affecting_config_switch_invalidates_the_store() {
-    // `learn` selects the solver's search (clause learning vs.
-    // chronological backtracking) and is part of the config
-    // fingerprint: verdicts cached under one setting must never be
-    // replayed for the other, even though both agree on every answer.
+    // `deny_unstable` can fail a method the default verifies, so it is
+    // part of the config fingerprint: verdicts cached under one setting
+    // must never be replayed for the other, even where both agree on
+    // every answer (as on this stable corpus).
     let dir = temp_dir("config-switch");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3);
-    let no_learn = VerifierConfig {
-        learn: false,
+    let strict = VerifierConfig {
+        deny_unstable: true,
         ..cfg.clone()
     };
-    let (second, switched) = run(&program, &no_learn);
+    let (second, switched) = run(&program, &strict);
     assert_eq!(switched, 3, "a config switch re-verifies everything");
     assert!(
         second.values().all(Verdict::is_verified)
             && first.keys().eq(second.keys())
             && first.values().all(Verdict::is_verified),
-        "both searches verify every method"
+        "both configurations verify every method"
     );
     // Store entries are keyed by the answer-affecting config
     // fingerprint, so the second pass wrote entries *alongside* the
@@ -250,7 +250,7 @@ fn answer_affecting_config_switch_invalidates_the_store() {
     let (back, warm) = run(&program, &cfg);
     assert_eq!(warm, 0, "per-config entries coexist; no thrashing");
     assert_eq!(back, first);
-    let (again, warm) = run(&program, &no_learn);
+    let (again, warm) = run(&program, &strict);
     assert_eq!(warm, 0);
     assert_eq!(again, second);
     let _ = std::fs::remove_dir_all(&dir);

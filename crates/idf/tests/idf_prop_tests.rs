@@ -187,16 +187,11 @@ fn arb_budget() -> impl Strategy<Value = Budget> {
         })
 }
 
-/// Verifies `p` under the given solver toggles, projected to what must
-/// be invariant: each method's definite verdict (`Some(true)` verified,
-/// `Some(false)` failed, `None` indefinite) and its failed obligations.
-/// Failure *reports* render arena terms (canonicalization legitimately
-/// reshapes those spellings) and stats count branches/terms/learned
-/// clauses (both knobs change those costs), so neither is compared.
-fn toggled_verdicts(
+/// Verifies `p` at `threads` workers, projected to each method's
+/// definite verdict (`Some(true)` verified, `Some(false)` failed, `None`
+/// indefinite) and its failed obligations.
+fn verdicts_at(
     p: &Program,
-    simplify: bool,
-    learn: bool,
     threads: usize,
 ) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
     let mut v = Verifier::with_config(
@@ -204,8 +199,6 @@ fn toggled_verdicts(
         Backend::Destabilized,
         VerifierConfig {
             threads,
-            simplify,
-            learn,
             ..VerifierConfig::default()
         },
     );
@@ -228,12 +221,11 @@ fn toggled_verdicts(
         .collect()
 }
 
-/// On a program entirely inside the linear fragment — where every
-/// canonical rewrite is a logical equivalence — the full toggle matrix
-/// (canonicalization × clause learning) is verdict-transparent at 1, 2,
-/// and 8 threads, including for a method that definitely fails.
+/// On a program entirely inside the linear fragment, verdicts are the
+/// same at 1, 2, and 8 threads, including for a method that definitely
+/// fails.
 #[test]
-fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
+fn linear_program_verdicts_are_thread_transparent() {
     let p = parse_program(
         "field val: Int
          method ok(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1
@@ -245,35 +237,28 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
          { if (x + 1 < y) { r := y - x } else { r := 1 } }",
     )
     .unwrap();
-    let baseline = toggled_verdicts(&p, true, true, 1);
+    let baseline = verdicts_at(&p, 1);
     assert!(
         baseline
             .iter()
             .any(|(name, _, failures)| name == "bad" && !failures.is_empty()),
-        "the failing method must fail, or the matrix compares nothing"
+        "the failing method must fail, or the comparison checks nothing"
     );
-    for simplify in [true, false] {
-        for learn in [true, false] {
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    baseline,
-                    toggled_verdicts(&p, simplify, learn, threads),
-                    "verdicts diverge at simplify={}, learn={}, threads={}",
-                    simplify,
-                    learn,
-                    threads
-                );
-            }
-        }
+    for threads in [2usize, 8] {
+        assert_eq!(
+            baseline,
+            verdicts_at(&p, threads),
+            "verdicts diverge at threads={}",
+            threads
+        );
     }
 }
 
 /// Program level: on the exponential diverging family — the workload
 /// the CDCL search was built to collapse — every method verifies, at
-/// every thread count and learning setting (the map two independent
-/// search cores agreed on before one was retired).
+/// every thread count.
 #[test]
-fn diverging_programs_verify_at_every_learn_and_thread_setting() {
+fn diverging_programs_verify_at_every_thread_count() {
     for k in [1usize, 2, 4, 6] {
         let p = parse_program(&diverging_program(k)).unwrap();
         let expected: Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> =
@@ -281,174 +266,178 @@ fn diverging_programs_verify_at_every_learn_and_thread_setting() {
                 .iter()
                 .map(|name| (name.to_string(), Some(true), Vec::new()))
                 .collect();
-        for learn in [true, false] {
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    expected,
-                    toggled_verdicts(&p, true, learn, threads),
-                    "verdicts diverge at k={}, learn={}, threads={}",
-                    k,
-                    learn,
-                    threads
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                expected,
+                verdicts_at(&p, threads),
+                "verdicts diverge at k={}, threads={}",
+                k,
+                threads
+            );
         }
+    }
+}
+
+/// A fresh solver with the query stream's symbols `Sym(0)..Sym(2)`
+/// declared `Int`.
+fn stream_solver() -> Solver {
+    let mut solver = Solver::new();
+    for i in 0..3 {
+        solver.declare(Sym(i), Sort::Int);
+    }
+    solver
+}
+
+/// A logically equivalent spelling of `e` that intern-time
+/// canonicalization must undo: the operands of `+`, `*` and `==` swap,
+/// `a ==> b` becomes `!a || b`, and each comparison gains a double
+/// negation.
+fn mirrored(e: &SymExpr) -> SymExpr {
+    let m = |x: &SymExpr| Box::new(mirrored(x));
+    let twice_negated = |x: SymExpr| SymExpr::Not(Box::new(SymExpr::Not(Box::new(x))));
+    match e {
+        SymExpr::Add(a, b) => SymExpr::Add(m(b), m(a)),
+        SymExpr::Mul(a, b) => SymExpr::Mul(m(b), m(a)),
+        SymExpr::Eq(a, b) => SymExpr::Eq(m(b), m(a)),
+        SymExpr::Sub(a, b) => SymExpr::Sub(m(a), m(b)),
+        SymExpr::Lt(a, b) => twice_negated(SymExpr::Lt(m(a), m(b))),
+        SymExpr::Le(a, b) => twice_negated(SymExpr::Le(m(a), m(b))),
+        SymExpr::Not(a) => SymExpr::Not(m(a)),
+        SymExpr::And(a, b) => SymExpr::And(m(a), m(b)),
+        SymExpr::Or(a, b) => SymExpr::Or(m(a), m(b)),
+        SymExpr::Implies(a, b) => SymExpr::Or(Box::new(SymExpr::Not(m(a))), m(b)),
+        SymExpr::Ite(c, t, el) => SymExpr::Ite(m(c), m(t), m(el)),
+        leaf => leaf.clone(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential: the memoizing solver cache never changes an
-    /// answer. The stream is replayed twice so the second pass is
-    /// answered from cache, and every answer must still match a
-    /// cache-less solver run fresh on the same queries.
+    /// Differential: the state one solver carries across queries — the
+    /// memo and the retained lemmas — never changes an answer. The
+    /// stream is replayed twice on one solver, so the second pass is
+    /// answered from the memo, and every answer must match a fresh
+    /// solver's for that query alone.
     #[test]
     fn solver_cache_is_answer_transparent(stream in arb_query_stream()) {
-        let mut cached = Solver::new();
-        let mut uncached = Solver::new();
-        uncached.cache_enabled = false;
-        let mut arena_c = TermArena::new();
-        let mut arena_u = TermArena::new();
-        for i in 0..3 {
-            cached.declare(Sym(i), Sort::Int);
-            uncached.declare(Sym(i), Sort::Int);
-        }
+        let mut shared = stream_solver();
+        let mut arena = TermArena::new();
         for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let ac = cached.entails_exprs(&mut arena_c, pc, goal);
-            let au = uncached.entails_exprs(&mut arena_u, pc, goal);
-            prop_assert_eq!(ac, au, "cache changed answer for pc={:?}, goal={:?}", pc, goal);
+            let got = shared.entails_exprs(&mut arena, pc, goal);
+            let fresh = stream_solver().entails_exprs(&mut TermArena::new(), pc, goal);
+            prop_assert_eq!(got, fresh, "solver state changed answer for pc={:?}, goal={:?}", pc, goal);
         }
-        // The replayed pass must have been served from cache.
-        prop_assert!(cached.cache_hits >= stream.len());
-        prop_assert_eq!(uncached.cache_hits, 0);
+        // The replayed pass must have been served from the memo.
+        prop_assert!(shared.cache_hits >= stream.len());
     }
 
-    /// Differential: intern-time canonicalization never changes an
-    /// answer. The generated fragment is linear arithmetic, where every
-    /// canonical rewrite is a logical equivalence, so the comparison is
-    /// bit-exact.
+    /// The memo is keyed by the normalized path condition: reordering
+    /// its conditions or repeating one gets the same answer, from the
+    /// memo, without searching again.
+    #[test]
+    fn path_condition_order_is_answer_transparent(stream in arb_query_stream()) {
+        let mut solver = stream_solver();
+        let mut arena = TermArena::new();
+        for (pc, goal) in &stream {
+            let first = solver.entails_exprs(&mut arena, pc, goal);
+            let mut reordered: Vec<SymExpr> = pc.iter().rev().cloned().collect();
+            reordered.extend(pc.first().cloned());
+            let (hits, branches) = (solver.cache_hits, solver.branches);
+            let again = solver.entails_exprs(&mut arena, &reordered, goal);
+            prop_assert_eq!(first, again, "reordering changed answer for pc={:?}, goal={:?}", pc, goal);
+            prop_assert_eq!(solver.cache_hits, hits + 1, "reordered pc missed the memo: {:?}", reordered);
+            prop_assert_eq!(solver.branches, branches, "a memo hit must not search");
+        }
+    }
+
+    /// Differential: intern-time canonicalization makes an answer a
+    /// function of the formula, not of its spelling. A mirrored
+    /// spelling interns to the very same term in one arena; answered by
+    /// a fresh solver over a fresh arena, where the swapped operands get
+    /// other ids and so may be oriented the other way, it gets the same
+    /// answer.
     #[test]
     fn canonicalization_is_answer_transparent(stream in arb_query_stream()) {
-        let mut canon = Solver::new();
-        let mut plain = Solver::new();
-        let mut arena_c = TermArena::new();
-        let mut arena_p = TermArena::new();
-        arena_p.set_simplify(false);
-        for i in 0..3 {
-            canon.declare(Sym(i), Sort::Int);
-            plain.declare(Sym(i), Sort::Int);
-        }
+        let mut solver = stream_solver();
+        let mut arena = TermArena::new();
         for (pc, goal) in &stream {
-            let ac = canon.entails_exprs(&mut arena_c, pc, goal);
-            let ap = plain.entails_exprs(&mut arena_p, pc, goal);
+            for e in pc.iter().chain(std::iter::once(goal)) {
+                let id = arena.intern_expr(e);
+                prop_assert_eq!(arena.intern_expr(&mirrored(e)), id, "mirror of {:?} interned apart", e);
+            }
+            let mirrored_pc: Vec<SymExpr> = pc.iter().map(mirrored).collect();
+            let got = solver.entails_exprs(&mut arena, pc, goal);
+            let spelled = stream_solver().entails_exprs(&mut TermArena::new(), &mirrored_pc, &mirrored(goal));
             prop_assert_eq!(
-                ac, ap,
-                "canonicalization changed answer for pc={:?}, goal={:?}", pc, goal
+                got, spelled,
+                "spelling changed answer for pc={:?}, goal={:?}", pc, goal
             );
         }
     }
 
-    /// Differential: clause learning never changes an answer. Learned
-    /// clauses are negations of theory-conflict cores — valid lemmas —
-    /// so they may only prune work. The stream is replayed with
-    /// memoization off so the second pass actually re-solves against
-    /// the accumulated clauses.
+    /// Canonicalization is idempotent: reading an interned term back
+    /// out and interning it again lands on the same term.
+    #[test]
+    fn canonical_terms_are_fixed_points(stream in arb_query_stream()) {
+        let mut arena = TermArena::new();
+        for (pc, goal) in &stream {
+            for e in pc.iter().chain(std::iter::once(goal)) {
+                let id = arena.intern_expr(e);
+                let back = arena.to_expr(id);
+                prop_assert_eq!(arena.intern_expr(&back), id, "{:?} read back as {:?}", e, back);
+            }
+        }
+    }
+
+    /// Differential: the lemmas a solver retains across queries never
+    /// change an answer. One solver answers the stream forwards and
+    /// another backwards, so each query meets a different retained
+    /// lemma set, and a third forgets its lemmas before every query;
+    /// all three agree query by query.
     #[test]
     fn clause_learning_is_answer_transparent(stream in arb_query_stream()) {
-        let mut learning = Solver::new();
-        let mut naive = Solver::new();
-        learning.cache_enabled = false;
-        naive.cache_enabled = false;
-        naive.learn_enabled = false;
-        let mut arena_l = TermArena::new();
-        let mut arena_n = TermArena::new();
-        for i in 0..3 {
-            learning.declare(Sym(i), Sort::Int);
-            naive.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let al = learning.entails_exprs(&mut arena_l, pc, goal);
-            let an = naive.entails_exprs(&mut arena_n, pc, goal);
-            prop_assert_eq!(
-                al, an,
-                "clause learning changed answer for pc={:?}, goal={:?}", pc, goal
-            );
-        }
-        prop_assert!(
-            learning.branches <= naive.branches,
-            "learning explored more branches ({} vs {})",
-            learning.branches, naive.branches
-        );
-    }
-
-    /// Differential (program level): on arbitrary programs, each
-    /// (canonicalization, learning) setting is exactly thread-
-    /// transparent, and across the learning toggle *definite* verdicts
-    /// always agree. On nonlinear programs learning may decide an
-    /// obligation the no-learn search leaves Unknown (propagation skips
-    /// a theory-Unknown leaf), and canonicalization may merge commuted
-    /// opaque atoms — both are precision improvements, so bit-exact
-    /// toggle equality is asserted only on the linear fragment (see
-    /// `canonicalization_is_answer_transparent` and
-    /// `toggle_matrix_is_verdict_transparent_on_linear_programs`).
-    #[test]
-    fn toggles_are_thread_transparent_and_sound(
-        simplify in any::<bool>(),
-        p in arb_program(),
-    ) {
-        let mut per_learn = Vec::new();
-        for learn in [true, false] {
-            let baseline = toggled_verdicts(&p, simplify, learn, 1);
-            for threads in [2usize, 8] {
-                prop_assert_eq!(
-                    &baseline,
-                    &toggled_verdicts(&p, simplify, learn, threads),
-                    "thread count changed verdicts (simplify={}, learn={}, threads={}) on:\n{}",
-                    simplify, learn, threads, p
-                );
+        let answers = |order: Vec<usize>, forget: bool| {
+            let mut solver = stream_solver();
+            let mut arena = TermArena::new();
+            let mut out = vec![None; stream.len()];
+            for i in order {
+                if forget {
+                    solver.clear_learned();
+                }
+                let (pc, goal) = &stream[i];
+                out[i] = Some(solver.entails_exprs(&mut arena, pc, goal));
             }
-            per_learn.push(baseline);
-        }
-        // Across the learning toggle, a method definitely verified by
-        // one setting must never be definitely failed by the other.
-        for ((name, with, _), (_, without, _)) in per_learn[0].iter().zip(&per_learn[1]) {
-            if let (Some(a), Some(b)) = (with, without) {
-                prop_assert_eq!(
-                    a, b,
-                    "learn on/off give contradictory definite verdicts for {} (simplify={}) on:\n{}",
-                    name, simplify, p
-                );
-            }
-        }
-    }
-
-    /// Differential: whole-program verification is unaffected by the
-    /// cache — same verdict, same obligations (descriptions and
-    /// outcomes), same cache-independent statistics.
-    #[test]
-    fn verify_all_is_cache_transparent(p in arb_program()) {
-        let run = |cache: bool| {
-            let mut v = Verifier::with_config(
-                &p,
-                Backend::Destabilized,
-                VerifierConfig {
-                    threads: 1,
-                    cache,
-                    ..VerifierConfig::default()
-                },
-            );
-            let verdict = v.verify_all().map(|stats| {
-                stats
-                    .into_iter()
-                    .map(|(name, s)| {
-                        (name, s.obligations, s.solver_queries, s.symbols, s.states)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            (verdict, v.obligations().to_vec())
+            out
         };
-        prop_assert_eq!(run(true), run(false), "cache changed verification of:\n{}", p);
+        let forwards = answers((0..stream.len()).collect(), false);
+        let backwards = answers((0..stream.len()).rev().collect(), false);
+        let forgetful = answers((0..stream.len()).collect(), true);
+        for (i, (pc, goal)) in stream.iter().enumerate() {
+            prop_assert_eq!(
+                forwards[i], backwards[i],
+                "query order changed answer for pc={:?}, goal={:?}", pc, goal
+            );
+            prop_assert_eq!(
+                forwards[i], forgetful[i],
+                "retained lemmas changed answer for pc={:?}, goal={:?}", pc, goal
+            );
+        }
+    }
+
+    /// Differential (program level): on arbitrary programs, verdicts
+    /// are exactly thread-transparent.
+    #[test]
+    fn verdicts_are_thread_transparent(p in arb_program()) {
+        let baseline = verdicts_at(&p, 1);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(
+                &baseline,
+                &verdicts_at(&p, threads),
+                "thread count changed verdicts (threads={}) on:\n{}",
+                threads, p
+            );
+        }
     }
 
     /// The pretty-printer emits source that parses back to the same AST.
@@ -568,15 +557,13 @@ proptest! {
 
     /// Flight-recorder determinism: under the logical clock, the
     /// merged trace (after timestamp normalization) and the verdict
-    /// map are identical at 1, 2, and 8 worker threads, with the
-    /// solver cache on or off, even under injected faults and finite
-    /// budgets. The merge path buffers per worker and replays in
+    /// map are identical at 1, 2, and 8 worker threads, even under
+    /// injected faults and finite budgets. The merge path buffers per worker and replays in
     /// program order, so thread scheduling must never show through.
     #[test]
-    fn traces_are_deterministic_across_threads_and_cache(
+    fn traces_are_deterministic_across_threads(
         plan in arb_fault_plan(),
         budget in arb_budget(),
-        cache in any::<bool>(),
     ) {
         quiet_injected_panics();
         let program = parse_program(
@@ -596,7 +583,6 @@ proptest! {
                 VerifierConfig {
                     threads,
                     budget,
-                    cache,
                     faults: plan.clone(),
                     retry_unknown: false,
                     trace: TraceHandle::new(sink.clone(), ClockKind::Logical),
@@ -621,8 +607,8 @@ proptest! {
             );
             prop_assert_eq!(
                 &trace_1, &trace_n,
-                "trace diverges at {} threads (cache={}, budget {:?}) under {:?}",
-                threads, cache, &budget, &plan
+                "trace diverges at {} threads (budget {:?}) under {:?}",
+                threads, &budget, &plan
             );
         }
     }

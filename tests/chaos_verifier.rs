@@ -161,9 +161,9 @@ fn zero_deadline_yields_unknown_not_hang() {
 }
 
 /// Deadline promptness under the CDCL core: a deliberately hard query
-/// (`diverging_program(18)` with clause learning off runs for tens of
-/// seconds unbudgeted) must come back `Unknown` within a small multiple
-/// of its deadline. This only holds because the solver polls the
+/// (`diverging_program(256)` runs for seconds unbudgeted, even in a
+/// release build) must come back `Unknown` within a small multiple of
+/// its deadline. This only holds because the solver polls the
 /// deadline *inside* its conflict loop — a check at query boundaries
 /// alone would run the full search before noticing the overrun.
 #[test]
@@ -173,9 +173,8 @@ fn deadline_is_enforced_inside_the_conflict_loop() {
     // the deadline plus poll granularity (one wall-clock read per 64
     // conflicts).
     const PROMPTNESS_BOUND_MS: u128 = 3_000;
-    let program = parse_program(&diverging_program(18)).expect("diverging program parses");
+    let program = parse_program(&diverging_program(256)).expect("diverging program parses");
     let config = VerifierConfig {
-        learn: false,
         budget: Budget::unlimited().with_deadline_ms(DEADLINE_MS),
         retry_unknown: false,
         threads: 1,
