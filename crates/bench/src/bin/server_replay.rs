@@ -41,7 +41,6 @@ use daenerysd::client::{Client, RetryPolicy};
 use daenerysd::protocol::{AdminRequest, Request, Response};
 use daenerysd::server::{MetricsSnapshot, Server, ServerConfig};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -280,24 +279,21 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-fn pass_json(label: &str, pass: &PassResult) -> String {
-    let mut out = String::new();
+fn pass_json(pass: &PassResult) -> Json {
     let wall_s = pass.wall.as_secs_f64().max(1e-9);
-    let _ = write!(
-        out,
-        "\"{}\":{{\"completed\":{},\"failed\":{},\"retries\":{},\"wall_ms\":{:.1},\
-         \"throughput_rps\":{:.2},\"p50_ms\":{:.2},\"p95_ms\":{:.2},\"p99_ms\":{:.2}}}",
-        label,
-        pass.completed.len(),
-        pass.failed.len(),
-        pass.retries_total,
-        wall_s * 1e3,
-        pass.completed.len() as f64 / wall_s,
-        percentile(&pass.latencies_ms, 50.0),
-        percentile(&pass.latencies_ms, 95.0),
-        percentile(&pass.latencies_ms, 99.0),
-    );
-    out
+    Json::obj([
+        ("completed", pass.completed.len().into()),
+        ("failed", pass.failed.len().into()),
+        ("retries", pass.retries_total.into()),
+        ("wall_ms", (wall_s * 1e3).into()),
+        (
+            "throughput_rps",
+            (pass.completed.len() as f64 / wall_s).into(),
+        ),
+        ("p50_ms", percentile(&pass.latencies_ms, 50.0).into()),
+        ("p95_ms", percentile(&pass.latencies_ms, 95.0).into()),
+        ("p99_ms", percentile(&pass.latencies_ms, 99.0).into()),
+    ])
 }
 
 /// An embedded daemon for one pass (used when `--addr` is absent).
@@ -376,14 +372,7 @@ fn check_obs(label: &str, obs: &ServerObs, gate_failures: &mut Vec<String>) {
 /// attribution (count + total nanoseconds per `daenerysd.phase_nanos`
 /// phase label, summed over tenants), and the settled per-tenant
 /// ledger rows.
-fn server_json(label: &str, obs: &ServerObs) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "\"{}\":{{\"scrapes\":{},\"scrape_errors\":{},\"conserved_failures\":{},\
-         \"max_in_flight\":{},\"phases\":{{",
-        label, obs.scrapes, obs.scrape_errors, obs.conserved_failures, obs.max_in_flight,
-    );
+fn server_json(obs: &ServerObs) -> Json {
     let mut phases: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     if let Some(parsed) = obs
         .final_metrics
@@ -414,44 +403,24 @@ fn server_json(label: &str, obs: &ServerObs) -> String {
             slot.1 += nanos;
         }
     }
-    for (i, (phase, (count, nanos))) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{}:{{\"count\":{},\"nanos\":{}}}",
-            daenerys_obs::json::escape(phase),
-            count,
-            nanos
-        );
-    }
-    out.push_str("},\"tenants\":{");
+    let phases = phases.iter().map(|(phase, (count, nanos))| {
+        let cell = Json::obj([("count", (*count).into()), ("nanos", (*nanos).into())]);
+        (phase.as_str(), cell)
+    });
     let tenants = obs
         .final_health
         .as_deref()
         .and_then(|b| parse_json(b).ok())
-        .and_then(|parsed| {
-            parsed
-                .as_obj()
-                .and_then(|o| o.get("tenants"))
-                .and_then(Json::as_obj)
-                .cloned()
-        })
+        .and_then(|parsed| parsed.as_obj()?.get("tenants")?.as_obj().cloned())
         .unwrap_or_default();
-    for (i, (tenant, row)) in tenants.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{}:{}",
-            daenerys_obs::json::escape(tenant),
-            row.render()
-        );
-    }
-    out.push_str("}}");
-    out
+    Json::obj([
+        ("scrapes", obs.scrapes.into()),
+        ("scrape_errors", obs.scrape_errors.into()),
+        ("conserved_failures", obs.conserved_failures.into()),
+        ("max_in_flight", obs.max_in_flight.into()),
+        ("phases", Json::obj(phases)),
+        ("tenants", Json::Obj(tenants)),
+    ])
 }
 
 fn check_snapshot(label: &str, snap: &MetricsSnapshot, gate_failures: &mut Vec<String>) {
@@ -479,7 +448,7 @@ fn main() -> ExitCode {
     };
     let chaos_plan = WireFaultPlan::full(opts.chaos_seed);
     let mut gate_failures: Vec<String> = Vec::new();
-    let mut snapshots = String::new();
+    let mut snapshots: Vec<(&str, Json)> = Vec::new();
 
     let (clean, clean_obs, chaos, chaos_obs) = match opts.addr {
         Some(addr) => {
@@ -502,7 +471,7 @@ fn main() -> ExitCode {
             match daemon.stop(opts.keep_store) {
                 Ok(snap) => {
                     check_snapshot("fault_free", &snap, &mut gate_failures);
-                    let _ = write!(snapshots, ",\"fault_free_daemon\":{}", snap.to_json());
+                    snapshots.push(("fault_free_daemon", snap.to_json()));
                 }
                 Err(e) => gate_failures.push(format!("fault_free: {}", e)),
             }
@@ -517,7 +486,7 @@ fn main() -> ExitCode {
             match daemon.stop(opts.keep_store) {
                 Ok(snap) => {
                     check_snapshot("chaos", &snap, &mut gate_failures);
-                    let _ = write!(snapshots, ",\"chaos_daemon\":{}", snap.to_json());
+                    snapshots.push(("chaos_daemon", snap.to_json()));
                 }
                 Err(e) => gate_failures.push(format!("chaos: {}", e)),
             }
@@ -565,35 +534,34 @@ fn main() -> ExitCode {
         .filter(|id| (0..8u64).any(|attempt| !chaos_plan.fault_for(*id, attempt).is_none()))
         .count();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"config\":{{\"requests\":{},\"concurrency\":{},\"chaos_seed\":{},\
-         \"affected_requests\":{},\"external_daemon\":{}}},",
-        opts.requests,
-        opts.concurrency,
-        opts.chaos_seed,
-        affected,
-        opts.addr.is_some(),
-    );
-    json.push_str(&pass_json("fault_free", &clean));
-    json.push(',');
-    json.push_str(&pass_json("chaos", &chaos));
-    let _ = write!(
-        json,
-        ",\"server\":{{{},{}}}",
-        server_json("fault_free", &clean_obs),
-        server_json("chaos", &chaos_obs),
-    );
-    let _ = write!(
-        json,
-        ",\"gate\":{{\"passed\":{},\"bit_identical\":{},\"failures\":{}}}",
-        gate_failures.is_empty(),
-        diverged == 0,
-        gate_failures.len(),
-    );
-    json.push_str(&snapshots);
-    json.push('}');
+    let config = Json::obj([
+        ("requests", opts.requests.into()),
+        ("concurrency", opts.concurrency.into()),
+        ("chaos_seed", opts.chaos_seed.into()),
+        ("affected_requests", affected.into()),
+        ("external_daemon", opts.addr.is_some().into()),
+    ]);
+    let server = Json::obj([
+        ("fault_free", server_json(&clean_obs)),
+        ("chaos", server_json(&chaos_obs)),
+    ]);
+    let gate = Json::obj([
+        ("passed", gate_failures.is_empty().into()),
+        ("bit_identical", (diverged == 0).into()),
+        ("failures", gate_failures.len().into()),
+    ]);
+    let json = Json::obj(
+        [
+            ("config", config),
+            ("fault_free", pass_json(&clean)),
+            ("chaos", pass_json(&chaos)),
+            ("server", server),
+            ("gate", gate),
+        ]
+        .into_iter()
+        .chain(snapshots),
+    )
+    .render();
 
     if let Err(e) = std::fs::write(&opts.out, format!("{}\n", json)) {
         eprintln!("server_replay: writing {}: {}", opts.out.display(), e);

@@ -17,7 +17,7 @@
 
 use daenerys_bench::run_backend_with;
 use daenerys_idf::{diverging_program, Backend, VerifierConfig};
-use daenerys_obs::parse_json;
+use daenerys_obs::{parse_json, Json};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -105,8 +105,8 @@ fn usage(msg: &str) -> ! {
     exit(2);
 }
 
-/// The committed baseline lives next to `BENCH_verifier.json` at the
-/// repo root, two levels above this crate.
+/// The committed baseline lives at the repo root, two levels above
+/// this crate.
 fn default_baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -138,16 +138,14 @@ fn check_counter(failures: &mut Vec<String>, k: usize, name: &str, got: usize, b
 }
 
 fn render_baseline(rows: &[Row]) -> String {
-    let cases: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"k\": {}, \"conflicts\": {}, \"decisions\": {}}}",
-                r.k, r.conflicts, r.decisions
-            )
-        })
-        .collect();
-    format!("{{\"cases\": [{}]}}\n", cases.join(", "))
+    let cases = rows.iter().map(|r| {
+        Json::obj([
+            ("k", r.k.into()),
+            ("conflicts", r.conflicts.into()),
+            ("decisions", r.decisions.into()),
+        ])
+    });
+    Json::obj([("cases", Json::Arr(cases.collect()))]).render() + "\n"
 }
 
 /// Parses the baseline into `(k, conflicts, decisions)` triples.

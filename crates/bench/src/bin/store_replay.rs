@@ -28,9 +28,8 @@
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
 use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerdictStore, VerifierConfig};
-use daenerys_obs::escape_json;
+use daenerys_obs::Json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -290,57 +289,46 @@ fn main() {
         differential.push((t, identical));
     }
 
-    // Render BENCH_incremental.json by hand (no serde in-tree).
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"methods\": {}, \"depth\": {}, \"fan_out\": {}, \"diamond_pct\": {}, \"seed\": {}, \"store_format\": \"daes1\", \"threads\": [{}]}},",
-        opts.spec.methods,
-        opts.spec.depth,
-        opts.spec.fan_out,
-        opts.spec.diamond_pct,
-        opts.spec.seed,
-        opts.threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let _ = write!(
-        json,
-        "  \"hub\": {}, \"hub_cone\": {},\n  \"phases\": [\n",
-        escape_json(&Corpus::method_name(hub)),
-        cone
-    );
-    for (i, p) in phases.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"phase\": \"{}\", \"reverified\": {}, \"expected\": {}, \"wall_ms\": {:.3}{}}}{}",
-            p.name,
-            p.reverified,
-            p.expected,
-            p.wall_ms,
-            p.store_load_ms
-                .map(|ms| format!(", \"store_load_ms\": {:.3}", ms))
-                .unwrap_or_default(),
-            if i + 1 < phases.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"differential\": [\n");
-    for (i, (t, ok)) in differential.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"threads\": {}, \"bit_identical\": {}}}{}",
-            t,
-            ok,
-            if i + 1 < differential.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"gates_passed\": {}\n}}",
-        failures.is_empty()
-    );
+    // BENCH_incremental.json: `store_load_ms` appears only on the
+    // phases that measure a store load.
+    let config = Json::obj([
+        ("methods", opts.spec.methods.into()),
+        ("depth", opts.spec.depth.into()),
+        ("fan_out", opts.spec.fan_out.into()),
+        ("diamond_pct", u64::from(opts.spec.diamond_pct).into()),
+        ("seed", opts.spec.seed.into()),
+        ("store_format", "daes1".into()),
+        (
+            "threads",
+            Json::Arr(opts.threads.iter().map(|&t| t.into()).collect()),
+        ),
+    ]);
+    let phases = phases.iter().map(|p| {
+        let load = p.store_load_ms.map(|ms| ("store_load_ms", ms.into()));
+        Json::obj(
+            [
+                ("phase", p.name.into()),
+                ("reverified", p.reverified.into()),
+                ("expected", p.expected.into()),
+                ("wall_ms", p.wall_ms.into()),
+            ]
+            .into_iter()
+            .chain(load),
+        )
+    });
+    let differential = differential
+        .iter()
+        .map(|&(t, ok)| Json::obj([("threads", t.into()), ("bit_identical", ok.into())]));
+    let json = Json::obj([
+        ("config", config),
+        ("hub", Corpus::method_name(hub).into()),
+        ("hub_cone", cone.into()),
+        ("phases", Json::Arr(phases.collect())),
+        ("differential", Json::Arr(differential.collect())),
+        ("gates_passed", failures.is_empty().into()),
+    ])
+    .render()
+        + "\n";
     if let Some(parent) = opts.out.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);

@@ -64,7 +64,7 @@ use daenerys_idf::{
     all_cases, analyze_program, chain_program, diverging_program, parse_program, positive_cases,
     scaling_program, Backend, StabilityClass, VerdictStore, VerifierConfig,
 };
-use daenerys_obs::{ClockKind, JsonlSink, MemorySink, TraceHandle};
+use daenerys_obs::{ClockKind, Json, JsonlSink, MemorySink, TraceHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -392,9 +392,9 @@ fn phase_profile(src: &str, backend: Backend, base: &VerifierConfig) -> ProfileR
 
 /// `--profile`: phase attribution of the positive case studies (plus
 /// the exponential diverging case) on the destabilized backend, each
-/// with its release-over-release counters (`dpll_branches` — the
-/// solver's decision count, under its historical name — `conflicts`,
-/// `learned_clauses`, `methods_reverified`), printed and written to
+/// with its release-over-release counters (`decisions`, `conflicts`,
+/// `theory_props`, `learned_clauses`, `methods_reverified`), printed
+/// and written to
 /// `PROFILE_verifier.txt` under `--out-dir`.
 fn run_profile(opts: &Opts) {
     println!("\nProfile: phase attribution per case (destabilized backend)");
@@ -415,7 +415,7 @@ fn run_profile(opts: &Opts) {
         };
         let run = run_backend_with(src, Backend::Destabilized, config);
         let counters = format!(
-            "counters: dpll_branches={} conflicts={} theory_props={} learned_clauses={} methods_reverified={}\n",
+            "counters: decisions={} conflicts={} theory_props={} learned_clauses={} methods_reverified={}\n",
             run.total(|s| s.solver_branches),
             run.total(|s| s.solver_conflicts),
             run.total(|s| s.theory_props),
@@ -777,18 +777,13 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
     rows
 }
 
-/// Renders an optional count as JSON (`null` when unlimited).
-fn json_opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 /// One measurement as a JSON object.
 ///
 /// # Panics
 ///
 /// Panics when the counter invariant `hits + misses == queries` is
 /// broken — the harness refuses to emit inconsistent numbers.
-fn run_json(run: &BackendRun) -> String {
+fn run_json(run: &BackendRun) -> Json {
     run.check_cache_accounting();
     let hits = run.total(|x| x.cache_hits);
     let misses = run.total(|x| x.cache_misses);
@@ -797,39 +792,40 @@ fn run_json(run: &BackendRun) -> String {
     } else {
         hits as f64 / (hits + misses) as f64
     };
-    format!(
-        "{{\"wall_micros\": {:.1}, \"solver_queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"decisions\": {}, \"conflicts\": {}, \"restarts\": {}, \"theory_props\": {}, \"learned_clauses\": {}, \"obligations\": {}, \"interned_terms\": {}, \"stability_skips\": {}, \"unknown_methods\": {}, \"budget_exhausted\": {}, \"methods_reverified\": {}}}",
-        run.time.as_secs_f64() * 1e6,
-        run.total(|x| x.solver_queries),
-        hits,
-        misses,
-        rate,
-        run.total(|x| x.solver_branches),
-        run.total(|x| x.solver_conflicts),
-        run.total(|x| x.solver_restarts),
-        run.total(|x| x.theory_props),
-        run.total(|x| x.learned_clauses),
-        run.total(|x| x.obligations),
-        run.total(|x| x.interned_terms),
-        run.total(|x| x.stability_skips),
-        run.unknown_methods(),
-        run.budget_exhausted(),
-        json_opt(run.reverified.map(|n| n as u64)),
-    )
+    // Four decimals, rounded as `{:.4}` rounds (`f64::round` differs
+    // on ties).
+    let rate: f64 = format!("{:.4}", rate).parse().unwrap_or(0.0);
+    Json::obj([
+        ("wall_micros", (run.time.as_secs_f64() * 1e6).into()),
+        ("solver_queries", run.total(|x| x.solver_queries).into()),
+        ("cache_hits", hits.into()),
+        ("cache_misses", misses.into()),
+        ("cache_hit_rate", rate.into()),
+        ("decisions", run.total(|x| x.solver_branches).into()),
+        ("conflicts", run.total(|x| x.solver_conflicts).into()),
+        ("restarts", run.total(|x| x.solver_restarts).into()),
+        ("theory_props", run.total(|x| x.theory_props).into()),
+        ("learned_clauses", run.total(|x| x.learned_clauses).into()),
+        ("obligations", run.total(|x| x.obligations).into()),
+        ("interned_terms", run.total(|x| x.interned_terms).into()),
+        ("stability_skips", run.total(|x| x.stability_skips).into()),
+        ("unknown_methods", run.unknown_methods().into()),
+        ("budget_exhausted", run.budget_exhausted().into()),
+        ("methods_reverified", run.reverified.into()),
+    ])
 }
 
 /// The phase-attribution block of one JSON case: front-end and
 /// symbolic-execution time plus total solver fuel, from one traced run.
-fn phases_json(p: &ProfileReport) -> String {
-    format!(
-        "{{\"parse_micros\": {:.1}, \"exec_micros\": {:.1}, \"pre_micros\": {:.1}, \"body_micros\": {:.1}, \"post_micros\": {:.1}, \"solver_fuel\": {}}}",
-        p.pipeline_micros("parse"),
-        p.exec_micros(),
-        p.method_phase_micros("pre"),
-        p.method_phase_micros("body"),
-        p.method_phase_micros("post"),
-        p.total_fuel(),
-    )
+fn phases_json(p: &ProfileReport) -> Json {
+    Json::obj([
+        ("parse_micros", p.pipeline_micros("parse").into()),
+        ("exec_micros", p.exec_micros().into()),
+        ("pre_micros", p.method_phase_micros("pre").into()),
+        ("body_micros", p.method_phase_micros("body").into()),
+        ("post_micros", p.method_phase_micros("post").into()),
+        ("solver_fuel", p.total_fuel().into()),
+    ])
 }
 
 /// Emits `BENCH_verifier.json`: the positive case studies, the chain
@@ -872,53 +868,57 @@ fn write_bench_json(
             opts.repeat,
         );
         let p = phase_profile(case.source, Backend::Destabilized, &opts.config);
-        cases.push(format!(
-            "    {{\"name\": \"{}\", \"destabilized\": {}, \"stable_baseline\": {}, \"phases\": {}}}",
-            case.name,
-            run_json(&d),
-            run_json(&s),
-            phases_json(&p)
-        ));
+        cases.push(Json::obj([
+            ("name", case.name.into()),
+            ("destabilized", run_json(&d)),
+            ("stable_baseline", run_json(&s)),
+            ("phases", phases_json(&p)),
+        ]));
     }
-    let mut chain = Vec::new();
-    for (n, d, s) in chain_rows {
-        chain.push(format!(
-            "    {{\"n\": {}, \"destabilized\": {{\"memoized\": {}}}, \"stable_baseline\": {{\"memoized\": {}}}}}",
-            n,
-            run_json(d),
-            run_json(s)
-        ));
-    }
-    let mut diverging = Vec::new();
-    for (k, d) in diverging_rows {
-        diverging.push(format!("    {{\"k\": {}, \"learn\": {}}}", k, run_json(d)));
-    }
-    let mut incremental = Vec::new();
-    for (name, methods, reverified, time) in incremental_rows {
-        incremental.push(format!(
-            "    {{\"name\": \"{}\", \"methods\": {}, \"methods_reverified\": {}, \"wall_micros\": {:.1}}}",
-            name,
-            methods,
-            reverified,
-            time.as_secs_f64() * 1e6
-        ));
-    }
-    let json = format!
+    let memoized = |run| Json::obj([("memoized", run_json(run))]);
+    let chain = chain_rows.iter().map(|(n, d, s)| {
+        Json::obj([
+            ("n", (*n).into()),
+            ("destabilized", memoized(d)),
+            ("stable_baseline", memoized(s)),
+        ])
+    });
+    let diverging = diverging_rows
+        .iter()
+        .map(|(k, d)| Json::obj([("k", (*k).into()), ("learn", run_json(d))]));
+    let incremental = incremental_rows
+        .iter()
+        .map(|(name, methods, reverified, time)| {
+            Json::obj([
+                ("name", name.as_str().into()),
+                ("methods", (*methods).into()),
+                ("methods_reverified", (*reverified).into()),
+                ("wall_micros", (time.as_secs_f64() * 1e6).into()),
+            ])
+        });
+    let config = Json::obj([
+        ("solver", "cdcl".into()),
+        ("deny_unstable", opts.config.deny_unstable.into()),
+        ("incremental", opts.cache_dir.is_some().into()),
+        ("threads", opts.config.threads.into()),
+        ("timeout_ms", opts.config.budget.deadline_ms.into()),
+        ("fuel", opts.config.budget.solver_fuel.into()),
+        ("repeat", opts.repeat.into()),
+    ]);
+    let json = Json::obj([
+        ("experiment", "F1 verifier pipeline".into()),
         (
-        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"solver\": \"cdcl\", \"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
-        opts.config.deny_unstable,
-        opts.cache_dir.is_some(),
-        opts.config.threads,
-        json_opt(opts.config.budget.deadline_ms),
-        json_opt(opts.config.budget.solver_fuel),
-        opts.repeat,
-        cases.join(",\n"),
-        chain.join(",\n"),
-        diverging.join(",\n"),
-        incremental.join(",\n"),
-    );
+            "command",
+            "cargo run -p daenerys-bench --bin tables -- --f1 --json".into(),
+        ),
+        ("config", config),
+        ("cases", Json::Arr(cases)),
+        ("chain", Json::Arr(chain.collect())),
+        ("diverging", Json::Arr(diverging.collect())),
+        ("incremental", Json::Arr(incremental.collect())),
+    ]);
     let path = artifact_path(opts, "BENCH_verifier.json");
-    match std::fs::write(&path, &json) {
+    match std::fs::write(&path, json.render() + "\n") {
         Ok(()) => println!("\n    wrote {}", path.display()),
         Err(e) => {
             eprintln!("tables: cannot write {}: {}", path.display(), e);

@@ -1,9 +1,10 @@
 //! Rendering for the static cost report (`daenerys cost`): a text
-//! table sorted by predicted fuel, and a hand-rendered JSON form for
-//! machine consumers (the repo carries no serde).
+//! table sorted by predicted fuel, and a JSON form for machine
+//! consumers, built as a [`Json`] value and written by
+//! [`Json::render`] like every other JSON document in the workspace.
 
 use daenerys_idf::{MethodCost, StabilityClass};
-use daenerys_obs::{escape_json, fmt_count, ColorMode, Style, TextTable};
+use daenerys_obs::{fmt_count, ColorMode, Json, Style, TextTable};
 use std::fmt::Write as _;
 
 /// Renders the cost report as an aligned table plus a hot-spec
@@ -63,52 +64,47 @@ pub fn render_table(costs: &[MethodCost], color: ColorMode) -> String {
     out
 }
 
-/// Renders the cost report as JSON (one object per method, report
-/// order preserved).
+/// Renders the cost report as one line of JSON (one object per
+/// method, report order preserved).
 pub fn render_json(file: &str, costs: &[MethodCost]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"file\": {},", escape_json(file));
-    let _ = writeln!(out, "  \"methods\": [");
-    for (i, c) in costs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"method\": {}, \"fuel\": {}, \"queries\": {}, \"paths\": {}, \
-             \"splits\": {}, \"invalidation_scans\": {}, \"branches\": {}, \"loops\": {}, \
-             \"calls\": {}, \"writes\": {}, \"spec_reads\": {}, \"accs\": {}, \
-             \"stability\": \"{}\", \"hot_unstable\": {}}}{}",
-            escape_json(&c.method),
-            c.fuel,
-            c.queries,
-            c.paths,
-            c.splits,
-            c.invalidation_scans,
-            c.branches,
-            c.loops,
-            c.calls,
-            c.writes,
-            c.spec_reads,
-            c.accs,
-            c.worst_class,
-            c.is_hot_unstable(),
-            if i + 1 < costs.len() { "," } else { "" },
-        );
-    }
+    let methods = costs.iter().map(|c| {
+        Json::obj([
+            ("method", c.method.as_str().into()),
+            ("fuel", c.fuel.into()),
+            ("queries", c.queries.into()),
+            ("paths", c.paths.into()),
+            ("splits", c.splits.into()),
+            ("invalidation_scans", c.invalidation_scans.into()),
+            ("branches", c.branches.into()),
+            ("loops", c.loops.into()),
+            ("calls", c.calls.into()),
+            ("writes", c.writes.into()),
+            ("spec_reads", c.spec_reads.into()),
+            ("accs", c.accs.into()),
+            ("stability", c.worst_class.to_string().into()),
+            ("hot_unstable", c.is_hot_unstable().into()),
+        ])
+    });
     let hot = costs.iter().filter(|c| c.is_hot_unstable()).count();
     let unstable = costs
         .iter()
         .filter(|c| c.worst_class == StabilityClass::Unstable)
         .count();
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"summary\": {{\"methods\": {}, \"unstable\": {}, \"hot_unstable\": {}, \"total_fuel\": {}}}",
-        costs.len(),
-        unstable,
-        hot,
-        costs.iter().map(|c| c.fuel).fold(0u64, u64::saturating_add),
-    );
-    out.push_str("}\n");
-    out
+    let total_fuel = costs.iter().map(|c| c.fuel).fold(0u64, u64::saturating_add);
+    Json::obj([
+        ("file", file.into()),
+        ("methods", Json::Arr(methods.collect())),
+        (
+            "summary",
+            Json::obj([
+                ("methods", costs.len().into()),
+                ("unstable", unstable.into()),
+                ("hot_unstable", hot.into()),
+                ("total_fuel", total_fuel.into()),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -129,7 +125,7 @@ method calm(c: Ref) requires acc(c.val) ensures acc(c.val) { }";
         assert!(t1.contains("hot"), "{t1}");
         assert!(t1.contains("destabilize"), "hot spec flagged: {t1}");
         let j = render_json("x.idf", &costs);
-        assert!(j.contains("\"hot_unstable\": true"), "{j}");
+        assert!(j.contains("\"hot_unstable\":true"), "{j}");
         assert!(j.contains("\"summary\""));
         daenerys_obs::parse_json(&j).expect("cost JSON parses");
     }

@@ -26,7 +26,7 @@ use daenerys_idf::{
     Budget, Program, SessionHost, StabilityClass, VerifierConfig, VerifyOutcome,
     DEFAULT_MAX_ERRORS,
 };
-use daenerys_obs::{escape_json, ColorMode};
+use daenerys_obs::{ColorMode, Json};
 use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -211,34 +211,26 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
         .filter(|v| v.class == StabilityClass::Unstable)
         .count();
     if cli.json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"file\": {},\n  \"methods\": {},\n  \"spec_sites\": {},\n  \"unstable\": {},\n  \"lints\": [\n",
-            escape_json(&file.name),
-            program.methods.len(),
-            verdicts.len(),
-            unstable,
-        ));
-        let shown: Vec<_> = verdicts
+        let lints = verdicts
             .iter()
             .filter(|v| verbose || v.class != StabilityClass::Stable)
-            .collect();
-        for (i, v) in shown.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"method\": {}, \"site\": \"{}\", \"class\": \"{}\", \"findings\": [{}]}}{}\n",
-                escape_json(&v.method),
-                v.site,
-                v.class,
-                v.findings
-                    .iter()
-                    .map(|f| escape_json(&f.to_string()))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if i + 1 < shown.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        print!("{out}");
+            .map(|v| {
+                let findings = v.findings.iter().map(|f| f.to_string().into());
+                Json::obj([
+                    ("method", v.method.as_str().into()),
+                    ("site", v.site.to_string().into()),
+                    ("class", v.class.to_string().into()),
+                    ("findings", Json::Arr(findings.collect())),
+                ])
+            });
+        let doc = Json::obj([
+            ("file", file.name.as_str().into()),
+            ("methods", program.methods.len().into()),
+            ("spec_sites", verdicts.len().into()),
+            ("unstable", unstable.into()),
+            ("lints", Json::Arr(lints.collect())),
+        ]);
+        println!("{}", doc.render());
     } else {
         for v in &verdicts {
             print!("{}", renderer.stability_verdict(&file, v, verbose));
@@ -273,7 +265,7 @@ fn cost_one(cli: &Cli, path: &PathBuf, renderer: &Renderer) -> bool {
     };
     let costs = estimate_program(&program);
     if cli.json {
-        print!("{}", render_cost_json(&file.name, &costs));
+        println!("{}", render_cost_json(&file.name, &costs));
     } else {
         println!("{}:", file.name);
         print!("{}", render_cost_table(&costs, renderer.color));
@@ -289,7 +281,6 @@ fn print_outcome(
     outcome: &VerifyOutcome,
     renderer: &Renderer,
 ) -> bool {
-    let mut clean = true;
     let total = outcome.verdicts.len();
     let verified = outcome
         .verdicts
@@ -297,40 +288,33 @@ fn print_outcome(
         .filter(|v| v.is_verified())
         .count();
     if cli.json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"file\": {},\n", escape_json(&file.name)));
-        out.push_str("  \"verdicts\": {\n");
-        let n = outcome.verdicts.len();
-        for (i, (name, v)) in outcome.verdicts.iter().enumerate() {
-            clean &= v.is_verified();
-            out.push_str(&format!(
-                "    {}: {}{}\n",
-                escape_json(name),
-                escape_json(&v.to_string()),
-                if i + 1 < n { "," } else { "" },
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"verified\": {verified},\n  \"methods\": {total},\n"
-        ));
+        let verdicts = outcome
+            .verdicts
+            .iter()
+            .map(|(name, v)| (name.as_str(), v.to_string().into()));
+        let mut fields = vec![
+            ("file", file.name.as_str().into()),
+            ("verdicts", Json::obj(verdicts)),
+            ("verified", verified.into()),
+            ("methods", total.into()),
+            ("obligations", outcome.stats.obligations.into()),
+            ("solver_queries", outcome.stats.solver_queries.into()),
+        ];
         if let Some(r) = outcome.reverified {
-            out.push_str(&format!(
-                "  \"reverified\": {r},\n  \"store_hits\": {},\n  \"store_misses\": {},\n  \"store_dirty_transitive\": {},\n",
-                outcome.store_hits.unwrap_or(0),
-                outcome.store_misses.unwrap_or(0),
-                outcome.store_dirty_transitive.unwrap_or(0),
-            ));
+            fields.extend([
+                ("reverified", r.into()),
+                ("store_hits", outcome.store_hits.unwrap_or(0).into()),
+                ("store_misses", outcome.store_misses.unwrap_or(0).into()),
+                (
+                    "store_dirty_transitive",
+                    outcome.store_dirty_transitive.unwrap_or(0).into(),
+                ),
+            ]);
         }
-        out.push_str(&format!(
-            "  \"obligations\": {},\n  \"solver_queries\": {}\n}}\n",
-            outcome.stats.obligations, outcome.stats.solver_queries,
-        ));
-        print!("{out}");
+        println!("{}", Json::obj(fields).render());
     } else {
         for (name, v) in &outcome.verdicts {
             if !v.is_verified() {
-                clean = false;
                 print!("{}", renderer.verdict(name, v));
             }
         }
@@ -347,7 +331,7 @@ fn print_outcome(
             print_cone(cone);
         }
     }
-    clean
+    verified == total
 }
 
 /// Prints the dirty cone, capped so hub edits on monorepo-scale

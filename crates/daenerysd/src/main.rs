@@ -152,7 +152,7 @@ fn main() -> ExitCode {
     });
 
     let snapshot = server.run();
-    let json = snapshot.to_json();
+    let json = snapshot.to_json().render();
     match &args.metrics_out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{}\n", json)) {

@@ -7,18 +7,18 @@
 //! [`MAX_PAYLOAD_LEN`], so garbage headers and hostile lengths are
 //! rejected before any allocation trusts them.
 //!
-//! Payloads are single-line JSON ([`Request`]/[`Response`]), encoded
-//! by hand and decoded with [`daenerys_obs::parse_json`] — the daemon
-//! stays zero-dependency. Every decode failure maps to a typed
+//! Payloads are single-line JSON ([`Request`]/[`Response`]): each
+//! encoder builds a [`Json`] value and [`Json::render`] writes it, and
+//! [`daenerys_obs::parse_json`] decodes it — the daemon stays
+//! zero-dependency. Every decode failure maps to a typed
 //! [`FrameError`]/[`ErrorCode`], never a panic: the chaos suite feeds
 //! this module torn, truncated, and scrambled bytes and asserts a
 //! clean per-session error each time.
 
 use daenerys_idf::exec::Verdict;
-use daenerys_obs::parse_json;
+use daenerys_obs::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 /// Protocol magic and version tag, first on every frame.
@@ -245,27 +245,21 @@ impl Request {
         }
     }
 
-    /// Encodes the request as single-line JSON.
+    /// Encodes the request as single-line JSON (unset budget
+    /// overrides are omitted).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"tenant\":\"{}\",\"source\":\"{}\"",
-            self.id,
-            esc(&self.tenant),
-            esc(&self.source)
-        );
-        if let Some(ms) = self.deadline_ms {
-            let _ = write!(out, ",\"deadline_ms\":{}", ms);
-        }
-        if let Some(fuel) = self.solver_fuel {
-            let _ = write!(out, ",\"solver_fuel\":{}", fuel);
-        }
-        if let Some(cap) = self.max_errors {
-            let _ = write!(out, ",\"max_errors\":{}", cap);
-        }
-        out.push('}');
-        out
+        let mut fields = vec![
+            ("id", self.id.into()),
+            ("tenant", self.tenant.as_str().into()),
+            ("source", self.source.as_str().into()),
+        ];
+        let optional = [
+            ("deadline_ms", self.deadline_ms.map(Json::from)),
+            ("solver_fuel", self.solver_fuel.map(Json::from)),
+            ("max_errors", self.max_errors.map(Json::from)),
+        ];
+        fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
+        Json::obj(fields).render()
     }
 
     /// Decodes a request payload.
@@ -354,14 +348,11 @@ impl AdminRequest {
 
     /// Encodes the admin request as single-line JSON.
     pub fn encode(&self) -> String {
-        match self {
-            AdminRequest::Metrics { id } => format!("{{\"id\":{},\"admin\":\"metrics\"}}", id),
-            AdminRequest::Health { id } => format!("{{\"id\":{},\"admin\":\"health\"}}", id),
-            AdminRequest::TraceTail { id, after_seq, max } => format!(
-                "{{\"id\":{},\"admin\":\"trace_tail\",\"after_seq\":{},\"max\":{}}}",
-                id, after_seq, max
-            ),
+        let mut fields = vec![("id", self.id().into()), ("admin", self.kind().into())];
+        if let AdminRequest::TraceTail { after_seq, max, .. } = self {
+            fields.extend([("after_seq", (*after_seq).into()), ("max", (*max).into())]);
         }
+        Json::obj(fields).render()
     }
 }
 
@@ -546,60 +537,47 @@ impl Response {
 
     /// Encodes the response as single-line JSON.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let mut fields = vec![("id", self.id().into())];
         match self {
             Response::Ok {
-                id,
                 verdicts,
                 reverified,
+                ..
             } => {
-                let _ = write!(out, "{{\"id\":{},\"status\":\"ok\",\"verdicts\":{{", id);
-                for (i, (name, v)) in verdicts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "\"{}\":{{\"verdict\":\"{}\",\"detail\":\"{}\"}}",
-                        esc(name),
-                        esc(&v.kind),
-                        esc(&v.detail)
-                    );
-                }
-                out.push('}');
+                let verdicts = verdicts.iter().map(|(name, v)| {
+                    let v = Json::obj([
+                        ("verdict", v.kind.as_str().into()),
+                        ("detail", v.detail.as_str().into()),
+                    ]);
+                    (name.as_str(), v)
+                });
+                fields.extend([("status", "ok".into()), ("verdicts", Json::obj(verdicts))]);
                 if let Some(n) = reverified {
-                    let _ = write!(out, ",\"reverified\":{}", n);
+                    fields.push(("reverified", (*n).into()));
                 }
-                out.push('}');
             }
-            Response::Refused { id, detail } => {
-                let _ = write!(
-                    out,
-                    "{{\"id\":{},\"status\":\"refused\",\"detail\":\"{}\"}}",
-                    id,
-                    esc(detail)
-                );
+            Response::Refused { detail, .. } => {
+                fields.extend([
+                    ("status", "refused".into()),
+                    ("detail", detail.as_str().into()),
+                ]);
             }
-            Response::Err { id, code, message } => {
-                let _ = write!(
-                    out,
-                    "{{\"id\":{},\"status\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
-                    id,
-                    code.name(),
-                    esc(message)
-                );
+            Response::Err { code, message, .. } => {
+                fields.extend([
+                    ("status", "error".into()),
+                    ("code", code.name().into()),
+                    ("message", message.as_str().into()),
+                ]);
             }
-            Response::Admin { id, kind, body } => {
-                let _ = write!(
-                    out,
-                    "{{\"id\":{},\"status\":\"admin\",\"kind\":\"{}\",\"body\":\"{}\"}}",
-                    id,
-                    esc(kind),
-                    esc(body)
-                );
+            Response::Admin { kind, body, .. } => {
+                fields.extend([
+                    ("status", "admin".into()),
+                    ("kind", kind.as_str().into()),
+                    ("body", body.as_str().into()),
+                ]);
             }
         }
-        out
+        Json::obj(fields).render()
     }
 
     /// Decodes a response payload.
@@ -694,25 +672,6 @@ impl Response {
     }
 }
 
-/// JSON string escaping (mirrors the store's encoder).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,6 +739,15 @@ mod tests {
         ));
     }
 
+    /// Quote, backslash, every C0 control, DEL, U+2028 and a
+    /// multibyte character.
+    fn hostile() -> String {
+        ['"', '\\', '\u{7f}', '\u{2028}', 'π']
+            .into_iter()
+            .chain((0u8..0x20).map(char::from))
+            .collect()
+    }
+
     #[test]
     fn requests_and_responses_roundtrip() {
         let req = Request {
@@ -791,6 +759,15 @@ mod tests {
             max_errors: Some(8),
         };
         assert_eq!(Request::decode(req.encode().as_bytes()).unwrap(), req);
+        let req = Request {
+            id: 43,
+            tenant: hostile(),
+            source: format!("method m() {{ }} // {}", hostile()),
+            deadline_ms: None,
+            solver_fuel: Some(7),
+            max_errors: None,
+        };
+        assert_eq!(Request::decode(req.encode().as_bytes()).unwrap(), req);
 
         let mut verdicts = BTreeMap::new();
         verdicts.insert(
@@ -800,6 +777,13 @@ mod tests {
                 detail: "budget exhausted (deadline): 250 ms".to_string(),
             },
         );
+        verdicts.insert(
+            format!("m{}", hostile()),
+            WireVerdict {
+                kind: "crashed".to_string(),
+                detail: hostile(),
+            },
+        );
         let ok = Response::Ok {
             id: 42,
             verdicts,
@@ -807,14 +791,13 @@ mod tests {
         };
         assert_eq!(Response::decode(ok.encode().as_bytes()).unwrap(), ok);
 
-        let refused = Response::Refused {
-            id: 7,
-            detail: "tenant over in-flight cap".to_string(),
-        };
-        assert_eq!(
-            Response::decode(refused.encode().as_bytes()).unwrap(),
-            refused
-        );
+        for detail in ["tenant over in-flight cap".to_string(), hostile()] {
+            let refused = Response::Refused { id: 7, detail };
+            assert_eq!(
+                Response::decode(refused.encode().as_bytes()).unwrap(),
+                refused
+            );
+        }
 
         for code in [
             ErrorCode::Parse,
@@ -823,13 +806,22 @@ mod tests {
             ErrorCode::Internal,
             ErrorCode::Shutdown,
         ] {
-            let err = Response::Err {
-                id: 0,
-                code,
-                message: "payload is not JSON: ...".to_string(),
-            };
-            assert_eq!(Response::decode(err.encode().as_bytes()).unwrap(), err);
+            for message in ["payload is not JSON: ...".to_string(), hostile()] {
+                let err = Response::Err {
+                    id: 0,
+                    code,
+                    message,
+                };
+                assert_eq!(Response::decode(err.encode().as_bytes()).unwrap(), err);
+            }
         }
+
+        let admin = Response::Admin {
+            id: 5,
+            kind: "health".to_string(),
+            body: hostile(),
+        };
+        assert_eq!(Response::decode(admin.encode().as_bytes()).unwrap(), admin);
     }
 
     #[test]

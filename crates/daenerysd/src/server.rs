@@ -32,8 +32,7 @@ use daenerys_idf::exec::Backend;
 use daenerys_idf::exec::VerifierConfig;
 use daenerys_idf::parser::DEFAULT_MAX_ERRORS;
 use daenerys_idf::session::{SessionError, SessionHost, VerifyRequest};
-use daenerys_obs::{ClockKind, Labels, TraceHandle, Value};
-use std::fmt::Write as _;
+use daenerys_obs::{ClockKind, Json, Labels, TraceHandle, Value};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -143,32 +142,22 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// One-line JSON for the smoke gate and ops logs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let fields = [
-            ("sessions_opened", self.sessions_opened),
-            ("sessions_closed", self.sessions_closed),
-            ("leaked_sessions", self.leaked_sessions),
-            ("requests_received", self.requests_received),
-            ("responses_ok", self.responses_ok),
-            ("requests_refused", self.requests_refused),
-            ("requests_errored", self.requests_errored),
-            ("internal_crashes", self.internal_crashes),
-            ("frame_errors", self.frame_errors),
-            ("admin_frames", self.admin_frames),
-            ("store_entries", self.store_entries),
-            ("store_corrupt_lines", self.store_corrupt_lines),
-        ];
-        out.push('{');
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", k, v);
-        }
-        out.push('}');
-        out
+    /// The snapshot as a JSON object, for the smoke gate and ops logs.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("sessions_opened", self.sessions_opened.into()),
+            ("sessions_closed", self.sessions_closed.into()),
+            ("leaked_sessions", self.leaked_sessions.into()),
+            ("requests_received", self.requests_received.into()),
+            ("responses_ok", self.responses_ok.into()),
+            ("requests_refused", self.requests_refused.into()),
+            ("requests_errored", self.requests_errored.into()),
+            ("internal_crashes", self.internal_crashes.into()),
+            ("frame_errors", self.frame_errors.into()),
+            ("admin_frames", self.admin_frames.into()),
+            ("store_entries", self.store_entries.into()),
+            ("store_corrupt_lines", self.store_corrupt_lines.into()),
+        ])
     }
 }
 
@@ -310,7 +299,7 @@ impl Server {
                 Err(_) => std::thread::sleep(self.shared.read_poll),
             }
             if self.shared.snapshot_flag.swap(false, Ordering::SeqCst) {
-                println!("daenerysd snapshot {}", self.snapshot().to_json());
+                println!("daenerysd snapshot {}", self.snapshot().to_json().render());
             }
             sessions.retain(|h| !h.is_finished());
         }

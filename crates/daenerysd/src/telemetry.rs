@@ -55,7 +55,8 @@
 //! attribution land in `_server`.
 
 use crate::admission::AdmissionStats;
-use daenerys_obs::{Event, Labels, MetricsRegistry, SharedRegistry, Sink};
+use daenerys_obs::json::escape_into;
+use daenerys_obs::{Event, Json, Labels, MetricsRegistry, SharedRegistry, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -194,6 +195,10 @@ impl TraceTailPage {
     /// The `trace_tail` body: `events` is an array of event objects in
     /// the exact JSONL schema `trace_validate` accepts (each array
     /// element printed on its own is one valid JSONL line).
+    ///
+    /// Written by hand rather than through [`Json::render`]: the events
+    /// are embedded verbatim as [`Event::to_jsonl`] prints them, because
+    /// their `u64` fields can exceed what a JSON `f64` number holds.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"events\":[");
         for (i, e) in self.events.iter().enumerate() {
@@ -207,7 +212,8 @@ impl TraceTailPage {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", daenerys_obs::json::escape(t), n);
+            escape_into(t, &mut out);
+            let _ = write!(out, ":{}", n);
         }
         let _ = write!(
             out,
@@ -266,45 +272,32 @@ impl Telemetry {
     pub fn metrics_json(&self, trace_global: &MetricsRegistry) -> String {
         let mut snap = self.registry.snapshot();
         snap.merge(trace_global);
-        snap.to_json()
+        snap.to_json().render()
     }
 
     /// The `health` body: uptime, drain state, and the admission
     /// conservation ledger (totals plus per-tenant rows, each carrying
     /// its own `conserved` verdict).
     pub fn health_json(&self, stats: &AdmissionStats, draining: bool) -> String {
-        let row = |out: &mut String, t: &crate::admission::TenantStats| {
-            let _ = write!(
-                out,
-                "{{\"admitted\":{},\"completed\":{},\"refused\":{},\
-                 \"in_flight\":{},\"fuel_in_flight\":{},\"conserved\":{}}}",
-                t.admitted,
-                t.completed,
-                t.refused,
-                t.in_flight,
-                t.fuel_in_flight,
-                t.conserved()
-            );
+        let row = |t: &crate::admission::TenantStats| {
+            Json::obj([
+                ("admitted", t.admitted.into()),
+                ("completed", t.completed.into()),
+                ("refused", t.refused.into()),
+                ("in_flight", t.in_flight.into()),
+                ("fuel_in_flight", t.fuel_in_flight.into()),
+                ("conserved", t.conserved().into()),
+            ])
         };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"uptime_ms\":{},\"draining\":{},\"conserved\":{},\"total\":",
-            self.uptime_ms(),
-            draining,
-            stats.conserved()
-        );
-        row(&mut out, &stats.total);
-        out.push_str(",\"tenants\":{");
-        for (i, t) in stats.per_tenant.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:", daenerys_obs::json::escape(&t.tenant));
-            row(&mut out, t);
-        }
-        out.push_str("}}");
-        out
+        let tenants = stats.per_tenant.iter().map(|t| (t.tenant.as_str(), row(t)));
+        Json::obj([
+            ("uptime_ms", self.uptime_ms().into()),
+            ("draining", draining.into()),
+            ("conserved", stats.conserved().into()),
+            ("total", row(&stats.total)),
+            ("tenants", Json::obj(tenants)),
+        ])
+        .render()
     }
 }
 
@@ -473,6 +466,13 @@ mod tests {
         });
         let _held = adm.try_admit("acme", None).unwrap();
         let _refused = adm.try_admit("acme", None).unwrap_err();
+        // A hostile tenant name: quote, backslash, every C0 control,
+        // DEL, U+2028 and a multibyte character.
+        let hostile: String = ['"', '\\', '\u{7f}', '\u{2028}', 'π']
+            .into_iter()
+            .chain((0u8..0x20).map(char::from))
+            .collect();
+        let _other = adm.try_admit(&hostile, None).unwrap();
         let body = telemetry.health_json(&adm.stats(), false);
         let parsed = daenerys_obs::parse_json(&body).unwrap();
         let obj = parsed.as_obj().unwrap();
@@ -482,5 +482,7 @@ mod tests {
         assert_eq!(acme["admitted"].as_num(), Some(2.0));
         assert_eq!(acme["refused"].as_num(), Some(1.0));
         assert_eq!(acme["in_flight"].as_num(), Some(1.0));
+        let other = obj["tenants"].as_obj().unwrap()[&hostile].as_obj().unwrap();
+        assert_eq!(other["admitted"].as_num(), Some(1.0));
     }
 }

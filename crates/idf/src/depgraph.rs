@@ -30,7 +30,8 @@
 
 use crate::ast::Program;
 use crate::fingerprint::{direct_callees, interface_fingerprint, Fingerprint};
-use daenerys_obs::{escape_json, parse_json};
+use daenerys_obs::json::escape_into;
+use daenerys_obs::parse_json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::fs;
@@ -273,18 +274,17 @@ impl DepGraph {
     }
 }
 
+/// One graph line. A storage codec, written by hand rather than through
+/// `Json::render`: [`decode_node_fast`] reads this exact field order.
 fn encode_node(out: &mut String, name: &str, node: &DepNode) {
-    let _ = write!(
-        out,
-        "{{\"method\":{},\"iface\":\"{}\",\"callees\":[",
-        escape_json(name),
-        node.interface
-    );
+    out.push_str("{\"method\":");
+    escape_into(name, out);
+    let _ = write!(out, ",\"iface\":\"{}\",\"callees\":[", node.interface);
     for (i, callee) in node.callees.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&escape_json(callee));
+        escape_into(callee, out);
     }
     out.push_str("]}");
 }

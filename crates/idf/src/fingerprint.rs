@@ -5,13 +5,15 @@
 //! (calls are verified against specs, never inlined, so callee bodies
 //! are irrelevant), (c) the program's field declarations, and (d) the
 //! answer-affecting [`VerifierConfig`]
-//! knobs: backend, budget, the faults aimed at the method,
-//! `retry_unknown`, `simplify`, and `learn`. The [`Fingerprint`] hashes
+//! knobs: backend, budget, `retry_unknown` and `deny_unstable` (the
+//! [`config_text`], with the solver epoch), plus the faults aimed at
+//! the method. The [`Fingerprint`] hashes
 //! exactly those inputs, so a stored verdict may be reused iff the
 //! fingerprint matches: editing one method's body invalidates that
 //! method; editing a *spec* additionally invalidates the direct
-//! callers; performance-only knobs (`threads`, `cache`, tracing,
-//! `cache_dir` itself) are deliberately excluded.
+//! callers; knobs that cost time but never change an answer
+//! (`threads`, `explain_stability`, tracing, `cache_dir` itself) are
+//! deliberately excluded.
 //!
 //! The hash is *structural*: the AST's derived [`Hash`] feeds each
 //! node's variant tag and then its children in order, with strings

@@ -366,72 +366,52 @@ pub(crate) fn lock(m: &Mutex<VerdictStore>) -> MutexGuard<'_, VerdictStore> {
 
 /// The [`VerdictStore::dump`] object of one entry.
 fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
-    let text = |s: &str| Json::Str(s.to_string());
-    let strs = |items: &[String]| Json::Arr(items.iter().map(|s| text(s)).collect());
-    let obj = |fields: Vec<(&str, Json)>| {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
+    let strs = |items: &[String]| Json::Arr(items.iter().map(|s| s.as_str().into()).collect());
     let mut fields = vec![
-        ("method", text(name)),
-        ("fp", text(&stored.fingerprint.to_string())),
+        ("method", name.into()),
+        ("fp", stored.fingerprint.to_string().into()),
     ];
     match &stored.verdict {
         Verdict::Verified(stats) => {
-            fields.push(("verdict", text("verified")));
-            let values = STAT_KEYS
-                .iter()
-                .zip(stat_values(stats))
-                .map(|(k, v)| (*k, Json::Num(v as f64)))
-                .collect();
-            fields.push(("stats", obj(values)));
+            fields.push(("verdict", "verified".into()));
+            let values = STAT_KEYS.iter().zip(stat_values(stats));
+            fields.push(("stats", Json::obj(values.map(|(k, v)| (*k, v.into())))));
         }
         Verdict::Failed { failures, report } => {
-            fields.push(("verdict", text("failed")));
-            let failures = failures
-                .iter()
-                .map(|o| {
-                    obj(vec![
-                        ("description", text(&o.description)),
-                        ("outcome", text(answer_name(o.outcome))),
-                    ])
-                })
-                .collect();
-            fields.push(("failures", Json::Arr(failures)));
-            let hot_queries = report
-                .hot_queries
-                .iter()
-                .map(|q| {
-                    obj(vec![
-                        ("description", text(&q.description)),
-                        ("fuel", Json::Num(q.fuel as f64)),
-                        ("cache_hit", Json::Bool(q.cache_hit)),
-                        ("learned", Json::Num(q.learned as f64)),
-                        ("pc_hash", text(&format!("{:016x}", q.pc_hash))),
-                        ("answer", text(answer_name(q.answer))),
-                    ])
-                })
-                .collect();
+            fields.push(("verdict", "failed".into()));
+            let failures = failures.iter().map(|o| {
+                Json::obj([
+                    ("description", o.description.as_str().into()),
+                    ("outcome", answer_name(o.outcome).into()),
+                ])
+            });
+            fields.push(("failures", Json::Arr(failures.collect())));
+            let hot_queries = report.hot_queries.iter().map(|q| {
+                Json::obj([
+                    ("description", q.description.as_str().into()),
+                    ("fuel", q.fuel.into()),
+                    ("cache_hit", q.cache_hit.into()),
+                    ("learned", q.learned.into()),
+                    ("pc_hash", format!("{:016x}", q.pc_hash).into()),
+                    ("answer", answer_name(q.answer).into()),
+                ])
+            });
             fields.push((
                 "report",
-                obj(vec![
-                    ("first_failure", text(&report.first_failure)),
+                Json::obj([
+                    ("first_failure", report.first_failure.as_str().into()),
                     ("chunks", strs(&report.chunks)),
                     ("path_condition", strs(&report.path_condition)),
-                    ("hot_queries", Json::Arr(hot_queries)),
+                    ("hot_queries", Json::Arr(hot_queries.collect())),
                 ]),
             ));
         }
         // `record` never admits these.
         Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
-            fields.push(("verdict", text("unpersistable")));
+            fields.push(("verdict", "unpersistable".into()));
         }
     }
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// Appends `frame` to `path`, flushed; `header` (the `DAES1` shard

@@ -1,5 +1,6 @@
 //! Structured trace events and their JSONL wire format.
 
+use crate::json::escape_into;
 use std::fmt;
 
 /// A field value attached to an [`Event`].
@@ -110,6 +111,10 @@ impl Event {
     }
 
     /// Renders the event as one JSONL line (no trailing newline).
+    ///
+    /// Written by hand rather than through [`crate::Json`]: the key
+    /// order is fixed, and `UInt` fields above 2⁵³ (`pc_hash`) must
+    /// print exactly, which an `f64` number cannot.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + 16 * self.fields.len());
         out.push_str("{\"seq\":");
@@ -119,19 +124,19 @@ impl Event {
         out.push_str(",\"kind\":\"");
         out.push_str(self.kind.wire_name());
         out.push_str("\",\"name\":");
-        push_json_string(&mut out, &self.name);
+        escape_into(&self.name, &mut out);
         out.push_str(",\"fields\":{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, k);
+            escape_into(k, &mut out);
             out.push(':');
             match v {
                 Value::UInt(n) => out.push_str(&n.to_string()),
                 Value::Int(n) => out.push_str(&n.to_string()),
                 Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                Value::Str(s) => push_json_string(&mut out, s),
+                Value::Str(s) => escape_into(s, &mut out),
             }
         }
         out.push_str("}}");
@@ -153,25 +158,6 @@ impl Event {
         }
         out
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -1,7 +1,25 @@
-//! A minimal JSON reader used to validate trace lines against the
-//! event schema — deliberately dependency-free (the build environment
-//! is offline) and small: it supports exactly the JSON subset the
-//! JSONL sink emits, plus arrays/null for forward compatibility.
+//! The one JSON writer, and a minimal JSON reader.
+//!
+//! Every JSON document the workspace emits — daemon wire frames and
+//! admin bodies, `daenerys --json`, the metrics scrape, the `BENCH_*`
+//! artifacts — is built as a [`Json`] value and written by
+//! [`Json::render`]: compact, single-line, object keys sorted. Build
+//! objects with [`Json::obj`] and scalars with the `From` conversions
+//! (`None` becomes `null`). There is no pretty printer and no option.
+//!
+//! Three encoders stay specialized, and they share [`escape_into`],
+//! the one string escaper:
+//!
+//! * [`Event::to_jsonl`](crate::Event::to_jsonl) writes the trace line
+//!   schema in a fixed key order. Its fields carry `u64` values above
+//!   2⁵³ (`pc_hash`), which [`Json::Num`] cannot hold exactly.
+//! * The daemon's `trace_tail` page embeds those lines verbatim.
+//! * The dependency graph's node codec is a storage format whose fast
+//!   decoder reads a fixed field order.
+//!
+//! The reader ([`parse`]) is deliberately dependency-free (the build
+//! environment is offline) and small; [`validate_event_line`] checks a
+//! trace line against the event schema.
 
 use crate::event::EventKind;
 use std::collections::BTreeMap;
@@ -77,11 +95,21 @@ impl Json {
         }
     }
 
-    /// Renders this value back to compact JSON (object keys in sorted
+    /// An object from `(key, value)` pairs; a repeated key keeps its
+    /// last value.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Renders this value as compact JSON (object keys in sorted
     /// order, numbers with integral value printed without a fraction).
-    /// `render` ∘ [`parse`] is lossless for every value the obs layer
-    /// emits; non-finite numbers (unrepresentable in JSON) render as
-    /// `null`.
+    /// `parse` ∘ `render` is the identity on every value; non-finite
+    /// numbers (unrepresentable in JSON) render as `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -128,8 +156,52 @@ impl Json {
     }
 }
 
-/// Appends `s` as a quoted, escaped JSON string.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string: `"` and `\`
+/// are backslash-escaped, control characters become `\n`, `\r`,
+/// `\t` or `\u00XX`, and everything else is copied as is.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -145,13 +217,6 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
         }
     }
     out.push('"');
-}
-
-/// Escapes `s` as a quoted JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::new();
-    escape_into(s, &mut out);
-    out
 }
 
 struct Parser<'a> {
@@ -503,6 +568,17 @@ mod tests {
             assert!(!Json::Num(3.0).render().contains('.'));
         }
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+        // Hostile strings: quote, backslash, every C0 control, DEL,
+        // U+2028 and a multibyte character, as values and as keys.
+        let hostile: String = ['"', '\\', '\u{7f}', '\u{2028}', 'π']
+            .into_iter()
+            .chain((0u8..0x20).map(char::from))
+            .collect();
+        let s = Json::Str(hostile.clone());
+        assert_eq!(parse(&s.render()).unwrap(), s);
+        let o = Json::obj([(hostile.as_str(), s.clone())]);
+        assert_eq!(parse(&o.render()).unwrap(), o);
+        assert!(!o.render().chars().any(|c| c < ' '), "controls escaped");
     }
 
     #[test]

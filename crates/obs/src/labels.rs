@@ -20,6 +20,7 @@
 //!   `pre`, `body`, `post`, `branch`, `loop`)
 //! * `backend` — the verification backend serving the request
 
+use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -63,19 +64,9 @@ impl Labels {
         self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Renders as a JSON object (`{"tenant":"acme"}`), keys sorted.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.0.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::json::escape_into(k, &mut out);
-            out.push(':');
-            crate::json::escape_into(v, &mut out);
-        }
-        out.push('}');
-        out
+    /// The label set as a JSON object (`{"tenant":"acme"}`).
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.iter().map(|(k, v)| (k, v.into())))
     }
 }
 

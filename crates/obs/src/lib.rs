@@ -5,8 +5,9 @@
 //! [`MetricsRegistry`] of counters and log₂ histograms keyed by name ×
 //! [`Labels`] (the trace layer records unlabeled cells, the daemon's
 //! telemetry plane tenant- and phase-stamped ones, through the sharded
-//! [`SharedRegistry`]), and pluggable [`Sink`]s (null, in-memory ring
-//! buffer, JSONL, human-readable text).
+//! [`SharedRegistry`]), pluggable [`Sink`]s (null, in-memory ring
+//! buffer, JSONL, human-readable text), and the workspace's one JSON
+//! writer, [`Json::render`] (see [`json`]).
 //!
 //! ## Determinism contract
 //!
@@ -38,7 +39,7 @@ pub mod sink;
 pub mod trace;
 
 pub use event::{Event, EventKind, Value};
-pub use json::{escape as escape_json, parse as parse_json, validate_event_line, Json, JsonError};
+pub use json::{parse as parse_json, validate_event_line, Json, JsonError};
 pub use labels::{Labels, SharedRegistry};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use render::{caret_line, fmt_count, fmt_nanos, gutter, ColorMode, Style, TextTable};

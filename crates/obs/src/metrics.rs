@@ -15,9 +15,9 @@
 //! arithmetic saturates — a long-lived daemon pins at `u64::MAX`
 //! rather than panicking.
 
+use crate::json::Json;
 use crate::labels::Labels;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Number of log₂ buckets in a [`Histogram`]: bucket 0 holds zeros,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, and the last
@@ -232,7 +232,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Renders the whole registry as one compact JSON object:
+    /// The whole registry as one JSON object:
     ///
     /// ```json
     /// {"counters":[{"name":"...","labels":{...},"value":N},...],
@@ -241,49 +241,41 @@ impl MetricsRegistry {
     ///                 "p50":N,"p95":N,"p99":N},...]}
     /// ```
     ///
-    /// Cells appear in deterministic (name, labels) order; the
-    /// quantiles carry the bucket-upper-bound error documented on
-    /// [`Histogram::quantile`]. Values at or above 2⁵³ lose precision
-    /// in readers that parse numbers as `f64` (ours does) — accepted,
-    /// since saturated cells are already a signal, not a measurement.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, (name, labels, v)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"value\":{}}}",
-                crate::json::escape(name),
-                labels.to_json(),
-                v
-            );
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, (name, labels, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"mean\":{:.1},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
-                crate::json::escape(name),
-                labels.to_json(),
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            );
-        }
-        out.push_str("]}");
-        out
+    /// Cells appear in deterministic (name, labels) order; `mean` is
+    /// rounded to one decimal, and the quantiles carry the
+    /// bucket-upper-bound error documented on [`Histogram::quantile`].
+    /// Values at or above 2⁵³ lose precision (JSON numbers are `f64`) —
+    /// accepted, since saturated cells are already a signal, not a
+    /// measurement.
+    pub fn to_json(&self) -> Json {
+        let counters = self.counters().map(|(name, labels, v)| {
+            Json::obj([
+                ("name", name.into()),
+                ("labels", labels.to_json()),
+                ("value", v.into()),
+            ])
+        });
+        let histograms = self.histograms().map(|(name, labels, h)| {
+            // One decimal, rounded as `{:.1}` rounds (`f64::round` differs
+            // on ties).
+            let mean: f64 = format!("{:.1}", h.mean()).parse().unwrap_or(0.0);
+            Json::obj([
+                ("name", name.into()),
+                ("labels", labels.to_json()),
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("min", if h.count == 0 { 0 } else { h.min }.into()),
+                ("max", h.max.into()),
+                ("mean", mean.into()),
+                ("p50", h.quantile(0.50).into()),
+                ("p95", h.quantile(0.95).into()),
+                ("p99", h.quantile(0.99).into()),
+            ])
+        });
+        Json::obj([
+            ("counters", Json::Arr(counters.collect())),
+            ("histograms", Json::Arr(histograms.collect())),
+        ])
     }
 }
 
@@ -460,7 +452,7 @@ mod tests {
         for v in [1, 2, 3, 100] {
             r.record("lat", &Labels::none().with("tenant", "a\"quoted"), v);
         }
-        let json = r.to_json();
+        let json = r.to_json().render();
         let v = crate::json::parse(&json).expect("scrape is valid JSON");
         let obj = v.as_obj().unwrap();
         let counters = obj["counters"].as_arr().unwrap();
@@ -482,6 +474,6 @@ mod tests {
         );
         assert!(p50 <= p95 && p95 <= p99, "p50 ≤ p95 ≤ p99");
         // Empty registry still renders a parseable shell.
-        crate::json::parse(&MetricsRegistry::new().to_json()).unwrap();
+        crate::json::parse(&MetricsRegistry::new().to_json().render()).unwrap();
     }
 }

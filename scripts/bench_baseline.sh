@@ -2,8 +2,6 @@
 # Regenerates the F1 verifier baseline: release-build the workspace,
 # run the benchmark, and leave BENCH_verifier.json plus a
 # phase-attribution profile (PROFILE_verifier.txt) under target/bench/.
-# To refresh the committed baseline, copy target/bench/BENCH_verifier.json
-# over the repo-root copy and commit it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
