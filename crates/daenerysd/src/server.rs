@@ -65,15 +65,6 @@ pub struct ServerConfig {
     /// Server-side wire-fault injection (tests): synthesizes framing
     /// faults at deterministic `(session, frame)` points.
     pub wire_faults: WireFaultPlan,
-    /// Serve the live telemetry plane (labeled metrics, trace ring,
-    /// admin frames). When on and `base.trace` is disabled, the daemon
-    /// installs its own monotonic trace pipeline feeding the telemetry
-    /// sink; an explicitly configured `base.trace` is left untouched
-    /// (its sink wins, and `metrics` scrapes still serve the labeled
-    /// registry).
-    pub telemetry: bool,
-    /// Per-tenant trace-ring capacity (events) for `trace_tail`.
-    pub trace_ring_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -87,8 +78,6 @@ impl Default for ServerConfig {
             frame_deadline_ms: 2_000,
             read_poll_ms: 25,
             wire_faults: WireFaultPlan::none(),
-            telemetry: true,
-            trace_ring_cap: DEFAULT_RING_CAP,
         }
     }
 }
@@ -166,7 +155,7 @@ struct Shared {
     host: SessionHost,
     admission: Arc<Admission>,
     trace: TraceHandle,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
     /// Set (by SIGUSR1 or a test) to make the accept loop print one
     /// [`MetricsSnapshot`] without stopping.
@@ -200,16 +189,13 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        let telemetry = config
-            .telemetry
-            .then(|| Telemetry::new(config.trace_ring_cap));
+        let telemetry = Telemetry::new(DEFAULT_RING_CAP);
         let mut base = config.base;
-        if let Some(t) = &telemetry {
-            // Tee the trace pipeline into the telemetry plane — but
-            // only when the operator didn't wire their own sink.
-            if !base.trace.is_enabled() {
-                base.trace = TraceHandle::new(Arc::new(t.sink()), ClockKind::Monotonic);
-            }
+        // Tee the trace pipeline into the telemetry plane — but only
+        // when the operator didn't wire their own sink (its sink wins,
+        // and `metrics` scrapes still serve the labeled registry).
+        if !base.trace.is_enabled() {
+            base.trace = TraceHandle::new(Arc::new(telemetry.sink()), ClockKind::Monotonic);
         }
         let trace = base.trace.clone();
         let host = SessionHost::new(config.backend, base);
@@ -251,12 +237,6 @@ impl Server {
     /// stdout without stopping, then clears the flag.
     pub fn snapshot_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shared.snapshot_flag)
-    }
-
-    /// The live telemetry plane, when enabled (embedded harnesses
-    /// scrape it in-process instead of over the wire).
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
     }
 
     /// Serves until shutdown, then drains in-flight sessions, flushes
@@ -451,13 +431,11 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                                     .counters
                                     .requests_refused
                                     .fetch_add(1, Ordering::Relaxed);
-                                if let Some(t) = &shared.telemetry {
-                                    t.registry().add(
-                                        "daenerysd.refused",
-                                        &Labels::none().with("tenant", &req.tenant),
-                                        1,
-                                    );
-                                }
+                                shared.telemetry.registry().add(
+                                    "daenerysd.refused",
+                                    &Labels::none().with("tenant", &req.tenant),
+                                    1,
+                                );
                                 // Refused immediately — never queued.
                                 respond(&writer, &Response::Refused { id: req.id, detail });
                             }
@@ -540,13 +518,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: Receiver<Job>, writer: &Arc<Mutex<TcpSt
 /// Answers one admin frame from the telemetry plane (reader-side, see
 /// [`session_loop`]).
 fn admin_response(shared: &Arc<Shared>, req: &AdminRequest) -> Response {
-    let Some(t) = &shared.telemetry else {
-        return Response::Err {
-            id: req.id(),
-            code: ErrorCode::BadRequest,
-            message: "telemetry plane is disabled".to_string(),
-        };
-    };
+    let t = &shared.telemetry;
     let body = match req {
         AdminRequest::Metrics { .. } => t.metrics_json(&shared.trace.metrics()),
         AdminRequest::Health { .. } => t.health_json(
@@ -587,40 +559,38 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
     let labels = Labels::none().with("tenant", &req.tenant);
     let response = match catch_unwind(AssertUnwindSafe(|| session.verify(&vreq))) {
         Ok(Ok(outcome)) => {
-            if let Some(t) = &shared.telemetry {
-                let reg = t.registry();
-                let s = &outcome.stats;
-                // Fuel: the unit the solver budget meters, conflicts
-                // plus propagations (decisions are never charged).
-                let fuel = (s.solver_conflicts + s.solver_propagations) as u64;
-                reg.record("daenerysd.fuel", &labels, fuel);
-                reg.add("daenerysd.cache_hits", &labels, s.cache_hits as u64);
-                reg.add("daenerysd.cache_misses", &labels, s.cache_misses as u64);
-                reg.add(
-                    "daenerysd.solver_conflicts",
-                    &labels,
-                    s.solver_conflicts as u64,
-                );
-                reg.add(
-                    "daenerysd.solver_restarts",
-                    &labels,
-                    s.solver_restarts as u64,
-                );
-                // The incremental store plane, per tenant: verdicts
-                // served warm, genuine fingerprint misses, and warm
-                // hits discarded by transitive spec dirtiness.
-                // Tenants with identical answer-affecting config share
-                // store entries, so one tenant's writes surface as
-                // another's hits here.
-                if let Some(hits) = outcome.store_hits {
-                    reg.add("daenerysd.store_hits", &labels, hits as u64);
-                }
-                if let Some(misses) = outcome.store_misses {
-                    reg.add("daenerysd.store_misses", &labels, misses as u64);
-                }
-                if let Some(dirty) = outcome.store_dirty_transitive {
-                    reg.add("daenerysd.store_dirty_transitive", &labels, dirty as u64);
-                }
+            let reg = shared.telemetry.registry();
+            let s = &outcome.stats;
+            // Fuel: the unit the solver budget meters, conflicts
+            // plus propagations (decisions are never charged).
+            let fuel = (s.solver_conflicts + s.solver_propagations) as u64;
+            reg.record("daenerysd.fuel", &labels, fuel);
+            reg.add("daenerysd.cache_hits", &labels, s.cache_hits as u64);
+            reg.add("daenerysd.cache_misses", &labels, s.cache_misses as u64);
+            reg.add(
+                "daenerysd.solver_conflicts",
+                &labels,
+                s.solver_conflicts as u64,
+            );
+            reg.add(
+                "daenerysd.solver_restarts",
+                &labels,
+                s.solver_restarts as u64,
+            );
+            // The incremental store plane, per tenant: verdicts
+            // served warm, genuine fingerprint misses, and warm
+            // hits discarded by transitive spec dirtiness.
+            // Tenants with identical answer-affecting config share
+            // store entries, so one tenant's writes surface as
+            // another's hits here.
+            if let Some(hits) = outcome.store_hits {
+                reg.add("daenerysd.store_hits", &labels, hits as u64);
+            }
+            if let Some(misses) = outcome.store_misses {
+                reg.add("daenerysd.store_misses", &labels, misses as u64);
+            }
+            if let Some(dirty) = outcome.store_dirty_transitive {
+                reg.add("daenerysd.store_dirty_transitive", &labels, dirty as u64);
             }
             Response::Ok {
                 id: req.id,
@@ -652,23 +622,21 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
             }
         }
     };
-    if let Some(t) = &shared.telemetry {
-        let reg = t.registry();
-        reg.add("daenerysd.requests", &labels, 1);
-        reg.record(
-            "daenerysd.latency_us",
-            &labels,
-            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
-        match &response {
-            Response::Ok { verdicts, .. } => {
-                for v in verdicts.values() {
-                    reg.add(&format!("daenerysd.verdict.{}", v.kind), &labels, 1);
-                }
+    let reg = shared.telemetry.registry();
+    reg.add("daenerysd.requests", &labels, 1);
+    reg.record(
+        "daenerysd.latency_us",
+        &labels,
+        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+    );
+    match &response {
+        Response::Ok { verdicts, .. } => {
+            for v in verdicts.values() {
+                reg.add(&format!("daenerysd.verdict.{}", v.kind), &labels, 1);
             }
-            Response::Err { .. } => reg.add("daenerysd.errors", &labels, 1),
-            Response::Refused { .. } | Response::Admin { .. } => {}
         }
+        Response::Err { .. } => reg.add("daenerysd.errors", &labels, 1),
+        Response::Refused { .. } | Response::Admin { .. } => {}
     }
     response
 }

@@ -413,6 +413,12 @@ method m() returns (r: Int) ensures r == 2 { r := 1 }";
         }
         other => panic!("expected a wf error, got {:?}", other),
     }
+    // The daemon keeps serving after the error response.
+    let (resp, _) = client
+        .request_with_retry(&Request::new(2, "acme", GOOD))
+        .expect("verify succeeds after the wf error");
+    assert!(matches!(resp, Response::Ok { .. }), "{:?}", resp);
     let snapshot = stop(&flag, handle);
-    assert_eq!(snapshot.responses_ok, 0);
+    assert_eq!(snapshot.responses_ok, 1, "only the well-formed request");
+    assert_eq!(snapshot.requests_errored, 1);
 }

@@ -24,19 +24,13 @@
 //! being present, fresh, or even plausible: a missing or damaged graph
 //! only costs extra re-verification.
 //!
-//! The graph file (`depgraph.jsonl`, one node per line) lives next to
-//! the verdict store's `DAES1` shards in the cache directory, in its
-//! own file.
+//! This module holds only the in-memory graph. The verdict store
+//! ([`crate::store`]) persists it, one `DAES1` node record per method
+//! in the same shard files as the verdicts.
 
 use crate::ast::Program;
 use crate::fingerprint::{direct_callees, interface_fingerprint, Fingerprint};
-use daenerys_obs::json::escape_into;
-use daenerys_obs::parse_json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// One method's node: its interface fingerprint and its
 /// direct-callee edges (sorted, deduplicated).
@@ -59,13 +53,15 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// The graph file name within the cache directory.
-    pub const FILE_NAME: &'static str = "depgraph.jsonl";
-
     /// An empty graph (no prior run: every fingerprint miss stands on
     /// its own and nothing is transitively forced).
     pub fn new() -> DepGraph {
         DepGraph::default()
+    }
+
+    /// The graph holding exactly `nodes` (the store's replay).
+    pub(crate) fn from_nodes(nodes: BTreeMap<String, DepNode>) -> DepGraph {
+        DepGraph { nodes }
     }
 
     /// Builds the graph of `program`: every declared method is a node
@@ -103,17 +99,23 @@ impl DepGraph {
         self.nodes.is_empty()
     }
 
-    /// Upserts every node of `cur` into `self`, returning `true` when
-    /// anything changed. Nodes absent from `cur` are kept: the daemon's
-    /// shared store sees many programs, and forgetting one tenant's
-    /// edges whenever another tenant verifies would turn every
-    /// alternation into a spurious full dirty cone.
-    pub fn absorb(&mut self, cur: &DepGraph) -> bool {
-        let mut changed = false;
+    /// Every node with its method name, in name order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&String, &DepNode)> {
+        self.nodes.iter()
+    }
+
+    /// Upserts every node of `cur` into `self`, returning the names of
+    /// the nodes that changed (new or different), in name order. Nodes
+    /// absent from `cur` are kept: the daemon's shared store sees many
+    /// programs, and forgetting one tenant's edges whenever another
+    /// tenant verifies would turn every alternation into a spurious
+    /// full dirty cone.
+    pub fn absorb(&mut self, cur: &DepGraph) -> Vec<String> {
+        let mut changed = Vec::new();
         for (name, node) in &cur.nodes {
             if self.nodes.get(name) != Some(node) {
                 self.nodes.insert(name.clone(), node.clone());
-                changed = true;
+                changed.push(name.clone());
             }
         }
         changed
@@ -233,157 +235,12 @@ impl DepGraph {
         }
         order
     }
-
-    /// Loads the graph from `dir` (the cache directory). Missing files
-    /// and corrupt lines load as absent nodes — a damaged graph widens
-    /// the dirty cone on the next run, never narrows it, because an
-    /// absent node is a spec-dirty root by definition.
-    pub fn load(dir: &Path) -> DepGraph {
-        let mut nodes = BTreeMap::new();
-        if let Ok(text) = fs::read_to_string(dir.join(Self::FILE_NAME)) {
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Some((name, node)) = decode_node(line) {
-                    nodes.insert(name, node);
-                }
-            }
-        }
-        DepGraph { nodes }
-    }
-
-    /// Writes the graph to `dir` atomically (temp file + rename), one
-    /// node per line in name order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating the directory or writing the
-    /// file.
-    pub fn save(&self, dir: &Path) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        let mut out = String::new();
-        for (name, node) in &self.nodes {
-            encode_node(&mut out, name, node);
-            out.push('\n');
-        }
-        let path = dir.join(Self::FILE_NAME);
-        let tmp = path.with_extension("jsonl.tmp");
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &path)
-    }
-}
-
-/// One graph line. A storage codec, written by hand rather than through
-/// `Json::render`: [`decode_node_fast`] reads this exact field order.
-fn encode_node(out: &mut String, name: &str, node: &DepNode) {
-    out.push_str("{\"method\":");
-    escape_into(name, out);
-    let _ = write!(out, ",\"iface\":\"{}\",\"callees\":[", node.interface);
-    for (i, callee) in node.callees.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_into(callee, out);
-    }
-    out.push_str("]}");
-}
-
-fn decode_node(line: &str) -> Option<(String, DepNode)> {
-    // Fast path first: a 10k-node graph is 10k lines, and the general
-    // JSON parser dominates warm store-open time if it runs per line.
-    decode_node_fast(line).or_else(|| decode_node_general(line))
-}
-
-/// Zero-tree decoder for the exact shape [`encode_node`] emits. Any
-/// deviation (reordered fields, extra whitespace, trailing garbage)
-/// returns `None` and defers to the general parser.
-fn decode_node_fast(line: &str) -> Option<(String, DepNode)> {
-    let rest = line.strip_prefix("{\"method\":\"")?;
-    let (name, rest) = scan_json_str(rest)?;
-    let rest = rest.strip_prefix(",\"iface\":\"")?;
-    let (iface, rest) = scan_json_str(rest)?;
-    let interface = Fingerprint::parse(&iface)?;
-    let mut rest = rest.strip_prefix(",\"callees\":[")?;
-    let mut callees = Vec::new();
-    if !rest.starts_with(']') {
-        loop {
-            rest = rest.strip_prefix('"')?;
-            let (callee, after) = scan_json_str(rest)?;
-            callees.push(callee);
-            match after.strip_prefix(',') {
-                Some(next) => rest = next,
-                None => {
-                    rest = after;
-                    break;
-                }
-            }
-        }
-    }
-    let tail = rest.strip_prefix("]}")?;
-    tail.is_empty()
-        .then_some((name, DepNode { interface, callees }))
-}
-
-/// Scans an escaped JSON string body up to its closing quote; returns
-/// the unescaped contents and the remainder *after* the quote. Byte
-/// indexing is safe: the scanner only splits at ASCII `"`/`\` bytes,
-/// which never occur inside a multi-byte UTF-8 sequence.
-fn scan_json_str(s: &str) -> Option<(String, &str)> {
-    let bytes = s.as_bytes();
-    let mut out = String::new();
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                out.push_str(&s[start..i]);
-                return Some((out, &s[i + 1..]));
-            }
-            b'\\' => {
-                out.push_str(&s[start..i]);
-                let esc = *bytes.get(i + 1)?;
-                i += 2;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = s.get(i..i + 4)?;
-                        out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                start = i;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn decode_node_general(line: &str) -> Option<(String, DepNode)> {
-    let json = parse_json(line).ok()?;
-    let obj = json.as_obj()?;
-    let name = obj.get("method")?.as_str()?.to_string();
-    let interface = Fingerprint::parse(obj.get("iface")?.as_str()?)?;
-    let callees = obj
-        .get("callees")?
-        .as_arr()?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<Vec<String>>>()?;
-    Some((name, DepNode { interface, callees }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use std::path::PathBuf;
 
     const SRC: &str = "field val: Int
          method leaf(n: Int) returns (r: Int)
@@ -402,13 +259,6 @@ mod tests {
            requires n >= 0
            ensures r >= n
          { r := n }";
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("daenerys-depgraph-{}-{}", tag, std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn roots_of(prev_src: &str, cur_src: &str) -> BTreeSet<String> {
         let prev = DepGraph::of_program(&parse_program(prev_src).unwrap());
@@ -511,43 +361,21 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrips_and_damage_is_tolerated() {
-        let dir = temp_dir("roundtrip");
-        let g = DepGraph::of_program(&parse_program(SRC).unwrap());
-        g.save(&dir).unwrap();
-        assert_eq!(DepGraph::load(&dir), g);
-        // Corrupt one line: that node vanishes (becoming a dirty root
-        // next run); the rest load.
-        let path = dir.join(DepGraph::FILE_NAME);
-        let text = fs::read_to_string(&path).unwrap();
-        let mangled: Vec<String> = text
-            .lines()
-            .map(|l| {
-                if l.starts_with("{\"method\":\"mid\"") {
-                    "not json".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect();
-        fs::write(&path, mangled.join("\n")).unwrap();
-        let reloaded = DepGraph::load(&dir);
-        assert_eq!(reloaded.len(), 3);
-        assert!(reloaded.node("mid").is_none());
-        assert!(reloaded.node("top").is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn absorb_upserts_without_forgetting() {
         let g1 = DepGraph::of_program(&parse_program(SRC).unwrap());
         let other = "method unrelated(n: Int) returns (r: Int)
              requires n >= 0 ensures r >= 0 { r := n }";
         let g2 = DepGraph::of_program(&parse_program(other).unwrap());
         let mut merged = g1.clone();
-        assert!(merged.absorb(&g2), "new nodes change the graph");
+        assert_eq!(merged.absorb(&g2), ["unrelated"], "new nodes are changes");
         assert_eq!(merged.len(), 5);
         assert!(merged.node("top").is_some(), "old tenants are kept");
-        assert!(!merged.absorb(&g2), "absorbing again is a no-op");
+        assert!(merged.absorb(&g2).is_empty(), "absorbing again is a no-op");
+        let edited = SRC.replace(
+            "ensures r >= n\n         { var t: Int := 0; call t := leaf(n)",
+            "ensures r >= n && r >= 0\n         { var t: Int := 0; call t := leaf(n)",
+        );
+        let g3 = DepGraph::of_program(&parse_program(&edited).unwrap());
+        assert_eq!(merged.absorb(&g3), ["mid"], "only the edited node changed");
     }
 }

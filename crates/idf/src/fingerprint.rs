@@ -57,26 +57,6 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-impl Fingerprint {
-    /// Parses the form `Display` writes: exactly 32 lowercase hex
-    /// digits. Anything else — other lengths, uppercase digits, signs,
-    /// non-ASCII characters — is `None`.
-    pub fn parse(s: &str) -> Option<Fingerprint> {
-        let digits = s.as_bytes();
-        if digits.len() != 32
-            || !digits
-                .iter()
-                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        {
-            return None;
-        }
-        // All ASCII, so both halves are on character boundaries.
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Fingerprint { hi, lo })
-    }
-}
-
 /// The first word of every fingerprint, naming what it is of, and the
 /// markers inside a method's fingerprint.
 #[derive(Clone, Copy)]
@@ -405,26 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_only_what_display_writes() {
-        let a = Fingerprint {
-            hi: 0x0123_4567_89ab_cdef,
-            lo: 0xfedc_ba98_7654_3210,
-        };
-        assert_eq!(Fingerprint::parse(&a.to_string()), Some(a));
-        for bad in [
-            // 32 bytes with a two-byte character across byte 16.
-            "000000000000000é000000000000000",
-            // `from_str_radix` alone would accept a sign.
-            "+000000000000000+000000000000000",
-            "0123456789ABCDEF0123456789abcdef",
-            "0123456789abcdef0123456789abcde",
-            "",
-        ] {
-            assert_eq!(Fingerprint::parse(bad), None, "{:?}", bad);
-        }
-    }
-
-    #[test]
     fn pass_fingerprints_match_method_fingerprint() {
         // `ghost` is called but never declared: the missing marker.
         let src = SRC.replace("{ r := n }", "{ call r := ghost(n) }");
@@ -475,8 +435,6 @@ mod tests {
         assert_eq!(a, fp(SRC, "double", &cfg), "same inputs, same fingerprint");
         assert_ne!(a, fp(SRC, "get", &cfg), "different methods differ");
         assert_eq!(a.to_string().len(), 32);
-        assert_eq!(Fingerprint::parse(&a.to_string()), Some(a));
-        assert_eq!(Fingerprint::parse("zz"), None);
     }
 
     #[test]

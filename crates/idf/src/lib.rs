@@ -64,7 +64,7 @@ pub use stability::{
 pub use store::{StoredVerdict, VerdictStore};
 pub use sym::{Sort, Sym, SymExpr, SymSupply, Term, TermArena, TermId, Witness};
 pub use translate::{
-    env_of, full_ownership, obj_of, strip_old, translate_assertion, translate_assertion_traced,
-    translate_expr, TEnv, TranslateError,
+    env_of, full_ownership, obj_of, strip_old, translate_assertion, translate_expr, TEnv,
+    TranslateError,
 };
-pub use wf::{check_program, check_program_traced, WfError};
+pub use wf::{check_program, WfError};

@@ -6,10 +6,10 @@
 //! warm core: the base [`VerifierConfig`] and, when
 //! [`VerifierConfig::cache_dir`] is set, the persistent
 //! [`VerdictStore`], which only [`SessionHost::new`] opens. A
-//! [`Session`] is one client's view of it: a per-session budget
-//! envelope layered over the base, and every request verified against
-//! the host's store, so concurrent sessions reuse each other's
-//! definite verdicts without reopening the files.
+//! [`Session`] is one client's view of it: every request verified
+//! under the base budget (or the request's own) against the host's
+//! store, so concurrent sessions reuse each other's definite verdicts
+//! without reopening the files.
 //!
 //! [`Session::verify`] is the source-level entry: a capped recovery
 //! parse, the well-formedness check, then verification, so a
@@ -108,17 +108,9 @@ impl SessionHost {
         }
     }
 
-    /// A session inheriting the host's base budget.
+    /// A session over the host's base configuration.
     pub fn session(&self) -> Session<'_> {
-        Session {
-            host: self,
-            budget: self.base.budget,
-        }
-    }
-
-    /// A session under an explicit budget envelope (the tenant's).
-    pub fn session_with_budget(&self, budget: Budget) -> Session<'_> {
-        Session { host: self, budget }
+        Session { host: self }
     }
 }
 
@@ -126,7 +118,6 @@ impl SessionHost {
 #[derive(Debug)]
 pub struct Session<'h> {
     host: &'h SessionHost,
-    budget: Budget,
 }
 
 /// One verification request's knobs, beyond the program source.
@@ -134,7 +125,7 @@ pub struct Session<'h> {
 pub struct VerifyRequest {
     /// The IDF program to verify.
     pub source: String,
-    /// Overrides the session budget for this request (intersected by
+    /// Overrides the host's base budget for this request (intersected by
     /// the daemon's admission layer before it gets here).
     pub budget: Option<Budget>,
     /// Diagnostic cap for recovery parsing (see
@@ -224,7 +215,7 @@ impl std::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 impl Session<'_> {
-    /// Verifies `source` with the session's budget and default knobs.
+    /// Verifies `source` with the host's base budget and default knobs.
     ///
     /// # Errors
     ///
@@ -264,7 +255,7 @@ impl Session<'_> {
         Ok(self.verify_program_with(&program, req.budget, req.trace.clone()))
     }
 
-    /// Verifies an already-parsed program with the session's budget and
+    /// Verifies an already-parsed program with the host's base budget and
     /// default knobs — the parse- and wf-free entry point for clients
     /// that own the front end and have run [`check_program`]
     /// themselves (the `daenerys` CLI re-rendering diagnostics itself,
@@ -287,7 +278,7 @@ impl Session<'_> {
         trace: Option<daenerys_obs::TraceHandle>,
     ) -> VerifyOutcome {
         let config = VerifierConfig {
-            budget: budget.unwrap_or(self.budget),
+            budget: budget.unwrap_or(self.host.base.budget),
             trace: trace.unwrap_or_else(|| self.host.base.trace.clone()),
             ..self.host.base.clone()
         };

@@ -18,10 +18,11 @@
 //! and treats a cut-off tail (crash mid-append) as truncation, never
 //! poison. Saving rewrites every shard compacted (tombstones and
 //! superseded records dropped) through temp-file renames. Any other
-//! file in the directory (such as a `verdicts.jsonl` left by the
-//! retired line-JSON encoding) is ignored and never touched: its
-//! methods simply re-verify. [`VerdictStore::dump`] is the one-way
-//! export, one JSON object per live entry.
+//! file in the directory (such as the verdict or dependency-graph
+//! `.jsonl` files left by the retired line-JSON encodings) is ignored
+//! and never touched: its methods simply re-verify.
+//! [`VerdictStore::dump`] is the one-way export, one JSON object per
+//! live entry.
 //!
 //! [`crate::session::SessionHost`] is the one owner of an open store:
 //! every verification pass records through durable appends
@@ -30,24 +31,27 @@
 //! graceful-shutdown compaction. Appends accumulate *dead weight* —
 //! superseded records and evict tombstones that replay discards. The
 //! store tracks that debt (including debt inherited from disk at open)
-//! and compacts automatically once it exceeds the live entry count, so
-//! a long-lived daemon's store file stops growing without bound
-//! between explicit saves. A shard whose scan at open did not end
+//! and compacts automatically once it exceeds the live records
+//! (verdicts plus graph nodes), so a long-lived daemon's store files
+//! stop growing without bound between explicit saves. A shard whose scan at open did not end
 //! clean (damaged header, rotten record, torn tail) is never appended
 //! to: its first write rewrites it from memory, so the damage heals
 //! instead of swallowing every later append.
 //!
-//! The store directory also carries the method → callee-spec
-//! dependency graph ([`crate::depgraph::DepGraph`], in its own file)
-//! used for transitive spec-dirtiness.
+//! The same shards carry the method → callee-spec dependency graph
+//! ([`crate::depgraph::DepGraph`]) used for transitive spec-dirtiness:
+//! one node record per method, routed by the method name, replayed
+//! last-wins and never tombstoned (the graph never forgets a node).
+//! Node records are appended at the end of a pass, after its verdicts,
+//! under the same damage and compaction rules as verdict records.
 
-use crate::depgraph::DepGraph;
+use crate::depgraph::{DepGraph, DepNode};
 use crate::diag::FailureReport;
 use crate::exec::{Obligation, Verdict, VerifyStats};
 use crate::fingerprint::Fingerprint;
 use crate::smt::Answer;
 use daenerys_obs::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -80,13 +84,15 @@ pub struct VerdictStore {
     truncated_tail: bool,
     /// Dead weight in the on-disk log: records replay discarded at
     /// open plus durable appends that superseded or tombstoned an
-    /// entry since. Once this exceeds the live entry count,
-    /// [`VerdictStore::record_durable`] compacts.
+    /// entry or a graph node since. Once this exceeds the live verdicts
+    /// plus live nodes, the next durable write compacts.
     dead_records: usize,
-    /// The persisted dependency graph riding along in the same
-    /// directory (see [`crate::depgraph`]).
+    /// The persisted dependency graph, loaded from the node records
+    /// (see [`crate::depgraph`]).
     graph: DepGraph,
-    graph_changed: bool,
+    /// Graph nodes absorbed since they were last written;
+    /// [`VerdictStore::persist_graph`] appends them.
+    unwritten: BTreeSet<String>,
     /// Shards whose scan at open did not end clean. An append there
     /// would land after the damage, where the next open drops it, so
     /// [`VerdictStore::record_durable`] rewrites such a shard whole.
@@ -116,17 +122,17 @@ impl VerdictStore {
             corrupt_lines: 0,
             truncated_tail: false,
             dead_records: 0,
-            graph: DepGraph::load(dir),
-            graph_changed: false,
+            graph: DepGraph::new(),
+            unwritten: BTreeSet::new(),
             damaged: [false; Self::SHARD_COUNT],
         };
-        let mut replayed = 0usize;
+        let mut replay = Replay::default();
         for shard in 0..Self::SHARD_COUNT {
             let path = dir.join(Self::shard_file_name(shard));
             let Ok(bytes) = fs::read(&path) else {
                 continue;
             };
-            match decode_shard(&bytes, shard, &mut store.entries, &mut replayed) {
+            match decode_shard(&bytes, shard, &mut replay) {
                 ShardEnd::Clean => continue,
                 ShardEnd::Corrupt(n) => store.corrupt_lines += n,
                 ShardEnd::Truncated(n) => {
@@ -136,7 +142,9 @@ impl VerdictStore {
             }
             store.damaged[shard] = true;
         }
-        store.dead_records = replayed.saturating_sub(store.entries.len());
+        store.entries = replay.entries;
+        store.graph = DepGraph::from_nodes(replay.nodes);
+        store.dead_records = replay.records.saturating_sub(store.live());
         store
     }
 
@@ -220,27 +228,65 @@ impl VerdictStore {
     }
 
     /// Upserts the current program's nodes into the persisted graph
-    /// (see [`DepGraph::absorb`]); [`VerdictStore::save`] and
-    /// [`VerdictStore::persist_graph`] write it back only when
-    /// something actually changed.
+    /// (see [`DepGraph::absorb`]) and remembers the changed ones for
+    /// [`VerdictStore::persist_graph`].
     pub fn absorb_graph(&mut self, cur: &DepGraph) {
-        if self.graph.absorb(cur) {
-            self.graph_changed = true;
-        }
+        let known = self.graph.len();
+        let changed = self.graph.absorb(cur);
+        let new = self.graph.len() - known;
+        let pending = changed
+            .iter()
+            .filter(|name| self.unwritten.contains(*name))
+            .count();
+        // Every other changed node is already on disk: its next record
+        // buries the old one.
+        self.dead_records += changed.len() - new - pending;
+        self.unwritten.extend(changed);
     }
 
-    /// Writes the dependency graph file if it changed since load — the
-    /// end-of-pass hook ([`VerdictStore::save`] writes it too).
+    /// Appends a node record for every node absorbed since it was last
+    /// written, one append per touched shard — the end-of-pass hook,
+    /// run after the pass's verdicts. A shard damaged at open is
+    /// rewritten whole instead, and too much dead weight compacts the
+    /// whole store (see [`VerdictStore::record_durable`]).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from writing the graph file.
+    /// Propagates I/O errors from creating the directory or writing a
+    /// shard; nodes that were not written reach disk with the next
+    /// [`VerdictStore::save`].
     pub fn persist_graph(&mut self) -> io::Result<()> {
-        if self.graph_changed {
-            self.graph.save(&self.dir)?;
-            self.graph_changed = false;
+        if self.unwritten.is_empty() {
+            return Ok(());
+        }
+        if self.over_debt() {
+            return self.save();
+        }
+        fs::create_dir_all(&self.dir)?;
+        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
+        for name in std::mem::take(&mut self.unwritten) {
+            let node = self.graph.node(&name).expect("absorbed nodes stay");
+            frames[shard_of(&name)]
+                .extend(encode_frame(RECORD_NODE, &encode_dep_payload(&name, node)));
+        }
+        for (shard, frames) in frames.iter().enumerate().filter(|(_, f)| !f.is_empty()) {
+            if self.damaged[shard] {
+                self.heal_shard(shard)?;
+            } else {
+                append_flushed(&self.shard_path(shard), frames, &shard_header(shard))?;
+            }
         }
         Ok(())
+    }
+
+    /// Live records: stored verdicts plus graph nodes.
+    fn live(&self) -> usize {
+        self.entries.len() + self.graph.len()
+    }
+
+    /// True once the dead weight on disk outgrows the live records.
+    fn over_debt(&self) -> bool {
+        self.dead_records > COMPACT_MIN_DEAD.max(self.live())
     }
 
     /// Records a verdict (exactly as [`VerdictStore::record`]) *and*
@@ -249,10 +295,10 @@ impl VerdictStore {
     /// written. Definite verdicts append their entry record;
     /// indefinite verdicts append an evict tombstone that
     /// [`VerdictStore::open`] replays last-wins. When the appended
-    /// dead weight outgrows the live entries the log is compacted in
-    /// place (see [`VerdictStore::save`]), so a long-lived daemon's
-    /// store stops growing without bound. The first write into a shard
-    /// that was damaged at open rewrites that shard from memory
+    /// dead weight outgrows the live verdicts and nodes the log is
+    /// compacted in place (see [`VerdictStore::save`]), so a long-lived
+    /// daemon's store stops growing without bound. The first write into
+    /// a shard that was damaged at open rewrites that shard from memory
     /// instead of appending after the damage.
     ///
     /// # Errors
@@ -272,17 +318,14 @@ impl VerdictStore {
             // dead weight (a tombstone).
             self.dead_records += 1;
         }
-        if self.dead_records > COMPACT_MIN_DEAD.max(self.entries.len()) {
+        if self.over_debt() {
             self.save()?;
-            self.dead_records = 0;
             return Ok(definite);
         }
         fs::create_dir_all(&self.dir)?;
         let shard = shard_of(method);
         if self.damaged[shard] {
-            let live = self.entries.iter().filter(|(k, _)| shard_of(k) == shard);
-            self.write_shard(shard, live)?;
-            self.damaged[shard] = false;
+            self.heal_shard(shard)?;
             return Ok(definite);
         }
         let frame = if definite {
@@ -294,18 +337,13 @@ impl VerdictStore {
         } else {
             encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(method))
         };
-        append_flushed(
-            &self.dir.join(Self::shard_file_name(shard)),
-            &frame,
-            &shard_header(shard),
-        )?;
+        append_flushed(&self.shard_path(shard), &frame, &shard_header(shard))?;
         Ok(definite)
     }
 
     /// Writes the store back to disk, compacted (one record per live
-    /// method, tombstones and superseded records dropped), atomically
-    /// via temp-file renames; the dependency graph file is written
-    /// too when it changed.
+    /// method and one per graph node, tombstones and superseded records
+    /// dropped), atomically via temp-file renames.
     ///
     /// # Errors
     ///
@@ -316,32 +354,58 @@ impl VerdictStore {
         // Every shard is rewritten — including empties — so a
         // compaction truncates stale data instead of leaving orphaned
         // records in shards the surviving entries no longer map to.
-        let mut shards: Vec<Vec<(&String, &StoredVerdict)>> = vec![Vec::new(); Self::SHARD_COUNT];
+        let mut verdicts = vec![Vec::new(); Self::SHARD_COUNT];
         for entry in &self.entries {
-            shards[shard_of(entry.0)].push(entry);
+            verdicts[shard_of(entry.0)].push(entry);
         }
-        for (i, live) in shards.into_iter().enumerate() {
-            self.write_shard(i, live)?;
+        let mut nodes = vec![Vec::new(); Self::SHARD_COUNT];
+        for node in self.graph.nodes() {
+            nodes[shard_of(node.0)].push(node);
+        }
+        for (i, (verdicts, nodes)) in verdicts.into_iter().zip(nodes).enumerate() {
+            self.write_shard(i, verdicts, nodes)?;
         }
         self.damaged = [false; Self::SHARD_COUNT];
-        self.persist_graph()
+        self.unwritten.clear();
+        self.dead_records = 0;
+        Ok(())
     }
 
-    /// Rewrites shard `i` to hold exactly `live` (one put record per
-    /// entry), atomically through a temp-file rename.
+    /// Rewrites shard `i`, damaged at open, from memory: its verdicts
+    /// and its graph nodes, unwritten ones included.
+    fn heal_shard(&mut self, i: usize) -> io::Result<()> {
+        let verdicts = self.entries.iter().filter(|(k, _)| shard_of(k) == i);
+        let nodes = self.graph.nodes().filter(|(name, _)| shard_of(name) == i);
+        self.write_shard(i, verdicts, nodes)?;
+        self.damaged[i] = false;
+        self.unwritten.retain(|name| shard_of(name) != i);
+        Ok(())
+    }
+
+    /// Rewrites shard `i` to hold exactly one put record per verdict
+    /// and one node record per graph node, atomically through a
+    /// temp-file rename.
     fn write_shard<'e>(
         &self,
         i: usize,
-        live: impl IntoIterator<Item = (&'e String, &'e StoredVerdict)>,
+        verdicts: impl IntoIterator<Item = (&'e String, &'e StoredVerdict)>,
+        nodes: impl IntoIterator<Item = (&'e String, &'e DepNode)>,
     ) -> io::Result<()> {
         let mut bytes = shard_header(i).to_vec();
-        for (name, stored) in live {
+        for (name, stored) in verdicts {
             bytes.extend_from_slice(&encode_frame(RECORD_PUT, &encode_put_payload(name, stored)));
         }
-        let path = self.dir.join(Self::shard_file_name(i));
+        for (name, node) in nodes {
+            bytes.extend_from_slice(&encode_frame(RECORD_NODE, &encode_dep_payload(name, node)));
+        }
+        let path = self.shard_path(i);
         let tmp = path.with_extension("daes.tmp");
         fs::write(&tmp, bytes)?;
         fs::rename(&tmp, &path)
+    }
+
+    fn shard_path(&self, i: usize) -> PathBuf {
+        self.dir.join(Self::shard_file_name(i))
     }
 
     /// The live entries as JSON text, one object per entry in key
@@ -440,7 +504,7 @@ fn append_flushed(path: &Path, frame: &[u8], header: &[u8]) -> io::Result<()> {
 //
 // Record frame (16 bytes + payload):
 //   0..4   payload length u32 LE
-//   4      record kind (1 = put, 2 = tombstone)
+//   4      record kind (1 = put, 2 = tombstone, 3 = graph node)
 //   5..8   padding (0)
 //   8..16  FNV-1a-64 checksum of the payload, u64 LE
 //
@@ -449,6 +513,10 @@ fn append_flushed(path: &Path, frame: &[u8], header: &[u8]) -> io::Result<()> {
 // the 17 normalized stat counters (u64 LE each, STAT_KEYS order) or
 // the failure obligations + report with every integer fixed-width LE
 // and every string length-prefixed. Tombstone payload: the key string.
+// Node payload: the method name string, the interface fingerprint
+// hi/lo u64 LE, then the callee names (u32 LE count + strings). The
+// record kind keeps node names apart from verdict keys
+// (`{name}@{config}`): each kind replays into its own map.
 // ---------------------------------------------------------------------
 
 const DAES_MAGIC: &[u8; 6] = b"DAES1\0";
@@ -457,6 +525,7 @@ const SHARD_HEADER_LEN: usize = 24;
 const FRAME_HEADER_LEN: usize = 16;
 const RECORD_PUT: u8 = 1;
 const RECORD_TOMBSTONE: u8 = 2;
+const RECORD_NODE: u8 = 3;
 const VERDICT_VERIFIED: u8 = 0;
 const VERDICT_FAILED: u8 = 1;
 
@@ -632,6 +701,26 @@ impl<'a> Reader<'a> {
     }
 }
 
+fn encode_dep_payload(name: &str, node: &DepNode) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_str(&mut out, name);
+    put_u64(&mut out, node.interface.hi);
+    put_u64(&mut out, node.interface.lo);
+    put_str_list(&mut out, &node.callees);
+    out
+}
+
+fn decode_dep_payload(payload: &[u8]) -> Option<(String, DepNode)> {
+    let mut r = Reader::new(payload);
+    let name = r.str()?;
+    let interface = Fingerprint {
+        hi: r.u64()?,
+        lo: r.u64()?,
+    };
+    let callees = r.str_list()?;
+    r.done().then_some((name, DepNode { interface, callees }))
+}
+
 fn decode_put_payload(payload: &[u8]) -> Option<(String, StoredVerdict)> {
     let mut r = Reader::new(payload);
     let key = r.str()?;
@@ -710,12 +799,16 @@ enum ShardEnd {
     Truncated(usize),
 }
 
-fn decode_shard(
-    bytes: &[u8],
-    shard: usize,
-    entries: &mut BTreeMap<String, StoredVerdict>,
-    replayed: &mut usize,
-) -> ShardEnd {
+/// What replaying the shards has built so far.
+#[derive(Default)]
+struct Replay {
+    entries: BTreeMap<String, StoredVerdict>,
+    nodes: BTreeMap<String, DepNode>,
+    /// Records replayed, live or superseded.
+    records: usize,
+}
+
+fn decode_shard(bytes: &[u8], shard: usize, replay: &mut Replay) -> ShardEnd {
     if bytes.len() < SHARD_HEADER_LEN || bytes[..SHARD_HEADER_LEN] != shard_header(shard) {
         // A shard whose very header is damaged (or belongs to another
         // index) contributes nothing: one counted skip for the file.
@@ -750,22 +843,21 @@ fn decode_shard(
             corrupt += 1;
             continue;
         }
-        match kind {
-            RECORD_PUT => match decode_put_payload(payload) {
-                Some((key, stored)) => {
-                    *replayed += 1;
-                    entries.insert(key, stored);
-                }
-                None => corrupt += 1,
-            },
-            RECORD_TOMBSTONE => match Reader::new(payload).str() {
-                Some(key) => {
-                    *replayed += 1;
-                    entries.remove(&key);
-                }
-                None => corrupt += 1,
-            },
-            _ => corrupt += 1,
+        let replayed = match kind {
+            RECORD_PUT => decode_put_payload(payload).map(|(key, stored)| {
+                replay.entries.insert(key, stored);
+            }),
+            RECORD_TOMBSTONE => Reader::new(payload).str().map(|key| {
+                replay.entries.remove(&key);
+            }),
+            RECORD_NODE => decode_dep_payload(payload).map(|(name, node)| {
+                replay.nodes.insert(name, node);
+            }),
+            _ => None,
+        };
+        match replayed {
+            Some(()) => replay.records += 1,
+            None => corrupt += 1,
         }
     }
     if corrupt == 0 {
@@ -1190,6 +1282,65 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The graph of one method `m` whose precondition is `n >= bound`:
+    /// each bound gives `m` a different interface.
+    fn graph_of_m(bound: u64) -> DepGraph {
+        let src = format!(
+            "method m(n: Int) returns (r: Int) requires n >= {} ensures r >= 0 {{ r := n }}",
+            bound
+        );
+        DepGraph::of_program(&crate::parser::parse_program(&src).unwrap())
+    }
+
+    #[test]
+    fn graph_dead_weight_matches_what_a_reopen_counts() {
+        let dir = temp_dir("graph-dead");
+        let mut store = VerdictStore::open(&dir);
+        // New, then changed again before the pass persists: one
+        // record, nothing buried.
+        store.absorb_graph(&graph_of_m(0));
+        store.absorb_graph(&graph_of_m(1));
+        store.persist_graph().unwrap();
+        assert_eq!(store.dead_records(), 0);
+        // Changed twice more: the one new record buries the old one.
+        store.absorb_graph(&graph_of_m(2));
+        store.absorb_graph(&graph_of_m(3));
+        store.persist_graph().unwrap();
+        assert_eq!(store.dead_records(), 1);
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.dead_records(), store.dead_records());
+        assert_eq!(reloaded.graph(), &graph_of_m(3));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn graph_debt_triggers_auto_compaction() {
+        let dir = temp_dir("graph-compact");
+        let mut store = VerdictStore::open(&dir);
+        // Re-append one node far past the compaction threshold, each
+        // time with a new interface: only the last record is live.
+        for round in 0..(COMPACT_MIN_DEAD * 3) as u64 {
+            store.absorb_graph(&graph_of_m(round));
+            store.persist_graph().unwrap();
+        }
+        assert!(
+            store.dead_records() <= COMPACT_MIN_DEAD + 1,
+            "debt was reclaimed (left: {})",
+            store.dead_records()
+        );
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(
+            reloaded.graph(),
+            &graph_of_m((COMPACT_MIN_DEAD * 3 - 1) as u64)
+        );
+        assert!(
+            reloaded.dead_records() <= COMPACT_MIN_DEAD + 1,
+            "the on-disk log was compacted (dead: {})",
+            reloaded.dead_records()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn dump_prints_one_object_per_live_entry() {
         let dir = temp_dir("dump");
@@ -1240,17 +1391,62 @@ mod tests {
     #[test]
     fn graph_rides_along_with_the_store() {
         let dir = temp_dir("graph");
-        let program = crate::parser::parse_program(
-            "method a(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0 { r := n }",
-        )
-        .unwrap();
+        let src = "method leaf(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0 { r := n }
+             method mid(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { call r := leaf(n) }
+             method top(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { call r := mid(n) }";
+        let graph = DepGraph::of_program(&crate::parser::parse_program(src).unwrap());
         let mut store = VerdictStore::open(&dir);
         assert!(store.graph().is_empty());
-        store.absorb_graph(&DepGraph::of_program(&program));
+        store.absorb_graph(&graph);
         store.persist_graph().unwrap();
         let reloaded = VerdictStore::open(&dir);
-        assert_eq!(reloaded.graph().len(), 1);
-        assert!(reloaded.graph().node("a").is_some());
+        assert_eq!(reloaded.graph(), &graph, "nodes reload, callees included");
+        assert_eq!(reloaded.graph().node("top").unwrap().callees, ["mid"]);
+        assert_eq!((reloaded.corrupt_lines(), reloaded.dead_records()), (0, 0));
+        for entry in fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(
+                (0..VerdictStore::SHARD_COUNT).any(|i| name == VerdictStore::shard_file_name(i)),
+                "the graph lives in the shards, not in {}",
+                name
+            );
+        }
+
+        // A spec edit re-appends exactly the edited node, burying its
+        // old record.
+        let edited = src.replace(
+            "{ call r := leaf(n) }",
+            "ensures r >= n { call r := leaf(n) }",
+        );
+        let mut store = reloaded;
+        store.absorb_graph(&DepGraph::of_program(
+            &crate::parser::parse_program(&edited).unwrap(),
+        ));
+        store.persist_graph().unwrap();
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.graph(), store.graph());
+        assert_eq!(
+            reloaded.dead_records(),
+            1,
+            "the superseded node is dead weight"
+        );
+
+        // A torn node record drops only that node. `top` is alone in
+        // its shard, so the cut lands in its record.
+        assert!(["leaf", "mid"]
+            .iter()
+            .all(|n| shard_of(n) != shard_of("top")));
+        let path = dir.join(VerdictStore::shard_file_name(shard_of("top")));
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let torn = VerdictStore::open(&dir);
+        assert!(torn.truncated_tail());
+        assert_eq!(torn.corrupt_lines(), 1);
+        assert!(torn.graph().node("top").is_none());
+        assert_eq!(torn.graph().node("leaf"), store.graph().node("leaf"));
+        assert_eq!(torn.graph().node("mid"), store.graph().node("mid"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -122,24 +122,6 @@ pub fn translate_expr(prog: &Program, env: &TEnv, e: &Expr) -> Result<Term, Tran
     })
 }
 
-/// [`translate_assertion`] wrapped in a `translate` span on
-/// `collector` — the traced entry point for phase attribution.
-///
-/// # Errors
-///
-/// Same as [`translate_assertion`].
-pub fn translate_assertion_traced(
-    prog: &Program,
-    env: &TEnv,
-    a: &Assertion,
-    collector: &mut daenerys_obs::TraceCollector,
-) -> Result<Assert, TranslateError> {
-    let span = collector.span_start("translate");
-    let out = translate_assertion(prog, env, a);
-    collector.span_end(span);
-    out
-}
-
 /// Translates an IDF assertion to a Daenerys [`Assert`].
 ///
 /// * `acc(x.f, q)` ⇒ `ℓ ↦{q} !ℓ`-style ownership: since the chunk value

@@ -356,22 +356,6 @@ fn check_method(program: &Program, m: &Method) -> Vec<WfError> {
     ck.errors
 }
 
-/// [`check_program`] wrapped in a `wf` span on `collector` — the
-/// traced entry point for phase attribution.
-///
-/// # Errors
-///
-/// Same as [`check_program`].
-pub fn check_program_traced(
-    program: &Program,
-    collector: &mut daenerys_obs::TraceCollector,
-) -> Result<(), Vec<WfError>> {
-    let span = collector.span_start("wf");
-    let out = check_program(program);
-    collector.span_end(span);
-    out
-}
-
 /// Checks a whole program.
 ///
 /// # Errors

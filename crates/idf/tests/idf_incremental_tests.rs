@@ -5,7 +5,7 @@
 
 use daenerys_idf::{
     all_cases, config_fingerprint, diverging_program, method_fingerprint, parse_program, Backend,
-    Budget, DepGraph, FaultKind, FaultPlan, Program, SessionHost, Verdict, VerdictStore, Verifier,
+    Budget, FaultKind, FaultPlan, Program, SessionHost, Verdict, VerdictStore, Verifier,
     VerifierConfig, VerifyOutcome,
 };
 use std::collections::BTreeMap;
@@ -307,40 +307,47 @@ fn pass_fingerprints_match_method_fingerprint_under_a_fault_plan() {
 
 #[test]
 fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
-    // A 32-byte `iface` with a two-byte character across byte 16 used
-    // to panic inside `VerdictStore::open`. It must load as an absent
-    // node instead: `get` becomes a spec-dirty root, so it and its
-    // caller `double` re-verify, and `free` stays warm.
+    // One byte of `get`'s interface fingerprint flips inside its node
+    // record. The record checksum catches it, so `get` loads as an
+    // absent node: it becomes a spec-dirty root, so it and its caller
+    // `double` re-verify, and `free` stays warm.
     let dir = temp_dir("damaged-iface");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3);
-    let path = dir.join(DepGraph::FILE_NAME);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let damaged: Vec<String> = text
-        .lines()
-        .map(|line| {
-            if line.starts_with("{\"method\":\"get\"") {
-                let at = line.find("\"iface\":\"").unwrap() + "\"iface\":\"".len();
-                format!(
-                    "{}000000000000000é000000000000000{}",
-                    &line[..at],
-                    &line[at + 32..]
-                )
-            } else {
-                line.to_string()
+    // Walk each shard's frames (24-byte shard header, then a 16-byte
+    // frame header holding the payload length and the record kind
+    // before each payload) to the node record (kind 3) whose payload
+    // opens with the length-prefixed name `get`, and flip the first
+    // interface byte after the name.
+    let name = b"\x03\x00\x00\x00get";
+    let mut flipped = 0;
+    for i in 0..VerdictStore::SHARD_COUNT {
+        let path = dir.join(VerdictStore::shard_file_name(i));
+        let Ok(mut bytes) = std::fs::read(&path) else {
+            continue;
+        };
+        let mut pos = 24;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            let payload = pos + 16;
+            if bytes[pos + 4] == 3 && bytes[payload..].starts_with(name) {
+                bytes[payload + name.len()] ^= 0x01;
+                std::fs::write(&path, &bytes).unwrap();
+                flipped += 1;
             }
-        })
-        .collect();
-    assert_ne!(damaged.join("\n"), text.trim_end());
-    std::fs::write(&path, damaged.join("\n")).unwrap();
+            pos = payload + len;
+        }
+    }
+    assert_eq!(flipped, 1, "one shard holds `get`'s node record");
     let store = VerdictStore::open(&dir);
     assert!(
         store.graph().node("get").is_none(),
         "the damaged node is dropped"
     );
     assert!(store.graph().node("double").is_some());
+    assert_eq!(store.corrupt_lines(), 1);
     drop(store);
     let outcome = pass(&program, &cfg);
     assert_eq!(
@@ -356,6 +363,74 @@ fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
     assert_eq!(first, second);
     let (_, warm) = run(&program, &cfg);
     assert_eq!(warm, 0, "the rewritten graph is whole again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parent_format_cache_dir_upgrades_by_reverifying_once() {
+    // `fixtures/parent_store` was written for `SRC` by the release that
+    // kept the dependency graph in a line-JSON file beside verdict-only
+    // shards. Its verdicts load intact; the graph does not, so the
+    // first pass re-verifies every method (each a matched verdict the
+    // empty graph forces) and the second none. The line-JSON file is
+    // never read, rewritten or removed.
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store");
+    let dir = temp_dir("parent-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut others = Vec::new();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        let bytes = std::fs::read(entry.path()).unwrap();
+        std::fs::write(dir.join(entry.file_name()), &bytes).unwrap();
+        let name = entry.file_name().into_string().unwrap();
+        if !name.ends_with(".daes") {
+            others.push((name, bytes));
+        }
+    }
+    assert_eq!(others.len(), 1, "the fixture holds the graph file");
+    let store = VerdictStore::open(&dir);
+    assert_eq!(store.len(), 3, "every verdict loads");
+    assert!(store.graph().is_empty());
+    assert_eq!(store.corrupt_lines(), 0);
+    drop(store);
+
+    let program = parse_program(SRC).unwrap();
+    let mut plain = Verifier::new(&program, Backend::Destabilized);
+    let expected: BTreeMap<String, Verdict> = plain
+        .verify_all_verdicts()
+        .into_iter()
+        .map(|(name, verdict)| (name, verdict.normalized()))
+        .collect();
+    let cfg = config(&dir);
+    let outcome = pass(&program, &cfg);
+    assert_eq!(
+        outcome.reverified,
+        Some(3),
+        "a missing graph forces every method"
+    );
+    assert_eq!(
+        outcome.store_dirty_transitive,
+        Some(3),
+        "each forced method had a matching stored verdict"
+    );
+    let first: BTreeMap<String, Verdict> = outcome
+        .verdicts
+        .into_iter()
+        .map(|(name, verdict)| (name, verdict.normalized()))
+        .collect();
+    assert_eq!(first, expected, "upgrade verdicts equal a cold run's");
+    let (second, warm) = run(&program, &cfg);
+    assert_eq!(warm, 0);
+    assert_eq!(second, expected);
+    for (name, bytes) in &others {
+        assert_eq!(
+            &std::fs::read(dir.join(name)).unwrap(),
+            bytes,
+            "{} untouched",
+            name
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
