@@ -40,9 +40,10 @@
 //!   recorded by the sink tee (histogram)
 //!
 //! The trace layer's run-global registry (`solver.conflict`,
-//! `theory.propagate`, …, and `store.corrupt_lines` /
-//! `store.truncated_tail` when the store opened damaged) records with
-//! empty labels and is merged into every `metrics` scrape.
+//! `theory.propagate`, …, `store.corrupt_lines` /
+//! `store.truncated_tail` when the store opened damaged, and
+//! `store.write_errors` when a pass's store commit failed) records
+//! with empty labels and is merged into every `metrics` scrape.
 //!
 //! ## Sampling policy
 //!

@@ -178,8 +178,9 @@ impl DepGraph {
     /// `names`): callees before callers, ties broken by program order,
     /// cycles (recursion) falling back to program order for the
     /// strongly-connected remainder. Methods are verified in isolation
-    /// against callee *specs*, so this order is a scheduling policy —
-    /// warm leaves first — never a correctness requirement.
+    /// against callee *specs*, each on a fresh solver, so this is only
+    /// a dispatch order: it shares no work between methods and is never
+    /// a correctness requirement.
     pub fn topo_order(&self, names: &[String], pending: &[usize]) -> Vec<usize> {
         let in_pending: BTreeSet<usize> = pending.iter().copied().collect();
         let index_of: BTreeMap<&str, usize> = names

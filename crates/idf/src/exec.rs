@@ -579,14 +579,15 @@ impl<'a> Verifier<'a> {
     ///
     /// With `store` (the [`crate::session::SessionHost`]'s warm store)
     /// the pass is incremental: it restores every method whose
-    /// fingerprint matches a stored definite verdict, appends each new
-    /// verdict durably ([`VerdictStore::record_durable`]) so a killed
-    /// process loses at most the append in flight, persists the
-    /// dependency graph at the end, and reports its [`StorePass`]
-    /// accounting. The lock is taken once to plan (lookups,
-    /// spec-dirty roots, graph absorb), once per verdict to record and
-    /// once to persist the graph, so concurrent sessions share the
-    /// store.
+    /// fingerprint matches a stored definite verdict, commits the
+    /// verdicts it computed and its dependency graph in one
+    /// [`VerdictStore::commit`] at the end, so a killed process loses
+    /// at most the pass in flight, and reports its [`StorePass`]
+    /// accounting. The lock is taken twice: once to plan (lookups and
+    /// spec-dirty roots) and once to commit, so concurrent sessions
+    /// share the store. A failed commit costs later re-verification,
+    /// never a wrong verdict; it is counted as `store.write_errors` in
+    /// the pass's trace metrics.
     pub(crate) fn run_pass(
         &mut self,
         store: Option<&Mutex<VerdictStore>>,
@@ -631,17 +632,15 @@ impl<'a> Verifier<'a> {
                 })
                 .collect();
             let roots = {
-                let mut s = lock(store);
+                let s = lock(store);
                 restored = keys
                     .iter()
                     .zip(&fingerprints)
                     .map(|(key, &fp)| s.lookup(key, fp).cloned())
                     .collect();
                 // The "previous" side of planning is the graph as of
-                // the last pass, before this pass's nodes are absorbed.
-                let roots = DepGraph::spec_dirty_roots(s.graph(), cur);
-                s.absorb_graph(cur);
-                roots
+                // the last commit; this pass's nodes join it at commit.
+                DepGraph::spec_dirty_roots(s.graph(), cur)
             };
             let misses = restored.iter().filter(|r| r.is_none()).count();
             // Transitive spec dirtiness: a changed (or new, or
@@ -697,8 +696,8 @@ impl<'a> Verifier<'a> {
             .filter(|&i| restored[i].is_none())
             .collect();
         if let Some(cur) = &cur_graph {
-            // Callee-first scheduling: warms the solver's cross-method
-            // lemma locality bottom-up. Purely a dispatch order — the
+            // Callee-first dispatch order. Every method runs on a fresh
+            // solver (`run_isolated`), so the order shares no work; the
             // program-order merge below keeps results and traces
             // identical whatever the schedule.
             pending = cur.topo_order(&names, &pending);
@@ -773,17 +772,19 @@ impl<'a> Verifier<'a> {
             }
             self.config.trace.emit(outcome.events);
             self.config.trace.merge_metrics(&outcome.metrics);
-            if let (Some(store), Some(&fp)) = (store, fingerprints.get(i)) {
-                // Best-effort: an unwritable cache directory costs
-                // future reuse, never correctness.
-                let _ = lock(store).record_durable(&keys[i], fp, &verdict);
-            }
             out.push((names[i].clone(), verdict));
         }
-        if let Some(store) = store {
-            // Persisted last, so a pass killed mid-verify re-plans
-            // from the *old* interfaces.
-            let _ = lock(store).persist_graph();
+        if let (Some(store), Some(cur)) = (store, &cur_graph) {
+            let verdicts = pending
+                .iter()
+                .map(|&i| (keys[i].as_str(), fingerprints[i], &out[i].1));
+            if lock(store).commit(verdicts, cur).is_err() {
+                // An unwritable cache directory costs future reuse,
+                // never correctness.
+                let mut m = MetricsRegistry::new();
+                m.add("store.write_errors", &Labels::none(), 1);
+                self.config.trace.merge_metrics(&m);
+            }
         }
         self.config.trace.flush();
         (out, accounting)

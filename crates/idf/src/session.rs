@@ -18,7 +18,8 @@
 //! have already parsed and checked the program themselves.
 //!
 //! The host is `Sync`: sessions on different threads verify
-//! concurrently, serializing only the brief store lookups/appends.
+//! concurrently, serializing only each pass's brief store lookups and
+//! its one commit.
 
 use crate::budget::Budget;
 use crate::exec::{Backend, Verdict, Verifier, VerifierConfig, VerifyStats};
@@ -36,10 +37,6 @@ pub struct SessionHost {
     backend: Backend,
     base: VerifierConfig,
     store: Option<Mutex<VerdictStore>>,
-    /// Undecodable store lines counted at open (see
-    /// [`VerdictStore::corrupt_lines`]) — surfaced in the daemon's
-    /// metrics snapshot.
-    store_corrupt_lines: usize,
 }
 
 impl SessionHost {
@@ -53,15 +50,14 @@ impl SessionHost {
     /// wrong verdict.
     pub fn new(backend: Backend, base: VerifierConfig) -> SessionHost {
         let store = base.cache_dir.as_deref().map(VerdictStore::open);
-        let store_corrupt_lines = store.as_ref().map_or(0, VerdictStore::corrupt_lines);
-        if store_corrupt_lines > 0 {
+        if let Some(s) = store.as_ref().filter(|s| s.corrupt_lines() > 0) {
             let mut m = MetricsRegistry::new();
             m.add(
                 "store.corrupt_lines",
                 &Labels::none(),
-                store_corrupt_lines as u64,
+                s.corrupt_lines() as u64,
             );
-            if store.as_ref().is_some_and(VerdictStore::truncated_tail) {
+            if s.truncated_tail() {
                 m.add("store.truncated_tail", &Labels::none(), 1);
             }
             base.trace.merge_metrics(&m);
@@ -70,7 +66,6 @@ impl SessionHost {
             backend,
             base,
             store: store.map(Mutex::new),
-            store_corrupt_lines,
         }
     }
 
@@ -87,7 +82,7 @@ impl SessionHost {
     /// Undecodable lines skipped when the store was opened (0 without
     /// a store).
     pub fn store_corrupt_lines(&self) -> usize {
-        self.store_corrupt_lines
+        self.store.as_ref().map_or(0, |m| lock(m).corrupt_lines())
     }
 
     /// Entries currently in the warm store (0 without a store).
@@ -387,8 +382,8 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
         );
         assert_eq!(host.store_len(), 1);
 
-        // The appends were durable: a fresh host restores without any
-        // flush having happened.
+        // Each pass's commit reached disk: a fresh host restores without
+        // any flush having happened.
         drop(host);
         let host2 = SessionHost::new(
             Backend::Destabilized,
@@ -401,6 +396,43 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
         let third = host2.session().verify_source(GOOD).unwrap();
         assert_eq!(third.reverified, Some(0));
         host2.flush_store().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_store_writes_are_counted_not_fatal() {
+        // Every shard path is a directory: the pass's commit fails.
+        let dir = temp_dir("write-errors");
+        for i in 0..VerdictStore::SHARD_COUNT {
+            std::fs::create_dir_all(dir.join(VerdictStore::shard_file_name(i))).unwrap();
+        }
+        let write_errors = |dir: &std::path::Path| {
+            let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 10));
+            let trace = daenerys_obs::TraceHandle::new(sink, daenerys_obs::ClockKind::Logical);
+            let host = SessionHost::new(
+                Backend::Destabilized,
+                VerifierConfig {
+                    cache_dir: Some(dir.to_path_buf()),
+                    trace: trace.clone(),
+                    ..VerifierConfig::default()
+                },
+            );
+            let out = host.session().verify_source(GOOD).unwrap();
+            assert!(out.verdicts["set"].is_verified(), "the verdict stands");
+            let metrics = trace.metrics();
+            let names: Vec<&str> = metrics.counters().map(|(name, _, _)| name).collect();
+            assert!(names.contains(&"store.hits"), "the pass was traced");
+            names
+                .contains(&"store.write_errors")
+                .then(|| metrics.counter("store.write_errors", &Labels::none()))
+        };
+        assert_eq!(
+            write_errors(&dir),
+            Some(1),
+            "one failed commit, counted once"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(write_errors(&dir), None, "emitted only when nonzero");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

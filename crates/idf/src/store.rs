@@ -24,26 +24,33 @@
 //! [`VerdictStore::dump`] is the one-way export, one JSON object per
 //! live entry.
 //!
-//! [`crate::session::SessionHost`] is the one owner of an open store:
-//! every verification pass records through durable appends
-//! ([`VerdictStore::record_durable`]), so a killed process loses at
-//! most the append in flight, and [`VerdictStore::save`] is the
-//! graceful-shutdown compaction. Appends accumulate *dead weight* —
-//! superseded records and evict tombstones that replay discards. The
-//! store tracks that debt (including debt inherited from disk at open)
-//! and compacts automatically once it exceeds the live records
+//! [`crate::session::SessionHost`] is the one owner of an open store,
+//! and [`VerdictStore::commit`] is its one write path: each
+//! verification pass commits its verdicts and its dependency-graph
+//! nodes once, as at most one verdict append and one node append per
+//! touched shard, and [`VerdictStore::save`] is the graceful-shutdown
+//! compaction. The store is a cache of facts that can be recomputed,
+//! so the contract is **process-crash safe, not power-loss safe**: a
+//! killed process loses at most the pass in flight (its methods
+//! re-verify on the next pass), and nothing is ever fsynced — an
+//! append is done once it reaches the page cache. Appends accumulate
+//! *dead weight* — superseded records and evict tombstones that replay
+//! discards. The store tracks that debt (including debt inherited from
+//! disk at open) and compacts once it exceeds the live records
 //! (verdicts plus graph nodes), so a long-lived daemon's store files
-//! stop growing without bound between explicit saves. A shard whose scan at open did not end
-//! clean (damaged header, rotten record, torn tail) is never appended
-//! to: its first write rewrites it from memory, so the damage heals
-//! instead of swallowing every later append.
+//! stop growing without bound between explicit saves. A shard whose
+//! scan at open did not end clean (damaged header, rotten record, torn
+//! tail) is never appended to: the first commit that touches it
+//! rewrites it from memory, so the damage heals instead of swallowing
+//! every later append.
 //!
 //! The same shards carry the method → callee-spec dependency graph
 //! ([`crate::depgraph::DepGraph`]) used for transitive spec-dirtiness:
 //! one node record per method, routed by the method name, replayed
-//! last-wins and never tombstoned (the graph never forgets a node).
-//! Node records are appended at the end of a pass, after its verdicts,
-//! under the same damage and compaction rules as verdict records.
+//! last-wins and never tombstoned (the graph never forgets a node). A
+//! commit writes node records only after every verdict record of the
+//! pass has landed, so a failed or killed commit leaves the previous
+//! interfaces on disk and can only widen the next pass's cone.
 
 use crate::depgraph::{DepGraph, DepNode};
 use crate::diag::FailureReport;
@@ -51,7 +58,7 @@ use crate::exec::{Obligation, Verdict, VerifyStats};
 use crate::fingerprint::Fingerprint;
 use crate::smt::Answer;
 use daenerys_obs::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -83,19 +90,18 @@ pub struct VerdictStore {
     /// store.
     truncated_tail: bool,
     /// Dead weight in the on-disk log: records replay discarded at
-    /// open plus durable appends that superseded or tombstoned an
-    /// entry or a graph node since. Once this exceeds the live verdicts
-    /// plus live nodes, the next durable write compacts.
+    /// open plus committed records that superseded an entry or a graph
+    /// node since, and every committed tombstone with the entry it
+    /// evicted. Once this exceeds the live verdicts plus live nodes,
+    /// the next commit that writes compacts.
     dead_records: usize,
     /// The persisted dependency graph, loaded from the node records
     /// (see [`crate::depgraph`]).
     graph: DepGraph,
-    /// Graph nodes absorbed since they were last written;
-    /// [`VerdictStore::persist_graph`] appends them.
-    unwritten: BTreeSet<String>,
     /// Shards whose scan at open did not end clean. An append there
     /// would land after the damage, where the next open drops it, so
-    /// [`VerdictStore::record_durable`] rewrites such a shard whole.
+    /// the first [`VerdictStore::commit`] that touches such a shard
+    /// rewrites it whole.
     damaged: [bool; VerdictStore::SHARD_COUNT],
 }
 
@@ -123,7 +129,6 @@ impl VerdictStore {
             truncated_tail: false,
             dead_records: 0,
             graph: DepGraph::new(),
-            unwritten: BTreeSet::new(),
             damaged: [false; Self::SHARD_COUNT],
         };
         let mut replay = Replay::default();
@@ -177,40 +182,6 @@ impl VerdictStore {
         (stored.fingerprint == fingerprint).then_some(&stored.verdict)
     }
 
-    /// Records a verdict. Definite verdicts (`Verified`/`Failed`)
-    /// replace the method's entry and return `true`; `Unknown` and
-    /// `CrashedInternal` *remove* any stale entry (its fingerprint can
-    /// no longer be trusted to describe the outcome) and return
-    /// `false`.
-    pub fn record(&mut self, method: &str, fingerprint: Fingerprint, verdict: &Verdict) -> bool {
-        match verdict {
-            Verdict::Verified(stats) => {
-                self.entries.insert(
-                    method.to_string(),
-                    StoredVerdict {
-                        fingerprint,
-                        verdict: Verdict::Verified(stats.normalized()),
-                    },
-                );
-                true
-            }
-            Verdict::Failed { .. } => {
-                self.entries.insert(
-                    method.to_string(),
-                    StoredVerdict {
-                        fingerprint,
-                        verdict: verdict.clone(),
-                    },
-                );
-                true
-            }
-            Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
-                self.entries.remove(method);
-                false
-            }
-        }
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -227,53 +198,95 @@ impl VerdictStore {
         &self.graph
     }
 
-    /// Upserts the current program's nodes into the persisted graph
-    /// (see [`DepGraph::absorb`]) and remembers the changed ones for
-    /// [`VerdictStore::persist_graph`].
-    pub fn absorb_graph(&mut self, cur: &DepGraph) {
-        let known = self.graph.len();
-        let changed = self.graph.absorb(cur);
-        let new = self.graph.len() - known;
-        let pending = changed
-            .iter()
-            .filter(|name| self.unwritten.contains(*name))
-            .count();
-        // Every other changed node is already on disk: its next record
-        // buries the old one.
-        self.dead_records += changed.len() - new - pending;
-        self.unwritten.extend(changed);
-    }
-
-    /// Appends a node record for every node absorbed since it was last
-    /// written, one append per touched shard — the end-of-pass hook,
-    /// run after the pass's verdicts. A shard damaged at open is
-    /// rewritten whole instead, and too much dead weight compacts the
-    /// whole store (see [`VerdictStore::record_durable`]).
+    /// Commits one verification pass: the verdicts it computed, as
+    /// `(store key, fingerprint, verdict)`, and the pass's dependency
+    /// graph. This is the store's one write path, and the pass's one
+    /// store write.
+    ///
+    /// The verdicts are applied in memory first. Definite verdicts
+    /// (`Verified`, with [`VerifyStats::normalized`] stats, and
+    /// `Failed`) replace the key's entry; `Unknown` and
+    /// `CrashedInternal` *remove* it (its fingerprint can no longer be
+    /// trusted to describe the outcome). Their put and evict-tombstone
+    /// frames then go out as one append per touched shard. Only after
+    /// every verdict frame has landed is `graph` absorbed (see
+    /// [`DepGraph::absorb`]) and a node frame appended for each node
+    /// it changed, again one append per touched shard, so a failed or
+    /// killed commit leaves the previous interfaces on disk and can
+    /// only widen the next pass's cone.
+    ///
+    /// Each of the two writes heals a touched shard that was damaged
+    /// at open by rewriting it from memory instead of appending after
+    /// the damage, and compacts the whole store ([`VerdictStore::save`])
+    /// instead when the dead weight has outgrown the live records, so
+    /// a commit compacts at most once. A commit with no verdicts and no
+    /// changed node writes nothing.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from creating the directory or writing a
-    /// shard; nodes that were not written reach disk with the next
-    /// [`VerdictStore::save`].
-    pub fn persist_graph(&mut self) -> io::Result<()> {
-        if self.unwritten.is_empty() {
+    /// Propagates the first I/O error from creating the directory or
+    /// writing a shard. The in-memory verdicts are updated regardless;
+    /// when a verdict write fails the graph is left unabsorbed, in
+    /// memory as on disk. What did not land re-verifies on a later
+    /// pass, and [`VerdictStore::save`] writes out what memory holds.
+    pub fn commit<'v>(
+        &mut self,
+        verdicts: impl IntoIterator<Item = (&'v str, Fingerprint, &'v Verdict)>,
+        graph: &DepGraph,
+    ) -> io::Result<()> {
+        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
+        for (key, fingerprint, verdict) in verdicts {
+            let frame = if matches!(verdict, Verdict::Verified(_) | Verdict::Failed { .. }) {
+                let stored = StoredVerdict {
+                    fingerprint,
+                    verdict: verdict.normalized(),
+                };
+                let frame = encode_frame(RECORD_PUT, &encode_put_payload(key, &stored));
+                // A put that supersedes an entry buries its record.
+                if self.entries.insert(key.to_string(), stored).is_some() {
+                    self.dead_records += 1;
+                }
+                frame
+            } else {
+                // A tombstone is dead weight itself, and buries the
+                // record of any entry it evicts.
+                self.dead_records += 1 + usize::from(self.entries.remove(key).is_some());
+                encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(key))
+            };
+            frames[shard_of(key)].extend(frame);
+        }
+        self.write(&frames)?;
+
+        let known = self.graph.len();
+        let changed = self.graph.absorb(graph);
+        // Every changed node that was already known buries its record.
+        self.dead_records += changed.len() - (self.graph.len() - known);
+        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
+        for name in &changed {
+            let node = self.graph.node(name).expect("absorbed nodes stay");
+            frames[shard_of(name)]
+                .extend(encode_frame(RECORD_NODE, &encode_dep_payload(name, node)));
+        }
+        self.write(&frames)
+    }
+
+    /// Writes `frames[i]` to shard `i` for every non-empty entry: one
+    /// append, or a rewrite from memory when the shard was damaged at
+    /// open. When the dead weight has outgrown the live records the
+    /// whole store is compacted from memory instead.
+    fn write(&mut self, frames: &[Vec<u8>]) -> io::Result<()> {
+        if frames.iter().all(Vec::is_empty) {
             return Ok(());
         }
         if self.over_debt() {
             return self.save();
         }
         fs::create_dir_all(&self.dir)?;
-        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
-        for name in std::mem::take(&mut self.unwritten) {
-            let node = self.graph.node(&name).expect("absorbed nodes stay");
-            frames[shard_of(&name)]
-                .extend(encode_frame(RECORD_NODE, &encode_dep_payload(&name, node)));
-        }
         for (shard, frames) in frames.iter().enumerate().filter(|(_, f)| !f.is_empty()) {
             if self.damaged[shard] {
                 self.heal_shard(shard)?;
             } else {
-                append_flushed(&self.shard_path(shard), frames, &shard_header(shard))?;
+                append(&self.shard_path(shard), frames, &shard_header(shard))?;
             }
         }
         Ok(())
@@ -287,58 +300,6 @@ impl VerdictStore {
     /// True once the dead weight on disk outgrows the live records.
     fn over_debt(&self) -> bool {
         self.dead_records > COMPACT_MIN_DEAD.max(self.live())
-    }
-
-    /// Records a verdict (exactly as [`VerdictStore::record`]) *and*
-    /// appends the change to its shard file immediately, flushed, so a
-    /// SIGKILL'd process loses at most the verdict currently being
-    /// written. Definite verdicts append their entry record;
-    /// indefinite verdicts append an evict tombstone that
-    /// [`VerdictStore::open`] replays last-wins. When the appended
-    /// dead weight outgrows the live verdicts and nodes the log is
-    /// compacted in place (see [`VerdictStore::save`]), so a long-lived
-    /// daemon's store stops growing without bound. The first write into
-    /// a shard that was damaged at open rewrites that shard from memory
-    /// instead of appending after the damage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating the directory or appending
-    /// to the file; the in-memory entry is updated regardless.
-    pub fn record_durable(
-        &mut self,
-        method: &str,
-        fingerprint: Fingerprint,
-        verdict: &Verdict,
-    ) -> io::Result<bool> {
-        let superseded = self.entries.contains_key(method);
-        let definite = self.record(method, fingerprint, verdict);
-        if superseded || !definite {
-            // Either the new record buries an old one, or it *is*
-            // dead weight (a tombstone).
-            self.dead_records += 1;
-        }
-        if self.over_debt() {
-            self.save()?;
-            return Ok(definite);
-        }
-        fs::create_dir_all(&self.dir)?;
-        let shard = shard_of(method);
-        if self.damaged[shard] {
-            self.heal_shard(shard)?;
-            return Ok(definite);
-        }
-        let frame = if definite {
-            let stored = self
-                .entries
-                .get(method)
-                .expect("record returned true, entry present");
-            encode_frame(RECORD_PUT, &encode_put_payload(method, stored))
-        } else {
-            encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(method))
-        };
-        append_flushed(&self.shard_path(shard), &frame, &shard_header(shard))?;
-        Ok(definite)
     }
 
     /// Writes the store back to disk, compacted (one record per live
@@ -366,19 +327,17 @@ impl VerdictStore {
             self.write_shard(i, verdicts, nodes)?;
         }
         self.damaged = [false; Self::SHARD_COUNT];
-        self.unwritten.clear();
         self.dead_records = 0;
         Ok(())
     }
 
     /// Rewrites shard `i`, damaged at open, from memory: its verdicts
-    /// and its graph nodes, unwritten ones included.
+    /// and its graph nodes.
     fn heal_shard(&mut self, i: usize) -> io::Result<()> {
         let verdicts = self.entries.iter().filter(|(k, _)| shard_of(k) == i);
         let nodes = self.graph.nodes().filter(|(name, _)| shard_of(name) == i);
         self.write_shard(i, verdicts, nodes)?;
         self.damaged[i] = false;
-        self.unwritten.retain(|name| shard_of(name) != i);
         Ok(())
     }
 
@@ -423,7 +382,7 @@ impl VerdictStore {
 
 /// Locks a shared store, tolerating poisoning: every record on disk
 /// is self-contained and the map is updated one entry at a time, so a
-/// panic mid-record cannot leave a store worth refusing.
+/// panic mid-commit cannot leave a store worth refusing.
 pub(crate) fn lock(m: &Mutex<VerdictStore>) -> MutexGuard<'_, VerdictStore> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -470,7 +429,7 @@ fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
                 ]),
             ));
         }
-        // `record` never admits these.
+        // `commit` never stores these.
         Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
             fields.push(("verdict", "unpersistable".into()));
         }
@@ -478,18 +437,20 @@ fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
     Json::obj(fields)
 }
 
-/// Appends `frame` to `path`, flushed; `header` (the `DAES1` shard
-/// preamble) is written first when the file is new or empty.
-fn append_flushed(path: &Path, frame: &[u8], header: &[u8]) -> io::Result<()> {
+/// Appends `frames` to `path` in one write; `header` (the `DAES1`
+/// shard preamble) goes first when the file is new or empty. The
+/// write reaches the page cache, not the disk: no fsync.
+fn append(path: &Path, frames: &[u8], header: &[u8]) -> io::Result<()> {
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
     if file.metadata()?.len() == 0 {
-        io::Write::write_all(&mut file, header)?;
+        let mut bytes = header.to_vec();
+        bytes.extend_from_slice(frames);
+        return io::Write::write_all(&mut file, &bytes);
     }
-    io::Write::write_all(&mut file, frame)?;
-    io::Write::flush(&mut file)
+    io::Write::write_all(&mut file, frames)
 }
 
 // ---------------------------------------------------------------------
@@ -641,7 +602,7 @@ fn encode_put_payload(key: &str, stored: &StoredVerdict) -> Vec<u8> {
                 out.push(answer_code(q.answer));
             }
         }
-        // `record` never admits these; encode defensively as a record
+        // `commit` never stores these; encode defensively as a record
         // the decoder will reject.
         Verdict::Unknown { .. } | Verdict::CrashedInternal { .. } => {
             out.push(u8::MAX);
@@ -966,6 +927,20 @@ mod tests {
         dir
     }
 
+    /// Commits one pass of `verdicts` that brings no graph nodes.
+    fn commit(store: &mut VerdictStore, verdicts: &[(&str, Fingerprint, Verdict)]) {
+        store
+            .commit(
+                verdicts.iter().map(|(k, f, v)| (*k, *f, v)),
+                &DepGraph::new(),
+            )
+            .unwrap();
+    }
+
+    fn verified() -> Verdict {
+        Verdict::Verified(VerifyStats::default())
+    }
+
     fn sample_failed() -> Verdict {
         Verdict::Failed {
             failures: vec![Obligation {
@@ -1004,8 +979,15 @@ mod tests {
             threads: 4,
             ..VerifyStats::default()
         };
-        assert!(store.record("ok", fp(1), &Verdict::Verified(stats.clone())));
-        assert!(store.record("bad", fp(2), &sample_failed()));
+        commit(
+            &mut store,
+            &[
+                ("ok", fp(1), Verdict::Verified(stats.clone())),
+                ("bad", fp(2), sample_failed()),
+            ],
+        );
+        assert!(store.lookup("ok", fp(1)).is_some());
+        assert!(store.lookup("bad", fp(2)).is_some());
         store.save().unwrap();
 
         let reloaded = VerdictStore::open(&dir);
@@ -1023,52 +1005,47 @@ mod tests {
     fn fingerprint_mismatch_misses() {
         let dir = temp_dir("mismatch");
         let mut store = VerdictStore::open(&dir);
-        store.record("m", fp(1), &Verdict::Verified(VerifyStats::default()));
+        commit(&mut store, &[("m", fp(1), verified())]);
         assert!(store.lookup("m", fp(1)).is_some());
         assert!(store.lookup("m", fp(9)).is_none());
         assert!(store.lookup("other", fp(1)).is_none());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn indefinite_verdicts_are_never_persisted_and_evict() {
         let dir = temp_dir("indefinite");
         let mut store = VerdictStore::open(&dir);
-        store.record("m", fp(1), &Verdict::Verified(VerifyStats::default()));
-        assert!(!store.record(
-            "m",
-            fp(1),
-            &Verdict::Unknown {
-                reason: UnknownReason::OutOfFragment {
-                    detail: "x".to_string()
-                },
-                failures: Vec::new(),
-                report: FailureReport::default(),
+        commit(&mut store, &[("m", fp(1), verified())]);
+        let unknown = Verdict::Unknown {
+            reason: UnknownReason::OutOfFragment {
+                detail: "x".to_string(),
             },
-        ));
+            failures: Vec::new(),
+            report: FailureReport::default(),
+        };
+        commit(&mut store, &[("m", fp(1), unknown)]);
         assert!(
             store.lookup("m", fp(1)).is_none(),
             "an indefinite outcome evicts the stale definite entry"
         );
-        assert!(!store.record(
-            "m",
-            fp(1),
-            &Verdict::CrashedInternal {
-                message: "boom".to_string()
-            },
-        ));
+        let crashed = Verdict::CrashedInternal {
+            message: "boom".to_string(),
+        };
+        commit(&mut store, &[("m", fp(1), crashed)]);
         assert!(store.is_empty());
+        assert!(VerdictStore::open(&dir).is_empty(), "nor does a reopen");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shard_payload_corruption_is_skipped_and_counted() {
         let dir = temp_dir("shard-corrupt");
         let mut store = VerdictStore::open(&dir);
-        store
-            .record_durable("keep", fp(7), &Verdict::Verified(VerifyStats::default()))
-            .unwrap();
-        store
-            .record_durable("bad", fp(2), &sample_failed())
-            .unwrap();
+        commit(
+            &mut store,
+            &[("keep", fp(7), verified()), ("bad", fp(2), sample_failed())],
+        );
         drop(store);
         // Flip one byte inside the *last* record's payload of each
         // non-empty shard file: framing stays intact, the checksum
@@ -1104,9 +1081,7 @@ mod tests {
     fn shard_truncated_tail_is_skipped_and_counted() {
         let dir = temp_dir("shard-truncate");
         let mut store = VerdictStore::open(&dir);
-        store
-            .record_durable("keep", fp(7), &Verdict::Verified(VerifyStats::default()))
-            .unwrap();
+        commit(&mut store, &[("keep", fp(7), verified())]);
         drop(store);
         let shard = shard_of("keep");
         let path = dir.join(VerdictStore::shard_file_name(shard));
@@ -1130,8 +1105,10 @@ mod tests {
     fn shard_header_damage_loses_only_that_shard() {
         let dir = temp_dir("shard-header");
         let mut store = VerdictStore::open(&dir);
-        store.record("a", fp(1), &Verdict::Verified(VerifyStats::default()));
-        store.record("b", fp(2), &Verdict::Verified(VerifyStats::default()));
+        commit(
+            &mut store,
+            &[("a", fp(1), verified()), ("b", fp(2), verified())],
+        );
         store.save().unwrap();
         let shard = shard_of("a");
         let path = dir.join(VerdictStore::shard_file_name(shard));
@@ -1151,13 +1128,13 @@ mod tests {
     fn durable_appends_survive_reopen_without_save() {
         let dir = temp_dir("durable");
         let mut store = VerdictStore::open(&dir);
-        assert!(store
-            .record_durable("ok", fp(1), &Verdict::Verified(VerifyStats::default()))
-            .unwrap());
-        assert!(store
-            .record_durable("bad", fp(2), &sample_failed())
-            .unwrap());
-        drop(store); // no save(): the appends alone must persist
+        commit(
+            &mut store,
+            &[("ok", fp(1), verified()), ("bad", fp(2), sample_failed())],
+        );
+        assert!(store.lookup("ok", fp(1)).is_some());
+        assert!(store.lookup("bad", fp(2)).is_some());
+        drop(store); // no save(): the commit alone must persist
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.len(), 2);
         assert!(reloaded.lookup("ok", fp(1)).is_some());
@@ -1170,18 +1147,13 @@ mod tests {
     fn durable_evict_tombstones_replay_last_wins() {
         let dir = temp_dir("tombstone");
         let mut store = VerdictStore::open(&dir);
-        store
-            .record_durable("m", fp(1), &Verdict::Verified(VerifyStats::default()))
-            .unwrap();
-        assert!(!store
-            .record_durable(
-                "m",
-                fp(1),
-                &Verdict::CrashedInternal {
-                    message: "boom".to_string(),
-                },
-            )
-            .unwrap());
+        commit(&mut store, &[("m", fp(1), verified())]);
+        let crashed = Verdict::CrashedInternal {
+            message: "boom".to_string(),
+        };
+        commit(&mut store, &[("m", fp(1), crashed)]);
+        assert!(store.lookup("m", fp(1)).is_none());
+        assert_eq!(store.dead_records(), 2, "counted as a reopen counts it");
         drop(store);
         let reloaded = VerdictStore::open(&dir);
         assert!(
@@ -1211,7 +1183,7 @@ mod tests {
         assert_eq!(store.dead_records(), 0);
         assert!(!dir.exists(), "opening a fresh store writes nothing");
 
-        store.record("m", fp(1), &Verdict::Verified(VerifyStats::default()));
+        commit(&mut store, &[("m", fp(1), verified())]);
         store.save().unwrap();
         let mut names: Vec<String> = fs::read_dir(&dir)
             .unwrap()
@@ -1243,9 +1215,7 @@ mod tests {
         let dir = temp_dir("lastwins");
         let mut store = VerdictStore::open(&dir);
         for n in [1, 2] {
-            store
-                .record_durable("m", fp(n), &Verdict::Verified(VerifyStats::default()))
-                .unwrap();
+            commit(&mut store, &[("m", fp(n), verified())]);
         }
         drop(store);
         let store = VerdictStore::open(&dir);
@@ -1262,9 +1232,7 @@ mod tests {
         // Re-record one method far past the compaction threshold:
         // without compaction the log would hold every version.
         for round in 0..(COMPACT_MIN_DEAD * 3) as u64 {
-            store
-                .record_durable("m", fp(round), &Verdict::Verified(VerifyStats::default()))
-                .unwrap();
+            commit(&mut store, &[("m", fp(round), verified())]);
         }
         assert!(
             store.dead_records() <= COMPACT_MIN_DEAD + 1,
@@ -1296,16 +1264,14 @@ mod tests {
     fn graph_dead_weight_matches_what_a_reopen_counts() {
         let dir = temp_dir("graph-dead");
         let mut store = VerdictStore::open(&dir);
-        // New, then changed again before the pass persists: one
-        // record, nothing buried.
-        store.absorb_graph(&graph_of_m(0));
-        store.absorb_graph(&graph_of_m(1));
-        store.persist_graph().unwrap();
+        // New: one record, nothing buried.
+        store.commit([], &graph_of_m(0)).unwrap();
         assert_eq!(store.dead_records(), 0);
-        // Changed twice more: the one new record buries the old one.
-        store.absorb_graph(&graph_of_m(2));
-        store.absorb_graph(&graph_of_m(3));
-        store.persist_graph().unwrap();
+        // Changed: the new record buries the old one.
+        store.commit([], &graph_of_m(3)).unwrap();
+        assert_eq!(store.dead_records(), 1);
+        // Unchanged: nothing is appended.
+        store.commit([], &graph_of_m(3)).unwrap();
         assert_eq!(store.dead_records(), 1);
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.dead_records(), store.dead_records());
@@ -1320,8 +1286,7 @@ mod tests {
         // Re-append one node far past the compaction threshold, each
         // time with a new interface: only the last record is live.
         for round in 0..(COMPACT_MIN_DEAD * 3) as u64 {
-            store.absorb_graph(&graph_of_m(round));
-            store.persist_graph().unwrap();
+            store.commit([], &graph_of_m(round)).unwrap();
         }
         assert!(
             store.dead_records() <= COMPACT_MIN_DEAD + 1,
@@ -1349,16 +1314,18 @@ mod tests {
             obligations: 3,
             ..VerifyStats::default()
         };
-        store.record("ok", fp(1), &Verdict::Verified(stats));
-        store.record("bad", fp(2), &sample_failed());
-        store.record("gone", fp(3), &Verdict::Verified(VerifyStats::default()));
-        store.record(
-            "gone",
-            fp(3),
-            &Verdict::CrashedInternal {
-                message: "boom".to_string(),
-            },
+        commit(
+            &mut store,
+            &[
+                ("ok", fp(1), Verdict::Verified(stats)),
+                ("bad", fp(2), sample_failed()),
+                ("gone", fp(3), verified()),
+            ],
         );
+        let crashed = Verdict::CrashedInternal {
+            message: "boom".to_string(),
+        };
+        commit(&mut store, &[("gone", fp(3), crashed)]);
         let lines: Vec<String> = store.dump().collect();
         assert_eq!(lines.len(), store.len());
         let objects: Vec<BTreeMap<String, Json>> = lines
@@ -1399,8 +1366,7 @@ mod tests {
         let graph = DepGraph::of_program(&crate::parser::parse_program(src).unwrap());
         let mut store = VerdictStore::open(&dir);
         assert!(store.graph().is_empty());
-        store.absorb_graph(&graph);
-        store.persist_graph().unwrap();
+        store.commit([], &graph).unwrap();
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.graph(), &graph, "nodes reload, callees included");
         assert_eq!(reloaded.graph().node("top").unwrap().callees, ["mid"]);
@@ -1421,10 +1387,8 @@ mod tests {
             "ensures r >= n { call r := leaf(n) }",
         );
         let mut store = reloaded;
-        store.absorb_graph(&DepGraph::of_program(
-            &crate::parser::parse_program(&edited).unwrap(),
-        ));
-        store.persist_graph().unwrap();
+        let edited = DepGraph::of_program(&crate::parser::parse_program(&edited).unwrap());
+        store.commit([], &edited).unwrap();
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.graph(), store.graph());
         assert_eq!(
@@ -1447,6 +1411,118 @@ mod tests {
         assert!(torn.graph().node("top").is_none());
         assert_eq!(torn.graph().node("leaf"), store.graph().node("leaf"));
         assert_eq!(torn.graph().node("mid"), store.graph().node("mid"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The record kinds in shard `i` of the store under `dir`, in file
+    /// order (empty for a missing shard).
+    fn frame_kinds(dir: &Path, i: usize) -> Vec<u8> {
+        let Ok(bytes) = fs::read(dir.join(VerdictStore::shard_file_name(i))) else {
+            return Vec::new();
+        };
+        let mut kinds = Vec::new();
+        let mut pos = SHARD_HEADER_LEN;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            kinds.push(bytes[pos + 4]);
+            pos += FRAME_HEADER_LEN + len;
+        }
+        kinds
+    }
+
+    /// `count` methods, each with precondition `n >= bound`.
+    fn graph_of_many(count: usize, bound: u64) -> DepGraph {
+        let src: String = (0..count)
+            .map(|i| {
+                format!(
+                    "method m{}(n: Int) returns (r: Int) requires n >= {} ensures r >= 0 {{ r := n }}\n",
+                    i, bound
+                )
+            })
+            .collect();
+        DepGraph::of_program(&crate::parser::parse_program(&src).unwrap())
+    }
+
+    #[test]
+    fn a_commit_appends_once_per_touched_shard() {
+        let dir = temp_dir("one-append");
+        let mut store = VerdictStore::open(&dir);
+        let keys: Vec<String> = (0..40).map(|i| format!("m{}@cfg", i)).collect();
+        let verdict = verified();
+        for bound in [0, 1] {
+            let verdicts = keys.iter().map(|k| (k.as_str(), fp(bound), &verdict));
+            store.commit(verdicts, &graph_of_many(40, bound)).unwrap();
+        }
+        // Every shard holds, per commit, one run of put frames (the
+        // verdict append) followed by one run of node frames (the node
+        // append): never a frame of one pass interleaved with another.
+        let mut frames = 0;
+        for i in 0..VerdictStore::SHARD_COUNT {
+            let puts = keys.iter().filter(|k| shard_of(k) == i).count();
+            let nodes = (0..40)
+                .filter(|n| shard_of(&format!("m{}", n)) == i)
+                .count();
+            let pass = [vec![RECORD_PUT; puts], vec![RECORD_NODE; nodes]].concat();
+            assert_eq!(frame_kinds(&dir, i), pass.repeat(2), "shard {}", i);
+            frames += 2 * pass.len();
+        }
+        assert_eq!(frames, 2 * (40 + 40), "every frame is accounted for");
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.graph(), &graph_of_many(40, 1));
+        assert_eq!(reloaded.dead_records(), store.dead_records());
+        assert_eq!(reloaded.dead_records(), 80, "the first pass is buried");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_verdict_write_lands_no_node_record() {
+        let graph = |ensures: &str| {
+            let src = format!(
+                "method leaf(n: Int) returns (r: Int) requires n >= 0 ensures {} {{ r := n }}
+                 method mid(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+                 {{ call r := leaf(n) }}
+                 method top(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+                 {{ call r := mid(n) }}",
+                ensures
+            );
+            DepGraph::of_program(&crate::parser::parse_program(&src).unwrap())
+        };
+        let names = ["leaf", "mid", "top"];
+        // A config whose `top` verdict shard holds no node record, so
+        // taking that shard away loses no part of the graph.
+        let node_shards: Vec<usize> = names.iter().map(|n| shard_of(n)).collect();
+        let cfg = (0..)
+            .map(|j| format!("c{}", j))
+            .find(|c| !node_shards.contains(&shard_of(&format!("top@{}", c))))
+            .unwrap();
+        let keys: Vec<String> = names.iter().map(|n| format!("{}@{}", n, cfg)).collect();
+        let verdict = verified();
+        let pass = |store: &mut VerdictStore, n: u64, graph: &DepGraph| {
+            let verdicts = keys.iter().map(|k| (k.as_str(), fp(n), &verdict));
+            store.commit(verdicts, graph)
+        };
+
+        let dir = temp_dir("commit-order");
+        let mut store = VerdictStore::open(&dir);
+        let before = graph("r >= 0");
+        pass(&mut store, 1, &before).unwrap();
+        let shard = dir.join(VerdictStore::shard_file_name(shard_of(&keys[2])));
+        fs::remove_file(&shard).unwrap();
+        fs::create_dir(&shard).unwrap();
+
+        // A spec edit of `leaf` re-verifies the whole cone; `top`'s
+        // verdict cannot be written, so no node record may follow.
+        let edited = graph("r >= n");
+        assert_ne!(edited, before);
+        assert!(pass(&mut store, 2, &edited).is_err());
+        assert_eq!(store.graph(), &before, "the graph is left unabsorbed");
+        assert!(
+            store.lookup(&keys[2], fp(2)).is_some(),
+            "memory holds the verdicts"
+        );
+        let reloaded = VerdictStore::open(&dir);
+        assert_eq!(reloaded.graph(), &before, "no node record landed");
+        assert!(reloaded.lookup(&keys[2], fp(2)).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -39,8 +39,8 @@ fn config(dir: &std::path::Path) -> VerifierConfig {
 }
 
 /// One incremental pass through a fresh host over `cfg`'s store — a
-/// process restart between passes, with no `flush_store`: only the
-/// durable appends carry verdicts from one pass to the next.
+/// process restart between passes, with no `flush_store`: only each
+/// pass's commit carries verdicts from one pass to the next.
 fn pass(program: &Program, cfg: &VerifierConfig) -> VerifyOutcome {
     let host = SessionHost::new(Backend::Destabilized, cfg.clone());
     host.session().verify_program(program)
@@ -482,4 +482,148 @@ fn damaged_shard_headers_heal_on_the_next_append() {
         bytes[..6].copy_from_slice(b"XXXXXX");
     });
     assert_eq!(counts, [3, 0, 0, 0]);
+}
+
+/// The name of the kill test below, which re-runs this binary with
+/// only that test selected.
+const KILL_TEST: &str = "killed_passes_lose_only_the_pass_in_flight";
+
+/// Set in the kill test's child process: the cache directory the child
+/// verifies into until it is killed.
+const KILL_CHILD_DIR: &str = "DAENERYS_KILL_TEST_CHILD_DIR";
+
+/// The file, beside the cache directory `dir`, that the kill test's
+/// child writes after each pass.
+fn passes_marker(dir: &std::path::Path) -> PathBuf {
+    dir.with_extension("passes")
+}
+
+/// A call tree of `count` methods over `leaf`: `m0` calls `leaf`, and
+/// `m{i}` calls `m{(i - 1) / 2}`. `leaf` ensures `r >= bound`, so a
+/// `bound` edit is a spec edit whose cone is every method.
+fn call_tree(count: usize, bound: u32) -> Program {
+    let mut src = format!(
+        "method leaf(n: Int) returns (r: Int) requires n >= 0 ensures r >= {b} {{ r := n + {b} }}\n",
+        b = bound
+    );
+    for i in 0..count {
+        let callee = if i == 0 {
+            "leaf".to_string()
+        } else {
+            format!("m{}", (i - 1) / 2)
+        };
+        src.push_str(&format!(
+            "method m{}(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0 {{ call r := {}(n) }}\n",
+            i, callee
+        ));
+    }
+    parse_program(&src).unwrap()
+}
+
+#[cfg(unix)]
+#[test]
+fn killed_passes_lose_only_the_pass_in_flight() {
+    use std::collections::BTreeSet;
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    let programs = [call_tree(600, 0), call_tree(600, 1)];
+    if let Some(dir) = std::env::var_os(KILL_CHILD_DIR) {
+        // The child: one long-lived host verifying alternating spec
+        // edits, each pass re-verifying and committing every method,
+        // until the parent kills it (or, orphaned, for a minute).
+        let dir = PathBuf::from(dir);
+        let host = SessionHost::new(Backend::Destabilized, config(&dir));
+        let started = Instant::now();
+        for round in 0.. {
+            if started.elapsed() > Duration::from_secs(60) {
+                break;
+            }
+            host.session().verify_program(&programs[round % 2]);
+            std::fs::write(passes_marker(&dir), (round + 1).to_string()).unwrap();
+        }
+        return;
+    }
+
+    let program = &programs[0];
+    let cold: BTreeMap<String, Verdict> = Verifier::new(program, Backend::Destabilized)
+        .verify_all_verdicts()
+        .into_iter()
+        .map(|(name, verdict)| (name, verdict.normalized()))
+        .collect();
+    let timing = temp_dir("kill-timing");
+    let started = Instant::now();
+    pass(program, &config(&timing));
+    let pass_time = started.elapsed();
+    let _ = std::fs::remove_dir_all(&timing);
+    // Kill points: once before the child's first commit, then at every
+    // eighth of a pass over the two passes after it, so kills land in
+    // planning, in verification and in or around a commit.
+    let kill_points = std::iter::once(None).chain((0..17).map(Some));
+    let exe = std::env::current_exe().unwrap();
+    for (k, eighths) in kill_points.enumerate() {
+        let dir = temp_dir(&format!("kill-{}", k));
+        let marker = passes_marker(&dir);
+        let _ = std::fs::remove_file(&marker);
+        let mut child = Command::new(&exe)
+            .args([KILL_TEST, "--exact", "--test-threads=1"])
+            .env(KILL_CHILD_DIR, &dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        if let Some(eighths) = eighths {
+            let waiting = Instant::now();
+            while !marker.exists() {
+                assert!(
+                    waiting.elapsed() < Duration::from_secs(30),
+                    "the child never committed a pass"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(pass_time * eighths / 8);
+        }
+        child.kill().unwrap();
+        let status = child.wait().unwrap();
+        assert_eq!(status.signal(), Some(9), "kill {} landed mid-run", k);
+
+        let cfg = config(&dir);
+        let store = VerdictStore::open(&dir);
+        let cfg_fp = config_fingerprint(Backend::Destabilized, &cfg);
+        let unmatched: BTreeSet<String> = program
+            .methods
+            .iter()
+            .filter(|m| {
+                let fp = method_fingerprint(program, m, Backend::Destabilized, &cfg);
+                store
+                    .lookup(&format!("{}@{}", m.name, cfg_fp), fp)
+                    .is_none()
+            })
+            .map(|m| m.name.clone())
+            .collect();
+        drop(store);
+
+        let outcome = pass(program, &cfg);
+        let reverified: BTreeSet<String> = outcome
+            .reverified_methods
+            .expect("incremental passes report their cone")
+            .into_iter()
+            .collect();
+        let verdicts: BTreeMap<String, Verdict> = outcome
+            .verdicts
+            .into_iter()
+            .map(|(name, verdict)| (name, verdict.normalized()))
+            .collect();
+        assert_eq!(verdicts, cold, "kill {}: verdicts equal a cold run's", k);
+        assert!(
+            unmatched.is_subset(&reverified),
+            "kill {}: every method without a matching entry re-verifies",
+            k
+        );
+        let (_, again) = run(program, &cfg);
+        assert_eq!(again, 0, "kill {}: the pass after is warm", k);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&marker);
+    }
 }
