@@ -356,8 +356,11 @@ mod tests {
         ] {
             let program = daenerys_idf::parse_program(&c.source(edit)).unwrap();
             assert_eq!(program.methods.len(), c.len());
-            let mut v = daenerys_idf::Verifier::new(&program, daenerys_idf::Backend::Destabilized);
-            let verdicts = v.verify_all_verdicts();
+            let host = daenerys_idf::SessionHost::new(
+                daenerys_idf::Backend::Destabilized,
+                daenerys_idf::VerifierConfig::default(),
+            );
+            let verdicts = host.session().verify_program(&program).verdicts;
             assert!(
                 verdicts.values().all(daenerys_idf::Verdict::is_verified),
                 "generated corpora always verify (edit: {:?})",

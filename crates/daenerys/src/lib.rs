@@ -19,18 +19,18 @@
 //! ## Quickstart
 //!
 //! ```
-//! use daenerys::idf::{parse_program, Backend, Verifier};
+//! use daenerys::idf::{Backend, SessionHost, VerifierConfig};
 //!
-//! let program = parse_program(
+//! let host = SessionHost::new(Backend::Destabilized, VerifierConfig::default());
+//! let outcome = host.session().verify_source(
 //!     "field val: Int
 //!      method inc(c: Ref)
 //!        requires acc(c.val)
 //!        ensures acc(c.val) && c.val == old(c.val) + 1
 //!      { c.val := c.val + 1 }",
 //! )?;
-//! let mut verifier = Verifier::new(&program, Backend::Destabilized);
-//! assert!(verifier.verify_all().is_ok());
-//! # Ok::<(), daenerys::idf::ParseError>(())
+//! assert!(outcome.verdicts["inc"].is_verified());
+//! # Ok::<(), daenerys::idf::SessionError>(())
 //! ```
 
 #![warn(missing_docs)]

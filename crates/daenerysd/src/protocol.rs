@@ -101,11 +101,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one frame's payload.
 ///
 /// `keep_waiting(mid_frame)` is consulted every time the reader would
-/// block (`WouldBlock`/`TimedOut` on a stream with a read timeout):
-/// return `false` to abort — the server's shutdown poll between
-/// frames, and its slow-loris frame deadline once bytes have started
-/// arriving. Blocking readers (tests over in-memory cursors) never
-/// invoke it.
+/// block (`WouldBlock`/`TimedOut` on a stream with a read timeout),
+/// and with `true` after every read that leaves a started frame
+/// incomplete: return `false` to abort — the server's shutdown poll
+/// between frames, and its slow-loris frame deadline once bytes have
+/// started arriving. The progress calls hold that deadline against a
+/// sender that trickles bytes faster than the read timeout and so
+/// never stalls.
 ///
 /// # Errors
 ///
@@ -141,6 +143,9 @@ pub fn read_frame<R: Read>(
                         MAX_HEADER_LEN
                     )));
                 }
+                if !keep_waiting(true) {
+                    return Err(FrameError::Aborted { mid_frame: true });
+                }
             }
             Err(e)
                 if matches!(
@@ -174,7 +179,12 @@ pub fn read_frame<R: Read>(
                     got,
                 })
             }
-            Ok(n) => got += n,
+            Ok(n) => {
+                got += n;
+                if got < payload.len() && !keep_waiting(true) {
+                    return Err(FrameError::Aborted { mid_frame: true });
+                }
+            }
             Err(e)
                 if matches!(
                     e.kind(),

@@ -50,7 +50,8 @@ pub struct ServerConfig {
     pub backend: Backend,
     /// Base verifier configuration. `cache_dir` here opens the warm
     /// shared store; `trace` is the root every request context derives
-    /// from.
+    /// from. `retry_unknown` is ignored: the daemon never retries, so
+    /// the tenant policy's budget ceilings hold.
     pub base: VerifierConfig,
     /// The per-tenant admission envelope.
     pub policy: TenantPolicy,
@@ -191,6 +192,9 @@ impl Server {
         listener.set_nonblocking(true)?;
         let telemetry = Telemetry::new(DEFAULT_RING_CAP);
         let mut base = config.base;
+        // The tenant policy's deadline and fuel ceilings are the most a
+        // request may spend: no retry with a doubled budget.
+        base.retry_unknown = false;
         // Tee the trace pipeline into the telemetry plane — but only
         // when the operator didn't wire their own sink (its sink wins,
         // and `metrics` scrapes still serve the labeled registry).
@@ -353,6 +357,8 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                 frame_deadline_at = None;
                 return true;
             }
+            // The first mid-frame call comes right after the frame's
+            // first byte, so the deadline runs from there.
             let at =
                 *frame_deadline_at.get_or_insert_with(|| Instant::now() + shared.frame_deadline);
             Instant::now() < at

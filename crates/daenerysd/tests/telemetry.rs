@@ -229,13 +229,18 @@ fn fuel_histogram_matches_in_process_solver_fuel() {
         budget: daenerysd::TenantPolicy::default().effective_budget(None, None),
         ..daenerys_idf::VerifierConfig::default()
     };
-    let expected: u64 =
-        daenerys_idf::Verifier::with_config(&program, daenerys_idf::Backend::Destabilized, config)
-            .verify_all()
-            .expect("the diverging program verifies")
-            .values()
-            .map(|s| (s.solver_conflicts + s.solver_propagations) as u64)
-            .sum();
+    let expected: u64 = daenerys_idf::SessionHost::new(daenerys_idf::Backend::Destabilized, config)
+        .session()
+        .verify_program(&program)
+        .verdicts
+        .values()
+        .map(|v| match v {
+            daenerys_idf::Verdict::Verified(s) => {
+                (s.solver_conflicts + s.solver_propagations) as u64
+            }
+            other => panic!("the diverging program verifies, got {}", other),
+        })
+        .sum();
     assert!(expected > 0, "the program exercises the solver");
 
     let (addr, flag, handle) = start(test_config());

@@ -18,15 +18,16 @@
 use daenerys_idf::VerdictStore;
 use daenerysd::chaos::WireFaultPlan;
 use daenerysd::client::{Client, RetryPolicy};
-use daenerysd::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
+use daenerysd::protocol::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
 use daenerysd::server::{MetricsSnapshot, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const GOOD: &str = "field val: Int
 method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val := 1 }";
@@ -339,6 +340,85 @@ fn shutdown_drains_in_flight_requests() {
     assert_eq!(store.len(), 1);
     assert_eq!(store.corrupt_lines(), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sender that trickles a frame faster than the read poll never
+/// stalls a read. The frame deadline runs from the frame's first byte
+/// and is checked after every read, so such a sender is still cut off:
+/// a typed error or a closed stream within a few deadlines.
+#[test]
+fn fast_trickle_cannot_outlast_the_frame_deadline() {
+    let mut config = test_config(None);
+    config.read_poll_ms = 25;
+    config.frame_deadline_ms = 250;
+    let limit = Duration::from_millis(4 * config.frame_deadline_ms);
+    let (addr, flag, handle) = start(config);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone");
+    let started = Instant::now();
+    let trickle = std::thread::spawn(move || {
+        // A header declaring 100000 bytes, then one byte every 2 ms —
+        // far faster than the 25 ms read poll — for up to 10 s.
+        let _ = writer.write_all(b"DAE1 100000\n");
+        while started.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(2));
+            if writer.write_all(b"x").is_err() {
+                break;
+            }
+        }
+    });
+    let result = read_frame(&mut stream, |_| started.elapsed() < limit);
+    let elapsed = started.elapsed();
+    let _ = stream.shutdown(Shutdown::Both);
+    match result {
+        Ok(payload) => match Response::decode(&payload).expect("decode") {
+            Response::Err { code, message, .. } => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert_eq!(message, "frame did not complete before its deadline");
+            }
+            other => panic!("expected the deadline error, got {:?}", other),
+        },
+        Err(FrameError::Closed | FrameError::Torn { .. } | FrameError::Io(_)) => {}
+        Err(e) => panic!("the trickling session was not cut off: {}", e),
+    }
+    assert!(
+        elapsed < limit,
+        "cut off after {:?}, more than 4x the frame deadline",
+        elapsed
+    );
+    trickle.join().expect("trickle thread");
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.frame_errors, 1, "{:?}", snap);
+    assert_eq!(snap.leaked_sessions, 0);
+}
+
+/// The tenant policy's budget ceilings bound what a request spends: a
+/// method that exhausts its 300 ms deadline is answered `unknown` under
+/// that deadline, not retried with a doubled one.
+#[test]
+fn request_deadlines_are_not_doubled_by_retries() {
+    let (addr, flag, handle) = start(test_config(None));
+    let mut req = Request::new(1, "acme", daenerys_idf::diverging_program(256));
+    req.deadline_ms = Some(300);
+    let (resp, _) = Client::new(addr)
+        .request_with_retry(&req)
+        .expect("an unknown verdict is a definitive answer");
+    match resp {
+        Response::Ok { verdicts, .. } => {
+            let verdict = &verdicts["diverge"];
+            assert_eq!(verdict.kind, "unknown", "{:?}", verdict);
+            assert!(
+                verdict.detail.contains("deadline of 300 ms"),
+                "detail: {}",
+                verdict.detail
+            );
+        }
+        other => panic!("expected an ok response, got {:?}", other),
+    }
+    stop(&flag, handle);
 }
 
 /// Admission refusals are immediate (never queued) and typed; the

@@ -162,7 +162,7 @@ pub enum FaultKind {
     ExhaustBudget(BudgetAxis),
     /// Panic when the method executes its `n`-th symbolic state
     /// (1-based), simulating an internal verifier error. The panic is
-    /// contained by the per-method isolation in `verify_all` and
+    /// contained by the per-method isolation of a session pass and
     /// surfaces as `Verdict::CrashedInternal`.
     PanicAtState(usize),
 }

@@ -455,7 +455,42 @@ pub fn diverging_program(k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Backend, Verifier};
+    use crate::exec::{Backend, Verdict, VerifierConfig, VerifyStats};
+    use crate::session::SessionHost;
+    use std::collections::BTreeMap;
+
+    /// Every method's verdict, from a storeless session.
+    fn verdicts(
+        p: &Program,
+        backend: Backend,
+        config: VerifierConfig,
+    ) -> BTreeMap<String, Verdict> {
+        SessionHost::new(backend, config)
+            .session()
+            .verify_program(p)
+            .verdicts
+    }
+
+    fn verifies(p: &Program, backend: Backend) -> bool {
+        verdicts(p, backend, VerifierConfig::default())
+            .values()
+            .all(Verdict::is_verified)
+    }
+
+    /// Every method's stats; panics unless all of them verify.
+    fn stats(
+        p: &Program,
+        backend: Backend,
+        config: VerifierConfig,
+    ) -> BTreeMap<String, VerifyStats> {
+        verdicts(p, backend, config)
+            .into_iter()
+            .map(|(name, verdict)| match verdict {
+                Verdict::Verified(s) => (name, s),
+                other => panic!("{} did not verify: {}", name, other),
+            })
+            .collect()
+    }
 
     #[test]
     fn all_cases_parse() {
@@ -469,15 +504,16 @@ mod tests {
         for c in positive_cases() {
             let p = c.program();
             for backend in [Backend::Destabilized, Backend::StableBaseline] {
-                let mut v = Verifier::new(&p, backend);
-                let r = v.verify_all();
-                assert!(
-                    r.is_ok(),
-                    "case {} failed on {:?}:\n{}",
-                    c.name,
-                    backend,
-                    r.unwrap_err()
-                );
+                for (name, verdict) in verdicts(&p, backend, VerifierConfig::default()) {
+                    assert!(
+                        verdict.is_verified(),
+                        "case {} failed on {:?}: {} {}",
+                        c.name,
+                        backend,
+                        name,
+                        verdict
+                    );
+                }
             }
         }
     }
@@ -487,9 +523,8 @@ mod tests {
         for c in negative_cases() {
             let p = c.program();
             for backend in [Backend::Destabilized, Backend::StableBaseline] {
-                let mut v = Verifier::new(&p, backend);
                 assert!(
-                    v.verify_all().is_err(),
+                    !verifies(&p, backend),
                     "case {} wrongly verified on {:?}",
                     c.name,
                     backend
@@ -503,37 +538,40 @@ mod tests {
         for n in [1, 2, 4] {
             let src = scaling_program(n);
             let p = parse_program(&src).unwrap();
-            let mut v = Verifier::new(&p, Backend::Destabilized);
-            assert!(v.verify_all().is_ok(), "scaling n={} failed", n);
-            let mut v = Verifier::new(&p, Backend::StableBaseline);
-            assert!(v.verify_all().is_ok(), "scaling n={} failed (baseline)", n);
+            assert!(
+                verifies(&p, Backend::Destabilized),
+                "scaling n={} failed",
+                n
+            );
+            assert!(
+                verifies(&p, Backend::StableBaseline),
+                "scaling n={} failed (baseline)",
+                n
+            );
         }
     }
 
     #[test]
     fn chain_program_parses_and_verifies() {
-        use crate::exec::VerifierConfig;
         for n in [1, 2, 8] {
             let src = chain_program(n);
             let p = parse_program(&src).unwrap();
-            let mut v = Verifier::new(&p, Backend::Destabilized);
-            assert!(v.verify_all().is_ok(), "chain n={} failed", n);
-            let mut v = Verifier::new(&p, Backend::StableBaseline);
-            assert!(v.verify_all().is_ok(), "chain n={} failed (baseline)", n);
+            assert!(verifies(&p, Backend::Destabilized), "chain n={} failed", n);
+            assert!(
+                verifies(&p, Backend::StableBaseline),
+                "chain n={} failed (baseline)",
+                n
+            );
         }
         // The chain re-asks the same branch questions, so the cache
         // should absorb almost all of them.
         let src = chain_program(16);
         let p = parse_program(&src).unwrap();
-        let mut v = Verifier::with_config(
-            &p,
-            Backend::Destabilized,
-            VerifierConfig {
-                threads: 1,
-                ..VerifierConfig::default()
-            },
-        );
-        let stats = v.verify_all().unwrap();
+        let config = VerifierConfig {
+            threads: 1,
+            ..VerifierConfig::default()
+        };
+        let stats = stats(&p, Backend::Destabilized, config);
         let s = &stats["chain"];
         assert!(
             s.cache_hits > s.cache_misses,
@@ -547,10 +585,8 @@ mod tests {
     fn baseline_cost_grows_faster() {
         let src = scaling_program(6);
         let p = parse_program(&src).unwrap();
-        let mut vd = Verifier::new(&p, Backend::Destabilized);
-        let d = vd.verify_all().unwrap();
-        let mut vb = Verifier::new(&p, Backend::StableBaseline);
-        let b = vb.verify_all().unwrap();
+        let d = stats(&p, Backend::Destabilized, VerifierConfig::default());
+        let b = stats(&p, Backend::StableBaseline, VerifierConfig::default());
         let ds = &d["bump_all"];
         let bs = &b["bump_all"];
         assert!(bs.witnesses >= 6, "baseline witnesses: {}", bs.witnesses);

@@ -173,69 +173,6 @@ impl DepGraph {
         }
         dirty
     }
-
-    /// A deterministic topological order over `pending` (indices into
-    /// `names`): callees before callers, ties broken by program order,
-    /// cycles (recursion) falling back to program order for the
-    /// strongly-connected remainder. Methods are verified in isolation
-    /// against callee *specs*, each on a fresh solver, so this is only
-    /// a dispatch order: it shares no work between methods and is never
-    /// a correctness requirement.
-    pub fn topo_order(&self, names: &[String], pending: &[usize]) -> Vec<usize> {
-        let in_pending: BTreeSet<usize> = pending.iter().copied().collect();
-        let index_of: BTreeMap<&str, usize> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        // Edges restricted to the pending subgraph: i depends on j
-        // (j first) when i calls j.
-        let mut deps: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut rdeps: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut degree: BTreeMap<usize, usize> = pending.iter().map(|&i| (i, 0)).collect();
-        for &i in pending {
-            if let Some(node) = self.nodes.get(&names[i]) {
-                for callee in &node.callees {
-                    if let Some(&j) = index_of.get(callee.as_str()) {
-                        if j != i && in_pending.contains(&j) {
-                            deps.entry(i).or_default().push(j);
-                            rdeps.entry(j).or_default().push(i);
-                            *degree.get_mut(&i).expect("pending index") += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut ready: BTreeSet<usize> = degree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&i, _)| i)
-            .collect();
-        let mut order = Vec::with_capacity(pending.len());
-        let mut emitted: BTreeSet<usize> = BTreeSet::new();
-        while let Some(&i) = ready.iter().next() {
-            ready.remove(&i);
-            order.push(i);
-            emitted.insert(i);
-            if let Some(callers) = rdeps.get(&i) {
-                for &c in callers {
-                    let d = degree.get_mut(&c).expect("pending index");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.insert(c);
-                    }
-                }
-            }
-        }
-        // Recursion: whatever Kahn could not discharge keeps program
-        // order.
-        for &i in pending {
-            if !emitted.contains(&i) {
-                order.push(i);
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -327,37 +264,6 @@ mod tests {
             g.reverse_reachable(&set(&["gone"])),
             set(&["gone"]),
             "non-node roots pass through (deleted methods)"
-        );
-    }
-
-    #[test]
-    fn topo_order_puts_callees_first_and_is_total() {
-        let g = DepGraph::of_program(&parse_program(SRC).unwrap());
-        let names: Vec<String> = ["leaf", "mid", "top", "lone"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        // Pending in caller-first order: topo must flip it.
-        let order = g.topo_order(&names, &[2, 1, 0, 3]);
-        let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
-        assert_eq!(order.len(), 4);
-        assert!(pos(0) < pos(1) && pos(1) < pos(2), "callees come first");
-    }
-
-    #[test]
-    fn topo_order_tolerates_recursion() {
-        let src = "method a(n: Int) returns (r: Int)
-               requires n >= 0 ensures r >= 0
-             { var t: Int := 0; call t := b(n); r := t }
-             method b(n: Int) returns (r: Int)
-               requires n >= 0 ensures r >= 0
-             { var t: Int := 0; call t := a(n); r := t }";
-        let g = DepGraph::of_program(&parse_program(src).unwrap());
-        let names = vec!["a".to_string(), "b".to_string()];
-        assert_eq!(
-            g.topo_order(&names, &[0, 1]),
-            vec![0, 1],
-            "a cycle falls back to program order"
         );
     }
 

@@ -18,10 +18,10 @@
 //!
 //! Performance architecture (see DESIGN.md): symbolic values are
 //! hash-consed [`TermId`]s into a per-verifier [`TermArena`]; chunk
-//! stores are `Rc`-shared so exhale/`old` snapshots are O(1); and
-//! [`Verifier::verify_all`] fans methods out across OS threads, each
-//! method verified in an isolated arena + solver so results and
-//! statistics are bit-identical at any thread count.
+//! stores are `Rc`-shared so exhale/`old` snapshots are O(1); and a
+//! [`crate::session::Session`] pass fans methods out across OS threads,
+//! each method verified by its own [`Verifier`] (arena + solver) so
+//! results and statistics are bit-identical at any thread count.
 
 use crate::ast::{fraction_literal, Assertion, Expr, Op, Program, Stmt, Type};
 use crate::budget::{Budget, BudgetAxis, FaultKind, FaultPlan};
@@ -62,8 +62,8 @@ pub enum Backend {
 /// count.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VerifierConfig {
-    /// Worker threads for [`Verifier::verify_all`]; `0` means one per
-    /// available CPU.
+    /// Worker threads a [`crate::session::Session`] pass fans methods
+    /// out across; `0` means one per available CPU.
     pub threads: usize,
     /// Per-method resource budget (default: unlimited on every axis).
     pub budget: Budget,
@@ -91,9 +91,9 @@ pub struct VerifierConfig {
     /// verified). A bare [`Verifier`] never touches the store.
     pub cache_dir: Option<std::path::PathBuf>,
     /// The flight recorder (default: disabled — zero overhead).
-    /// Workers buffer events per method and [`Verifier::verify_all`]'s
-    /// merge path emits them in program order, so traces are
-    /// deterministic at any thread count.
+    /// Workers buffer events per method and the session pass's merge
+    /// path emits them in program order, so traces are deterministic
+    /// at any thread count.
     pub trace: TraceHandle,
 }
 
@@ -146,25 +146,6 @@ pub struct Obligation {
     /// The solver's verdict (or a structural failure note).
     pub outcome: Answer,
 }
-
-/// A verification failure summary.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct VerifyError {
-    /// The failed obligations.
-    pub failures: Vec<Obligation>,
-}
-
-impl fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} failed obligation(s):", self.failures.len())?;
-        for o in &self.failures {
-            writeln!(f, "  [{:?}] {}", o.outcome, o.description)?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for VerifyError {}
 
 /// Why a method's verdict is [`Verdict::Unknown`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -344,9 +325,6 @@ pub struct VerifyStats {
     pub budget_exhausted: usize,
     /// Wall-clock verification time in nanoseconds.
     pub wall_nanos: u64,
-    /// Fan-out width of the `verify_all` run that produced the stats
-    /// (1 when the method was verified directly).
-    pub threads: usize,
 }
 
 impl VerifyStats {
@@ -361,20 +339,18 @@ impl VerifyStats {
         }
     }
 
-    /// The stats with environment-dependent fields (wall time, thread
-    /// count) zeroed — the form compared for determinism: two runs of
-    /// the same program must agree on `normalized()` regardless of
-    /// thread count or machine speed.
+    /// The stats with the environment-dependent wall time zeroed — the
+    /// form compared for determinism: two runs of the same program must
+    /// agree on `normalized()` regardless of thread count or machine
+    /// speed.
     pub fn normalized(&self) -> VerifyStats {
         VerifyStats {
             wall_nanos: 0,
-            threads: 0,
             ..self.clone()
         }
     }
 
-    /// Accumulates another method's counters (wall times add; the
-    /// thread field keeps `self`'s value).
+    /// Accumulates another method's counters (wall times add).
     pub fn merge(&mut self, other: &VerifyStats) {
         self.obligations += other.obligations;
         self.solver_queries += other.solver_queries;
@@ -444,12 +420,16 @@ pub(crate) struct StorePass {
 /// metrics ride along so the fan-out can merge them in program order.
 struct MethodOutcome {
     verdict: Verdict,
-    obligations: Vec<Obligation>,
     events: Vec<Event>,
     metrics: MetricsRegistry,
 }
 
-/// The verifier for one program.
+/// The symbolic-execution engine, one method at a time.
+///
+/// Programs are verified through [`crate::session::Session`]: its pass
+/// gives every method a `Verifier` of its own and merges the verdicts
+/// in program order. [`Verifier::verify_method_verdict`] is that
+/// per-method unit, public so harnesses can replay single methods.
 #[derive(Debug)]
 pub struct Verifier<'a> {
     program: &'a Program,
@@ -483,13 +463,7 @@ pub struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    /// Creates a verifier for `program` using `backend` and the default
-    /// configuration (one thread per CPU).
-    pub fn new(program: &'a Program, backend: Backend) -> Verifier<'a> {
-        Verifier::with_config(program, backend, VerifierConfig::default())
-    }
-
-    /// Creates a verifier with an explicit [`VerifierConfig`].
+    /// Creates a verifier for `program` under `backend` and `config`.
     pub fn with_config(
         program: &'a Program,
         backend: Backend,
@@ -517,348 +491,16 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Verifies every method with a body; returns per-method stats.
-    ///
-    /// Methods are verified concurrently across
-    /// [`VerifierConfig::effective_threads`] workers. Each method gets
-    /// its own arena, solver, and symbol supply, and results are merged
-    /// in program order, so obligations, outcomes, and normalized
-    /// statistics are byte-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the combined failures if any obligation does not hold;
-    /// a method degraded to [`Verdict::Unknown`] or
-    /// [`Verdict::CrashedInternal`] contributes its failure obligations
-    /// too (so exhaustion is never mistaken for success). Use
-    /// [`Verifier::verify_all_verdicts`] for the per-method
-    /// three-valued view.
-    pub fn verify_all(&mut self) -> Result<BTreeMap<String, VerifyStats>, VerifyError> {
-        let mut out = BTreeMap::new();
-        let mut failures = Vec::new();
-        for (name, verdict) in self.run_pass(None).0 {
-            match verdict {
-                Verdict::Verified(stats) => {
-                    out.insert(name, stats);
-                }
-                Verdict::Failed { failures: f, .. } | Verdict::Unknown { failures: f, .. } => {
-                    failures.extend(f);
-                }
-                Verdict::CrashedInternal { message } => {
-                    failures.push(crash_obligation(&name, &message))
-                }
-            }
-        }
-        if failures.is_empty() {
-            Ok(out)
-        } else {
-            Err(VerifyError { failures })
-        }
-    }
-
-    /// Verifies every method with a body and returns each method's
-    /// three-valued [`Verdict`].
-    ///
-    /// Unlike [`Verifier::verify_all`] this never collapses the run
-    /// into a single `Result`: a method that panicked internally, blew
-    /// its budget, or left the solver's fragment is reported as
-    /// `CrashedInternal`/`Unknown` for *that method only*, with every
-    /// sibling verdict bit-identical to a fault-free run at any thread
-    /// count.
-    pub fn verify_all_verdicts(&mut self) -> BTreeMap<String, Verdict> {
-        self.run_pass(None).0.into_iter().collect()
-    }
-
-    /// The fan-out engine behind [`Verifier::verify_all`],
-    /// [`Verifier::verify_all_verdicts`] and
-    /// [`crate::session::Session`]: verify every method with a body in
-    /// isolation (concurrently across
-    /// [`VerifierConfig::effective_threads`] workers, each unit behind
-    /// `catch_unwind`), then merge obligations and statistics in
-    /// program (method-declaration) order.
-    ///
-    /// With `store` (the [`crate::session::SessionHost`]'s warm store)
-    /// the pass is incremental: it restores every method whose
-    /// fingerprint matches a stored definite verdict, commits the
-    /// verdicts it computed and its dependency graph in one
-    /// [`VerdictStore::commit`] at the end, so a killed process loses
-    /// at most the pass in flight, and reports its [`StorePass`]
-    /// accounting. The lock is taken twice: once to plan (lookups and
-    /// spec-dirty roots) and once to commit, so concurrent sessions
-    /// share the store. A failed commit costs later re-verification,
-    /// never a wrong verdict; it is counted as `store.write_errors` in
-    /// the pass's trace metrics.
-    pub(crate) fn run_pass(
-        &mut self,
-        store: Option<&Mutex<VerdictStore>>,
-    ) -> (Vec<(String, Verdict)>, Option<StorePass>) {
-        let names: Vec<String> = self
-            .program
-            .methods
-            .iter()
-            .filter(|m| m.body.is_some())
-            .map(|m| m.name.clone())
-            .collect();
-
-        // Incremental mode: restore every method whose semantic
-        // fingerprint matches a stored *definite* verdict; only the
-        // rest are scheduled. Fingerprints cover bodies, contracts,
-        // direct-callee *interface fingerprints*, and the
-        // answer-affecting config knobs (see `fingerprint`), so a
-        // restored verdict is the one re-verification would produce.
-        //
-        // Entries are keyed `{method}@{config-fingerprint}` so runs
-        // under different answer-affecting configs (daemon tenants
-        // with different budgets, a `deny_unstable` flip) coexist in one
-        // store instead of thrashing each other's entries — and
-        // tenants with *identical* config share one warm read side.
-        let mut keys: Vec<String> = Vec::new();
-        let mut fingerprints: Vec<Fingerprint> = Vec::new();
-        let mut restored: Vec<Option<Verdict>> = vec![None; names.len()];
-        let mut accounting = None;
-        let cur_graph = store.map(|_| DepGraph::of_program(self.program));
-        if let (Some(store), Some(cur)) = (store, &cur_graph) {
-            let cfg_fp = crate::fingerprint::config_fingerprint(self.backend, &self.config);
-            keys = names.iter().map(|n| format!("{}@{}", n, cfg_fp)).collect();
-            // Fields and config are hashed once for the pass, and every
-            // interface once, in the graph.
-            let pass =
-                crate::fingerprint::PassInputs::new(self.program, self.backend, &self.config);
-            fingerprints = names
-                .iter()
-                .map(|name| {
-                    let method = self.program.method(name).expect("scheduled methods exist");
-                    pass.method_in(method, cur)
-                })
-                .collect();
-            let roots = {
-                let s = lock(store);
-                restored = keys
-                    .iter()
-                    .zip(&fingerprints)
-                    .map(|(key, &fp)| s.lookup(key, fp).cloned())
-                    .collect();
-                // The "previous" side of planning is the graph as of
-                // the last commit; this pass's nodes join it at commit.
-                DepGraph::spec_dirty_roots(s.graph(), cur)
-            };
-            let misses = restored.iter().filter(|r| r.is_none()).count();
-            // Transitive spec dirtiness: a changed (or new, or
-            // deleted) callee *interface* forces every reverse-
-            // reachable caller to re-verify, even where its own
-            // fingerprint still matches — build-system-grade
-            // conservatism on top of the fingerprint plane. The
-            // verifier is deterministic, so forced re-verification
-            // reproduces the stored verdict bit for bit; a missing or
-            // damaged graph only widens this cone (absent nodes are
-            // roots), never narrows it.
-            let mut dirty_transitive = 0usize;
-            if !roots.is_empty() {
-                let dirty = cur.reverse_reachable(&roots);
-                for (i, name) in names.iter().enumerate() {
-                    if restored[i].is_some() && dirty.contains(name) {
-                        restored[i] = None;
-                        dirty_transitive += 1;
-                    }
-                }
-            }
-            let mut hits = 0usize;
-            for (i, r) in restored.iter_mut().enumerate() {
-                if let Some(v) = r {
-                    // Stored failure reports carry the store key;
-                    // restore the bare method name so a warm verdict
-                    // is bit-identical to a cold one.
-                    if let Verdict::Failed { report, .. } = v {
-                        report.method = names[i].clone();
-                    }
-                    hits += 1;
-                }
-            }
-            let mut m = MetricsRegistry::new();
-            let none = Labels::none();
-            m.add("store.hits", &none, hits as u64);
-            m.add("store.misses", &none, misses as u64);
-            m.add("store.dirty_transitive", &none, dirty_transitive as u64);
-            self.config.trace.merge_metrics(&m);
-            accounting = Some(StorePass {
-                // Program order, not dispatch order: the cone reads the
-                // same at any thread count or schedule.
-                reverified: (0..names.len())
-                    .filter(|&i| restored[i].is_none())
-                    .map(|i| names[i].clone())
-                    .collect(),
-                hits,
-                misses,
-                dirty_transitive,
-            });
-        }
-        let mut pending: Vec<usize> = (0..names.len())
-            .filter(|&i| restored[i].is_none())
-            .collect();
-        if let Some(cur) = &cur_graph {
-            // Callee-first dispatch order. Every method runs on a fresh
-            // solver (`run_isolated`), so the order shares no work; the
-            // program-order merge below keeps results and traces
-            // identical whatever the schedule.
-            pending = cur.topo_order(&names, &pending);
-        }
-
-        let threads = self.config.effective_threads().min(pending.len()).max(1);
-        let mut slots: Vec<Option<MethodOutcome>> = Vec::new();
-        slots.resize_with(names.len(), || None);
-
-        if threads <= 1 {
-            for &i in &pending {
-                slots[i] = Some(run_isolated(
-                    self.program,
-                    self.backend,
-                    &self.config,
-                    &names[i],
-                ));
-            }
-        } else {
-            let program = self.program;
-            let backend = self.backend;
-            let config = &self.config;
-            let names_ref = &names;
-            let pending_ref = &pending;
-            let outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut partial = Vec::new();
-                            for (slot, &i) in pending_ref.iter().enumerate() {
-                                if slot % threads == t {
-                                    partial.push((
-                                        i,
-                                        run_isolated(program, backend, config, &names_ref[i]),
-                                    ));
-                                }
-                            }
-                            partial
-                        })
-                    })
-                    .collect();
-                // Workers cannot panic: every per-method unit runs
-                // behind `catch_unwind` inside `run_isolated`.
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("verifier worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, outcome) in outcomes {
-                slots[i] = Some(outcome);
-            }
-        }
-
-        // Deterministic merge in program (method-declaration) order.
-        // Trace events are emitted here too — sequence numbers are
-        // stamped on this single-threaded path, so the stream is
-        // identical at any thread count.
-        let mut out = Vec::with_capacity(names.len());
-        for (i, (slot, restored)) in slots.into_iter().zip(restored).enumerate() {
-            if let Some(verdict) = restored {
-                // Restored methods did no work: nothing merges into the
-                // run's aggregate statistics and no trace is emitted.
-                out.push((names[i].clone(), verdict));
-                continue;
-            }
-            let outcome = slot.expect("every scheduled method produced an outcome");
-            self.obligations.extend(outcome.obligations);
-            let mut verdict = outcome.verdict;
-            if let Verdict::Verified(stats) = &mut verdict {
-                stats.threads = threads;
-                self.stats.merge(stats);
-            }
-            self.config.trace.emit(outcome.events);
-            self.config.trace.merge_metrics(&outcome.metrics);
-            out.push((names[i].clone(), verdict));
-        }
-        if let (Some(store), Some(cur)) = (store, &cur_graph) {
-            let verdicts = pending
-                .iter()
-                .map(|&i| (keys[i].as_str(), fingerprints[i], &out[i].1));
-            if lock(store).commit(verdicts, cur).is_err() {
-                // An unwritable cache directory costs future reuse,
-                // never correctness.
-                let mut m = MetricsRegistry::new();
-                m.add("store.write_errors", &Labels::none(), 1);
-                self.config.trace.merge_metrics(&m);
-            }
-        }
-        self.config.trace.flush();
-        (out, accounting)
-    }
-
-    /// Verifies one method.
-    ///
-    /// # Errors
-    ///
-    /// Returns the failed obligations; an unknown or bodyless (abstract)
-    /// method is reported as a structural failure, not a panic. Budget
-    /// exhaustion surfaces as a synthesized `Answer::Unknown`
-    /// obligation (see [`Verifier::verify_method_verdict`] for the
-    /// structured view).
-    pub fn verify_method(&mut self, name: &str) -> Result<VerifyStats, VerifyError> {
-        self.verify_method_inner(name).0
-    }
-
-    /// Verifies one method and reports the three-valued [`Verdict`].
+    /// Verifies one method under the configured budget and fault plan
+    /// and reports the three-valued [`Verdict`].
     ///
     /// Budget exhaustion and out-of-fragment solver answers yield
     /// [`Verdict::Unknown`]; definite violations yield
-    /// [`Verdict::Failed`]. (Panic containment lives one level up, in
-    /// [`Verifier::verify_all_verdicts`], because it requires an
+    /// [`Verdict::Failed`], as does an unknown or bodyless (abstract)
+    /// method — a structural failure, not a panic. (Panic containment
+    /// lives one level up, in the session pass, because it requires an
     /// isolated per-method verifier to discard.)
     pub fn verify_method_verdict(&mut self, name: &str) -> Verdict {
-        let (result, exhausted) = self.verify_method_inner(name);
-        let report = self.build_failure_report(name, &result, &exhausted);
-        classify(result, exhausted, report)
-    }
-
-    /// Assembles the [`FailureReport`] for a just-finished method from
-    /// the captured failure context and the hot-query log. Returns the
-    /// empty report for a clean run (it is dropped by `classify`).
-    fn build_failure_report(
-        &mut self,
-        name: &str,
-        result: &Result<VerifyStats, VerifyError>,
-        exhausted: &Option<(BudgetAxis, String)>,
-    ) -> FailureReport {
-        if exhausted.is_none() && result.is_ok() {
-            self.failure_ctx = None;
-            return FailureReport::default();
-        }
-        let first_failure = match (exhausted, result) {
-            (Some((axis, detail)), _) => format!("budget exhausted ({}): {}", axis, detail),
-            (None, Err(e)) => e
-                .failures
-                .first()
-                .map(|o| format!("[{:?}] {}", o.outcome, o.description))
-                .unwrap_or_else(|| "failure without a recorded obligation".to_string()),
-            (None, Ok(_)) => String::new(),
-        };
-        let ctx = self.failure_ctx.take().unwrap_or_default();
-        FailureReport {
-            method: name.to_string(),
-            first_failure,
-            chunks: ctx.chunks,
-            path_condition: ctx.path_condition,
-            hot_queries: self.query_log.top(),
-        }
-    }
-
-    /// The shared engine behind [`Verifier::verify_method`] and
-    /// [`Verifier::verify_method_verdict`]: runs the method under the
-    /// configured budget and fault plan, returning the classical result
-    /// plus the budget-exhaustion reason, if any.
-    fn verify_method_inner(
-        &mut self,
-        name: &str,
-    ) -> (
-        Result<VerifyStats, VerifyError>,
-        Option<(BudgetAxis, String)>,
-    ) {
         let started = Instant::now();
         // Install the per-method budget: refuel the solver, (re)anchor
         // the deadline and the state/term baselines.
@@ -909,7 +551,39 @@ impl<'a> Verifier<'a> {
         self.emit_budget_gauges();
         self.collector.span_end(span);
         let exhausted = self.exhausted.take();
-        (outcome, exhausted)
+        let report = self.build_failure_report(name, &outcome, &exhausted);
+        classify(outcome, exhausted, report)
+    }
+
+    /// Assembles the [`FailureReport`] for a just-finished method from
+    /// the captured failure context and the hot-query log. Returns the
+    /// empty report for a clean run (it is dropped by `classify`).
+    fn build_failure_report(
+        &mut self,
+        name: &str,
+        result: &Result<VerifyStats, Vec<Obligation>>,
+        exhausted: &Option<(BudgetAxis, String)>,
+    ) -> FailureReport {
+        if exhausted.is_none() && result.is_ok() {
+            self.failure_ctx = None;
+            return FailureReport::default();
+        }
+        let first_failure = match (exhausted, result) {
+            (Some((axis, detail)), _) => format!("budget exhausted ({}): {}", axis, detail),
+            (None, Err(failures)) => failures
+                .first()
+                .map(|o| format!("[{:?}] {}", o.outcome, o.description))
+                .unwrap_or_else(|| "failure without a recorded obligation".to_string()),
+            (None, Ok(_)) => String::new(),
+        };
+        let ctx = self.failure_ctx.take().unwrap_or_default();
+        FailureReport {
+            method: name.to_string(),
+            first_failure,
+            chunks: ctx.chunks,
+            path_condition: ctx.path_condition,
+            hot_queries: self.query_log.top(),
+        }
     }
 
     /// Emits one gauge per consumed budget axis (and the configured
@@ -939,14 +613,12 @@ impl<'a> Verifier<'a> {
         &mut self,
         name: &str,
         started: Instant,
-    ) -> Result<VerifyStats, VerifyError> {
+    ) -> Result<VerifyStats, Vec<Obligation>> {
         let program = self.program;
         let Some(method) = program.method(name) else {
             let failure =
                 self.oblige_failure(None, format!("cannot verify unknown method {}", name));
-            return Err(VerifyError {
-                failures: vec![failure],
-            });
+            return Err(vec![failure]);
         };
         let Some(body) = &method.body else {
             let failure = self.oblige_failure(
@@ -956,9 +628,7 @@ impl<'a> Verifier<'a> {
                     name
                 ),
             );
-            return Err(VerifyError {
-                failures: vec![failure],
-            });
+            return Err(vec![failure]);
         };
 
         let before_queries = self.solver.queries;
@@ -1007,7 +677,7 @@ impl<'a> Verifier<'a> {
                 })
                 .collect();
             if !failures.is_empty() {
-                return Err(VerifyError { failures });
+                return Err(failures);
             }
         }
 
@@ -1086,7 +756,6 @@ impl<'a> Verifier<'a> {
             states: self.stats.states - stats_base.states,
             budget_exhausted: 0,
             wall_nanos: 0,
-            threads: 1,
         };
         stats.states += 1;
         stats.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1121,13 +790,8 @@ impl<'a> Verifier<'a> {
         if failed.is_empty() {
             Ok(stats)
         } else {
-            Err(VerifyError { failures: failed })
+            Err(failed)
         }
-    }
-
-    /// All obligations recorded so far.
-    pub fn obligations(&self) -> &[Obligation] {
-        &self.obligations
     }
 
     /// Cooperative budget check, consulted at the symbolic-execution
@@ -1976,6 +1640,203 @@ impl<'a> Verifier<'a> {
     }
 }
 
+/// One session pass, the engine behind [`crate::session::Session`]:
+/// verify every method with a body in isolation (concurrently across
+/// [`VerifierConfig::effective_threads`] workers, each method in
+/// `run_isolated`), then merge verdicts and trace output in program
+/// (method-declaration) order. Pending methods are dispatched in
+/// program order too; every method runs on a fresh solver, so no order
+/// shares work between them.
+///
+/// With `store` (the [`crate::session::SessionHost`]'s warm store)
+/// the pass is incremental: it restores every method whose
+/// fingerprint matches a stored definite verdict, commits the
+/// verdicts it computed and its dependency graph in one
+/// [`VerdictStore::commit`] at the end, so a killed process loses
+/// at most the pass in flight, and reports its [`StorePass`]
+/// accounting. The lock is taken twice: once to plan (lookups and
+/// spec-dirty roots) and once to commit, so concurrent sessions
+/// share the store. A failed commit costs later re-verification,
+/// never a wrong verdict; it is counted as `store.write_errors` in
+/// the pass's trace metrics.
+pub(crate) fn run_pass(
+    program: &Program,
+    backend: Backend,
+    config: &VerifierConfig,
+    store: Option<&Mutex<VerdictStore>>,
+) -> (Vec<(String, Verdict)>, Option<StorePass>) {
+    let names: Vec<String> = program
+        .methods
+        .iter()
+        .filter(|m| m.body.is_some())
+        .map(|m| m.name.clone())
+        .collect();
+
+    // Incremental mode: restore every method whose semantic
+    // fingerprint matches a stored *definite* verdict; only the
+    // rest are scheduled. Fingerprints cover bodies, contracts,
+    // direct-callee *interface fingerprints*, and the
+    // answer-affecting config knobs (see `fingerprint`), so a
+    // restored verdict is the one re-verification would produce.
+    //
+    // Entries are keyed `{method}@{config-fingerprint}` so runs
+    // under different answer-affecting configs (daemon tenants
+    // with different budgets, a `deny_unstable` flip) coexist in one
+    // store instead of thrashing each other's entries — and
+    // tenants with *identical* config share one warm read side.
+    let mut keys: Vec<String> = Vec::new();
+    let mut fingerprints: Vec<Fingerprint> = Vec::new();
+    let mut restored: Vec<Option<Verdict>> = vec![None; names.len()];
+    let mut accounting = None;
+    let cur_graph = store.map(|_| DepGraph::of_program(program));
+    if let (Some(store), Some(cur)) = (store, &cur_graph) {
+        let cfg_fp = crate::fingerprint::config_fingerprint(backend, config);
+        keys = names.iter().map(|n| format!("{}@{}", n, cfg_fp)).collect();
+        // Fields and config are hashed once for the pass, and every
+        // interface once, in the graph.
+        let pass = crate::fingerprint::PassInputs::new(program, backend, config);
+        fingerprints = names
+            .iter()
+            .map(|name| {
+                let method = program.method(name).expect("scheduled methods exist");
+                pass.method_in(method, cur)
+            })
+            .collect();
+        let roots = {
+            let s = lock(store);
+            restored = keys
+                .iter()
+                .zip(&fingerprints)
+                .map(|(key, &fp)| s.lookup(key, fp).cloned())
+                .collect();
+            // The "previous" side of planning is the graph as of
+            // the last commit; this pass's nodes join it at commit.
+            DepGraph::spec_dirty_roots(s.graph(), cur)
+        };
+        let misses = restored.iter().filter(|r| r.is_none()).count();
+        // Transitive spec dirtiness: a changed (or new, or
+        // deleted) callee *interface* forces every reverse-
+        // reachable caller to re-verify, even where its own
+        // fingerprint still matches — build-system-grade
+        // conservatism on top of the fingerprint plane. The
+        // verifier is deterministic, so forced re-verification
+        // reproduces the stored verdict bit for bit; a missing or
+        // damaged graph only widens this cone (absent nodes are
+        // roots), never narrows it.
+        let mut dirty_transitive = 0usize;
+        if !roots.is_empty() {
+            let dirty = cur.reverse_reachable(&roots);
+            for (i, name) in names.iter().enumerate() {
+                if restored[i].is_some() && dirty.contains(name) {
+                    restored[i] = None;
+                    dirty_transitive += 1;
+                }
+            }
+        }
+        let mut hits = 0usize;
+        for (i, r) in restored.iter_mut().enumerate() {
+            if let Some(v) = r {
+                // Stored failure reports carry the store key;
+                // restore the bare method name so a warm verdict
+                // is bit-identical to a cold one.
+                if let Verdict::Failed { report, .. } = v {
+                    report.method = names[i].clone();
+                }
+                hits += 1;
+            }
+        }
+        let mut m = MetricsRegistry::new();
+        let none = Labels::none();
+        m.add("store.hits", &none, hits as u64);
+        m.add("store.misses", &none, misses as u64);
+        m.add("store.dirty_transitive", &none, dirty_transitive as u64);
+        config.trace.merge_metrics(&m);
+        accounting = Some(StorePass {
+            reverified: (0..names.len())
+                .filter(|&i| restored[i].is_none())
+                .map(|i| names[i].clone())
+                .collect(),
+            hits,
+            misses,
+            dirty_transitive,
+        });
+    }
+    let pending: Vec<usize> = (0..names.len())
+        .filter(|&i| restored[i].is_none())
+        .collect();
+
+    let threads = config.effective_threads().min(pending.len()).max(1);
+    let mut slots: Vec<Option<MethodOutcome>> = Vec::new();
+    slots.resize_with(names.len(), || None);
+
+    if threads <= 1 {
+        for &i in &pending {
+            slots[i] = Some(run_isolated(program, backend, config, &names[i]));
+        }
+    } else {
+        let names_ref = &names;
+        let pending_ref = &pending;
+        let outcomes = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut partial = Vec::new();
+                        for (slot, &i) in pending_ref.iter().enumerate() {
+                            if slot % threads == t {
+                                partial.push((
+                                    i,
+                                    run_isolated(program, backend, config, &names_ref[i]),
+                                ));
+                            }
+                        }
+                        partial
+                    })
+                })
+                .collect();
+            // Workers cannot panic: every per-method unit runs
+            // behind `catch_unwind` inside `run_isolated`.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("verifier worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        for (i, outcome) in outcomes {
+            slots[i] = Some(outcome);
+        }
+    }
+
+    // Deterministic merge in program (method-declaration) order.
+    // Trace events are emitted here too — sequence numbers are
+    // stamped on this single-threaded path, so the stream is
+    // identical at any thread count.
+    let mut out = Vec::with_capacity(names.len());
+    for (i, (slot, restored)) in slots.into_iter().zip(restored).enumerate() {
+        if let Some(verdict) = restored {
+            // Restored methods did no work: no trace is emitted.
+            out.push((names[i].clone(), verdict));
+            continue;
+        }
+        let outcome = slot.expect("every scheduled method produced an outcome");
+        config.trace.emit(outcome.events);
+        config.trace.merge_metrics(&outcome.metrics);
+        out.push((names[i].clone(), outcome.verdict));
+    }
+    if let (Some(store), Some(cur)) = (store, &cur_graph) {
+        let verdicts = pending
+            .iter()
+            .map(|&i| (keys[i].as_str(), fingerprints[i], &out[i].1));
+        if lock(store).commit(verdicts, cur).is_err() {
+            // An unwritable cache directory costs future reuse,
+            // never correctness.
+            let mut m = MetricsRegistry::new();
+            m.add("store.write_errors", &Labels::none(), 1);
+            config.trace.merge_metrics(&m);
+        }
+    }
+    config.trace.flush();
+    (out, accounting)
+}
+
 /// Verifies one method in a verifier of its own — fresh arena, solver,
 /// and symbol supply — so outcomes and statistics do not depend on
 /// which worker (or how many) ran it.
@@ -1997,24 +1858,21 @@ fn run_isolated(
             let mut v = Verifier::with_config(program, backend, cfg);
             let verdict = v.verify_method_verdict(name);
             let (events, metrics) = v.collector.take();
-            (verdict, v.obligations, events, metrics)
-        })) {
-            Ok((verdict, obligations, events, metrics)) => MethodOutcome {
+            MethodOutcome {
                 verdict,
-                obligations,
                 events,
                 metrics,
-            },
+            }
+        })) {
+            Ok(outcome) => outcome,
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
-                let obligations = vec![crash_obligation(name, &message)];
                 // A crashed method contributes no events: the partial
                 // buffer died with its verifier, which keeps the merged
                 // stream deterministic (a panic mid-method would
                 // otherwise expose scheduling-dependent progress).
                 MethodOutcome {
                     verdict: Verdict::CrashedInternal { message },
-                    obligations,
                     events: Vec::new(),
                     metrics: MetricsRegistry::new(),
                 }
@@ -2044,12 +1902,12 @@ fn run_isolated(
 /// violated obligation means `Failed`; then any `Unknown` obligation
 /// means the goal left the solver's fragment.
 fn classify(
-    result: Result<VerifyStats, VerifyError>,
+    result: Result<VerifyStats, Vec<Obligation>>,
     exhausted: Option<(BudgetAxis, String)>,
     report: FailureReport,
 ) -> Verdict {
     if let Some((axis, detail)) = exhausted {
-        let failures = result.err().map(|e| e.failures).unwrap_or_default();
+        let failures = result.err().unwrap_or_default();
         return Verdict::Unknown {
             reason: UnknownReason::BudgetExhausted { axis, detail },
             failures,
@@ -2058,33 +1916,21 @@ fn classify(
     }
     match result {
         Ok(stats) => Verdict::Verified(stats),
-        Err(e) => {
-            if e.failures.iter().any(|o| o.outcome == Answer::Invalid) {
-                Verdict::Failed {
-                    failures: e.failures,
-                    report,
-                }
+        Err(failures) => {
+            if failures.iter().any(|o| o.outcome == Answer::Invalid) {
+                Verdict::Failed { failures, report }
             } else {
                 let detail = format!(
                     "{} obligation(s) outside the solver fragment",
-                    e.failures.len()
+                    failures.len()
                 );
                 Verdict::Unknown {
                     reason: UnknownReason::OutOfFragment { detail },
-                    failures: e.failures,
+                    failures,
                     report,
                 }
             }
         }
-    }
-}
-
-/// The obligation recorded (and reported through [`VerifyError`]) for
-/// a method whose verifier panicked.
-fn crash_obligation(name: &str, message: &str) -> Obligation {
-    Obligation {
-        description: format!("internal error verifying {}: {}", name, message),
-        outcome: Answer::Invalid,
     }
 }
 
@@ -2143,11 +1989,45 @@ fn perm_to_grid(q: Q) -> i64 {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::session::SessionHost;
 
-    fn verify(src: &str, backend: Backend) -> Result<BTreeMap<String, VerifyStats>, VerifyError> {
+    /// Every method's verdict, from a storeless session.
+    fn verdicts_with(
+        p: &Program,
+        backend: Backend,
+        config: VerifierConfig,
+    ) -> BTreeMap<String, Verdict> {
+        SessionHost::new(backend, config)
+            .session()
+            .verify_program(p)
+            .verdicts
+    }
+
+    /// Every method's stats when all of them verify, else every failed
+    /// obligation.
+    fn verify(
+        src: &str,
+        backend: Backend,
+    ) -> Result<BTreeMap<String, VerifyStats>, Vec<Obligation>> {
         let p = parse_program(src).unwrap();
-        let mut v = Verifier::new(&p, backend);
-        v.verify_all()
+        let mut stats = BTreeMap::new();
+        let mut failures = Vec::new();
+        for (name, verdict) in verdicts_with(&p, backend, VerifierConfig::default()) {
+            match verdict {
+                Verdict::Verified(s) => {
+                    stats.insert(name, s);
+                }
+                Verdict::Failed { failures: f, .. } | Verdict::Unknown { failures: f, .. } => {
+                    failures.extend(f)
+                }
+                Verdict::CrashedInternal { message } => panic!("{} crashed: {}", name, message),
+            }
+        }
+        if failures.is_empty() {
+            Ok(stats)
+        } else {
+            Err(failures)
+        }
     }
 
     const INC: &str = r#"
@@ -2239,8 +2119,7 @@ mod tests {
             deny_unstable: true,
             ..VerifierConfig::default()
         };
-        let mut v = Verifier::with_config(&p, Backend::Destabilized, config);
-        let verdicts = v.verify_all_verdicts();
+        let verdicts = verdicts_with(&p, Backend::Destabilized, config);
         assert!(verdicts["ok"].is_verified());
         match &verdicts["shaky"] {
             Verdict::Failed { failures, .. } => {
@@ -2272,9 +2151,7 @@ mod tests {
             }
         "#;
         let e = verify(src, Backend::Destabilized).unwrap_err();
-        assert!(e.failures[0]
-            .description
-            .contains("without full permission"));
+        assert!(e[0].description.contains("without full permission"));
     }
 
     #[test]
@@ -2474,20 +2351,22 @@ mod tests {
               requires acc(c.val)
               ensures acc(c.val)
         "#;
-        let p = parse_program(src).unwrap();
-        let mut v = Verifier::new(&p, Backend::Destabilized);
-        // verify_all skips bodyless methods entirely…
-        assert!(v.verify_all().unwrap().is_empty());
+        // A session skips bodyless methods entirely…
+        assert!(verify(src, Backend::Destabilized).unwrap().is_empty());
         // …and targeting one directly is a structural failure, not a
         // panic.
-        let err = v.verify_method("spec_only").unwrap_err();
-        assert!(err.failures[0].description.contains("abstract"));
-        let err = v.verify_method("no_such_method").unwrap_err();
-        assert!(err.failures[0].description.contains("unknown method"));
+        let p = parse_program(src).unwrap();
+        let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
+        let first_failure = |verdict: Verdict| match verdict {
+            Verdict::Failed { failures, .. } => failures[0].description.clone(),
+            other => panic!("expected Failed, got {}", other),
+        };
+        assert!(first_failure(v.verify_method_verdict("spec_only")).contains("abstract"));
+        assert!(first_failure(v.verify_method_verdict("no_such_method")).contains("unknown method"));
     }
 
     #[test]
-    fn verify_all_is_thread_count_invariant() {
+    fn session_verdicts_are_thread_count_invariant() {
         let src = r#"
             field val: Int
             method a(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == old(c.val) + 1
@@ -2499,21 +2378,16 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         let run = |threads: usize| {
-            let mut v = Verifier::with_config(
-                &p,
-                Backend::Destabilized,
-                VerifierConfig {
-                    threads,
-                    ..VerifierConfig::default()
-                },
-            );
-            let stats = v.verify_all().unwrap();
-            let obligations = v.obligations().to_vec();
-            let normalized: BTreeMap<String, VerifyStats> = stats
+            let config = VerifierConfig {
+                threads,
+                ..VerifierConfig::default()
+            };
+            let verdicts = verdicts_with(&p, Backend::Destabilized, config);
+            assert!(verdicts.values().all(Verdict::is_verified));
+            verdicts
                 .into_iter()
-                .map(|(k, s)| (k, s.normalized()))
-                .collect();
-            (normalized, obligations)
+                .map(|(k, v)| (k, v.normalized()))
+                .collect::<BTreeMap<_, _>>()
         };
         let one = run(1);
         assert_eq!(one, run(2));
@@ -2528,7 +2402,7 @@ mod tests {
             { c.val := 2 }
         "#;
         let p = parse_program(src).unwrap();
-        let mut v = Verifier::new(&p, Backend::Destabilized);
+        let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
         match v.verify_method_verdict("bad") {
             Verdict::Failed { failures, report } => {
                 assert!(!failures.is_empty());
@@ -2616,7 +2490,7 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         let need = {
-            let mut v = Verifier::new(&p, Backend::Destabilized);
+            let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
             match v.verify_method_verdict("a") {
                 // Fuel units: conflicts+propagations under the
                 // (default) CDCL core.
@@ -2630,8 +2504,7 @@ mod tests {
             retry_unknown: false,
             ..VerifierConfig::default()
         };
-        let mut v = Verifier::with_config(&p, Backend::Destabilized, config);
-        let verdicts = v.verify_all_verdicts();
+        let verdicts = verdicts_with(&p, Backend::Destabilized, config);
         assert!(verdicts["a"].is_verified());
         assert!(
             verdicts["b"].is_verified(),

@@ -5,7 +5,10 @@
 //! Front ends verify through a [`SessionHost`] and its [`Session`]s:
 //! [`Session::verify`] takes source text through parsing, the
 //! well-formedness check and verification against the host's verdict
-//! store. [`Verifier`] is the storeless engine underneath.
+//! store. [`Session::verify_program`] and
+//! [`Session::verify_program_with`] take a program already parsed and
+//! checked. These are the only ways to verify a program; [`Verifier`]
+//! verifies one method at a time, inside a session's pass.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,8 +47,7 @@ pub use cost::{estimate_method, estimate_program, MethodCost, PATH_CAP};
 pub use depgraph::{DepGraph, DepNode};
 pub use diag::{pc_hash, FailureReport, QueryCost, StabilityLint, HOT_QUERY_LIMIT};
 pub use exec::{
-    Backend, Chunk, Obligation, UnknownReason, Verdict, Verifier, VerifierConfig, VerifyError,
-    VerifyStats,
+    Backend, Chunk, Obligation, UnknownReason, Verdict, Verifier, VerifierConfig, VerifyStats,
 };
 pub use fingerprint::{
     config_fingerprint, direct_callees, interface_fingerprint, method_fingerprint,

@@ -22,7 +22,7 @@
 //! its one commit.
 
 use crate::budget::Budget;
-use crate::exec::{Backend, Verdict, Verifier, VerifierConfig, VerifyStats};
+use crate::exec::{run_pass, Backend, Verdict, VerifierConfig, VerifyStats};
 use crate::parser::{parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS};
 use crate::store::{lock, VerdictStore};
 use crate::wf::{check_program, WfError};
@@ -277,8 +277,7 @@ impl Session<'_> {
             trace: trace.unwrap_or_else(|| self.host.base.trace.clone()),
             ..self.host.base.clone()
         };
-        let mut verifier = Verifier::with_config(program, self.host.backend, config);
-        let (verdicts, pass) = verifier.run_pass(self.host.store());
+        let (verdicts, pass) = run_pass(program, self.host.backend, &config, self.host.store());
         let verdicts: BTreeMap<String, Verdict> = verdicts.into_iter().collect();
         let mut stats = VerifyStats::default();
         for v in verdicts.values() {
@@ -396,6 +395,51 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
         let third = host2.session().verify_source(GOOD).unwrap();
         assert_eq!(third.reverified, Some(0));
         host2.flush_store().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn callers_before_callees_report_in_program_order() {
+        // `top` calls `leaf`, declared after it, and `a`/`b` recurse
+        // into each other: every method still gets a verdict, and the
+        // cone and the trace list them in declaration order.
+        let src = "method top(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { var t: Int := 0; call t := leaf(n); r := t }
+             method a(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { var t: Int := 0; call t := b(n); r := t }
+             method b(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { var t: Int := 0; call t := a(n); r := t }
+             method leaf(n: Int) returns (r: Int) requires n >= 0 ensures r >= 0
+             { r := n }";
+        let dir = temp_dir("order");
+        let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 14));
+        let host = SessionHost::new(
+            Backend::Destabilized,
+            VerifierConfig {
+                cache_dir: Some(dir.clone()),
+                threads: 2,
+                trace: daenerys_obs::TraceHandle::new(
+                    sink.clone(),
+                    daenerys_obs::ClockKind::Logical,
+                ),
+                ..VerifierConfig::default()
+            },
+        );
+        let out = host.session().verify_source(src).unwrap();
+        let order: Vec<String> = ["top", "a", "b", "leaf"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(out.verdicts.len(), 4);
+        assert!(out.verdicts.values().all(Verdict::is_verified));
+        assert_eq!(out.reverified_methods, Some(order.clone()));
+        let spans: Vec<String> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, daenerys_obs::EventKind::SpanStart))
+            .filter_map(|e| e.name.strip_prefix("exec:").map(str::to_string))
+            .collect();
+        assert_eq!(spans, order);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -885,7 +885,7 @@ fn stat_values(s: &VerifyStats) -> [usize; 17] {
 }
 
 fn stats_from_values(v: [usize; 17]) -> VerifyStats {
-    let mut s = VerifyStats {
+    VerifyStats {
         obligations: v[0],
         solver_queries: v[1],
         solver_branches: v[2],
@@ -903,11 +903,8 @@ fn stats_from_values(v: [usize; 17]) -> VerifyStats {
         stability_skips: v[14],
         states: v[15],
         budget_exhausted: v[16],
-        ..VerifyStats::default()
-    };
-    s.wall_nanos = 0;
-    s.threads = 0;
-    s
+        wall_nanos: 0,
+    }
 }
 
 #[cfg(test)]
@@ -976,7 +973,6 @@ mod tests {
             solver_queries: 5,
             learned_clauses: 1,
             wall_nanos: 999,
-            threads: 4,
             ..VerifyStats::default()
         };
         commit(

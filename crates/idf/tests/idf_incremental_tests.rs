@@ -5,8 +5,8 @@
 
 use daenerys_idf::{
     all_cases, config_fingerprint, diverging_program, method_fingerprint, parse_program, Backend,
-    Budget, FaultKind, FaultPlan, Program, SessionHost, Verdict, VerdictStore, Verifier,
-    VerifierConfig, VerifyOutcome,
+    Budget, FaultKind, FaultPlan, Program, SessionHost, Verdict, VerdictStore, VerifierConfig,
+    VerifyOutcome,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -44,6 +44,17 @@ fn config(dir: &std::path::Path) -> VerifierConfig {
 fn pass(program: &Program, cfg: &VerifierConfig) -> VerifyOutcome {
     let host = SessionHost::new(Backend::Destabilized, cfg.clone());
     host.session().verify_program(program)
+}
+
+/// Normalized verdicts from a storeless host: the cold reference.
+fn storeless(program: &Program) -> BTreeMap<String, Verdict> {
+    SessionHost::new(Backend::Destabilized, VerifierConfig::default())
+        .session()
+        .verify_program(program)
+        .verdicts
+        .into_iter()
+        .map(|(name, verdict)| (name, verdict.normalized()))
+        .collect()
 }
 
 /// Runs one incremental pass; returns (normalized verdicts, reverified).
@@ -200,12 +211,7 @@ fn legacy_jsonl_store_is_ignored_and_left_untouched() {
     assert!(VerdictStore::open(&dir).is_empty());
 
     let program = parse_program(SRC).unwrap();
-    let mut plain = Verifier::new(&program, Backend::Destabilized);
-    let expected: BTreeMap<String, Verdict> = plain
-        .verify_all_verdicts()
-        .into_iter()
-        .map(|(name, verdict)| (name, verdict.normalized()))
-        .collect();
+    let expected = storeless(&program);
     let cfg = config(&dir);
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3, "nothing is read from the legacy file");
@@ -396,12 +402,7 @@ fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     drop(store);
 
     let program = parse_program(SRC).unwrap();
-    let mut plain = Verifier::new(&program, Backend::Destabilized);
-    let expected: BTreeMap<String, Verdict> = plain
-        .verify_all_verdicts()
-        .into_iter()
-        .map(|(name, verdict)| (name, verdict.normalized()))
-        .collect();
+    let expected = storeless(&program);
     let cfg = config(&dir);
     let outcome = pass(&program, &cfg);
     assert_eq!(
@@ -547,11 +548,7 @@ fn killed_passes_lose_only_the_pass_in_flight() {
     }
 
     let program = &programs[0];
-    let cold: BTreeMap<String, Verdict> = Verifier::new(program, Backend::Destabilized)
-        .verify_all_verdicts()
-        .into_iter()
-        .map(|(name, verdict)| (name, verdict.normalized()))
-        .collect();
+    let cold = storeless(program);
     let timing = temp_dir("kill-timing");
     let started = Instant::now();
     pass(program, &config(&timing));

@@ -4,8 +4,8 @@
 use daenerys_algebra::Q;
 use daenerys_idf::{
     diverging_program, interface_fingerprint, method_fingerprint, parse_program, Assertion,
-    Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op, Program, Solver, Sort,
-    Stmt, Sym, SymExpr, TermArena, Type, Verdict, Verifier, VerifierConfig,
+    Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op, Program, SessionHost,
+    Solver, Sort, Stmt, Sym, SymExpr, TermArena, Type, Verdict, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
@@ -187,6 +187,14 @@ fn arb_budget() -> impl Strategy<Value = Budget> {
         })
 }
 
+/// Every method's verdict, from a storeless session.
+fn verdicts(p: &Program, backend: Backend, config: VerifierConfig) -> BTreeMap<String, Verdict> {
+    SessionHost::new(backend, config)
+        .session()
+        .verify_program(p)
+        .verdicts
+}
+
 /// Verifies `p` at `threads` workers, projected to each method's
 /// definite verdict (`Some(true)` verified, `Some(false)` failed, `None`
 /// indefinite) and its failed obligations.
@@ -194,15 +202,11 @@ fn verdicts_at(
     p: &Program,
     threads: usize,
 ) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
-    let mut v = Verifier::with_config(
-        p,
-        Backend::Destabilized,
-        VerifierConfig {
-            threads,
-            ..VerifierConfig::default()
-        },
-    );
-    v.verify_all_verdicts()
+    let config = VerifierConfig {
+        threads,
+        ..VerifierConfig::default()
+    };
+    verdicts(p, Backend::Destabilized, config)
         .into_iter()
         .map(|(name, verdict)| {
             let definite = match &verdict {
@@ -500,8 +504,13 @@ proptest! {
     /// both backends return the same verdict.
     #[test]
     fn verifier_is_total_and_backends_agree(p in arb_program()) {
-        let rd = Verifier::new(&p, Backend::Destabilized).verify_all().is_ok();
-        let rb = Verifier::new(&p, Backend::StableBaseline).verify_all().is_ok();
+        let verifies = |backend| {
+            verdicts(&p, backend, VerifierConfig::default())
+                .values()
+                .all(Verdict::is_verified)
+        };
+        let rd = verifies(Backend::Destabilized);
+        let rb = verifies(Backend::StableBaseline);
         prop_assert_eq!(rd, rb, "backends disagree on:\n{}", p);
     }
 
@@ -526,18 +535,14 @@ proptest! {
              { c.val := c.val + 0 }",
         ).unwrap();
         let run = |faults: FaultPlan, threads: usize| -> BTreeMap<String, Verdict> {
-            let mut v = Verifier::with_config(
-                &program,
-                Backend::Destabilized,
-                VerifierConfig {
-                    threads,
-                    budget,
-                    faults,
-                    retry_unknown: false,
-                    ..VerifierConfig::default()
-                },
-            );
-            v.verify_all_verdicts()
+            let config = VerifierConfig {
+                threads,
+                budget,
+                faults,
+                retry_unknown: false,
+                ..VerifierConfig::default()
+            };
+            verdicts(&program, Backend::Destabilized, config)
                 .into_iter()
                 .map(|(name, verdict)| (name, verdict.normalized()))
                 .collect()
@@ -577,20 +582,15 @@ proptest! {
         ).unwrap();
         let run = |threads: usize| -> (BTreeMap<String, Verdict>, Vec<Event>) {
             let sink = Arc::new(MemorySink::new(1 << 14));
-            let mut v = Verifier::with_config(
-                &program,
-                Backend::Destabilized,
-                VerifierConfig {
-                    threads,
-                    budget,
-                    faults: plan.clone(),
-                    retry_unknown: false,
-                    trace: TraceHandle::new(sink.clone(), ClockKind::Logical),
-                    ..VerifierConfig::default()
-                },
-            );
-            let verdicts = v
-                .verify_all_verdicts()
+            let config = VerifierConfig {
+                threads,
+                budget,
+                faults: plan.clone(),
+                retry_unknown: false,
+                trace: TraceHandle::new(sink.clone(), ClockKind::Logical),
+                ..VerifierConfig::default()
+            };
+            let verdicts = verdicts(&program, Backend::Destabilized, config)
                 .into_iter()
                 .map(|(name, verdict)| (name, verdict.normalized()))
                 .collect();

@@ -7,7 +7,7 @@
 use daenerys_core::{check_stable, UniverseSpec};
 use daenerys_idf::{
     agrees_with_oracle, alloc_object, classify, parse_program, positive_cases, translate_assertion,
-    Assertion, Backend, Expr, Op, Program, Span, StabilityClass, TEnv, Verdict, Verifier,
+    Assertion, Backend, Expr, Op, Program, SessionHost, Span, StabilityClass, TEnv, Verdict,
     VerifierConfig, VerifyStats,
 };
 use daenerys_idf::{env_of, ConcreteVal};
@@ -113,8 +113,10 @@ proptest! {
 
 fn verdicts_with(src: &str, backend: Backend, config: VerifierConfig) -> BTreeMap<String, Verdict> {
     let p = parse_program(src).unwrap();
-    let mut v = Verifier::with_config(&p, backend, config);
-    v.verify_all_verdicts()
+    SessionHost::new(backend, config)
+        .session()
+        .verify_program(&p)
+        .verdicts
         .into_iter()
         .map(|(name, verdict)| (name, verdict.normalized()))
         .collect()
@@ -191,19 +193,16 @@ const SKIPPING: &str = "
 ";
 
 fn stats_at(threads: usize) -> BTreeMap<String, VerifyStats> {
-    let p = parse_program(SKIPPING).unwrap();
-    let mut v = Verifier::with_config(
-        &p,
-        Backend::StableBaseline,
-        VerifierConfig {
-            threads,
-            ..VerifierConfig::default()
-        },
-    );
-    v.verify_all()
-        .unwrap()
+    let config = VerifierConfig {
+        threads,
+        ..VerifierConfig::default()
+    };
+    verdicts_with(SKIPPING, Backend::StableBaseline, config)
         .into_iter()
-        .map(|(name, s)| (name, s.normalized()))
+        .map(|(name, verdict)| match verdict {
+            Verdict::Verified(s) => (name, s),
+            other => panic!("{} did not verify: {}", name, other),
+        })
         .collect()
 }
 

@@ -10,7 +10,10 @@
 //!      sweep of concrete inputs.
 
 use daenerys::heaplang::Heap;
-use daenerys::idf::{alloc_object, parse_program, run_and_check, Backend, ConcreteVal, Verifier};
+use daenerys::idf::{
+    alloc_object, parse_program, run_and_check, Backend, ConcreteVal, SessionHost, Verdict,
+    VerifierConfig,
+};
 
 const BANK: &str = r#"
     field bal: Int
@@ -44,18 +47,16 @@ fn main() {
 
     println!("== Static verification ==\n");
     for backend in [Backend::Destabilized, Backend::StableBaseline] {
-        let mut verifier = Verifier::new(&program, backend);
-        match verifier.verify_all() {
-            Ok(stats) => {
-                println!("  {:?}:", backend);
-                for (m, s) in &stats {
-                    println!(
-                        "    {:<10} {:>3} obligations  {:>3} queries  {:>3} witnesses  {:>3} rebinds",
-                        m, s.obligations, s.solver_queries, s.witnesses, s.rebinds
-                    );
-                }
-            }
-            Err(e) => panic!("verification failed: {}", e),
+        let host = SessionHost::new(backend, VerifierConfig::default());
+        println!("  {:?}:", backend);
+        for (m, verdict) in host.session().verify_program(&program).verdicts {
+            let Verdict::Verified(s) = verdict else {
+                panic!("verification of {} failed: {}", m, verdict);
+            };
+            println!(
+                "    {:<10} {:>3} obligations  {:>3} queries  {:>3} witnesses  {:>3} rebinds",
+                m, s.obligations, s.solver_queries, s.witnesses, s.rebinds
+            );
         }
     }
 

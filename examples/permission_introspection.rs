@@ -9,7 +9,7 @@
 //! semantic behaviour in the base logic, (2) the syntactic stability
 //! judgement, and (3) a Viper-style lending protocol that uses it.
 
-use daenerys::idf::{parse_program, Backend, Verifier};
+use daenerys::idf::{parse_program, Backend, SessionHost, Verdict, VerifierConfig};
 use daenerys::logic::{
     check_stable, entails, stabilize_fast, syntactically_stable, Assert, Term, UniverseSpec,
 };
@@ -89,9 +89,14 @@ fn main() {
     )
     .expect("parses");
     for backend in [Backend::Destabilized, Backend::StableBaseline] {
-        let mut v = Verifier::new(&program, backend);
-        let stats = v.verify_all().expect("verifies");
-        let s = &stats["lend_and_observe"];
+        let host = SessionHost::new(backend, VerifierConfig::default());
+        let outcome = host.session().verify_program(&program);
+        let Verdict::Verified(s) = &outcome.verdicts["lend_and_observe"] else {
+            panic!(
+                "lend_and_observe does not verify: {}",
+                outcome.verdicts["lend_and_observe"]
+            );
+        };
         println!(
             "  {:?}: verified with {} obligations ({} witnesses)",
             backend, s.obligations, s.witnesses

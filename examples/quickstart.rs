@@ -6,7 +6,7 @@
 //! the base logic, (2) a verified Hoare triple validated by monitored
 //! execution, (3) a Viper-style method checked by the IDF verifier.
 
-use daenerys::idf::{parse_program, Backend, Verifier};
+use daenerys::idf::{parse_program, Backend, SessionHost, Verdict, VerifierConfig};
 use daenerys::logic::{check_stable, entails, Assert, Term, UniverseSpec};
 use daenerys::proglog::{rules, validate, ForkPolicy};
 use daenerys_algebra::Q;
@@ -73,9 +73,11 @@ fn main() {
     )
     .expect("parses");
     for backend in [Backend::Destabilized, Backend::StableBaseline] {
-        let mut v = Verifier::new(&program, backend);
-        let stats = v.verify_all().expect("verifies");
-        let s = &stats["inc"];
+        let host = SessionHost::new(backend, VerifierConfig::default());
+        let outcome = host.session().verify_program(&program);
+        let Verdict::Verified(s) = &outcome.verdicts["inc"] else {
+            panic!("inc does not verify: {}", outcome.verdicts["inc"]);
+        };
         println!(
             "  {:?}: {} obligations, {} solver queries, {} witnesses",
             backend, s.obligations, s.solver_queries, s.witnesses

@@ -12,7 +12,7 @@
 //! contracts outright.
 
 use daenerys::idf::{
-    analyze_program, parse_program, Backend, StabilityClass, Verifier, VerifierConfig,
+    analyze_program, parse_program, Backend, SessionHost, StabilityClass, Verdict, VerifierConfig,
 };
 
 const SRC: &str = "
@@ -50,25 +50,27 @@ fn main() {
             .join("\n"),
     )
     .expect("prefix parses");
-    let mut v = Verifier::new(&audited, Backend::StableBaseline);
-    let stats = v.verify_all().expect("audited verifies");
+    let host = SessionHost::new(Backend::StableBaseline, VerifierConfig::default());
+    let outcome = host.session().verify_program(&audited);
+    let Verdict::Verified(s) = &outcome.verdicts["audited"] else {
+        panic!("audited does not verify: {}", outcome.verdicts["audited"]);
+    };
     println!(
         "  audited: {} invalidation scan(s) skipped, {} witnesses",
-        stats["audited"].stability_skips, stats["audited"].witnesses
+        s.stability_skips, s.witnesses
     );
 
     // With the gate on, the unstable contract is refused before any
     // symbolic execution happens.
     println!("\n== deny_unstable ==\n");
-    let mut v = Verifier::with_config(
-        &program,
+    let host = SessionHost::new(
         Backend::Destabilized,
         VerifierConfig {
             deny_unstable: true,
             ..VerifierConfig::default()
         },
     );
-    for (name, verdict) in v.verify_all_verdicts() {
+    for (name, verdict) in host.session().verify_program(&program).verdicts {
         println!("  {}: {}", name, verdict);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The resilience contract under test (DESIGN.md §8):
 //!
-//! 1. `verify_all` always terminates, whatever the [`FaultPlan`].
+//! 1. A session always terminates, whatever the [`FaultPlan`].
 //! 2. A fault targeting one method never changes a sibling's verdict —
 //!    siblings are bit-identical (modulo environment-dependent stats)
 //!    to a fault-free run, at any thread count.
@@ -16,7 +16,7 @@
 
 use daenerys::idf::{
     diverging_program, parse_program, Backend, Budget, BudgetAxis, FaultKind, FaultPlan,
-    UnknownReason, Verdict, Verifier, VerifierConfig,
+    SessionHost, UnknownReason, Verdict, Verifier, VerifierConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Once;
@@ -68,8 +68,10 @@ fn verdicts_with(
     program: &daenerys::idf::Program,
     config: VerifierConfig,
 ) -> BTreeMap<String, Verdict> {
-    let mut v = Verifier::with_config(program, Backend::Destabilized, config);
-    v.verify_all_verdicts()
+    SessionHost::new(Backend::Destabilized, config)
+        .session()
+        .verify_program(program)
+        .verdicts
 }
 
 fn normalized(m: &BTreeMap<String, Verdict>) -> BTreeMap<String, Verdict> {
@@ -344,21 +346,38 @@ fn injected_panic_is_contained_to_its_method() {
 }
 
 #[test]
-fn verify_all_reports_crash_as_error_not_panic() {
+fn session_reports_crash_as_verdict_and_never_caches_it() {
     quiet_injected_panics();
     let program = trio();
+    let dir = std::env::temp_dir().join(format!("daenerys-chaos-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let config = VerifierConfig {
+        cache_dir: Some(dir.clone()),
         faults: FaultPlan::none().inject("a", FaultKind::PanicAtState(1)),
         ..VerifierConfig::default()
     };
-    let mut v = Verifier::with_config(&program, Backend::Destabilized, config);
-    let err = v.verify_all().expect_err("crash surfaces as VerifyError");
-    let rendered = err.to_string();
-    assert!(
-        rendered.contains("internal error verifying a"),
-        "rendered: {}",
-        rendered
-    );
+    let host = SessionHost::new(Backend::Destabilized, config);
+    for pass in 0..2 {
+        // The panic is contained: the session returns a full report.
+        let out = host.session().verify_program(&program);
+        match &out.verdicts["a"] {
+            Verdict::CrashedInternal { message } => {
+                assert!(message.contains("injected fault"), "payload: {}", message);
+            }
+            other => panic!("a should crash, got {}", other),
+        }
+        assert!(out.verdicts["b"].is_verified());
+        assert!(out.verdicts["c"].is_verified());
+        // An indefinite answer never reaches the store, so the crashed
+        // method runs again while its siblings are restored.
+        let expected: Vec<String> = if pass == 0 {
+            vec!["a".into(), "b".into(), "c".into()]
+        } else {
+            vec!["a".into()]
+        };
+        assert_eq!(out.reverified_methods, Some(expected), "pass {}", pass);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -404,7 +423,8 @@ fn retry_with_escalated_budget_recovers_verified() {
     let program = diverging();
     // Measure what the diverging method actually needs.
     let need = {
-        let mut v = Verifier::new(&program, Backend::Destabilized);
+        let mut v =
+            Verifier::with_config(&program, Backend::Destabilized, VerifierConfig::default());
         match v.verify_method_verdict("diverge") {
             // Fuel units under the default CDCL core:
             // conflicts + propagated literals.
@@ -447,7 +467,7 @@ fn retry_disabled_keeps_the_unknown() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn bodyless_method_is_skipped_by_verify_all_and_definite_alone() {
+fn bodyless_method_is_skipped_by_sessions_and_definite_alone() {
     let program = parse_program(
         "field val: Int
          method spec_only(c: Ref) requires acc(c.val) ensures acc(c.val)
@@ -465,7 +485,7 @@ fn bodyless_method_is_skipped_by_verify_all_and_definite_alone() {
             retry_unknown: false,
             ..VerifierConfig::default()
         };
-        // `verify_all_verdicts` only schedules methods with bodies —
+        // A session only schedules methods with bodies —
         // an abstract method is a spec, not a proof obligation.
         let verdicts = verdicts_with(&program, config);
         assert!(!verdicts.contains_key("spec_only"));

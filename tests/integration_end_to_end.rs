@@ -4,8 +4,35 @@
 
 use daenerys::heaplang::Heap;
 use daenerys::idf::{
-    alloc_object, parse_program, run_and_check, scaling_program, Backend, ConcreteVal, Verifier,
+    alloc_object, parse_program, run_and_check, scaling_program, Backend, ConcreteVal, Program,
+    SessionHost, Verdict, VerifierConfig, VerifyStats,
 };
+use std::collections::BTreeMap;
+
+/// Every method's verdict, from a storeless session.
+fn verdicts(program: &Program, backend: Backend) -> BTreeMap<String, Verdict> {
+    SessionHost::new(backend, VerifierConfig::default())
+        .session()
+        .verify_program(program)
+        .verdicts
+}
+
+fn verifies(program: &Program, backend: Backend) -> bool {
+    verdicts(program, backend)
+        .values()
+        .all(Verdict::is_verified)
+}
+
+/// Every method's stats; panics unless all of them verify.
+fn stats(program: &Program, backend: Backend) -> BTreeMap<String, VerifyStats> {
+    verdicts(program, backend)
+        .into_iter()
+        .map(|(name, verdict)| match verdict {
+            Verdict::Verified(s) => (name, s),
+            other => panic!("{} did not verify: {}", name, other),
+        })
+        .collect()
+}
 
 /// One program, four oracles, one verdict.
 #[test]
@@ -25,12 +52,8 @@ fn four_oracles_agree_on_the_swap_program() {
     let program = parse_program(src).unwrap();
 
     // Oracle 1 & 2: the two static backends.
-    assert!(Verifier::new(&program, Backend::Destabilized)
-        .verify_all()
-        .is_ok());
-    assert!(Verifier::new(&program, Backend::StableBaseline)
-        .verify_all()
-        .is_ok());
+    assert!(verifies(&program, Backend::Destabilized));
+    assert!(verifies(&program, Backend::StableBaseline));
 
     // Oracle 3: dynamic contract checking on a grid of inputs.
     for x in [-3i64, 0, 7] {
@@ -67,12 +90,8 @@ fn scaling_gap_widens() {
     for n in [2usize, 4, 8] {
         let src = scaling_program(n);
         let program = daenerys::idf::parse_program(&src).unwrap();
-        let d = Verifier::new(&program, Backend::Destabilized)
-            .verify_all()
-            .unwrap();
-        let b = Verifier::new(&program, Backend::StableBaseline)
-            .verify_all()
-            .unwrap();
+        let d = stats(&program, Backend::Destabilized);
+        let b = stats(&program, Backend::StableBaseline);
         let ds = &d["bump_all"];
         let bs = &b["bump_all"];
         assert!(bs.obligations > ds.obligations);
@@ -101,12 +120,8 @@ fn oracles_agree_on_rejection() {
         }
     "#;
     let program = parse_program(src).unwrap();
-    assert!(Verifier::new(&program, Backend::Destabilized)
-        .verify_all()
-        .is_err());
-    assert!(Verifier::new(&program, Backend::StableBaseline)
-        .verify_all()
-        .is_err());
+    assert!(!verifies(&program, Backend::Destabilized));
+    assert!(!verifies(&program, Backend::StableBaseline));
     let mut heap = Heap::new();
     let c = alloc_object(&program, &mut heap, &[0]);
     let e = run_and_check(
@@ -149,9 +164,7 @@ fn full_workspace_smoke() {
          { c.v := 0 }",
     )
     .unwrap();
-    assert!(Verifier::new(&program, Backend::Destabilized)
-        .verify_all()
-        .is_ok());
+    assert!(verifies(&program, Backend::Destabilized));
     let mut heap = Heap::new();
     let c = alloc_object(&program, &mut heap, &[99]);
     run_and_check(&program, "zero", vec![ConcreteVal::Obj(c)], heap, 10_000).unwrap();
@@ -173,9 +186,7 @@ fn translated_contracts_hold_in_monitored_worlds() {
         { c.val := c.val + n }
     "#;
     let program = parse_program(src).unwrap();
-    assert!(Verifier::new(&program, Backend::Destabilized)
-        .verify_all()
-        .is_ok());
+    assert!(verifies(&program, Backend::Destabilized));
 
     let mut heap = Heap::new();
     let obj = alloc_object(&program, &mut heap, &[5]);

@@ -4,10 +4,37 @@
 
 use daenerys::heaplang::Heap;
 use daenerys::idf::{
-    alloc_object, positive_cases, run_and_check, Backend, ConcreteVal, Type, Verifier,
+    alloc_object, positive_cases, run_and_check, Backend, ConcreteVal, Program, SessionHost, Type,
+    Verdict, VerifierConfig, VerifyStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// Every method's verdict, from a storeless session.
+fn verdicts(program: &Program, backend: Backend) -> BTreeMap<String, Verdict> {
+    SessionHost::new(backend, VerifierConfig::default())
+        .session()
+        .verify_program(program)
+        .verdicts
+}
+
+fn verifies(program: &Program, backend: Backend) -> bool {
+    verdicts(program, backend)
+        .values()
+        .all(Verdict::is_verified)
+}
+
+/// Every method's stats; panics unless all of them verify.
+fn stats(program: &Program, backend: Backend) -> BTreeMap<String, VerifyStats> {
+    verdicts(program, backend)
+        .into_iter()
+        .map(|(name, verdict)| match verdict {
+            Verdict::Verified(s) => (name, s),
+            other => panic!("{} did not verify: {}", name, other),
+        })
+        .collect()
+}
 
 #[test]
 fn all_case_studies_verify_and_run() {
@@ -16,9 +43,12 @@ fn all_case_studies_verify_and_run() {
         let program = case.program();
         // Static verification on both backends.
         for backend in [Backend::Destabilized, Backend::StableBaseline] {
-            let mut v = Verifier::new(&program, backend);
-            let r = v.verify_all();
-            assert!(r.is_ok(), "case {} failed on {:?}", case.name, backend);
+            assert!(
+                verifies(&program, backend),
+                "case {} failed on {:?}",
+                case.name,
+                backend
+            );
         }
         // Dynamic contract checks on randomized inputs for every method
         // whose parameters we can synthesize (flat object graphs only).
@@ -67,10 +97,8 @@ fn backend_verdicts_always_agree() {
     use daenerys::idf::all_cases;
     for case in all_cases() {
         let program = case.program();
-        let mut d = Verifier::new(&program, Backend::Destabilized);
-        let mut b = Verifier::new(&program, Backend::StableBaseline);
-        let rd = d.verify_all().is_ok();
-        let rb = b.verify_all().is_ok();
+        let rd = verifies(&program, Backend::Destabilized);
+        let rb = verifies(&program, Backend::StableBaseline);
         assert_eq!(rd, rb, "backends disagree on {}", case.name);
         assert_eq!(rd, case.should_verify, "wrong verdict on {}", case.name);
     }
@@ -83,10 +111,8 @@ fn baseline_overhead_is_systematic() {
     // whenever the specs read the heap.
     for case in positive_cases() {
         let program = case.program();
-        let mut vd = Verifier::new(&program, Backend::Destabilized);
-        let d = vd.verify_all().unwrap();
-        let mut vb = Verifier::new(&program, Backend::StableBaseline);
-        let b = vb.verify_all().unwrap();
+        let d = stats(&program, Backend::Destabilized);
+        let b = stats(&program, Backend::StableBaseline);
         for (m, ds) in &d {
             let bs = &b[m];
             assert!(
