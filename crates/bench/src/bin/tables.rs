@@ -50,8 +50,7 @@
 //!   static stability analyzer classifies unstable (answer-affecting,
 //!   part of the incremental fingerprint); `--explain-stability` prints
 //!   the analyzer's lints for the examples corpus — classification,
-//!   spans, and fix hints — and enriches `stability.classify` trace
-//!   events with finding details (cost only).
+//!   spans, and fix hints.
 
 use daenerys_bench::{
     measure_median, micros, profile_events, render_profile, run_backend_with, BackendRun,
@@ -97,6 +96,8 @@ struct Opts {
     selected: Vec<String>,
     json: bool,
     profile: bool,
+    /// Print the static stability report (`--explain-stability`).
+    explain_stability: bool,
     repeat: usize,
     trace_out: Option<String>,
     /// Verdict-store root for the incremental section (`Some` when
@@ -116,6 +117,7 @@ fn parse_args() -> Opts {
         selected: Vec::new(),
         json: false,
         profile: false,
+        explain_stability: false,
         repeat: 5,
         trace_out: None,
         cache_dir: None,
@@ -130,7 +132,7 @@ fn parse_args() -> Opts {
             "--json" => opts.json = true,
             "--profile" => opts.profile = true,
             "--deny-unstable" => opts.config.deny_unstable = true,
-            "--explain-stability" => opts.config.explain_stability = true,
+            "--explain-stability" => opts.explain_stability = true,
             "--incremental" => {
                 if opts.cache_dir.is_none() {
                     opts.cache_dir = Some(std::path::PathBuf::from("target/ivc"));
@@ -296,7 +298,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    if opts.config.explain_stability {
+    if opts.explain_stability {
         explain_stability(&opts);
     }
     if want("--t1") {

@@ -278,15 +278,13 @@ impl Request {
     ///
     /// A human-readable description of the first structural problem.
     pub fn decode(payload: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let json = parse_json(text).map_err(|e| format!("payload is not JSON: {}", e))?;
-        let obj = json.as_obj().ok_or("payload is not a JSON object")?;
-        let num = |key: &str| -> Option<u64> {
-            let n = obj.get(key)?.as_num()?;
-            (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
-        };
+        Request::from_object(&parse_object(payload)?)
+    }
+
+    /// Decodes a request from its already-parsed payload object.
+    fn from_object(obj: &BTreeMap<String, Json>) -> Result<Request, String> {
         Ok(Request {
-            id: num("id").ok_or("missing/invalid \"id\"")?,
+            id: uint(obj, "id").ok_or("missing/invalid \"id\"")?,
             tenant: obj
                 .get("tenant")
                 .and_then(|t| t.as_str())
@@ -297,9 +295,9 @@ impl Request {
                 .and_then(|s| s.as_str())
                 .ok_or("missing \"source\"")?
                 .to_string(),
-            deadline_ms: num("deadline_ms"),
-            solver_fuel: num("solver_fuel"),
-            max_errors: num("max_errors").map(|n| n as usize),
+            deadline_ms: uint(obj, "deadline_ms"),
+            solver_fuel: uint(obj, "solver_fuel"),
+            max_errors: uint(obj, "max_errors").map(|n| n as usize),
         })
     }
 }
@@ -366,6 +364,22 @@ impl AdminRequest {
     }
 }
 
+/// Parses a payload as one JSON object, the first step of every
+/// decoder.
+fn parse_object(payload: &[u8]) -> Result<BTreeMap<String, Json>, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+    match parse_json(text).map_err(|e| format!("payload is not JSON: {}", e))? {
+        Json::Obj(obj) => Ok(obj),
+        _ => Err("payload is not a JSON object".to_string()),
+    }
+}
+
+/// The non-negative integer under `key`, if there is one.
+fn uint(obj: &BTreeMap<String, Json>, key: &str) -> Option<u64> {
+    let n = obj.get(key)?.as_num()?;
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
+}
+
 /// Any decoded inbound frame: a verification request or an admin
 /// request.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -386,24 +400,18 @@ impl Frame {
     ///
     /// A human-readable description of the first structural problem.
     pub fn decode(payload: &[u8]) -> Result<Frame, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let json = parse_json(text).map_err(|e| format!("payload is not JSON: {}", e))?;
-        let obj = json.as_obj().ok_or("payload is not a JSON object")?;
+        let obj = parse_object(payload)?;
         let Some(admin) = obj.get("admin") else {
-            return Request::decode(payload).map(Frame::Verify);
+            return Request::from_object(&obj).map(Frame::Verify);
         };
-        let num = |key: &str| -> Option<u64> {
-            let n = obj.get(key)?.as_num()?;
-            (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
-        };
-        let id = num("id").ok_or("missing/invalid \"id\"")?;
+        let id = uint(&obj, "id").ok_or("missing/invalid \"id\"")?;
         match admin.as_str().ok_or("\"admin\" must be a string")? {
             "metrics" => Ok(Frame::Admin(AdminRequest::Metrics { id })),
             "health" => Ok(Frame::Admin(AdminRequest::Health { id })),
             "trace_tail" => Ok(Frame::Admin(AdminRequest::TraceTail {
                 id,
-                after_seq: num("after_seq").unwrap_or(0),
-                max: num("max").unwrap_or(u64::MAX),
+                after_seq: uint(&obj, "after_seq").unwrap_or(0),
+                max: uint(&obj, "max").unwrap_or(u64::MAX),
             })),
             other => Err(format!("unknown admin request {:?}", other)),
         }
@@ -596,14 +604,8 @@ impl Response {
     ///
     /// A human-readable description of the first structural problem.
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let json = parse_json(text).map_err(|e| format!("payload is not JSON: {}", e))?;
-        let obj = json.as_obj().ok_or("payload is not a JSON object")?;
-        let id = obj
-            .get("id")
-            .and_then(|n| n.as_num())
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .ok_or("missing/invalid \"id\"")? as u64;
+        let obj = parse_object(payload)?;
+        let id = uint(&obj, "id").ok_or("missing/invalid \"id\"")?;
         match obj
             .get("status")
             .and_then(|s| s.as_str())

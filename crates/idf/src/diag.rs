@@ -139,12 +139,6 @@ pub(crate) struct QueryLog {
 }
 
 impl QueryLog {
-    /// Forgets everything (called at each method entry).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.arrivals = 0;
-    }
-
     /// Whether a query of this cost would make the log — lets callers
     /// skip building the record (descriptions, hashes) for cheap
     /// queries once the log is full.
@@ -237,8 +231,6 @@ mod tests {
         assert_eq!(tags, ["b", "d", "f", "e", "a"]);
         assert!(!log.accepts(1), "full log rejects cheap queries");
         assert!(log.accepts(100));
-        log.clear();
-        assert!(log.top().is_empty());
     }
 
     #[test]

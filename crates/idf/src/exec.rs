@@ -80,9 +80,6 @@ pub struct VerifierConfig {
     /// *answer-affecting* knob and is part of the incremental
     /// fingerprint.
     pub deny_unstable: bool,
-    /// Attach rendered per-finding provenance to `stability.classify`
-    /// trace events (default: `false`). Cost only, never answers.
-    pub explain_stability: bool,
     /// Directory of the persistent incremental verdict store, read
     /// only by [`crate::session::SessionHost::new`], which opens the
     /// store there and verifies every session incrementally: methods
@@ -105,7 +102,6 @@ impl Default for VerifierConfig {
             faults: FaultPlan::default(),
             retry_unknown: true,
             deny_unstable: false,
-            explain_stability: false,
             cache_dir: None,
             trace: TraceHandle::disabled(),
         }
@@ -302,7 +298,7 @@ pub struct VerifyStats {
     /// Solver query-cache misses.
     pub cache_misses: usize,
     /// Conflict clauses learned by the solver while verifying the
-    /// method (the monotone [`Solver::learned_clauses`] delta).
+    /// method ([`Solver::learned_clauses`]).
     pub learned_clauses: usize,
     /// Distinct terms interned while verifying the method.
     pub interned_terms: usize,
@@ -424,12 +420,17 @@ struct MethodOutcome {
     metrics: MetricsRegistry,
 }
 
-/// The symbolic-execution engine, one method at a time.
+/// The symbolic-execution engine for one method.
+///
+/// A `Verifier` is single-use: [`Verifier::verify_method_verdict`]
+/// consumes it, so its arena, solver (with its caches and learned
+/// clauses), symbol supply, budget and counters all belong to that one
+/// method. Verifying another method means building another `Verifier`.
 ///
 /// Programs are verified through [`crate::session::Session`]: its pass
 /// gives every method a `Verifier` of its own and merges the verdicts
-/// in program order. [`Verifier::verify_method_verdict`] is that
-/// per-method unit, public so harnesses can replay single methods.
+/// in program order. `verify_method_verdict` is that per-method unit,
+/// public so harnesses can replay single methods.
 #[derive(Debug)]
 pub struct Verifier<'a> {
     program: &'a Program,
@@ -439,20 +440,20 @@ pub struct Verifier<'a> {
     supply: SymSupply,
     arena: TermArena,
     obligations: Vec<Obligation>,
+    /// The counters the solver, arena and supply do not keep
+    /// (witnesses, rebinds, stability skips, states).
     stats: VerifyStats,
-    /// Budget bookkeeping for the method currently being verified.
-    method_started: Instant,
-    method_states_base: usize,
+    /// The budget axis that ran out, and where.
     exhausted: Option<(BudgetAxis, String)>,
-    /// Active injected faults for the current method.
+    /// Injected faults (chaos harness).
     fault_exhaust: Option<BudgetAxis>,
     fault_panic_at_state: Option<usize>,
-    /// Per-method trace buffer (disabled unless the config's
-    /// [`TraceHandle`] is enabled).
+    /// Trace buffer (disabled unless the config's [`TraceHandle`] is
+    /// enabled).
     collector: TraceCollector,
-    /// The current method's most expensive solver queries.
+    /// The most expensive solver queries.
     query_log: QueryLog,
-    /// Context captured at the current method's first failure.
+    /// Context captured at the first failure.
     failure_ctx: Option<FailureCtx>,
     /// Whether the top-level spec assertion currently being produced or
     /// consumed was classified stable by the static analyzer — baseline
@@ -479,8 +480,6 @@ impl<'a> Verifier<'a> {
             arena: TermArena::new(),
             obligations: Vec::new(),
             stats: VerifyStats::default(),
-            method_started: Instant::now(),
-            method_states_base: 0,
             exhausted: None,
             fault_exhaust: None,
             fault_panic_at_state: None,
@@ -492,7 +491,9 @@ impl<'a> Verifier<'a> {
     }
 
     /// Verifies one method under the configured budget and fault plan
-    /// and reports the three-valued [`Verdict`].
+    /// and reports the three-valued [`Verdict`]. This consumes the
+    /// verifier: a `Verifier` verifies exactly one method, so every
+    /// counter it keeps is that method's.
     ///
     /// Budget exhaustion and out-of-fragment solver answers yield
     /// [`Verdict::Unknown`]; definite violations yield
@@ -500,59 +501,48 @@ impl<'a> Verifier<'a> {
     /// method — a structural failure, not a panic. (Panic containment
     /// lives one level up, in the session pass, because it requires an
     /// isolated per-method verifier to discard.)
-    pub fn verify_method_verdict(&mut self, name: &str) -> Verdict {
+    pub fn verify_method_verdict(self, name: &str) -> Verdict {
+        self.run(name).verdict
+    }
+
+    /// [`Verifier::verify_method_verdict`], with the method's trace
+    /// events and metrics.
+    fn run(mut self, name: &str) -> MethodOutcome {
         let started = Instant::now();
-        // Install the per-method budget: refuel the solver, (re)anchor
-        // the deadline and the state/term baselines.
-        self.method_started = started;
-        self.method_states_base = self.stats.states;
-        self.exhausted = None;
-        self.solver.fuel = self.config.budget.solver_fuel;
-        self.solver.fuel_exhausted = false;
-        // The deadline is also handed to the solver, which polls it
-        // inside its conflict loop: a single hard query then returns
-        // `Unknown` within a small multiple of the deadline instead of
-        // only noticing the overrun at the next statement boundary.
-        self.solver.deadline = self
-            .config
-            .budget
+        // Install the method's budget. The deadline is also handed to
+        // the solver, which polls it inside its conflict loop: a single
+        // hard query then returns `Unknown` within a small multiple of
+        // the deadline instead of only noticing the overrun at the next
+        // statement boundary.
+        let budget = self.config.budget;
+        self.solver.fuel = budget.solver_fuel;
+        self.solver.deadline = budget
             .deadline_ms
             .map(|ms| started + Duration::from_millis(ms));
-        self.solver.deadline_exhausted = false;
-        // Learned clauses never outlive the method that produced them:
-        // clearing here keeps every method's solver behavior a function
-        // of that method alone, preserving the per-method determinism
-        // contract at any thread count and under retries.
-        self.solver.clear_learned();
-        self.arena.set_limit(self.config.budget.max_terms.map(|m| {
-            self.arena
-                .len()
-                .saturating_add(usize::try_from(m).unwrap_or(usize::MAX))
-        }));
+        self.arena.set_limit(
+            budget
+                .max_terms
+                .map(|m| usize::try_from(m).unwrap_or(usize::MAX)),
+        );
         // Install the method's injected faults (chaos harness).
-        self.solver.unknown_after = None;
-        self.fault_exhaust = None;
-        self.fault_panic_at_state = None;
-        let faults: Vec<FaultKind> = self.config.faults.for_method(name).collect();
-        for kind in faults {
+        for kind in self.config.faults.for_method(name) {
             match kind {
-                FaultKind::SolverUnknownAfter(n) => {
-                    self.solver.unknown_after = Some(self.solver.queries + n);
-                }
+                FaultKind::SolverUnknownAfter(n) => self.solver.unknown_after = Some(n),
                 FaultKind::ExhaustBudget(axis) => self.fault_exhaust = Some(axis),
                 FaultKind::PanicAtState(n) => self.fault_panic_at_state = Some(n),
             }
         }
-        // Reset the per-method diagnostics.
-        self.failure_ctx = None;
-        self.query_log.clear();
         let span = self.collector.span_start(&format!("exec:{}", name));
-        let outcome = self.verify_method_body(name, started);
+        let result = self.verify_method_body(name, started);
         self.emit_budget_gauges();
         self.collector.span_end(span);
-        let exhausted = self.exhausted.take();
-        let report = self.build_failure_report(name, &outcome, &exhausted);
-        classify(outcome, exhausted, report)
+        let report = self.build_failure_report(name, &result);
+        let (events, metrics) = self.collector.take();
+        MethodOutcome {
+            verdict: classify(result, self.exhausted, report),
+            events,
+            metrics,
+        }
     }
 
     /// Assembles the [`FailureReport`] for a just-finished method from
@@ -562,13 +552,11 @@ impl<'a> Verifier<'a> {
         &mut self,
         name: &str,
         result: &Result<VerifyStats, Vec<Obligation>>,
-        exhausted: &Option<(BudgetAxis, String)>,
     ) -> FailureReport {
-        if exhausted.is_none() && result.is_ok() {
-            self.failure_ctx = None;
+        if self.exhausted.is_none() && result.is_ok() {
             return FailureReport::default();
         }
-        let first_failure = match (exhausted, result) {
+        let first_failure = match (&self.exhausted, result) {
             (Some((axis, detail)), _) => format!("budget exhausted ({}): {}", axis, detail),
             (None, Err(failures)) => failures
                 .first()
@@ -592,8 +580,8 @@ impl<'a> Verifier<'a> {
         if !self.collector.is_enabled() {
             return;
         }
-        let states_used = (self.stats.states - self.method_states_base) as u64;
-        self.collector.gauge("budget.states_used", states_used);
+        self.collector
+            .gauge("budget.states_used", self.stats.states as u64);
         self.collector
             .gauge("budget.terms_interned", self.arena.len() as u64);
         if let Some(limit) = self.config.budget.limit(BudgetAxis::SolverFuel) {
@@ -631,41 +619,20 @@ impl<'a> Verifier<'a> {
             return Err(vec![failure]);
         };
 
-        let before_queries = self.solver.queries;
-        let before_branches = self.solver.branches;
-        let before_conflicts = self.solver.conflicts;
-        let before_restarts = self.solver.restarts;
-        let before_propagations = self.solver.propagations;
-        let before_theory_props = self.solver.theory_props;
-        let before_hits = self.solver.cache_hits;
-        let before_misses = self.solver.cache_misses;
-        let before_learned = self.solver.learned_clauses;
-        let before_terms = self.arena.len();
-        let before_symbols = self.supply.minted();
-        let before_obligations = self.obligations.len();
-        let stats_base = self.stats.clone();
-
         // Static stability analysis of the method's spec assertions
         // (pre, post, loop invariants), run before execution so the
         // verdicts can be traced and can gate `deny_unstable`.
         let spec_verdicts = stability::analyze_method(method);
         if self.collector.is_enabled() {
             for v in &spec_verdicts {
-                let mut fields = vec![
-                    ("site".to_string(), Value::Str(v.site.to_string())),
-                    ("class".to_string(), Value::Str(v.class.to_string())),
-                    ("findings".to_string(), Value::UInt(v.findings.len() as u64)),
-                ];
-                if self.config.explain_stability {
-                    let detail = v
-                        .findings
-                        .iter()
-                        .map(|f| f.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    fields.push(("detail".to_string(), Value::Str(detail)));
-                }
-                self.collector.event("stability.classify", fields);
+                self.collector.event(
+                    "stability.classify",
+                    vec![
+                        ("site".to_string(), Value::Str(v.site.to_string())),
+                        ("class".to_string(), Value::Str(v.class.to_string())),
+                        ("findings".to_string(), Value::UInt(v.findings.len() as u64)),
+                    ],
+                );
             }
         }
         if self.config.deny_unstable {
@@ -731,34 +698,33 @@ impl<'a> Verifier<'a> {
             });
         }
 
-        let failed: Vec<Obligation> = self.obligations[before_obligations..]
+        let failed: Vec<Obligation> = self
+            .obligations
             .iter()
             .filter(|o| o.outcome != Answer::Valid)
             .cloned()
             .collect();
 
-        let mut stats = VerifyStats {
-            obligations: self.obligations.len() - before_obligations,
-            solver_queries: self.solver.queries - before_queries,
-            solver_branches: self.solver.branches - before_branches,
-            solver_conflicts: self.solver.conflicts - before_conflicts,
-            solver_restarts: self.solver.restarts - before_restarts,
-            solver_propagations: self.solver.propagations - before_propagations,
-            theory_props: self.solver.theory_props - before_theory_props,
-            cache_hits: self.solver.cache_hits - before_hits,
-            cache_misses: self.solver.cache_misses - before_misses,
-            learned_clauses: self.solver.learned_clauses - before_learned,
-            interned_terms: self.arena.len() - before_terms,
-            symbols: self.supply.minted() - before_symbols,
-            witnesses: self.stats.witnesses - stats_base.witnesses,
-            rebinds: self.stats.rebinds - stats_base.rebinds,
-            stability_skips: self.stats.stability_skips - stats_base.stability_skips,
-            states: self.stats.states - stats_base.states,
+        let stats = VerifyStats {
+            obligations: self.obligations.len(),
+            solver_queries: self.solver.queries,
+            solver_branches: self.solver.branches,
+            solver_conflicts: self.solver.conflicts,
+            solver_restarts: self.solver.restarts,
+            solver_propagations: self.solver.propagations,
+            theory_props: self.solver.theory_props,
+            cache_hits: self.solver.cache_hits,
+            cache_misses: self.solver.cache_misses,
+            learned_clauses: self.solver.learned_clauses,
+            interned_terms: self.arena.len(),
+            symbols: self.supply.minted(),
+            witnesses: self.stats.witnesses,
+            rebinds: self.stats.rebinds,
+            stability_skips: self.stats.stability_skips,
+            states: self.stats.states + 1,
             budget_exhausted: 0,
-            wall_nanos: 0,
+            wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
-        stats.states += 1;
-        stats.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
         if self.collector.is_enabled() {
             self.collector.counter("verify.methods", 1);
@@ -826,8 +792,7 @@ impl<'a> Verifier<'a> {
             return false;
         }
         if let Some(max) = self.config.budget.max_states {
-            let used = (self.stats.states - self.method_states_base) as u64;
-            if used > max {
+            if self.stats.states as u64 > max {
                 self.exhausted =
                     Some((BudgetAxis::States, format!("state cap of {} exceeded", max)));
                 return false;
@@ -842,7 +807,7 @@ impl<'a> Verifier<'a> {
             return false;
         }
         if let Some(ms) = self.config.budget.deadline_ms {
-            if self.method_started.elapsed() >= Duration::from_millis(ms) {
+            if self.solver.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.exhausted = Some((
                     BudgetAxis::Deadline,
                     format!("deadline of {} ms elapsed", ms),
@@ -1374,7 +1339,7 @@ impl<'a> Verifier<'a> {
     fn exec_stmt(&mut self, mut state: State, s: &Stmt) -> Vec<State> {
         self.stats.states += 1;
         if let Some(n) = self.fault_panic_at_state {
-            if self.stats.states - self.method_states_base == n {
+            if self.stats.states == n {
                 panic!("injected fault: panic at execution state {}", n);
             }
         }
@@ -1855,14 +1820,7 @@ fn run_isolated(
 ) -> MethodOutcome {
     let attempt = |cfg: VerifierConfig| -> MethodOutcome {
         match catch_unwind(AssertUnwindSafe(|| {
-            let mut v = Verifier::with_config(program, backend, cfg);
-            let verdict = v.verify_method_verdict(name);
-            let (events, metrics) = v.collector.take();
-            MethodOutcome {
-                verdict,
-                events,
-                metrics,
-            }
+            Verifier::with_config(program, backend, cfg).run(name)
         })) {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -2356,13 +2314,15 @@ mod tests {
         // …and targeting one directly is a structural failure, not a
         // panic.
         let p = parse_program(src).unwrap();
-        let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
-        let first_failure = |verdict: Verdict| match verdict {
-            Verdict::Failed { failures, .. } => failures[0].description.clone(),
-            other => panic!("expected Failed, got {}", other),
+        let first_failure = |name: &str| {
+            let v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
+            match v.verify_method_verdict(name) {
+                Verdict::Failed { failures, .. } => failures[0].description.clone(),
+                other => panic!("expected Failed, got {}", other),
+            }
         };
-        assert!(first_failure(v.verify_method_verdict("spec_only")).contains("abstract"));
-        assert!(first_failure(v.verify_method_verdict("no_such_method")).contains("unknown method"));
+        assert!(first_failure("spec_only").contains("abstract"));
+        assert!(first_failure("no_such_method").contains("unknown method"));
     }
 
     #[test]
@@ -2402,7 +2362,7 @@ mod tests {
             { c.val := 2 }
         "#;
         let p = parse_program(src).unwrap();
-        let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
+        let v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
         match v.verify_method_verdict("bad") {
             Verdict::Failed { failures, report } => {
                 assert!(!failures.is_empty());
@@ -2444,7 +2404,7 @@ mod tests {
             retry_unknown: false,
             ..VerifierConfig::default()
         };
-        let mut v = Verifier::with_config(&p, Backend::Destabilized, config);
+        let v = Verifier::with_config(&p, Backend::Destabilized, config);
         match v.verify_method_verdict("bad") {
             Verdict::Unknown {
                 reason: UnknownReason::BudgetExhausted { axis, .. },
@@ -2480,7 +2440,8 @@ mod tests {
     #[test]
     fn budgets_do_not_leak_across_methods() {
         // The fuel spent by one method must not starve the next: the
-        // budget is per-method, reinstalled at each entry.
+        // budget is per-method, as every method gets a verifier of its
+        // own.
         let src = r#"
             field val: Int
             method a(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1
@@ -2490,7 +2451,7 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         let need = {
-            let mut v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
+            let v = Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default());
             match v.verify_method_verdict("a") {
                 // Fuel units: conflicts+propagations under the
                 // (default) CDCL core.

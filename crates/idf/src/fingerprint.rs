@@ -12,8 +12,8 @@
 //! fingerprint matches: editing one method's body invalidates that
 //! method; editing a *spec* additionally invalidates the direct
 //! callers; knobs that cost time but never change an answer
-//! (`threads`, `explain_stability`, tracing, `cache_dir` itself) are
-//! deliberately excluded.
+//! (`threads`, tracing, `cache_dir` itself) are deliberately
+//! excluded.
 //!
 //! The hash is *structural*: the AST's derived [`Hash`] feeds each
 //! node's variant tag and then its children in order, with strings
@@ -234,11 +234,10 @@ pub const SOLVER_EPOCH: u32 = 2;
 /// The canonical text of the configuration knobs that can change a
 /// verdict, apart from the fault plan: a method's fingerprint adds the
 /// faults aimed at it, and [`config_fingerprint`] the whole plan.
-/// Cost-only knobs (`threads`, tracing, `cache_dir`,
-/// `explain_stability`) are excluded: they are property-tested to be
-/// answer-transparent, so a verdict cached under one setting is valid
-/// under any other. The trailing [`SOLVER_EPOCH`] moves every key when
-/// the solver's answers change.
+/// Cost-only knobs (`threads`, tracing, `cache_dir`) are excluded:
+/// they are property-tested to be answer-transparent, so a verdict
+/// cached under one setting is valid under any other. The trailing
+/// [`SOLVER_EPOCH`] moves every key when the solver's answers change.
 pub fn config_text(backend: Backend, config: &VerifierConfig) -> String {
     format!(
         "backend={:?};budget={:?};retry_unknown={};deny_unstable={};epoch={}",
@@ -571,10 +570,6 @@ mod tests {
         }
         // Cost-only knobs leave it unchanged.
         for cfg in [
-            VerifierConfig {
-                explain_stability: true,
-                ..base.clone()
-            },
             VerifierConfig {
                 threads: 8,
                 ..base.clone()

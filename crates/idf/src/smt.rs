@@ -320,10 +320,12 @@ impl Solver {
         self.entails(arena, &pc_ids, g)
     }
 
-    /// Forgets the learned clauses. The verifier calls this at every
-    /// method boundary: each method's lemma set is then a function of
-    /// that method's own query sequence, which is what keeps verdicts,
-    /// stats, and traces bit-identical at any worker count.
+    /// Forgets the learned clauses (the learned-clause counter stays).
+    /// The verifier never calls this: each method runs on a fresh
+    /// solver, so its lemma set is a function of that method's own
+    /// query sequence. It is the forgetful reference that
+    /// `clause_learning_is_answer_transparent` compares a learning
+    /// solver against.
     pub fn clear_learned(&mut self) {
         self.learned.clear();
         self.lemmas_checked.clear();

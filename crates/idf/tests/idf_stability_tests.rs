@@ -154,28 +154,6 @@ fn deny_unstable_is_transparent_on_stable_programs() {
     }
 }
 
-/// `explain_stability` is cost-only: it enriches trace events but never
-/// moves a verdict.
-#[test]
-fn explain_stability_is_answer_transparent() {
-    for case in positive_cases() {
-        let off = verdicts_with(
-            case.source,
-            Backend::Destabilized,
-            VerifierConfig::default(),
-        );
-        let on = verdicts_with(
-            case.source,
-            Backend::Destabilized,
-            VerifierConfig {
-                explain_stability: true,
-                ..VerifierConfig::default()
-            },
-        );
-        assert_eq!(off, on, "{}: verdicts moved under explain", case.name);
-    }
-}
-
 const SKIPPING: &str = "
     field v: Int
     method bump(c: Ref, n: Int)

@@ -71,7 +71,7 @@ pub struct Event {
     /// Span or event name (e.g. `exec:inc`, `solver.query`,
     /// `stability.classify` — the verifier's per-spec classification
     /// point event, whose fields carry the spec site, its stability
-    /// class, and rendered findings). The CDCL core's search
+    /// class, and its finding count). The CDCL core's search
     /// counters arrive as `solver.conflict`, `solver.restart`, and
     /// `theory.propagate` metric bumps rather than point events, so
     /// hot search loops never pay for event construction.

@@ -182,7 +182,7 @@ fn deadline_is_enforced_inside_the_conflict_loop() {
         threads: 1,
         ..VerifierConfig::default()
     };
-    let mut v = Verifier::with_config(&program, Backend::Destabilized, config);
+    let v = Verifier::with_config(&program, Backend::Destabilized, config);
     let started = std::time::Instant::now();
     let verdict = v.verify_method_verdict("diverge");
     let elapsed = started.elapsed();
@@ -423,8 +423,7 @@ fn retry_with_escalated_budget_recovers_verified() {
     let program = diverging();
     // Measure what the diverging method actually needs.
     let need = {
-        let mut v =
-            Verifier::with_config(&program, Backend::Destabilized, VerifierConfig::default());
+        let v = Verifier::with_config(&program, Backend::Destabilized, VerifierConfig::default());
         match v.verify_method_verdict("diverge") {
             // Fuel units under the default CDCL core:
             // conflicts + propagated literals.
@@ -494,16 +493,15 @@ fn bodyless_method_is_skipped_by_sessions_and_definite_alone() {
     // Asked about directly, an abstract method is a definite
     // structural failure (never Unknown, never a panic), whatever the
     // budget.
-    let mut v = Verifier::with_config(
-        &program,
-        Backend::Destabilized,
-        VerifierConfig {
+    let verdict = |name: &str| {
+        let config = VerifierConfig {
             budget: Budget::unlimited().with_solver_fuel(1),
             retry_unknown: false,
             ..VerifierConfig::default()
-        },
-    );
-    match v.verify_method_verdict("spec_only") {
+        };
+        Verifier::with_config(&program, Backend::Destabilized, config).verify_method_verdict(name)
+    };
+    match verdict("spec_only") {
         Verdict::Failed { failures, report } => {
             assert!(failures[0].description.contains("abstract"));
             assert!(!report.is_empty(), "even stateless failures get a report");
@@ -512,10 +510,7 @@ fn bodyless_method_is_skipped_by_sessions_and_definite_alone() {
         other => panic!("abstract method should fail definitely, got {}", other),
     }
     // Same for a method that does not exist at all.
-    assert!(matches!(
-        v.verify_method_verdict("ghost"),
-        Verdict::Failed { .. }
-    ));
+    assert!(matches!(verdict("ghost"), Verdict::Failed { .. }));
 }
 
 #[test]
