@@ -7,17 +7,14 @@
 //! the surface the daemon and the bench harness share.
 //!
 //! The library half holds everything the binary does that tests want
-//! to drive directly: diagnostic rendering ([`diagnostics`]), the
-//! static cost report ([`costfmt`]), and the watch engine's
-//! deterministic debounce ([`watch`]).
+//! to drive directly: diagnostic rendering ([`diagnostics`]) and the
+//! watch engine's deterministic debounce ([`watch`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod costfmt;
 pub mod diagnostics;
 pub mod watch;
 
-pub use costfmt::{render_json as render_cost_json, render_table as render_cost_table};
 pub use diagnostics::{Renderer, SourceFile};
 pub use watch::{content_hash, Debounce};

@@ -17,16 +17,20 @@
 //! Every subcommand is a [`daenerys_idf::Session`] client: the binary
 //! never touches
 //! verifier internals, so CLI runs exercise exactly the library
-//! surface the daemon and the bench harness share. Exit codes: 0 clean,
-//! 1 diagnostics or failed verdicts (or a tripped watch gate), 2 usage.
+//! surface the daemon and the bench harness share. `cost` verifies like
+//! `verify` and reports each method's measured solver work, read from
+//! its verdict's statistics (restored from the warm store when the
+//! fingerprint matches). Exit codes: 0 clean, 1 diagnostics or failed
+//! verdicts (or a tripped watch gate; `cost` fails only on front-end
+//! errors), 2 usage.
 
-use daenerys_cli::{render_cost_json, render_cost_table, Debounce, Renderer, SourceFile};
+use daenerys_cli::{Debounce, Renderer, SourceFile};
 use daenerys_idf::{
-    analyze_program, check_program, estimate_program, parse_program_with_recovery_capped, Backend,
-    Budget, Program, SessionHost, StabilityClass, VerifierConfig, VerifyOutcome,
-    DEFAULT_MAX_ERRORS,
+    analyze_program, check_program, parse_program_with_recovery_capped, Backend, Budget, Program,
+    SessionHost, StabilityClass, Verdict, VerifierConfig, VerifyOutcome, DEFAULT_MAX_ERRORS,
 };
-use daenerys_obs::{ColorMode, Json};
+use daenerys_obs::{fmt_count, ColorMode, Json, Style, TextTable};
+use std::collections::BTreeSet;
 use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -58,6 +62,12 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: daenerys <check|verify|explain|cost|watch> FILE... [flags]\n\
+         \n\
+         commands:\n\
+         \x20 check | explain       stability lints (explain: every spec site), no solver\n\
+         \x20 verify                verify every method, reporting failures\n\
+         \x20 cost                  verify, then report each method's measured solver work\n\
+         \x20 watch                 re-verify on every settled edit of one file\n\
          \n\
          common flags:\n\
          \x20 --json                 machine-readable output\n\
@@ -142,7 +152,7 @@ fn parse_cli() -> Cli {
             "--max-errors" => cli.max_errors = parse_num(&value("a count"), a),
             "--interval-ms" => cli.interval_ms = parse_num(&value("ms"), a) as u64,
             "--expect-reverified" => cli.expect_reverified = Some(parse_num(&value("a count"), a)),
-            "--max-wall-ms" => cli.max_wall_ms = Some(parse_num(&value("ms"), a) as f64),
+            "--max-wall-ms" => cli.max_wall_ms = Some(parse_ms(&value("ms"), a)),
             _ if a.starts_with("--") => {
                 eprintln!("daenerys: unknown flag {a:?}");
                 usage();
@@ -170,6 +180,17 @@ fn parse_num(v: &str, flag: &str) -> usize {
     })
 }
 
+/// A finite, non-negative (possibly fractional) millisecond value.
+fn parse_ms(v: &str, flag: &str) -> f64 {
+    match v.parse::<f64>() {
+        Ok(ms) if ms.is_finite() && ms >= 0.0 => ms,
+        _ => {
+            eprintln!("daenerys: {flag} wants a non-negative number of ms, got {v:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn read_file(path: &PathBuf) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("daenerys: cannot read {}: {}", path.display(), e);
@@ -177,22 +198,57 @@ fn read_file(path: &PathBuf) -> String {
     })
 }
 
-/// Parse (with multi-error recovery) + well-formedness check, rendering
-/// every diagnostic. `Err` carries nothing: diagnostics were printed
-/// and the file counts as failed.
+/// Parse (with multi-error recovery) + well-formedness check,
+/// reporting every diagnostic (in JSON mode, as one object per file).
+/// `Err` carries nothing: diagnostics were printed and the file counts
+/// as failed.
 fn front_end(cli: &Cli, file: &SourceFile, text: &str, renderer: &Renderer) -> Result<Program, ()> {
-    let program = match parse_program_with_recovery_capped(text, cli.max_errors) {
-        Ok(p) => p,
-        Err(errors) => {
-            print!("{}", renderer.parse_errors(file, &errors));
-            return Err(());
-        }
+    // A 0 line or column means "unknown".
+    let error = |kind: &str, line: usize, col: usize, message: String| {
+        let pos = |n: usize| if n == 0 { Json::Null } else { n.into() };
+        Json::obj([
+            ("kind", kind.into()),
+            ("line", pos(line)),
+            ("col", pos(col)),
+            ("message", message.into()),
+        ])
     };
-    if let Err(errors) = check_program(&program) {
-        print!("{}", renderer.wf_errors(file, &errors));
-        return Err(());
+    let (errors, rendered) = match parse_program_with_recovery_capped(text, cli.max_errors) {
+        Err(errors) => {
+            let json = errors
+                .iter()
+                .map(|e| error("parse", e.line, e.col, e.message.clone()));
+            (
+                json.collect::<Vec<_>>(),
+                renderer.parse_errors(file, &errors),
+            )
+        }
+        Ok(program) => match check_program(&program) {
+            Ok(()) => return Ok(program),
+            Err(errors) => {
+                let json = errors.iter().map(|e| {
+                    let (line, col) = (e.span.line as usize, e.span.col as usize);
+                    let message = if e.method.is_empty() {
+                        e.message.clone()
+                    } else {
+                        format!("{} in method `{}`", e.message, e.method)
+                    };
+                    error("wf", line, col, message)
+                });
+                (json.collect(), renderer.wf_errors(file, &errors))
+            }
+        },
+    };
+    if cli.json {
+        let doc = Json::obj([
+            ("file", file.name.as_str().into()),
+            ("errors", Json::Arr(errors)),
+        ]);
+        println!("{}", doc.render());
+    } else {
+        print!("{rendered}");
     }
-    Ok(program)
+    Err(())
 }
 
 /// `check`/`explain`: front end + stability lints, no solver.
@@ -256,19 +312,102 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
     !(cli.config.deny_unstable && unstable > 0)
 }
 
-/// `cost`: front end + static cost report.
-fn cost_one(cli: &Cli, path: &PathBuf, renderer: &Renderer) -> bool {
+/// `cost`: front end + verification through the warm host, reporting
+/// each method's measured work from its verdict's statistics. Fuel is
+/// conflicts + propagations, the unit of the solver-fuel budget; rows
+/// sort by fuel (highest first, ties by name) and methods that did not
+/// verify follow with their verdict word alone. Hot methods are those
+/// with an unstable spec site, the ones `--deny-unstable` rejects.
+/// Fails only on front-end errors.
+fn cost_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer) -> bool {
     let text = read_file(path);
     let file = SourceFile::new(path.display().to_string(), &text);
     let Ok(program) = front_end(cli, &file, &text, renderer) else {
         return false;
     };
-    let costs = estimate_program(&program);
+    let outcome = host.session().verify_program(&program);
+    let hot: BTreeSet<String> = analyze_program(&program)
+        .into_iter()
+        .filter(|v| v.class == StabilityClass::Unstable)
+        .map(|v| v.method)
+        .collect();
+    // Per method: its counters in `COLUMNS` order, or its verdict word.
+    const COLUMNS: [&str; 6] = [
+        "fuel",
+        "queries",
+        "obligations",
+        "states",
+        "decisions",
+        "rebinds",
+    ];
+    let mut rows: Vec<(&String, Result<[u64; 6], &str>)> = outcome
+        .verdicts
+        .iter()
+        .map(|(name, v)| {
+            let row = match v {
+                Verdict::Verified(s) => Ok([
+                    s.solver_conflicts + s.solver_propagations,
+                    s.solver_queries,
+                    s.obligations,
+                    s.states,
+                    s.solver_branches,
+                    s.rebinds,
+                ]
+                .map(|n| n as u64)),
+                Verdict::Failed { .. } => Err("failed"),
+                Verdict::Unknown { .. } => Err("unknown"),
+                Verdict::CrashedInternal { .. } => Err("crashed"),
+            };
+            (name, row)
+        })
+        .collect();
+    // Stable sort: the map already orders names.
+    rows.sort_by_key(|(_, row)| (row.is_err(), std::cmp::Reverse(row.map_or(0, |c| c[0]))));
     if cli.json {
-        println!("{}", render_cost_json(&file.name, &costs));
+        let methods = rows.iter().map(|(name, row)| {
+            let mut fields = vec![
+                ("method", name.as_str().into()),
+                ("verdict", row.err().unwrap_or("verified").into()),
+                ("hot_unstable", hot.contains(*name).into()),
+            ];
+            if let Ok(counters) = row {
+                fields.extend(COLUMNS.into_iter().zip(counters.map(Json::from)));
+            }
+            Json::obj(fields)
+        });
+        let doc = Json::obj([
+            ("file", file.name.as_str().into()),
+            ("methods", Json::Arr(methods.collect())),
+        ]);
+        println!("{}", doc.render());
+        return true;
+    }
+    let color = renderer.color;
+    println!("{}:", file.name);
+    println!("{}", Style::HEAD.paint(color, "measured cost (fuel desc)"));
+    let mut table = TextTable::new(&[&["method"][..], &COLUMNS].concat());
+    for (name, row) in &rows {
+        let cells = match row {
+            Ok(counters) => counters.map(fmt_count).to_vec(),
+            Err(word) => vec![word.to_string()],
+        };
+        table.row(&[vec![name.to_string()], cells].concat());
+    }
+    print!("{table}");
+    if hot.is_empty() {
+        println!("{}", Style::OK.paint(color, "no hot unstable specs"));
     } else {
-        println!("{}:", file.name);
-        print!("{}", render_cost_table(&costs, renderer.color));
+        println!(
+            "{} {} method(s) have unstable specs:",
+            Style::WARN.paint(color, "hot:"),
+            hot.len()
+        );
+        for name in &hot {
+            println!(
+                "  {} — destabilize or stabilize its spec",
+                Style::BOLD.paint(color, name)
+            );
+        }
     }
     true
 }
@@ -375,14 +514,16 @@ fn watch_pass(cli: &Cli, host: &SessionHost, renderer: &Renderer) -> (bool, Opti
     let outcome = host.session().verify_program(&program);
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     let clean = print_outcome(cli, &file, &outcome, renderer);
-    println!(
-        "  pass: re-verified {} in {:.1} ms",
-        outcome.reverified.map_or_else(
-            || "all (no store)".to_string(),
-            |r| format!("{r} method(s)")
-        ),
-        wall_ms
-    );
+    if !cli.json {
+        println!(
+            "  pass: re-verified {} in {:.1} ms",
+            outcome.reverified.map_or_else(
+                || "all (no store)".to_string(),
+                |r| format!("{r} method(s)")
+            ),
+            wall_ms
+        );
+    }
     (clean, outcome.reverified, wall_ms)
 }
 
@@ -418,11 +559,13 @@ fn watch_loop(cli: &Cli, host: &SessionHost, renderer: &Renderer) -> i32 {
     let path = &cli.files[0];
     let _ = watch_pass(cli, host, renderer);
     let mut debounce = Debounce::new(daenerys_cli::content_hash(read_file(path).as_bytes()));
-    println!(
-        "watching {} (every {} ms; ctrl-c to stop)",
-        path.display(),
-        cli.interval_ms
-    );
+    if !cli.json {
+        println!(
+            "watching {} (every {} ms; ctrl-c to stop)",
+            path.display(),
+            cli.interval_ms
+        );
+    }
     loop {
         std::thread::sleep(std::time::Duration::from_millis(cli.interval_ms));
         let Ok(bytes) = std::fs::read(path) else {
@@ -448,18 +591,16 @@ fn main() {
             }
             i32::from(!ok)
         }
-        Cmd::Cost => {
-            let mut ok = true;
-            for path in &cli.files {
-                ok &= cost_one(&cli, path, &renderer);
-            }
-            i32::from(!ok)
-        }
-        Cmd::Verify => {
+        Cmd::Verify | Cmd::Cost => {
             let host = SessionHost::new(cli.backend, cli.config.clone());
+            let run = if cli.cmd == Cmd::Cost {
+                cost_one
+            } else {
+                verify_one
+            };
             let mut ok = true;
             for path in &cli.files {
-                ok &= verify_one(&cli, &host, path, &renderer);
+                ok &= run(&cli, &host, path, &renderer);
             }
             if let Err(e) = host.flush_store() {
                 eprintln!("daenerys: store flush failed: {e}");

@@ -175,22 +175,125 @@ fn failure_reports_render_the_structured_evidence() {
     assert!(text.contains("verified 0/1 method(s)"), "{text}");
 }
 
+/// One `cost --json` row's counters, in the report's column order.
+fn cost_row(row: &daenerys_obs::Json) -> (String, [u64; 6]) {
+    let o = row.as_obj().expect("row is an object");
+    let n = |k: &str| {
+        o.get(k)
+            .and_then(|v| v.as_num())
+            .unwrap_or_else(|| panic!("{k}")) as u64
+    };
+    let name = o.get("method").and_then(|m| m.as_str()).unwrap();
+    let counters = [
+        "fuel",
+        "queries",
+        "obligations",
+        "states",
+        "decisions",
+        "rebinds",
+    ]
+    .map(n);
+    (name.to_string(), counters)
+}
+
 #[test]
-fn cost_report_is_deterministic_and_json_mode_parses() {
+fn cost_rows_are_the_sessions_measured_counters() {
+    use daenerys_idf::{
+        parse_program, positive_cases, Backend, SessionHost, Verdict, VerifierConfig,
+    };
+    let dir = scratch("cost-counters");
+    let mut sources = vec![(
+        "diverging_6".to_string(),
+        daenerys_idf::diverging_program(6),
+    )];
+    for case in positive_cases() {
+        if ["bank_transfer", "abs_branch"].contains(&case.name) {
+            sources.push((case.name.to_string(), case.source.to_string()));
+        }
+    }
+    assert_eq!(sources.len(), 3);
+    for (name, source) in &sources {
+        let file = format!("{name}.idf");
+        std::fs::write(dir.join(&file), source).unwrap();
+        for (backend, flag) in [
+            (Backend::Destabilized, "destabilized"),
+            (Backend::StableBaseline, "stable"),
+        ] {
+            let out = daenerys(&dir, &["cost", &file, "--json", "--backend", flag]);
+            assert_eq!(out.status.code(), Some(0));
+            let json = daenerys_obs::parse_json(&stdout(&out)).expect("cost JSON parses");
+            let rows = json.as_obj().unwrap()["methods"].as_arr().unwrap().to_vec();
+            let program = parse_program(source).unwrap();
+            let outcome = SessionHost::new(backend, VerifierConfig::default())
+                .session()
+                .verify_program(&program);
+            assert_eq!(rows.len(), outcome.verdicts.len(), "{name} {flag}");
+            for row in &rows {
+                let (method, counters) = cost_row(row);
+                let Verdict::Verified(s) = &outcome.verdicts[&method] else {
+                    panic!("{name}::{method} verifies");
+                };
+                let want = [
+                    s.solver_conflicts + s.solver_propagations,
+                    s.solver_queries,
+                    s.obligations,
+                    s.states,
+                    s.solver_branches,
+                    s.rebinds,
+                ]
+                .map(|n| n as u64);
+                assert_eq!(counters, want, "{name}::{method} on {flag}");
+            }
+            let fuels: Vec<u64> = rows.iter().map(|r| cost_row(r).1[0]).collect();
+            assert!(
+                fuels.windows(2).all(|w| w[0] >= w[1]),
+                "fuel desc: {fuels:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cost_report_is_byte_stable_and_lists_failing_methods() {
     let dir = scratch("cost");
-    std::fs::write(
-        dir.join("prog.idf"),
-        "field v: Int\nmethod hot(c: Ref, d: Ref) requires acc(c.v) && d.v > 0 ensures acc(c.v) { c.v := 1; c.v := 2 }\nmethod calm(c: Ref) requires acc(c.v) ensures acc(c.v) { }\n",
-    )
-    .unwrap();
-    let a = stdout(&daenerys(&dir, &["cost", "prog.idf", "--no-color"]));
-    let b = stdout(&daenerys(&dir, &["cost", "prog.idf", "--no-color"]));
-    assert_eq!(a, b, "table output is byte-stable");
-    assert!(a.contains("destabilize or stabilize its spec"), "{a}");
-    let json = stdout(&daenerys(&dir, &["cost", "prog.idf", "--json"]));
-    let parsed = daenerys_obs::parse_json(&json).expect("cost JSON parses");
-    drop(parsed);
-    assert!(json.contains("\"summary\""), "{json}");
+    let source = format!(
+        "{}method hot(c: Ref, d: Ref) requires acc(c.val) && d.val > 0 ensures acc(c.val) {{ c.val := 1 }}\n",
+        daenerys_idf::diverging_program(4)
+    );
+    std::fs::write(dir.join("prog.idf"), source).unwrap();
+    let mut renders = Vec::new();
+    for threads in ["1", "2", "8"] {
+        let out = daenerys(
+            &dir,
+            &["cost", "prog.idf", "--no-color", "--threads", threads],
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "a failing method does not fail cost"
+        );
+        renders.push(stdout(&out));
+    }
+    for _cold_then_warm in 0..2 {
+        let out = daenerys(
+            &dir,
+            &["cost", "prog.idf", "--no-color", "--cache-dir", "store"],
+        );
+        assert_eq!(out.status.code(), Some(0));
+        renders.push(stdout(&out));
+    }
+    for (i, r) in renders.iter().enumerate() {
+        assert_eq!(r, &renders[0], "render {i} (threads 1/2/8, cold, warm)");
+    }
+    let text = &renders[0];
+    let rows: Vec<&str> = text.lines().skip(4).take(4).collect();
+    assert!(rows[0].starts_with("diverge "), "hottest first: {text}");
+    let last: Vec<&str> = rows[3].split_whitespace().collect();
+    assert_eq!(last, ["hot", "failed"], "verdict-only row last: {text}");
+    assert!(
+        text.contains("  hot — destabilize or stabilize its spec\n"),
+        "hot-unstable hint: {text}"
+    );
 }
 
 #[test]
@@ -245,6 +348,8 @@ fn watch_once_gates_on_the_exact_dirty_cone() {
             "store",
             "--expect-reverified",
             "1",
+            "--max-wall-ms",
+            "60000.5",
         ],
     );
     let text = stdout(&warm);
@@ -272,4 +377,74 @@ fn watch_once_gates_on_the_exact_dirty_cone() {
         Some(1),
         "mismatched cone fails the gate"
     );
+}
+
+#[test]
+fn json_mode_prints_only_json() {
+    let dir = scratch("json-only");
+    std::fs::write(
+        dir.join("bad.idf"),
+        "field v: Int\nmethod m(c: Ref) {\n  assert ",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("dup.idf"),
+        "field v: Int\nmethod m(c: Ref) { }\nmethod m(c: Ref) { }\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("ok.idf"),
+        "field v: Int\nmethod m(c: Ref) requires acc(c.v) ensures acc(c.v) { c.v := 1 }\n",
+    )
+    .unwrap();
+    let objects = |args: &[&str]| -> Vec<daenerys_obs::Json> {
+        let text = stdout(&daenerys(&dir, args));
+        assert!(!text.is_empty(), "{args:?} printed nothing");
+        text.lines()
+            .map(|l| {
+                daenerys_obs::parse_json(l)
+                    .unwrap_or_else(|e| panic!("{args:?}: not JSON ({e}): {l}"))
+            })
+            .collect()
+    };
+    for cmd in ["check", "explain", "verify", "cost"] {
+        for (file, kind) in [("bad.idf", "parse"), ("dup.idf", "wf")] {
+            let docs = objects(&[cmd, file, "--json"]);
+            assert_eq!(docs.len(), 1, "{cmd} {file}: one object per file");
+            let doc = docs[0].as_obj().unwrap();
+            assert_eq!(doc["file"].as_str(), Some(file));
+            let error = doc["errors"].as_arr().unwrap()[0].as_obj().unwrap();
+            assert_eq!(error["kind"].as_str(), Some(kind), "{cmd} {file}");
+        }
+    }
+    let docs = objects(&[
+        "watch",
+        "ok.idf",
+        "--once",
+        "--json",
+        "--cache-dir",
+        "store",
+    ]);
+    assert_eq!(docs.len(), 1, "watch --once --json prints one object");
+    assert!(docs[0].as_obj().unwrap().contains_key("reverified"));
+}
+
+#[test]
+fn max_wall_ms_takes_a_finite_non_negative_number() {
+    let dir = scratch("max-wall");
+    std::fs::write(
+        dir.join("ok.idf"),
+        "field v: Int\nmethod m(c: Ref) requires acc(c.v) ensures acc(c.v) { c.v := 1 }\n",
+    )
+    .unwrap();
+    for bad in ["-1", "NaN", "inf", "12ms"] {
+        let out = daenerys(&dir, &["watch", "ok.idf", "--once", "--max-wall-ms", bad]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--max-wall-ms {bad} is a usage error"
+        );
+    }
+    let out = daenerys(&dir, &["watch", "ok.idf", "--once", "--max-wall-ms", "0.0"]);
+    assert_eq!(out.status.code(), Some(1), "a 0 ms ceiling trips the gate");
 }

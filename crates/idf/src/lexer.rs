@@ -81,13 +81,94 @@ pub enum Sy {
     Question,
 }
 
+/// Every keyword with its spelling: the lexer's keyword lookup and
+/// [`Kw`]'s `Display` both read this one table.
+const KEYWORDS: [(&str, Kw); 25] = [
+    ("field", Kw::Field),
+    ("method", Kw::Method),
+    ("returns", Kw::Returns),
+    ("requires", Kw::Requires),
+    ("ensures", Kw::Ensures),
+    ("var", Kw::Var),
+    ("new", Kw::New),
+    ("inhale", Kw::Inhale),
+    ("exhale", Kw::Exhale),
+    ("assert", Kw::Assert),
+    ("if", Kw::If),
+    ("else", Kw::Else),
+    ("while", Kw::While),
+    ("invariant", Kw::Invariant),
+    ("call", Kw::Call),
+    ("old", Kw::Old),
+    ("perm", Kw::Perm),
+    ("acc", Kw::Acc),
+    ("true", Kw::True),
+    ("false", Kw::False),
+    ("null", Kw::Null),
+    ("Int", Kw::TyInt),
+    ("Bool", Kw::TyBool),
+    ("Ref", Kw::TyRef),
+    ("write", Kw::Write),
+];
+
+/// Every symbol with its spelling, each before any symbol that is a
+/// prefix of it (`==>` before `==`), so the first match is the longest:
+/// the lexer and [`Sy`]'s `Display` both read this one table.
+const SYMBOLS: [(&str, Sy); 24] = [
+    ("==>", Sy::Implies),
+    (":=", Sy::Assign),
+    ("==", Sy::EqEq),
+    ("!=", Sy::Ne),
+    ("<=", Sy::Le),
+    (">=", Sy::Ge),
+    ("&&", Sy::AndAnd),
+    ("||", Sy::OrOr),
+    ("(", Sy::LParen),
+    (")", Sy::RParen),
+    ("{", Sy::LBrace),
+    ("}", Sy::RBrace),
+    (",", Sy::Comma),
+    (":", Sy::Colon),
+    (";", Sy::Semi),
+    (".", Sy::Dot),
+    ("<", Sy::Lt),
+    (">", Sy::Gt),
+    ("+", Sy::Plus),
+    ("-", Sy::Minus),
+    ("*", Sy::Star),
+    ("/", Sy::Slash),
+    ("!", Sy::Bang),
+    ("?", Sy::Question),
+];
+
+impl fmt::Display for Kw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (text, _) = KEYWORDS
+            .iter()
+            .find(|(_, k)| k == self)
+            .expect("every keyword is spelled");
+        f.write_str(text)
+    }
+}
+
+impl fmt::Display for Sy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (text, _) = SYMBOLS
+            .iter()
+            .find(|(_, s)| s == self)
+            .expect("every symbol is spelled");
+        f.write_str(text)
+    }
+}
+
+/// A token as the source writes it.
 impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{}", s),
             Tok::Int(n) => write!(f, "{}", n),
-            Tok::Kw(k) => write!(f, "{:?}", k),
-            Tok::Sym(s) => write!(f, "{:?}", s),
+            Tok::Kw(k) => write!(f, "{}", k),
+            Tok::Sym(s) => write!(f, "{}", s),
         }
     }
 }
@@ -110,34 +191,10 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 fn keyword(s: &str) -> Option<Kw> {
-    Some(match s {
-        "field" => Kw::Field,
-        "method" => Kw::Method,
-        "returns" => Kw::Returns,
-        "requires" => Kw::Requires,
-        "ensures" => Kw::Ensures,
-        "var" => Kw::Var,
-        "new" => Kw::New,
-        "inhale" => Kw::Inhale,
-        "exhale" => Kw::Exhale,
-        "assert" => Kw::Assert,
-        "if" => Kw::If,
-        "else" => Kw::Else,
-        "while" => Kw::While,
-        "invariant" => Kw::Invariant,
-        "call" => Kw::Call,
-        "old" => Kw::Old,
-        "perm" => Kw::Perm,
-        "acc" => Kw::Acc,
-        "true" => Kw::True,
-        "false" => Kw::False,
-        "null" => Kw::Null,
-        "Int" => Kw::TyInt,
-        "Bool" => Kw::TyBool,
-        "Ref" => Kw::TyRef,
-        "write" => Kw::Write,
-        _ => return None,
-    })
+    KEYWORDS
+        .iter()
+        .find(|(text, _)| *text == s)
+        .map(|&(_, k)| k)
 }
 
 /// Tokenizes IDF source. `//` line comments and `/* */` block comments
@@ -195,102 +252,6 @@ pub fn lex_spanned(src: &str) -> Result<(Vec<Tok<'_>>, Vec<usize>), LexError> {
                     i += 1;
                 }
             }
-            '(' => {
-                push(Tok::Sym(Sy::LParen));
-                i += 1;
-            }
-            ')' => {
-                push(Tok::Sym(Sy::RParen));
-                i += 1;
-            }
-            '{' => {
-                push(Tok::Sym(Sy::LBrace));
-                i += 1;
-            }
-            '}' => {
-                push(Tok::Sym(Sy::RBrace));
-                i += 1;
-            }
-            ',' => {
-                push(Tok::Sym(Sy::Comma));
-                i += 1;
-            }
-            ';' => {
-                push(Tok::Sym(Sy::Semi));
-                i += 1;
-            }
-            '.' => {
-                push(Tok::Sym(Sy::Dot));
-                i += 1;
-            }
-            '?' => {
-                push(Tok::Sym(Sy::Question));
-                i += 1;
-            }
-            ':' if b.get(i + 1) == Some(&b'=') => {
-                push(Tok::Sym(Sy::Assign));
-                i += 2;
-            }
-            ':' => {
-                push(Tok::Sym(Sy::Colon));
-                i += 1;
-            }
-            '=' if b.get(i + 1) == Some(&b'=') && b.get(i + 2) == Some(&b'>') => {
-                push(Tok::Sym(Sy::Implies));
-                i += 3;
-            }
-            '=' if b.get(i + 1) == Some(&b'=') => {
-                push(Tok::Sym(Sy::EqEq));
-                i += 2;
-            }
-            '!' if b.get(i + 1) == Some(&b'=') => {
-                push(Tok::Sym(Sy::Ne));
-                i += 2;
-            }
-            '!' => {
-                push(Tok::Sym(Sy::Bang));
-                i += 1;
-            }
-            '<' if b.get(i + 1) == Some(&b'=') => {
-                push(Tok::Sym(Sy::Le));
-                i += 2;
-            }
-            '<' => {
-                push(Tok::Sym(Sy::Lt));
-                i += 1;
-            }
-            '>' if b.get(i + 1) == Some(&b'=') => {
-                push(Tok::Sym(Sy::Ge));
-                i += 2;
-            }
-            '>' => {
-                push(Tok::Sym(Sy::Gt));
-                i += 1;
-            }
-            '+' => {
-                push(Tok::Sym(Sy::Plus));
-                i += 1;
-            }
-            '-' => {
-                push(Tok::Sym(Sy::Minus));
-                i += 1;
-            }
-            '*' => {
-                push(Tok::Sym(Sy::Star));
-                i += 1;
-            }
-            '/' => {
-                push(Tok::Sym(Sy::Slash));
-                i += 1;
-            }
-            '&' if b.get(i + 1) == Some(&b'&') => {
-                push(Tok::Sym(Sy::AndAnd));
-                i += 2;
-            }
-            '|' if b.get(i + 1) == Some(&b'|') => {
-                push(Tok::Sym(Sy::OrOr));
-                i += 2;
-            }
             c if c.is_ascii_digit() => {
                 let start = i;
                 while i < b.len() && (b[i] as char).is_ascii_digit() {
@@ -319,13 +280,20 @@ pub fn lex_spanned(src: &str) -> Result<(Vec<Tok<'_>>, Vec<usize>), LexError> {
                 }
             }
             _ => {
-                // Decode the whole character, so a non-ASCII one is
-                // reported as itself rather than as its first byte.
-                let other = src[i..].chars().next().expect("i is inside src");
-                return Err(LexError {
-                    pos: i,
-                    message: format!("unexpected character {:?}", other),
-                });
+                let rest = &b[i..];
+                let Some(&(text, sy)) =
+                    SYMBOLS.iter().find(|(t, _)| rest.starts_with(t.as_bytes()))
+                else {
+                    // Decode the whole character, so a non-ASCII one is
+                    // reported as itself rather than as its first byte.
+                    let other = src[i..].chars().next().expect("i is inside src");
+                    return Err(LexError {
+                        pos: i,
+                        message: format!("unexpected character {:?}", other),
+                    });
+                };
+                push(Tok::Sym(sy));
+                i += text.len();
             }
         }
     }
@@ -361,6 +329,18 @@ mod tests {
                 Tok::Sym(OrOr),
             ]
         );
+    }
+
+    #[test]
+    fn every_spelling_lexes_to_its_token_and_displays_back() {
+        for (text, k) in KEYWORDS {
+            assert_eq!(lex(text).unwrap(), vec![Tok::Kw(k)], "{text}");
+            assert_eq!(Tok::Kw(k).to_string(), text);
+        }
+        for (text, s) in SYMBOLS {
+            assert_eq!(lex(text).unwrap(), vec![Tok::Sym(s)], "{text}");
+            assert_eq!(Tok::Sym(s).to_string(), text);
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub mod ast;
 pub mod budget;
 pub mod cases;
 pub mod compile;
-pub mod cost;
 pub mod depgraph;
 pub mod diag;
 pub mod exec;
@@ -43,7 +42,6 @@ pub use compile::{
     alloc_object, compile_method, compile_program, run_and_check, spec_holds, ConcreteError,
     ConcreteObj, ConcreteVal,
 };
-pub use cost::{estimate_method, estimate_program, MethodCost, PATH_CAP};
 pub use depgraph::{DepGraph, DepNode};
 pub use diag::{pc_hash, FailureReport, QueryCost, StabilityLint, HOT_QUERY_LIMIT};
 pub use exec::{

@@ -257,7 +257,10 @@ impl<'s> P<'s> {
             at: self.i,
             line,
             col,
-            message: format!("{} (found {:?})", m.into(), self.toks.get(self.i)),
+            message: match self.toks.get(self.i) {
+                Some(t) => format!("{}, found `{}`", m.into(), t),
+                None => format!("{}, found end of input", m.into()),
+            },
         }
     }
 
@@ -315,7 +318,7 @@ impl<'s> P<'s> {
         if self.eat_sym(s) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}", s)))
+            Err(self.err(format!("expected `{}`", s)))
         }
     }
 
@@ -323,7 +326,7 @@ impl<'s> P<'s> {
         if self.eat_kw(k) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}", k)))
+            Err(self.err(format!("expected `{}`", k)))
         }
     }
 
@@ -824,6 +827,16 @@ mod tests {
         assert_eq!(m.params.len(), 3);
         assert_eq!(m.requires.acc_count(), 2);
         assert_eq!(m.body.as_ref().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn diagnostics_spell_tokens_as_the_source_writes_them() {
+        let e = &parse_program_with_recovery("method m(c Ref) { }").unwrap_err()[0];
+        assert_eq!(e.message, "expected `:`, found `Ref`");
+        assert_eq!((e.line, e.col), (1, 12));
+        let e = &parse_program_with_recovery("method m(c: Ref) { assert ").unwrap_err()[0];
+        assert_eq!(e.message, "expected an expression, found end of input");
+        assert_eq!((e.line, e.col), (1, 27));
     }
 
     #[test]

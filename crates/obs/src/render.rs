@@ -142,7 +142,8 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// A minimal left-aligned text table with a header row and a dashed
-/// rule, used by the cost report. Column widths fit the widest cell.
+/// rule, used by the cost report. Column widths fit the widest cell;
+/// a row's trailing empty cells print nothing.
 #[derive(Debug, Default)]
 pub struct TextTable {
     header: Vec<String>,
@@ -177,6 +178,12 @@ impl fmt::Display for TextTable {
             }
         }
         let render_row = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
+            // Trailing empty cells print nothing, not padding.
+            let shown = cells
+                .iter()
+                .rposition(|c| !c.is_empty())
+                .map_or(0, |i| i + 1);
+            let cells = &cells[..shown];
             for (i, cell) in cells.iter().enumerate() {
                 if i > 0 {
                     write!(f, "  ")?;
@@ -237,5 +244,18 @@ mod tests {
         t.row(&["longer".to_string(), "7".to_string()]);
         let s = t.to_string();
         assert_eq!(s, "method  fuel\n------------\na       10\nlonger  7\n");
+    }
+
+    #[test]
+    fn table_prints_no_padding_for_trailing_empty_cells() {
+        let mut t = TextTable::new(&["method", "fuel", "queries"]);
+        t.row(&["a".to_string(), "10".to_string(), "3".to_string()]);
+        t.row(&["b".to_string(), "failed".to_string()]);
+        t.row(&["c".to_string(), String::new(), "4".to_string()]);
+        assert_eq!(
+            t.to_string(),
+            "method  fuel    queries\n-----------------------\n\
+             a       10      3\nb       failed\nc               4\n"
+        );
     }
 }

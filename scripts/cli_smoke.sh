@@ -8,7 +8,7 @@
 # positive cases exit 0, negative cases exit 1 with a rendered
 # failure report, usage errors exit 2.
 #
-# Artifacts: the per-method static cost report (text + JSON) over the
+# Artifacts: the per-method measured cost report (text + JSON) over the
 # diverging workload, under $OUT_DIR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,7 +27,8 @@ CORPUS_GEN=./target/release/corpus_gen
 "$CORPUS_GEN" --f1-dir "$F1_DIR"
 
 # check + explain + cost must succeed over every file, positive and
-# negative alike (lints and cost are static; neither runs the solver).
+# negative alike: lints never run the solver, and cost reports a method
+# that fails verification as a verdict-only row instead of failing.
 "$DAENERYS" check "$F1_DIR"/pos/*.idf "$F1_DIR"/neg/*.idf --no-color > "$OUT_DIR/check.txt"
 "$DAENERYS" explain "$F1_DIR"/pos/*.idf --no-color > "$OUT_DIR/explain.txt"
 "$DAENERYS" cost "$F1_DIR"/pos/*.idf "$F1_DIR"/neg/*.idf --no-color > "$OUT_DIR/cost.txt"
@@ -54,12 +55,23 @@ STATUS=0
 [ "$STATUS" -eq 2 ] || { echo "usage error exited $STATUS, want 2"; exit 1; }
 
 # --- cost report artifact ----------------------------------------------
-# The diverging workload is where the static model earns its keep:
-# predicted fuel must blow up with k.
+# The diverging workload's case split is where the solver spends its
+# fuel: `diverge` must top the measured report. A second run through
+# the warm store must restore the same counters byte for byte.
 "$DAENERYS" cost "$F1_DIR/pos/diverging_6.idf" --no-color > "$OUT_DIR/COST_diverging.txt"
 "$DAENERYS" cost "$F1_DIR/pos/diverging_6.idf" --json > "$OUT_DIR/COST_diverging.json"
-grep -q '"summary"' "$OUT_DIR/COST_diverging.json"
-grep -q 'predicted static cost' "$OUT_DIR/COST_diverging.txt"
+grep -q '"method":"diverge"' "$OUT_DIR/COST_diverging.json"
+FIRST=$(sed -n '5p' "$OUT_DIR/COST_diverging.txt" | awk '{print $1}')
+[ "$FIRST" = diverge ] || {
+    echo "first cost row is '$FIRST', want diverge"
+    cat "$OUT_DIR/COST_diverging.txt"; exit 1;
+}
+for run in cold warm; do
+    "$DAENERYS" cost "$F1_DIR/pos/diverging_6.idf" --no-color \
+        --cache-dir "$OUT_DIR/cost-store" > "$OUT_DIR/cost_$run.txt"
+done
+cmp "$OUT_DIR/cost_cold.txt" "$OUT_DIR/cost_warm.txt"
+cmp "$OUT_DIR/cost_cold.txt" "$OUT_DIR/COST_diverging.txt"
 
 # --- watch-mode incremental gate ---------------------------------------
 # Cold-verify the generated 1k-method corpus, then apply the scripted
