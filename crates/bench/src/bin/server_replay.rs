@@ -310,7 +310,6 @@ fn embed(tag: &str) -> Result<Embedded, String> {
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut config = ServerConfig::default();
     config.base.cache_dir = Some(store_dir.clone());
-    config.read_poll_ms = 5;
     let server = Server::bind(config).map_err(|e| format!("bind: {}", e))?;
     let addr = server.local_addr().map_err(|e| format!("addr: {}", e))?;
     let flag = server.shutdown_flag();

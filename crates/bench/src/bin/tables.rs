@@ -361,7 +361,7 @@ fn explain_stability(opts: &Opts) {
             // Findings only for the noisy classes: stable assertions
             // with no findings are summarized by the count line.
             if v.class != StabilityClass::Stable || !v.findings.is_empty() {
-                for line in format!("[{}] {}", case.name, v.lint()).lines() {
+                for line in format!("[{}] {}", case.name, v).lines() {
                     println!("    {}", line);
                 }
             }

@@ -579,7 +579,28 @@ fn watch_loop(cli: &Cli, host: &SessionHost, renderer: &Renderer) -> i32 {
     }
 }
 
+/// Restores the default `SIGPIPE` action, which the Rust runtime
+/// replaces with "ignore": a reader that closes stdout early
+/// (`daenerys verify FILE | head -1`) then ends the process quietly,
+/// as it ends any Unix filter, instead of making `println!` panic.
+#[cfg(unix)]
+fn restore_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // Linux numbering; `SIG_DFL` is the null handler.
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_sigpipe() {}
+
 fn main() {
+    restore_sigpipe();
     let cli = parse_cli();
     let renderer = Renderer::new(cli.color);
     let code = match cli.cmd {

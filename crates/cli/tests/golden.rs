@@ -4,8 +4,9 @@
 //! order). Each test drives the built binary from a scratch directory
 //! with relative file names so paths in the output are stable.
 
+use daenerys_bench::corpus::{Corpus, CorpusSpec};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("daenerys-golden-{}-{}", tag, std::process::id()));
@@ -447,4 +448,31 @@ fn max_wall_ms_takes_a_finite_non_negative_number() {
     }
     let out = daenerys(&dir, &["watch", "ok.idf", "--once", "--max-wall-ms", "0.0"]);
     assert_eq!(out.status.code(), Some(1), "a 0 ms ceiling trips the gate");
+}
+
+/// A reader that closes the pipe early (`daenerys verify FILE | head
+/// -1`) ends the CLI the way it ends any Unix filter: no panic message,
+/// no backtrace, never exit status 101.
+#[test]
+fn closed_stdout_ends_the_cli_quietly() {
+    let dir = scratch("closed-stdout");
+    let corpus = Corpus::generate(CorpusSpec {
+        methods: 200,
+        ..CorpusSpec::default()
+    });
+    std::fs::write(dir.join("c200.idf"), corpus.source(None)).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_daenerys"))
+        .current_dir(&dir)
+        .args(["verify", "c200.idf", "--no-color"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end while the child is still verifying, so its
+    // first write meets a closed pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "{:?}", out.status);
 }

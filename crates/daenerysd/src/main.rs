@@ -1,7 +1,6 @@
 //! The `daenerysd` binary: bind, serve, drain on SIGTERM/SIGINT,
 //! emit the final metrics snapshot, exit 0.
 
-use daenerysd::chaos::WireFaultPlan;
 use daenerysd::server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,8 +58,7 @@ fn usage() -> &'static str {
     "usage: daenerysd [--addr HOST:PORT] [--cache-dir DIR] [--threads N]\n\
      \x20                [--queue-cap N] [--frame-deadline-ms MS]\n\
      \x20                [--max-in-flight N] [--max-fuel-in-flight N]\n\
-     \x20                [--max-deadline-ms MS] [--chaos-seed SEED]\n\
-     \x20                [--metrics-out FILE]"
+     \x20                [--max-deadline-ms MS] [--metrics-out FILE]"
 }
 
 struct Args {
@@ -94,9 +92,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-deadline-ms" => {
                 config.policy.max_deadline_ms = parse_num(&value("--max-deadline-ms")?)?;
-            }
-            "--chaos-seed" => {
-                config.wire_faults = WireFaultPlan::full(parse_num(&value("--chaos-seed")?)?);
             }
             "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
             "--help" | "-h" => return Err(usage().to_string()),

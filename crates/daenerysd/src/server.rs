@@ -22,21 +22,21 @@
 //!   [`MetricsSnapshot`].
 
 use crate::admission::{Admission, AdmitTicket, TenantPolicy};
-use crate::chaos::{WireFault, WireFaultPlan};
 use crate::protocol::{
     read_frame, write_frame, AdminRequest, ErrorCode, Frame, FrameError, Request, Response,
     WireVerdict,
 };
-use crate::telemetry::{Telemetry, DEFAULT_RING_CAP};
+use crate::telemetry::{Telemetry, DEFAULT_RING_CAP, SERVER_BUCKET};
 use daenerys_idf::exec::Backend;
 use daenerys_idf::exec::VerifierConfig;
 use daenerys_idf::parser::DEFAULT_MAX_ERRORS;
 use daenerys_idf::session::{SessionError, SessionHost, VerifyRequest};
 use daenerys_obs::{ClockKind, Json, Labels, TraceHandle, Value};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -60,13 +60,11 @@ pub struct ServerConfig {
     /// A started frame must complete within this many milliseconds —
     /// the slow-loris cutoff.
     pub frame_deadline_ms: u64,
-    /// Read/accept poll granularity, milliseconds (how quickly the
-    /// daemon notices shutdown).
-    pub read_poll_ms: u64,
-    /// Server-side wire-fault injection (tests): synthesizes framing
-    /// faults at deterministic `(session, frame)` points.
-    pub wire_faults: WireFaultPlan,
 }
+
+/// Read/accept poll granularity: how quickly the daemon notices a new
+/// connection or a shutdown request.
+const READ_POLL: Duration = Duration::from_millis(25);
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -77,28 +75,14 @@ impl Default for ServerConfig {
             policy: TenantPolicy::default(),
             queue_cap: 4,
             frame_deadline_ms: 2_000,
-            read_poll_ms: 25,
-            wire_faults: WireFaultPlan::none(),
         }
     }
 }
 
-/// Monotonic counters, updated by every session thread.
-#[derive(Default, Debug)]
-struct Counters {
-    sessions_opened: AtomicU64,
-    sessions_closed: AtomicU64,
-    requests_received: AtomicU64,
-    responses_ok: AtomicU64,
-    requests_refused: AtomicU64,
-    requests_errored: AtomicU64,
-    internal_crashes: AtomicU64,
-    frame_errors: AtomicU64,
-    admin_frames: AtomicU64,
-}
-
 /// The final state of a drained daemon, emitted at shutdown (and, for
-/// the smoke gate, asserted on: `leaked_sessions` must be 0).
+/// the smoke gate, asserted on: `leaked_sessions` must be 0). Read from
+/// the telemetry ledger; the cell behind each field is listed in the
+/// [`crate::telemetry`] module docs.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MetricsSnapshot {
     /// Sessions accepted over the daemon's lifetime.
@@ -161,11 +145,20 @@ struct Shared {
     /// Set (by SIGUSR1 or a test) to make the accept loop print one
     /// [`MetricsSnapshot`] without stopping.
     snapshot_flag: Arc<AtomicBool>,
-    counters: Counters,
     queue_cap: usize,
     frame_deadline: Duration,
-    read_poll: Duration,
-    wire_faults: WireFaultPlan,
+}
+
+impl Shared {
+    /// Adds one to the ledger cell `name`, labeled with `tenant` when
+    /// the event belongs to one.
+    fn count(&self, name: &str, tenant: Option<&str>) {
+        let labels = match tenant {
+            Some(t) => Labels::none().with("tenant", t),
+            None => Labels::none(),
+        };
+        self.telemetry.registry().add(name, &labels, 1);
+    }
 }
 
 /// A bound daemon, not yet serving. [`Server::run`] blocks until a
@@ -212,11 +205,8 @@ impl Server {
                 telemetry,
                 shutdown: Arc::new(AtomicBool::new(false)),
                 snapshot_flag: Arc::new(AtomicBool::new(false)),
-                counters: Counters::default(),
                 queue_cap: config.queue_cap.max(1),
                 frame_deadline: Duration::from_millis(config.frame_deadline_ms.max(1)),
-                read_poll: Duration::from_millis(config.read_poll_ms.clamp(1, 1_000)),
-                wire_faults: config.wire_faults,
             }),
         })
     }
@@ -253,10 +243,7 @@ impl Server {
                 Ok((stream, _peer)) => {
                     next_session += 1;
                     let sid = next_session;
-                    self.shared
-                        .counters
-                        .sessions_opened
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.count("daenerysd.sessions_opened", None);
                     let shared = Arc::clone(&self.shared);
                     sessions.push(std::thread::spawn(move || {
                         // The session loop is itself unwind-contained:
@@ -264,23 +251,15 @@ impl Server {
                         let outcome =
                             catch_unwind(AssertUnwindSafe(|| session_loop(&shared, stream, sid)));
                         if outcome.is_err() {
-                            shared
-                                .counters
-                                .internal_crashes
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.count("daenerysd.internal_crashes", None);
                         }
-                        shared
-                            .counters
-                            .sessions_closed
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.count("daenerysd.sessions_closed", None);
                     }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.shared.read_poll);
-                }
-                // Transient accept errors (per-connection resets,
-                // descriptor pressure) must not kill the daemon.
-                Err(_) => std::thread::sleep(self.shared.read_poll),
+                // Nothing to accept, or a transient accept error
+                // (per-connection reset, descriptor pressure) that must
+                // not kill the daemon.
+                Err(_) => std::thread::sleep(READ_POLL),
             }
             if self.shared.snapshot_flag.swap(false, Ordering::SeqCst) {
                 println!("daenerysd snapshot {}", self.snapshot().to_json().render());
@@ -298,22 +277,33 @@ impl Server {
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
-        let c = &self.shared.counters;
-        let opened = c.sessions_opened.load(Ordering::SeqCst);
-        let closed = c.sessions_closed.load(Ordering::SeqCst);
+        // Read the store before taking the ledger lock, so the ledger
+        // is never held while waiting on another lock.
+        let store_entries = self.shared.host.store_len() as u64;
+        let store_corrupt_lines = self.shared.host.store_corrupt_lines() as u64;
+        let reg = self.shared.telemetry.registry();
+        let cell = |name: &str| reg.counter(name, &Labels::none());
+        // Refusals and errors are counted per tenant only.
+        let family = |name: &str| {
+            reg.counters()
+                .filter(|(n, _, _)| *n == name)
+                .fold(0u64, |sum, (_, _, v)| sum.saturating_add(v))
+        };
+        let opened = cell("daenerysd.sessions_opened");
+        let closed = cell("daenerysd.sessions_closed");
         MetricsSnapshot {
             sessions_opened: opened,
             sessions_closed: closed,
             leaked_sessions: opened.saturating_sub(closed),
-            requests_received: c.requests_received.load(Ordering::SeqCst),
-            responses_ok: c.responses_ok.load(Ordering::SeqCst),
-            requests_refused: c.requests_refused.load(Ordering::SeqCst),
-            requests_errored: c.requests_errored.load(Ordering::SeqCst),
-            internal_crashes: c.internal_crashes.load(Ordering::SeqCst),
-            frame_errors: c.frame_errors.load(Ordering::SeqCst),
-            admin_frames: c.admin_frames.load(Ordering::SeqCst),
-            store_entries: self.shared.host.store_len() as u64,
-            store_corrupt_lines: self.shared.host.store_corrupt_lines() as u64,
+            requests_received: cell("daenerysd.requests_received"),
+            responses_ok: cell("daenerysd.responses_ok"),
+            requests_refused: family("daenerysd.refused"),
+            requests_errored: family("daenerysd.errors"),
+            internal_crashes: cell("daenerysd.internal_crashes"),
+            frame_errors: cell("daenerysd.frame_errors"),
+            admin_frames: cell("daenerysd.admin_frames"),
+            store_entries,
+            store_corrupt_lines,
         }
     }
 }
@@ -328,7 +318,7 @@ struct Job {
 }
 
 fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
-    let _ = stream.set_read_timeout(Some(shared.read_poll));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
@@ -343,7 +333,6 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
     };
 
     let mut reader = stream;
-    let mut frames: u64 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
@@ -363,24 +352,8 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                 *frame_deadline_at.get_or_insert_with(|| Instant::now() + shared.frame_deadline);
             Instant::now() < at
         });
-        // Server-side chaos: synthesize a framing fault at the plan's
-        // deterministic points, exercising the exact error paths a
-        // corrupted wire would.
-        let result = match shared.wire_faults.fault_for(sid, frames) {
-            WireFault::None => result,
-            WireFault::Torn { keep_per_mille } => Err(FrameError::Torn {
-                expected: 1000,
-                got: keep_per_mille as usize,
-            }),
-            WireFault::GarbageHeader => {
-                Err(FrameError::BadHeader("injected garbage header".to_string()))
-            }
-            WireFault::Disconnect => Err(FrameError::Closed),
-            WireFault::SlowLoris { .. } => Err(FrameError::Aborted { mid_frame: true }),
-        };
         match result {
             Ok(payload) => {
-                frames += 1;
                 match Frame::decode(&payload) {
                     // Admin frames are answered inline by the reader:
                     // never queued behind verification work, never
@@ -388,18 +361,12 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                     // answering while every tenant budget is saturated
                     // and while the worker queue is full.
                     Ok(Frame::Admin(areq)) => {
-                        shared.counters.admin_frames.fetch_add(1, Ordering::Relaxed);
+                        shared.count("daenerysd.admin_frames", None);
                         respond(&writer, &admin_response(shared, &areq));
                     }
                     Err(message) => {
-                        shared
-                            .counters
-                            .requests_received
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .requests_errored
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.count("daenerysd.requests_received", None);
+                        shared.count("daenerysd.errors", Some(SERVER_BUCKET));
                         // A delimited frame with a bad payload does not
                         // desync the stream: answer and keep serving.
                         respond(
@@ -412,15 +379,9 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                         );
                     }
                     Ok(Frame::Verify(req)) => {
-                        shared
-                            .counters
-                            .requests_received
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.count("daenerysd.requests_received", None);
                         if shared.shutdown.load(Ordering::SeqCst) {
-                            shared
-                                .counters
-                                .requests_errored
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.count("daenerysd.errors", Some(&req.tenant));
                             respond(
                                 &writer,
                                 &Response::Err {
@@ -433,15 +394,7 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                         }
                         match shared.admission.try_admit(&req.tenant, req.solver_fuel) {
                             Err(detail) => {
-                                shared
-                                    .counters
-                                    .requests_refused
-                                    .fetch_add(1, Ordering::Relaxed);
-                                shared.telemetry.registry().add(
-                                    "daenerysd.refused",
-                                    &Labels::none().with("tenant", &req.tenant),
-                                    1,
-                                );
+                                shared.count("daenerysd.refused", Some(&req.tenant));
                                 // Refused immediately — never queued.
                                 respond(&writer, &Response::Refused { id: req.id, detail });
                             }
@@ -463,7 +416,7 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                 // slow-loris cutoff, or hard I/O failure: one typed
                 // error (best-effort — the stream may already be
                 // gone), then close this session only.
-                shared.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
+                shared.count("daenerysd.frame_errors", None);
                 respond(
                     &writer,
                     &Response::Err {
@@ -488,25 +441,6 @@ fn worker_loop(shared: &Arc<Shared>, rx: Receiver<Job>, writer: &Arc<Mutex<TcpSt
     for job in &rx {
         reqno += 1;
         let response = process(shared, &job.req, sid, reqno);
-        match &response {
-            Response::Ok { .. } => {
-                shared.counters.responses_ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::Refused { .. } => {
-                shared
-                    .counters
-                    .requests_refused
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Response::Err { .. } => {
-                shared
-                    .counters
-                    .requests_errored
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Admin responses are written by the reader, never queued.
-            Response::Admin { .. } => {}
-        };
         // The ticket is released only now — after the verify — so the
         // tenant's envelope covered the whole run.
         drop(job.ticket);
@@ -563,9 +497,11 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
     };
     let session = shared.host.session();
     let labels = Labels::none().with("tenant", &req.tenant);
-    let response = match catch_unwind(AssertUnwindSafe(|| session.verify(&vreq))) {
+    let verified = catch_unwind(AssertUnwindSafe(|| session.verify(&vreq)));
+    // One ledger lock for every stamp this request makes.
+    let mut reg = shared.telemetry.registry();
+    let response = match verified {
         Ok(Ok(outcome)) => {
-            let reg = shared.telemetry.registry();
             let s = &outcome.stats;
             // Fuel: the unit the solver budget meters, conflicts
             // plus propagations (decisions are never charged).
@@ -598,29 +534,35 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
             if let Some(dirty) = outcome.store_dirty_transitive {
                 reg.add("daenerysd.store_dirty_transitive", &labels, dirty as u64);
             }
+            let verdicts: BTreeMap<String, WireVerdict> = outcome
+                .verdicts
+                .iter()
+                .map(|(name, v)| (name.clone(), WireVerdict::from_verdict(v)))
+                .collect();
+            for v in verdicts.values() {
+                reg.add(&format!("daenerysd.verdict.{}", v.kind), &labels, 1);
+            }
+            reg.add("daenerysd.responses_ok", &Labels::none(), 1);
             Response::Ok {
                 id: req.id,
-                verdicts: outcome
-                    .verdicts
-                    .iter()
-                    .map(|(name, v)| (name.clone(), WireVerdict::from_verdict(v)))
-                    .collect(),
+                verdicts,
                 reverified: outcome.reverified.map(|n| n as u64),
             }
         }
-        Ok(Err(e)) => Response::Err {
-            id: req.id,
-            code: match e {
-                SessionError::Parse(_) => ErrorCode::Parse,
-                SessionError::Wf(_) => ErrorCode::Wf,
-            },
-            message: e.to_string(),
-        },
+        Ok(Err(e)) => {
+            reg.add("daenerysd.errors", &labels, 1);
+            Response::Err {
+                id: req.id,
+                code: match e {
+                    SessionError::Parse(_) => ErrorCode::Parse,
+                    SessionError::Wf(_) => ErrorCode::Wf,
+                },
+                message: e.to_string(),
+            }
+        }
         Err(panic) => {
-            shared
-                .counters
-                .internal_crashes
-                .fetch_add(1, Ordering::Relaxed);
+            reg.add("daenerysd.internal_crashes", &Labels::none(), 1);
+            reg.add("daenerysd.errors", &labels, 1);
             Response::Err {
                 id: req.id,
                 code: ErrorCode::Internal,
@@ -628,22 +570,12 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
             }
         }
     };
-    let reg = shared.telemetry.registry();
     reg.add("daenerysd.requests", &labels, 1);
     reg.record(
         "daenerysd.latency_us",
         &labels,
         u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
     );
-    match &response {
-        Response::Ok { verdicts, .. } => {
-            for v in verdicts.values() {
-                reg.add(&format!("daenerysd.verdict.{}", v.kind), &labels, 1);
-            }
-        }
-        Response::Err { .. } => reg.add("daenerysd.errors", &labels, 1),
-        Response::Refused { .. } | Response::Admin { .. } => {}
-    }
     response
 }
 

@@ -1,26 +1,41 @@
-//! The live telemetry plane: labeled metrics, per-tenant trace rings,
-//! and the admin-frame bodies.
+//! The live telemetry plane: the daemon's one metrics ledger,
+//! per-tenant trace rings, and the admin-frame bodies.
 //!
-//! One [`Telemetry`] instance lives for the daemon's lifetime. Workers
-//! stamp per-tenant metrics into its sharded
-//! [`daenerys_obs::SharedRegistry`]; the trace pipeline tees every
-//! emitted event through a [`TelemetrySink`], which feeds the bounded
-//! per-tenant [`TraceRing`] and attributes span durations to
-//! per-phase histograms. The `metrics`/`health`/`trace_tail` admin
-//! frames are rendered from here — by the session *reader*, exempt
-//! from admission, so scrapes keep answering while every tenant
-//! budget is saturated.
+//! One [`Telemetry`] instance lives for the daemon's lifetime. Its one
+//! [`MetricsRegistry`], behind one mutex, is the daemon's only ledger:
+//! session threads stamp every `daenerysd.*` cell into it, and the
+//! shutdown [`crate::server::MetricsSnapshot`] is read back from it.
+//! The trace pipeline tees every emitted event through a
+//! [`TelemetrySink`], which feeds the bounded per-tenant [`TraceRing`]
+//! and attributes span durations to per-phase histograms. The
+//! `metrics`/`health`/`trace_tail` admin frames are rendered from here
+//! — by the session *reader*, exempt from admission, so scrapes keep
+//! answering while every tenant budget is saturated.
 //!
 //! ## Metric names
 //!
-//! Stamped by the daemon (labels in braces):
+//! Stamped by the daemon, once per event (labels in braces):
 //!
+//! * `daenerysd.sessions_opened` / `daenerysd.sessions_closed` —
+//!   connections accepted, and sessions whose reader and worker have
+//!   both finished
+//! * `daenerysd.requests_received` — frames read as verification
+//!   requests (any outcome, including undecodable payloads)
+//! * `daenerysd.responses_ok` — requests answered `status:"ok"`
+//! * `daenerysd.internal_crashes` — panics contained by
+//!   `catch_unwind`, per request or per session
+//! * `daenerysd.frame_errors` — framing failures, each costing one
+//!   session
+//! * `daenerysd.admin_frames` — admin frames answered (never counted
+//!   as requests)
 //! * `daenerysd.requests{tenant}` — verification requests processed
 //!   (any outcome)
 //! * `daenerysd.verdict.verified{tenant}` / `.failed` / `.unknown` /
 //!   `.crashed` — per-method verdict counts by wire kind
 //! * `daenerysd.refused{tenant}` — admission refusals
-//! * `daenerysd.errors{tenant}` — error responses (parse/wf/internal)
+//! * `daenerysd.errors{tenant}` — error responses (parse, wf,
+//!   internal, and the bad-request and shutdown errors the reader
+//!   answers itself; `_server` when the request carried no tenant)
 //! * `daenerysd.latency_us{tenant}` — whole-request wall latency,
 //!   microseconds (histogram)
 //! * `daenerysd.fuel{tenant}` — solver fuel spent per request, in the
@@ -38,6 +53,11 @@
 //! * `daenerysd.phase_nanos{phase,tenant}` — span durations by phase
 //!   (the span-name prefix before `:`, e.g. `exec:m` → `exec`),
 //!   recorded by the sink tee (histogram)
+//!
+//! Each event lands in exactly one cell: the shutdown snapshot's
+//! `requests_refused` and `requests_errored` are the sums of
+//! `daenerysd.refused` and `daenerysd.errors` over every tenant, not
+//! cells of their own.
 //!
 //! The trace layer's run-global registry (`solver.conflict`,
 //! `theory.propagate`, …, `store.corrupt_lines` /
@@ -57,10 +77,10 @@
 
 use crate::admission::AdmissionStats;
 use daenerys_obs::json::escape_into;
-use daenerys_obs::{Event, Json, Labels, MetricsRegistry, SharedRegistry, Sink};
+use daenerys_obs::{Event, Json, Labels, MetricsRegistry, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default per-tenant trace-ring capacity (events).
@@ -225,11 +245,11 @@ impl TraceTailPage {
     }
 }
 
-/// The daemon's telemetry root: the sharded labeled registry, the
-/// trace ring, and the uptime anchor.
+/// The daemon's telemetry root: the one metrics ledger, the trace
+/// ring, and the uptime anchor.
 #[derive(Debug)]
 pub struct Telemetry {
-    registry: Arc<SharedRegistry>,
+    registry: Mutex<MetricsRegistry>,
     ring: Arc<TraceRing>,
     started: Instant,
 }
@@ -238,15 +258,16 @@ impl Telemetry {
     /// A telemetry plane with `ring_cap` events retained per tenant.
     pub fn new(ring_cap: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry {
-            registry: Arc::new(SharedRegistry::default()),
+            registry: Mutex::new(MetricsRegistry::new()),
             ring: Arc::new(TraceRing::new(ring_cap)),
             started: Instant::now(),
         })
     }
 
-    /// The sharded labeled registry workers stamp into.
-    pub fn registry(&self) -> &SharedRegistry {
-        &self.registry
+    /// The daemon's ledger, locked: every `daenerysd.*` cell is
+    /// stamped and read through this guard.
+    pub fn registry(&self) -> MutexGuard<'_, MetricsRegistry> {
+        lock(&self.registry)
     }
 
     /// The per-tenant trace ring.
@@ -267,11 +288,11 @@ impl Telemetry {
         }
     }
 
-    /// The `metrics` body: a point-in-time merge of every registry
-    /// shard with the trace layer's run-global registry (whose cells
-    /// carry empty labels).
+    /// The `metrics` body: a point-in-time copy of the ledger merged
+    /// with the trace layer's run-global registry (whose cells carry
+    /// empty labels).
     pub fn metrics_json(&self, trace_global: &MetricsRegistry) -> String {
-        let mut snap = self.registry.snapshot();
+        let mut snap = self.registry().clone();
         snap.merge(trace_global);
         snap.to_json().render()
     }
@@ -335,7 +356,7 @@ impl Sink for TelemetrySink {
                         .with("phase", phase_of(&e.name))
                         .with("tenant", tenant);
                     self.telemetry
-                        .registry
+                        .registry()
                         .record("daenerysd.phase_nanos", &labels, nanos);
                 }
             }
@@ -445,7 +466,7 @@ mod tests {
         span.fields
             .push(("duration_nanos".to_string(), Value::UInt(1500)));
         sink.write(std::slice::from_ref(&span));
-        let snap = telemetry.registry().snapshot();
+        let snap = telemetry.registry().clone();
         let labels = Labels::none().with("phase", "exec").with("tenant", "acme");
         let h = snap
             .histogram("daenerysd.phase_nanos", &labels)

@@ -18,7 +18,6 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
 
 fn test_config() -> ServerConfig {
     ServerConfig {
-        read_poll_ms: 5,
         ..ServerConfig::default()
     }
 }
@@ -215,6 +214,57 @@ fn metrics_scrape_carries_tenant_labels_and_monotone_quantiles() {
 
     let snapshot = stop(&flag, handle);
     assert_eq!(snapshot.responses_ok, N);
+}
+
+/// The daemon keeps one ledger: a live `metrics` scrape already shows
+/// the session, request and admin-frame counts, and the shutdown
+/// snapshot, read from the same registry, reports the same figures.
+#[test]
+fn metrics_scrape_and_shutdown_snapshot_read_one_ledger() {
+    let (addr, flag, handle) = start(test_config());
+    let client = Client::new(addr);
+
+    const N: u64 = 4;
+    for id in 1..=N {
+        // `request_once` opens one connection per request.
+        match client.request_once(&Request::new(id, "acme", GOOD), 0) {
+            Ok(Response::Ok { id: rid, .. }) => assert_eq!(rid, id),
+            other => panic!("expected an ok response, got {:?}", other),
+        }
+    }
+
+    let metrics = scrape(&client, &AdminRequest::Metrics { id: 1 });
+    let unlabeled = |name: &str| -> u64 {
+        metrics.as_obj().unwrap()["counters"]
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_obj)
+            .find(|c| {
+                c["name"].as_str() == Some(name)
+                    && c["labels"]
+                        .as_obj()
+                        .is_some_and(std::collections::BTreeMap::is_empty)
+            })
+            .map(|c| num(c, "value") as u64)
+            .unwrap_or_else(|| panic!("missing unlabeled {}", name))
+    };
+    assert_eq!(unlabeled("daenerysd.requests_received"), N);
+    assert_eq!(unlabeled("daenerysd.responses_ok"), N);
+    assert_eq!(
+        unlabeled("daenerysd.sessions_opened"),
+        N + 1,
+        "the scrape's own connection is a session"
+    );
+    assert_eq!(unlabeled("daenerysd.admin_frames"), 1, "the scrape itself");
+
+    let snapshot = stop(&flag, handle);
+    assert_eq!(snapshot.requests_received, N);
+    assert_eq!(snapshot.responses_ok, N);
+    assert_eq!(snapshot.sessions_opened, N + 1);
+    assert_eq!(snapshot.sessions_closed, N + 1);
+    assert_eq!(snapshot.admin_frames, 1);
+    assert_eq!(snapshot.leaked_sessions, 0);
 }
 
 /// The `daenerysd.fuel` histogram records the budget's own unit —

@@ -99,36 +99,6 @@ impl fmt::Display for FailureReport {
     }
 }
 
-/// A structured stability lint: one spec assertion's classification
-/// (from [`crate::stability`]) with its rendered provenance findings —
-/// each carrying a source span and, for uncovered reads, a fix hint.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StabilityLint {
-    /// The enclosing method.
-    pub method: String,
-    /// The spec site ("precondition", "postcondition", "loop
-    /// invariant #k").
-    pub site: String,
-    /// The classification ("stable", "framed-stable", "unstable").
-    pub class: String,
-    /// Rendered findings ("at line:col: …" with fix hints).
-    pub findings: Vec<String>,
-}
-
-impl fmt::Display for StabilityLint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stability: {} of method {} is {}",
-            self.site, self.method, self.class
-        )?;
-        for finding in &self.findings {
-            write!(f, "\n  - {}", finding)?;
-        }
-        Ok(())
-    }
-}
-
 /// A bounded log of the most expensive solver queries seen while
 /// verifying one method. Cost is solver fuel; ties keep the earlier
 /// query (arrival order), so the log is deterministic.

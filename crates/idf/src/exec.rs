@@ -639,9 +639,7 @@ impl<'a> Verifier<'a> {
             let failures: Vec<Obligation> = spec_verdicts
                 .iter()
                 .filter(|v| v.class == StabilityClass::Unstable)
-                .map(|v| {
-                    self.oblige_failure(None, format!("unstable assertion denied: {}", v.lint()))
-                })
+                .map(|v| self.oblige_failure(None, format!("unstable assertion denied: {}", v)))
                 .collect();
             if !failures.is_empty() {
                 return Err(failures);

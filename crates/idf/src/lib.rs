@@ -43,7 +43,7 @@ pub use compile::{
     ConcreteObj, ConcreteVal,
 };
 pub use depgraph::{DepGraph, DepNode};
-pub use diag::{pc_hash, FailureReport, QueryCost, StabilityLint, HOT_QUERY_LIMIT};
+pub use diag::{pc_hash, FailureReport, QueryCost, HOT_QUERY_LIMIT};
 pub use exec::{
     Backend, Chunk, Obligation, UnknownReason, Verdict, Verifier, VerifierConfig, VerifyStats,
 };

@@ -38,7 +38,6 @@
 //!   [`crate::translate`] encoding, so the two layers cannot drift.
 
 use crate::ast::{Assertion, Expr, Method, Program, Span, Stmt};
-use crate::diag::StabilityLint;
 use crate::translate::{translate_assertion, TEnv, TranslateError};
 use std::fmt;
 
@@ -275,15 +274,20 @@ pub struct SpecVerdict {
     pub findings: Vec<Finding>,
 }
 
-impl SpecVerdict {
-    /// Renders the verdict as a structured diagnostic lint.
-    pub fn lint(&self) -> StabilityLint {
-        StabilityLint {
-            method: self.method.clone(),
-            site: self.site.to_string(),
-            class: self.class.to_string(),
-            findings: self.findings.iter().map(ToString::to_string).collect(),
+/// The verdict as a diagnostic lint: one headline, then one line per
+/// finding — each with its source span and, for uncovered reads, a
+/// fix hint.
+impl fmt::Display for SpecVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "stability: {} of method {} is {}",
+            self.site, self.method, self.class
+        )?;
+        for finding in &self.findings {
+            write!(f, "\n  - {}", finding)?;
         }
+        Ok(())
     }
 }
 
@@ -515,7 +519,7 @@ mod tests {
         assert_eq!(vs[3].site, SpecSite::Invariant(1));
         // The nested invariant reads c.v without framing it.
         assert_eq!(vs[3].class, StabilityClass::Unstable);
-        let lint = vs[3].lint().to_string();
+        let lint = vs[3].to_string();
         assert!(lint.contains("unstable"), "{}", lint);
         assert!(lint.contains("loop invariant #1"), "{}", lint);
     }
@@ -544,7 +548,7 @@ mod tests {
                     name,
                     v.site,
                     v.method,
-                    v.lint()
+                    v
                 );
             }
         }

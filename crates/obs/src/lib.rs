@@ -4,10 +4,10 @@
 //! structured [`Event`]s (span start/end, point events, gauges), one
 //! [`MetricsRegistry`] of counters and log₂ histograms keyed by name ×
 //! [`Labels`] (the trace layer records unlabeled cells, the daemon's
-//! telemetry plane tenant- and phase-stamped ones, through the sharded
-//! [`SharedRegistry`]), pluggable [`Sink`]s (null, in-memory ring
-//! buffer, JSONL, human-readable text), and the workspace's one JSON
-//! writer, [`Json::render`] (see [`json`]).
+//! telemetry plane tenant- and phase-stamped ones), pluggable
+//! [`Sink`]s (null, in-memory ring buffer, JSONL, human-readable
+//! text), and the workspace's one JSON writer, [`Json::render`] (see
+//! [`json`]).
 //!
 //! ## Determinism contract
 //!
@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use event::{Event, EventKind, Value};
 pub use json::{parse as parse_json, validate_event_line, Json, JsonError};
-pub use labels::{Labels, SharedRegistry};
+pub use labels::Labels;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use render::{caret_line, fmt_count, fmt_nanos, gutter, ColorMode, Style, TextTable};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink, TextSink};

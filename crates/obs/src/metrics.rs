@@ -5,8 +5,8 @@
 //! [`Labels::none`] (attribution lives in the event stream); the
 //! daemon's telemetry plane stamps dimensional cells — the same
 //! `daenerysd.latency_us` histogram split by `tenant`, the same
-//! `daenerysd.phase_nanos` split by `phase` — into a sharded
-//! [`crate::SharedRegistry`]. A scrape merges both with
+//! `daenerysd.phase_nanos` split by `phase` — into one registry of its
+//! own behind one mutex. A scrape merges both with
 //! [`MetricsRegistry::merge`].
 //!
 //! Each metric name owns a map from [`Labels`] to its counter or

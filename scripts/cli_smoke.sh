@@ -6,7 +6,8 @@
 # generator's ground-truth cone (1 method) through the warm store,
 # under the wall-clock ceiling. Also pins the exit-code contract:
 # positive cases exit 0, negative cases exit 1 with a rendered
-# failure report, usage errors exit 2.
+# failure report, usage errors exit 2; and a closed stdout never
+# panics.
 #
 # Artifacts: the per-method measured cost report (text + JSON) over the
 # diverging workload, under $OUT_DIR.
@@ -82,6 +83,18 @@ CORPUS="$OUT_DIR/corpus.idf"
 "$CORPUS_GEN" --out "$CORPUS" --methods 1000 --depth 10 --seed 7
 "$DAENERYS" verify "$CORPUS" --cache-dir "$STORE_DIR" --no-color \
     > "$OUT_DIR/watch_cold.txt"
+
+# A reader that closes the pipe early ends the CLI quietly. The corpus
+# is passed twice so the second report is written after `head` has
+# exited. The writer's status (SIGPIPE) is ignored; its stderr must not
+# show a panic.
+{ "$DAENERYS" verify "$CORPUS" "$CORPUS" --no-color 2> "$OUT_DIR/pipe_stderr.txt" |
+    head -1 > /dev/null; } || true
+if grep -q panicked "$OUT_DIR/pipe_stderr.txt"; then
+    echo "verify panicked on a closed stdout:"
+    cat "$OUT_DIR/pipe_stderr.txt"; exit 1
+fi
+
 EXPECT=$("$CORPUS_GEN" --out "$CORPUS" --methods 1000 --depth 10 --seed 7 \
     --edit leaf-body --print-expected 2>/dev/null)
 "$DAENERYS" watch "$CORPUS" --once --cache-dir "$STORE_DIR" --no-color \

@@ -644,7 +644,6 @@ method noisy(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 9 { c.va
     ) {
         let defaults = ServerConfig::default();
         let config = ServerConfig {
-            read_poll_ms: 5,
             frame_deadline_ms: 250,
             base: daenerys::idf::exec::VerifierConfig {
                 faults,
