@@ -225,11 +225,13 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
 }
 
 /// The solver's answer epoch, hashed into every store key. Bump it when
-/// a fix changes what the solver may answer for some formula, so that
-/// verdicts stored by the older solver are re-verified once instead of
-/// restored. Epoch 2 began when cross-query lemmas had to be theory
-/// lemmas (DESIGN.md §12.2); keys from before it ended in `solver=Cdcl`.
-pub const SOLVER_EPOCH: u32 = 2;
+/// a change moves what the solver may answer for some formula or the
+/// per-method counters it reports, so that verdicts and stats stored by
+/// the older solver are re-verified once instead of restored. Epoch 2
+/// began when cross-query lemmas had to be theory lemmas, epoch 3 when
+/// each query's clause database stopped outliving the query (DESIGN.md
+/// §12.5); keys from before epoch 2 ended in `solver=Cdcl`.
+pub const SOLVER_EPOCH: u32 = 3;
 
 /// The canonical text of the configuration knobs that can change a
 /// verdict, apart from the fault plan: a method's fingerprint adds the
@@ -515,7 +517,7 @@ mod tests {
             config_text(Backend::Destabilized, &VerifierConfig::default()),
             "backend=Destabilized;budget=Budget { deadline_ms: None, solver_fuel: None, \
              max_states: None, max_terms: None };retry_unknown=true;\
-             deny_unstable=false;epoch=2"
+             deny_unstable=false;epoch=3"
         );
     }
 

@@ -34,17 +34,8 @@
 //! they index), so a memoized answer is the one a re-solve would give.
 
 use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-
-/// Widest clause retained after minimization. Wide clauses almost never
-/// propagate (every literal must be falsified first) but are scanned on
-/// every propagation round, so they cost more than they prune.
-const MAX_LEARN_WIDTH: usize = 8;
-
-/// Cap on retained learned clauses (a runaway backstop; the per-method
-/// clearing keeps real runs far below it).
-const MAX_LEARNED_CLAUSES: usize = 512;
 
 /// Search-loop iterations between wall-clock deadline polls (a power of
 /// two; the check is a masked counter increment on the off iterations).
@@ -226,8 +217,9 @@ pub struct Solver {
     /// `queries` exceeds this count. Injected answers bypass the caches
     /// entirely.
     pub unknown_after: Option<usize>,
-    /// Total theory-conflict clauses learned across all queries
-    /// (monotone; clearing retained clauses does not reset it).
+    /// First-UIP clauses learned across all queries, one per resolved
+    /// conflict (monotone: each query's clauses are dropped with it,
+    /// the count is not).
     pub learned_clauses: usize,
     /// CDCL conflicts across all queries.
     pub conflicts: usize,
@@ -240,10 +232,6 @@ pub struct Solver {
     pub theory_props: usize,
     query_cache: HashMap<(Vec<TermId>, TermId), Answer>,
     theory_cache: HashMap<Vec<(Atom, bool)>, SatAnswer>,
-    learned: Vec<Vec<(Atom, bool)>>,
-    /// Every export candidate already checked for retention, kept or
-    /// rejected, so no candidate is checked twice within a method.
-    lemmas_checked: HashSet<Vec<(Atom, bool)>>,
 }
 
 impl Solver {
@@ -320,50 +308,22 @@ impl Solver {
         self.entails(arena, &pc_ids, g)
     }
 
-    /// Forgets the learned clauses (the learned-clause counter stays).
-    /// The verifier never calls this: each method runs on a fresh
-    /// solver, so its lemma set is a function of that method's own
-    /// query sequence. It is the forgetful reference that
-    /// `clause_learning_is_answer_transparent` compares a learning
-    /// solver against.
-    pub fn clear_learned(&mut self) {
-        self.learned.clear();
-        self.lemmas_checked.clear();
-    }
-
     /// Answers one satisfiability query.
     ///
     /// The formula is abstracted to a propositional skeleton over
     /// theory atoms, which is Tseitin-encoded to CNF (atom indices
     /// become the first variables, auxiliary definition variables
-    /// follow), the retained cross-query lemmas are instantiated as
-    /// initial clauses, and the engine runs to a verdict. Afterwards the
-    /// theory lemmas the engine learned over pure atom variables are
-    /// exported back into the cross-query store, and the engine's
-    /// counters and remaining fuel fold into the solver's.
+    /// follow), and a fresh engine runs to a verdict. Its clause
+    /// database — problem, explanation, blocking and learned clauses —
+    /// lives and dies with this call; only its counters and remaining
+    /// fuel fold into the solver's.
     fn sat(&mut self, arena: &mut TermArena, f: TermId) -> SatAnswer {
         let mut atoms = AtomTable::default();
         let skeleton = self.abstract_bool(arena, f, true, &mut atoms);
-        let mut eng = CdclEngine::new(atoms.list.clone(), self.fuel, self.deadline);
+        let mut eng = CdclEngine::new(atoms.list, self.fuel, self.deadline);
         if !eng.encode(&skeleton) {
             // Propositionally false at the root: no search, no fuel.
             return SatAnswer::Unsat;
-        }
-        // Instantiate retained lemmas whose atoms all occur in this
-        // query, so propagation never assigns atoms the formula does not
-        // mention.
-        let instantiated: Vec<Vec<(usize, bool)>> = self
-            .learned
-            .iter()
-            .filter_map(|clause| {
-                clause
-                    .iter()
-                    .map(|(a, pol)| atoms.index.get(a).map(|&i| (i, *pol)))
-                    .collect()
-            })
-            .collect();
-        for c in instantiated {
-            eng.add_lemma(&c);
         }
         let verdict = eng.solve(self);
         self.fuel = eng.fuel;
@@ -375,43 +335,7 @@ impl Solver {
         self.propagations += eng.propagations as usize;
         self.theory_props += eng.theory_props as usize;
         self.learned_clauses += eng.learned_total as usize;
-        // A truncated search's clauses are left behind with its answer.
-        if !eng.fuel_exhausted && !eng.deadline_exhausted {
-            self.retain_lemmas(eng.exported(), &atoms);
-        }
         verdict
-    }
-
-    /// Moves a finished query's export candidates into the cross-query
-    /// lemma set. Analysis drops root-level literals, so a conflict
-    /// clause may hold only under the query's own facts; a candidate is
-    /// kept only when the theories refute its negation, so that it holds
-    /// in every query. Each candidate is a conflict clause the search
-    /// already charged one fuel unit for, so the checks are bounded by
-    /// the fuel; they stop at the wall-clock deadline.
-    fn retain_lemmas(&mut self, candidates: Vec<Vec<(usize, bool)>>, atoms: &AtomTable) {
-        for clause in candidates {
-            if self.learned.len() >= MAX_LEARNED_CLAUSES
-                || self.deadline.is_some_and(|d| Instant::now() >= d)
-            {
-                break;
-            }
-            let mut lemma: Vec<(Atom, bool)> = clause
-                .iter()
-                .map(|&(i, pol)| (atoms.list[i].clone(), pol))
-                .collect();
-            lemma.sort_unstable();
-            lemma.dedup();
-            if !self.lemmas_checked.insert(lemma.clone()) {
-                continue;
-            }
-            let mut negation: Vec<(Atom, bool)> =
-                lemma.iter().map(|(a, pol)| (a.clone(), !pol)).collect();
-            negation.sort_unstable();
-            if self.theory_decide(negation) == SatAnswer::Unsat {
-                self.learned.push(lemma);
-            }
-        }
     }
 
     /// Converts a boolean term to a skeleton, interning atoms.
@@ -657,10 +581,6 @@ impl Solver {
 /// times the Luby sequence (1, 1, 2, 1, 1, 2, 4, …).
 const LUBY_UNIT: u64 = 64;
 
-/// Conflicts between learned-clause reductions — the fixed deletion
-/// cadence (deterministic: a function of the conflict count alone).
-const REDUCE_CADENCE: u64 = 2000;
-
 /// VSIDS decay: the bump increment grows by `1/VSIDS_DECAY` per
 /// conflict, which is equivalent to decaying every variable's activity.
 const VSIDS_DECAY: f64 = 0.95;
@@ -700,26 +620,6 @@ enum TLit {
     True,
     False,
     Lit(usize),
-}
-
-/// One CNF clause of the CDCL engine.
-#[derive(Debug)]
-struct CClause {
-    lits: Vec<usize>,
-    /// Deletable by the LBD policy (conflict-learned clauses).
-    learned: bool,
-    /// Never deleted: theory-explanation and blocking clauses, whose
-    /// indices live in caches or must keep cubes blocked.
-    protect: bool,
-    /// Derived (transitively) from a blocking clause — sound for
-    /// in-query pruning under the taint flag, but never exported as a
-    /// theory lemma.
-    tainted: bool,
-    /// An untainted conflict-learned clause over pure atom variables —
-    /// a candidate for cross-query retention (see [`Solver::sat`]).
-    export: bool,
-    lbd: u32,
-    deleted: bool,
 }
 
 /// The outcome of one theory-propagation pass.
@@ -763,13 +663,15 @@ fn luby(x: u64) -> u64 {
 /// indices of the query's [`AtomTable`]; Tseitin auxiliary variables
 /// follow. Everything is indexed `Vec`s and fixed iteration orders, so
 /// a query's search — decisions, conflicts, learned clauses, restarts —
-/// is a pure function of the query and the retained lemma set, which is
-/// what keeps verdicts and stats bit-identical at any thread count.
+/// is a pure function of the query, which is what keeps verdicts and
+/// stats bit-identical at any thread count. The clause database lives
+/// and dies with the engine: it gains at most one learned clause per
+/// conflict and is never pruned, and it is freed when the query ends.
 struct CdclEngine {
     atoms: Vec<Atom>,
     natoms: usize,
     nvars: usize,
-    clauses: Vec<CClause>,
+    clauses: Vec<Vec<usize>>,
     /// `watches[lit]` — clauses currently watching `lit`.
     watches: Vec<Vec<usize>>,
     /// Canonical-lits → clause index for theory-explanation clauses, so
@@ -803,7 +705,6 @@ struct CdclEngine {
     theory_props: u64,
     learned_total: u64,
     conflicts_since_restart: u64,
-    conflicts_since_reduce: u64,
     root_unsat: bool,
 }
 
@@ -840,7 +741,6 @@ impl CdclEngine {
             theory_props: 0,
             learned_total: 0,
             conflicts_since_restart: 0,
-            conflicts_since_reduce: 0,
             root_unsat: false,
         }
     }
@@ -978,9 +878,8 @@ impl CdclEngine {
         }
     }
 
-    /// Adds a problem clause (Tseitin definition, root assertion, or
-    /// instantiated cross-query lemma), marking its variables
-    /// decidable.
+    /// Adds a problem clause (Tseitin definition or root assertion),
+    /// marking its variables decidable.
     fn add_problem_clause(&mut self, mut lits: Vec<usize>) {
         lits.sort_unstable();
         lits.dedup();
@@ -998,45 +897,21 @@ impl CdclEngine {
                 }
             }
             _ => {
-                let ci = self.push_clause(lits, false, false, false, false, 0);
+                let ci = self.push_clause(lits);
                 self.attach_watches(ci);
             }
         }
     }
 
-    /// Instantiates one retained cross-query lemma as an initial
-    /// clause.
-    fn add_lemma(&mut self, lemma: &[(usize, bool)]) {
-        let lits: Vec<usize> = lemma.iter().map(|&(i, pol)| mk_lit(i, pol)).collect();
-        self.add_problem_clause(lits);
-    }
-
-    fn push_clause(
-        &mut self,
-        lits: Vec<usize>,
-        learned: bool,
-        protect: bool,
-        tainted: bool,
-        export: bool,
-        lbd: u32,
-    ) -> usize {
-        let ci = self.clauses.len();
-        self.clauses.push(CClause {
-            lits,
-            learned,
-            protect,
-            tainted,
-            export,
-            lbd,
-            deleted: false,
-        });
-        ci
+    fn push_clause(&mut self, lits: Vec<usize>) -> usize {
+        self.clauses.push(lits);
+        self.clauses.len() - 1
     }
 
     fn attach_watches(&mut self, ci: usize) {
-        debug_assert!(self.clauses[ci].lits.len() >= 2);
-        let l0 = self.clauses[ci].lits[0];
-        let l1 = self.clauses[ci].lits[1];
+        debug_assert!(self.clauses[ci].len() >= 2);
+        let l0 = self.clauses[ci][0];
+        let l1 = self.clauses[ci][1];
         self.watches[l0].push(ci);
         self.watches[l1].push(ci);
     }
@@ -1052,25 +927,21 @@ impl CdclEngine {
             let mut i = 0;
             while i < ws.len() {
                 let ci = ws[i];
-                if self.clauses[ci].deleted {
-                    ws.swap_remove(i);
-                    continue;
+                if self.clauses[ci][0] == fl {
+                    self.clauses[ci].swap(0, 1);
                 }
-                if self.clauses[ci].lits[0] == fl {
-                    self.clauses[ci].lits.swap(0, 1);
-                }
-                let first = self.clauses[ci].lits[0];
+                let first = self.clauses[ci][0];
                 if self.value(first) == Some(true) {
                     i += 1;
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
-                let len = self.clauses[ci].lits.len();
+                let len = self.clauses[ci].len();
                 let mut moved = false;
                 for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
+                    let lk = self.clauses[ci][k];
                     if self.value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.clauses[ci].swap(1, k);
                         self.watches[lk].push(ci);
                         ws.swap_remove(i);
                         moved = true;
@@ -1137,8 +1008,8 @@ impl CdclEngine {
 
     /// Gets (or creates) the theory-explanation clause asserting `lit`
     /// under the already-true `expl` literals: `lit ∨ ¬e₁ ∨ … ∨ ¬eₙ`.
-    /// Explanation clauses are protected from deletion because the
-    /// recomputing theory pass holds their indices in `expl_index`.
+    /// The recomputing theory pass finds an existing clause through
+    /// `expl_index` instead of adding it again.
     fn explanation_clause(&mut self, lit: usize, expl: &[usize]) -> usize {
         let mut lits: Vec<usize> = Vec::with_capacity(expl.len() + 1);
         lits.push(lit);
@@ -1159,8 +1030,8 @@ impl CdclEngine {
                 (1, u32::MAX - self.level[lit_var(l)], l)
             }
         });
-        let ci = self.push_clause(ordered, true, true, false, false, 2);
-        if self.clauses[ci].lits.len() >= 2 {
+        let ci = self.push_clause(ordered);
+        if self.clauses[ci].len() >= 2 {
             self.attach_watches(ci);
         }
         self.expl_index.insert(key, ci);
@@ -1187,8 +1058,8 @@ impl CdclEngine {
         let key = lits.clone();
         let mut ordered = lits;
         ordered.sort_by_key(|&l| (u32::MAX - self.level[lit_var(l)], l));
-        let ci = self.push_clause(ordered, true, true, false, false, 2);
-        if self.clauses[ci].lits.len() >= 2 {
+        let ci = self.push_clause(ordered);
+        if self.clauses[ci].len() >= 2 {
             self.attach_watches(ci);
         }
         self.expl_index.insert(key, ci);
@@ -1380,20 +1251,17 @@ impl CdclEngine {
     }
 
     /// First-UIP conflict analysis with local clause minimization.
-    /// Returns the learnt clause (asserting literal first) and whether
-    /// it resolved through a tainted (blocking-derived) clause.
-    fn analyze(&mut self, confl: usize) -> (Vec<usize>, bool) {
+    /// Returns the learnt clause, asserting literal first.
+    fn analyze(&mut self, confl: usize) -> Vec<usize> {
         let current = self.current_level();
         let mut learnt: Vec<usize> = vec![0];
-        let mut tainted = false;
         let mut counter = 0usize;
         let mut idx = self.trail.len();
         let mut p: Option<usize> = None;
         let mut ci = confl;
         let mut touched: Vec<usize> = Vec::new();
         loop {
-            tainted |= self.clauses[ci].tainted;
-            let lits = self.clauses[ci].lits.clone();
+            let lits = self.clauses[ci].clone();
             for q in lits {
                 if p == Some(q) {
                     continue; // the literal this reason asserted
@@ -1430,21 +1298,18 @@ impl CdclEngine {
             p = Some(pl);
         }
         // Local minimization: a tail literal is redundant when its
-        // reason's other literals are all seen or at level 0 (never
-        // minimized through tainted reasons, which would taint the
-        // clause).
+        // reason's other literals are all seen or at level 0.
         let uip_var = lit_var(learnt[0]);
         self.seen[uip_var] = true;
         touched.push(uip_var);
         let mut kept: Vec<usize> = vec![learnt[0]];
         for &q in &learnt[1..] {
             let v = lit_var(q);
-            let redundant = match self.reason[v] {
-                Some(rc) if !self.clauses[rc].tainted => self.clauses[rc].lits.iter().all(|&r| {
+            let redundant = self.reason[v].is_some_and(|rc| {
+                self.clauses[rc].iter().all(|&r| {
                     lit_var(r) == v || self.seen[lit_var(r)] || self.level[lit_var(r)] == 0
-                }),
-                _ => false,
-            };
+                })
+            });
             if !redundant {
                 kept.push(q);
             }
@@ -1452,16 +1317,15 @@ impl CdclEngine {
         for v in touched {
             self.seen[v] = false;
         }
-        (kept, tainted)
+        kept
     }
 
     /// Handles one conflict under clause learning: re-anchor late
     /// theory conflicts, analyze to the first UIP, backjump, attach and
-    /// assert the learnt clause, then apply the decay/reduction/restart
-    /// cadences. Returns false when the conflict is terminal (root).
+    /// assert the learnt clause, then apply the decay/restart cadences.
+    /// Returns false when the conflict is terminal (root).
     fn resolve_conflict(&mut self, ci: usize) -> bool {
         let maxl = self.clauses[ci]
-            .lits
             .iter()
             .map(|&l| self.level[lit_var(l)])
             .max()
@@ -1474,7 +1338,7 @@ impl CdclEngine {
             // falsified entirely below the current level; re-anchor.
             self.backtrack(maxl);
         }
-        let (learnt, tainted) = self.analyze(ci);
+        let learnt = self.analyze(ci);
         let bj = learnt[1..]
             .iter()
             .map(|&l| self.level[lit_var(l)])
@@ -1482,18 +1346,13 @@ impl CdclEngine {
             .unwrap_or(0);
         self.backtrack(bj);
         self.learned_total += 1;
-        let export = !tainted && learnt.iter().all(|&l| lit_var(l) < self.natoms);
         if learnt.len() == 1 {
-            let lc = self.push_clause(learnt.clone(), true, true, tainted, export, 1);
-            if !self.assign_lit(learnt[0], Some(lc), true) {
+            let asserting = learnt[0];
+            let lc = self.push_clause(learnt);
+            if !self.assign_lit(asserting, Some(lc), true) {
                 return false;
             }
         } else {
-            // Distinct decision levels of the clause = its LBD.
-            let mut levels: Vec<u32> = learnt.iter().map(|&l| self.level[lit_var(l)]).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            let lbd = levels.len() as u32;
             let mut lits = learnt;
             // lits[1] must sit at the backjump level for safe watching.
             let pos = lits[1..]
@@ -1503,7 +1362,7 @@ impl CdclEngine {
                 + 1;
             lits.swap(1, pos);
             let asserting = lits[0];
-            let lc = self.push_clause(lits, true, false, tainted, export, lbd);
+            let lc = self.push_clause(lits);
             self.attach_watches(lc);
             if !self.assign_lit(asserting, Some(lc), true) {
                 return false;
@@ -1511,41 +1370,12 @@ impl CdclEngine {
         }
         self.act_inc /= VSIDS_DECAY;
         self.conflicts_since_restart += 1;
-        self.conflicts_since_reduce += 1;
-        if self.conflicts_since_reduce >= REDUCE_CADENCE {
-            self.reduce_db();
-            self.conflicts_since_reduce = 0;
-        }
         if self.conflicts_since_restart >= LUBY_UNIT * luby(self.restarts) {
             self.restarts += 1;
             self.conflicts_since_restart = 0;
             self.backtrack(0);
         }
         true
-    }
-
-    /// LBD-based clause deletion at the fixed cadence: among deletable
-    /// learned clauses (LBD > 2, not protected, not currently a
-    /// reason), the worse half — by (LBD, length, age) — is dropped.
-    fn reduce_db(&mut self) {
-        let mut cands: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learned && !c.deleted && !c.protect && c.lbd > 2 && !self.is_reason(i)
-            })
-            .collect();
-        cands.sort_by_key(|&i| (self.clauses[i].lbd, self.clauses[i].lits.len(), i));
-        let keep = cands.len() / 2;
-        for &i in &cands[keep..] {
-            self.clauses[i].deleted = true;
-        }
-    }
-
-    fn is_reason(&self, ci: usize) -> bool {
-        self.clauses[ci]
-            .lits
-            .iter()
-            .any(|&l| self.reason[lit_var(l)] == Some(ci))
     }
 
     /// Checks a total assignment (over the constrained variables)
@@ -1599,9 +1429,8 @@ impl CdclEngine {
                 // the backjump and lits[1] is the watch at the new level.
                 let lits: Vec<usize> = dlits.iter().rev().map(|&l| lit_neg(l)).collect();
                 let deepest = lits[0];
-                let lbd = lits.len() as u32;
-                let ci = self.push_clause(lits, true, true, true, false, lbd);
-                if self.clauses[ci].lits.len() >= 2 {
+                let ci = self.push_clause(lits);
+                if self.clauses[ci].len() >= 2 {
                     self.attach_watches(ci);
                 }
                 let bj = self.current_level() - 1;
@@ -1686,16 +1515,6 @@ impl CdclEngine {
                 },
             }
         }
-    }
-
-    /// The live export candidates of at most [`MAX_LEARN_WIDTH`]
-    /// literals, over atom indices.
-    fn exported(&self) -> Vec<Vec<(usize, bool)>> {
-        self.clauses
-            .iter()
-            .filter(|c| c.export && !c.deleted && c.lits.len() <= MAX_LEARN_WIDTH)
-            .map(|c| c.lits.iter().map(|&l| (lit_var(l), lit_pol(l))).collect())
-            .collect()
     }
 }
 
@@ -2229,10 +2048,103 @@ mod tests {
         (pc, SymExpr::le(SymExpr::int(0), sum))
     }
 
+    #[test]
+    fn learned_clause_count_is_monotone_across_re_solves() {
+        let (mut cx, s) = int_solver(2);
+        let (pc, goal) = diverging_queries(&s);
+        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
+        let learned = cx.solver.learned_clauses;
+        assert!(learned >= 1, "a theory conflict should learn a clause");
+        // Forget the memoized answer so the second run re-solves.
+        cx.solver.query_cache.clear();
+        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
+        assert!(
+            cx.solver.learned_clauses > learned,
+            "the re-solve relearns its conflicts and the monotone total \
+             keeps growing"
+        );
+    }
+
+    /// A pigeonhole path condition over boolean symbols: each pigeon
+    /// sits in some hole and no hole holds two, unsatisfiable when
+    /// there are more pigeons than holes.
+    fn pigeonhole(pigeons: usize, holes: usize) -> (Ctx, Vec<SymExpr>) {
+        let mut supply = SymSupply::new();
+        let mut solver = Solver::new();
+        let p: Vec<Vec<SymExpr>> = (0..pigeons)
+            .map(|_| {
+                (0..holes)
+                    .map(|_| {
+                        let s = supply.fresh();
+                        solver.declare(s, Sort::Bool);
+                        SymExpr::sym(s)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut pc: Vec<SymExpr> = p
+            .iter()
+            .map(|row| row.iter().cloned().reduce(SymExpr::or).expect("a hole"))
+            .collect();
+        for j in 0..holes {
+            for (i, first) in p.iter().enumerate() {
+                for second in &p[i + 1..] {
+                    pc.push(SymExpr::or(
+                        SymExpr::not(first[j].clone()),
+                        SymExpr::not(second[j].clone()),
+                    ));
+                }
+            }
+        }
+        let cx = Ctx {
+            solver,
+            arena: TermArena::new(),
+        };
+        (cx, pc)
+    }
+
+    /// One query that runs for thousands of conflicts keeps every
+    /// clause it learns until it ends, and the database stays linear:
+    /// at most one learned clause per conflict.
+    #[test]
+    fn a_long_query_keeps_at_most_one_learned_clause_per_conflict() {
+        let (mut cx, pc) = pigeonhole(8, 7);
+        let budget = 1_000_000;
+        cx.solver.fuel = Some(budget);
+        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Valid);
+        let fuel = budget - cx.solver.fuel.expect("a budgeted run");
+        assert_eq!(cx.solver.conflicts, 2445);
+        assert_eq!(fuel, 77_292);
+        assert!(
+            cx.solver.learned_clauses < cx.solver.conflicts,
+            "{} learned clauses for {} conflicts",
+            cx.solver.learned_clauses,
+            cx.solver.conflicts
+        );
+    }
+
+    /// The CDCL counters a solver has accumulated so far.
+    fn search_counters(s: &Solver) -> [usize; 5] {
+        [
+            s.branches,
+            s.conflicts,
+            s.propagations,
+            s.learned_clauses,
+            s.restarts,
+        ]
+    }
+
+    /// The search counters `run` adds to `s`.
+    fn search_delta(cx: &mut Ctx, run: impl FnOnce(&mut Ctx) -> Answer) -> (Answer, [usize; 5]) {
+        let before = search_counters(&cx.solver);
+        let answer = run(cx);
+        let after = search_counters(&cx.solver);
+        (answer, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
     /// Two chained orderings, each broken unless a side variable is
-    /// non-positive: its conflict clauses mix theory lemmas, which are
-    /// retained, with clauses that lean on the path condition, which
-    /// are not.
+    /// non-positive: its conflicts are theory conflicts over a few
+    /// shared atoms.
     fn chained_orderings(s: &[SymExpr]) -> (Vec<SymExpr>, SymExpr) {
         let (x, y, z, w) = (s[0].clone(), s[1].clone(), s[2].clone(), s[3].clone());
         let nonpos = |v: &SymExpr| SymExpr::le(v.clone(), SymExpr::int(0));
@@ -2245,41 +2157,57 @@ mod tests {
         (pc, nonpos(&SymExpr::add(z, w)))
     }
 
+    /// Each query starts from an empty clause database: after other
+    /// queries over the same atoms, a query searches exactly as it does
+    /// on a fresh solver (only the memos carry over, and they change
+    /// cost, never the search of a query they do not answer).
     #[test]
-    fn learned_clauses_prune_repeated_branching() {
+    fn a_query_after_others_searches_as_on_a_fresh_solver() {
+        let falsum = SymExpr::bool(false);
+        // Boolean atoms: the 6-pigeon pigeonhole, after two satisfiable
+        // weakenings of it (one pigeon's placement dropped, then one
+        // hole constraint dropped).
+        let (mut fresh, pc) = pigeonhole(6, 5);
+        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, &falsum));
+        assert_eq!(cold.0, Answer::Valid);
+        let (mut warm, pc) = pigeonhole(6, 5);
+        assert_eq!(warm.entails(&pc[1..], &falsum), Answer::Invalid);
+        assert_eq!(warm.entails(&pc[..pc.len() - 1], &falsum), Answer::Invalid);
+        assert!(warm.solver.conflicts > 0, "the earlier queries search");
+        assert_eq!(search_delta(&mut warm, |cx| cx.entails(&pc, &falsum)), cold);
+
+        // Integer atoms with theory conflicts: the same query again,
+        // re-solved once its memoized answer is forgotten.
         let (mut cx, s) = int_solver(4);
         let (pc, goal) = chained_orderings(&s);
-        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-        assert!(
-            !cx.solver.learned.is_empty(),
-            "the first solve retains lemmas"
-        );
-        let first = cx.solver.branches;
-        // Forget the memoized answer so the second run re-solves, now
-        // against the lemmas the first run retained.
+        let first = search_delta(&mut cx, |cx| cx.entails(&pc, &goal));
+        assert_eq!(first.0, Answer::Valid);
+        assert!(first.1[0] > 0, "the first solve branches");
         cx.solver.query_cache.clear();
-        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-        let second = cx.solver.branches - first;
-        assert!(
-            second < first,
-            "retained lemmas should prune the re-solved search: {second} vs {first}"
-        );
+        assert_eq!(search_delta(&mut cx, |cx| cx.entails(&pc, &goal)), first);
     }
 
+    /// A query cut off by fuel mid-search leaves nothing behind but
+    /// its counters: the same query, re-posed with the budget lifted,
+    /// searches exactly as a fresh solver does.
     #[test]
-    fn clear_learned_resets_clauses_but_not_the_counter() {
-        let (mut cx, s) = int_solver(2);
-        let (pc, goal) = diverging_queries(&s);
-        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-        let learned = cx.solver.learned_clauses;
-        assert!(learned >= 1, "a theory conflict should learn a clause");
-        cx.solver.clear_learned();
-        cx.solver.query_cache.clear();
-        assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
-        assert!(
-            cx.solver.learned_clauses > learned,
-            "after clearing, the same conflicts are relearned and the \
-             monotone total keeps growing"
+    fn a_fuel_truncated_query_leaves_the_next_search_untouched() {
+        let falsum = SymExpr::bool(false);
+        let (mut fresh, pc) = pigeonhole(8, 7);
+        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, &falsum));
+        assert_eq!(cold.0, Answer::Valid);
+        assert_eq!(cold.1[1], 2445, "the pinned conflict count");
+
+        let (mut starved, pc) = pigeonhole(8, 7);
+        starved.solver.fuel = Some(40_000);
+        assert_eq!(starved.entails(&pc, &falsum), Answer::Unknown);
+        assert!(starved.solver.fuel_exhausted);
+        assert!(starved.solver.conflicts > 0, "the truncated run searched");
+        starved.solver.fuel = None;
+        starved.solver.fuel_exhausted = false;
+        assert_eq!(
+            search_delta(&mut starved, |cx| cx.entails(&pc, &falsum)),
+            cold
         );
     }
 
@@ -2410,9 +2338,10 @@ mod tests {
     }
 
     /// A conflict clause learned in one query can lean on that query's
-    /// own facts; retained for a later query whose facts differ, it
-    /// refuted a real model and turned `Invalid` into `Valid` (a case
-    /// the stream oracle below found). Here `x = -4, y = 0, z = -2`
+    /// own facts. When such clauses were carried into later queries,
+    /// one refuted a real model of this pair's second query and turned
+    /// `Invalid` into `Valid` (a case the stream oracle below found);
+    /// each query now learns from scratch. Here `x = -4, y = 0, z = -2`
     /// satisfies the second query's path condition and violates its
     /// goal.
     #[test]
@@ -2489,8 +2418,8 @@ mod tests {
     /// linear arithmetic under the propositional connectives — exactly
     /// the domain of the theory layer. Each stream runs three times on
     /// one solver: solved, replayed from the memo, then re-solved with
-    /// the memo cleared against every lemma the earlier passes
-    /// retained.
+    /// the query memo cleared, against the theory memo the earlier
+    /// passes filled.
     #[test]
     fn cdcl_matches_the_oracle_on_query_streams() {
         use proptest::prelude::*;
@@ -2634,32 +2563,6 @@ mod tests {
             cx.solver.cache_hits, 0,
             "the truncated answer leaked into the memo table"
         );
-    }
-
-    /// A truncated search leaves its conflict clauses behind: only a
-    /// query that ran to its answer feeds the cross-query lemma set.
-    #[test]
-    fn fuel_truncated_queries_retain_no_lemmas() {
-        let (mut full, s) = int_solver(4);
-        let (pc, goal) = chained_orderings(&s);
-        assert_eq!(full.entails(&pc, &goal), Answer::Valid);
-        let retained = full.solver.learned.len();
-        assert!(
-            retained > 0 && retained < full.solver.lemmas_checked.len(),
-            "a finished query keeps its theory lemmas and rejects the rest"
-        );
-        let fuel = (full.solver.conflicts + full.solver.propagations) as u64;
-
-        let (mut starved, s) = int_solver(4);
-        let (pc, goal) = chained_orderings(&s);
-        starved.solver.fuel = Some(fuel / 2);
-        assert_eq!(starved.entails(&pc, &goal), Answer::Unknown);
-        assert!(
-            starved.solver.learned_clauses > 0,
-            "the truncated search learned"
-        );
-        assert!(starved.solver.learned.is_empty());
-        assert!(starved.solver.lemmas_checked.is_empty());
     }
 
     #[test]

@@ -67,14 +67,71 @@ fn table() -> String {
     out
 }
 
+/// Differing lines shown in a failure message; the rest are counted.
+const SHOWN_DIFFS: usize = 10;
+
+/// The lines at which `expected` and `actual` differ, as
+/// `expected:`/`actual:` pairs: the first [`SHOWN_DIFFS`], then the
+/// total count.
+fn line_diff(expected: &str, actual: &str) -> String {
+    let (exp, act): (Vec<&str>, Vec<&str>) = (expected.lines().collect(), actual.lines().collect());
+    let differing: Vec<usize> = (0..exp.len().max(act.len()))
+        .filter(|&i| exp.get(i) != act.get(i))
+        .collect();
+    let mut out = String::new();
+    for &i in differing.iter().take(SHOWN_DIFFS) {
+        out.push_str(&format!(
+            "line {}
+  expected: {}
+  actual:   {}
+",
+            i + 1,
+            exp.get(i).unwrap_or(&"<missing>"),
+            act.get(i).unwrap_or(&"<missing>")
+        ));
+    }
+    out.push_str(&format!(
+        "{} differing lines ({} expected, {} actual)",
+        differing.len(),
+        exp.len(),
+        act.len()
+    ));
+    out
+}
+
+#[test]
+fn line_diff_shows_the_first_differing_lines_and_counts_them_all() {
+    let expected: String = (0..15).map(|i| format!("row {}\n", i)).collect();
+    let actual: String = (0..14)
+        .map(|i| match i {
+            2..=13 => format!("row {} changed\n", i),
+            _ => format!("row {}\n", i),
+        })
+        .collect();
+    let message = line_diff(&expected, &actual);
+    assert_eq!(message.matches("expected: ").count(), SHOWN_DIFFS);
+    assert_eq!(message.matches("actual:   ").count(), SHOWN_DIFFS);
+    assert!(message.starts_with("line 3\n  expected: row 2\n  actual:   row 2 changed\n"));
+    assert!(!message.contains("line 1\n") && !message.contains("line 2\n"));
+    assert!(message.contains("line 12\n") && !message.contains("line 13\n"));
+    assert!(
+        message.ends_with("13 differing lines (15 expected, 14 actual)"),
+        "{}",
+        message
+    );
+    assert_eq!(
+        line_diff(&expected, &expected),
+        "0 differing lines (15 expected, 15 actual)"
+    );
+}
+
 #[test]
 fn per_method_counters_match_the_golden_table() {
     let expected = include_str!("fixtures/verify_stats.golden");
     let actual = table();
     assert!(
         actual == expected,
-        "per-method counters differ from fixtures/verify_stats.golden; \
-         the whole actual table follows\n{}",
-        actual
+        "per-method counters differ from fixtures/verify_stats.golden:\n{}",
+        line_diff(expected, &actual)
     );
 }

@@ -376,10 +376,10 @@ fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
 fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     // `fixtures/parent_store` was written for `SRC` by the release that
     // kept the dependency graph in a line-JSON file beside verdict-only
-    // shards. Its verdicts load intact; the graph does not, so the
-    // first pass re-verifies every method (each a matched verdict the
-    // empty graph forces) and the second none. The line-JSON file is
-    // never read, rewritten or removed.
+    // shards, under an older solver epoch. Its verdicts load intact but
+    // their keys no longer match; the graph does not load, so the first
+    // pass re-verifies every method and the second none. The line-JSON
+    // file is never read, rewritten or removed.
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store");
     let dir = temp_dir("parent-format");
@@ -412,8 +412,8 @@ fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     );
     assert_eq!(
         outcome.store_dirty_transitive,
-        Some(3),
-        "each forced method had a matching stored verdict"
+        Some(0),
+        "no stored verdict matches a key of the current solver epoch"
     );
     let first: BTreeMap<String, Verdict> = outcome
         .verdicts

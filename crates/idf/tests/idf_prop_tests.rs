@@ -319,7 +319,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Differential: the state one solver carries across queries — the
-    /// memo and the retained lemmas — never changes an answer. The
+    /// query and theory memos — never changes an answer. The
     /// stream is replayed twice on one solver, so the second pass is
     /// answered from the memo, and every answer must match a fresh
     /// solver's for that query alone.
@@ -391,41 +391,6 @@ proptest! {
                 let back = arena.to_expr(id);
                 prop_assert_eq!(arena.intern_expr(&back), id, "{:?} read back as {:?}", e, back);
             }
-        }
-    }
-
-    /// Differential: the lemmas a solver retains across queries never
-    /// change an answer. One solver answers the stream forwards and
-    /// another backwards, so each query meets a different retained
-    /// lemma set, and a third forgets its lemmas before every query;
-    /// all three agree query by query.
-    #[test]
-    fn clause_learning_is_answer_transparent(stream in arb_query_stream()) {
-        let answers = |order: Vec<usize>, forget: bool| {
-            let mut solver = stream_solver();
-            let mut arena = TermArena::new();
-            let mut out = vec![None; stream.len()];
-            for i in order {
-                if forget {
-                    solver.clear_learned();
-                }
-                let (pc, goal) = &stream[i];
-                out[i] = Some(solver.entails_exprs(&mut arena, pc, goal));
-            }
-            out
-        };
-        let forwards = answers((0..stream.len()).collect(), false);
-        let backwards = answers((0..stream.len()).rev().collect(), false);
-        let forgetful = answers((0..stream.len()).collect(), true);
-        for (i, (pc, goal)) in stream.iter().enumerate() {
-            prop_assert_eq!(
-                forwards[i], backwards[i],
-                "query order changed answer for pc={:?}, goal={:?}", pc, goal
-            );
-            prop_assert_eq!(
-                forwards[i], forgetful[i],
-                "retained lemmas changed answer for pc={:?}, goal={:?}", pc, goal
-            );
         }
     }
 
