@@ -1,6 +1,7 @@
 //! Replay driver: hammers a `daenerysd` daemon with the F1 corpus at
 //! high concurrency, with and without the full wire-fault matrix, and
-//! emits `BENCH_server.json`.
+//! emits `BENCH_server.json` (under `target/bench/` unless `--out`
+//! names another file).
 //!
 //!     server_replay [--addr HOST:PORT] [--requests N] [--concurrency N]
 //!                   [--chaos-seed SEED] [--out FILE] [--keep-store]
@@ -42,7 +43,7 @@ use daenerysd::protocol::{AdminRequest, Request, Response};
 use daenerysd::server::{MetricsSnapshot, Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,7 +58,7 @@ struct Opts {
     keep_store: bool,
 }
 
-fn parse_opts() -> Result<Opts, String> {
+fn parse_opts(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
     let mut opts = Opts {
         addr: None,
         requests: 96,
@@ -65,10 +66,10 @@ fn parse_opts() -> Result<Opts, String> {
         // over 4 tenants; 48 lanes is 3x that aggregate width.
         concurrency: 48,
         chaos_seed: 42,
-        out: PathBuf::from("BENCH_server.json"),
+        out: PathBuf::from("target/bench/BENCH_server.json"),
         keep_store: false,
     };
-    let mut argv = std::env::args().skip(1);
+    let mut argv = args.into_iter();
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{} needs a value", name));
         match flag.as_str() {
@@ -296,6 +297,15 @@ fn pass_json(pass: &PassResult) -> Json {
     ])
 }
 
+/// Writes the report to `path` as one line, creating its parent
+/// directory when missing.
+fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, format!("{}\n", json))
+}
+
 /// An embedded daemon for one pass (used when `--addr` is absent).
 struct Embedded {
     addr: SocketAddr,
@@ -438,7 +448,7 @@ fn check_snapshot(label: &str, snap: &MetricsSnapshot, gate_failures: &mut Vec<S
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_opts() {
+    let opts = match parse_opts(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("server_replay: {}", msg);
@@ -562,7 +572,7 @@ fn main() -> ExitCode {
     )
     .render();
 
-    if let Err(e) = std::fs::write(&opts.out, format!("{}\n", json)) {
+    if let Err(e) = write_report(&opts.out, &json) {
         eprintln!("server_replay: writing {}: {}", opts.out.display(), e);
         return ExitCode::FAILURE;
     }
@@ -578,5 +588,101 @@ fn main() -> ExitCode {
             eprintln!("server_replay: gate FAILED: {}", failure);
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(line: &str) -> Result<Opts, String> {
+        parse_opts(line.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn the_report_goes_under_target_bench_by_default() {
+        let o = opts("").expect("no flags parse");
+        assert_eq!(o.out, Path::new("target/bench/BENCH_server.json"));
+        assert_eq!((o.requests, o.concurrency, o.chaos_seed), (96, 48, 42));
+        assert!(o.addr.is_none() && !o.keep_store);
+    }
+
+    #[test]
+    fn flags_override_the_defaults() {
+        let o = opts(
+            "--addr 127.0.0.1:7000 --requests 12 --concurrency 3 --chaos-seed 9 \
+             --out smoke/BENCH_server.json --keep-store",
+        )
+        .expect("flags parse");
+        assert_eq!(o.addr, Some("127.0.0.1:7000".parse().unwrap()));
+        assert_eq!((o.requests, o.concurrency, o.chaos_seed), (12, 3, 9));
+        assert_eq!(o.out, Path::new("smoke/BENCH_server.json"));
+        assert!(o.keep_store);
+    }
+
+    #[test]
+    fn zero_requests_and_lanes_are_raised_to_one() {
+        let o = opts("--requests 0 --concurrency 0").expect("flags parse");
+        assert_eq!((o.requests, o.concurrency), (1, 1));
+    }
+
+    #[test]
+    fn malformed_command_lines_are_refused() {
+        let cases = [
+            ("--out", "--out needs a value"),
+            ("--requests many", "--requests: not a number"),
+            ("--concurrency -1", "--concurrency: not a number"),
+            ("--chaos-seed", "--chaos-seed needs a value"),
+            ("--json", "unknown flag \"--json\""),
+        ];
+        for (line, message) in cases {
+            assert_eq!(opts(line).err().as_deref(), Some(message), "{}", line);
+        }
+        let bad_addr = opts("--addr localhost").err().expect("refused");
+        assert!(bad_addr.starts_with("--addr: "), "{}", bad_addr);
+    }
+
+    #[test]
+    fn percentiles_pick_the_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 50.0), 3.0);
+        assert_eq!(percentile(&sorted, 95.0), 5.0);
+        assert_eq!(percentile(&sorted, 100.0), 5.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn write_report_creates_the_missing_directories() {
+        let root =
+            std::env::temp_dir().join(format!("server-replay-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("target/bench/BENCH_server.json");
+        write_report(&path, "{\"ok\":true}").expect("written");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn health_scrapes_count_conservation_failures_and_peak_in_flight() {
+        let mut obs = ServerObs::default();
+        observe_health(r#"{"conserved":true,"total":{"in_flight":3}}"#, &mut obs);
+        observe_health(r#"{"conserved":false,"total":{"in_flight":1}}"#, &mut obs);
+        observe_health("not json", &mut obs);
+        observe_health("[1,2]", &mut obs);
+        assert_eq!(obs.scrapes, 2);
+        assert_eq!(obs.conserved_failures, 1);
+        assert_eq!(obs.scrape_errors, 2);
+        assert_eq!(obs.max_in_flight, 3);
+    }
+
+    #[test]
+    fn the_request_corpus_cycles_with_period_six() {
+        let first: Vec<String> = (0..6).map(source_for).collect();
+        let distinct: std::collections::BTreeSet<&String> = first.iter().collect();
+        assert_eq!(distinct.len(), 6, "six different programs");
+        for id in 0..6 {
+            assert_eq!(source_for(id + 6), first[id as usize]);
+        }
     }
 }

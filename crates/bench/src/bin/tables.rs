@@ -4,14 +4,15 @@
 //!
 //! ```text
 //! cargo run -p daenerys-bench --bin tables [--t1] [--t2] [--t3] [--t4] \
-//!     [--f1] [--f2] [--f3] [--json] [--threads N] [--timeout-ms N] \
-//!     [--fuel N] [--repeat N] [--trace-out PATH] [--profile] \
+//!     [--f1] [--f2] [--f3] [--f4] [--threads N] [--timeout-ms N] \
+//!     [--fuel N] [--repeat N] [--trace-out PATH] \
 //!     [--incremental] [--cache-dir PATH] [--expect-reverified N] \
-//!     [--out-dir PATH] [--deny-unstable] [--explain-stability]
+//!     [--deny-unstable] [--explain-stability]
 //! cargo run -p daenerys-bench --bin tables store dump <dir>
 //! ```
 //!
-//! With no table/figure flags, every table and figure is printed.
+//! With no table/figure flags, every table and figure is printed
+//! (`--explain-stability` alone prints only its report).
 //!
 //! * `--threads N` pins the verification fan-out, which changes cost
 //!   only, never answers.
@@ -21,54 +22,42 @@
 //!   bit-identical against a from-scratch run, and the number of
 //!   re-verified methods is reported. `--expect-reverified N` turns
 //!   that report into a hard assertion (exit 1 on mismatch) for CI.
-//! * `--out-dir PATH` places generated artifacts (`BENCH_verifier.json`,
-//!   `PROFILE_verifier.txt`) under `PATH` (default `target/bench`, so
-//!   casual runs never litter the repo root; pass `--out-dir .` to
-//!   refresh a committed baseline in place).
 //! * `store dump <dir>` (subcommand) prints the verdict store under
 //!   `<dir>` as JSON, one object per live entry (a one-way export; the
 //!   store itself is only ever read and written as `DAES1` shards).
 //! * `--timeout-ms N` sets a per-method wall-clock deadline and
 //!   `--fuel N` a per-method solver-fuel budget (conflicts +
-//!   propagations); a
-//!   method that blows its budget is reported (and counted in the
-//!   JSON) as `Unknown` instead of hanging the harness.
+//!   propagations); a method that blows its budget degrades to
+//!   `Unknown` and drops out of its row's counters instead of hanging
+//!   the harness.
 //! * `--repeat N` measures each timed row as the median of `N` runs
-//!   after one untimed warmup (default 5); `N` is recorded in the JSON
-//!   config block.
-//! * `--json` additionally writes `BENCH_verifier.json` (machine-readable
-//!   F1 data: per-case wall time, phase attribution, solver queries,
-//!   and cache hit rate for both backends, plus the chain and diverging
-//!   sweeps).
+//!   after one untimed warmup (default 5).
 //! * `--trace-out PATH` streams the flight-recorder trace (spans,
 //!   solver queries, budget gauges) of every verification as JSONL to
 //!   `PATH`; validate it with the `trace_validate` binary.
-//! * `--profile` prints a phase-attribution profile of the positive
-//!   case studies and writes it to `PROFILE_verifier.txt`; given
-//!   alone, only the profile runs.
 //! * `--deny-unstable` makes every run fail methods whose contracts the
 //!   static stability analyzer classifies unstable (answer-affecting,
 //!   part of the incremental fingerprint); `--explain-stability` prints
 //!   the analyzer's lints for the examples corpus — classification,
 //!   spans, and fix hints.
 
-use daenerys_bench::{
-    measure_median, micros, profile_events, render_profile, run_backend_with, BackendRun,
-    ProfileReport,
-};
+use daenerys_bench::{measure_median, micros, run_backend_with, BackendRun};
 use daenerys_core::check::{catalog, corpus, ghost_catalog, verify_catalog};
-use daenerys_core::{check_stable, stabilize_fast, Assert, CameraKind, Term, UniverseSpec};
-use daenerys_heaplang::{explore, parse, Machine};
+use daenerys_core::{
+    check_stable, entails, stabilize_fast, Assert, CameraKind, Res, Term, UniverseSpec,
+};
+use daenerys_heaplang::{explore, parse, Heap, Loc, Machine};
 use daenerys_idf::{
     all_cases, analyze_program, chain_program, diverging_program, parse_program, positive_cases,
     scaling_program, Backend, StabilityClass, VerdictStore, VerifierConfig,
 };
-use daenerys_obs::{ClockKind, Json, JsonlSink, MemorySink, TraceHandle};
+use daenerys_obs::{ClockKind, JsonlSink, TraceHandle};
+use daenerys_proglog::MonMachine;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-const KNOWN_FLAGS: [&str; 20] = [
+const KNOWN_FLAGS: [&str; 18] = [
     "--t1",
     "--t2",
     "--t3",
@@ -76,17 +65,15 @@ const KNOWN_FLAGS: [&str; 20] = [
     "--f1",
     "--f2",
     "--f3",
-    "--json",
+    "--f4",
     "--threads",
     "--timeout-ms",
     "--fuel",
     "--repeat",
     "--trace-out",
-    "--profile",
     "--incremental",
     "--cache-dir",
     "--expect-reverified",
-    "--out-dir",
     "--deny-unstable",
     "--explain-stability",
 ];
@@ -94,8 +81,6 @@ const KNOWN_FLAGS: [&str; 20] = [
 /// Parsed command line.
 struct Opts {
     selected: Vec<String>,
-    json: bool,
-    profile: bool,
     /// Print the static stability report (`--explain-stability`).
     explain_stability: bool,
     repeat: usize,
@@ -106,31 +91,33 @@ struct Opts {
     cache_dir: Option<std::path::PathBuf>,
     /// Hard assertion on the incremental section's re-verified total.
     expect_reverified: Option<usize>,
-    /// Where generated artifacts are written (default: `target/bench`).
-    out_dir: std::path::PathBuf,
     config: VerifierConfig,
 }
 
-fn parse_args() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+impl Opts {
+    /// Whether the table or figure behind `flag` (`--t1` … `--f4`) is
+    /// printed: every one when no selector is given, unless
+    /// `--explain-stability` asks for the report alone.
+    fn wants(&self, flag: &str) -> bool {
+        (self.selected.is_empty() && !self.explain_stability)
+            || self.selected.iter().any(|a| a == flag)
+    }
+}
+
+fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         selected: Vec::new(),
-        json: false,
-        profile: false,
         explain_stability: false,
         repeat: 5,
         trace_out: None,
         cache_dir: None,
         expect_reverified: None,
-        out_dir: std::path::PathBuf::from("target/bench"),
         config: VerifierConfig::default(),
     };
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         match a {
-            "--json" => opts.json = true,
-            "--profile" => opts.profile = true,
             "--deny-unstable" => opts.config.deny_unstable = true,
             "--explain-stability" => opts.explain_stability = true,
             "--incremental" => {
@@ -144,42 +131,21 @@ fn parse_args() -> Opts {
                     Some(path) if !path.starts_with("--") => {
                         opts.cache_dir = Some(std::path::PathBuf::from(path));
                     }
-                    _ => {
-                        eprintln!("tables: --cache-dir needs a directory path");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--cache-dir needs a directory path".to_string()),
                 }
             }
             "--expect-reverified" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
                     Some(n) => opts.expect_reverified = Some(n),
-                    None => {
-                        eprintln!("tables: --expect-reverified needs an integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) if !path.starts_with("--") => {
-                        opts.out_dir = std::path::PathBuf::from(path);
-                    }
-                    _ => {
-                        eprintln!("tables: --out-dir needs a directory path");
-                        std::process::exit(2);
-                    }
+                    None => return Err("--expect-reverified needs an integer".to_string()),
                 }
             }
             "--repeat" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
                     Some(n) if n > 0 => opts.repeat = n,
-                    _ => {
-                        eprintln!("tables: --repeat needs a positive integer");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--repeat needs a positive integer".to_string()),
                 }
             }
             "--trace-out" => {
@@ -188,10 +154,7 @@ fn parse_args() -> Opts {
                     Some(path) if !path.starts_with("--") => {
                         opts.trace_out = Some(path.clone());
                     }
-                    _ => {
-                        eprintln!("tables: --trace-out needs a file path");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--trace-out needs a file path".to_string()),
                 }
             }
             "--threads" => {
@@ -199,10 +162,7 @@ fn parse_args() -> Opts {
                 let n = args.get(i).and_then(|v| v.parse::<usize>().ok());
                 match n {
                     Some(n) if n > 0 => opts.config.threads = n,
-                    _ => {
-                        eprintln!("tables: --threads needs a positive integer");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--threads needs a positive integer".to_string()),
                 }
             }
             "--timeout-ms" => {
@@ -211,10 +171,7 @@ fn parse_args() -> Opts {
                     Some(ms) if ms > 0 => {
                         opts.config.budget = opts.config.budget.with_deadline_ms(ms);
                     }
-                    _ => {
-                        eprintln!("tables: --timeout-ms needs a positive integer");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--timeout-ms needs a positive integer".to_string()),
                 }
             }
             "--fuel" => {
@@ -223,25 +180,21 @@ fn parse_args() -> Opts {
                     Some(fuel) if fuel > 0 => {
                         opts.config.budget = opts.config.budget.with_solver_fuel(fuel);
                     }
-                    _ => {
-                        eprintln!("tables: --fuel needs a positive integer");
-                        std::process::exit(2);
-                    }
+                    _ => return Err("--fuel needs a positive integer".to_string()),
                 }
             }
             _ if KNOWN_FLAGS.contains(&a) => opts.selected.push(a.to_string()),
             _ => {
-                eprintln!(
-                    "tables: unknown flag {} (known: {})",
+                return Err(format!(
+                    "unknown flag {} (known: {})",
                     a,
                     KNOWN_FLAGS.join(", ")
-                );
-                std::process::exit(2);
+                ))
             }
         }
         i += 1;
     }
-    opts
+    Ok(opts)
 }
 
 /// The `store` subcommand: offline verdict-store inspection.
@@ -273,7 +226,13 @@ fn main() {
     if raw.first().map(String::as_str) == Some("store") {
         store_command(&raw[1..]);
     }
-    let mut opts = parse_args();
+    let mut opts = match parse_args(&raw) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("tables: {}", msg);
+            std::process::exit(2);
+        }
+    };
     if let Some(path) = &opts.trace_out {
         if let Some(parent) = std::path::Path::new(path).parent() {
             if !parent.as_os_str().is_empty() {
@@ -289,11 +248,7 @@ fn main() {
         };
         opts.config.trace = TraceHandle::new(sink, ClockKind::Monotonic);
     }
-    // `--profile` given alone runs only the profile; combined with
-    // table flags it rides along.
-    let all = opts.selected.is_empty() && !opts.profile;
-    let want = |flag: &str| all || opts.selected.iter().any(|a| a == flag);
-    if opts.expect_reverified.is_some() && (opts.cache_dir.is_none() || !want("--f1")) {
+    if opts.expect_reverified.is_some() && (opts.cache_dir.is_none() || !opts.wants("--f1")) {
         eprintln!("tables: --expect-reverified requires --f1 and --incremental/--cache-dir");
         std::process::exit(2);
     }
@@ -301,29 +256,29 @@ fn main() {
     if opts.explain_stability {
         explain_stability(&opts);
     }
-    if want("--t1") {
+    if opts.wants("--t1") {
         table_t1(&opts);
     }
-    if want("--t2") {
+    if opts.wants("--t2") {
         table_t2();
     }
-    if want("--t3") {
+    if opts.wants("--t3") {
         table_t3();
     }
-    if want("--t4") {
-        table_t4();
+    if opts.wants("--t4") {
+        table_t4(opts.repeat);
     }
-    if want("--f1") {
+    if opts.wants("--f1") {
         figure_f1(&opts);
     }
-    if want("--f2") {
-        figure_f2();
+    if opts.wants("--f2") {
+        figure_f2(opts.repeat);
     }
-    if want("--f3") {
-        figure_f3();
+    if opts.wants("--f3") {
+        figure_f3(opts.repeat);
     }
-    if opts.profile {
-        run_profile(&opts);
+    if opts.wants("--f4") {
+        figure_f4(opts.repeat);
     }
     if let Some(path) = &opts.trace_out {
         opts.config.trace.flush();
@@ -376,70 +331,6 @@ fn explain_stability(opts: &Opts) {
             "    --deny-unstable: {} assertion(s) above would fail verification",
             unstable
         );
-    }
-}
-
-/// A traced single run of `src`, reduced to a phase-attribution
-/// profile. Overrides any `--trace-out` handle with a private
-/// in-memory sink so the profile never pollutes the JSONL stream.
-fn phase_profile(src: &str, backend: Backend, base: &VerifierConfig) -> ProfileReport {
-    let sink = Arc::new(MemorySink::new(1 << 16));
-    let config = VerifierConfig {
-        trace: TraceHandle::new(sink.clone(), ClockKind::Monotonic),
-        ..base.clone()
-    };
-    let _ = run_backend_with(src, backend, config);
-    profile_events(&sink.events())
-}
-
-/// `--profile`: phase attribution of the positive case studies (plus
-/// the exponential diverging case) on the destabilized backend, each
-/// with its release-over-release counters (`decisions`, `conflicts`,
-/// `theory_props`, `learned_clauses`, `methods_reverified`), printed
-/// and written to
-/// `PROFILE_verifier.txt` under `--out-dir`.
-fn run_profile(opts: &Opts) {
-    println!("\nProfile: phase attribution per case (destabilized backend)");
-    let mut cases: Vec<(String, String)> = positive_cases()
-        .iter()
-        .map(|c| (c.name.to_string(), c.source.to_string()))
-        .collect();
-    cases.push(("diverging_6".to_string(), diverging_program(6)));
-    let mut out = String::new();
-    for (name, src) in &cases {
-        let report = phase_profile(src, Backend::Destabilized, &opts.config);
-        // Counters come from an untraced run (through the verdict
-        // store when `--incremental` is active, so the re-verified
-        // count is meaningful).
-        let config = VerifierConfig {
-            cache_dir: opts.cache_dir.as_ref().map(|d| d.join(name)),
-            ..opts.config.clone()
-        };
-        let run = run_backend_with(src, Backend::Destabilized, config);
-        let counters = format!(
-            "counters: decisions={} conflicts={} theory_props={} learned_clauses={} methods_reverified={}\n",
-            run.total(|s| s.solver_branches),
-            run.total(|s| s.solver_conflicts),
-            run.total(|s| s.theory_props),
-            run.total(|s| s.learned_clauses),
-            run.reverified
-                .map_or_else(|| "n/a".to_string(), |n| n.to_string()),
-        );
-        let block = format!("== {} ==\n{}{}", name, render_profile(&report), counters);
-        println!();
-        for line in block.lines() {
-            println!("    {}", line);
-        }
-        out.push_str(&block);
-        out.push('\n');
-    }
-    let path = artifact_path(opts, "PROFILE_verifier.txt");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("\n    wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("tables: cannot write {}: {}", path.display(), e);
-            std::process::exit(1);
-        }
     }
 }
 
@@ -581,7 +472,7 @@ fn table_t3() {
 
 /// T4: proof automation — kernel derivation sizes produced by the
 /// chunk-entailment prover as the goal grows.
-fn table_t4() {
+fn table_t4(repeat: usize) {
     use daenerys_algebra::Frac;
     use daenerys_core::{auto_entails, Assert, GhostName, GhostVal};
     println!("\nT4. Proof automation: kernel steps per automated entailment\n");
@@ -610,9 +501,8 @@ fn table_t4() {
             .cloned()
             .reduce(Assert::sep)
             .expect("nonempty");
-        let t0 = Instant::now();
         let d = auto_entails(&lhs, &rhs).expect("automation succeeds");
-        let dt = t0.elapsed();
+        let dt = time_per_call(repeat, 1, || auto_entails(&lhs, &rhs));
         println!("    {:>8} {:>14} {:>12}", n, d.steps(), micros(dt));
     }
 }
@@ -654,7 +544,6 @@ fn figure_f1(opts: &Opts) {
         "n", "µs_D", "µs_S", "q", "hits", "miss"
     );
     println!("    {}", "-".repeat(50));
-    let mut chain_rows = Vec::new();
     for n in CHAIN_SIZES {
         let src = chain_program(n);
         let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
@@ -668,7 +557,6 @@ fn figure_f1(opts: &Opts) {
             d.total(|x| x.cache_hits),
             d.total(|x| x.cache_misses),
         );
-        chain_rows.push((n, d, s));
     }
 
     println!("\nF1c. Diverging sweep: clause-learning search (cdcl core, destabilized)\n");
@@ -677,7 +565,6 @@ fn figure_f1(opts: &Opts) {
         "k", "µs", "decisions", "confl", "rst", "tprops", "learned"
     );
     println!("    {}", "-".repeat(58));
-    let mut diverging_rows = Vec::new();
     for k in DIVERGING_SIZES {
         let src = diverging_program(k);
         let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
@@ -691,31 +578,22 @@ fn figure_f1(opts: &Opts) {
             d.total(|x| x.theory_props),
             d.total(|x| x.learned_clauses),
         );
-        diverging_rows.push((k, d));
     }
 
-    let incremental_rows = incremental_section(opts);
-
-    if opts.json {
-        write_bench_json(opts, &chain_rows, &diverging_rows, &incremental_rows);
-    }
+    incremental_section(opts);
 }
 
 /// Sizes of the F1 diverging sweep (`2^k` propositional leaves each).
 const DIVERGING_SIZES: [usize; 4] = [2, 4, 6, 8];
-
-/// One row of the F1 incremental section: case name, method count,
-/// methods actually re-verified, and wall time of the incremental run.
-type IncrementalRow = (String, usize, usize, std::time::Duration);
 
 /// F1d (only with `--incremental`/`--cache-dir`): verifies each case
 /// against a per-case persistent verdict store, checks the outcome
 /// bit-identical to a from-scratch run, and reports how many methods
 /// the store could not absorb. Exits nonzero when the total disagrees
 /// with `--expect-reverified`.
-fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
+fn incremental_section(opts: &Opts) {
     let Some(dir) = &opts.cache_dir else {
-        return Vec::new();
+        return;
     };
     println!(
         "\nF1d. Incremental verification (verdict store under {})\n",
@@ -732,7 +610,6 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
         .collect();
     corpus.push(("chain_32".to_string(), chain_program(32)));
     corpus.push(("diverging_6".to_string(), diverging_program(6)));
-    let mut rows = Vec::new();
     let mut total = 0usize;
     for (name, src) in &corpus {
         let config = VerifierConfig {
@@ -762,7 +639,6 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
             reverified,
             micros(inc.time)
         );
-        rows.push((name.clone(), inc.verdicts.len(), reverified, inc.time));
     }
     println!("    {}", "-".repeat(48));
     println!("    total methods re-verified: {}", total);
@@ -776,170 +652,10 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
         }
         println!("    matches --expect-reverified {}", expect);
     }
-    rows
-}
-
-/// One measurement as a JSON object.
-///
-/// # Panics
-///
-/// Panics when the counter invariant `hits + misses == queries` is
-/// broken — the harness refuses to emit inconsistent numbers.
-fn run_json(run: &BackendRun) -> Json {
-    run.check_cache_accounting();
-    let hits = run.total(|x| x.cache_hits);
-    let misses = run.total(|x| x.cache_misses);
-    let rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    // Four decimals, rounded as `{:.4}` rounds (`f64::round` differs
-    // on ties).
-    let rate: f64 = format!("{:.4}", rate).parse().unwrap_or(0.0);
-    Json::obj([
-        ("wall_micros", (run.time.as_secs_f64() * 1e6).into()),
-        ("solver_queries", run.total(|x| x.solver_queries).into()),
-        ("cache_hits", hits.into()),
-        ("cache_misses", misses.into()),
-        ("cache_hit_rate", rate.into()),
-        ("decisions", run.total(|x| x.solver_branches).into()),
-        ("conflicts", run.total(|x| x.solver_conflicts).into()),
-        ("restarts", run.total(|x| x.solver_restarts).into()),
-        ("theory_props", run.total(|x| x.theory_props).into()),
-        ("learned_clauses", run.total(|x| x.learned_clauses).into()),
-        ("obligations", run.total(|x| x.obligations).into()),
-        ("interned_terms", run.total(|x| x.interned_terms).into()),
-        ("stability_skips", run.total(|x| x.stability_skips).into()),
-        ("unknown_methods", run.unknown_methods().into()),
-        ("budget_exhausted", run.budget_exhausted().into()),
-        ("methods_reverified", run.reverified.into()),
-    ])
-}
-
-/// The phase-attribution block of one JSON case: front-end and
-/// symbolic-execution time plus total solver fuel, from one traced run.
-fn phases_json(p: &ProfileReport) -> Json {
-    Json::obj([
-        ("parse_micros", p.pipeline_micros("parse").into()),
-        ("exec_micros", p.exec_micros().into()),
-        ("pre_micros", p.method_phase_micros("pre").into()),
-        ("body_micros", p.method_phase_micros("body").into()),
-        ("post_micros", p.method_phase_micros("post").into()),
-        ("solver_fuel", p.total_fuel().into()),
-    ])
-}
-
-/// Emits `BENCH_verifier.json`: the positive case studies, the chain
-/// sweep, the diverging (clause-learning) sweep, and — when enabled —
-/// the incremental section.
-fn write_bench_json(
-    opts: &Opts,
-    chain_rows: &[(usize, BackendRun, BackendRun)],
-    diverging_rows: &[(usize, BackendRun)],
-    incremental_rows: &[IncrementalRow],
-) {
-    let mut cases = Vec::new();
-    for case in positive_cases() {
-        let mut d = measure_median(
-            case.source,
-            Backend::Destabilized,
-            &opts.config,
-            opts.repeat,
-        );
-        // With `--incremental`/`--cache-dir` active, graft the
-        // warm-rerun restore count onto the timed measurement: the
-        // per-case verdict store was populated by the F1d section, so
-        // this run reports how many methods the store could not
-        // absorb instead of a `methods_reverified: null`.
-        if let Some(dir) = &opts.cache_dir {
-            let warm = run_backend_with(
-                case.source,
-                Backend::Destabilized,
-                VerifierConfig {
-                    cache_dir: Some(dir.join(case.name)),
-                    ..opts.config.clone()
-                },
-            );
-            d.reverified = warm.reverified;
-        }
-        let s = measure_median(
-            case.source,
-            Backend::StableBaseline,
-            &opts.config,
-            opts.repeat,
-        );
-        let p = phase_profile(case.source, Backend::Destabilized, &opts.config);
-        cases.push(Json::obj([
-            ("name", case.name.into()),
-            ("destabilized", run_json(&d)),
-            ("stable_baseline", run_json(&s)),
-            ("phases", phases_json(&p)),
-        ]));
-    }
-    let memoized = |run| Json::obj([("memoized", run_json(run))]);
-    let chain = chain_rows.iter().map(|(n, d, s)| {
-        Json::obj([
-            ("n", (*n).into()),
-            ("destabilized", memoized(d)),
-            ("stable_baseline", memoized(s)),
-        ])
-    });
-    let diverging = diverging_rows
-        .iter()
-        .map(|(k, d)| Json::obj([("k", (*k).into()), ("learn", run_json(d))]));
-    let incremental = incremental_rows
-        .iter()
-        .map(|(name, methods, reverified, time)| {
-            Json::obj([
-                ("name", name.as_str().into()),
-                ("methods", (*methods).into()),
-                ("methods_reverified", (*reverified).into()),
-                ("wall_micros", (time.as_secs_f64() * 1e6).into()),
-            ])
-        });
-    let config = Json::obj([
-        ("solver", "cdcl".into()),
-        ("deny_unstable", opts.config.deny_unstable.into()),
-        ("incremental", opts.cache_dir.is_some().into()),
-        ("threads", opts.config.threads.into()),
-        ("timeout_ms", opts.config.budget.deadline_ms.into()),
-        ("fuel", opts.config.budget.solver_fuel.into()),
-        ("repeat", opts.repeat.into()),
-    ]);
-    let json = Json::obj([
-        ("experiment", "F1 verifier pipeline".into()),
-        (
-            "command",
-            "cargo run -p daenerys-bench --bin tables -- --f1 --json".into(),
-        ),
-        ("config", config),
-        ("cases", Json::Arr(cases)),
-        ("chain", Json::Arr(chain.collect())),
-        ("diverging", Json::Arr(diverging.collect())),
-        ("incremental", Json::Arr(incremental.collect())),
-    ]);
-    let path = artifact_path(opts, "BENCH_verifier.json");
-    match std::fs::write(&path, json.render() + "\n") {
-        Ok(()) => println!("\n    wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("tables: cannot write {}: {}", path.display(), e);
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Joins `name` onto `--out-dir`, creating the directory first.
-fn artifact_path(opts: &Opts, name: &str) -> std::path::PathBuf {
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("tables: cannot create {}: {}", opts.out_dir.display(), e);
-        std::process::exit(1);
-    }
-    opts.out_dir.join(name)
 }
 
 /// F2: stabilization cost — semantic ⌊·⌋ vs. the syntactic stabilizer.
-fn figure_f2() {
+fn figure_f2(repeat: usize) {
     println!("\nF2. Stabilization cost: semantic ⌊P⌋ vs. syntactic stabilizer\n");
     println!(
         "    {:>6} {:>10} | {:>12} {:>12}",
@@ -953,25 +669,16 @@ fn figure_f2() {
             UniverseSpec::two_locs()
         };
         let uni = spec.build();
-        let read = Assert::read_eq(Term::loc(daenerys_heaplang::Loc(0)), Term::int(1));
+        let read = Assert::read_eq(Term::loc(Loc(0)), Term::int(1));
         let stab = Assert::stabilize(read.clone());
 
         // Semantic: check stability of ⌊read⌋ (frame quantification).
-        let t0 = Instant::now();
-        let iters = 5;
-        for _ in 0..iters {
-            let _ = check_stable(&stab, &uni, 1);
-        }
-        let sem = t0.elapsed() / iters;
-
+        let sem = time_per_call(repeat, 1, || check_stable(&stab, &uni, 1).is_ok());
         // Syntactic: one-pass transformation plus its stability check
         // by the *syntactic* judgment.
-        let t0 = Instant::now();
-        for _ in 0..1000 {
-            let s = stabilize_fast(&read);
-            let _ = daenerys_core::syntactically_stable(&s);
-        }
-        let syn = t0.elapsed() / 1000;
+        let syn = time_per_call(repeat, 1000, || {
+            daenerys_core::syntactically_stable(&stabilize_fast(&read))
+        });
 
         println!(
             "    {:>6} {:>10} | {:>12} {:>12}",
@@ -983,8 +690,28 @@ fn figure_f2() {
     }
 }
 
-/// F3: adequacy throughput — exhaustive interleaving exploration.
-fn figure_f3() {
+/// Median wall time of one call of `f` over `repeat` samples of
+/// `calls` calls each, after one untimed warmup sample. Kernels that
+/// take microseconds run many calls per sample, so that one sample
+/// spans more than the clock's and the scheduler's noise.
+fn time_per_call<T>(repeat: usize, calls: u32, mut f: impl FnMut() -> T) -> Duration {
+    let mut sample = || {
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            std::hint::black_box(f());
+        }
+        t0.elapsed() / calls
+    };
+    sample();
+    let mut times: Vec<Duration> = (0..repeat).map(|_| sample()).collect();
+    times.sort();
+    times[repeat / 2]
+}
+
+/// F3: adequacy throughput — exhaustive interleaving exploration, then
+/// the permission monitor's cost over raw interpretation on one
+/// sequential loop.
+fn figure_f3(repeat: usize) {
     println!("\nF3. Adequacy testing: exhaustive schedule exploration\n");
     println!(
         "    {:>8} | {:>8} {:>10} {:>10} {:>11}",
@@ -998,9 +725,8 @@ fn figure_f3() {
         }
         src.push_str("faa(c, 1); !c");
         let prog = parse(&src).expect("parses");
-        let t0 = Instant::now();
-        let result = explore(Machine::new(prog), 1024);
-        let dt = t0.elapsed();
+        let result = explore(Machine::new(prog.clone()), 1024);
+        let dt = time_per_call(repeat, 10, || explore(Machine::new(prog.clone()), 1024));
         println!(
             "    {:>8} | {:>8} {:>10} {:>10} {:>11.0}",
             threads,
@@ -1009,5 +735,191 @@ fn figure_f3() {
             micros(dt),
             result.states_visited as f64 / dt.as_secs_f64() / 1000.0
         );
+    }
+
+    println!("\n    Monitored vs. unmonitored execution (50-iteration loop)\n");
+    println!(
+        "    {:>12} {:>12} | {:>9}",
+        "unmon. µs", "monitored µs", "overhead"
+    );
+    println!("    {}", "-".repeat(38));
+    let seq =
+        parse("let l = ref 0 in (rec go n => if n <= 0 then !l else (l <- !l + n; go (n - 1))) 50")
+            .expect("parses");
+    let raw = time_per_call(repeat, 100, || {
+        daenerys_heaplang::run(seq.clone(), 100_000).expect("runs")
+    });
+    let monitored = time_per_call(repeat, 100, || {
+        let mut m = MonMachine::new(seq.clone(), Res::empty(), Heap::new());
+        m.run(100_000).expect("runs");
+        m
+    });
+    println!(
+        "    {:>12} {:>12} | {:>8.2}x",
+        micros(raw),
+        micros(monitored),
+        monitored.as_secs_f64() / raw.as_secs_f64()
+    );
+}
+
+/// F4: proof-kernel throughput — building and model-checking the rule
+/// catalog, and one semantic entailment check as the assertion grows.
+fn figure_f4(repeat: usize) {
+    println!("\nF4. Proof-kernel throughput\n");
+    let ps = corpus();
+    let derivations = catalog(&ps);
+    let steps: usize = derivations.iter().map(|d| d.steps()).sum();
+    let uni = UniverseSpec::tiny().build();
+    let build = time_per_call(repeat, 20, || catalog(&ps));
+    let verify = time_per_call(repeat, 1, || verify_catalog(&derivations, &uni, 1));
+    println!(
+        "    {:>11} {:>11} | {:>9} {:>11} | {:>10}",
+        "derivations", "rule apps", "build µs", "apps/s", "verify µs"
+    );
+    println!("    {}", "-".repeat(62));
+    println!(
+        "    {:>11} {:>11} | {:>9} {:>11.0} | {:>10}",
+        derivations.len(),
+        steps,
+        micros(build),
+        steps as f64 / build.as_secs_f64(),
+        micros(verify)
+    );
+
+    println!(
+        "\n    {:>8} | {:>6} {:>14}",
+        "depth", "holds", "entailment µs"
+    );
+    println!("    {}", "-".repeat(34));
+    let l = Term::loc(Loc(0));
+    let half = Assert::points_to_frac(l.clone(), daenerys_algebra::Q::HALF, Term::int(1));
+    let q = Assert::read_eq(l.clone(), Term::int(1));
+    for depth in [1usize, 2, 4] {
+        let mut p = half.clone();
+        for _ in 0..depth {
+            p = Assert::and(p, q.clone());
+        }
+        let holds = entails(&p, &q, &uni, 1).is_ok();
+        let dt = time_per_call(repeat, 20, || entails(&p, &q, &uni, 1).is_ok());
+        println!(
+            "    {:>8} | {:>6} {:>14}",
+            depth,
+            if holds { "yes" } else { "no" },
+            micros(dt)
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn parsed(line: &str) -> Opts {
+        parse_args(&args(line)).expect("arguments parse")
+    }
+
+    #[test]
+    fn no_selector_prints_every_table_and_figure() {
+        let opts = parsed("--repeat 3");
+        for flag in [
+            "--t1", "--t2", "--t3", "--t4", "--f1", "--f2", "--f3", "--f4",
+        ] {
+            assert!(opts.wants(flag), "{} printed", flag);
+        }
+        assert_eq!(opts.repeat, 3);
+    }
+
+    #[test]
+    fn f4_selects_the_proof_kernel_figure_alone() {
+        let opts = parsed("--f4");
+        assert!(opts.wants("--f4"));
+        for flag in ["--t1", "--t2", "--t3", "--t4", "--f1", "--f2", "--f3"] {
+            assert!(!opts.wants(flag), "{} not printed", flag);
+        }
+    }
+
+    #[test]
+    fn explain_stability_alone_prints_only_the_report() {
+        let alone = parsed("--explain-stability");
+        assert!(alone.explain_stability);
+        assert!(!alone.wants("--t1") && !alone.wants("--f4"));
+
+        let with_f1 = parsed("--explain-stability --f1 --deny-unstable");
+        assert!(with_f1.wants("--f1") && !with_f1.wants("--t1"));
+        assert!(with_f1.config.deny_unstable);
+    }
+
+    #[test]
+    fn deleted_artifact_flags_are_unknown() {
+        for flag in ["--json", "--profile", "--out-dir"] {
+            let err = parse_args(&args(flag)).err().expect("rejected");
+            assert!(
+                err.starts_with(&format!("unknown flag {} ", flag)),
+                "{}",
+                err
+            );
+            assert!(err.contains("--f4"), "the message lists the known flags");
+        }
+    }
+
+    #[test]
+    fn numeric_flags_need_positive_values() {
+        for line in [
+            "--repeat 0",
+            "--repeat",
+            "--threads 0",
+            "--fuel x",
+            "--timeout-ms 0",
+        ] {
+            let err = parse_args(&args(line)).err().expect("rejected");
+            assert!(
+                err.ends_with("needs a positive integer"),
+                "{}: {}",
+                line,
+                err
+            );
+        }
+        let opts = parsed("--threads 2 --fuel 64 --timeout-ms 500");
+        assert_eq!(opts.config.threads, 2);
+        assert_eq!(opts.config.budget.solver_fuel, Some(64));
+        assert_eq!(opts.config.budget.deadline_ms, Some(500));
+    }
+
+    #[test]
+    fn incremental_defaults_the_store_but_keeps_an_explicit_one() {
+        let default = parsed("--f1 --incremental --expect-reverified 0");
+        assert_eq!(default.cache_dir, Some("target/ivc".into()));
+        assert_eq!(default.expect_reverified, Some(0));
+
+        let explicit = parsed("--cache-dir /tmp/store --incremental");
+        assert_eq!(explicit.cache_dir, Some("/tmp/store".into()));
+    }
+
+    #[test]
+    fn path_flags_refuse_a_following_flag_as_their_value() {
+        assert_eq!(
+            parse_args(&args("--cache-dir --f1")).err().as_deref(),
+            Some("--cache-dir needs a directory path")
+        );
+        assert_eq!(
+            parse_args(&args("--trace-out --f1")).err().as_deref(),
+            Some("--trace-out needs a file path")
+        );
+        assert_eq!(
+            parsed("--trace-out t.jsonl").trace_out.as_deref(),
+            Some("t.jsonl")
+        );
+    }
+
+    #[test]
+    fn time_per_call_runs_a_warmup_and_repeat_samples_of_calls() {
+        let mut calls = 0u32;
+        let per_call = time_per_call(3, 7, || calls += 1);
+        assert_eq!(calls, (3 + 1) * 7);
+        assert!(per_call < Duration::from_secs(1));
     }
 }

@@ -1,7 +1,7 @@
 //! Shared helpers for the Daenerys evaluation harness.
 //!
 //! The binary `tables` regenerates every table and figure of
-//! `EXPERIMENTS.md`; the Criterion benches measure the timing studies.
+//! `EXPERIMENTS.md`, timings included.
 
 #![warn(missing_docs)]
 
@@ -10,7 +10,7 @@ pub mod corpus;
 use daenerys_idf::{
     parse_program, parse_program_traced, Backend, SessionHost, Verdict, VerifierConfig, VerifyStats,
 };
-use daenerys_obs::{Event, EventKind, Value};
+use daenerys_obs::{Event, EventKind};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -36,15 +36,6 @@ impl BackendRun {
         self.stats.values().map(f).sum()
     }
 
-    /// Methods whose verdict degraded to `Unknown` (budget or
-    /// fragment).
-    pub fn unknown_methods(&self) -> usize {
-        self.verdicts
-            .values()
-            .filter(|v| matches!(v, Verdict::Unknown { .. }))
-            .count()
-    }
-
     /// Hard counter invariant: every solver query is answered either
     /// by the memo table or by a fresh decision, in *every* mode —
     /// single- or multi-threaded, incremental. A violation means a
@@ -66,32 +57,10 @@ impl BackendRun {
             queries
         );
     }
-
-    /// Budget-exhaustion events across the run: methods that ended
-    /// `Unknown` on an exhausted budget, plus exhausted first attempts
-    /// absorbed by the retry-with-escalated-budget policy.
-    pub fn budget_exhausted(&self) -> usize {
-        let unknown: usize = self
-            .verdicts
-            .values()
-            .filter(|v| v.is_budget_exhausted())
-            .count();
-        unknown + self.total(|s| s.budget_exhausted)
-    }
 }
 
-/// Verifies a program on one backend, timing it.
-///
-/// # Panics
-///
-/// Panics when the program does not parse or does not verify — the
-/// harness only measures verifying programs.
-pub fn run_backend(src: &str, backend: Backend) -> BackendRun {
-    run_backend_with(src, backend, VerifierConfig::default())
-}
-
-/// As [`run_backend`], with an explicit pipeline configuration
-/// (caching on/off, worker-thread count, budget).
+/// Verifies a program on one backend under `config` (worker-thread
+/// count, budget, verdict store), timing it.
 ///
 /// # Panics
 ///
@@ -175,80 +144,24 @@ pub fn measure_median(
     runs.swap_remove(repeat / 2)
 }
 
-/// How many hot queries a [`ProfileReport`] keeps.
-pub const HOT_PROFILE_LIMIT: usize = 10;
-
-/// Per-method cost attribution reconstructed from a trace.
-#[derive(Clone, Debug, Default)]
-pub struct MethodProfile {
-    /// Duration of the method's `exec:<name>` span, in nanoseconds.
-    pub total_nanos: u64,
-    /// Nanoseconds per inner phase span (`pre`, `body`, `post`,
-    /// `branch:*`, `loop:*`), summed over repeated entries.
-    pub phase_nanos: BTreeMap<String, u64>,
-    /// Solver queries issued while verifying the method.
-    pub queries: u64,
-    /// Total solver fuel burned by those queries
-    /// (conflicts + propagations).
-    pub fuel: u64,
-    /// Queries answered from the memo table.
-    pub cache_hits: u64,
-    /// Conflict clauses learned while answering those queries.
-    pub learned: u64,
-}
-
-/// One expensive solver query surfaced by the profile.
-#[derive(Clone, Debug)]
-pub struct HotQuery {
-    /// The method being verified when the query was issued.
-    pub method: String,
-    /// The call site label (`postcondition: ...`, `branch feasibility`, …).
-    pub site: String,
-    /// Solver fuel the query cost (conflicts + propagations).
-    pub fuel: u64,
-    /// Whether the memo table answered it.
-    pub cache_hit: bool,
-    /// Normalized path-condition hash — equal hashes across methods
-    /// flag repeated work the cache should be absorbing.
-    pub pc_hash: u64,
-}
-
-/// Phase-attributed cost report aggregated from a merged trace.
+/// Per-method phase time reconstructed from a trace.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileReport {
-    /// Front-end pipeline phases (`parse`, `wf`) in nanoseconds.
-    pub pipeline_nanos: BTreeMap<String, u64>,
-    /// Per-method attribution, keyed by method name.
-    pub methods: BTreeMap<String, MethodProfile>,
-    /// The most expensive solver queries of the run, by fuel, capped
-    /// at [`HOT_PROFILE_LIMIT`].
-    pub hottest: Vec<HotQuery>,
+    /// Nanoseconds per method, then per inner phase span (`pre`,
+    /// `body`, `post`, `branch:*`, `loop:*`), summed over repeated
+    /// entries.
+    pub methods: BTreeMap<String, BTreeMap<String, u64>>,
 }
 
 impl ProfileReport {
-    /// A pipeline phase duration in microseconds (0 when absent).
-    pub fn pipeline_micros(&self, phase: &str) -> f64 {
-        self.pipeline_nanos.get(phase).copied().unwrap_or(0) as f64 / 1e3
-    }
-
-    /// Summed `exec:<method>` time across methods, in microseconds.
-    pub fn exec_micros(&self) -> f64 {
-        self.methods.values().map(|m| m.total_nanos).sum::<u64>() as f64 / 1e3
-    }
-
     /// Summed inner-phase time across methods, in microseconds
     /// (0 when no method entered the phase).
     pub fn method_phase_micros(&self, phase: &str) -> f64 {
         self.methods
             .values()
-            .map(|m| m.phase_nanos.get(phase).copied().unwrap_or(0))
+            .map(|phases| phases.get(phase).copied().unwrap_or(0))
             .sum::<u64>() as f64
             / 1e3
-    }
-
-    /// Total solver fuel across methods.
-    pub fn total_fuel(&self) -> u64 {
-        self.methods.values().map(|m| m.fuel).sum()
     }
 }
 
@@ -261,117 +174,42 @@ impl ProfileReport {
 /// are skipped, so a report can always be built from a valid trace.
 pub fn profile_events(events: &[Event]) -> ProfileReport {
     let mut report = ProfileReport::default();
-    let mut current: Option<String> = None;
+    let mut current: Option<&str> = None;
     for e in events {
-        match e.kind {
-            EventKind::SpanStart => {
-                if let Some(m) = e.name.strip_prefix("exec:") {
-                    current = Some(m.to_string());
-                }
-            }
-            EventKind::SpanEnd => {
-                let nanos = e.field_u64("duration_nanos").unwrap_or(0);
-                if let Some(m) = e.name.strip_prefix("exec:") {
-                    report.methods.entry(m.to_string()).or_default().total_nanos += nanos;
-                    current = None;
-                } else if let Some(m) = &current {
+        match (e.kind, e.name.strip_prefix("exec:")) {
+            (EventKind::SpanStart, Some(method)) => current = Some(method),
+            (EventKind::SpanEnd, Some(_)) => current = None,
+            (EventKind::SpanEnd, None) => {
+                if let Some(method) = current {
+                    let nanos = e.field_u64("duration_nanos").unwrap_or(0);
                     *report
                         .methods
-                        .entry(m.clone())
+                        .entry(method.to_string())
                         .or_default()
-                        .phase_nanos
                         .entry(e.name.clone())
                         .or_insert(0) += nanos;
-                } else {
-                    *report.pipeline_nanos.entry(e.name.clone()).or_insert(0) += nanos;
                 }
-            }
-            EventKind::Point if e.name == "solver.query" => {
-                let method = current.clone().unwrap_or_default();
-                let fuel = e.field_u64("fuel").unwrap_or(0);
-                let cache_hit = matches!(e.field("cache_hit"), Some(Value::Bool(true)));
-                let profile = report.methods.entry(method.clone()).or_default();
-                profile.queries += 1;
-                profile.fuel += fuel;
-                profile.learned += e.field_u64("learned").unwrap_or(0);
-                if cache_hit {
-                    profile.cache_hits += 1;
-                }
-                report.hottest.push(HotQuery {
-                    method,
-                    site: match e.field("site") {
-                        Some(Value::Str(s)) => s.clone(),
-                        _ => String::new(),
-                    },
-                    fuel,
-                    cache_hit,
-                    pc_hash: e.field_u64("pc_hash").unwrap_or(0),
-                });
             }
             _ => {}
         }
     }
-    // Stable sort: equal-fuel queries keep program order.
-    report.hottest.sort_by_key(|q| std::cmp::Reverse(q.fuel));
-    report.hottest.truncate(HOT_PROFILE_LIMIT);
     report
-}
-
-/// Renders a [`ProfileReport`] as an aligned text block for `--profile`.
-pub fn render_profile(report: &ProfileReport) -> String {
-    let mut out = String::new();
-    out.push_str("phase attribution (µs)\n");
-    for (name, nanos) in &report.pipeline_nanos {
-        out.push_str(&format!("  {:<26} {:>10.1}\n", name, *nanos as f64 / 1e3));
-    }
-    for (name, m) in &report.methods {
-        out.push_str(&format!(
-            "  exec:{:<21} {:>10.1}   q={} fuel={} hits={} learned={}\n",
-            name,
-            m.total_nanos as f64 / 1e3,
-            m.queries,
-            m.fuel,
-            m.cache_hits,
-            m.learned
-        ));
-        for (phase, nanos) in &m.phase_nanos {
-            out.push_str(&format!(
-                "    {:<24} {:>10.1}\n",
-                phase,
-                *nanos as f64 / 1e3
-            ));
-        }
-    }
-    if !report.hottest.is_empty() {
-        out.push_str("hottest solver queries (by solver fuel)\n");
-        for q in &report.hottest {
-            out.push_str(&format!(
-                "  fuel {:>6}  {:<16} {}  pc#{:016x}{}\n",
-                q.fuel,
-                q.method,
-                q.site,
-                q.pc_hash,
-                if q.cache_hit { "  [cache hit]" } else { "" }
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use daenerys_idf::Budget;
+    use daenerys_obs::Value;
 
     #[test]
     fn run_backend_measures_something() {
         let src = "field v: Int
                    method id(c: Ref) requires acc(c.v) ensures acc(c.v) { }";
-        let run = run_backend(src, Backend::Destabilized);
+        let run = run_backend_with(src, Backend::Destabilized, VerifierConfig::default());
         assert_eq!(run.stats.len(), 1);
         assert!(run.total(|s| s.obligations) >= 1);
-        assert_eq!(run.unknown_methods(), 0);
-        assert_eq!(run.budget_exhausted(), 0);
+        assert_eq!(run.verdicts.len(), 1);
     }
 
     #[test]
@@ -383,8 +221,8 @@ mod tests {
             ..VerifierConfig::default()
         };
         let run = run_backend_with(&src, Backend::Destabilized, config);
-        assert_eq!(run.unknown_methods(), 1);
-        assert_eq!(run.budget_exhausted(), 1);
+        let exhausted = run.verdicts.values().filter(|v| v.is_budget_exhausted());
+        assert_eq!(exhausted.count(), 1);
         assert_eq!(run.stats.len(), 2, "siblings still measured");
     }
 
@@ -398,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_profile_into_phases_and_hot_queries() {
+    fn traced_runs_profile_into_method_phases() {
         use daenerys_obs::{ClockKind, MemorySink, TraceHandle};
         use std::sync::Arc;
 
@@ -413,19 +251,124 @@ mod tests {
         let run = run_backend_with(src, Backend::Destabilized, config);
         assert_eq!(run.stats.len(), 1);
 
-        let events = sink.events();
-        let report = profile_events(&events);
-        assert!(
-            report.pipeline_nanos.contains_key("parse"),
-            "front-end parse span is attributed to the pipeline"
+        let report = profile_events(&sink.events());
+        assert_eq!(
+            report.methods.keys().collect::<Vec<_>>(),
+            ["set"],
+            "front-end spans stay out of the method table"
         );
-        let m = report.methods.get("set").expect("method profiled");
-        assert!(m.queries > 0, "solver queries attributed to the method");
-        assert!(m.phase_nanos.contains_key("post"), "exhale phase present");
-        assert!(!report.hottest.is_empty());
-        assert!(report.hottest.len() <= HOT_PROFILE_LIMIT);
-        let rendered = render_profile(&report);
-        assert!(rendered.contains("exec:set"));
-        assert!(rendered.contains("hottest solver queries"));
+        let phases = &report.methods["set"];
+        for phase in ["pre", "body", "post"] {
+            assert!(phases.contains_key(phase), "{} phase present", phase);
+        }
+        assert!(report.method_phase_micros("post") > 0.0);
+    }
+
+    fn span_end(name: &str, nanos: u64) -> Event {
+        Event {
+            seq: 0,
+            ts: 0,
+            kind: EventKind::SpanEnd,
+            name: name.to_string(),
+            fields: vec![("duration_nanos".to_string(), Value::UInt(nanos))],
+        }
+    }
+
+    fn span_start(name: &str) -> Event {
+        Event {
+            kind: EventKind::SpanStart,
+            fields: Vec::new(),
+            ..span_end(name, 0)
+        }
+    }
+
+    #[test]
+    fn profile_sums_repeated_phases_and_skips_spans_outside_methods() {
+        let events = [
+            span_start("parse"),
+            span_end("parse", 900),
+            span_start("exec:a"),
+            span_end("branch:then", 10),
+            span_end("branch:then", 15),
+            span_end("post", 2_000),
+            span_end("exec:a", 5_000),
+            span_end("wf", 700),
+            span_start("exec:b"),
+            span_end("post", 500),
+            span_end("exec:b", 800),
+        ];
+        let report = profile_events(&events);
+        assert_eq!(report.methods.keys().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(report.methods["a"]["branch:then"], 25);
+        assert!(!report.methods["a"].contains_key("exec:a"));
+        assert_eq!(report.method_phase_micros("post"), 2.5);
+        assert_eq!(report.method_phase_micros("loop:0"), 0.0);
+    }
+
+    #[test]
+    fn micros_prints_one_decimal() {
+        assert_eq!(micros(Duration::from_nanos(1_250)), "1.2");
+        assert_eq!(micros(Duration::from_millis(3)), "3000.0");
+        assert_eq!(micros(Duration::ZERO), "0.0");
+    }
+
+    fn run_with(stats: &[(usize, usize, usize)]) -> BackendRun {
+        let stats = stats
+            .iter()
+            .enumerate()
+            .map(|(i, &(hits, misses, queries))| {
+                let s = VerifyStats {
+                    cache_hits: hits,
+                    cache_misses: misses,
+                    solver_queries: queries,
+                    ..VerifyStats::default()
+                };
+                (format!("m{}", i), s)
+            })
+            .collect();
+        BackendRun {
+            time: Duration::ZERO,
+            stats,
+            verdicts: BTreeMap::new(),
+            reverified: None,
+        }
+    }
+
+    #[test]
+    fn totals_sum_over_methods_and_balanced_accounts_pass() {
+        let run = run_with(&[(2, 3, 5), (0, 4, 4)]);
+        assert_eq!(run.total(|s| s.cache_hits), 2);
+        assert_eq!(run.total(|s| s.solver_queries), 9);
+        run.check_cache_accounting();
+    }
+
+    #[test]
+    #[should_panic(expected = "hits(1) + misses(1) != queries(3)")]
+    fn unbalanced_cache_accounts_are_refused() {
+        run_with(&[(1, 1, 3)]).check_cache_accounting();
+    }
+
+    #[test]
+    fn incremental_runs_report_how_many_methods_were_reverified() {
+        let dir = std::env::temp_dir().join(format!("bench-lib-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = VerifierConfig {
+            cache_dir: Some(dir.clone()),
+            ..VerifierConfig::default()
+        };
+        let src = daenerys_idf::scaling_program(2);
+        let cold = run_backend_with(&src, Backend::Destabilized, config.clone());
+        let warm = run_backend_with(&src, Backend::Destabilized, config);
+        assert_eq!(cold.reverified, Some(cold.verdicts.len()));
+        assert_eq!(warm.reverified, Some(0));
+        let normalized = |run: &BackendRun| -> Vec<Verdict> {
+            run.verdicts.values().map(Verdict::normalized).collect()
+        };
+        assert_eq!(normalized(&warm), normalized(&cold));
+        assert_eq!(
+            run_backend_with(&src, Backend::Destabilized, VerifierConfig::default()).reverified,
+            None
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

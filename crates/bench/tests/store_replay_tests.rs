@@ -1,6 +1,6 @@
-//! Integration gates for the edit-replay sweep at CI-friendly scale:
-//! the same invariants `store_replay` enforces at 10k methods, here on
-//! a ~200-method corpus so they run on every `cargo test`.
+//! Integration gates for the edit-replay sweep: cold → warm →
+//! scripted edits against a persistent verdict store, every phase
+//! checked against the corpus generator's own adjacency.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
 use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerifierConfig};
@@ -46,24 +46,22 @@ fn snapshot(from: &Path, to: &Path) {
     }
 }
 
-#[test]
-fn daes1_sweep_replays_edits_against_ground_truth() {
-    let corpus = Corpus::generate(CorpusSpec {
-        methods: 200,
-        depth: 8,
-        ..CorpusSpec::default()
-    });
+/// One sweep over the corpus `spec` generates: a cold pass verifies
+/// everything; warm passes at 1, 2 and 8 threads re-verify nothing and
+/// restore the cold verdicts bit-identically; a leaf body edit
+/// re-verifies 1 method, a formatting-only spec edit 0, and a hub spec
+/// edit exactly the hub's reverse-reachable cone. Returns that cone's
+/// size.
+fn sweep(spec: CorpusSpec, tag: &str) -> usize {
+    let corpus = Corpus::generate(spec);
     let base = corpus.source(None);
-    let root = temp_dir("daes1");
+    let root = temp_dir(tag);
     let cold_dir = root.join("cold");
 
-    // Cold: everything verifies.
     let (cold, reverified) = run(&base, &cold_dir, 1);
     assert_eq!(reverified, corpus.len());
     assert!(cold.values().all(Verdict::is_verified));
 
-    // Warm: nothing re-verifies, verdicts restore bit-identically —
-    // at one, two, and eight worker threads.
     for threads in [1usize, 2, 8] {
         let dir = root.join(format!("warm-{}", threads));
         snapshot(&cold_dir, &dir);
@@ -76,22 +74,45 @@ fn daes1_sweep_replays_edits_against_ground_truth() {
         );
     }
 
-    // Scripted edits re-verify exactly what the generator's ground
-    // truth says they must.
-    for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
+    let hub_cone = corpus.reverse_reachable(corpus.hub()).len();
+    for (edit, want) in [
+        (Edit::TouchLeafBody, 1),
+        (Edit::TouchHubSpec, hub_cone),
+        (Edit::TouchSpecNoop, 0),
+    ] {
         let dir = root.join(edit.name());
         snapshot(&cold_dir, &dir);
         let (verdicts, reverified) = run(&corpus.source(Some(edit)), &dir, 2);
-        assert_eq!(
-            reverified,
-            corpus.expected_reverified(edit),
-            "edit {:?}",
-            edit
-        );
+        assert_eq!(reverified, want, "edit {:?}", edit);
         assert!(verdicts.values().all(Verdict::is_verified));
     }
 
     let _ = std::fs::remove_dir_all(&root);
+    hub_cone
+}
+
+#[test]
+fn daes1_sweep_replays_edits_against_ground_truth() {
+    sweep(
+        CorpusSpec {
+            methods: 200,
+            depth: 8,
+            ..CorpusSpec::default()
+        },
+        "daes1-200",
+    );
+    // The 1000-method, depth-10, seed-7 corpus pins the hub cone at 70
+    // methods, so a generator change that moves it shows up here.
+    let hub_cone = sweep(
+        CorpusSpec {
+            methods: 1000,
+            depth: 10,
+            seed: 7,
+            ..CorpusSpec::default()
+        },
+        "daes1-1k",
+    );
+    assert_eq!(hub_cone, 70);
 }
 
 /// One store carried through a sequence of edits and their reverts:

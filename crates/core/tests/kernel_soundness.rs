@@ -100,3 +100,35 @@ fn classical_rules_fail_without_side_conditions() {
         daenerys_core::proof::update::bupd_frame(Assert::read_eq(l, Term::int(1)), pt).is_err()
     );
 }
+
+/// F4's catalog (`tables --f4`): its derivation and rule-application
+/// counts are the figure's workload size, so a change to the corpus or
+/// the rule set shows up here before it moves the throughput column.
+#[test]
+fn f4_catalog_has_3042_derivations_of_3201_rule_applications() {
+    let derivations = catalog(&corpus());
+    let steps: usize = derivations.iter().map(|d| d.steps()).sum();
+    assert_eq!((derivations.len(), steps), (3042, 3201));
+    assert!(derivations.iter().all(|d| d.steps() >= 1));
+}
+
+/// F4's entailment row: `l ↦½ 1 ∧ (!l = 1)^d ⊢ !l = 1` holds at every
+/// timed depth, and its converse does not (a read fact owns nothing).
+#[test]
+fn f4_entailment_holds_at_every_depth() {
+    use daenerys_algebra::Q;
+    use daenerys_core::{entails, Assert, Term};
+    use daenerys_heaplang::Loc;
+    let uni = UniverseSpec::tiny().build();
+    let l = Term::loc(Loc(0));
+    let half = Assert::points_to_frac(l.clone(), Q::HALF, Term::int(1));
+    let q = Assert::read_eq(l, Term::int(1));
+    for depth in [1usize, 2, 4] {
+        let mut p = half.clone();
+        for _ in 0..depth {
+            p = Assert::and(p, q.clone());
+        }
+        assert!(entails(&p, &q, &uni, 1).is_ok(), "depth {}", depth);
+    }
+    assert!(entails(&q, &half, &uni, 1).is_err());
+}

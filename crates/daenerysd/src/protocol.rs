@@ -889,4 +889,121 @@ mod tests {
             assert!(Request::decode(bad).is_err());
         }
     }
+
+    /// A reader that reports `WouldBlock` forever, as an idle socket
+    /// with a read timeout does.
+    struct Idle;
+    impl Read for Idle {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    #[test]
+    fn an_idle_stream_asks_whether_to_keep_waiting_between_frames() {
+        let mut asked = Vec::new();
+        let result = read_frame(&mut Idle, |mid_frame| {
+            asked.push(mid_frame);
+            asked.len() < 3
+        });
+        assert!(matches!(
+            result,
+            Err(FrameError::Aborted { mid_frame: false })
+        ));
+        assert_eq!(asked, [false, false, false]);
+    }
+
+    #[test]
+    fn a_started_frame_is_aborted_when_its_deadline_passes() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"payload").unwrap();
+        let mut calls = 0;
+        let result = read_frame(&mut Cursor::new(wire), |mid_frame| {
+            assert!(mid_frame, "progress calls come only mid-frame");
+            calls += 1;
+            calls < 3
+        });
+        assert!(matches!(
+            result,
+            Err(FrameError::Aborted { mid_frame: true })
+        ));
+        assert_eq!(calls, 3, "one call per header byte until refused");
+    }
+
+    #[test]
+    fn back_to_back_frames_read_in_order_then_close() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first").unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        write_frame(&mut wire, b"third\n").unwrap();
+        let mut r = Cursor::new(wire);
+        assert_eq!(read_frame(&mut r, |_| true).unwrap(), b"first");
+        assert_eq!(read_frame(&mut r, |_| true).unwrap(), b"");
+        assert_eq!(read_frame(&mut r, |_| true).unwrap(), b"third\n");
+        assert!(matches!(
+            read_frame(&mut r, |_| true),
+            Err(FrameError::Closed)
+        ));
+    }
+
+    #[test]
+    fn frame_errors_say_what_went_wrong() {
+        let long_header = format!("DAE1 {}", "9".repeat(MAX_HEADER_LEN));
+        let err = read_frame(&mut Cursor::new(long_header.into_bytes()), |_| true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad frame header: no newline within 32 bytes"
+        );
+        let torn = read_frame(&mut Cursor::new(b"DAE1 4\nab".to_vec()), |_| true).unwrap_err();
+        assert_eq!(torn.to_string(), "stream ended mid-frame (2/5 bytes)");
+        assert_eq!(
+            FrameError::Oversized(9).to_string(),
+            format!("payload of 9 bytes exceeds {}", MAX_PAYLOAD_LEN)
+        );
+        assert_eq!(
+            FrameError::Aborted { mid_frame: true }.to_string(),
+            "frame did not complete before its deadline"
+        );
+        assert_eq!(
+            FrameError::Aborted { mid_frame: false }.to_string(),
+            "read aborted"
+        );
+    }
+
+    #[test]
+    fn error_codes_roundtrip_their_wire_names() {
+        for code in [
+            ErrorCode::Parse,
+            ErrorCode::Wf,
+            ErrorCode::BadRequest,
+            ErrorCode::Internal,
+            ErrorCode::Shutdown,
+        ] {
+            assert_eq!(ErrorCode::parse(code.name()), Some(code));
+        }
+        assert_eq!(ErrorCode::parse("Parse"), None);
+        assert_eq!(ErrorCode::parse(""), None);
+    }
+
+    #[test]
+    fn wire_verdicts_carry_no_wall_clock_data() {
+        let fast = daenerys_idf::VerifyStats {
+            wall_nanos: 1,
+            ..Default::default()
+        };
+        let slow = daenerys_idf::VerifyStats {
+            wall_nanos: 9_000_000,
+            ..fast.clone()
+        };
+        let a = WireVerdict::from_verdict(&Verdict::Verified(fast));
+        assert_eq!(a, WireVerdict::from_verdict(&Verdict::Verified(slow)));
+        assert_eq!((a.kind.as_str(), a.detail.as_str()), ("verified", ""));
+        let crashed = WireVerdict::from_verdict(&Verdict::CrashedInternal {
+            message: "boom".to_string(),
+        });
+        assert_eq!(
+            (crashed.kind.as_str(), crashed.detail.as_str()),
+            ("crashed", "boom")
+        );
+    }
 }

@@ -236,4 +236,52 @@ mod tests {
         assert!(result.truncated);
         assert!(result.terminals.is_empty());
     }
+
+    fn counter(threads: usize) -> Expr {
+        let mut src = String::from("let c = ref 0 in ");
+        for _ in 1..threads {
+            src.push_str("fork (faa(c, 1)); ");
+        }
+        src.push_str("faa(c, 1); !c");
+        crate::parse(&src).unwrap()
+    }
+
+    /// The `tables --f3` workload: the state and terminal counts are
+    /// what its states/ms column divides by.
+    #[test]
+    fn f3_counter_explorations_visit_6_17_58_states() {
+        for (threads, states, terminals) in [(1, 6, 1), (2, 17, 3), (3, 58, 12)] {
+            let result = explore(Machine::new(counter(threads)), 1024);
+            assert!(!result.truncated);
+            assert_eq!(
+                (result.states_visited, result.terminals.len()),
+                (states, terminals),
+                "{} thread(s)",
+                threads
+            );
+            let want = Val::int(threads as i64);
+            for t in &result.terminals {
+                assert_eq!(t.heap.get(crate::Loc(0)), Some(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn random_schedules_end_in_explored_terminals() {
+        let prog = counter(3);
+        let explored = explore(Machine::new(prog.clone()), 1024);
+        for seed in 0..16 {
+            let m = run_under(
+                Machine::new(prog.clone()),
+                &mut RandomScheduler::new(seed),
+                10_000,
+            )
+            .expect("terminates");
+            assert!(
+                explored.terminals.contains(&m),
+                "seed {} reached an unexplored terminal",
+                seed
+            );
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! The one way into the verifier and its store.
 //!
 //! Every front end — the `daenerys` CLI and its watch mode, the
-//! `daenerysd` daemon, the `tables`/`store_replay` harnesses and the
+//! `daenerysd` daemon, the `tables` harness, the edit-replay tests and the
 //! benchmark — verifies through a [`SessionHost`]. The host is the
 //! warm core: the base [`VerifierConfig`] and, when
 //! [`VerifierConfig::cache_dir`] is set, the persistent

@@ -142,22 +142,6 @@ impl Event {
         out.push_str("}}");
         out
     }
-
-    /// Renders the event as one human-readable line (no trailing
-    /// newline).
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "[{:>6}] {:>10} {:<10} {}",
-            self.seq,
-            self.ts,
-            self.kind.wire_name(),
-            self.name
-        );
-        for (k, v) in &self.fields {
-            out.push_str(&format!(" {}={}", k, v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -199,10 +183,47 @@ mod tests {
     }
 
     #[test]
-    fn text_rendering_mentions_fields() {
-        let t = sample().to_text();
-        assert!(t.contains("exec:inc"));
-        assert!(t.contains("ok=true"));
-        assert!(t.contains("delta=-4"));
+    fn field_u64_reads_only_unsigned_fields() {
+        let e = sample();
+        assert_eq!(e.field_u64("duration_nanos"), Some(99));
+        assert_eq!(e.field_u64("delta"), None, "signed");
+        assert_eq!(e.field_u64("ok"), None, "boolean");
+        assert_eq!(e.field_u64("missing"), None);
+        assert_eq!(e.field("delta"), Some(&Value::Int(-4)));
+    }
+
+    #[test]
+    fn values_display_bare() {
+        assert_eq!(Value::UInt(7).to_string(), "7");
+        assert_eq!(Value::Int(-3).to_string(), "-3");
+        assert_eq!(Value::Bool(false).to_string(), "false");
+        assert_eq!(Value::Str("a \"b\"".to_string()).to_string(), "a \"b\"");
+    }
+
+    #[test]
+    fn every_kind_has_a_distinct_listed_wire_name() {
+        let kinds = [
+            EventKind::SpanStart,
+            EventKind::SpanEnd,
+            EventKind::Point,
+            EventKind::Gauge,
+        ];
+        let names: Vec<&str> = kinds.iter().map(|k| k.wire_name()).collect();
+        assert_eq!(names, EventKind::WIRE_NAMES);
+    }
+
+    #[test]
+    fn unsigned_fields_above_two_to_the_53_print_exactly() {
+        let e = Event {
+            fields: vec![("pc_hash".to_string(), Value::UInt(u64::MAX))],
+            ..sample()
+        };
+        let line = e.to_jsonl();
+        assert!(
+            line.contains("\"pc_hash\":18446744073709551615}"),
+            "{}",
+            line
+        );
+        crate::json::validate_event_line(&line).unwrap();
     }
 }

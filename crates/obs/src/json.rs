@@ -588,4 +588,53 @@ mod tests {
         )
         .unwrap();
     }
+
+    #[test]
+    fn accessors_answer_only_for_their_own_variant() {
+        let v = parse(r#"{"s":"x","n":2,"a":[null],"o":{}}"#).unwrap();
+        let o = v.as_obj().unwrap();
+        assert_eq!(o["s"].as_str(), Some("x"));
+        assert_eq!(o["n"].as_num(), Some(2.0));
+        assert_eq!(o["a"].as_arr(), Some(&[Json::Null][..]));
+        assert!(o["o"].as_obj().unwrap().is_empty());
+        assert_eq!(o["s"].as_num(), None);
+        assert_eq!(o["n"].as_str(), None);
+        assert!(o["a"].as_obj().is_none() && o["o"].as_arr().is_none());
+    }
+
+    #[test]
+    fn conversions_and_obj_build_the_expected_values() {
+        let v = Json::obj([
+            ("none", Option::<u64>::None.into()),
+            ("some", Some(3u64).into()),
+            ("len", 4usize.into()),
+            ("ratio", 0.5.into()),
+            ("flag", true.into()),
+            ("name", "a".into()),
+            ("name", String::from("b").into()),
+        ]);
+        assert_eq!(
+            v.render(),
+            r#"{"flag":true,"len":4,"name":"b","none":null,"ratio":0.5,"some":3}"#
+        );
+    }
+
+    #[test]
+    fn parse_errors_carry_the_byte_offset() {
+        let cases = [
+            (r#"{"a":}"#, 5, "unexpected byte '}'"),
+            ("[1, tru]", 4, "expected 'true'"),
+            ("", 0, "unexpected end of input"),
+            ("1 2", 2, "trailing garbage after JSON value"),
+            ("-", 1, "bad number '-'"),
+        ];
+        for (src, at, message) in cases {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.at, err.message.as_str()), (at, message), "{:?}", src);
+        }
+        assert_eq!(
+            parse("[1,]").unwrap_err().to_string(),
+            "at byte 3: unexpected byte ']'"
+        );
+    }
 }

@@ -61,3 +61,40 @@ impl Labels {
         Json::obj(self.iter().map(|(k, v)| (k, v.into())))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn with_replaces_a_value_and_keeps_keys_sorted() {
+        let l = Labels::none()
+            .with("tenant", "b")
+            .with("phase", "exec")
+            .with("tenant", "a");
+        assert_eq!(
+            l.iter().collect::<Vec<_>>(),
+            [("phase", "exec"), ("tenant", "a")]
+        );
+        assert_eq!(l.get("tenant"), Some("a"));
+        assert_eq!(l.get("backend"), None);
+        assert!(!l.is_empty() && Labels::none().is_empty());
+    }
+
+    #[test]
+    fn to_json_renders_a_sorted_object() {
+        let l = Labels::none().with("tenant", "acme").with("phase", "exec");
+        assert_eq!(l.to_json().render(), r#"{"phase":"exec","tenant":"acme"}"#);
+        assert_eq!(Labels::none().to_json().render(), "{}");
+    }
+
+    #[test]
+    fn label_sets_order_by_their_sorted_pairs() {
+        let a1 = Labels::none().with("a", "1");
+        let a2 = Labels::none().with("a", "2");
+        let b0 = Labels::none().with("b", "0");
+        assert!(Labels::none() < a1);
+        assert!(a1 < a2 && a2 < b0);
+        assert_eq!(a1.clone().with("b", "0"), b0.with("a", "1"));
+    }
+}

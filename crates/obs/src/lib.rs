@@ -5,8 +5,7 @@
 //! [`MetricsRegistry`] of counters and log₂ histograms keyed by name ×
 //! [`Labels`] (the trace layer records unlabeled cells, the daemon's
 //! telemetry plane tenant- and phase-stamped ones), pluggable
-//! [`Sink`]s (null, in-memory ring buffer, JSONL, human-readable
-//! text), and the workspace's one JSON writer, [`Json::render`] (see
+//! [`Sink`]s (in-memory ring buffer, JSONL), and the workspace's one JSON writer, [`Json::render`] (see
 //! [`json`]).
 //!
 //! ## Determinism contract
@@ -43,5 +42,5 @@ pub use json::{parse as parse_json, validate_event_line, Json, JsonError};
 pub use labels::Labels;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use render::{caret_line, fmt_count, fmt_nanos, gutter, ColorMode, Style, TextTable};
-pub use sink::{JsonlSink, MemorySink, NullSink, Sink, TextSink};
+pub use sink::{JsonlSink, MemorySink, Sink};
 pub use trace::{ClockKind, SpanToken, TraceCollector, TraceHandle};

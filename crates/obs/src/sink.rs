@@ -1,4 +1,4 @@
-//! Pluggable event sinks: null, in-memory ring buffer, JSONL, text.
+//! Pluggable event sinks: in-memory ring buffer and JSONL.
 
 use crate::event::Event;
 use std::collections::VecDeque;
@@ -25,17 +25,8 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything — the default production sink when tracing is
-/// off (the handle never even constructs events in that case).
-#[derive(Clone, Copy, Default, Debug)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn write(&self, _events: &[Event]) {}
-}
-
-/// An in-memory ring buffer of the most recent events — the test and
-/// `--profile` sink.
+/// An in-memory ring buffer of the most recent events — the test
+/// sink.
 #[derive(Debug)]
 pub struct MemorySink {
     capacity: usize,
@@ -131,39 +122,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Writes one human-readable line per event.
-pub struct TextSink {
-    inner: Mutex<Box<dyn Write + Send>>,
-}
-
-impl fmt::Debug for TextSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TextSink")
-    }
-}
-
-impl TextSink {
-    /// Wraps an arbitrary writer.
-    pub fn new(writer: Box<dyn Write + Send>) -> TextSink {
-        TextSink {
-            inner: Mutex::new(writer),
-        }
-    }
-}
-
-impl Sink for TextSink {
-    fn write(&self, events: &[Event]) {
-        let mut w = self.inner.lock().expect("text sink poisoned");
-        for e in events {
-            let _ = writeln!(w, "{}", e.to_text());
-        }
-    }
-
-    fn flush(&self) {
-        let _ = self.inner.lock().expect("text sink poisoned").flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,5 +169,26 @@ mod tests {
         for line in lines {
             crate::json::validate_event_line(line).unwrap();
         }
+    }
+
+    #[test]
+    fn memory_sink_capacity_is_at_least_one() {
+        let sink = MemorySink::new(0);
+        assert!(sink.is_empty());
+        sink.write(&[ev(0, "a"), ev(1, "b")]);
+        assert_eq!(sink.events(), [ev(1, "b")]);
+    }
+
+    #[test]
+    fn jsonl_sink_create_truncates_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("obs-jsonl-sink-{}.jsonl", std::process::id()));
+        std::fs::write(&path, "stale\nstale\nstale\n").unwrap();
+        let sink = JsonlSink::create(&path).unwrap();
+        sink.write(&[ev(0, "x")]);
+        sink.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, format!("{}\n", ev(0, "x").to_jsonl()));
+        std::fs::remove_file(&path).unwrap();
     }
 }

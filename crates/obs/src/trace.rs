@@ -483,4 +483,70 @@ mod tests {
         assert!(!dead.is_enabled());
         assert!(dead.context().is_empty());
     }
+
+    #[test]
+    fn counters_and_histograms_record_metrics_but_no_events() {
+        let handle = TraceHandle::new(Arc::new(MemorySink::new(4)), ClockKind::Logical);
+        let mut c = handle.collector();
+        c.counter("solver.conflict", 2);
+        c.counter("solver.conflict", 3);
+        c.histogram("query.fuel", 5);
+        let (events, metrics) = c.take();
+        assert!(events.is_empty());
+        assert_eq!(metrics.counter("solver.conflict", &Labels::none()), 5);
+        let h = metrics.histogram("query.fuel", &Labels::none()).unwrap();
+        assert_eq!((h.count, h.sum), (1, 5));
+
+        let (events, metrics) = c.take();
+        assert!(events.is_empty() && metrics.is_empty(), "take drains");
+    }
+
+    #[test]
+    fn monotonic_span_durations_fit_between_their_events() {
+        let handle = TraceHandle::new(Arc::new(MemorySink::new(4)), ClockKind::Monotonic);
+        let mut c = handle.collector();
+        let t = c.span_start("parse");
+        c.span_end(t);
+        let (events, _) = c.take();
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].seq, events[1].seq), (0, 1));
+        assert_eq!(events[1].name, "parse");
+        let duration = events[1].field_u64("duration_nanos").unwrap();
+        assert!(events[0].ts <= events[1].ts);
+        assert!(duration <= events[1].ts - events[0].ts);
+    }
+
+    #[test]
+    fn flush_reaches_the_sink_of_an_enabled_handle() {
+        #[derive(Default)]
+        struct Flushes(AtomicU64);
+        impl Sink for Flushes {
+            fn write(&self, _events: &[Event]) {}
+            fn flush(&self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let sink = Arc::new(Flushes::default());
+        let handle = TraceHandle::new(sink.clone(), ClockKind::Logical);
+        handle.flush();
+        handle
+            .with_context(vec![("k".to_string(), Value::UInt(1))])
+            .flush();
+        TraceHandle::disabled().flush();
+        assert_eq!(sink.0.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn debug_names_the_clock_and_the_context_size() {
+        let handle = TraceHandle::new(Arc::new(MemorySink::new(1)), ClockKind::Logical)
+            .with_context(vec![("tenant".to_string(), Value::Str("a".to_string()))]);
+        assert_eq!(
+            format!("{:?}", handle),
+            "TraceHandle(enabled, clock: Logical, context: 1 field(s))"
+        );
+        assert_eq!(
+            format!("{:?}", TraceHandle::disabled()),
+            "TraceHandle(disabled)"
+        );
+    }
 }

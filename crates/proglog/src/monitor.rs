@@ -454,4 +454,61 @@ mod tests {
         assert_eq!(subtract(&whole, &whole).unwrap(), Res::empty());
         assert!(subtract(&half, &whole).is_none());
     }
+
+    #[test]
+    fn monitoring_the_f3_loop_keeps_the_interpreters_result() {
+        // The 50-iteration loop that `tables --f3` times both ways.
+        let seq = parse(
+            "let l = ref 0 in (rec go n => if n <= 0 then !l else (l <- !l + n; go (n - 1))) 50",
+        )
+        .unwrap();
+        let (raw, heap) = daenerys_heaplang::run(seq.clone(), 100_000).unwrap();
+        let mut m = MonMachine::new(seq, Res::empty(), Heap::new());
+        m.run(100_000).unwrap();
+        assert_eq!(raw, Val::int(1275));
+        assert_eq!(m.main_result(), Some(&raw));
+        assert_eq!(m.heap, heap);
+        assert_eq!(m.main_own().value_at(Loc(0)), Some(&Val::int(1275)));
+    }
+
+    #[test]
+    fn running_out_of_fuel_is_stuck() {
+        let spin = parse("(rec f x => f x) 0").unwrap();
+        let mut m = MonMachine::new(spin, Res::empty(), Heap::new());
+        assert_eq!(m.run(10), Err(Violation::Stuck("out of fuel".into())));
+        assert!(m.main_result().is_none());
+    }
+
+    #[test]
+    fn runtime_errors_are_stuck_not_permission_violations() {
+        let bad = parse("1 + true").unwrap();
+        let mut m = MonMachine::new(bad, Res::empty(), Heap::new());
+        assert!(matches!(m.run(10), Err(Violation::Stuck(_))));
+    }
+
+    #[test]
+    fn violations_name_the_location() {
+        assert_eq!(
+            Violation::UnreadableLoad(Loc(3)).to_string(),
+            format!("load of {} without permission", Loc(3))
+        );
+        assert_eq!(
+            Violation::UnwritableStore(Loc(0)).to_string(),
+            format!("write to {} without full permission", Loc(0))
+        );
+        assert_eq!(
+            Violation::Stuck("out of fuel".into()).to_string(),
+            "stuck: out of fuel"
+        );
+    }
+
+    #[test]
+    fn subtract_needs_the_same_value_and_location() {
+        let one = full(0, 1);
+        assert!(subtract(&one, &full(0, 2)).is_none(), "values disagree");
+        assert!(subtract(&one, &full(1, 1)).is_none(), "location not owned");
+        assert_eq!(subtract(&one, &Res::empty()), Some(one.clone()));
+        let two_cells = one.op(&full(1, 5));
+        assert_eq!(subtract(&two_cells, &full(1, 5)), Some(one));
+    }
 }

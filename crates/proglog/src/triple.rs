@@ -99,4 +99,21 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("emp") && s.contains("v"));
     }
+
+    #[test]
+    fn proofs_display_their_triple_and_rule_count() {
+        let post = Assert::eq(Term::var("v"), Term::int(1));
+        let value = crate::rules::wp_value(daenerys_heaplang::Val::int(1), "v", post.clone());
+        assert_eq!(value.rule(), "wp-value");
+        assert_eq!(value.steps(), 1);
+        assert_eq!(value.triple().post, post);
+        assert_eq!(
+            value.to_string(),
+            format!("{}   [1 rule(s)]", value.triple())
+        );
+
+        let framed = crate::rules::wp_frame(&value, Assert::Emp).unwrap();
+        assert_eq!((framed.rule(), framed.steps()), ("wp-frame", 2));
+        assert!(framed.to_string().ends_with("   [2 rule(s)]"));
+    }
 }

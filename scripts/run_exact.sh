@@ -7,9 +7,8 @@
 # Usage: scripts/run_exact.sh N <cargo test args...>
 #   e.g. scripts/run_exact.sh 1 -p daenerys-idf --lib smt::tests::NAME
 #
-# The name is matched with `--exact`. A plain `#[test]` runs once
-# (N = 1). The vendored `proptest!` macro registers each property test
-# twice, under one name, so a property test runs as N = 2.
+# The name is matched with `--exact`, so a test, property tests
+# included, runs once (N = 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
