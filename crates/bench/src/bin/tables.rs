@@ -24,7 +24,7 @@
 //!   that report into a hard assertion (exit 1 on mismatch) for CI.
 //! * `store dump <dir>` (subcommand) prints the verdict store under
 //!   `<dir>` as JSON, one object per live entry (a one-way export; the
-//!   store itself is only ever read and written as `DAES1` shards).
+//!   store itself is only ever read and written as its `DAES1` file).
 //! * `--timeout-ms N` sets a per-method wall-clock deadline and
 //!   `--fuel N` a per-method solver-fuel budget (conflicts +
 //!   propagations); a method that blows its budget degrades to

@@ -7,9 +7,7 @@
 
 pub mod corpus;
 
-use daenerys_idf::{
-    parse_program, parse_program_traced, Backend, SessionHost, Verdict, VerifierConfig, VerifyStats,
-};
+use daenerys_idf::{parse_program, Backend, SessionHost, Verdict, VerifierConfig, VerifyStats};
 use daenerys_obs::{Event, EventKind};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -70,14 +68,17 @@ impl BackendRun {
 pub fn run_backend_with(src: &str, backend: Backend, config: VerifierConfig) -> BackendRun {
     let program = if config.trace.is_enabled() {
         let mut collector = config.trace.collector();
-        let program = parse_program_traced(src, &mut collector).expect("harness program parses");
+        let span = collector.span_start("parse");
+        let program = parse_program(src);
+        collector.span_end(span);
         let (events, metrics) = collector.take();
         config.trace.emit(events);
         config.trace.merge_metrics(&metrics);
         program
     } else {
-        parse_program(src).expect("harness program parses")
-    };
+        parse_program(src)
+    }
+    .expect("harness program parses");
     // The harness is a Session client like every other front end (the
     // CLI, the daemon): the host owns the warm store when the config
     // has a `cache_dir`, and the timed region covers store open +

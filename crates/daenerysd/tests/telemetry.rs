@@ -374,7 +374,7 @@ fn trace_tail_streams_validatable_jsonl() {
 }
 
 /// Store damage found when the daemon opens its store reaches the
-/// `metrics` scrape: a shard whose last record was torn mid-append
+/// `metrics` scrape: a store file whose last record was torn mid-append
 /// reports `store.truncated_tail` = 1 with empty labels.
 #[test]
 fn torn_store_tail_is_reported_in_the_metrics_scrape() {
@@ -387,15 +387,9 @@ fn torn_store_tail_is_reported_in_the_metrics_scrape() {
     let host = daenerys_idf::SessionHost::new(daenerys_idf::Backend::Destabilized, base.clone());
     assert!(host.session().verify_source(GOOD).unwrap().verdicts["set"].is_verified());
     drop(host);
-    let mut torn = 0;
-    for i in 0..daenerys_idf::VerdictStore::SHARD_COUNT {
-        let path = dir.join(daenerys_idf::VerdictStore::shard_file_name(i));
-        if let Ok(bytes) = std::fs::read(&path) {
-            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-            torn += 1;
-        }
-    }
-    assert_eq!(torn, 2, "one verdict and one graph node, two shards");
+    let path = dir.join(daenerys_idf::VerdictStore::FILE_NAME);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
     let (addr, flag, handle) = start(ServerConfig {
         base,
@@ -418,7 +412,7 @@ fn torn_store_tail_is_reported_in_the_metrics_scrape() {
             .map(|c| num(c, "value"))
     };
     assert_eq!(unlabeled("store.truncated_tail"), Some(1.0));
-    assert_eq!(unlabeled("store.corrupt_lines"), Some(2.0));
+    assert_eq!(unlabeled("store.corrupt_lines"), Some(1.0));
     stop(&flag, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

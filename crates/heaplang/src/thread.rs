@@ -100,7 +100,7 @@ impl Machine {
         if self.status[i] != ThreadStatus::Running {
             return None;
         }
-        match step(&self.threads[i].clone(), &mut self.heap) {
+        match step(&self.threads[i], &mut self.heap) {
             Ok(out) => {
                 self.threads[i] = out.expr;
                 self.status[i] = status_of(&self.threads[i]);

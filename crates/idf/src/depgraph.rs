@@ -26,7 +26,7 @@
 //!
 //! This module holds only the in-memory graph. The verdict store
 //! ([`crate::store`]) persists it, one `DAES1` node record per method
-//! in the same shard files as the verdicts.
+//! in the same file as the verdicts.
 
 use crate::ast::Program;
 use crate::fingerprint::{direct_callees, interface_fingerprint, Fingerprint};

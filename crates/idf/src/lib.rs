@@ -52,7 +52,7 @@ pub use fingerprint::{
     normalized_interface, Fingerprint,
 };
 pub use parser::{
-    parse_assertion, parse_program, parse_program_traced, parse_program_with_recovery,
+    parse_assertion, parse_program, parse_program_with_recovery,
     parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS,
 };
 pub use session::{Session, SessionError, SessionHost, VerifyOutcome, VerifyRequest};

@@ -107,23 +107,6 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     parse_program_with_recovery(src).map_err(|mut errs| errs.remove(0))
 }
 
-/// [`parse_program`] wrapped in a `parse` span on `collector` — the
-/// traced entry point the bench/pipeline layers use for phase
-/// attribution.
-///
-/// # Errors
-///
-/// Same as [`parse_program`].
-pub fn parse_program_traced(
-    src: &str,
-    collector: &mut daenerys_obs::TraceCollector,
-) -> Result<Program, ParseError> {
-    let span = collector.span_start("parse");
-    let out = parse_program(src);
-    collector.span_end(span);
-    out
-}
-
 /// Parses a full IDF program with error recovery: on a syntax error
 /// (including one inside a method body) the parser records a
 /// diagnostic, skips to the next top-level `field`/`method`

@@ -445,11 +445,9 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
 
     #[test]
     fn failed_store_writes_are_counted_not_fatal() {
-        // Every shard path is a directory: the pass's commit fails.
+        // The store file's path is a directory: the pass's commit fails.
         let dir = temp_dir("write-errors");
-        for i in 0..VerdictStore::SHARD_COUNT {
-            std::fs::create_dir_all(dir.join(VerdictStore::shard_file_name(i))).unwrap();
-        }
+        std::fs::create_dir_all(dir.join(VerdictStore::FILE_NAME)).unwrap();
         let write_errors = |dir: &std::path::Path| {
             let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 10));
             let trace = daenerys_obs::TraceHandle::new(sink, daenerys_obs::ClockKind::Logical);

@@ -7,50 +7,47 @@
 //! `Unknown` or `CrashedInternal`: an indefinite answer must be
 //! retried on the next run, not replayed from disk.
 //!
-//! The on-disk encoding is **`DAES1`**: 16 shard files
-//! (`verdicts-0.daes` … `verdicts-f.daes`), selected by the top nibble
-//! of the method key's name fingerprint — the shard must be stable
-//! under *verdict* fingerprint churn or last-wins replay would split
-//! one method's history across files. Each shard is a checksummed
-//! fixed-layout header followed by length-prefixed records with
-//! fixed-width little-endian integer fields and a per-record checksum;
-//! loading streams the file once, skips corrupt records with a count,
-//! and treats a cut-off tail (crash mid-append) as truncation, never
-//! poison. Saving rewrites every shard compacted (tombstones and
-//! superseded records dropped) through temp-file renames. Any other
-//! file in the directory (such as the verdict or dependency-graph
-//! `.jsonl` files left by the retired line-JSON encodings) is ignored
-//! and never touched: its methods simply re-verify.
+//! The on-disk encoding is **`DAES1`**: one append-only file,
+//! [`VerdictStore::FILE_NAME`] in the cache directory. It is a
+//! checksummed fixed-layout header followed by length-prefixed records
+//! with fixed-width little-endian integer fields and a per-record
+//! checksum; loading streams the file once, skips corrupt records with
+//! a count, and treats a cut-off tail (crash mid-append) as truncation,
+//! never poison. Saving rewrites the file compacted (tombstones and
+//! superseded records dropped) through a temp-file rename. Any other
+//! file in the directory (such as the `verdicts-*.daes` shards or the
+//! verdict and dependency-graph `.jsonl` files left by retired
+//! encodings) is ignored and never touched: its methods simply
+//! re-verify.
 //! [`VerdictStore::dump`] is the one-way export, one JSON object per
 //! live entry.
 //!
 //! [`crate::session::SessionHost`] is the one owner of an open store,
 //! and [`VerdictStore::commit`] is its one write path: each
 //! verification pass commits its verdicts and its dependency-graph
-//! nodes once, as at most one verdict append and one node append per
-//! touched shard, and [`VerdictStore::save`] is the graceful-shutdown
-//! compaction. The store is a cache of facts that can be recomputed,
-//! so the contract is **process-crash safe, not power-loss safe**: a
-//! killed process loses at most the pass in flight (its methods
-//! re-verify on the next pass), and nothing is ever fsynced — an
-//! append is done once it reaches the page cache. Appends accumulate
-//! *dead weight* — superseded records and evict tombstones that replay
-//! discards. The store tracks that debt (including debt inherited from
-//! disk at open) and compacts once it exceeds the live records
-//! (verdicts plus graph nodes), so a long-lived daemon's store files
-//! stop growing without bound between explicit saves. A shard whose
-//! scan at open did not end clean (damaged header, rotten record, torn
-//! tail) is never appended to: the first commit that touches it
-//! rewrites it from memory, so the damage heals instead of swallowing
-//! every later append.
+//! nodes once, as at most one verdict append and one node append, and
+//! [`VerdictStore::save`] is the graceful-shutdown compaction. The
+//! store is a cache of facts that can be recomputed, so the contract is
+//! **process-crash safe, not power-loss safe**: a killed process loses
+//! at most the pass in flight (its methods re-verify on the next pass),
+//! and nothing is ever fsynced — an append is done once it reaches the
+//! page cache. Appends accumulate *dead weight* — superseded records
+//! and evict tombstones that replay discards. The store tracks that
+//! debt (including debt inherited from disk at open) and compacts once
+//! it exceeds the live records (verdicts plus graph nodes), so a
+//! long-lived daemon's store file stops growing without bound between
+//! explicit saves. A file whose scan at open did not end clean (damaged
+//! header, rotten record, torn tail), or whose last append failed, is
+//! never appended to: the next commit rewrites it from memory, so the
+//! damage heals instead of swallowing every later append.
 //!
-//! The same shards carry the method → callee-spec dependency graph
+//! The same file carries the method → callee-spec dependency graph
 //! ([`crate::depgraph::DepGraph`]) used for transitive spec-dirtiness:
-//! one node record per method, routed by the method name, replayed
-//! last-wins and never tombstoned (the graph never forgets a node). A
-//! commit writes node records only after every verdict record of the
-//! pass has landed, so a failed or killed commit leaves the previous
-//! interfaces on disk and can only widen the next pass's cone.
+//! one node record per method, replayed last-wins and never tombstoned
+//! (the graph never forgets a node). A commit writes node records only
+//! after every verdict record of the pass has landed, so a failed or
+//! killed commit leaves the previous interfaces on disk and can only
+//! widen the next pass's cone.
 
 use crate::depgraph::{DepGraph, DepNode};
 use crate::diag::FailureReport;
@@ -60,7 +57,7 @@ use crate::smt::Answer;
 use daenerys_obs::Json;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -98,11 +95,11 @@ pub struct VerdictStore {
     /// The persisted dependency graph, loaded from the node records
     /// (see [`crate::depgraph`]).
     graph: DepGraph,
-    /// Shards whose scan at open did not end clean. An append there
-    /// would land after the damage, where the next open drops it, so
-    /// the first [`VerdictStore::commit`] that touches such a shard
-    /// rewrites it whole.
-    damaged: [bool; VerdictStore::SHARD_COUNT],
+    /// True when the file's scan at open did not end clean or an
+    /// append to it failed. An append there would land after the
+    /// damage, where the next open drops it, so the next
+    /// [`VerdictStore::commit`] that writes rewrites the file whole.
+    damaged: bool,
 }
 
 /// Minimum dead-weight before auto-compaction triggers, so tiny stores
@@ -110,45 +107,27 @@ pub struct VerdictStore {
 const COMPACT_MIN_DEAD: usize = 64;
 
 impl VerdictStore {
-    /// Number of `DAES1` shard files.
-    pub const SHARD_COUNT: usize = 16;
+    /// The `DAES1` store file's name in the cache directory.
+    pub const FILE_NAME: &'static str = "verdicts.daes";
 
-    /// The `DAES1` shard file name for shard index `i` (`0..16`).
-    pub fn shard_file_name(i: usize) -> String {
-        format!("verdicts-{:x}.daes", i)
-    }
-
-    /// Opens (or initializes) the store under `dir`. Missing shards
+    /// Opens (or initializes) the store under `dir`. A missing file
     /// and unreadable/corrupt records load as absent entries — a
     /// damaged store costs re-verification, never a wrong verdict.
     pub fn open(dir: &Path) -> VerdictStore {
+        let mut replay = Replay::default();
+        let (corrupt_lines, truncated_tail) = match fs::read(dir.join(Self::FILE_NAME)) {
+            Ok(bytes) => decode(&bytes, &mut replay),
+            Err(_) => (0, false),
+        };
         let mut store = VerdictStore {
             dir: dir.to_path_buf(),
-            entries: BTreeMap::new(),
-            corrupt_lines: 0,
-            truncated_tail: false,
+            entries: replay.entries,
+            corrupt_lines,
+            truncated_tail,
             dead_records: 0,
-            graph: DepGraph::new(),
-            damaged: [false; Self::SHARD_COUNT],
+            graph: DepGraph::from_nodes(replay.nodes),
+            damaged: corrupt_lines > 0,
         };
-        let mut replay = Replay::default();
-        for shard in 0..Self::SHARD_COUNT {
-            let path = dir.join(Self::shard_file_name(shard));
-            let Ok(bytes) = fs::read(&path) else {
-                continue;
-            };
-            match decode_shard(&bytes, shard, &mut replay) {
-                ShardEnd::Clean => continue,
-                ShardEnd::Corrupt(n) => store.corrupt_lines += n,
-                ShardEnd::Truncated(n) => {
-                    store.corrupt_lines += n;
-                    store.truncated_tail = true;
-                }
-            }
-            store.damaged[shard] = true;
-        }
-        store.entries = replay.entries;
-        store.graph = DepGraph::from_nodes(replay.nodes);
         store.dead_records = replay.records.saturating_sub(store.live());
         store
     }
@@ -163,7 +142,7 @@ impl VerdictStore {
         self.corrupt_lines
     }
 
-    /// True when a shard ended in a record cut off mid-write (crash
+    /// True when the file ended in a record cut off mid-write (crash
     /// mid-append) that was skipped on load.
     pub fn truncated_tail(&self) -> bool {
         self.truncated_tail
@@ -208,24 +187,23 @@ impl VerdictStore {
     /// `Failed`) replace the key's entry; `Unknown` and
     /// `CrashedInternal` *remove* it (its fingerprint can no longer be
     /// trusted to describe the outcome). Their put and evict-tombstone
-    /// frames then go out as one append per touched shard. Only after
-    /// every verdict frame has landed is `graph` absorbed (see
-    /// [`DepGraph::absorb`]) and a node frame appended for each node
-    /// it changed, again one append per touched shard, so a failed or
-    /// killed commit leaves the previous interfaces on disk and can
-    /// only widen the next pass's cone.
+    /// frames then go out as one append. Only after every verdict frame
+    /// has landed is `graph` absorbed (see [`DepGraph::absorb`]) and a
+    /// node frame appended for each node it changed, as one more
+    /// append, so a failed or killed commit leaves the previous
+    /// interfaces on disk and can only widen the next pass's cone.
     ///
-    /// Each of the two writes heals a touched shard that was damaged
-    /// at open by rewriting it from memory instead of appending after
-    /// the damage, and compacts the whole store ([`VerdictStore::save`])
-    /// instead when the dead weight has outgrown the live records, so
-    /// a commit compacts at most once. A commit with no verdicts and no
-    /// changed node writes nothing.
+    /// Each of the two writes rewrites the whole file from memory
+    /// ([`VerdictStore::save`]) instead of appending when the file is
+    /// damaged (at open, or by a failed append) or when the dead weight
+    /// has outgrown the live records, so a commit rewrites at most
+    /// once. A commit with no verdicts and no changed node writes
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Propagates the first I/O error from creating the directory or
-    /// writing a shard. The in-memory verdicts are updated regardless;
+    /// writing the file. The in-memory verdicts are updated regardless;
     /// when a verdict write fails the graph is left unabsorbed, in
     /// memory as on disk. What did not land re-verifies on a later
     /// pass, and [`VerdictStore::save`] writes out what memory holds.
@@ -234,7 +212,7 @@ impl VerdictStore {
         verdicts: impl IntoIterator<Item = (&'v str, Fingerprint, &'v Verdict)>,
         graph: &DepGraph,
     ) -> io::Result<()> {
-        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
+        let mut frames = Vec::new();
         for (key, fingerprint, verdict) in verdicts {
             let frame = if matches!(verdict, Verdict::Verified(_) | Verdict::Failed { .. }) {
                 let stored = StoredVerdict {
@@ -253,7 +231,7 @@ impl VerdictStore {
                 self.dead_records += 1 + usize::from(self.entries.remove(key).is_some());
                 encode_frame(RECORD_TOMBSTONE, &encode_tombstone_payload(key))
             };
-            frames[shard_of(key)].extend(frame);
+            frames.extend(frame);
         }
         self.write(&frames)?;
 
@@ -261,35 +239,26 @@ impl VerdictStore {
         let changed = self.graph.absorb(graph);
         // Every changed node that was already known buries its record.
         self.dead_records += changed.len() - (self.graph.len() - known);
-        let mut frames = vec![Vec::new(); Self::SHARD_COUNT];
+        let mut frames = Vec::new();
         for name in &changed {
             let node = self.graph.node(name).expect("absorbed nodes stay");
-            frames[shard_of(name)]
-                .extend(encode_frame(RECORD_NODE, &encode_dep_payload(name, node)));
+            frames.extend(encode_frame(RECORD_NODE, &encode_dep_payload(name, node)));
         }
         self.write(&frames)
     }
 
-    /// Writes `frames[i]` to shard `i` for every non-empty entry: one
-    /// append, or a rewrite from memory when the shard was damaged at
-    /// open. When the dead weight has outgrown the live records the
-    /// whole store is compacted from memory instead.
-    fn write(&mut self, frames: &[Vec<u8>]) -> io::Result<()> {
-        if frames.iter().all(Vec::is_empty) {
+    /// Appends `frames` to the file, or, when it is damaged or the dead
+    /// weight has outgrown the live records, rewrites it from memory.
+    fn write(&mut self, frames: &[u8]) -> io::Result<()> {
+        if frames.is_empty() {
             return Ok(());
         }
-        if self.over_debt() {
+        if self.damaged || self.over_debt() {
             return self.save();
         }
         fs::create_dir_all(&self.dir)?;
-        for (shard, frames) in frames.iter().enumerate().filter(|(_, f)| !f.is_empty()) {
-            if self.damaged[shard] {
-                self.heal_shard(shard)?;
-            } else {
-                append(&self.shard_path(shard), frames, &shard_header(shard))?;
-            }
-        }
-        Ok(())
+        // A failed append may leave a torn frame at the end of the file.
+        append(&self.dir.join(Self::FILE_NAME), frames).inspect_err(|_| self.damaged = true)
     }
 
     /// Live records: stored verdicts plus graph nodes.
@@ -304,67 +273,31 @@ impl VerdictStore {
 
     /// Writes the store back to disk, compacted (one record per live
     /// method and one per graph node, tombstones and superseded records
-    /// dropped), atomically via temp-file renames.
+    /// dropped), atomically via a temp-file rename. The frames stream
+    /// to the temp file, so the rewrite never holds the whole file in
+    /// memory.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from creating the directory or writing
-    /// the files.
+    /// the file.
     pub fn save(&mut self) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
-        // Every shard is rewritten — including empties — so a
-        // compaction truncates stale data instead of leaving orphaned
-        // records in shards the surviving entries no longer map to.
-        let mut verdicts = vec![Vec::new(); Self::SHARD_COUNT];
-        for entry in &self.entries {
-            verdicts[shard_of(entry.0)].push(entry);
+        let path = self.dir.join(Self::FILE_NAME);
+        let tmp = path.with_extension("daes.tmp");
+        let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
+        out.write_all(&header())?;
+        for (name, stored) in &self.entries {
+            out.write_all(&encode_frame(RECORD_PUT, &encode_put_payload(name, stored)))?;
         }
-        let mut nodes = vec![Vec::new(); Self::SHARD_COUNT];
-        for node in self.graph.nodes() {
-            nodes[shard_of(node.0)].push(node);
+        for (name, node) in self.graph.nodes() {
+            out.write_all(&encode_frame(RECORD_NODE, &encode_dep_payload(name, node)))?;
         }
-        for (i, (verdicts, nodes)) in verdicts.into_iter().zip(nodes).enumerate() {
-            self.write_shard(i, verdicts, nodes)?;
-        }
-        self.damaged = [false; Self::SHARD_COUNT];
+        out.into_inner()?;
+        fs::rename(&tmp, &path)?;
+        self.damaged = false;
         self.dead_records = 0;
         Ok(())
-    }
-
-    /// Rewrites shard `i`, damaged at open, from memory: its verdicts
-    /// and its graph nodes.
-    fn heal_shard(&mut self, i: usize) -> io::Result<()> {
-        let verdicts = self.entries.iter().filter(|(k, _)| shard_of(k) == i);
-        let nodes = self.graph.nodes().filter(|(name, _)| shard_of(name) == i);
-        self.write_shard(i, verdicts, nodes)?;
-        self.damaged[i] = false;
-        Ok(())
-    }
-
-    /// Rewrites shard `i` to hold exactly one put record per verdict
-    /// and one node record per graph node, atomically through a
-    /// temp-file rename.
-    fn write_shard<'e>(
-        &self,
-        i: usize,
-        verdicts: impl IntoIterator<Item = (&'e String, &'e StoredVerdict)>,
-        nodes: impl IntoIterator<Item = (&'e String, &'e DepNode)>,
-    ) -> io::Result<()> {
-        let mut bytes = shard_header(i).to_vec();
-        for (name, stored) in verdicts {
-            bytes.extend_from_slice(&encode_frame(RECORD_PUT, &encode_put_payload(name, stored)));
-        }
-        for (name, node) in nodes {
-            bytes.extend_from_slice(&encode_frame(RECORD_NODE, &encode_dep_payload(name, node)));
-        }
-        let path = self.shard_path(i);
-        let tmp = path.with_extension("daes.tmp");
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)
-    }
-
-    fn shard_path(&self, i: usize) -> PathBuf {
-        self.dir.join(Self::shard_file_name(i))
     }
 
     /// The live entries as JSON text, one object per entry in key
@@ -437,30 +370,29 @@ fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
     Json::obj(fields)
 }
 
-/// Appends `frames` to `path` in one write; `header` (the `DAES1`
-/// shard preamble) goes first when the file is new or empty. The
-/// write reaches the page cache, not the disk: no fsync.
-fn append(path: &Path, frames: &[u8], header: &[u8]) -> io::Result<()> {
+/// Appends `frames` to `path` in one write; the `DAES1` header goes
+/// first when the file is new or empty. The write reaches the page
+/// cache, not the disk: no fsync.
+fn append(path: &Path, frames: &[u8]) -> io::Result<()> {
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
     if file.metadata()?.len() == 0 {
-        let mut bytes = header.to_vec();
+        let mut bytes = header().to_vec();
         bytes.extend_from_slice(frames);
-        return io::Write::write_all(&mut file, &bytes);
+        return file.write_all(&bytes);
     }
-    io::Write::write_all(&mut file, frames)
+    file.write_all(frames)
 }
 
 // ---------------------------------------------------------------------
 // DAES1 binary codec.
 //
-// Shard header (24 bytes):
+// File header (24 bytes):
 //   0..6   magic  "DAES1\0"
 //   6..8   version u16 LE (currently 1)
-//   8..12  shard index u32 LE
-//   12..16 reserved u32 LE (0)
+//   8..16  reserved (0)
 //   16..24 FNV-1a-64 checksum of bytes 0..16, u64 LE
 //
 // Record frame (16 bytes + payload):
@@ -482,7 +414,7 @@ fn append(path: &Path, frames: &[u8], header: &[u8]) -> io::Result<()> {
 
 const DAES_MAGIC: &[u8; 6] = b"DAES1\0";
 const DAES_VERSION: u16 = 1;
-const SHARD_HEADER_LEN: usize = 24;
+const HEADER_LEN: usize = 24;
 const FRAME_HEADER_LEN: usize = 16;
 const RECORD_PUT: u8 = 1;
 const RECORD_TOMBSTONE: u8 = 2;
@@ -498,20 +430,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The shard a key routes to: the top nibble of the key's *name*
-/// fingerprint. Sharding by the verdict fingerprint would scatter one
-/// method's history (and its tombstones) across files as its
-/// fingerprint churns, breaking last-wins replay.
-fn shard_of(key: &str) -> usize {
-    (fnv64(key.as_bytes()) >> 60) as usize
-}
-
-fn shard_header(shard: usize) -> [u8; SHARD_HEADER_LEN] {
-    let mut h = [0u8; SHARD_HEADER_LEN];
+fn header() -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
     h[..6].copy_from_slice(DAES_MAGIC);
     h[6..8].copy_from_slice(&DAES_VERSION.to_le_bytes());
-    h[8..12].copy_from_slice(&(shard as u32).to_le_bytes());
-    // 12..16 reserved, already zero.
+    // 8..16 reserved, already zero.
     let sum = fnv64(&h[..16]);
     h[16..24].copy_from_slice(&sum.to_le_bytes());
     h
@@ -751,16 +674,7 @@ fn decode_put_payload(payload: &[u8]) -> Option<(String, StoredVerdict)> {
     ))
 }
 
-/// How a shard scan ended: cleanly, with `n` corrupt records skipped
-/// mid-file, or with a truncated tail (`n` includes the cut-off
-/// record).
-enum ShardEnd {
-    Clean,
-    Corrupt(usize),
-    Truncated(usize),
-}
-
-/// What replaying the shards has built so far.
+/// What replaying the file has built.
 #[derive(Default)]
 struct Replay {
     entries: BTreeMap<String, StoredVerdict>,
@@ -769,22 +683,21 @@ struct Replay {
     records: usize,
 }
 
-fn decode_shard(bytes: &[u8], shard: usize, replay: &mut Replay) -> ShardEnd {
-    if bytes.len() < SHARD_HEADER_LEN || bytes[..SHARD_HEADER_LEN] != shard_header(shard) {
-        // A shard whose very header is damaged (or belongs to another
-        // index) contributes nothing: one counted skip for the file.
-        return if bytes.is_empty() {
-            ShardEnd::Clean
-        } else {
-            ShardEnd::Corrupt(1)
-        };
+/// Replays the records of `bytes` into `replay`, returning the
+/// corrupt records skipped and whether the scan ended in a truncated
+/// tail (crash mid-append; the cut-off record counts as corrupt).
+fn decode(bytes: &[u8], replay: &mut Replay) -> (usize, bool) {
+    if bytes.len() < HEADER_LEN || bytes[..HEADER_LEN] != header() {
+        // A file whose very header is damaged contributes nothing: one
+        // counted skip for the file.
+        return (usize::from(!bytes.is_empty()), false);
     }
     let mut corrupt = 0usize;
-    let mut pos = SHARD_HEADER_LEN;
+    let mut pos = HEADER_LEN;
     while pos < bytes.len() {
         if bytes.len() - pos < FRAME_HEADER_LEN {
             // A frame header cut off mid-write.
-            return ShardEnd::Truncated(corrupt + 1);
+            return (corrupt + 1, true);
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let kind = bytes[pos + 4];
@@ -794,7 +707,7 @@ fn decode_shard(bytes: &[u8], shard: usize, replay: &mut Replay) -> ShardEnd {
             // The frame declares more payload than the file holds: the
             // classic crash-mid-append tail. Nothing after it can be
             // re-framed, so the scan stops here.
-            return ShardEnd::Truncated(corrupt + 1);
+            return (corrupt + 1, true);
         }
         let payload = &bytes[start..start + len];
         pos = start + len;
@@ -821,11 +734,7 @@ fn decode_shard(bytes: &[u8], shard: usize, replay: &mut Replay) -> ShardEnd {
             None => corrupt += 1,
         }
     }
-    if corrupt == 0 {
-        ShardEnd::Clean
-    } else {
-        ShardEnd::Corrupt(corrupt)
-    }
+    (corrupt, false)
 }
 
 // ---------------------------------------------------------------------
@@ -1043,32 +952,23 @@ mod tests {
             &[("keep", fp(7), verified()), ("bad", fp(2), sample_failed())],
         );
         drop(store);
-        // Flip one byte inside the *last* record's payload of each
-        // non-empty shard file: framing stays intact, the checksum
-        // catches the rot, and only that record is lost.
-        let mut flipped = 0;
-        for i in 0..VerdictStore::SHARD_COUNT {
-            let path = dir.join(VerdictStore::shard_file_name(i));
-            let Ok(mut bytes) = fs::read(&path) else {
-                continue;
-            };
-            if bytes.len() > SHARD_HEADER_LEN + FRAME_HEADER_LEN {
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0xff;
-                fs::write(&path, bytes).unwrap();
-                flipped += 1;
-            }
-        }
-        assert!(flipped >= 1, "at least one shard held a record");
+        // Flip one byte inside the *last* record's payload: framing
+        // stays intact, the checksum catches the rot, and only that
+        // record is lost.
+        let path = dir.join(VerdictStore::FILE_NAME);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        fs::write(&path, bytes).unwrap();
         let reloaded = VerdictStore::open(&dir);
-        assert_eq!(reloaded.corrupt_lines(), flipped);
+        assert_eq!(reloaded.corrupt_lines(), 1);
         assert!(
             !reloaded.truncated_tail(),
             "mid-record rot is corruption, not truncation"
         );
         assert!(
-            reloaded.len() < 2,
-            "each flipped shard lost exactly its damaged record"
+            reloaded.lookup("keep", fp(7)).is_some() && reloaded.len() == 1,
+            "the file lost exactly its damaged record"
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1079,8 +979,7 @@ mod tests {
         let mut store = VerdictStore::open(&dir);
         commit(&mut store, &[("keep", fp(7), verified())]);
         drop(store);
-        let shard = shard_of("keep");
-        let path = dir.join(VerdictStore::shard_file_name(shard));
+        let path = dir.join(VerdictStore::FILE_NAME);
         let mut bytes = fs::read(&path).unwrap();
         // Append a frame whose declared payload never arrives — a
         // crash between the frame header and the payload write.
@@ -1098,25 +997,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_header_damage_loses_only_that_shard() {
-        let dir = temp_dir("shard-header");
+    fn header_damage_loses_the_whole_file() {
+        let dir = temp_dir("header");
         let mut store = VerdictStore::open(&dir);
         commit(
             &mut store,
             &[("a", fp(1), verified()), ("b", fp(2), verified())],
         );
         store.save().unwrap();
-        let shard = shard_of("a");
-        let path = dir.join(VerdictStore::shard_file_name(shard));
+        let path = dir.join(VerdictStore::FILE_NAME);
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] ^= 0xff; // break the magic
         fs::write(&path, &bytes).unwrap();
-        let reloaded = VerdictStore::open(&dir);
-        assert!(reloaded.lookup("a", fp(1)).is_none());
-        assert_eq!(reloaded.corrupt_lines(), 1, "one skip per damaged shard");
-        if shard_of("b") != shard {
-            assert!(reloaded.lookup("b", fp(2)).is_some(), "other shards load");
-        }
+        let mut reloaded = VerdictStore::open(&dir);
+        assert!(reloaded.is_empty());
+        assert_eq!(reloaded.corrupt_lines(), 1, "one skip for the file");
+        assert!(!reloaded.truncated_tail());
+        // The next commit rewrites the file instead of appending after
+        // the damaged header.
+        commit(&mut reloaded, &[("b", fp(2), verified())]);
+        let healed = VerdictStore::open(&dir);
+        assert_eq!((healed.len(), healed.corrupt_lines()), (1, 0));
+        assert!(healed.lookup("b", fp(2)).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1181,25 +1083,14 @@ mod tests {
 
         commit(&mut store, &[("m", fp(1), verified())]);
         store.save().unwrap();
-        let mut names: Vec<String> = fs::read_dir(&dir)
+        let names: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        names.sort();
-        let mut expected: Vec<String> = (0..VerdictStore::SHARD_COUNT)
-            .map(VerdictStore::shard_file_name)
-            .collect();
-        expected.sort();
-        assert_eq!(names, expected, "exactly the DAES1 shards, no temp files");
-        for i in 0..VerdictStore::SHARD_COUNT {
-            let bytes = fs::read(dir.join(VerdictStore::shard_file_name(i))).unwrap();
-            assert_eq!(&bytes[..SHARD_HEADER_LEN], &shard_header(i)[..]);
-            assert_eq!(
-                bytes.len() > SHARD_HEADER_LEN,
-                i == shard_of("m"),
-                "only the key's shard holds a record"
-            );
-        }
+        assert_eq!(names, [VerdictStore::FILE_NAME], "one file, no temp file");
+        let bytes = fs::read(dir.join(VerdictStore::FILE_NAME)).unwrap();
+        assert_eq!(&bytes[..HEADER_LEN], &header()[..]);
+        assert_eq!(frame_kinds(&dir), [RECORD_PUT]);
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.len(), 1);
         assert!(reloaded.lookup("m", fp(1)).is_some());
@@ -1369,10 +1260,10 @@ mod tests {
         assert_eq!((reloaded.corrupt_lines(), reloaded.dead_records()), (0, 0));
         for entry in fs::read_dir(&dir).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
-            assert!(
-                (0..VerdictStore::SHARD_COUNT).any(|i| name == VerdictStore::shard_file_name(i)),
-                "the graph lives in the shards, not in {}",
-                name
+            assert_eq!(
+                name,
+                VerdictStore::FILE_NAME,
+                "the graph lives in the store file"
             );
         }
 
@@ -1393,31 +1284,27 @@ mod tests {
             "the superseded node is dead weight"
         );
 
-        // A torn node record drops only that node. `top` is alone in
-        // its shard, so the cut lands in its record.
-        assert!(["leaf", "mid"]
-            .iter()
-            .all(|n| shard_of(n) != shard_of("top")));
-        let path = dir.join(VerdictStore::shard_file_name(shard_of("top")));
+        // A torn node record drops only that record. The cut lands in
+        // the edited `mid`'s new record, so `mid` falls back to the
+        // record it buried.
+        let path = dir.join(VerdictStore::FILE_NAME);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let torn = VerdictStore::open(&dir);
         assert!(torn.truncated_tail());
         assert_eq!(torn.corrupt_lines(), 1);
-        assert!(torn.graph().node("top").is_none());
+        assert_eq!(torn.graph().node("mid"), graph.node("mid"));
+        assert_ne!(torn.graph().node("mid"), store.graph().node("mid"));
         assert_eq!(torn.graph().node("leaf"), store.graph().node("leaf"));
-        assert_eq!(torn.graph().node("mid"), store.graph().node("mid"));
+        assert_eq!(torn.graph().node("top"), store.graph().node("top"));
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The record kinds in shard `i` of the store under `dir`, in file
-    /// order (empty for a missing shard).
-    fn frame_kinds(dir: &Path, i: usize) -> Vec<u8> {
-        let Ok(bytes) = fs::read(dir.join(VerdictStore::shard_file_name(i))) else {
-            return Vec::new();
-        };
+    /// The record kinds in the store file under `dir`, in file order.
+    fn frame_kinds(dir: &Path) -> Vec<u8> {
+        let bytes = fs::read(dir.join(VerdictStore::FILE_NAME)).unwrap();
         let mut kinds = Vec::new();
-        let mut pos = SHARD_HEADER_LEN;
+        let mut pos = HEADER_LEN;
         while pos < bytes.len() {
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
             kinds.push(bytes[pos + 4]);
@@ -1440,7 +1327,7 @@ mod tests {
     }
 
     #[test]
-    fn a_commit_appends_once_per_touched_shard() {
+    fn a_commit_appends_one_put_run_then_one_node_run() {
         let dir = temp_dir("one-append");
         let mut store = VerdictStore::open(&dir);
         let keys: Vec<String> = (0..40).map(|i| format!("m{}@cfg", i)).collect();
@@ -1449,20 +1336,11 @@ mod tests {
             let verdicts = keys.iter().map(|k| (k.as_str(), fp(bound), &verdict));
             store.commit(verdicts, &graph_of_many(40, bound)).unwrap();
         }
-        // Every shard holds, per commit, one run of put frames (the
+        // The file holds, per commit, one run of put frames (the
         // verdict append) followed by one run of node frames (the node
         // append): never a frame of one pass interleaved with another.
-        let mut frames = 0;
-        for i in 0..VerdictStore::SHARD_COUNT {
-            let puts = keys.iter().filter(|k| shard_of(k) == i).count();
-            let nodes = (0..40)
-                .filter(|n| shard_of(&format!("m{}", n)) == i)
-                .count();
-            let pass = [vec![RECORD_PUT; puts], vec![RECORD_NODE; nodes]].concat();
-            assert_eq!(frame_kinds(&dir, i), pass.repeat(2), "shard {}", i);
-            frames += 2 * pass.len();
-        }
-        assert_eq!(frames, 2 * (40 + 40), "every frame is accounted for");
+        let pass = [[RECORD_PUT; 40], [RECORD_NODE; 40]].concat();
+        assert_eq!(frame_kinds(&dir), pass.repeat(2));
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.graph(), &graph_of_many(40, 1));
         assert_eq!(reloaded.dead_records(), store.dead_records());
@@ -1483,18 +1361,10 @@ mod tests {
             );
             DepGraph::of_program(&crate::parser::parse_program(&src).unwrap())
         };
-        let names = ["leaf", "mid", "top"];
-        // A config whose `top` verdict shard holds no node record, so
-        // taking that shard away loses no part of the graph.
-        let node_shards: Vec<usize> = names.iter().map(|n| shard_of(n)).collect();
-        let cfg = (0..)
-            .map(|j| format!("c{}", j))
-            .find(|c| !node_shards.contains(&shard_of(&format!("top@{}", c))))
-            .unwrap();
-        let keys: Vec<String> = names.iter().map(|n| format!("{}@{}", n, cfg)).collect();
+        let keys = ["leaf@c", "mid@c", "top@c"];
         let verdict = verified();
         let pass = |store: &mut VerdictStore, n: u64, graph: &DepGraph| {
-            let verdicts = keys.iter().map(|k| (k.as_str(), fp(n), &verdict));
+            let verdicts = keys.iter().map(|k| (*k, fp(n), &verdict));
             store.commit(verdicts, graph)
         };
 
@@ -1502,23 +1372,48 @@ mod tests {
         let mut store = VerdictStore::open(&dir);
         let before = graph("r >= 0");
         pass(&mut store, 1, &before).unwrap();
-        let shard = dir.join(VerdictStore::shard_file_name(shard_of(&keys[2])));
-        fs::remove_file(&shard).unwrap();
-        fs::create_dir(&shard).unwrap();
+        let path = dir.join(VerdictStore::FILE_NAME);
+        let saved = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
 
-        // A spec edit of `leaf` re-verifies the whole cone; `top`'s
-        // verdict cannot be written, so no node record may follow.
+        // A spec edit of `leaf` re-verifies the whole cone; its
+        // verdicts cannot be written, so no node record may follow.
         let edited = graph("r >= n");
         assert_ne!(edited, before);
         assert!(pass(&mut store, 2, &edited).is_err());
         assert_eq!(store.graph(), &before, "the graph is left unabsorbed");
         assert!(
-            store.lookup(&keys[2], fp(2)).is_some(),
+            store.lookup(keys[2], fp(2)).is_some(),
             "memory holds the verdicts"
         );
+        fs::remove_dir(&path).unwrap();
+        fs::write(&path, saved).unwrap();
         let reloaded = VerdictStore::open(&dir);
         assert_eq!(reloaded.graph(), &before, "no node record landed");
-        assert!(reloaded.lookup(&keys[2], fp(2)).is_none());
+        assert!(reloaded.lookup(keys[2], fp(2)).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_makes_the_next_commit_rewrite_the_file() {
+        let dir = temp_dir("failed-append");
+        let mut store = VerdictStore::open(&dir);
+        let path = dir.join(VerdictStore::FILE_NAME);
+        fs::create_dir_all(&path).unwrap();
+        let a = [("a", fp(1), verified())];
+        assert!(store
+            .commit(a.iter().map(|(k, f, v)| (*k, *f, v)), &DepGraph::new())
+            .is_err());
+        // An append after a failed one could land behind a torn frame,
+        // where the next open drops it: the next commit rewrites the
+        // file from memory instead, `a` included.
+        fs::remove_dir(&path).unwrap();
+        commit(&mut store, &[("b", fp(2), verified())]);
+        let reloaded = VerdictStore::open(&dir);
+        assert!(reloaded.lookup("a", fp(1)).is_some(), "a's verdict landed");
+        assert!(reloaded.lookup("b", fp(2)).is_some());
+        assert_eq!(reloaded.corrupt_lines(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,8 @@
 //! normalized [`VerifyStats`] — or its verdict line when it did not
 //! verify — must match `fixtures/verify_stats.golden` line for line.
 //! A refactor that claims to leave obligation counts unchanged is held
-//! to it here.
+//! to it here, and the diverging sweep pins the solver's search cost
+//! (its decisions and conflicts) exactly.
 
 use daenerys_idf::{
     all_cases, chain_program, diverging_program, parse_program, scaling_program, Backend, Budget,
@@ -23,7 +24,7 @@ fn programs() -> Vec<(String, String)> {
     for n in [1, 4, 8, 16] {
         out.push((format!("scaling_{}", n), scaling_program(n)));
     }
-    for k in [2, 6, 10] {
+    for k in [2, 4, 6, 10, 12, 18] {
         out.push((format!("diverging_{}", k), diverging_program(k)));
     }
     for n in [16, 64] {

@@ -174,18 +174,12 @@ fn unknown_verdicts_are_never_persisted() {
 
 #[test]
 fn corrupt_store_costs_reverification_not_correctness() {
-    // New stores default to the sharded DAES1 binary format: stomp
-    // every shard file with garbage.
+    // Stomp the DAES1 store file with garbage.
     let dir = temp_dir("corrupt");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
     let (first, _) = run(&program, &cfg);
-    for i in 0..VerdictStore::SHARD_COUNT {
-        let path = dir.join(VerdictStore::shard_file_name(i));
-        if path.exists() {
-            std::fs::write(&path, b"definitely not DAES1").unwrap();
-        }
-    }
+    std::fs::write(dir.join(VerdictStore::FILE_NAME), b"definitely not DAES1").unwrap();
     let (second, warm) = run(&program, &cfg);
     assert_eq!(warm, 3, "a damaged store re-verifies everything");
     assert_eq!(first, second);
@@ -217,10 +211,7 @@ fn legacy_jsonl_store_is_ignored_and_left_untouched() {
     assert_eq!(cold, 3, "nothing is read from the legacy file");
     assert_eq!(first, expected);
     let (second, warm) = run(&program, &cfg);
-    assert_eq!(
-        warm, 0,
-        "the DAES1 shards written by the first run are warm"
-    );
+    assert_eq!(warm, 0, "the DAES1 file written by the first run is warm");
     assert_eq!(second, expected);
     assert_eq!(std::fs::read_to_string(&legacy).unwrap(), text);
     let _ = std::fs::remove_dir_all(&dir);
@@ -322,31 +313,27 @@ fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
     let program = parse_program(SRC).unwrap();
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3);
-    // Walk each shard's frames (24-byte shard header, then a 16-byte
+    // Walk the file's frames (24-byte file header, then a 16-byte
     // frame header holding the payload length and the record kind
     // before each payload) to the node record (kind 3) whose payload
     // opens with the length-prefixed name `get`, and flip the first
     // interface byte after the name.
     let name = b"\x03\x00\x00\x00get";
+    let path = dir.join(VerdictStore::FILE_NAME);
+    let mut bytes = std::fs::read(&path).unwrap();
     let mut flipped = 0;
-    for i in 0..VerdictStore::SHARD_COUNT {
-        let path = dir.join(VerdictStore::shard_file_name(i));
-        let Ok(mut bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let mut pos = 24;
-        while pos < bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let payload = pos + 16;
-            if bytes[pos + 4] == 3 && bytes[payload..].starts_with(name) {
-                bytes[payload + name.len()] ^= 0x01;
-                std::fs::write(&path, &bytes).unwrap();
-                flipped += 1;
-            }
-            pos = payload + len;
+    let mut pos = 24;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = pos + 16;
+        if bytes[pos + 4] == 3 && bytes[payload..].starts_with(name) {
+            bytes[payload + name.len()] ^= 0x01;
+            flipped += 1;
         }
+        pos = payload + len;
     }
-    assert_eq!(flipped, 1, "one shard holds `get`'s node record");
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(flipped, 1, "the file holds one node record for `get`");
     let store = VerdictStore::open(&dir);
     assert!(
         store.graph().node("get").is_none(),
@@ -376,10 +363,10 @@ fn damaged_graph_fingerprint_drops_the_node_and_reverifies_its_cone() {
 fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     // `fixtures/parent_store` was written for `SRC` by the release that
     // kept the dependency graph in a line-JSON file beside verdict-only
-    // shards, under an older solver epoch. Its verdicts load intact but
-    // their keys no longer match; the graph does not load, so the first
-    // pass re-verifies every method and the second none. The line-JSON
-    // file is never read, rewritten or removed.
+    // `verdicts-*.daes` shards, under an older solver epoch. Neither
+    // the shards nor the graph file is read, so the first pass
+    // re-verifies every method and the second none. No fixture file is
+    // ever rewritten or removed.
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store");
     let dir = temp_dir("parent-format");
@@ -389,14 +376,13 @@ fn parent_format_cache_dir_upgrades_by_reverifying_once() {
         let entry = entry.unwrap();
         let bytes = std::fs::read(entry.path()).unwrap();
         std::fs::write(dir.join(entry.file_name()), &bytes).unwrap();
-        let name = entry.file_name().into_string().unwrap();
-        if !name.ends_with(".daes") {
-            others.push((name, bytes));
-        }
+        others.push((entry.file_name().into_string().unwrap(), bytes));
     }
-    assert_eq!(others.len(), 1, "the fixture holds the graph file");
+    let shards = others.iter().filter(|(name, _)| name.ends_with(".daes"));
+    assert_eq!(shards.count(), 3, "the fixture holds three shard files");
+    assert_eq!(others.len(), 4, "and the graph file");
     let store = VerdictStore::open(&dir);
-    assert_eq!(store.len(), 3, "every verdict loads");
+    assert_eq!(store.len(), 0, "no shard is read");
     assert!(store.graph().is_empty());
     assert_eq!(store.corrupt_lines(), 0);
     drop(store);
@@ -408,12 +394,12 @@ fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     assert_eq!(
         outcome.reverified,
         Some(3),
-        "a missing graph forces every method"
+        "an empty store forces every method"
     );
     assert_eq!(
         outcome.store_dirty_transitive,
         Some(0),
-        "no stored verdict matches a key of the current solver epoch"
+        "no stored verdict is forced"
     );
     let first: BTreeMap<String, Verdict> = outcome
         .verdicts
@@ -435,7 +421,7 @@ fn parent_format_cache_dir_upgrades_by_reverifying_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Damages every shard file of the store in `dir` with `damage`, then
+/// Damages the store file in `dir` with `damage`, then
 /// runs four passes, each through a fresh host and none flushed (a
 /// daemon restarted after `kill -9`), and returns their re-verified
 /// counts.
@@ -445,16 +431,10 @@ fn passes_after_damage(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> Vec<usize> {
     let program = parse_program(SRC).unwrap();
     let (cold, reverified) = run(&program, &cfg);
     assert_eq!(reverified, 3);
-    let mut damaged = 0;
-    for i in 0..VerdictStore::SHARD_COUNT {
-        let path = dir.join(VerdictStore::shard_file_name(i));
-        if let Ok(mut bytes) = std::fs::read(&path) {
-            damage(&mut bytes);
-            std::fs::write(&path, bytes).unwrap();
-            damaged += 1;
-        }
-    }
-    assert!(damaged > 0, "the cold pass wrote shards");
+    let path = dir.join(VerdictStore::FILE_NAME);
+    let mut bytes = std::fs::read(&path).expect("the cold pass wrote the file");
+    damage(&mut bytes);
+    std::fs::write(&path, bytes).unwrap();
     let counts = (0..4)
         .map(|_| {
             let (verdicts, reverified) = run(&program, &cfg);
@@ -468,13 +448,14 @@ fn passes_after_damage(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> Vec<usize> {
 
 #[test]
 fn torn_shard_tails_heal_on_the_next_append() {
-    // Three bytes torn off every shard: each shard's last record is
-    // cut mid-write. The first pass re-verifies the lost methods and
-    // rewrites their shards instead of appending after the torn tail.
+    // Three bytes torn off the file: its last record, `get`'s graph
+    // node, is cut mid-write. The first pass re-verifies `get` and its
+    // caller `double` and rewrites the file instead of appending after
+    // the torn tail.
     let counts = passes_after_damage("torn-tail", |bytes| {
         bytes.truncate(bytes.len() - 3);
     });
-    assert_eq!(counts, [3, 0, 0, 0]);
+    assert_eq!(counts, [2, 0, 0, 0]);
 }
 
 #[test]

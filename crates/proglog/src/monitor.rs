@@ -162,9 +162,10 @@ impl MonMachine {
     /// Returns the [`Violation`] when the step would exceed the thread's
     /// permissions or the thread is stuck.
     pub fn step_thread(&mut self, i: usize) -> Result<(), Violation> {
-        let own = self.threads[i].own.clone();
         // Pre-check the imminent heap access against the thread's own.
-        if let Some((l, is_write)) = next_heap_access(&self.threads[i].expr) {
+        let access = next_heap_access(&self.threads[i].expr);
+        if let Some((l, is_write)) = access {
+            let own = &self.threads[i].own;
             if is_write {
                 if !matches!(own.heap.get(&l), Some((dq, _)) if dq.allows_write()) {
                     return Err(Violation::UnwritableStore(l));
@@ -173,14 +174,13 @@ impl MonMachine {
                 return Err(Violation::UnreadableLoad(l));
             }
         }
-        let expr = self.threads[i].expr.clone();
         let keys_before: Vec<Loc> = self.heap.iter().map(|(l, _)| *l).collect();
-        match step(&expr, &mut self.heap) {
+        match step(&self.threads[i].expr, &mut self.heap) {
             Ok(out) => {
                 // Track ownership effects.
                 match out.kind {
                     StepKind::Heap => {
-                        self.sync_ownership(i, &expr, &keys_before);
+                        self.sync_ownership(i, access, &keys_before);
                     }
                     StepKind::Fork => {
                         let child_own = match self.fork_resources.pop_front() {
@@ -212,8 +212,9 @@ impl MonMachine {
 
     /// After a heap step, reconcile the stepping thread's owned chunks
     /// with the physical heap (new allocations become fully owned; the
-    /// written value updates the owned agreement).
-    fn sync_ownership(&mut self, i: usize, before: &Expr, keys_before: &[Loc]) {
+    /// written value updates the owned agreement). `access` is the
+    /// step's [`next_heap_access`], taken before it ran.
+    fn sync_ownership(&mut self, i: usize, access: Option<(Loc, bool)>, keys_before: &[Loc]) {
         // Allocation: fresh locations become fully owned by the
         // allocating thread.
         let fresh: Vec<Loc> = self
@@ -227,7 +228,7 @@ impl MonMachine {
             self.threads[i].own = self.threads[i].own.op(&Res::points_to(l, DFrac::FULL, v));
         }
         // Write: refresh the agreed value of the touched location.
-        if let Some((l, true)) = next_heap_access(before) {
+        if let Some((l, true)) = access {
             if let Some(v) = self.heap.get(l).cloned() {
                 let mut own = self.threads[i].own.clone();
                 if let Some((dq, _)) = own.heap.get(&l).cloned() {

@@ -98,11 +98,11 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
     echo "daemon exited $DAEMON_STATUS after SIGTERM"; cat "$LOG"; exit 1;
 }
 
-# Zero leaked sessions, store flushed and clean, written as DAES1
-# shards (the store's only encoding).
+# Zero leaked sessions, store flushed and clean, written as the one
+# DAES1 file (the store's only encoding).
 grep -q '"leaked_sessions":0' "$OUT_DIR/metrics.json"
 grep -q '"store_corrupt_lines":0' "$OUT_DIR/metrics.json"
-ls "$STORE_DIR"/verdicts-*.daes > /dev/null
+test -s "$STORE_DIR/verdicts.daes"
 
 echo "server smoke PASSED ($ADDR)"
 cat "$OUT_DIR/metrics.json"
