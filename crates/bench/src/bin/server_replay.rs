@@ -461,9 +461,9 @@ fn main() -> ExitCode {
 
     let (clean, clean_obs, chaos, chaos_obs) = match opts.addr {
         Some(addr) => {
-            // External daemon: both passes against it; daemon-side
-            // invariants are the smoke script's job (conservation is
-            // still gated here, via the scrapes).
+            // External daemon: both passes against it; its final
+            // snapshot (leaked sessions, contained panics) is gated by
+            // the smoke script, conservation here via the scrapes.
             let (clean, clean_obs) = run_pass(addr, &opts, WireFaultPlan::none());
             let (chaos, chaos_obs) = run_pass(addr, &opts, chaos_plan);
             (clean, clean_obs, chaos, chaos_obs)

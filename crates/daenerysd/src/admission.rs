@@ -4,11 +4,11 @@
 //! a cap on concurrently in-flight requests and on the aggregate
 //! solver fuel those requests may hold, plus per-request budget
 //! ceilings. A request over any limit is *refused immediately* —
-//! answered `Unknown(admission)` and never queued — so one abusive
+//! answered `status:"refused"` and never verified — so one abusive
 //! tenant degrades to refusals while every other tenant's latency is
 //! untouched. Refusal is the wire-level face of the paper's
 //! degradation lattice: an indefinite answer, never an error that
-//! kills the session and never unbounded queueing.
+//! kills the session and never an unbounded wait.
 
 use daenerys_idf::Budget;
 use std::collections::HashMap;
@@ -114,7 +114,7 @@ impl Admission {
 
     /// Admits or refuses a request for `tenant` asking for
     /// `solver_fuel`. On refusal the reason names the tripped limit;
-    /// nothing is recorded, so refusal is free and unqueued. On
+    /// nothing is recorded, so refusal is free. On
     /// admission the returned ticket holds the tenant's slot and fuel
     /// until dropped.
     ///
@@ -256,7 +256,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// An admitted request's hold on its tenant's envelope; releases on
-/// drop, so a panicking request (or an unwound worker) can never leak
+/// drop, so a panicking request (or an unwound session) can never leak
 /// an in-flight slot.
 #[derive(Debug)]
 pub struct AdmitTicket {

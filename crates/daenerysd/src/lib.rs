@@ -1,14 +1,15 @@
 //! `daenerysd` — the long-running, fault-tolerant verification daemon.
 //!
-//! The bench CLI pays the full cold-start price (arena build, store
-//! open, solver warm-up) on every invocation. The daemon pays it once:
-//! a [`daenerys_idf::SessionHost`] keeps the verifier configuration
-//! and the persistent verdict store warm across requests, and TCP
-//! sessions multiplex concurrent tenants onto it. The wire protocol is
-//! length-delimited JSONL frames with a versioned header
+//! The bench CLI opens and loads the verdict store on every
+//! invocation. The daemon opens it once: a
+//! [`daenerys_idf::SessionHost`] keeps the verifier configuration and
+//! the persistent verdict store warm across requests (each method
+//! still gets a fresh term arena and solver), and TCP sessions, one
+//! thread each, multiplex concurrent tenants onto it. The wire
+//! protocol is length-delimited JSONL frames with a versioned header
 //! ([`protocol`]); robustness is load-bearing, not best-effort —
 //! admission control ([`admission`]), per-request panic containment,
-//! bounded queues, a graceful SIGTERM drain ([`server`]), and a
+//! TCP backpressure, a graceful SIGTERM drain ([`server`]), and a
 //! deterministic wire-level chaos plan ([`chaos`]) that the test suite
 //! and the replay client ([`client`]) drive against the full fault
 //! matrix. A live telemetry plane ([`telemetry`]) serves labeled

@@ -56,7 +56,7 @@ mod sig {
 
 fn usage() -> &'static str {
     "usage: daenerysd [--addr HOST:PORT] [--cache-dir DIR] [--threads N]\n\
-     \x20                [--queue-cap N] [--frame-deadline-ms MS]\n\
+     \x20                [--frame-deadline-ms MS]\n\
      \x20                [--max-in-flight N] [--max-fuel-in-flight N]\n\
      \x20                [--max-deadline-ms MS] [--metrics-out FILE]"
 }
@@ -79,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => config.addr = value("--addr")?,
             "--cache-dir" => config.base.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--threads" => config.base.threads = parse_num(&value("--threads")?)? as usize,
-            "--queue-cap" => config.queue_cap = parse_num(&value("--queue-cap")?)? as usize,
             "--frame-deadline-ms" => {
                 config.frame_deadline_ms = parse_num(&value("--frame-deadline-ms")?)?;
             }

@@ -306,10 +306,10 @@ impl Request {
 ///
 /// Admin frames share the DAE1 framing and listener with verification
 /// requests but are distinguished by an `"admin"` key in the payload
-/// (see [`Frame::decode`]). They are answered directly by the session
-/// reader — never queued behind verification work and **exempt from
-/// tenant admission** — so the telemetry plane stays responsive
-/// exactly when every tenant budget is saturated.
+/// (see [`Frame::decode`]). They are answered by the session thread
+/// like any frame but are **exempt from tenant admission**, so the
+/// telemetry plane stays responsive exactly when every tenant budget
+/// is saturated.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AdminRequest {
     /// Scrape the labeled metrics registry (JSON snapshot).
@@ -384,10 +384,10 @@ fn uint(obj: &BTreeMap<String, Json>, key: &str) -> Option<u64> {
 /// request.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Frame {
-    /// A verification request (admission-controlled, queued to a
-    /// worker).
+    /// A verification request (admission-controlled, then verified on
+    /// the session thread).
     Verify(Request),
-    /// An admin-plane request (answered inline by the reader).
+    /// An admin-plane request (exempt from admission).
     Admin(AdminRequest),
 }
 

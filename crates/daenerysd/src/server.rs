@@ -1,27 +1,26 @@
-//! The daemon core: accept loop, per-session reader/worker pairs,
-//! graceful drain.
+//! The daemon core: accept loop, one thread per session, graceful
+//! drain.
 //!
-//! One TCP connection is one *session*. Each session runs two threads:
-//! a **reader** that frames bytes, decodes requests, and does
-//! admission *before* anything is queued, and a **worker** that
-//! verifies admitted requests against the shared warm
-//! [`SessionHost`] and writes responses. The two meet at a bounded
-//! [`std::sync::mpsc::sync_channel`]: when the queue is full the
-//! reader blocks, which stops draining the socket, which is TCP
-//! backpressure — the daemon never buffers unboundedly.
+//! One TCP connection is one *session*, served by one thread. It reads
+//! a frame, decodes it, admits it, verifies it against the shared warm
+//! [`SessionHost`] and writes the response, and only then reads the
+//! next frame. The socket buffer is the session's queue: while a
+//! request runs the thread reads nothing, so a client that pipelines
+//! frames is pushed back on by TCP — the daemon never buffers
+//! unboundedly.
 //!
 //! Robustness contract (enforced by the chaos suite):
 //! - a malformed frame, torn write, or slow-loris stall costs *that
 //!   session only* — a typed error and/or a close, never a panic;
 //! - a panicking request degrades to an `internal` error response for
-//!   that request; the session, its queue, and every sibling continue;
+//!   that request; the session and every sibling continue;
 //! - over-budget tenants are refused immediately (`status:"refused"`)
-//!   and never queued;
-//! - shutdown stops intake, drains every queued request, flushes the
-//!   verdict store, and reports zero leaked sessions in the final
-//!   [`MetricsSnapshot`].
+//!   and never verified;
+//! - shutdown stops intake, lets every session answer the request it
+//!   is verifying, flushes the verdict store, and reports zero leaked
+//!   sessions in the final [`MetricsSnapshot`].
 
-use crate::admission::{Admission, AdmitTicket, TenantPolicy};
+use crate::admission::{Admission, TenantPolicy};
 use crate::protocol::{
     read_frame, write_frame, AdminRequest, ErrorCode, Frame, FrameError, Request, Response,
     WireVerdict,
@@ -34,11 +33,10 @@ use daenerys_idf::session::{SessionError, SessionHost, VerifyRequest};
 use daenerys_obs::{ClockKind, Json, Labels, TraceHandle, Value};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -55,8 +53,6 @@ pub struct ServerConfig {
     pub base: VerifierConfig,
     /// The per-tenant admission envelope.
     pub policy: TenantPolicy,
-    /// Bounded per-session request-queue depth.
-    pub queue_cap: usize,
     /// A started frame must complete within this many milliseconds —
     /// the slow-loris cutoff.
     pub frame_deadline_ms: u64,
@@ -73,7 +69,6 @@ impl Default for ServerConfig {
             backend: Backend::Destabilized,
             base: VerifierConfig::default(),
             policy: TenantPolicy::default(),
-            queue_cap: 4,
             frame_deadline_ms: 2_000,
         }
     }
@@ -87,7 +82,7 @@ impl Default for ServerConfig {
 pub struct MetricsSnapshot {
     /// Sessions accepted over the daemon's lifetime.
     pub sessions_opened: u64,
-    /// Sessions fully closed (reader and worker joined).
+    /// Sessions whose thread has finished.
     pub sessions_closed: u64,
     /// `sessions_opened - sessions_closed`; 0 after a graceful drain.
     pub leaked_sessions: u64,
@@ -95,7 +90,7 @@ pub struct MetricsSnapshot {
     pub requests_received: u64,
     /// Requests answered `status:"ok"`.
     pub responses_ok: u64,
-    /// Requests refused by admission control (never queued).
+    /// Requests refused by admission control (never verified).
     pub requests_refused: u64,
     /// Requests answered `status:"error"` (parse/bad-request/internal
     /// /shutdown).
@@ -111,7 +106,7 @@ pub struct MetricsSnapshot {
     pub admin_frames: u64,
     /// Entries in the verdict store after the final flush.
     pub store_entries: u64,
-    /// Undecodable store lines skipped when the store was opened.
+    /// Undecodable store records skipped when the store was opened.
     pub store_corrupt_lines: u64,
 }
 
@@ -145,7 +140,6 @@ struct Shared {
     /// Set (by SIGUSR1 or a test) to make the accept loop print one
     /// [`MetricsSnapshot`] without stopping.
     snapshot_flag: Arc<AtomicBool>,
-    queue_cap: usize,
     frame_deadline: Duration,
 }
 
@@ -205,7 +199,6 @@ impl Server {
                 telemetry,
                 shutdown: Arc::new(AtomicBool::new(false)),
                 snapshot_flag: Arc::new(AtomicBool::new(false)),
-                queue_cap: config.queue_cap.max(1),
                 frame_deadline: Duration::from_millis(config.frame_deadline_ms.max(1)),
             }),
         })
@@ -266,8 +259,8 @@ impl Server {
             }
             sessions.retain(|h| !h.is_finished());
         }
-        // Drain: the flag stops readers at the next frame boundary;
-        // workers finish every already-admitted request.
+        // Drain: each session answers the request it is verifying,
+        // then stops at its next frame boundary.
         for handle in sessions {
             let _ = handle.join();
         }
@@ -308,37 +301,17 @@ impl Server {
     }
 }
 
-/// One admitted request in a session's bounded queue. The ticket rides
-/// along so the tenant's envelope is held exactly while the request is
-/// queued or running, and released even if the job is dropped during
-/// drain.
-struct Job {
-    req: Request,
-    ticket: AdmitTicket,
-}
-
 fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let (tx, rx) = sync_channel::<Job>(shared.queue_cap);
-    let worker = {
-        let shared = Arc::clone(shared);
-        let writer = Arc::clone(&writer);
-        std::thread::spawn(move || worker_loop(&shared, rx, &writer, sid))
-    };
-
-    let mut reader = stream;
+    let mut reqno: u64 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let mut frame_deadline_at: Option<Instant> = None;
-        let result = read_frame(&mut reader, |mid_frame| {
+        let result = read_frame(&mut &stream, |mid_frame| {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
@@ -352,111 +325,92 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream, sid: u64) {
                 *frame_deadline_at.get_or_insert_with(|| Instant::now() + shared.frame_deadline);
             Instant::now() < at
         });
-        match result {
-            Ok(payload) => {
-                match Frame::decode(&payload) {
-                    // Admin frames are answered inline by the reader:
-                    // never queued behind verification work, never
-                    // admission-controlled — the telemetry plane keeps
-                    // answering while every tenant budget is saturated
-                    // and while the worker queue is full.
-                    Ok(Frame::Admin(areq)) => {
-                        shared.count("daenerysd.admin_frames", None);
-                        respond(&writer, &admin_response(shared, &areq));
-                    }
-                    Err(message) => {
-                        shared.count("daenerysd.requests_received", None);
-                        shared.count("daenerysd.errors", Some(SERVER_BUCKET));
-                        // A delimited frame with a bad payload does not
-                        // desync the stream: answer and keep serving.
-                        respond(
-                            &writer,
-                            &Response::Err {
-                                id: 0,
-                                code: ErrorCode::BadRequest,
-                                message,
-                            },
-                        );
-                    }
-                    Ok(Frame::Verify(req)) => {
-                        shared.count("daenerysd.requests_received", None);
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            shared.count("daenerysd.errors", Some(&req.tenant));
-                            respond(
-                                &writer,
-                                &Response::Err {
-                                    id: req.id,
-                                    code: ErrorCode::Shutdown,
-                                    message: "server is draining".to_string(),
-                                },
-                            );
-                            break;
-                        }
+        // The answer to this frame, and whether the session ends after
+        // writing it.
+        let (response, close) = match result {
+            Ok(payload) => match Frame::decode(&payload) {
+                // Admin frames are never admission-controlled: the
+                // telemetry plane keeps answering while every tenant
+                // budget is saturated.
+                Ok(Frame::Admin(areq)) => {
+                    shared.count("daenerysd.admin_frames", None);
+                    (admin_response(shared, &areq), false)
+                }
+                Err(message) => {
+                    shared.count("daenerysd.requests_received", None);
+                    shared.count("daenerysd.errors", Some(SERVER_BUCKET));
+                    // A delimited frame with a bad payload does not
+                    // desync the stream: answer and keep serving.
+                    (bad_request(message), false)
+                }
+                Ok(Frame::Verify(req)) => {
+                    shared.count("daenerysd.requests_received", None);
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        shared.count("daenerysd.errors", Some(&req.tenant));
+                        (draining(req.id), true)
+                    } else {
                         match shared.admission.try_admit(&req.tenant, req.solver_fuel) {
                             Err(detail) => {
                                 shared.count("daenerysd.refused", Some(&req.tenant));
-                                // Refused immediately — never queued.
-                                respond(&writer, &Response::Refused { id: req.id, detail });
+                                (Response::Refused { id: req.id, detail }, false)
                             }
                             Ok(ticket) => {
-                                // Bounded queue: blocks when full — the
-                                // socket stops draining and TCP pushes
-                                // back on the client.
-                                if tx.send(Job { req, ticket }).is_err() {
-                                    break;
-                                }
+                                reqno += 1;
+                                let response = process(shared, &req, sid, reqno);
+                                // The ticket is released only after the
+                                // verify, so the tenant's envelope
+                                // covered the whole run.
+                                drop(ticket);
+                                (response, false)
                             }
                         }
                     }
                 }
-            }
+            },
             Err(FrameError::Closed) | Err(FrameError::Aborted { mid_frame: false }) => break,
+            // Shutdown landed while a frame was arriving: not the
+            // sender's fault, so the drain answer, not a frame error.
+            Err(FrameError::Aborted { mid_frame: true })
+                if shared.shutdown.load(Ordering::SeqCst) =>
+            {
+                shared.count("daenerysd.errors", Some(SERVER_BUCKET));
+                (draining(0), true)
+            }
             Err(e) => {
                 // Torn frame, garbage header, oversized payload,
                 // slow-loris cutoff, or hard I/O failure: one typed
                 // error (best-effort — the stream may already be
                 // gone), then close this session only.
                 shared.count("daenerysd.frame_errors", None);
-                respond(
-                    &writer,
-                    &Response::Err {
-                        id: 0,
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                    },
-                );
-                break;
+                (bad_request(e.to_string()), true)
             }
-        }
-    }
-    // Hang up the request queue; the worker drains whatever was
-    // admitted, responding to each, then exits.
-    drop(tx);
-    let _ = worker.join();
-    let _ = reader.shutdown(Shutdown::Both);
-}
-
-fn worker_loop(shared: &Arc<Shared>, rx: Receiver<Job>, writer: &Arc<Mutex<TcpStream>>, sid: u64) {
-    let mut reqno: u64 = 0;
-    for job in &rx {
-        reqno += 1;
-        let response = process(shared, &job.req, sid, reqno);
-        // The ticket is released only now — after the verify — so the
-        // tenant's envelope covered the whole run.
-        drop(job.ticket);
-        if !respond(writer, &response) {
-            // The peer is gone; keep draining so queued tickets
-            // release, but stop writing.
-            for late in rx.iter() {
-                drop(late);
-            }
+        };
+        if !respond(&stream, &response) || close {
             break;
         }
     }
 }
 
-/// Answers one admin frame from the telemetry plane (reader-side, see
-/// [`session_loop`]).
+/// The answer to a frame the session could not decode.
+fn bad_request(message: String) -> Response {
+    Response::Err {
+        id: 0,
+        code: ErrorCode::BadRequest,
+        message,
+    }
+}
+
+/// The answer to a request that arrives, or is still arriving, once
+/// shutdown has begun.
+fn draining(id: u64) -> Response {
+    Response::Err {
+        id,
+        code: ErrorCode::Shutdown,
+        message: "server is draining".to_string(),
+    }
+}
+
+/// Answers one admin frame from the telemetry plane.
 fn admin_response(shared: &Arc<Shared>, req: &AdminRequest) -> Response {
     let t = &shared.telemetry;
     let body = match req {
@@ -579,11 +533,9 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
     response
 }
 
-/// Writes one response frame under the writer lock; false when the
-/// stream is dead.
-fn respond(writer: &Arc<Mutex<TcpStream>>, response: &Response) -> bool {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_frame(&mut *w, response.encode().as_bytes()).is_ok()
+/// Writes one response frame; false when the stream is dead.
+fn respond(mut stream: &TcpStream, response: &Response) -> bool {
+    write_frame(&mut stream, response.encode().as_bytes()).is_ok()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

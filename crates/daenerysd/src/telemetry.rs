@@ -9,7 +9,7 @@
 //! [`TelemetrySink`], which feeds the bounded per-tenant [`TraceRing`]
 //! and attributes span durations to per-phase histograms. The
 //! `metrics`/`health`/`trace_tail` admin frames are rendered from here
-//! — by the session *reader*, exempt from admission, so scrapes keep
+//! — by the session thread, exempt from admission, so scrapes keep
 //! answering while every tenant budget is saturated.
 //!
 //! ## Metric names
@@ -17,8 +17,7 @@
 //! Stamped by the daemon, once per event (labels in braces):
 //!
 //! * `daenerysd.sessions_opened` / `daenerysd.sessions_closed` —
-//!   connections accepted, and sessions whose reader and worker have
-//!   both finished
+//!   connections accepted, and sessions whose thread has finished
 //! * `daenerysd.requests_received` — frames read as verification
 //!   requests (any outcome, including undecodable payloads)
 //! * `daenerysd.responses_ok` — requests answered `status:"ok"`
@@ -34,8 +33,8 @@
 //!   `.crashed` — per-method verdict counts by wire kind
 //! * `daenerysd.refused{tenant}` — admission refusals
 //! * `daenerysd.errors{tenant}` — error responses (parse, wf,
-//!   internal, and the bad-request and shutdown errors the reader
-//!   answers itself; `_server` when the request carried no tenant)
+//!   internal, bad-request and shutdown; `_server` when the request
+//!   carried no tenant)
 //! * `daenerysd.latency_us{tenant}` — whole-request wall latency,
 //!   microseconds (histogram)
 //! * `daenerysd.fuel{tenant}` — solver fuel spent per request, in the

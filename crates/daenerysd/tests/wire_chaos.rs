@@ -18,7 +18,9 @@
 use daenerys_idf::VerdictStore;
 use daenerysd::chaos::WireFaultPlan;
 use daenerysd::client::{Client, RetryPolicy};
-use daenerysd::protocol::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
+use daenerysd::protocol::{
+    read_frame, write_frame, AdminRequest, ErrorCode, FrameError, Request, Response,
+};
 use daenerysd::server::{MetricsSnapshot, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -284,7 +286,7 @@ fn shutdown_drains_in_flight_requests() {
         .unwrap();
     let req = Request::new(77, "drain-tenant", GOOD);
     write_frame(&mut stream, req.encode().as_bytes()).expect("send");
-    // Give the reader time to admit and queue the request, then pull
+    // Give the session time to read and admit the request, then pull
     // the plug while it may still be verifying.
     std::thread::sleep(Duration::from_millis(150));
     flag.store(true, Ordering::SeqCst);
@@ -308,6 +310,40 @@ fn shutdown_drains_in_flight_requests() {
     assert_eq!(store.len(), 1);
     assert_eq!(store.corrupt_lines(), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame still arriving when shutdown lands is answered `shutdown`
+/// and counted as a server-side error, not as a framing fault.
+#[test]
+fn a_frame_cut_by_shutdown_is_answered_draining() {
+    let mut config = test_config(None);
+    // Far past the test's own waits, so only shutdown can cut the frame.
+    config.frame_deadline_ms = 10_000;
+    let (addr, flag, handle) = start(config);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // An answered admin frame proves the session thread is reading.
+    let health = AdminRequest::Health { id: 1 };
+    write_frame(&mut stream, health.encode().as_bytes()).expect("send");
+    read_frame(&mut stream, |_| true).expect("health answer");
+    stream.write_all(b"DAE1 100\n{\"id\":").expect("send");
+    // Let the session read the partial frame, then shut down.
+    std::thread::sleep(Duration::from_millis(150));
+    flag.store(true, Ordering::SeqCst);
+    let payload = read_frame(&mut stream, |_| true).expect("drain answer");
+    match Response::decode(&payload).expect("decode") {
+        Response::Err { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Shutdown, "{}", message);
+            assert_eq!(message, "server is draining");
+        }
+        other => panic!("expected the drain answer, got {:?}", other),
+    }
+    let snap = handle.join().expect("server thread");
+    assert_eq!(snap.frame_errors, 0, "{:?}", snap);
+    assert_eq!(snap.requests_errored, 1, "{:?}", snap);
+    assert_eq!(snap.leaked_sessions, 0);
 }
 
 /// A sender that trickles a frame faster than the read poll never
@@ -388,53 +424,117 @@ fn request_deadlines_are_not_doubled_by_retries() {
     stop(&flag, handle);
 }
 
-/// Admission refusals are immediate (never queued) and typed; the
-/// tenant recovers once in-flight work completes.
+/// Admission refusals are immediate (never verified) and typed; the
+/// tenant's admitted request still completes.
 #[test]
 fn over_budget_tenants_are_refused_not_queued() {
     let mut config = test_config(None);
     config.policy.max_in_flight = 1;
-    // A deep queue proves refusal is *admission*, not queue overflow.
-    config.queue_cap = 16;
     let (addr, flag, handle) = start(config);
 
-    // One connection, two back-to-back requests for the same tenant:
-    // the first (a diverging query that runs for seconds unbudgeted) is
-    // admitted and burns its whole deadline; the second must be refused
-    // immediately while the first still runs.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
+    // Two connections for one tenant: the first carries a diverging
+    // query that burns its whole 1.5 s deadline; the second, sent once
+    // the first is admitted, must be refused while the first still runs.
+    let mut slow_stream = TcpStream::connect(addr).expect("connect");
+    slow_stream
         .set_read_timeout(Some(Duration::from_secs(15)))
         .unwrap();
     let mut slow = Request::new(1, "greedy", daenerys_idf::diverging_program(256));
     slow.deadline_ms = Some(1_500);
-    let second = Request::new(2, "greedy", GOOD);
-    write_frame(&mut stream, slow.encode().as_bytes()).unwrap();
-    write_frame(&mut stream, second.encode().as_bytes()).unwrap();
-    let mut responses = Vec::new();
-    for _ in 0..2 {
-        let payload = read_frame(&mut stream, |_| true).expect("response");
-        responses.push(Response::decode(&payload).expect("decode"));
-    }
-    let refused = responses
-        .iter()
-        .find(|r| matches!(r, Response::Refused { .. }));
+    let slow_sent = Instant::now();
+    write_frame(&mut slow_stream, slow.encode().as_bytes()).unwrap();
+    wait_until_in_flight(addr, "greedy", 1);
+
+    let sent = Instant::now();
+    let refused = Client::new(addr)
+        .request_once(&Request::new(2, "greedy", GOOD), 0)
+        .expect("a refusal is an answer");
+    let refused_after = sent.elapsed();
     match refused {
-        Some(Response::Refused { id, detail }) => {
-            assert_eq!(*id, 2, "the admitted request was the refused one");
+        Response::Refused { id, detail } => {
+            assert_eq!(id, 2);
             assert!(detail.contains("in-flight cap"), "detail: {}", detail);
         }
-        _ => panic!(
-            "expected one admission refusal, got {:?}",
-            responses.iter().map(comparable).collect::<Vec<_>>()
-        ),
+        other => panic!("expected an admission refusal, got {:?}", other),
     }
     assert!(
-        responses.iter().any(|r| matches!(r, Response::Ok { .. })),
-        "the admitted request still completed"
+        refused_after < Duration::from_secs(1),
+        "refusal took {:?}",
+        refused_after
     );
+
+    let payload = read_frame(&mut slow_stream, |_| true).expect("slow response");
+    assert!(
+        slow_sent.elapsed() >= Duration::from_millis(1_500),
+        "the diverging request answered before its deadline"
+    );
+    match Response::decode(&payload).expect("decode") {
+        Response::Ok { id, .. } => assert_eq!(id, 1),
+        other => panic!("the admitted request did not complete: {:?}", other),
+    }
     let snap = stop(&flag, handle);
     assert_eq!(snap.requests_refused, 1, "{:?}", snap);
+    assert_eq!(snap.leaked_sessions, 0);
+}
+
+/// Polls the health scrape until `tenant` holds `n` in-flight slots.
+fn wait_until_in_flight(addr: SocketAddr, tenant: &str, n: u64) {
+    let client = Client::new(addr);
+    let started = Instant::now();
+    loop {
+        let body = match client.admin_once(&AdminRequest::Health { id: 0 }) {
+            Ok(Response::Admin { body, .. }) => body,
+            other => panic!("health scrape failed: {:?}", other),
+        };
+        let health = daenerys_obs::parse_json(&body).expect("health json");
+        let in_flight = health.as_obj().unwrap()["tenants"]
+            .as_obj()
+            .unwrap()
+            .get(tenant)
+            .and_then(|row| row.as_obj().unwrap()["in_flight"].as_num());
+        if in_flight == Some(n as f64) {
+            return;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{} never reached {} in flight: {}",
+            tenant,
+            n,
+            body
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One session answers its frames in order, one at a time: two
+/// same-tenant frames pipelined on one connection under a cap of one
+/// in-flight request are both verified, never refused by each other.
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    let mut config = test_config(None);
+    config.policy.max_in_flight = 1;
+    let (addr, flag, handle) = start(config);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    for id in [1, 2] {
+        let req = Request::new(id, "solo", GOOD);
+        write_frame(&mut stream, req.encode().as_bytes()).unwrap();
+    }
+    for expected in [1, 2] {
+        let payload = read_frame(&mut stream, |_| true).expect("response");
+        match Response::decode(&payload).expect("decode") {
+            Response::Ok { id, verdicts, .. } => {
+                assert_eq!(id, expected);
+                assert_eq!(verdicts["set"].kind, "verified");
+            }
+            other => panic!("frame {} was not verified: {:?}", expected, other),
+        }
+    }
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.responses_ok, 2, "{:?}", snap);
+    assert_eq!(snap.requests_refused, 0, "{:?}", snap);
     assert_eq!(snap.leaked_sessions, 0);
 }
 

@@ -159,14 +159,6 @@ pub enum UnknownReason {
         /// Human-readable detail (how many obligations were unknown).
         detail: String,
     },
-    /// The request was refused before any verification work ran — the
-    /// daemon's per-tenant admission control rejected it (over its
-    /// in-flight cap or aggregate envelope). Never produced by the
-    /// in-process verifier itself.
-    Admission {
-        /// Human-readable detail (which admission limit tripped).
-        detail: String,
-    },
 }
 
 impl fmt::Display for UnknownReason {
@@ -177,9 +169,6 @@ impl fmt::Display for UnknownReason {
             }
             UnknownReason::OutOfFragment { detail } => {
                 write!(f, "out of fragment: {}", detail)
-            }
-            UnknownReason::Admission { detail } => {
-                write!(f, "admission refused: {}", detail)
             }
         }
     }

@@ -79,7 +79,7 @@ impl SessionHost {
         self.store.as_ref()
     }
 
-    /// Undecodable lines skipped when the store was opened (0 without
+    /// Undecodable records skipped when the store was opened (0 without
     /// a store).
     pub fn store_corrupt_lines(&self) -> usize {
         self.store.as_ref().map_or(0, |m| lock(m).corrupt_lines())

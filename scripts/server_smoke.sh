@@ -98,9 +98,11 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
     echo "daemon exited $DAEMON_STATUS after SIGTERM"; cat "$LOG"; exit 1;
 }
 
-# Zero leaked sessions, store flushed and clean, written as the one
-# DAES1 file (the store's only encoding).
+# Zero leaked sessions and zero contained panics (the external-daemon
+# replay cannot see either), store flushed and clean, written as the
+# one DAES1 file (the store's only encoding).
 grep -q '"leaked_sessions":0' "$OUT_DIR/metrics.json"
+grep -q '"internal_crashes":0' "$OUT_DIR/metrics.json"
 grep -q '"store_corrupt_lines":0' "$OUT_DIR/metrics.json"
 test -s "$STORE_DIR/verdicts.daes"
 
