@@ -404,7 +404,7 @@ fn fast_trickle_cannot_outlast_the_frame_deadline() {
 #[test]
 fn request_deadlines_are_not_doubled_by_retries() {
     let (addr, flag, handle) = start(test_config(None));
-    let mut req = Request::new(1, "acme", daenerys_idf::diverging_program(256));
+    let mut req = Request::new(1, "acme", daenerys_idf::flat_diverging_program(256));
     req.deadline_ms = Some(300);
     let (resp, _) = Client::new(addr)
         .request_with_retry(&req)
@@ -439,7 +439,7 @@ fn over_budget_tenants_are_refused_not_queued() {
     slow_stream
         .set_read_timeout(Some(Duration::from_secs(15)))
         .unwrap();
-    let mut slow = Request::new(1, "greedy", daenerys_idf::diverging_program(256));
+    let mut slow = Request::new(1, "greedy", daenerys_idf::flat_diverging_program(256));
     slow.deadline_ms = Some(1_500);
     let slow_sent = Instant::now();
     write_frame(&mut slow_stream, slow.encode().as_bytes()).unwrap();
@@ -568,4 +568,132 @@ method m() returns (r: Int) ensures r == 2 { r := 1 }";
     let snapshot = stop(&flag, handle);
     assert_eq!(snapshot.responses_ok, 1, "only the well-formed request");
     assert_eq!(snapshot.requests_errored, 1);
+}
+
+/// A verify frame nesting ten thousand arrays (20 KB) used to overflow
+/// the stack of the session thread parsing it, which aborts the whole
+/// daemon. The JSON reader refuses it past its nesting cap: the frame
+/// is answered `bad_request`, and the daemon keeps serving.
+#[test]
+fn an_over_deep_json_frame_is_a_bad_request() {
+    let (addr, flag, handle) = start(test_config(None));
+    let deep = format!(
+        r#"{{"id":1,"tenant":"t","source":"x","z":{}{}}}"#,
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    write_frame(&mut stream, deep.as_bytes()).unwrap();
+    let payload = read_frame(&mut stream, |_| true).expect("an answer");
+    match Response::decode(&payload).expect("decode") {
+        Response::Err { code, message, .. } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{}", message);
+            assert!(message.contains("nested deeper than"), "{}", message);
+        }
+        other => panic!("expected bad_request, got {:?}", other),
+    }
+    drop(stream);
+    let (resp, _) = Client::new(addr)
+        .request_with_retry(&Request::new(2, "t", GOOD))
+        .expect("the next connection is served");
+    assert!(matches!(resp, Response::Ok { .. }), "{:?}", resp);
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
+    assert_eq!(snap.responses_ok, 1, "{:?}", snap);
+}
+
+/// A program nesting one construct `n` deep. Each verifies at any
+/// depth the parser accepts.
+fn nested_source(shape: &str, n: usize) -> String {
+    match shape {
+        "parentheses" => format!(
+            "method m() returns (r: Int) ensures r == 1 {{ r := {}1{} }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        "unary" => format!("method m() returns (r: Bool) {{ r := {}true }}", "!".repeat(n)),
+        "old" => format!(
+            "field f: Int\nmethod m(c: Ref) requires acc(c.f) ensures acc(c.f) && c.f == {}c.f{} {{ }}",
+            "old(".repeat(n),
+            ")".repeat(n)
+        ),
+        "blocks" => format!(
+            "method m() returns (r: Int) ensures r == 1 {{ {}r := 1{} }}",
+            "if (true) { ".repeat(n),
+            " }".repeat(n)
+        ),
+        "plus" => format!(
+            "method m() returns (r: Int) ensures r == {} {{ r := {} }}",
+            n,
+            vec!["1"; n].join(" + ")
+        ),
+        "and" => format!(
+            "method m() returns (r: Bool) ensures r {{ r := {} }}",
+            vec!["true"; n].join(" && ")
+        ),
+        "conjuncts" => format!(
+            "method m() returns (r: Int) ensures {} {{ r := 1 }}",
+            vec!["r == 1"; n].join(" && ")
+        ),
+        _ => unreachable!("unknown shape {}", shape),
+    }
+}
+
+/// The IDF parser bounds nesting at `MAX_NESTING`. For each shape the
+/// deepest program it accepts verifies through a daemon session (whose
+/// thread has the default stack, in this debug build), and the program
+/// one level deeper is answered `parse`; the daemon keeps serving.
+/// Without the bound, a few hundred parentheses, `old`s or nested
+/// blocks, or a few thousand `+` terms, abort the daemon.
+#[test]
+fn nesting_at_the_bound_verifies_and_one_level_more_is_a_parse_error() {
+    let (addr, flag, handle) = start(test_config(None));
+    let client = Client::new(addr);
+    let shapes = [
+        "parentheses",
+        "unary",
+        "old",
+        "blocks",
+        "plus",
+        "and",
+        "conjuncts",
+    ];
+    let mut id = 0;
+    for shape in shapes {
+        let deepest = (1..=4 * daenerys_idf::MAX_NESTING)
+            .find(|&n| daenerys_idf::parse_program(&nested_source(shape, n + 1)).is_err())
+            .expect("the bound refuses some depth");
+        assert!(
+            deepest + 8 >= daenerys_idf::MAX_NESTING,
+            "{}: only {} levels parse",
+            shape,
+            deepest
+        );
+        id += 1;
+        match client.request_once(&Request::new(id, "t", nested_source(shape, deepest)), 0) {
+            Ok(Response::Ok { verdicts, .. }) => {
+                assert_eq!(verdicts["m"].kind, "verified", "{}: {:?}", shape, verdicts)
+            }
+            other => panic!("{} at depth {}: {:?}", shape, deepest, other),
+        }
+        id += 1;
+        match client.request_once(&Request::new(id, "t", nested_source(shape, deepest + 1)), 0) {
+            Ok(Response::Err { code, message, .. }) => {
+                assert_eq!(code, ErrorCode::Parse, "{}: {}", shape, message);
+                assert!(
+                    message.contains("nested deeper than"),
+                    "{}: {}",
+                    shape,
+                    message
+                );
+            }
+            other => panic!("{} at depth {}: {:?}", shape, deepest + 1, other),
+        }
+    }
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
+    assert_eq!(snap.responses_ok, shapes.len() as u64, "{:?}", snap);
 }

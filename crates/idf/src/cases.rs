@@ -452,6 +452,37 @@ pub fn diverging_program(k: usize) -> String {
     )
 }
 
+/// [`diverging_program`]'s `diverge` method alone, written flat so
+/// that any `k` nests within [`crate::parser::MAX_NESTING`]: the `k`
+/// constraints are inhaled one statement at a time and the sum is built
+/// in 32-term steps. At `k = 256` its final query runs for seconds even
+/// in a release build, which is what the deadline and admission tests
+/// need from it.
+pub fn flat_diverging_program(k: usize) -> String {
+    let k = k.max(1);
+    let params: Vec<String> = (0..k).map(|i| format!("x{}: Int", i)).collect();
+    let mut body: Vec<String> = (0..k)
+        .map(|i| format!("inhale x{i} == 0 || x{i} == 1", i = i))
+        .collect();
+    let mut sum = "0".to_string();
+    for (j, chunk) in (0..k).collect::<Vec<_>>().chunks(32).enumerate() {
+        let terms: Vec<String> = chunk.iter().map(|i| format!("x{}", i)).collect();
+        body.push(format!(
+            "var s{}: Int := {} + {}",
+            j,
+            sum,
+            terms.join(" + ")
+        ));
+        sum = format!("s{}", j);
+    }
+    body.push(format!("assert {} >= 0", sum));
+    format!(
+        "method diverge({})\n{{\n  {}\n}}\n",
+        params.join(", "),
+        body.join(";\n  ")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

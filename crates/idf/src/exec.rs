@@ -1045,10 +1045,13 @@ impl<'a> Verifier<'a> {
                     Op::Sub => self.arena.sub(va, vb),
                     Op::Mul => self.arena.mul(va, vb),
                     Op::Div => {
-                        // Constant fold only; symbolic division is out of
-                        // fragment.
+                        // Constant fold only, wrapping like the arena's
+                        // other folds and both concrete semantics;
+                        // symbolic division is out of fragment.
                         match (self.arena.node(va), self.arena.node(vb)) {
-                            (Term::Int(x), Term::Int(y)) if y != 0 => self.arena.int(x / y),
+                            (Term::Int(x), Term::Int(y)) if y != 0 => {
+                                self.arena.int(x.wrapping_div(y))
+                            }
                             _ => {
                                 let s = self.fresh(Type::Int);
                                 self.arena.sym(s)
@@ -2422,6 +2425,40 @@ mod tests {
             message: "boom".to_string(),
         };
         assert!(crash.to_string().contains("boom"));
+    }
+
+    /// `i64::MIN / -1` folds as the concrete semantics computes it
+    /// (wrapping to `i64::MIN`) instead of panicking the verifier.
+    #[test]
+    fn constant_division_folds_with_wrapping() {
+        let src = r#"
+            method m() returns (r: Int)
+              ensures r == 0 - 9223372036854775807 - 1
+            {
+              r := (0 - 9223372036854775807 - 1) / (0 - 1)
+            }
+        "#;
+        assert!(verify(src, Backend::Destabilized).is_ok());
+    }
+
+    /// The three coefficients of 2^126 sum to 3·2^126, which leaves
+    /// `i128`. Linear arithmetic that wrapped read the sum as -2^126
+    /// and verified this false postcondition; checked arithmetic makes
+    /// the comparison opaque, so the verdict is `Unknown`.
+    #[test]
+    fn coefficient_overflow_is_unknown_not_verified() {
+        let k = "x * 4611686018427387904 * 4611686018427387904 * 4";
+        let src = format!(
+            "method wrong(x: Int) returns (r: Int) requires x >= 1 \
+             ensures {k} + {k} + {k} < 0 {{ r := 0 }}"
+        );
+        let p = parse_program(&src).unwrap();
+        let verdicts = verdicts_with(&p, Backend::Destabilized, VerifierConfig::default());
+        assert!(
+            matches!(verdicts["wrong"], Verdict::Unknown { .. }),
+            "expected Unknown, got {}",
+            verdicts["wrong"]
+        );
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod wf;
 pub use ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
 pub use budget::{Budget, BudgetAxis, Fault, FaultKind, FaultPlan};
 pub use cases::{
-    all_cases, chain_program, diverging_program, negative_cases, positive_cases, scaling_program,
-    Case,
+    all_cases, chain_program, diverging_program, flat_diverging_program, negative_cases,
+    positive_cases, scaling_program, Case,
 };
 pub use compile::{
     alloc_object, compile_method, compile_program, run_and_check, spec_holds, ConcreteError,
@@ -53,7 +53,7 @@ pub use fingerprint::{
 };
 pub use parser::{
     parse_assertion, parse_program, parse_program_with_recovery,
-    parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS,
+    parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS, MAX_NESTING,
 };
 pub use session::{Session, SessionError, SessionHost, VerifyOutcome, VerifyRequest};
 pub use smt::{Answer, Solver};

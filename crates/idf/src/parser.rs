@@ -19,6 +19,10 @@
 //!            | "while" "(" expr ")" ("invariant" assertion)* block
 //!            | "call" (ident,+ ":=")? ident "(" expr,* ")"
 //! ```
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: a source that nests deeper is
+//! a [`ParseError`] at the token where it goes over, never a stack
+//! overflow in the parser or in a pass after it.
 
 use crate::ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
 use crate::lexer::{lex_spanned, Kw, LexError, Sy, Tok};
@@ -178,6 +182,18 @@ pub fn parse_program_with_recovery_capped(
     }
 }
 
+/// The deepest nesting the parser accepts. It bounds both the parser's
+/// own recursion (parentheses, unary operators, `old`/`perm`,
+/// conditional arms, implications and blocks each open a level) and
+/// the height of every `Expr`, `Assertion` and `Stmt` tree it returns,
+/// counted in nodes from the tree's root to its deepest leaf, so a
+/// 200-term `+` chain is refused as well. Every pass after the parser
+/// (wf, fingerprints, stability, symbolic execution, the printer)
+/// recurses over those trees; the bound keeps a hostile source from
+/// overflowing the stack of the thread that reads it, and every
+/// program in the repository nests well under it.
+pub const MAX_NESTING: usize = 100;
+
 /// Parses a single assertion (handy for tests and the harness).
 ///
 /// # Errors
@@ -201,6 +217,11 @@ struct P<'s> {
     /// Byte offset where each source line starts (index 0 = line 1).
     line_starts: Vec<usize>,
     src_len: usize,
+    /// Nesting levels currently open (at most [`MAX_NESTING`]).
+    depth: usize,
+    /// The height of the tree the last parsing function returned: its
+    /// node count from root to deepest leaf (at most [`MAX_NESTING`]).
+    height: usize,
 }
 
 impl<'s> P<'s> {
@@ -218,6 +239,8 @@ impl<'s> P<'s> {
             i: 0,
             line_starts,
             src_len: src.len(),
+            depth: 0,
+            height: 0,
         })
     }
 
@@ -231,20 +254,57 @@ impl<'s> P<'s> {
     }
 
     fn err(&self, m: impl Into<String>) -> ParseError {
-        let pos = self.spans.get(self.i).copied().unwrap_or(self.src_len);
+        self.err_at(self.i, m)
+    }
+
+    /// An error at token `at`.
+    fn err_at(&self, at: usize, m: impl Into<String>) -> ParseError {
+        let pos = self.spans.get(at).copied().unwrap_or(self.src_len);
         // The number of line starts at or before `pos` is the 1-based
         // line; the column is the offset into that line.
         let line = self.line_starts.partition_point(|&s| s <= pos);
         let col = pos - self.line_starts[line - 1] + 1;
         ParseError {
-            at: self.i,
+            at,
             line,
             col,
-            message: match self.toks.get(self.i) {
+            message: match self.toks.get(at) {
                 Some(t) => format!("{}, found `{}`", m.into(), t),
                 None => format!("{}, found end of input", m.into()),
             },
         }
+    }
+
+    /// Parses `inner` one nesting level deeper, for the construct
+    /// opened at token `at`; refused there when it would pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        at: usize,
+        inner: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep(at));
+        }
+        self.depth += 1;
+        let parsed = inner(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Records the height of a node starting (or with its operator) at
+    /// token `at` over children of which the tallest has height
+    /// `child`; refused there when it would pass [`MAX_NESTING`].
+    fn lift(&mut self, at: usize, child: usize) -> Result<(), ParseError> {
+        if child >= MAX_NESTING {
+            return Err(self.too_deep(at));
+        }
+        self.height = child + 1;
+        Ok(())
+    }
+
+    fn too_deep(&self, at: usize) -> ParseError {
+        self.err_at(at, format!("nested deeper than {} levels", MAX_NESTING))
     }
 
     /// The tail of a `field` declaration (the keyword already eaten).
@@ -364,13 +424,14 @@ impl<'s> P<'s> {
         } else {
             Vec::new()
         };
-        let mut requires = Vec::new();
-        let mut ensures = Vec::new();
+        let (mut requires, mut hr) = (Vec::new(), 0);
+        let (mut ensures, mut he) = (Vec::new(), 0);
         loop {
+            let at = self.i;
             if self.eat_kw(Kw::Requires) {
-                requires.push(self.assertion()?);
+                self.clause(at, &mut requires, &mut hr)?;
             } else if self.eat_kw(Kw::Ensures) {
-                ensures.push(self.assertion()?);
+                self.clause(at, &mut ensures, &mut he)?;
             } else {
                 break;
             }
@@ -390,78 +451,120 @@ impl<'s> P<'s> {
         })
     }
 
+    /// Parses the clause whose keyword is token `at` into `clauses`,
+    /// which [`Assertion::all`] conjoins; `height` is the height of
+    /// that conjunction so far.
+    fn clause(
+        &mut self,
+        at: usize,
+        clauses: &mut Vec<Assertion>,
+        height: &mut usize,
+    ) -> Result<(), ParseError> {
+        clauses.push(self.assertion()?);
+        if clauses.len() > 1 {
+            self.lift(at, (*height).max(self.height))?;
+        }
+        *height = self.height;
+        Ok(())
+    }
+
+    /// The statements up to the closing brace; the height is the
+    /// tallest statement's (0 for none).
     fn stmts_until_rbrace(&mut self) -> Result<Vec<Stmt>, ParseError> {
         let mut out = Vec::new();
+        let mut height = 0;
         loop {
             if self.eat_sym(Sy::RBrace) {
+                self.height = height;
                 return Ok(out);
             }
             out.push(self.stmt()?);
+            height = height.max(self.height);
             // Optional semicolons between statements.
             while self.eat_sym(Sy::Semi) {}
         }
     }
 
+    /// A nested `{ … }` block: one level deeper.
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        let at = self.i;
         self.expect_sym(Sy::LBrace)?;
-        self.stmts_until_rbrace()
+        self.nested(at, P::stmts_until_rbrace)
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        let at = self.i;
         if self.eat_kw(Kw::Var) {
             let x = self.ident()?.to_string();
             self.expect_sym(Sy::Colon)?;
             let ty = self.ty()?;
             self.expect_sym(Sy::Assign)?;
             let e = self.expr()?;
+            self.lift(at, self.height)?;
             return Ok(Stmt::VarDecl(x, ty, e));
         }
         if self.eat_kw(Kw::Inhale) {
-            return Ok(Stmt::Inhale(self.assertion()?));
+            let a = self.assertion()?;
+            self.lift(at, self.height)?;
+            return Ok(Stmt::Inhale(a));
         }
         if self.eat_kw(Kw::Exhale) {
-            return Ok(Stmt::Exhale(self.assertion()?));
+            let a = self.assertion()?;
+            self.lift(at, self.height)?;
+            return Ok(Stmt::Exhale(a));
         }
         if self.eat_kw(Kw::Assert) {
-            return Ok(Stmt::Assert(self.assertion()?));
+            let a = self.assertion()?;
+            self.lift(at, self.height)?;
+            return Ok(Stmt::Assert(a));
         }
         if self.eat_kw(Kw::If) {
             self.expect_sym(Sy::LParen)?;
             let c = self.expr()?;
+            let hc = self.height;
             self.expect_sym(Sy::RParen)?;
             let then = self.block()?;
-            let els = if self.eat_kw(Kw::Else) {
-                self.block()?
+            let ht = self.height;
+            let (els, he) = if self.eat_kw(Kw::Else) {
+                (self.block()?, self.height)
             } else {
-                Vec::new()
+                (Vec::new(), 0)
             };
+            self.lift(at, hc.max(ht).max(he))?;
             return Ok(Stmt::If(c, then, els));
         }
         if self.eat_kw(Kw::While) {
             self.expect_sym(Sy::LParen)?;
             let c = self.expr()?;
+            let hc = self.height;
             self.expect_sym(Sy::RParen)?;
-            let mut invs = Vec::new();
-            while self.eat_kw(Kw::Invariant) {
-                invs.push(self.assertion()?);
+            let (mut invs, mut hi) = (Vec::new(), 0);
+            loop {
+                let inv_at = self.i;
+                if !self.eat_kw(Kw::Invariant) {
+                    break;
+                }
+                self.clause(inv_at, &mut invs, &mut hi)?;
             }
             let body = self.block()?;
+            self.lift(at, hc.max(hi).max(self.height))?;
             return Ok(Stmt::While(c, Assertion::all(invs), body));
         }
         if self.eat_kw(Kw::Call) {
             // call [targets :=] m(args)
             let first = self.ident()?.to_string();
-            if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
-                let args = self.call_args()?;
-                return Ok(Stmt::Call(Vec::new(), first, args));
-            }
-            let mut targets = vec![first];
-            while self.eat_sym(Sy::Comma) {
-                targets.push(self.ident()?.to_string());
-            }
-            self.expect_sym(Sy::Assign)?;
-            let m = self.ident()?.to_string();
+            let (targets, m) = if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
+                (Vec::new(), first)
+            } else {
+                let mut targets = vec![first];
+                while self.eat_sym(Sy::Comma) {
+                    targets.push(self.ident()?.to_string());
+                }
+                self.expect_sym(Sy::Assign)?;
+                (targets, self.ident()?.to_string())
+            };
             let args = self.call_args()?;
+            self.lift(at, self.height)?;
             return Ok(Stmt::Call(targets, m, args));
         }
         // Assignment forms: `x := ...` or `e.f := e`.
@@ -471,47 +574,59 @@ impl<'s> P<'s> {
             if self.eat_kw(Kw::New) {
                 self.expect_sym(Sy::LParen)?;
                 let mut fields = Vec::new();
+                let mut height = 0;
                 if !self.eat_sym(Sy::RParen) {
                     loop {
                         let f = self.ident()?.to_string();
                         self.expect_sym(Sy::Colon)?;
                         let e = self.expr()?;
                         fields.push((f, e));
+                        height = height.max(self.height);
                         if self.eat_sym(Sy::RParen) {
                             break;
                         }
                         self.expect_sym(Sy::Comma)?;
                     }
                 }
+                self.lift(at, height)?;
                 return Ok(Stmt::New(x, fields));
             }
             let e = self.expr()?;
+            self.lift(at, self.height)?;
             return Ok(Stmt::Assign(x, e));
         }
         // Field write: expr.f := e.
         let lhs = self.expr()?;
+        // The receiver sits one below the `Field` node it came in.
+        let hr = self.height - 1;
         match lhs {
             Expr::Field(recv, f, _) => {
                 self.expect_sym(Sy::Assign)?;
                 let rhs = self.expr()?;
+                self.lift(at, hr.max(self.height))?;
                 Ok(Stmt::FieldWrite(*recv, f, rhs))
             }
             _ => Err(self.err("expected a statement")),
         }
     }
 
+    /// The parenthesized call arguments; the height is the tallest
+    /// argument's (0 for none).
     fn call_args(&mut self) -> Result<Vec<Expr>, ParseError> {
         self.expect_sym(Sy::LParen)?;
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.eat_sym(Sy::RParen) {
             loop {
                 args.push(self.expr()?);
+                height = height.max(self.height);
                 if self.eat_sym(Sy::RParen) {
                     break;
                 }
                 self.expect_sym(Sy::Comma)?;
             }
         }
+        self.height = height;
         Ok(args)
     }
 
@@ -519,16 +634,23 @@ impl<'s> P<'s> {
 
     fn assertion(&mut self) -> Result<Assertion, ParseError> {
         let mut acc = self.conjunct()?;
-        while self.eat_sym(Sy::AndAnd) {
+        loop {
+            let at = self.i;
+            if !self.eat_sym(Sy::AndAnd) {
+                return Ok(acc);
+            }
+            let left = self.height;
             let rhs = self.conjunct()?;
+            self.lift(at, left.max(self.height))?;
             acc = Assertion::and(acc, rhs);
         }
-        Ok(acc)
     }
 
     fn conjunct(&mut self) -> Result<Assertion, ParseError> {
+        let at = self.i;
         if self.eat_kw(Kw::Acc) {
             self.expect_sym(Sy::LParen)?;
+            // `Acc` replaces the `Field` node: same height.
             let recv = self.expr()?;
             let (recv, field) = match recv {
                 Expr::Field(r, f, _) => (*r, f),
@@ -548,7 +670,7 @@ impl<'s> P<'s> {
         if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
             let save = self.i;
             self.i += 1;
-            if let Ok(a) = self.assertion() {
+            if let Ok(a) = self.nested(save, P::assertion) {
                 // Accept the parenthesized-assertion reading only when
                 // it produced genuine assertion structure AND the next
                 // token cannot continue an *expression* (otherwise e.g.
@@ -564,10 +686,14 @@ impl<'s> P<'s> {
         }
         // expr, possibly `expr ==> conjunct`.
         let e = self.expr_no_and()?;
+        let implies_at = self.i;
         if self.eat_sym(Sy::Implies) {
-            let rhs = self.conjunct()?;
+            let left = self.height;
+            let rhs = self.nested(implies_at, P::conjunct)?;
+            self.lift(implies_at, left.max(self.height))?;
             return Ok(Assertion::Implies(e, Box::new(rhs)));
         }
+        self.lift(at, self.height)?;
         Ok(Assertion::Expr(e))
     }
 
@@ -616,24 +742,26 @@ impl<'s> P<'s> {
     // cond > or > and > cmp > add > mul > unary > postfix > atom
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let c = self.expr_or(true)?;
-        if self.eat_sym(Sy::Question) {
-            let t = self.expr()?;
-            self.expect_sym(Sy::Colon)?;
-            let e = self.expr()?;
-            return Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)));
-        }
-        Ok(c)
+        self.expr_cond(true)
     }
 
     /// Expression that stops at assertion-level `&&` (used inside
     /// assertion conjuncts so `A && B` splits at the assertion level).
     fn expr_no_and(&mut self) -> Result<Expr, ParseError> {
-        let c = self.expr_or(false)?;
+        self.expr_cond(false)
+    }
+
+    fn expr_cond(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
+        let c = self.expr_or(allow_and)?;
+        let at = self.i;
         if self.eat_sym(Sy::Question) {
-            let t = self.expr()?;
+            let hc = self.height;
+            let t = self.nested(at, P::expr)?;
+            let ht = self.height;
+            let colon = self.i;
             self.expect_sym(Sy::Colon)?;
-            let e = self.expr()?;
+            let e = self.nested(colon, P::expr)?;
+            self.lift(at, hc.max(ht).max(self.height))?;
             return Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)));
         }
         Ok(c)
@@ -641,74 +769,93 @@ impl<'s> P<'s> {
 
     fn expr_or(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
         let mut e = self.expr_and(allow_and)?;
-        while self.eat_sym(Sy::OrOr) {
+        loop {
+            let at = self.i;
+            if !self.eat_sym(Sy::OrOr) {
+                return Ok(e);
+            }
+            let left = self.height;
             let rhs = self.expr_and(allow_and)?;
+            self.lift(at, left.max(self.height))?;
             e = Expr::bin(Op::Or, e, rhs);
         }
-        Ok(e)
     }
 
     fn expr_and(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
         let mut e = self.expr_cmp()?;
-        while allow_and && self.eat_sym(Sy::AndAnd) {
+        loop {
+            let at = self.i;
+            if !(allow_and && self.eat_sym(Sy::AndAnd)) {
+                return Ok(e);
+            }
+            let left = self.height;
             let rhs = self.expr_cmp()?;
+            self.lift(at, left.max(self.height))?;
             e = Expr::bin(Op::And, e, rhs);
         }
-        Ok(e)
     }
 
     fn expr_cmp(&mut self) -> Result<Expr, ParseError> {
         let e = self.expr_add()?;
+        let at = self.i;
         let op = match self.peek() {
-            Some(Tok::Sym(Sy::EqEq)) => Some(Op::Eq),
-            Some(Tok::Sym(Sy::Ne)) => Some(Op::Ne),
-            Some(Tok::Sym(Sy::Lt)) => Some(Op::Lt),
-            Some(Tok::Sym(Sy::Le)) => Some(Op::Le),
-            Some(Tok::Sym(Sy::Gt)) => Some(Op::Gt),
-            Some(Tok::Sym(Sy::Ge)) => Some(Op::Ge),
-            _ => None,
+            Some(Tok::Sym(Sy::EqEq)) => Op::Eq,
+            Some(Tok::Sym(Sy::Ne)) => Op::Ne,
+            Some(Tok::Sym(Sy::Lt)) => Op::Lt,
+            Some(Tok::Sym(Sy::Le)) => Op::Le,
+            Some(Tok::Sym(Sy::Gt)) => Op::Gt,
+            Some(Tok::Sym(Sy::Ge)) => Op::Ge,
+            _ => return Ok(e),
         };
-        if let Some(op) = op {
-            self.i += 1;
-            let rhs = self.expr_add()?;
-            return Ok(Expr::bin(op, e, rhs));
-        }
-        Ok(e)
+        self.i += 1;
+        let left = self.height;
+        let rhs = self.expr_add()?;
+        self.lift(at, left.max(self.height))?;
+        Ok(Expr::bin(op, e, rhs))
     }
 
     fn expr_add(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.expr_mul()?;
         loop {
-            if self.eat_sym(Sy::Plus) {
-                let rhs = self.expr_mul()?;
-                e = Expr::bin(Op::Add, e, rhs);
+            let at = self.i;
+            let op = if self.eat_sym(Sy::Plus) {
+                Op::Add
             } else if self.eat_sym(Sy::Minus) {
-                let rhs = self.expr_mul()?;
-                e = Expr::bin(Op::Sub, e, rhs);
+                Op::Sub
             } else {
                 return Ok(e);
-            }
+            };
+            let left = self.height;
+            let rhs = self.expr_mul()?;
+            self.lift(at, left.max(self.height))?;
+            e = Expr::bin(op, e, rhs);
         }
     }
 
     fn expr_mul(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.expr_unary()?;
         loop {
-            if self.eat_sym(Sy::Star) {
-                let rhs = self.expr_unary()?;
-                e = Expr::bin(Op::Mul, e, rhs);
+            let at = self.i;
+            let op = if self.eat_sym(Sy::Star) {
+                Op::Mul
             } else if self.eat_sym(Sy::Slash) {
-                let rhs = self.expr_unary()?;
-                e = Expr::bin(Op::Div, e, rhs);
+                Op::Div
             } else {
                 return Ok(e);
-            }
+            };
+            let left = self.height;
+            let rhs = self.expr_unary()?;
+            self.lift(at, left.max(self.height))?;
+            e = Expr::bin(op, e, rhs);
         }
     }
 
     fn expr_unary(&mut self) -> Result<Expr, ParseError> {
+        let at = self.i;
         if self.eat_sym(Sy::Bang) {
-            return Ok(Expr::Not(Box::new(self.expr_unary()?)));
+            let e = self.nested(at, P::expr_unary)?;
+            self.lift(at, self.height)?;
+            return Ok(Expr::Not(Box::new(e)));
         }
         if self.eat_sym(Sy::Minus) {
             // Fold unary minus on integer literals so negative constants
@@ -716,9 +863,12 @@ impl<'s> P<'s> {
             if let Some(Tok::Int(n)) = self.peek() {
                 let n = *n;
                 self.i += 1;
+                self.height = 1;
                 return Ok(Expr::Int(n.wrapping_neg()));
             }
-            return Ok(Expr::Neg(Box::new(self.expr_unary()?)));
+            let e = self.nested(at, P::expr_unary)?;
+            self.lift(at, self.height)?;
+            return Ok(Expr::Neg(Box::new(e)));
         }
         self.expr_postfix()
     }
@@ -728,62 +878,59 @@ impl<'s> P<'s> {
         // diagnostic about `x.f` points at the `x`.
         let start = self.i;
         let mut e = self.atom()?;
-        while self.eat_sym(Sy::Dot) {
+        loop {
+            let at = self.i;
+            if !self.eat_sym(Sy::Dot) {
+                return Ok(e);
+            }
             let f = self.ident()?;
+            self.lift(at, self.height)?;
             e = Expr::field_at(e, f, self.span_at(start));
         }
-        Ok(e)
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().copied() {
-            Some(Tok::Int(n)) => {
-                self.i += 1;
-                Ok(Expr::Int(n))
-            }
-            Some(Tok::Kw(Kw::True)) => {
-                self.i += 1;
-                Ok(Expr::Bool(true))
-            }
-            Some(Tok::Kw(Kw::False)) => {
-                self.i += 1;
-                Ok(Expr::Bool(false))
-            }
-            Some(Tok::Kw(Kw::Null)) => {
-                self.i += 1;
-                Ok(Expr::Null)
-            }
+        let leaf = match self.peek().copied() {
+            Some(Tok::Int(n)) => Expr::Int(n),
+            Some(Tok::Kw(Kw::True)) => Expr::Bool(true),
+            Some(Tok::Kw(Kw::False)) => Expr::Bool(false),
+            Some(Tok::Kw(Kw::Null)) => Expr::Null,
+            Some(Tok::Ident(x)) => Expr::var(x),
             Some(Tok::Kw(Kw::Old)) => {
-                let at = self.span_at(self.i);
+                let at = self.i;
+                let span = self.span_at(at);
                 self.i += 1;
                 self.expect_sym(Sy::LParen)?;
-                let e = self.expr()?;
+                let e = self.nested(at, P::expr)?;
                 self.expect_sym(Sy::RParen)?;
-                Ok(Expr::Old(Box::new(e), at))
+                self.lift(at, self.height)?;
+                return Ok(Expr::Old(Box::new(e), span));
             }
             Some(Tok::Kw(Kw::Perm)) => {
-                let at = self.span_at(self.i);
+                let at = self.i;
+                let span = self.span_at(at);
                 self.i += 1;
                 self.expect_sym(Sy::LParen)?;
-                let e = self.expr()?;
+                let e = self.nested(at, P::expr)?;
                 self.expect_sym(Sy::RParen)?;
-                match e {
-                    Expr::Field(r, f, _) => Ok(Expr::Perm(r, f, at)),
+                // `Perm` replaces the `Field` node: same height.
+                return match e {
+                    Expr::Field(r, f, _) => Ok(Expr::Perm(r, f, span)),
                     _ => Err(self.err("perm expects a field location e.f")),
-                }
-            }
-            Some(Tok::Ident(x)) => {
-                self.i += 1;
-                Ok(Expr::var(x))
+                };
             }
             Some(Tok::Sym(Sy::LParen)) => {
+                let at = self.i;
                 self.i += 1;
-                let e = self.expr()?;
+                let e = self.nested(at, P::expr)?;
                 self.expect_sym(Sy::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            _ => Err(self.err("expected an expression")),
-        }
+            _ => return Err(self.err("expected an expression")),
+        };
+        self.i += 1;
+        self.height = 1;
+        Ok(leaf)
     }
 }
 
@@ -820,6 +967,59 @@ mod tests {
         let e = &parse_program_with_recovery("method m(c: Ref) { assert ").unwrap_err()[0];
         assert_eq!(e.message, "expected an expression, found end of input");
         assert_eq!((e.line, e.col), (1, 27));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_refused_at_the_offending_token() {
+        // Parentheses open parser levels without building nodes.
+        let parens = |n: usize| {
+            format!(
+                "method m() returns (r: Int) {{ r := {}1{} }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_program(&parens(MAX_NESTING)).is_ok());
+        let e = parse_program(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.message, "nested deeper than 100 levels, found `(`");
+        let first = "method m() returns (r: Int) { r := ".len();
+        assert_eq!((e.line, e.col), (1, first + MAX_NESTING + 1));
+        // A `+` chain adds a node per term without recursing: the
+        // assignment, the chain and a leaf make `n + 1` levels.
+        let chain = |n: usize| {
+            format!(
+                "method m() returns (r: Int) {{ r := {} }}",
+                vec!["1"; n].join(" + ")
+            )
+        };
+        assert!(parse_program(&chain(MAX_NESTING - 1)).is_ok());
+        // One term more and the assignment is the node over the bound;
+        // two more, and the chain's last `+` is.
+        let e = parse_program(&chain(MAX_NESTING)).unwrap_err();
+        assert_eq!(e.message, "nested deeper than 100 levels, found `r`");
+        let e = parse_program(&chain(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.message, "nested deeper than 100 levels, found `+`");
+        // So do separate `requires` clauses, conjoined into one tree.
+        let clauses = |n: usize| format!("method m(x: Int) {} {{ }}", "requires x == 1 ".repeat(n));
+        assert!(parse_program(&clauses(MAX_NESTING - 2)).is_ok());
+        let e = parse_program(&clauses(MAX_NESTING - 1)).unwrap_err();
+        assert_eq!(e.message, "nested deeper than 100 levels, found `requires`");
+        // Far past the bound, every shape is refused without overflowing
+        // the stack.
+        for src in [
+            parens(100_000),
+            chain(100_000),
+            format!("method m() {{ {} }}", "if (true) { ".repeat(100_000)),
+            format!("method m() {{ assert {}true }}", "!".repeat(100_000)),
+            format!("method m() {{ assert {}x }}", "x ==> ".repeat(100_000)),
+            format!(
+                "method m() {{ assert {}x{} }}",
+                "(x ==> ".repeat(100_000),
+                ")".repeat(100_000)
+            ),
+        ] {
+            assert!(parse_program(&src).is_err());
+        }
     }
 
     #[test]

@@ -13,25 +13,22 @@
 //!
 //! The procedure is **sound for verification**: `Valid` is only
 //! answered when `pc → goal` holds. Nonlinear or otherwise unsupported
-//! atoms degrade the answer to `Unknown`, never to a wrong `Valid`.
+//! atoms, and linear arithmetic that would overflow `i128`, degrade the
+//! answer to `Unknown`, never to a wrong `Valid`.
 //!
-//! Queries are posed over hash-consed [`TermId`]s, and two memo layers
-//! exploit the O(1) equality that interning buys:
+//! Queries are posed over hash-consed [`TermId`]s, and a **query
+//! cache** exploits the O(1) equality that interning buys: it is keyed
+//! on the *normalized* path condition (sorted, deduplicated ids) plus
+//! the goal id. Symbolic execution re-poses the same
+//! consistency/entailment queries constantly (branch joins, repeated
+//! spec boundaries), and a repeat is answered without any solving. The
+//! key is a complete input of the query, so a memoized answer is the
+//! one a re-solve would give.
 //!
-//! * a **query cache** keyed on the *normalized* path condition (sorted,
-//!   deduplicated ids) plus the goal id — symbolic execution re-poses
-//!   the same consistency/entailment queries constantly (branch joins,
-//!   repeated spec boundaries), and a repeat is answered without any
-//!   solving;
-//! * a **theory cache** keyed on the set of theory literals of a full
-//!   propositional assignment — union-find construction, Gaussian
-//!   substitution, and Fourier–Motzkin elimination are all functions
-//!   of that set alone, so queries whose path conditions share a
-//!   prefix reuse the ground-theory work of their common branches
-//!   instead of repeating it.
-//!
-//! Both caches are exact (keys are complete inputs of the computation
-//! they index), so a memoized answer is the one a re-solve would give.
+//! Every full propositional assignment the search reaches is decided
+//! afresh by `theory_check`, a pure function of its theory literals:
+//! no theory verdict is remembered, so each one comes with the
+//! derivation that produced it.
 
 use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
 use std::collections::{BTreeMap, HashMap};
@@ -85,30 +82,42 @@ impl LinTerm {
         LinTerm { coeffs, konst: 0 }
     }
 
-    fn scale(&self, k: i128) -> LinTerm {
-        LinTerm {
-            coeffs: self.coeffs.iter().map(|(s, c)| (*s, c * k)).collect(),
-            konst: self.konst * k,
+    // The arithmetic is checked: `None` means a coefficient or the
+    // constant left `i128`, and every caller then abstains (an opaque
+    // atom, a skipped bound, an `Unknown` leaf) rather than reason
+    // about a wrapped value.
+
+    fn scale(&self, k: i128) -> Option<LinTerm> {
+        let mut scaled = self.clone();
+        for c in scaled.coeffs.values_mut() {
+            *c = mul(*c, k)?;
         }
+        scaled.konst = mul(self.konst, k)?;
+        Some(scaled)
     }
 
-    fn add(&self, other: &LinTerm) -> LinTerm {
+    fn add(&self, other: &LinTerm) -> Option<LinTerm> {
         let mut coeffs = self.coeffs.clone();
         for (s, c) in &other.coeffs {
             let e = coeffs.entry(*s).or_insert(0);
-            *e += c;
+            *e = e.checked_add(*c)?;
             if *e == 0 {
                 coeffs.remove(s);
             }
         }
-        LinTerm {
+        Some(LinTerm {
             coeffs,
-            konst: self.konst + other.konst,
-        }
+            konst: self.konst.checked_add(other.konst)?,
+        })
     }
 
-    fn sub(&self, other: &LinTerm) -> LinTerm {
-        self.add(&other.scale(-1))
+    fn sub(&self, other: &LinTerm) -> Option<LinTerm> {
+        self.add(&other.scale(-1)?)
+    }
+
+    /// `-self + 1`: over the integers, `¬(self ≤ 0)` is `-self + 1 ≤ 0`.
+    fn negated(&self) -> Option<LinTerm> {
+        self.scale(-1)?.add(&LinTerm::constant(1))
     }
 
     fn is_constant(&self) -> bool {
@@ -188,11 +197,6 @@ pub struct Solver {
     pub cache_hits: usize,
     /// Query-cache misses (entailments actually solved).
     pub cache_misses: usize,
-    /// Theory-cache hits (ground-theory checks reused across branches
-    /// and across queries sharing a path-condition prefix).
-    pub theory_hits: usize,
-    /// Theory-cache misses.
-    pub theory_misses: usize,
     /// Remaining solver fuel; `None` means unlimited. One unit is
     /// charged per conflict and per propagated literal. At zero the solver answers `Unknown` instead
     /// of searching further (cooperative budget exhaustion).
@@ -231,7 +235,6 @@ pub struct Solver {
     /// difference-bound strengthening) across all queries.
     pub theory_props: usize,
     query_cache: HashMap<(Vec<TermId>, TermId), Answer>,
-    theory_cache: HashMap<Vec<(Atom, bool)>, SatAnswer>,
 }
 
 impl Solver {
@@ -325,7 +328,7 @@ impl Solver {
             // Propositionally false at the root: no search, no fuel.
             return SatAnswer::Unsat;
         }
-        let verdict = eng.solve(self);
+        let verdict = eng.solve();
         self.fuel = eng.fuel;
         self.fuel_exhausted |= eng.fuel_exhausted;
         self.deadline_exhausted |= eng.deadline_exhausted;
@@ -379,35 +382,35 @@ impl Solver {
                 if let Some(ex) = split_cmp_ite(arena, a, b, Cmp::Lt) {
                     return self.abstract_bool(arena, ex, positive, atoms);
                 }
-                // a < b  ⇔  a - b + 1 ≤ 0 (integers).
-                match (self.linearize(arena, a), self.linearize(arena, b)) {
-                    (Some(la), Some(lb)) => {
-                        let lin = if positive {
-                            la.sub(&lb).add(&LinTerm::constant(1))
-                        } else {
-                            // ¬(a < b) ⇔ b ≤ a ⇔ b - a ≤ 0.
-                            lb.sub(&la)
-                        };
-                        lin_lit(atoms, lin)
+                // a < b  ⇔  a - b + 1 ≤ 0 (integers), and
+                // ¬(a < b) ⇔ b ≤ a ⇔ b - a ≤ 0.
+                let lin = self.linearize_pair(arena, a, b).and_then(|(la, lb)| {
+                    if positive {
+                        la.sub(&lb)?.add(&LinTerm::constant(1))
+                    } else {
+                        lb.sub(&la)
                     }
-                    _ => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
+                });
+                match lin {
+                    Some(lin) => lin_lit(atoms, lin),
+                    None => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
                 }
             }
             Term::Le(a, b) => {
                 if let Some(ex) = split_cmp_ite(arena, a, b, Cmp::Le) {
                     return self.abstract_bool(arena, ex, positive, atoms);
                 }
-                match (self.linearize(arena, a), self.linearize(arena, b)) {
-                    (Some(la), Some(lb)) => {
-                        let lin = if positive {
-                            la.sub(&lb)
-                        } else {
-                            // ¬(a ≤ b) ⇔ b + 1 ≤ a ⇔ b - a + 1 ≤ 0.
-                            lb.sub(&la).add(&LinTerm::constant(1))
-                        };
-                        lin_lit(atoms, lin)
+                // ¬(a ≤ b) ⇔ b + 1 ≤ a ⇔ b - a + 1 ≤ 0.
+                let lin = self.linearize_pair(arena, a, b).and_then(|(la, lb)| {
+                    if positive {
+                        la.sub(&lb)
+                    } else {
+                        lb.sub(&la)?.add(&LinTerm::constant(1))
                     }
-                    _ => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
+                });
+                match lin {
+                    Some(lin) => lin_lit(atoms, lin),
+                    None => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
                 }
             }
             Term::Eq(a, b) => match self.sort_of(arena, a).or_else(|| self.sort_of(arena, b)) {
@@ -415,27 +418,27 @@ impl Solver {
                     if let Some(ex) = split_cmp_ite(arena, a, b, Cmp::Eq) {
                         return self.abstract_bool(arena, ex, positive, atoms);
                     }
-                    match (self.linearize(arena, a), self.linearize(arena, b)) {
-                        (Some(la), Some(lb)) => {
-                            let d = la.sub(&lb);
+                    // d = 0 ⇔ d ≤ 0 ∧ -d ≤ 0, and
+                    // d ≠ 0 ⇔ d ≤ -1 ∨ -d ≤ -1.
+                    let sides = self.linearize_pair(arena, a, b).and_then(|(la, lb)| {
+                        let d = la.sub(&lb)?;
+                        if positive {
+                            let neg = d.scale(-1)?;
+                            Some((d, neg))
+                        } else {
+                            Some((d.add(&LinTerm::constant(1))?, d.negated()?))
+                        }
+                    });
+                    match sides {
+                        Some((l, r)) => {
+                            let (l, r) = (Box::new(lin_lit(atoms, l)), Box::new(lin_lit(atoms, r)));
                             if positive {
-                                // d = 0 ⇔ d ≤ 0 ∧ -d ≤ 0.
-                                BForm::And(
-                                    Box::new(lin_lit(atoms, d.clone())),
-                                    Box::new(lin_lit(atoms, d.scale(-1))),
-                                )
+                                BForm::And(l, r)
                             } else {
-                                // d ≠ 0 ⇔ d ≤ -1 ∨ -d ≤ -1.
-                                BForm::Or(
-                                    Box::new(lin_lit(atoms, d.add(&LinTerm::constant(1)))),
-                                    Box::new(lin_lit(
-                                        atoms,
-                                        d.scale(-1).add(&LinTerm::constant(1)),
-                                    )),
-                                )
+                                BForm::Or(l, r)
                             }
                         }
-                        _ => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
+                        None => BForm::Lit(atoms.intern(Atom::Opaque(id)), positive),
                     }
                 }
                 Some(Sort::Ref) => match (ref_term(arena, a), ref_term(arena, b)) {
@@ -488,15 +491,15 @@ impl Solver {
                 Some(Sort::Int) | None => Some(LinTerm::var(s)),
                 _ => None,
             },
-            Term::Add(a, b) => Some(self.linearize(arena, a)?.add(&self.linearize(arena, b)?)),
-            Term::Sub(a, b) => Some(self.linearize(arena, a)?.sub(&self.linearize(arena, b)?)),
+            Term::Add(a, b) => self.linearize(arena, a)?.add(&self.linearize(arena, b)?),
+            Term::Sub(a, b) => self.linearize(arena, a)?.sub(&self.linearize(arena, b)?),
             Term::Mul(a, b) => {
                 let la = self.linearize(arena, a)?;
                 let lb = self.linearize(arena, b)?;
                 if la.is_constant() {
-                    Some(lb.scale(la.konst))
+                    lb.scale(la.konst)
                 } else if lb.is_constant() {
-                    Some(la.scale(lb.konst))
+                    la.scale(lb.konst)
                 } else {
                     None
                 }
@@ -505,73 +508,65 @@ impl Solver {
         }
     }
 
-    /// Checks a sorted, deduplicated theory-literal set — a full
-    /// propositional assignment's theory literals — against the
-    /// theories.
-    ///
-    /// The verdict is a function of the *set* alone (union-find
-    /// connectivity and Fourier–Motzkin are order-independent), so it
-    /// is memoized on it: leaves within one query, and across queries
-    /// whose path conditions share a prefix, reuse each other's ground
-    /// work.
-    fn theory_decide(&mut self, key: Vec<(Atom, bool)>) -> SatAnswer {
-        if let Some(&cached) = self.theory_cache.get(&key) {
-            self.theory_hits += 1;
-            return cached;
-        }
-        self.theory_misses += 1;
+    /// Both sides of a comparison as linear terms, or `None` when either
+    /// is nonlinear or overflows.
+    fn linearize_pair(
+        &self,
+        arena: &TermArena,
+        a: TermId,
+        b: TermId,
+    ) -> Option<(LinTerm, LinTerm)> {
+        Some((self.linearize(arena, a)?, self.linearize(arena, b)?))
+    }
+}
 
-        // Opaque atoms poison certainty of Sat.
-        let mut unknown = false;
-        // --- References: union-find with disequalities.
-        let mut uf = UnionFind::new();
-        let mut disequalities: Vec<(RefTerm, RefTerm)> = Vec::new();
-        // --- Integers: Fourier–Motzkin.
-        let mut constraints: Vec<LinTerm> = Vec::new();
+/// Checks a full propositional assignment's theory literals against
+/// the theories: union-find over the reference (dis)equalities, then
+/// Gaussian substitution and Fourier–Motzkin over the linear
+/// constraints. Boolean symbols carry no theory meaning; an opaque atom
+/// turns a `Sat` into `Unknown`. The literals are sorted first, so the
+/// verdict, and the elimination order behind it, is a function of the
+/// literal set alone.
+fn theory_check<'a>(lits: impl IntoIterator<Item = (&'a Atom, bool)>) -> SatAnswer {
+    let mut lits: Vec<(&Atom, bool)> = lits.into_iter().collect();
+    lits.sort_unstable();
 
-        for (atom, polarity) in &key {
-            match atom {
-                Atom::LinLe(lin) => {
-                    if *polarity {
-                        constraints.push(lin.clone());
-                    } else {
-                        // ¬(lin ≤ 0) ⇔ -lin + 1 ≤ 0.
-                        constraints.push(lin.scale(-1).add(&LinTerm::constant(1)));
-                    }
-                }
-                Atom::BoolSym(_) => {}
-                Atom::RefEq(a, b) => {
-                    if *polarity {
-                        uf.union(*a, *b);
-                    } else {
-                        disequalities.push((*a, *b));
-                    }
-                }
-                Atom::Opaque(_) => unknown = true,
-            }
-        }
+    // Opaque atoms and overflowing negations poison certainty of Sat.
+    let mut unknown = false;
+    // --- References: union-find with disequalities.
+    let mut uf = UnionFind::new();
+    let mut disequalities: Vec<(RefTerm, RefTerm)> = Vec::new();
+    // --- Integers: Fourier–Motzkin.
+    let mut constraints: Vec<LinTerm> = Vec::new();
 
-        let mut result = SatAnswer::Sat;
-        for (a, b) in &disequalities {
-            if uf.find(*a) == uf.find(*b) {
-                result = SatAnswer::Unsat;
-            }
-        }
-
-        if result != SatAnswer::Unsat {
-            match fourier_motzkin(constraints) {
-                Some(false) => result = SatAnswer::Unsat,
-                Some(true) => {}
+    for (atom, polarity) in lits {
+        match atom {
+            Atom::LinLe(lin) if polarity => constraints.push(lin.clone()),
+            // Dropping a negation that overflows only weakens the set:
+            // an `Unsat` stays sound, and a `Sat` becomes `Unknown`.
+            Atom::LinLe(lin) => match lin.negated() {
+                Some(neg) => constraints.push(neg),
                 None => unknown = true,
+            },
+            Atom::BoolSym(_) => {}
+            Atom::RefEq(a, b) => {
+                if polarity {
+                    uf.union(*a, *b);
+                } else {
+                    disequalities.push((*a, *b));
+                }
             }
+            Atom::Opaque(_) => unknown = true,
         }
+    }
 
-        if result != SatAnswer::Unsat && unknown {
-            result = SatAnswer::Unknown;
-        }
-
-        self.theory_cache.insert(key, result);
-        result
+    if disequalities.iter().any(|&(a, b)| uf.find(a) == uf.find(b)) {
+        return SatAnswer::Unsat;
+    }
+    match fourier_motzkin(constraints) {
+        Some(false) => SatAnswer::Unsat,
+        Some(true) if !unknown => SatAnswer::Sat,
+        _ => SatAnswer::Unknown,
     }
 }
 
@@ -1006,14 +1001,16 @@ impl CdclEngine {
         best
     }
 
-    /// Gets (or creates) the theory-explanation clause asserting `lit`
-    /// under the already-true `expl` literals: `lit ∨ ¬e₁ ∨ … ∨ ¬eₙ`.
-    /// The recomputing theory pass finds an existing clause through
-    /// `expl_index` instead of adding it again.
-    fn explanation_clause(&mut self, lit: usize, expl: &[usize]) -> usize {
-        let mut lits: Vec<usize> = Vec::with_capacity(expl.len() + 1);
-        lits.push(lit);
-        lits.extend(expl.iter().map(|&e| lit_neg(e)));
+    /// Gets (or creates) the theory clause over the already-true `expl`
+    /// literals: `lit ∨ ¬e₁ ∨ … ∨ ¬eₙ` when it explains the propagation
+    /// of `asserted = Some(lit)`, the conflict clause `¬e₁ ∨ … ∨ ¬eₙ`
+    /// when `asserted` is `None`. The recomputing theory pass finds an
+    /// existing clause through `expl_index` instead of adding it again.
+    fn theory_clause(&mut self, asserted: Option<usize>, expl: &[usize]) -> usize {
+        let mut lits: Vec<usize> = asserted
+            .into_iter()
+            .chain(expl.iter().map(|&e| lit_neg(e)))
+            .collect();
         lits.sort_unstable();
         lits.dedup();
         if let Some(&ci) = self.expl_index.get(&lits) {
@@ -1023,13 +1020,7 @@ impl CdclEngine {
         // Order for watching: the asserted literal first, then the
         // falsified explanation literals by descending level.
         let mut ordered = lits;
-        ordered.sort_by_key(|&l| {
-            if l == lit {
-                (0, 0, l)
-            } else {
-                (1, u32::MAX - self.level[lit_var(l)], l)
-            }
-        });
+        ordered.sort_by_key(|&l| (Some(l) != asserted, u32::MAX - self.level[lit_var(l)], l));
         let ci = self.push_clause(ordered);
         if self.clauses[ci].len() >= 2 {
             self.attach_watches(ci);
@@ -1042,28 +1033,8 @@ impl CdclEngine {
     /// currently-true literals that imply it in the theory).
     fn theory_enqueue(&mut self, lit: usize, expl: &[usize]) {
         self.theory_props += 1;
-        let why = self.explanation_clause(lit, expl);
+        let why = self.theory_clause(Some(lit), expl);
         self.assign_lit(lit, Some(why), true);
-    }
-
-    /// Gets (or creates) the theory-conflict clause over a set of
-    /// currently-true literals that are jointly theory-inconsistent.
-    fn theory_conflict(&mut self, expl: Vec<usize>) -> usize {
-        let mut lits: Vec<usize> = expl.iter().map(|&e| lit_neg(e)).collect();
-        lits.sort_unstable();
-        lits.dedup();
-        if let Some(&ci) = self.expl_index.get(&lits) {
-            return ci;
-        }
-        let key = lits.clone();
-        let mut ordered = lits;
-        ordered.sort_by_key(|&l| (u32::MAX - self.level[lit_var(l)], l));
-        let ci = self.push_clause(ordered);
-        if self.clauses[ci].len() >= 2 {
-            self.attach_watches(ci);
-        }
-        self.expl_index.insert(key, ci);
-        ci
     }
 
     /// One theory-propagation pass, recomputed from the assigned atom
@@ -1097,31 +1068,35 @@ impl CdclEngine {
                 }
                 Atom::LinLe(lin) => {
                     // The effective constraint `c·x + k ≤ 0` this
-                    // literal imposes.
+                    // literal imposes; one that overflows is skipped
+                    // (the leaf check still sees the literal).
                     let eff = if lit_pol(l) {
                         lin.clone()
                     } else {
-                        lin.scale(-1).add(&LinTerm::constant(1))
+                        let Some(neg) = lin.negated() else { continue };
+                        neg
                     };
                     if eff.coeffs.len() == 1 {
                         let (&x, &c) = eff.coeffs.iter().next().expect("one var");
+                        // A new bound replaces the old one only when it
+                        // is provably tighter.
                         if c > 0 {
                             // x ≤ -k/c, kept exact.
-                            let (n, d) = (-eff.konst, c);
-                            match upper.get(&x) {
-                                Some(&(un, ud, _)) if un * d <= n * ud => {}
-                                _ => {
-                                    upper.insert(x, (n, d, l));
-                                }
+                            let Some(n) = eff.konst.checked_neg() else {
+                                continue;
+                            };
+                            let keep = upper.get(&x).map(|&(un, ud, _)| rat_le(un, ud, n, c));
+                            if let None | Some(Some(false)) = keep {
+                                upper.insert(x, (n, c, l));
                             }
                         } else {
                             // x ≥ -k/c = k/(-c), kept exact.
-                            let (n, d) = (eff.konst, -c);
-                            match lower.get(&x) {
-                                Some(&(ln2, ld, _)) if ln2 * d >= n * ld => {}
-                                _ => {
-                                    lower.insert(x, (n, d, l));
-                                }
+                            let Some(d) = c.checked_neg() else { continue };
+                            let keep = lower
+                                .get(&x)
+                                .map(|&(ln2, ld, _)| rat_le(eff.konst, d, ln2, ld));
+                            if let None | Some(Some(false)) = keep {
+                                lower.insert(x, (eff.konst, d, l));
                             }
                         }
                     } else if !eff.coeffs.is_empty() {
@@ -1135,8 +1110,8 @@ impl CdclEngine {
         // Conflicts first: crossed bounds on one variable, …
         for (x, &(ln2, ld, ll)) in &lower {
             if let Some(&(un, ud, ul)) = upper.get(x) {
-                if ln2 * ud > un * ld {
-                    return TheoryResult::Conflict(self.theory_conflict(vec![ll, ul]));
+                if rat_le(ln2, ld, un, ud) == Some(false) {
+                    return TheoryResult::Conflict(self.theory_clause(None, &[ll, ul]));
                 }
             }
         }
@@ -1145,7 +1120,7 @@ impl CdclEngine {
             if uf.find(a) == uf.find(b) {
                 let mut expl = eq_lits.clone();
                 expl.push(l);
-                return TheoryResult::Conflict(self.theory_conflict(expl));
+                return TheoryResult::Conflict(self.theory_clause(None, &expl));
             }
         }
         // … or a multi-variable constraint whose minimum under the
@@ -1155,7 +1130,7 @@ impl CdclEngine {
                 if min > 0 {
                     let mut expl = used;
                     expl.push(*l);
-                    return TheoryResult::Conflict(self.theory_conflict(expl));
+                    return TheoryResult::Conflict(self.theory_clause(None, &expl));
                 }
             }
         }
@@ -1189,33 +1164,37 @@ impl CdclEngine {
                 Atom::LinLe(lin) => {
                     if lin.coeffs.len() == 1 {
                         let (&x, &c) = lin.coeffs.iter().next().expect("one var");
+                        // A comparison that overflows propagates nothing.
                         if c > 0 {
                             // Atom ⇔ x ≤ -k/c, compared exactly.
+                            let Some(n) = lin.konst.checked_neg() else {
+                                continue;
+                            };
                             if let Some(&(un, ud, ul)) = upper.get(&x) {
-                                if un * c <= -lin.konst * ud {
+                                if rat_le(un, ud, n, c) == Some(true) {
                                     self.theory_enqueue(mk_lit(v, true), &[ul]);
                                     progress = true;
                                     continue;
                                 }
                             }
                             if let Some(&(ln2, ld, ll)) = lower.get(&x) {
-                                if ln2 * c > -lin.konst * ld {
+                                if rat_le(ln2, ld, n, c) == Some(false) {
                                     self.theory_enqueue(mk_lit(v, false), &[ll]);
                                     progress = true;
                                 }
                             }
                         } else {
                             // Atom ⇔ x ≥ k/(-c), compared exactly.
-                            let m = -c;
+                            let Some(m) = c.checked_neg() else { continue };
                             if let Some(&(ln2, ld, ll)) = lower.get(&x) {
-                                if ln2 * m >= lin.konst * ld {
+                                if rat_le(lin.konst, m, ln2, ld) == Some(true) {
                                     self.theory_enqueue(mk_lit(v, true), &[ll]);
                                     progress = true;
                                     continue;
                                 }
                             }
                             if let Some(&(un, ud, ul)) = upper.get(&x) {
-                                if un * m < lin.konst * ud {
+                                if rat_le(lin.konst, m, un, ud) == Some(false) {
                                     self.theory_enqueue(mk_lit(v, false), &[ul]);
                                     progress = true;
                                 }
@@ -1381,13 +1360,9 @@ impl CdclEngine {
     /// Checks a total assignment (over the constrained variables)
     /// against the full theory solver, handling Unsat as a conflict and
     /// Unknown by blocking the current decision cube under taint.
-    fn leaf(&mut self, solver: &mut Solver) -> LeafOutcome {
-        let mut key: Vec<(Atom, bool)> = (0..self.natoms)
-            .filter_map(|v| self.assign[v].map(|pol| (self.atoms[v].clone(), pol)))
-            .collect();
-        key.sort_unstable();
-        key.dedup();
-        match solver.theory_decide(key) {
+    fn leaf(&mut self) -> LeafOutcome {
+        let lits = (0..self.natoms).filter_map(|v| self.assign[v].map(|pol| (&self.atoms[v], pol)));
+        match theory_check(lits) {
             SatAnswer::Sat => LeafOutcome::Sat,
             SatAnswer::Unsat => {
                 self.conflicts += 1;
@@ -1407,7 +1382,7 @@ impl CdclEngine {
                 if expl.is_empty() || expl.iter().all(|&l| self.level[lit_var(l)] == 0) {
                     return LeafOutcome::Done;
                 }
-                let ci = self.theory_conflict(expl);
+                let ci = self.theory_clause(None, &expl);
                 if !self.resolve_conflict(ci) {
                     return LeafOutcome::Done;
                 }
@@ -1454,7 +1429,7 @@ impl CdclEngine {
     /// The CDCL main loop: propagate (boolean then theory) to fixpoint,
     /// resolve conflicts, otherwise decide; a conflict-free total
     /// assignment is referred to the theory solver.
-    fn solve(&mut self, solver: &mut Solver) -> SatAnswer {
+    fn solve(&mut self) -> SatAnswer {
         if self.root_unsat {
             return SatAnswer::Unsat;
         }
@@ -1507,7 +1482,7 @@ impl CdclEngine {
                         self.trail_lim.push(self.trail.len());
                         self.assign_lit(mk_lit(v, true), None, false);
                     }
-                    None => match self.leaf(solver) {
+                    None => match self.leaf() {
                         LeafOutcome::Sat => return SatAnswer::Sat,
                         LeafOutcome::Done => return self.final_verdict(),
                         LeafOutcome::Continue => {}
@@ -1515,6 +1490,23 @@ impl CdclEngine {
                 },
             }
         }
+    }
+}
+
+/// `an/ad ≤ bn/bd` for positive denominators, compared exactly by
+/// cross-multiplication; `None` when a product overflows.
+fn rat_le(an: i128, ad: i128, bn: i128, bd: i128) -> Option<bool> {
+    Some(mul(an, bd)? <= mul(bn, ad)?)
+}
+
+/// `a * b`, or `None` when it leaves `i128`. Factors that fit in `i64`,
+/// as nearly all do, skip the overflow-checked 128-bit multiply: their
+/// product cannot overflow.
+fn mul(a: i128, b: i128) -> Option<i128> {
+    if i64::try_from(a).is_ok() && i64::try_from(b).is_ok() {
+        Some(a * b)
+    } else {
+        a.checked_mul(b)
     }
 }
 
@@ -1627,7 +1619,9 @@ fn ref_term(arena: &TermArena, id: TermId) -> Option<RefTerm> {
 /// Gaussian pre-pass: recognizes equalities (a constraint together with
 /// its negation) defining a variable with a ±1 coefficient, and
 /// substitutes it away. Witness-binding chains (`w = e`) are eliminated
-/// in linear time here instead of exploding Fourier–Motzkin.
+/// in linear time here instead of exploding Fourier–Motzkin. A pivot
+/// is committed only when every rewritten constraint fits in `i128`;
+/// otherwise the pass stops and leaves the rest to Fourier–Motzkin.
 fn gaussian_substitute(constraints: &mut Vec<LinTerm>) {
     loop {
         // Find an equality pair (c, -c) with some ±1-coefficient var.
@@ -1636,7 +1630,9 @@ fn gaussian_substitute(constraints: &mut Vec<LinTerm>) {
             if constraints[i].is_constant() {
                 continue;
             }
-            let neg = constraints[i].scale(-1);
+            let Some(neg) = constraints[i].scale(-1) else {
+                continue;
+            };
             for j in 0..constraints.len() {
                 if i != j && constraints[j] == neg {
                     if let Some((s, _)) = constraints[i]
@@ -1659,23 +1655,39 @@ fn gaussian_substitute(constraints: &mut Vec<LinTerm>) {
         // solution: var = -(rest)/a where rest = eq - a·var.
         let mut rest = eq.clone();
         rest.coeffs.remove(&var);
-        let solution = rest.scale(-a); // a ∈ {1,-1} so -rest/a = -a·rest.
-                                       // Remove the equality pair, substitute elsewhere.
+        // a ∈ {1,-1} so -rest/a = -a·rest.
+        let Some(solution) = rest.scale(-a) else {
+            return;
+        };
+        // Substitute into every other constraint (`solution` has no
+        // `var`, so it survives the add and is removed after), then
+        // remove the equality pair.
+        let mut rewrites: Vec<(usize, LinTerm)> = Vec::new();
+        for (n, c) in constraints.iter().enumerate() {
+            if n == i || n == j {
+                continue;
+            }
+            if let Some(&k) = c.coeffs.get(&var) {
+                let Some(mut r) = solution.scale(k).and_then(|s| c.add(&s)) else {
+                    return;
+                };
+                r.coeffs.remove(&var);
+                rewrites.push((n, r));
+            }
+        }
+        for (n, r) in rewrites {
+            constraints[n] = r;
+        }
         let (hi, lo) = if i > j { (i, j) } else { (j, i) };
         constraints.remove(hi);
         constraints.remove(lo);
-        for c in constraints.iter_mut() {
-            if let Some(&k) = c.coeffs.get(&var) {
-                c.coeffs.remove(&var);
-                *c = c.add(&solution.scale(k));
-            }
-        }
     }
 }
 
 /// Fourier–Motzkin elimination over the rationals with integer-tightened
 /// inputs. Returns `Some(true)` for consistent, `Some(false)` for
-/// inconsistent, `None` when the budget blows up.
+/// inconsistent, `None` when the budget blows up or a combination
+/// overflows `i128`.
 fn fourier_motzkin(mut constraints: Vec<LinTerm>) -> Option<bool> {
     const BUDGET: usize = 4000;
     gaussian_substitute(&mut constraints);
@@ -1724,9 +1736,9 @@ fn fourier_motzkin(mut constraints: Vec<LinTerm>) -> Option<bool> {
         for u in &uppers {
             for l in &lowers {
                 let a = u.coeffs[&var];
-                let b = -l.coeffs[&var];
+                let b = l.coeffs[&var].checked_neg()?;
                 // b·u + a·l eliminates var.
-                let combined = u.scale(b).add(&l.scale(a));
+                let combined = u.scale(b)?.add(&l.scale(a)?)?;
                 debug_assert!(!combined.coeffs.contains_key(&var));
                 next.push(combined);
             }
@@ -2159,8 +2171,8 @@ mod tests {
 
     /// Each query starts from an empty clause database: after other
     /// queries over the same atoms, a query searches exactly as it does
-    /// on a fresh solver (only the memos carry over, and they change
-    /// cost, never the search of a query they do not answer).
+    /// on a fresh solver (only the query memo carries over, and it
+    /// changes cost, never the search of a query it does not answer).
     #[test]
     fn a_query_after_others_searches_as_on_a_fresh_solver() {
         let falsum = SymExpr::bool(false);
@@ -2249,14 +2261,8 @@ mod tests {
             if !eval(&skeleton, &value) {
                 continue;
             }
-            let mut key: Vec<(Atom, bool)> = atoms
-                .list
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a.clone(), value(i)))
-                .collect();
-            key.sort_unstable();
-            match solver.theory_decide(key) {
+            let lits = atoms.list.iter().enumerate().map(|(i, a)| (a, value(i)));
+            match theory_check(lits) {
                 SatAnswer::Sat => return Some(Answer::Invalid),
                 SatAnswer::Unknown => unknown = true,
                 SatAnswer::Unsat => {}
@@ -2417,9 +2423,9 @@ mod tests {
     /// query as the truth-table oracle does. The generated fragment is
     /// linear arithmetic under the propositional connectives — exactly
     /// the domain of the theory layer. Each stream runs three times on
-    /// one solver: solved, replayed from the memo, then re-solved with
-    /// the query memo cleared, against the theory memo the earlier
-    /// passes filled.
+    /// one solver: solved, replayed from the query memo, then re-solved
+    /// with the query memo cleared, so that no state but the counters
+    /// carries over from the earlier passes.
     #[test]
     fn cdcl_matches_the_oracle_on_query_streams() {
         use proptest::prelude::*;

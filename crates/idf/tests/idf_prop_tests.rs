@@ -318,8 +318,8 @@ fn mirrored(e: &SymExpr) -> SymExpr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential: the state one solver carries across queries — the
-    /// query and theory memos — never changes an answer. The
+    /// Differential: the state one solver carries across queries — its
+    /// query memo — never changes an answer. The
     /// stream is replayed twice on one solver, so the second pass is
     /// answered from the memo, and every answer must match a fresh
     /// solver's for that query alone.

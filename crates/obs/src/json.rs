@@ -219,9 +219,18 @@ pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// reader recurses once per level, so an unbounded input (a daemon
+/// frame of ten thousand `[`s) would overflow the stack of the thread
+/// reading it; every document the workspace reads or writes nests a
+/// handful of levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -229,6 +238,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -261,8 +271,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -271,6 +281,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nested deeper than {} levels", MAX_JSON_DEPTH)));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
@@ -408,7 +433,8 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a positioned [`JsonError`] for malformed input.
+/// Returns a positioned [`JsonError`] for malformed input, including
+/// arrays and objects nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse(line: &str) -> Result<Json, JsonError> {
     let mut p = Parser::new(line);
     let v = p.value()?;
@@ -636,5 +662,23 @@ mod tests {
             parse("[1,]").unwrap_err().to_string(),
             "at byte 3: unexpected byte ']'"
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_json_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_JSON_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH, "refused at the first over-deep '['");
+        assert_eq!(err.message, "nested deeper than 128 levels");
+        // Objects count too, and a far deeper input is refused without
+        // recursing into it.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        assert!(parse(&nest(100_000)).is_err());
     }
 }

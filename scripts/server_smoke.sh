@@ -11,9 +11,11 @@
 # metrics/health while the chaos replay hammers the daemon, the trace
 # tail must revalidate through trace_validate, SIGUSR1 must produce a
 # live snapshot line without stopping the daemon, and the final health
-# scrape must conserve. Artifacts: BENCH_server.json, the daemon's
-# final metrics snapshot, the mid-run daenerys-top frames, the health
-# body, and the streamed trace tail.
+# scrape must conserve. One over-deep JSON frame and one over-deep
+# IDF source must be refused without taking the daemon down.
+# Artifacts: BENCH_server.json, the daemon's final metrics snapshot,
+# the mid-run daenerys-top frames, the health body, the streamed trace
+# tail, and the three probe answers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,6 +85,33 @@ done
 [ -n "$SNAPSHOT_SEEN" ] || { echo "no snapshot after SIGUSR1"; cat "$LOG"; exit 1; }
 ./target/release/daenerys-top --addr "$ADDR" --health > /dev/null \
     || { echo "daemon stopped answering after SIGUSR1"; exit 1; }
+
+# Nesting caps: one frame over the JSON reader's depth cap and one
+# source over the IDF parser's, each sent raw over bash's /dev/tcp, are
+# answered `bad_request` and `parse`; a normal request right after is
+# still verified. Without the caps either frame aborts the daemon.
+probe() {
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    printf 'DAE1 %d\n%s\n' "${#1}" "$1" >&3
+    local header
+    IFS= read -r header <&3
+    head -c "${header#DAE1 }" <&3
+    exec 3<&-
+}
+DEEP_JSON=$(printf '{"id":1,"tenant":"smoke","source":"x","z":%s%s}' \
+    "$(printf '[%.0s' $(seq 1 10000))" "$(printf ']%.0s' $(seq 1 10000))")
+probe "$DEEP_JSON" > "$OUT_DIR/deep_json.json"
+grep -q '"code":"bad_request"' "$OUT_DIR/deep_json.json" \
+    || { echo "over-deep JSON frame:"; cat "$OUT_DIR/deep_json.json"; exit 1; }
+DEEP_IDF=$(printf '{"id":2,"tenant":"smoke","source":"method m() returns (r: Int) { r := %s1%s }"}' \
+    "$(printf '(%.0s' $(seq 1 1000))" "$(printf ')%.0s' $(seq 1 1000))")
+probe "$DEEP_IDF" > "$OUT_DIR/deep_idf.json"
+grep -q '"code":"parse"' "$OUT_DIR/deep_idf.json" \
+    || { echo "over-deep IDF source:"; cat "$OUT_DIR/deep_idf.json"; exit 1; }
+probe '{"id":3,"tenant":"smoke","source":"method m() returns (r: Int) ensures r == 1 { r := 1 }"}' \
+    > "$OUT_DIR/after_deep.json"
+grep -q '"status":"ok"' "$OUT_DIR/after_deep.json" \
+    || { echo "not served after the deep frames:"; cat "$OUT_DIR/after_deep.json"; exit 1; }
 
 # The BENCH server block carries the phase attribution the scrapes saw.
 grep -q '"server":{' "$OUT_DIR/BENCH_server.json"

@@ -15,8 +15,8 @@
 //!    completes.
 
 use daenerys::idf::{
-    diverging_program, parse_program, Backend, Budget, BudgetAxis, FaultKind, FaultPlan,
-    SessionHost, UnknownReason, Verdict, Verifier, VerifierConfig,
+    diverging_program, flat_diverging_program, parse_program, Backend, Budget, BudgetAxis,
+    FaultKind, FaultPlan, SessionHost, UnknownReason, Verdict, Verifier, VerifierConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Once;
@@ -163,8 +163,8 @@ fn zero_deadline_yields_unknown_not_hang() {
 }
 
 /// Deadline promptness under the CDCL core: a deliberately hard query
-/// (`diverging_program(256)` runs for seconds unbudgeted, even in a
-/// release build) must come back `Unknown` within a small multiple of
+/// (`flat_diverging_program(256)` runs for seconds unbudgeted, even in
+/// a release build) must come back `Unknown` within a small multiple of
 /// its deadline. This only holds because the solver polls the
 /// deadline *inside* its conflict loop — a check at query boundaries
 /// alone would run the full search before noticing the overrun.
@@ -175,7 +175,7 @@ fn deadline_is_enforced_inside_the_conflict_loop() {
     // the deadline plus poll granularity (one wall-clock read per 64
     // conflicts).
     const PROMPTNESS_BOUND_MS: u128 = 3_000;
-    let program = parse_program(&diverging_program(256)).expect("diverging program parses");
+    let program = parse_program(&flat_diverging_program(256)).expect("diverging program parses");
     let config = VerifierConfig {
         budget: Budget::unlimited().with_deadline_ms(DEADLINE_MS),
         retry_unknown: false,
