@@ -697,3 +697,34 @@ fn nesting_at_the_bound_verifies_and_one_level_more_is_a_parse_error() {
     assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
     assert_eq!(snap.responses_ok, shapes.len() as u64, "{:?}", snap);
 }
+
+/// A term's depth grows with the statements that build it, not with
+/// any one AST's height: `r := r + y` 20 000 times parses (no node is
+/// deeper than 3) but builds a 20 000-level term. The session answers
+/// `unknown` on the `terms` budget axis once the term passes
+/// `MAX_TERM_DEPTH`, instead of overflowing its thread's stack, and the
+/// daemon keeps serving.
+#[test]
+fn a_term_past_the_depth_bound_is_unknown_and_the_daemon_keeps_serving() {
+    let (addr, flag, handle) = start(test_config(None));
+    let client = Client::new(addr);
+    let deep = format!(
+        "method m(y: Int) returns (r: Int) ensures r == 20000 * y {{ r := 0; {} }}",
+        vec!["r := r + y"; 20_000].join("; ")
+    );
+    match client.request_once(&Request::new(1, "t", deep), 0) {
+        Ok(Response::Ok { verdicts, .. }) => {
+            let m = &verdicts["m"];
+            assert_eq!(m.kind, "unknown", "{:?}", m);
+            assert!(m.detail.contains("terms"), "{:?}", m);
+        }
+        other => panic!("deep term: {:?}", other),
+    }
+    match client.request_once(&Request::new(2, "t", GOOD.to_string()), 0) {
+        Ok(Response::Ok { verdicts, .. }) => assert_eq!(verdicts["set"].kind, "verified"),
+        other => panic!("after the deep term: {:?}", other),
+    }
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
+    assert_eq!(snap.responses_ok, 2, "{:?}", snap);
+}

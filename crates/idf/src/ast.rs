@@ -103,7 +103,7 @@ impl fmt::Display for Span {
 }
 
 /// Expressions (program and specification level).
-#[derive(Clone, PartialEq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),

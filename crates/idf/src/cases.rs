@@ -425,15 +425,16 @@ pub fn chain_program(n: usize) -> String {
 /// flanked by two well-behaved siblings (`before`, `after`).
 ///
 /// `diverge`'s single obligation asks whether `x0 + … + x{k-1} >= 0`
-/// follows from `xi == 0 || xi == 1` for each `i`. Refuting the
-/// negation forces a case-splitting search to close all `2^k`
-/// disjunction branches (every leaf is a distinct theory query, so the
-/// caches cannot collapse them): without clause learning the decision
-/// count grows exponentially in `k`.
-/// Under a finite [`crate::Budget::solver_fuel`] smaller than `2^k`
-/// the method degrades to a deterministic `Unknown` while `before` and
-/// `after` verify bit-identically to a fault-free run — at any thread
-/// count.
+/// follows from `xi == 0 || xi == 1` for each `i`. The negation's
+/// skeleton has `2^k` disjunction branches, but theory propagation
+/// prunes the search: the solver refutes it with `k + 1` conflicts and
+/// on the order of `k²` decisions (290 at `k = 18`), so its cost grows
+/// polynomially in `k`. A query that must outlast a deadline needs a
+/// large `k` ([`flat_diverging_program`]), not an exponential search.
+/// Under a finite [`crate::Budget::solver_fuel`] smaller than the
+/// search's conflicts plus propagations the method degrades to a
+/// deterministic `Unknown` while `before` and `after` verify
+/// bit-identically to a fault-free run — at any thread count.
 pub fn diverging_program(k: usize) -> String {
     let k = k.max(1);
     let params: Vec<String> = (0..k).map(|i| format!("x{}: Int", i)).collect();

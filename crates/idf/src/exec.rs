@@ -31,7 +31,7 @@ use crate::fingerprint::Fingerprint;
 use crate::smt::{Answer, Solver};
 use crate::stability::{self, StabilityClass};
 use crate::store::{lock, VerdictStore};
-use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness};
+use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness, MAX_TERM_DEPTH};
 use daenerys_algebra::Q;
 use daenerys_obs::{Event, Labels, MetricsRegistry, TraceCollector, TraceHandle, Value};
 use std::collections::BTreeMap;
@@ -786,11 +786,13 @@ impl<'a> Verifier<'a> {
             }
         }
         if self.arena.over_limit() {
-            let limit = self.config.budget.max_terms.unwrap_or(0);
-            self.exhausted = Some((
-                BudgetAxis::Terms,
-                format!("interned-term cap of {} exceeded", limit),
-            ));
+            let detail = if self.arena.too_deep() {
+                format!("a term nested deeper than {} levels", MAX_TERM_DEPTH)
+            } else {
+                let limit = self.config.budget.max_terms.unwrap_or(0);
+                format!("interned-term cap of {} exceeded", limit)
+            };
+            self.exhausted = Some((BudgetAxis::Terms, detail));
             return false;
         }
         if let Some(ms) = self.config.budget.deadline_ms {
@@ -931,6 +933,9 @@ impl<'a> Verifier<'a> {
 
     /// Finds a chunk for `recv.field`, by syntactic match first (an id
     /// comparison, thanks to hash-consing), then by provable equality.
+    /// A candidate whose disequality with `recv` is already a
+    /// path-condition conjunct (see [`Verifier::produce`]) is skipped
+    /// without asking the solver.
     fn find_chunk(&mut self, state: &State, recv: TermId, field: &str) -> Option<usize> {
         if let Some(i) = state
             .chunks
@@ -944,6 +949,13 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             let goal = self.arena.eq(state.chunks[i].recv, recv);
+            if self
+                .arena
+                .get(Term::Not(goal))
+                .is_some_and(|distinct| state.pc.contains(&distinct))
+            {
+                continue;
+            }
             if self.query(&state.pc, goal, "chunk lookup: receiver equality") == Answer::Valid {
                 return Some(i);
             }
@@ -1171,6 +1183,16 @@ impl<'a> Verifier<'a> {
                 let eq_null = self.arena.eq(r, null);
                 let non_null = self.arena.not(eq_null);
                 state.pc.push(non_null);
+                // Two permissions to one location sum to at most 1
+                // (`points_to_invalid_sum`), so a chunk whose permission
+                // would pass 1 with this one has a different receiver.
+                for c in state.chunks.iter() {
+                    if c.field == *field && c.recv != r && c.perm + *q > Q::ONE {
+                        let same = self.arena.eq(c.recv, r);
+                        let distinct = self.arena.not(same);
+                        state.pc.push(distinct);
+                    }
+                }
                 match self.find_chunk(&state, r, field) {
                     Some(i) => {
                         let c = &mut Rc::make_mut(&mut state.chunks)[i];
@@ -2496,5 +2518,98 @@ mod tests {
             "b was starved: {}",
             verdicts["b"]
         );
+    }
+
+    /// The sites of every solver query verifying `src`, in order.
+    fn query_sites(src: &str, backend: Backend) -> Vec<String> {
+        let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 16));
+        let config = VerifierConfig {
+            threads: 1,
+            trace: TraceHandle::new(sink.clone(), daenerys_obs::ClockKind::Logical),
+            ..VerifierConfig::default()
+        };
+        let verdicts = verdicts_with(&parse_program(src).unwrap(), backend, config);
+        assert!(
+            verdicts.values().all(Verdict::is_verified),
+            "{:?}",
+            verdicts
+        );
+        sink.events()
+            .iter()
+            .filter(|e| e.name == "solver.query")
+            .map(|e| match e.field("site") {
+                Some(Value::Str(site)) => site.clone(),
+                other => panic!("query without a site: {:?}", other),
+            })
+            .collect()
+    }
+
+    /// Inhaling `n` full permissions to one field leaves no lookup for
+    /// the solver: each earlier receiver is known distinct, so the only
+    /// queries are the `n` postcondition conjuncts.
+    #[test]
+    fn scaling_contracts_pose_one_query_per_cell() {
+        for n in [4, 16, 24] {
+            let src = crate::cases::scaling_program(n);
+            for backend in [Backend::Destabilized, Backend::StableBaseline] {
+                let sites = query_sites(&src, backend);
+                assert_eq!(sites.len(), n, "n = {} on {:?}: {:?}", n, backend, sites);
+                assert!(
+                    !sites.iter().any(|s| s == "chunk lookup: receiver equality"),
+                    "n = {} on {:?}: {:?}",
+                    n,
+                    backend,
+                    sites
+                );
+            }
+        }
+    }
+
+    /// Two full permissions to one field cannot share a receiver
+    /// (their sum would pass 1), and the verifier now knows it.
+    #[test]
+    fn full_permissions_imply_distinct_receivers() {
+        let full = "field v: Int
+            method m(a: Ref, b: Ref)
+              requires acc(a.v) && acc(b.v)
+              ensures acc(a.v) && acc(b.v) && a != b
+            { }";
+        let mixed = "field v: Int
+            method m(a: Ref, b: Ref)
+              requires acc(a.v) && acc(b.v, 1/2)
+              ensures acc(a.v) && acc(b.v, 1/2) && a != b
+            { }";
+        for backend in [Backend::Destabilized, Backend::StableBaseline] {
+            assert!(verify(full, backend).is_ok(), "{:?}", backend);
+            assert!(verify(mixed, backend).is_ok(), "{:?}", backend);
+        }
+    }
+
+    /// Permissions that sum to at most 1 may alias, and a chunk that
+    /// was exhaled no longer separates anything: neither yields a
+    /// disequality.
+    #[test]
+    fn compatible_permissions_imply_nothing() {
+        let halves = "field v: Int
+            method m(a: Ref, b: Ref)
+              requires acc(a.v, 1/2) && acc(b.v, 1/2)
+              ensures acc(a.v, 1/2) && acc(b.v, 1/2) && a != b
+            { }";
+        let exhaled = "field v: Int
+            method m(a: Ref, b: Ref)
+              requires acc(a.v)
+              ensures true
+            { exhale acc(a.v); inhale acc(b.v); assert a != b }";
+        let other_field = "field v: Int
+            field w: Int
+            method m(a: Ref, b: Ref)
+              requires acc(a.v) && acc(b.w)
+              ensures a != b
+            { }";
+        for backend in [Backend::Destabilized, Backend::StableBaseline] {
+            for src in [halves, exhaled, other_field] {
+                assert!(verify(src, backend).is_err(), "{:?}: {}", backend, src);
+            }
+        }
     }
 }

@@ -231,9 +231,11 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
 /// began when cross-query lemmas had to be theory lemmas, epoch 3 when
 /// each query's clause database stopped outliving the query (DESIGN.md
 /// §12.5), epoch 4 when linear arithmetic that overflows `i128` began
-/// to abstain instead of wrapping (§12.4); keys from before epoch 2
-/// ended in `solver=Cdcl`.
-pub const SOLVER_EPOCH: u32 = 4;
+/// to abstain instead of wrapping (§12.4), epoch 5 when inhaled
+/// permissions that sum past 1 began to imply distinct receivers and
+/// receiver lookups stopped querying the solver (§4.5); keys from
+/// before epoch 2 ended in `solver=Cdcl`.
+pub const SOLVER_EPOCH: u32 = 5;
 
 /// The canonical text of the configuration knobs that can change a
 /// verdict, apart from the fault plan: a method's fingerprint adds the
@@ -519,7 +521,7 @@ mod tests {
             config_text(Backend::Destabilized, &VerifierConfig::default()),
             "backend=Destabilized;budget=Budget { deadline_ms: None, solver_fuel: None, \
              max_states: None, max_terms: None };retry_unknown=true;\
-             deny_unstable=false;epoch=4"
+             deny_unstable=false;epoch=5"
         );
     }
 

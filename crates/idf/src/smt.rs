@@ -30,7 +30,7 @@
 //! no theory verdict is remembered, so each one comes with the
 //! derivation that produced it.
 
-use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
+use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId, MAX_TERM_DEPTH};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -261,6 +261,15 @@ impl Solver {
         if self.unknown_after.is_some_and(|n| self.queries > n) {
             return Answer::Unknown;
         }
+        // A term past the depth bound would overflow the recursive
+        // walks below; the answer reflects the bound, not the formula,
+        // so it is not cached.
+        if std::iter::once(&goal)
+            .chain(pc)
+            .any(|&t| arena.depth(t) > MAX_TERM_DEPTH)
+        {
+            return Answer::Unknown;
+        }
         let mut key: Vec<TermId> = pc.to_vec();
         key.sort_unstable();
         key.dedup();
@@ -269,15 +278,17 @@ impl Solver {
             return cached;
         }
         self.cache_misses += 1;
-        let mut formula = arena.not(goal);
-        for &c in &key {
-            formula = arena.and(formula, c);
-        }
-        let answer = match self.sat(arena, formula) {
-            SatAnswer::Unsat => Answer::Valid,
-            SatAnswer::Sat => Answer::Invalid,
-            SatAnswer::Unknown => Answer::Unknown,
-        };
+        let answer = arena.scratch(|arena| {
+            let mut formula = arena.not(goal);
+            for &c in &key {
+                formula = arena.and(formula, c);
+            }
+            match self.sat(arena, formula) {
+                SatAnswer::Unsat => Answer::Valid,
+                SatAnswer::Sat => Answer::Invalid,
+                SatAnswer::Unknown => Answer::Unknown,
+            }
+        });
         // A fuel- or deadline-truncated answer reflects the budget, not
         // the formula; caching it would let a later (differently
         // budgeted) run read it back as the formula's answer. Once
@@ -321,10 +332,26 @@ impl Solver {
     /// lives and dies with this call; only its counters and remaining
     /// fuel fold into the solver's.
     fn sat(&mut self, arena: &mut TermArena, f: TermId) -> SatAnswer {
+        // `f` is a left-nested conjunction as long as the path
+        // condition. Its left spine is walked in a loop, and each
+        // conjunct abstracted on its own, in the order the recursion
+        // would visit them, so the atoms and the encoding come out the
+        // same while the stack depth stays that of one conjunct.
+        let mut spine = Vec::new();
+        let mut rest = f;
+        while let Term::And(a, b) = arena.node(rest) {
+            spine.push(b);
+            rest = a;
+        }
+        spine.push(rest);
         let mut atoms = AtomTable::default();
-        let skeleton = self.abstract_bool(arena, f, true, &mut atoms);
+        let conjuncts: Vec<BForm> = spine
+            .into_iter()
+            .rev()
+            .map(|c| self.abstract_bool(arena, c, true, &mut atoms))
+            .collect();
         let mut eng = CdclEngine::new(atoms.list, self.fuel, self.deadline);
-        if !eng.encode(&skeleton) {
+        if !eng.encode(&conjuncts) {
             // Propositionally false at the root: no search, no fuel.
             return SatAnswer::Unsat;
         }
@@ -342,7 +369,9 @@ impl Solver {
     }
 
     /// Converts a boolean term to a skeleton, interning atoms.
-    /// `positive` tracks NNF polarity.
+    /// `positive` tracks NNF polarity. The connectives recurse here and
+    /// everything else goes to [`Solver::abstract_atom`], which keeps
+    /// this frame, paid once per level of the term, small.
     fn abstract_bool(
         &mut self,
         arena: &mut TermArena,
@@ -359,25 +388,30 @@ impl Solver {
                 }
             }
             Term::Not(inner) => self.abstract_bool(arena, inner, !positive, atoms),
-            Term::And(a, b) => {
-                let fa = self.abstract_bool(arena, a, positive, atoms);
-                let fb = self.abstract_bool(arena, b, positive, atoms);
-                if positive {
-                    BForm::And(Box::new(fa), Box::new(fb))
+            Term::And(a, b) | Term::Or(a, b) => {
+                let fa = Box::new(self.abstract_bool(arena, a, positive, atoms));
+                let fb = Box::new(self.abstract_bool(arena, b, positive, atoms));
+                if matches!(arena.node(id), Term::And(..)) == positive {
+                    BForm::And(fa, fb)
                 } else {
-                    BForm::Or(Box::new(fa), Box::new(fb))
-                }
-            }
-            Term::Or(a, b) => {
-                let fa = self.abstract_bool(arena, a, positive, atoms);
-                let fb = self.abstract_bool(arena, b, positive, atoms);
-                if positive {
-                    BForm::Or(Box::new(fa), Box::new(fb))
-                } else {
-                    BForm::And(Box::new(fa), Box::new(fb))
+                    BForm::Or(fa, fb)
                 }
             }
             Term::Sym(s) => BForm::Lit(atoms.intern(Atom::BoolSym(s)), positive),
+            _ => self.abstract_atom(arena, id, positive, atoms),
+        }
+    }
+
+    /// [`Solver::abstract_bool`] for comparisons, boolean `ite` and
+    /// opaque terms.
+    fn abstract_atom(
+        &mut self,
+        arena: &mut TermArena,
+        id: TermId,
+        positive: bool,
+        atoms: &mut AtomTable,
+    ) -> BForm {
+        match arena.node(id) {
             Term::Lt(a, b) => {
                 if let Some(ex) = split_cmp_ite(arena, a, b, Cmp::Lt) {
                     return self.abstract_bool(arena, ex, positive, atoms);
@@ -484,28 +518,46 @@ impl Solver {
         }
     }
 
+    /// The linear form of an integer term, or `None` when it is
+    /// nonlinear or overflows. The walk keeps its own stack: a long
+    /// `+` chain costs heap, not thread stack.
     fn linearize(&self, arena: &TermArena, id: TermId) -> Option<LinTerm> {
-        match arena.node(id) {
-            Term::Int(n) => Some(LinTerm::constant(n as i128)),
-            Term::Sym(s) => match self.sorts.get(&s) {
-                Some(Sort::Int) | None => Some(LinTerm::var(s)),
-                _ => None,
-            },
-            Term::Add(a, b) => self.linearize(arena, a)?.add(&self.linearize(arena, b)?),
-            Term::Sub(a, b) => self.linearize(arena, a)?.sub(&self.linearize(arena, b)?),
-            Term::Mul(a, b) => {
-                let la = self.linearize(arena, a)?;
-                let lb = self.linearize(arena, b)?;
-                if la.is_constant() {
-                    lb.scale(la.konst)
-                } else if lb.is_constant() {
-                    la.scale(lb.konst)
-                } else {
-                    None
+        // An operator is applied once both its operands are done.
+        enum Step {
+            Visit(TermId),
+            Apply(Term),
+        }
+        let mut todo = vec![Step::Visit(id)];
+        let mut done: Vec<LinTerm> = Vec::new();
+        while let Some(step) = todo.pop() {
+            match step {
+                Step::Visit(t) => match arena.node(t) {
+                    Term::Int(n) => done.push(LinTerm::constant(n as i128)),
+                    Term::Sym(s) => match self.sorts.get(&s) {
+                        Some(Sort::Int) | None => done.push(LinTerm::var(s)),
+                        _ => return None,
+                    },
+                    op @ (Term::Add(a, b) | Term::Sub(a, b) | Term::Mul(a, b)) => {
+                        todo.push(Step::Apply(op));
+                        todo.push(Step::Visit(b));
+                        todo.push(Step::Visit(a));
+                    }
+                    _ => return None,
+                },
+                Step::Apply(op) => {
+                    let lb = done.pop()?;
+                    let la = done.pop()?;
+                    done.push(match op {
+                        Term::Add(..) => la.add(&lb)?,
+                        Term::Sub(..) => la.sub(&lb)?,
+                        _ if la.is_constant() => lb.scale(la.konst)?,
+                        _ if lb.is_constant() => la.scale(lb.konst)?,
+                        _ => return None,
+                    });
                 }
             }
-            _ => None,
         }
+        done.pop()
     }
 
     /// Both sides of a comparison as linear terms, or `None` when either
@@ -818,10 +870,20 @@ impl CdclEngine {
         }
     }
 
-    /// Tseitin-encodes the skeleton; returns false when the root is
-    /// propositionally false (no search needed).
-    fn encode(&mut self, f: &BForm) -> bool {
-        match self.tseitin(f) {
+    /// Tseitin-encodes the left-nested conjunction of the skeletons;
+    /// returns false when the root is propositionally false (no search
+    /// needed).
+    fn encode(&mut self, conjuncts: &[BForm]) -> bool {
+        let mut root = TLit::True;
+        for (i, c) in conjuncts.iter().enumerate() {
+            let lit = self.tseitin(c);
+            root = if i == 0 {
+                lit
+            } else {
+                self.gate(true, root, lit)
+            };
+        }
+        match root {
             TLit::True => true,
             TLit::False => false,
             TLit::Lit(l) => {
@@ -837,40 +899,45 @@ impl CdclEngine {
             BForm::False => TLit::False,
             BForm::Lit(i, pol) => TLit::Lit(mk_lit(*i, *pol)),
             BForm::And(a, b) | BForm::Or(a, b) => {
-                let conj = matches!(f, BForm::And(..));
                 let la = self.tseitin(a);
                 let lb = self.tseitin(b);
-                let (x, y) = match (la, lb) {
-                    (TLit::True, o) | (o, TLit::True) => {
-                        return if conj { o } else { TLit::True };
-                    }
-                    (TLit::False, o) | (o, TLit::False) => {
-                        return if conj { TLit::False } else { o };
-                    }
-                    (TLit::Lit(x), TLit::Lit(y)) => (x, y),
-                };
-                if x == y {
-                    return TLit::Lit(x);
-                }
-                if x == lit_neg(y) {
-                    return if conj { TLit::False } else { TLit::True };
-                }
-                let v = self.new_var();
-                let vl = mk_lit(v, true);
-                if conj {
-                    // v ↔ x ∧ y.
-                    self.add_problem_clause(vec![lit_neg(vl), x]);
-                    self.add_problem_clause(vec![lit_neg(vl), y]);
-                    self.add_problem_clause(vec![vl, lit_neg(x), lit_neg(y)]);
-                } else {
-                    // v ↔ x ∨ y.
-                    self.add_problem_clause(vec![vl, lit_neg(x)]);
-                    self.add_problem_clause(vec![vl, lit_neg(y)]);
-                    self.add_problem_clause(vec![lit_neg(vl), x, y]);
-                }
-                TLit::Lit(vl)
+                self.gate(matches!(f, BForm::And(..)), la, lb)
             }
         }
+    }
+
+    /// The literal for `la ∧ lb` (`conj`) or `la ∨ lb`, defining a
+    /// fresh variable unless the pair folds.
+    fn gate(&mut self, conj: bool, la: TLit, lb: TLit) -> TLit {
+        let (x, y) = match (la, lb) {
+            (TLit::True, o) | (o, TLit::True) => {
+                return if conj { o } else { TLit::True };
+            }
+            (TLit::False, o) | (o, TLit::False) => {
+                return if conj { TLit::False } else { o };
+            }
+            (TLit::Lit(x), TLit::Lit(y)) => (x, y),
+        };
+        if x == y {
+            return TLit::Lit(x);
+        }
+        if x == lit_neg(y) {
+            return if conj { TLit::False } else { TLit::True };
+        }
+        let v = self.new_var();
+        let vl = mk_lit(v, true);
+        if conj {
+            // v ↔ x ∧ y.
+            self.add_problem_clause(vec![lit_neg(vl), x]);
+            self.add_problem_clause(vec![lit_neg(vl), y]);
+            self.add_problem_clause(vec![vl, lit_neg(x), lit_neg(y)]);
+        } else {
+            // v ↔ x ∨ y.
+            self.add_problem_clause(vec![vl, lit_neg(x)]);
+            self.add_problem_clause(vec![vl, lit_neg(y)]);
+            self.add_problem_clause(vec![lit_neg(vl), x, y]);
+        }
+        TLit::Lit(vl)
     }
 
     /// Adds a problem clause (Tseitin definition or root assertion),

@@ -39,6 +39,7 @@
 
 use crate::ast::{Assertion, Expr, Method, Program, Span, Stmt};
 use crate::translate::{translate_assertion, TEnv, TranslateError};
+use std::collections::HashSet;
 use std::fmt;
 
 /// The three-point stability lattice, ordered `Stable < FramedStable <
@@ -134,20 +135,23 @@ pub struct Classification {
 }
 
 /// The in-scope permission cover: receiver/field pairs of `acc`
-/// conjuncts. Matching is structural expression equality (spans never
-/// participate in equality, so positions do not matter).
-type Cover = Vec<(Expr, String)>;
+/// conjuncts, borrowed from the assertion. Matching is structural
+/// expression equality (spans never participate in equality or
+/// hashing, so positions do not matter).
+type Cover<'a> = HashSet<(&'a Expr, &'a str)>;
 
 fn covers(cover: &Cover, recv: &Expr, field: &str) -> bool {
-    cover.iter().any(|(r, f)| f == field && r == recv)
+    cover.contains(&(recv, field))
 }
 
 /// Collects the `acc` conjuncts of an assertion into the cover.
 /// Descends through `And` only: an `acc` under `==>` covers reads in
 /// its own branch (handled by [`classify_in`]), not its siblings.
-fn accs_of(a: &Assertion, out: &mut Cover) {
+fn accs_of<'a>(a: &'a Assertion, out: &mut Cover<'a>) {
     match a {
-        Assertion::Acc(r, f, _) => out.push((r.clone(), f.clone())),
+        Assertion::Acc(r, f, _) => {
+            out.insert((r, f));
+        }
         Assertion::And(p, q) => {
             accs_of(p, out);
             accs_of(q, out);
@@ -156,16 +160,31 @@ fn accs_of(a: &Assertion, out: &mut Cover) {
     }
 }
 
+/// The non-`And` conjuncts of an assertion, left to right.
+fn conjuncts_of<'a>(a: &'a Assertion, out: &mut Vec<&'a Assertion>) {
+    match a {
+        Assertion::And(p, q) => {
+            conjuncts_of(p, out);
+            conjuncts_of(q, out);
+        }
+        _ => out.push(a),
+    }
+}
+
 /// Classifies a spec assertion against the empty outer cover: the
 /// assertion must frame its own reads. See the module docs for the
 /// lattice and [`Finding`] for the provenance records.
 pub fn classify(a: &Assertion) -> Classification {
     let mut findings = Vec::new();
-    let class = classify_in(a, &Vec::new(), &mut findings);
+    let class = classify_in(a, &Cover::new(), &mut findings);
     Classification { class, findings }
 }
 
-fn classify_in(a: &Assertion, outer: &Cover, findings: &mut Vec<Finding>) -> StabilityClass {
+fn classify_in<'a>(
+    a: &'a Assertion,
+    outer: &Cover<'a>,
+    findings: &mut Vec<Finding>,
+) -> StabilityClass {
     match a {
         Assertion::Expr(e) => classify_expr(e, outer, findings),
         // The predicate itself contributes framed-stability (it *is*
@@ -175,13 +194,20 @@ fn classify_in(a: &Assertion, outer: &Cover, findings: &mut Vec<Finding>) -> Sta
             classify_expr(recv, outer, findings).max(StabilityClass::FramedStable)
         }
         // Conjunction is order-independent: `x.f > 0 && acc(x.f)`
-        // frames the read just as well as the flipped form, so both
-        // sides see the accs gathered from both sides.
-        Assertion::And(p, q) => {
+        // frames the read just as well as the flipped form, so every
+        // conjunct of the maximal conjunction sees the accs gathered
+        // from all of them. The cover is built once for the whole
+        // conjunction; a nested `&&` would only re-add the same accs.
+        Assertion::And(..) => {
             let mut cover = outer.clone();
-            accs_of(p, &mut cover);
-            accs_of(q, &mut cover);
-            classify_in(p, &cover, findings).max(classify_in(q, &cover, findings))
+            accs_of(a, &mut cover);
+            let mut conjuncts = Vec::new();
+            conjuncts_of(a, &mut conjuncts);
+            conjuncts
+                .into_iter()
+                .fold(StabilityClass::Stable, |class, c| {
+                    class.max(classify_in(c, &cover, findings))
+                })
         }
         // The condition is evaluated before the branch's permissions
         // exist, so it sees only the outer cover; the body additionally
@@ -378,7 +404,7 @@ pub fn agrees_with_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Op;
+    use crate::ast::{Op, Span};
     use crate::cases::{all_cases, chain_program, diverging_program, scaling_program};
     use crate::compile::{alloc_object, ConcreteVal};
     use crate::parser::{parse_assertion, parse_program};
@@ -634,6 +660,211 @@ mod tests {
                 .filter(|f| f.kind == FindingKind::UncoveredRead)
                 .count(),
             2
+        );
+    }
+
+    /// The recursive classifier this module used before the cover was
+    /// built once per maximal conjunction: every `&&` node rebuilds its
+    /// cover from the outer one. Kept as the reference the property
+    /// below compares against.
+    mod reference {
+        use super::super::{Classification, Finding, FindingKind, StabilityClass};
+        use crate::ast::{Assertion, Expr};
+
+        type Cover = Vec<(Expr, String)>;
+
+        fn covers(cover: &Cover, recv: &Expr, field: &str) -> bool {
+            cover.iter().any(|(r, f)| f == field && r == recv)
+        }
+
+        fn accs_of(a: &Assertion, out: &mut Cover) {
+            match a {
+                Assertion::Acc(r, f, _) => out.push((r.clone(), f.clone())),
+                Assertion::And(p, q) => {
+                    accs_of(p, out);
+                    accs_of(q, out);
+                }
+                Assertion::Expr(_) | Assertion::Implies(..) => {}
+            }
+        }
+
+        pub(super) fn classify(a: &Assertion) -> Classification {
+            let mut findings = Vec::new();
+            let class = classify_in(a, &Vec::new(), &mut findings);
+            Classification { class, findings }
+        }
+
+        fn classify_in(
+            a: &Assertion,
+            outer: &Cover,
+            findings: &mut Vec<Finding>,
+        ) -> StabilityClass {
+            match a {
+                Assertion::Expr(e) => classify_expr(e, outer, findings),
+                Assertion::Acc(recv, _, _) => {
+                    classify_expr(recv, outer, findings).max(StabilityClass::FramedStable)
+                }
+                Assertion::And(p, q) => {
+                    let mut cover = outer.clone();
+                    accs_of(p, &mut cover);
+                    accs_of(q, &mut cover);
+                    classify_in(p, &cover, findings).max(classify_in(q, &cover, findings))
+                }
+                Assertion::Implies(cond, body) => {
+                    let c = classify_expr(cond, outer, findings);
+                    let mut cover = outer.clone();
+                    accs_of(body, &mut cover);
+                    c.max(classify_in(body, &cover, findings))
+                }
+            }
+        }
+
+        fn classify_expr(e: &Expr, cover: &Cover, findings: &mut Vec<Finding>) -> StabilityClass {
+            match e {
+                Expr::Int(_) | Expr::Bool(_) | Expr::Null | Expr::Var(_) => StabilityClass::Stable,
+                Expr::Field(recv, f, at) => {
+                    let inner = classify_expr(recv, cover, findings);
+                    if covers(cover, recv, f) {
+                        inner.max(StabilityClass::FramedStable)
+                    } else {
+                        findings.push(Finding {
+                            kind: FindingKind::UncoveredRead,
+                            subject: format!("{}.{}", recv, f),
+                            span: *at,
+                        });
+                        StabilityClass::Unstable
+                    }
+                }
+                Expr::Old(inner, at) => {
+                    findings.push(Finding {
+                        kind: FindingKind::OldShield,
+                        subject: inner.to_string(),
+                        span: *at,
+                    });
+                    StabilityClass::Stable
+                }
+                Expr::Perm(recv, f, at) => {
+                    findings.push(Finding {
+                        kind: FindingKind::PermAtom,
+                        subject: format!("{}.{}", recv, f),
+                        span: *at,
+                    });
+                    classify_expr(recv, cover, findings).max(StabilityClass::FramedStable)
+                }
+                Expr::Bin(_, a, b) => {
+                    classify_expr(a, cover, findings).max(classify_expr(b, cover, findings))
+                }
+                Expr::Not(a) | Expr::Neg(a) => classify_expr(a, cover, findings),
+                Expr::Cond(c, t, e) => classify_expr(c, cover, findings)
+                    .max(classify_expr(t, cover, findings))
+                    .max(classify_expr(e, cover, findings)),
+            }
+        }
+    }
+
+    /// Receivers and fields drawn from small alphabets, so covers hit
+    /// and miss often.
+    fn arb_receiver() -> impl proptest::strategy::Strategy<Value = Expr> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Expr::var("x")),
+            Just(Expr::var("y")),
+            Just(Expr::field(Expr::var("x"), "next")),
+        ]
+    }
+
+    fn arb_expr() -> impl proptest::strategy::Strategy<Value = Expr> {
+        use proptest::prelude::*;
+        let field = prop_oneof![Just("val"), Just("next")];
+        (arb_receiver(), field, 0..5u8).prop_map(|(r, f, kind)| {
+            let read = Expr::field(r.clone(), f);
+            match kind {
+                0 => Expr::bin(Op::Gt, read, Expr::Int(0)),
+                1 => Expr::bin(Op::Eq, Expr::Old(Box::new(read), Span::NONE), Expr::Int(0)),
+                2 => Expr::bin(
+                    Op::Ge,
+                    Expr::Perm(Box::new(r), f.to_string(), Span::NONE),
+                    Expr::Int(1),
+                ),
+                3 => Expr::Cond(
+                    Box::new(Expr::var("b")),
+                    Box::new(read),
+                    Box::new(Expr::Int(1)),
+                ),
+                _ => Expr::bin(Op::Gt, Expr::var("n"), Expr::Int(0)),
+            }
+        })
+    }
+
+    fn arb_assertion() -> impl proptest::strategy::Strategy<Value = Assertion> {
+        use proptest::prelude::*;
+        let field = prop_oneof![Just("val"), Just("next")];
+        let leaf = prop_oneof![
+            arb_expr().prop_map(Assertion::Expr),
+            (arb_receiver(), field).prop_map(|(r, f)| Assertion::acc(r, f)),
+        ];
+        leaf.prop_recursive(6, 48, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Assertion::and(a, b)),
+                (arb_expr(), inner).prop_map(|(c, a)| Assertion::Implies(c, Box::new(a))),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        /// One cover per maximal conjunction classifies exactly as the
+        /// per-node recursion did: the same class, and the same
+        /// findings in the same order.
+        #[test]
+        fn one_cover_per_conjunction_matches_the_recursive_classifier(a in arb_assertion()) {
+            proptest::prop_assert_eq!(classify(&a), reference::classify(&a));
+        }
+    }
+
+    /// `scaling_program(n)`'s contract, built directly: the parser
+    /// refuses `&&` chains taller than `MAX_NESTING`.
+    fn scaling_contract(n: usize) -> (Assertion, Assertion) {
+        let cell = |i: usize| Expr::var(&format!("c{}", i));
+        let requires = Assertion::all((0..n).map(|i| Assertion::acc(cell(i), "v")));
+        let ensures = Assertion::all((0..n).flat_map(|i| {
+            let now = Expr::field(cell(i), "v");
+            let then = Expr::Old(Box::new(Expr::field(cell(i), "v")), Span::NONE);
+            [
+                Assertion::acc(cell(i), "v"),
+                Assertion::Expr(Expr::bin(
+                    Op::Eq,
+                    now,
+                    Expr::bin(Op::Add, then, Expr::Int(1)),
+                )),
+            ]
+        }));
+        (requires, ensures)
+    }
+
+    #[test]
+    fn scaling_contract_matches_the_parsed_one() {
+        let parsed = parse_program(&scaling_program(4)).unwrap();
+        let (requires, ensures) = scaling_contract(4);
+        assert_eq!(parsed.methods[0].requires, requires);
+        assert_eq!(parsed.methods[0].ensures, ensures);
+    }
+
+    /// A wide contract classifies in time linear in its width: one
+    /// cover for the whole conjunction, no per-node rebuild.
+    #[test]
+    fn a_thousand_cell_contract_classifies_quickly() {
+        let (requires, ensures) = scaling_contract(1000);
+        let started = std::time::Instant::now();
+        let pre = classify(&requires);
+        let post = classify(&ensures);
+        let elapsed = started.elapsed();
+        assert_eq!(pre.class, StabilityClass::FramedStable);
+        assert_eq!(post.class, StabilityClass::FramedStable);
+        assert_eq!(post.findings.len(), 1000, "one old(..) shield per cell");
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "classifying 3000 conjuncts took {:?}",
+            elapsed
         );
     }
 }

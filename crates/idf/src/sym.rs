@@ -315,6 +315,17 @@ macro_rules! bin {
     }};
 }
 
+/// The deepest term the solver and the failure reports accept. They
+/// walk a term recursively, one stack frame per level, and a term's
+/// depth grows with the number of statements that build it (`r := r +
+/// y; …`), not with the height of any one AST. Past this depth the
+/// verifier stops with `Unknown` on the `terms` budget axis, and the
+/// solver answers `Unknown`, instead of overflowing the thread's stack.
+/// The bound leaves room for the deepest accepted term on a 2 MiB
+/// thread in a debug build, where those walks overflow at about 5000
+/// levels.
+pub const MAX_TERM_DEPTH: u32 = 2000;
+
 /// A hash-consing arena for [`Term`]s.
 ///
 /// The constructors perform the same constant folding as the
@@ -334,6 +345,11 @@ macro_rules! bin {
 #[derive(Clone, Debug, Default)]
 pub struct TermArena {
     nodes: Vec<Term>,
+    /// Each node's depth: 1 for a leaf, else one more than its deepest
+    /// child.
+    depths: Vec<u32>,
+    /// The greatest depth interned so far.
+    max_depth: u32,
     index: HashMap<Term, TermId>,
     /// Soft interned-term budget: interning never fails (terms created
     /// past the limit are still valid), but [`TermArena::over_limit`]
@@ -365,9 +381,21 @@ impl TermArena {
         self.limit = limit;
     }
 
-    /// True when the arena has grown past its soft budget.
+    /// True when the arena has grown past its soft budget, or holds a
+    /// term deeper than [`MAX_TERM_DEPTH`].
     pub fn over_limit(&self) -> bool {
-        self.limit.is_some_and(|l| self.nodes.len() > l)
+        self.limit.is_some_and(|l| self.nodes.len() > l) || self.too_deep()
+    }
+
+    /// True once some interned term is deeper than [`MAX_TERM_DEPTH`].
+    pub fn too_deep(&self) -> bool {
+        self.max_depth > MAX_TERM_DEPTH
+    }
+
+    /// The depth of a term: 1 for a leaf, else one more than its
+    /// deepest child.
+    pub fn depth(&self, id: TermId) -> u32 {
+        self.depths[id.0 as usize]
     }
 
     /// Orders a commutative argument pair by id, so `x ⊕ y` and
@@ -385,11 +413,45 @@ impl TermArena {
         self.nodes[id.0 as usize]
     }
 
+    /// The id of `t` if it is already interned; never interns.
+    pub fn get(&self, t: Term) -> Option<TermId> {
+        self.index.get(&t).copied()
+    }
+
+    /// Runs `build` as scratch work: the terms it interns do not count
+    /// toward [`TermArena::too_deep`] until a later call interns them
+    /// again. The solver builds its query formula this
+    /// way, as a conjunction chain as long as the path condition, which
+    /// it walks in a loop rather than recursively.
+    pub fn scratch<T>(&mut self, build: impl FnOnce(&mut TermArena) -> T) -> T {
+        let max_depth = self.max_depth;
+        let out = build(self);
+        self.max_depth = max_depth;
+        out
+    }
+
     fn intern(&mut self, t: Term) -> TermId {
         if let Some(&id) = self.index.get(&t) {
+            self.max_depth = self.max_depth.max(self.depth(id));
             return id;
         }
         let id = TermId(u32::try_from(self.nodes.len()).expect("arena overflow"));
+        let d = |x: TermId| self.depth(x);
+        let depth = 1 + match t {
+            Term::Sym(_) | Term::Int(_) | Term::Bool(_) | Term::Null => 0,
+            Term::Not(a) => d(a),
+            Term::Add(a, b)
+            | Term::Sub(a, b)
+            | Term::Mul(a, b)
+            | Term::Eq(a, b)
+            | Term::Lt(a, b)
+            | Term::Le(a, b)
+            | Term::And(a, b)
+            | Term::Or(a, b) => d(a).max(d(b)),
+            Term::Ite(c, a, b) => d(c).max(d(a)).max(d(b)),
+        };
+        self.max_depth = self.max_depth.max(depth);
+        self.depths.push(depth);
         self.nodes.push(t);
         self.index.insert(t, id);
         id

@@ -12,10 +12,11 @@
 # tail must revalidate through trace_validate, SIGUSR1 must produce a
 # live snapshot line without stopping the daemon, and the final health
 # scrape must conserve. One over-deep JSON frame and one over-deep
-# IDF source must be refused without taking the daemon down.
+# IDF source must be refused, and one over-deep term answered
+# `unknown`, without taking the daemon down.
 # Artifacts: BENCH_server.json, the daemon's final metrics snapshot,
 # the mid-run daenerys-top frames, the health body, the streamed trace
-# tail, and the three probe answers.
+# tail, and the four probe answers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,6 +109,16 @@ DEEP_IDF=$(printf '{"id":2,"tenant":"smoke","source":"method m() returns (r: Int
 probe "$DEEP_IDF" > "$OUT_DIR/deep_idf.json"
 grep -q '"code":"parse"' "$OUT_DIR/deep_idf.json" \
     || { echo "over-deep IDF source:"; cat "$OUT_DIR/deep_idf.json"; exit 1; }
+# A term's depth grows with the statements that build it: 20 000
+# statements `r := r + y` parse (no AST node is deeper than 3) and are
+# answered `unknown` on the `terms` budget axis once the term passes
+# the verifier's depth bound. Without the bound the session overflows
+# its stack and aborts the daemon.
+DEEP_TERM=$(printf '{"id":4,"tenant":"smoke","source":"method m(y: Int) returns (r: Int) ensures r == 20000 * y { r := 0%s }"}' \
+    "$(printf '; r := r + y%.0s' $(seq 1 20000))")
+probe "$DEEP_TERM" > "$OUT_DIR/deep_term.json"
+grep -q '"detail":"budget exhausted (terms)[^"]*","verdict":"unknown"' "$OUT_DIR/deep_term.json" \
+    || { echo "over-deep term:"; cat "$OUT_DIR/deep_term.json"; exit 1; }
 probe '{"id":3,"tenant":"smoke","source":"method m() returns (r: Int) ensures r == 1 { r := 1 }"}' \
     > "$OUT_DIR/after_deep.json"
 grep -q '"status":"ok"' "$OUT_DIR/after_deep.json" \
