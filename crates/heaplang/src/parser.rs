@@ -8,12 +8,8 @@
 //!          | match expr with inl x => expr | inr y => expr end
 //!          | seq
 //! seq    ::= store (";" expr)?
-//! store  ::= or ("<-" or)?
-//! or     ::= and ("||" and)*
-//! and    ::= cmp ("&&" cmp)*
-//! cmp    ::= add (("="|"!="|"<"|"<="|">"|">=") add)?
-//! add    ::= mul (("+"|"-") mul)*
-//! mul    ::= unary (("*"|"/"|"%") unary)*
+//! store  ::= binary ("<-" binary)?
+//! binary ::= unary (binop unary)*     (precedence and grouping: `BINARY`)
 //! unary  ::= ("not"|"-") unary | app
 //! app    ::= atom atom*
 //! atom   ::= int | true | false | ident | "(" ")" | "(" expr ")"
@@ -79,6 +75,36 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
     }
     Ok(e)
 }
+
+/// How a binary operator groups with operators of its own precedence.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Assoc {
+    /// `a - b - c` is `(a - b) - c`.
+    Left,
+    /// A comparison takes one operand on each side: `a < b < c` stops
+    /// at the second `<`.
+    Non,
+}
+
+/// Every binary operator: its token, its spelling, its AST operator,
+/// its precedence (higher binds tighter; `<-` sits below all of them,
+/// the unary operators above) and its associativity. The parser climbs
+/// precedence over this table, and the printer parenthesizes from it.
+pub(crate) const BINARY: [(Sym, &str, BinOp, u8, Assoc); 13] = [
+    (Sym::OrOr, "||", BinOp::Or, 3, Assoc::Left),
+    (Sym::AndAnd, "&&", BinOp::And, 4, Assoc::Left),
+    (Sym::Eq, "=", BinOp::Eq, 5, Assoc::Non),
+    (Sym::Ne, "!=", BinOp::Ne, 5, Assoc::Non),
+    (Sym::Lt, "<", BinOp::Lt, 5, Assoc::Non),
+    (Sym::Le, "<=", BinOp::Le, 5, Assoc::Non),
+    (Sym::Gt, ">", BinOp::Gt, 5, Assoc::Non),
+    (Sym::Ge, ">=", BinOp::Ge, 5, Assoc::Non),
+    (Sym::Plus, "+", BinOp::Add, 6, Assoc::Left),
+    (Sym::Minus, "-", BinOp::Sub, 6, Assoc::Left),
+    (Sym::Star, "*", BinOp::Mul, 7, Assoc::Left),
+    (Sym::Slash, "/", BinOp::Div, 7, Assoc::Left),
+    (Sym::Percent, "%", BinOp::Rem, 7, Assoc::Left),
+];
 
 struct Parser {
     tokens: Vec<Token>,
@@ -226,84 +252,40 @@ impl Parser {
     }
 
     fn store(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.or()?;
+        let lhs = self.binary(0)?;
         if self.eat_sym(Sym::Assign) {
-            let rhs = self.or()?;
+            let rhs = self.binary(0)?;
             Ok(Expr::store(lhs, rhs))
         } else {
             Ok(lhs)
         }
     }
 
-    fn or(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and()?;
-        while self.eat_sym(Sym::OrOr) {
-            let rhs = self.and()?;
-            e = Expr::binop(BinOp::Or, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn and(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.cmp()?;
-        while self.eat_sym(Sym::AndAnd) {
-            let rhs = self.cmp()?;
-            e = Expr::binop(BinOp::And, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn cmp(&mut self) -> Result<Expr, ParseError> {
-        let e = self.add()?;
-        let op = match self.peek() {
-            Some(Token::Sym(Sym::Eq)) => Some(BinOp::Eq),
-            Some(Token::Sym(Sym::Ne)) => Some(BinOp::Ne),
-            Some(Token::Sym(Sym::Lt)) => Some(BinOp::Lt),
-            Some(Token::Sym(Sym::Le)) => Some(BinOp::Le),
-            Some(Token::Sym(Sym::Gt)) => Some(BinOp::Gt),
-            Some(Token::Sym(Sym::Ge)) => Some(BinOp::Ge),
-            _ => None,
-        };
-        match op {
-            Some(op) => {
-                self.pos += 1;
-                let rhs = self.add()?;
-                Ok(Expr::binop(op, e, rhs))
-            }
-            None => Ok(e),
-        }
-    }
-
-    fn add(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.mul()?;
-        loop {
-            if self.eat_sym(Sym::Plus) {
-                let rhs = self.mul()?;
-                e = Expr::binop(BinOp::Add, e, rhs);
-            } else if self.eat_sym(Sym::Minus) {
-                let rhs = self.mul()?;
-                e = Expr::binop(BinOp::Sub, e, rhs);
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn mul(&mut self) -> Result<Expr, ParseError> {
+    /// The binary operators of precedence `min` and up over unary
+    /// operands, by precedence climbing over [`BINARY`]: an operator's
+    /// right operand is everything that binds tighter.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary()?;
+        // The precedence the next operator may have at most: after `+`
+        // another `+` or a looser one, after a comparison only a looser.
+        let mut max = u8::MAX;
         loop {
-            if self.eat_sym(Sym::Star) {
-                let rhs = self.unary()?;
-                e = Expr::binop(BinOp::Mul, e, rhs);
-            } else if self.eat_sym(Sym::Slash) {
-                let rhs = self.unary()?;
-                e = Expr::binop(BinOp::Div, e, rhs);
-            } else if self.eat_sym(Sym::Percent) {
-                let rhs = self.unary()?;
-                e = Expr::binop(BinOp::Rem, e, rhs);
-            } else {
+            let Some(&Token::Sym(sym)) = self.peek() else {
+                return Ok(e);
+            };
+            let Some(&(_, _, op, prec, assoc)) = BINARY.iter().find(|b| b.0 == sym) else {
+                return Ok(e);
+            };
+            if prec < min || prec > max {
                 return Ok(e);
             }
+            self.pos += 1;
+            let rhs = self.binary(prec + 1)?;
+            e = Expr::binop(op, e, rhs);
+            max = match assoc {
+                Assoc::Left => prec,
+                Assoc::Non => prec - 1,
+            };
         }
     }
 

@@ -6,37 +6,26 @@
 //! print as `ℓn`, which the parser deliberately rejects — locations are
 //! runtime-only values.
 
+use crate::parser::{Assoc, BINARY};
 use crate::syntax::{BinOp, Binder, Expr, Lit, UnOp, Val};
 use std::fmt;
 
-fn binop_str(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Rem => "%",
-        BinOp::Eq => "=",
-        BinOp::Ne => "!=",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
+/// `op`'s row of the operator table the parser reads.
+fn binary(op: BinOp) -> (&'static str, u8, Assoc) {
+    let &(_, text, _, prec, assoc) = BINARY
+        .iter()
+        .find(|b| b.2 == op)
+        .expect("every operator is in the table");
+    (text, prec, assoc)
 }
 
-/// Precedence levels matching the parser, higher binds tighter.
+/// Precedence levels matching the parser, higher binds tighter: the
+/// binary operators are [`BINARY`]'s.
 fn prec(e: &Expr) -> u8 {
     match e {
         Expr::Let(..) | Expr::Rec { .. } | Expr::If(..) | Expr::Case(..) => 0,
         Expr::Store(..) => 2,
-        Expr::BinOp(BinOp::Or, ..) => 3,
-        Expr::BinOp(BinOp::And, ..) => 4,
-        Expr::BinOp(BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..) => 5,
-        Expr::BinOp(BinOp::Add | BinOp::Sub, ..) => 6,
-        Expr::BinOp(BinOp::Mul | BinOp::Div | BinOp::Rem, ..) => 7,
+        Expr::BinOp(op, ..) => binary(*op).1,
         Expr::UnOp(..) => 8,
         Expr::App(..) => 9,
         _ => 10,
@@ -89,18 +78,12 @@ fn write_at(e: &Expr, min: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write_at(e1, 8, f)?;
         }
         Expr::BinOp(op, a, b) => {
-            // Left-associative: left child may be at the same level,
-            // right child must be strictly tighter (except for the
-            // non-associative comparison level, where both are tighter).
-            let (la, ra) = match op {
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    (p + 1, p + 1)
-                }
-                _ => (p, p + 1),
-            };
-            write_at(a, la, f)?;
-            write!(f, " {} ", binop_str(*op))?;
-            write_at(b, ra, f)?;
+            // A left operand may sit at the operator's own level when
+            // the operator chains; a right operand never does.
+            let (text, _, assoc) = binary(*op);
+            write_at(a, if assoc == Assoc::Left { p } else { p + 1 }, f)?;
+            write!(f, " {} ", text)?;
+            write_at(b, p + 1, f)?;
         }
         Expr::If(c, t, e2) => {
             write!(f, "if ")?;

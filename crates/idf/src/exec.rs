@@ -313,17 +313,6 @@ pub struct VerifyStats {
 }
 
 impl VerifyStats {
-    /// Query-cache hit rate in `[0, 1]` (0 when no query missed or
-    /// hit the cache).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// The stats with the environment-dependent wall time zeroed — the
     /// form compared for determinism: two runs of the same program must
     /// agree on `normalized()` regardless of thread count or machine

@@ -197,19 +197,10 @@ fn keyword(s: &str) -> Option<Kw> {
         .map(|&(_, k)| k)
 }
 
-/// Tokenizes IDF source. `//` line comments and `/* */` block comments
-/// are skipped.
-///
-/// # Errors
-///
-/// Returns [`LexError`] on unknown characters or malformed literals.
-pub fn lex(src: &str) -> Result<Vec<Tok<'_>>, LexError> {
-    Ok(lex_spanned(src)?.0)
-}
-
 /// Tokenizes IDF source into the tokens and, in a parallel vector,
 /// each token's starting byte offset — the spans that let the parser
 /// report source positions (line and column) in its diagnostics.
+/// `//` line comments and `/* */` block comments are skipped.
 ///
 /// # Errors
 ///
@@ -306,7 +297,9 @@ mod tests {
 
     #[test]
     fn lexes_method_header() {
-        let toks = lex("method m(a: Ref) returns (r: Int) requires acc(a.val)").unwrap();
+        let toks = lex_spanned("method m(a: Ref) returns (r: Int) requires acc(a.val)")
+            .unwrap()
+            .0;
         assert_eq!(toks[0], Tok::Kw(Kw::Method));
         assert!(toks.contains(&Tok::Kw(Kw::Acc)));
         assert!(toks.contains(&Tok::Sym(Sy::Dot)));
@@ -314,7 +307,7 @@ mod tests {
 
     #[test]
     fn compound_symbols() {
-        let toks = lex(":= == ==> != <= < && ||").unwrap();
+        let toks = lex_spanned(":= == ==> != <= < && ||").unwrap().0;
         use Sy::*;
         assert_eq!(
             toks,
@@ -334,25 +327,25 @@ mod tests {
     #[test]
     fn every_spelling_lexes_to_its_token_and_displays_back() {
         for (text, k) in KEYWORDS {
-            assert_eq!(lex(text).unwrap(), vec![Tok::Kw(k)], "{text}");
+            assert_eq!(lex_spanned(text).unwrap().0, vec![Tok::Kw(k)], "{text}");
             assert_eq!(Tok::Kw(k).to_string(), text);
         }
         for (text, s) in SYMBOLS {
-            assert_eq!(lex(text).unwrap(), vec![Tok::Sym(s)], "{text}");
+            assert_eq!(lex_spanned(text).unwrap().0, vec![Tok::Sym(s)], "{text}");
             assert_eq!(Tok::Sym(s).to_string(), text);
         }
     }
 
     #[test]
     fn comments() {
-        let toks = lex("1 // x\n 2 /* y */ 3").unwrap();
+        let toks = lex_spanned("1 // x\n 2 /* y */ 3").unwrap().0;
         assert_eq!(toks, vec![Tok::Int(1), Tok::Int(2), Tok::Int(3)]);
     }
 
     #[test]
     fn errors() {
-        assert!(lex("#").is_err());
-        assert!(lex("/* open").is_err());
+        assert!(lex_spanned("#").is_err());
+        assert!(lex_spanned("/* open").is_err());
     }
 
     #[test]
@@ -376,7 +369,7 @@ mod tests {
             ("x → y", 2, "'→'"),
             ("x\u{a0}y", 1, "'\\u{a0}'"),
         ] {
-            let e = lex(src).unwrap_err();
+            let e = lex_spanned(src).unwrap_err();
             assert_eq!(e.pos, pos, "{:?}", src);
             assert_eq!(
                 e.message,

@@ -52,8 +52,8 @@ pub use fingerprint::{
     normalized_interface, Fingerprint,
 };
 pub use parser::{
-    parse_assertion, parse_program, parse_program_with_recovery,
-    parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS, MAX_NESTING,
+    parse_assertion, parse_program, parse_program_with_recovery_capped, ParseError,
+    DEFAULT_MAX_ERRORS, MAX_NESTING,
 };
 pub use session::{Session, SessionError, SessionHost, VerifyOutcome, VerifyRequest};
 pub use smt::{Answer, Solver};

@@ -105,44 +105,33 @@ fn line_col_of_byte(src: &str, pos: usize) -> (usize, usize) {
 /// # Errors
 ///
 /// Returns [`ParseError`] on syntax errors. Use
-/// [`parse_program_with_recovery`] to collect every diagnostic in one
-/// pass instead of stopping at the first.
+/// [`parse_program_with_recovery_capped`] to collect every diagnostic
+/// in one pass instead of stopping at the first.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    parse_program_with_recovery(src).map_err(|mut errs| errs.remove(0))
+    parse_program_with_recovery_capped(src, DEFAULT_MAX_ERRORS).map_err(|mut errs| errs.remove(0))
 }
+
+/// The diagnostic cap front ends pass to
+/// [`parse_program_with_recovery_capped`] unless told otherwise (the
+/// daemon's `--max-errors` flag).
+pub const DEFAULT_MAX_ERRORS: usize = 32;
 
 /// Parses a full IDF program with error recovery: on a syntax error
 /// (including one inside a method body) the parser records a
 /// diagnostic, skips to the next top-level `field`/`method`
 /// declaration, and keeps going — so one malformed declaration yields
 /// one positioned diagnostic instead of hiding everything after it.
+/// A pathological payload stops after `max_errors` real diagnostics
+/// plus one sentinel (`"too many syntax errors"`) instead of flooding
+/// the response or churning the recovery loop unboundedly. A cap of 0
+/// is treated as 1.
 ///
 /// # Errors
 ///
 /// Returns every diagnostic collected, in source order (the list is
-/// never empty on `Err`), capped at [`DEFAULT_MAX_ERRORS`] — see
-/// [`parse_program_with_recovery_capped`] for a custom cap. A program
-/// that parses cleanly is returned whole; the recovered partial
-/// program is discarded on error.
-pub fn parse_program_with_recovery(src: &str) -> Result<Program, Vec<ParseError>> {
-    parse_program_with_recovery_capped(src, DEFAULT_MAX_ERRORS)
-}
-
-/// Default diagnostic cap for [`parse_program_with_recovery`]
-/// (overridable via [`parse_program_with_recovery_capped`], e.g. the
-/// daemon's `--max-errors` flag).
-pub const DEFAULT_MAX_ERRORS: usize = 32;
-
-/// [`parse_program_with_recovery`] with an explicit diagnostic cap: a
-/// pathological payload stops after `max_errors` real diagnostics plus
-/// one sentinel (`"too many syntax errors"`) instead of flooding the
-/// response or churning the recovery loop unboundedly. A cap of 0 is
-/// treated as 1 — the error list is never empty on `Err`.
-///
-/// # Errors
-///
-/// As [`parse_program_with_recovery`], truncated to `max_errors`
-/// diagnostics (plus the sentinel when truncation happened).
+/// never empty on `Err`), truncated to `max_errors` (plus the sentinel
+/// when truncation happened). A program that parses cleanly is returned
+/// whole; the recovered partial program is discarded on error.
 pub fn parse_program_with_recovery_capped(
     src: &str,
     max_errors: usize,
@@ -193,6 +182,36 @@ pub fn parse_program_with_recovery_capped(
 /// overflowing the stack of the thread that reads it, and every
 /// program in the repository nests well under it.
 pub const MAX_NESTING: usize = 100;
+
+/// How a binary operator groups with operators of its own precedence.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Assoc {
+    /// `a - b - c` is `(a - b) - c`.
+    Left,
+    /// A comparison takes one operand on each side: `a < b < c` stops
+    /// at the second `<`.
+    Non,
+}
+
+/// Every binary operator: its token (which spells it), its AST
+/// operator, its precedence (higher binds tighter; `?:` sits below all
+/// of them, the unary operators above) and its associativity. The
+/// parser climbs precedence over this table, and the printer
+/// parenthesizes from it.
+pub(crate) const BINARY: [(Sy, Op, u8, Assoc); 12] = [
+    (Sy::OrOr, Op::Or, 1, Assoc::Left),
+    (Sy::AndAnd, Op::And, 2, Assoc::Left),
+    (Sy::EqEq, Op::Eq, 3, Assoc::Non),
+    (Sy::Ne, Op::Ne, 3, Assoc::Non),
+    (Sy::Lt, Op::Lt, 3, Assoc::Non),
+    (Sy::Le, Op::Le, 3, Assoc::Non),
+    (Sy::Gt, Op::Gt, 3, Assoc::Non),
+    (Sy::Ge, Op::Ge, 3, Assoc::Non),
+    (Sy::Plus, Op::Add, 4, Assoc::Left),
+    (Sy::Minus, Op::Sub, 4, Assoc::Left),
+    (Sy::Star, Op::Mul, 5, Assoc::Left),
+    (Sy::Slash, Op::Div, 5, Assoc::Left),
+];
 
 /// Parses a single assertion (handy for tests and the harness).
 ///
@@ -739,7 +758,7 @@ impl<'s> P<'s> {
     }
 
     // ---- expressions ----
-    // cond > or > and > cmp > add > mul > unary > postfix > atom
+    // cond > binary (loosest to tightest, see `BINARY`) > unary > postfix > atom
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
         self.expr_cond(true)
@@ -752,7 +771,7 @@ impl<'s> P<'s> {
     }
 
     fn expr_cond(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
-        let c = self.expr_or(allow_and)?;
+        let c = self.expr_binary(0, allow_and)?;
         let at = self.i;
         if self.eat_sym(Sy::Question) {
             let hc = self.height;
@@ -767,86 +786,35 @@ impl<'s> P<'s> {
         Ok(c)
     }
 
-    fn expr_or(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
-        let mut e = self.expr_and(allow_and)?;
-        loop {
-            let at = self.i;
-            if !self.eat_sym(Sy::OrOr) {
-                return Ok(e);
-            }
-            let left = self.height;
-            let rhs = self.expr_and(allow_and)?;
-            self.lift(at, left.max(self.height))?;
-            e = Expr::bin(Op::Or, e, rhs);
-        }
-    }
-
-    fn expr_and(&mut self, allow_and: bool) -> Result<Expr, ParseError> {
-        let mut e = self.expr_cmp()?;
-        loop {
-            let at = self.i;
-            if !(allow_and && self.eat_sym(Sy::AndAnd)) {
-                return Ok(e);
-            }
-            let left = self.height;
-            let rhs = self.expr_cmp()?;
-            self.lift(at, left.max(self.height))?;
-            e = Expr::bin(Op::And, e, rhs);
-        }
-    }
-
-    fn expr_cmp(&mut self) -> Result<Expr, ParseError> {
-        let e = self.expr_add()?;
-        let at = self.i;
-        let op = match self.peek() {
-            Some(Tok::Sym(Sy::EqEq)) => Op::Eq,
-            Some(Tok::Sym(Sy::Ne)) => Op::Ne,
-            Some(Tok::Sym(Sy::Lt)) => Op::Lt,
-            Some(Tok::Sym(Sy::Le)) => Op::Le,
-            Some(Tok::Sym(Sy::Gt)) => Op::Gt,
-            Some(Tok::Sym(Sy::Ge)) => Op::Ge,
-            _ => return Ok(e),
-        };
-        self.i += 1;
-        let left = self.height;
-        let rhs = self.expr_add()?;
-        self.lift(at, left.max(self.height))?;
-        Ok(Expr::bin(op, e, rhs))
-    }
-
-    fn expr_add(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.expr_mul()?;
-        loop {
-            let at = self.i;
-            let op = if self.eat_sym(Sy::Plus) {
-                Op::Add
-            } else if self.eat_sym(Sy::Minus) {
-                Op::Sub
-            } else {
-                return Ok(e);
-            };
-            let left = self.height;
-            let rhs = self.expr_mul()?;
-            self.lift(at, left.max(self.height))?;
-            e = Expr::bin(op, e, rhs);
-        }
-    }
-
-    fn expr_mul(&mut self) -> Result<Expr, ParseError> {
+    /// The binary operators of precedence `min` and up over unary
+    /// operands, by precedence climbing over [`BINARY`]: an operator's
+    /// right operand is everything that binds tighter. `&&` is an
+    /// operator only where `allow_and` is set.
+    fn expr_binary(&mut self, min: u8, allow_and: bool) -> Result<Expr, ParseError> {
         let mut e = self.expr_unary()?;
+        // The precedence the next operator may have at most: after `+`
+        // another `+` or a looser one, after a comparison only a looser.
+        let mut max = u8::MAX;
         loop {
             let at = self.i;
-            let op = if self.eat_sym(Sy::Star) {
-                Op::Mul
-            } else if self.eat_sym(Sy::Slash) {
-                Op::Div
-            } else {
+            let Some(Tok::Sym(sy)) = self.peek().copied() else {
                 return Ok(e);
             };
+            let Some(&(_, op, prec, assoc)) = BINARY.iter().find(|b| b.0 == sy) else {
+                return Ok(e);
+            };
+            if prec < min || prec > max || (sy == Sy::AndAnd && !allow_and) {
+                return Ok(e);
+            }
+            self.i += 1;
             let left = self.height;
-            let rhs = self.expr_unary()?;
+            let rhs = self.expr_binary(prec + 1, allow_and)?;
             self.lift(at, left.max(self.height))?;
             e = Expr::bin(op, e, rhs);
+            max = match assoc {
+                Assoc::Left => prec,
+                Assoc::Non => prec - 1,
+            };
         }
     }
 
@@ -961,10 +929,13 @@ mod tests {
 
     #[test]
     fn diagnostics_spell_tokens_as_the_source_writes_them() {
-        let e = &parse_program_with_recovery("method m(c Ref) { }").unwrap_err()[0];
+        let e = &parse_program_with_recovery_capped("method m(c Ref) { }", DEFAULT_MAX_ERRORS)
+            .unwrap_err()[0];
         assert_eq!(e.message, "expected `:`, found `Ref`");
         assert_eq!((e.line, e.col), (1, 12));
-        let e = &parse_program_with_recovery("method m(c: Ref) { assert ").unwrap_err()[0];
+        let e =
+            &parse_program_with_recovery_capped("method m(c: Ref) { assert ", DEFAULT_MAX_ERRORS)
+                .unwrap_err()[0];
         assert_eq!(e.message, "expected an expression, found end of input");
         assert_eq!((e.line, e.col), (1, 27));
     }
@@ -999,6 +970,42 @@ mod tests {
         assert_eq!(e.message, "nested deeper than 100 levels, found `r`");
         let e = parse_program(&chain(MAX_NESTING + 1)).unwrap_err();
         assert_eq!(e.message, "nested deeper than 100 levels, found `+`");
+        // A chain that mixes levels (`*` under `+` under `==` under
+        // `||`) grows the same way, with its `*` run on the left or on
+        // the right; one term more each time, the refusal moves down a
+        // level, to the operator whose node passes the bound.
+        let mixed = |n: usize| {
+            let run = vec!["1"; n - 3].join(" * ");
+            [
+                format!(
+                    "method m() returns (r: Bool) {{ r := {} + 1 == 1 || true }}",
+                    run
+                ),
+                format!(
+                    "method m() returns (r: Bool) {{ r := true || 1 == 1 + {} }}",
+                    run
+                ),
+            ]
+        };
+        for src in mixed(MAX_NESTING - 1) {
+            assert!(parse_program(&src).is_ok());
+        }
+        for (n, found, cols) in [
+            (MAX_NESTING, "r", [32, 32]),
+            (MAX_NESTING + 1, "||", [436, 42]),
+            (MAX_NESTING + 2, "==", [435, 47]),
+            (MAX_NESTING + 3, "+", [435, 52]),
+            (MAX_NESTING + 4, "*", [435, 452]),
+        ] {
+            for (src, col) in mixed(n).iter().zip(cols) {
+                let e = parse_program(src).unwrap_err();
+                assert_eq!(
+                    e.message,
+                    format!("nested deeper than 100 levels, found `{}`", found)
+                );
+                assert_eq!((e.line, e.col), (1, col), "{} terms", n);
+            }
+        }
         // So do separate `requires` clauses, conjoined into one tree.
         let clauses = |n: usize| format!("method m(x: Int) {} {{ }}", "requires x == 1 ".repeat(n));
         assert!(parse_program(&clauses(MAX_NESTING - 2)).is_ok());
@@ -1121,7 +1128,7 @@ mod tests {
 method bad1(c: Ref) { c.val := := 1 }
 method good(c: Ref) requires acc(c.val) ensures acc(c.val) { c.val := 0 }
 method bad2(c: Ref) { assert }";
-        let errs = parse_program_with_recovery(src).unwrap_err();
+        let errs = parse_program_with_recovery_capped(src, DEFAULT_MAX_ERRORS).unwrap_err();
         assert_eq!(errs.len(), 2, "got: {:?}", errs);
         assert_eq!(errs[0].line, 2);
         assert_eq!(errs[1].line, 4);
@@ -1138,16 +1145,20 @@ method good(c: Ref) requires acc(c.val) ensures acc(c.val) { c.val := 0 }";
         // A caller that tolerates diagnostics can still see the good
         // method by re-parsing without the bad one; the recovery API
         // itself reports errors rather than a partial AST.
-        assert!(parse_program_with_recovery(src).is_err());
+        assert!(parse_program_with_recovery_capped(src, DEFAULT_MAX_ERRORS).is_err());
         let good_only = "field val: Int
 method good(c: Ref) requires acc(c.val) ensures acc(c.val) { c.val := 0 }";
-        let p = parse_program_with_recovery(good_only).unwrap();
+        let p = parse_program_with_recovery_capped(good_only, DEFAULT_MAX_ERRORS).unwrap();
         assert!(p.method("good").is_some());
     }
 
     #[test]
     fn recovery_survives_error_in_last_declaration() {
-        let errs = parse_program_with_recovery("field val: Int\nmethod m(c: Ref) {").unwrap_err();
+        let errs = parse_program_with_recovery_capped(
+            "field val: Int\nmethod m(c: Ref) {",
+            DEFAULT_MAX_ERRORS,
+        )
+        .unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].line >= 1);
     }
@@ -1157,7 +1168,7 @@ method good(c: Ref) requires acc(c.val) ensures acc(c.val) { c.val := 0 }";
         // 100 broken declarations: the default cap stops after 32 real
         // diagnostics plus one sentinel instead of reporting all 100.
         let src = "method bad(c: Ref) { assert }\n".repeat(100);
-        let errs = parse_program_with_recovery(&src).unwrap_err();
+        let errs = parse_program_with_recovery_capped(&src, DEFAULT_MAX_ERRORS).unwrap_err();
         assert_eq!(errs.len(), DEFAULT_MAX_ERRORS + 1, "got: {:?}", errs.len());
         assert!(errs[DEFAULT_MAX_ERRORS]
             .message

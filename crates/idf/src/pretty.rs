@@ -4,35 +4,26 @@
 //! AST; the round-trip is property-tested in `tests/idf_prop_tests.rs`.
 
 use crate::ast::{Assertion, Expr, Method, Op, Program, Stmt};
+use crate::lexer::Sy;
+use crate::parser::{Assoc, BINARY};
 use daenerys_algebra::Q;
 use std::fmt;
 
-fn op_str(op: Op) -> &'static str {
-    match op {
-        Op::Add => "+",
-        Op::Sub => "-",
-        Op::Mul => "*",
-        Op::Div => "/",
-        Op::Eq => "==",
-        Op::Ne => "!=",
-        Op::Lt => "<",
-        Op::Le => "<=",
-        Op::Gt => ">",
-        Op::Ge => ">=",
-        Op::And => "&&",
-        Op::Or => "||",
-    }
+/// `op`'s row of the operator table the parser reads.
+fn binary(op: Op) -> (Sy, u8, Assoc) {
+    let &(sy, _, prec, assoc) = BINARY
+        .iter()
+        .find(|b| b.1 == op)
+        .expect("every operator is in the table");
+    (sy, prec, assoc)
 }
 
-/// Precedence levels mirroring the parser (higher binds tighter).
+/// Precedence levels (higher binds tighter): the conditional below the
+/// binary operators of [`BINARY`], the unary operators and atoms above.
 fn prec(e: &Expr) -> u8 {
     match e {
         Expr::Cond(..) => 0,
-        Expr::Bin(Op::Or, ..) => 1,
-        Expr::Bin(Op::And, ..) => 2,
-        Expr::Bin(Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge, ..) => 3,
-        Expr::Bin(Op::Add | Op::Sub, ..) => 4,
-        Expr::Bin(Op::Mul | Op::Div, ..) => 5,
+        Expr::Bin(op, ..) => binary(*op).1,
         Expr::Not(_) | Expr::Neg(_) => 6,
         _ => 7,
     }
@@ -106,14 +97,12 @@ fn write_expr(e: &Expr, min: u8, spec: bool, f: &mut fmt::Formatter<'_>) -> fmt:
             write!(f, ".{})", fld)?;
         }
         Expr::Bin(op, a, b) => {
-            let (la, ra) = match op {
-                // Comparisons are non-associative in the grammar.
-                Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => (p + 1, p + 1),
-                _ => (p, p + 1),
-            };
-            write_expr(a, la, spec, f)?;
-            write!(f, " {} ", op_str(*op))?;
-            write_expr(b, ra, spec, f)?;
+            // A left operand may sit at the operator's own level when
+            // the operator chains; a right operand never does.
+            let (sy, _, assoc) = binary(*op);
+            write_expr(a, if assoc == Assoc::Left { p } else { p + 1 }, spec, f)?;
+            write!(f, " {} ", sy)?;
+            write_expr(b, p + 1, spec, f)?;
         }
         Expr::Not(a) => {
             write!(f, "!")?;

@@ -27,6 +27,18 @@ rm -rf "$STORE_DIR"
 
 cargo build --release -p daenerysd -p daenerys-bench
 
+# A check that fails exits through `set -e`; on any exit, stop the
+# daemon and daenerys-top if they are still running. Each PID is
+# cleared once its process has been waited for.
+DAEMON_PID=""
+TOP_PID=""
+stop_children() {
+    for pid in $DAEMON_PID $TOP_PID; do
+        kill "$pid" 2>/dev/null || true
+    done
+}
+trap stop_children EXIT
+
 LOG="$OUT_DIR/daenerysd.log"
 ./target/release/daenerysd \
     --cache-dir "$STORE_DIR" \
@@ -57,6 +69,7 @@ TOP_PID=$!
     --out "$OUT_DIR/BENCH_server.json"
 TOP_STATUS=0
 wait "$TOP_PID" || TOP_STATUS=$?
+TOP_PID=""
 [ "$TOP_STATUS" -eq 0 ] || {
     echo "daenerys-top exited $TOP_STATUS under load"
     cat "$OUT_DIR/daenerys-top.txt"; exit 1;
@@ -134,6 +147,7 @@ grep -q '"conserved_failures":0' "$OUT_DIR/BENCH_server.json"
 kill -TERM "$DAEMON_PID"
 DAEMON_STATUS=0
 wait "$DAEMON_PID" || DAEMON_STATUS=$?
+DAEMON_PID=""
 [ "$DAEMON_STATUS" -eq 0 ] || {
     echo "daemon exited $DAEMON_STATUS after SIGTERM"; cat "$LOG"; exit 1;
 }
