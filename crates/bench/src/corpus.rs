@@ -167,11 +167,6 @@ impl Corpus {
         &self.edges[i]
     }
 
-    /// The method name for index `i`.
-    pub fn method_name(i: usize) -> String {
-        format!("m{}", i)
-    }
-
     /// The designated leaf: the layer-0 method with the most direct
     /// callers (a body edit here is the classic "touched one file at
     /// the bottom of the monorepo" shape). Layer 0 methods have no

@@ -728,3 +728,29 @@ fn a_term_past_the_depth_bound_is_unknown_and_the_daemon_keeps_serving() {
     assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
     assert_eq!(snap.responses_ok, 2, "{:?}", snap);
 }
+
+/// A failing method whose report holds a term just inside
+/// `MAX_TERM_DEPTH`: the session renders the report on its own thread
+/// (2 MiB, the default for spawned threads), answers `failed`, and the
+/// daemon keeps serving.
+#[test]
+fn a_report_near_the_depth_bound_is_failed_and_the_daemon_keeps_serving() {
+    let (addr, flag, handle) = start(test_config(None));
+    let client = Client::new(addr);
+    let deep = format!(
+        "field val: Int method m(c: Ref, y: Int) requires acc(c.val) ensures acc(c.val) \
+         {{ {}; assert c.val == 0 }}",
+        vec!["c.val := c.val + y"; daenerys_idf::MAX_TERM_DEPTH as usize - 10].join("; ")
+    );
+    match client.request_once(&Request::new(1, "t", deep), 0) {
+        Ok(Response::Ok { verdicts, .. }) => assert_eq!(verdicts["m"].kind, "failed"),
+        other => panic!("deep report: {:?}", other),
+    }
+    match client.request_once(&Request::new(2, "t", GOOD.to_string()), 0) {
+        Ok(Response::Ok { verdicts, .. }) => assert_eq!(verdicts["set"].kind, "verified"),
+        other => panic!("after the deep report: {:?}", other),
+    }
+    let snap = stop(&flag, handle);
+    assert_eq!(snap.internal_crashes, 0, "{:?}", snap);
+    assert_eq!(snap.responses_ok, 2, "{:?}", snap);
+}

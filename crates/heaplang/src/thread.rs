@@ -39,16 +39,6 @@ impl Machine {
         }
     }
 
-    /// Creates a machine with a main thread and a pre-populated heap.
-    pub fn with_heap(main: Expr, heap: Heap) -> Machine {
-        let status = vec![status_of(&main)];
-        Machine {
-            threads: vec![main],
-            status,
-            heap,
-        }
-    }
-
     /// Number of threads (running or not).
     pub fn thread_count(&self) -> usize {
         self.threads.len()

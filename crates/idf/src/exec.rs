@@ -900,17 +900,17 @@ impl<'a> Verifier<'a> {
                     .map(|c| {
                         format!(
                             "acc({}.{}, {}) ↦ {}",
-                            self.arena.to_expr(c.recv),
+                            self.arena.display(c.recv),
                             c.field,
                             c.perm,
-                            self.arena.to_expr(c.value)
+                            self.arena.display(c.value)
                         )
                     })
                     .collect(),
                 path_condition: s
                     .pc
                     .iter()
-                    .map(|&id| self.arena.to_expr(id).to_string())
+                    .map(|&id| self.arena.display(id).to_string())
                     .collect(),
             },
             None => FailureCtx::default(),
@@ -2382,6 +2382,40 @@ mod tests {
                     report.hot_queries.iter().any(|q| q.fuel > 0),
                     "at least one logged query did real work"
                 );
+            }
+            other => panic!("expected Failed, got {}", other),
+        }
+    }
+
+    /// A report renders a term as deep as the verifier accepts on a
+    /// 2 MiB thread, the default for spawned threads, in a debug build:
+    /// `c.val := c.val + y`, `n` times, leaves the one chunk holding a
+    /// term `n + 1` levels deep when the assertion fails.
+    #[test]
+    fn a_report_renders_a_term_near_the_depth_bound_on_a_2_mib_thread() {
+        let n = MAX_TERM_DEPTH as usize - 10;
+        let src = format!(
+            "field val: Int method m(c: Ref, y: Int) requires acc(c.val) ensures acc(c.val) \
+             {{ {}; assert c.val == 0 }}",
+            vec!["c.val := c.val + y"; n].join("; ")
+        );
+        let verdict = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let p = parse_program(&src).unwrap();
+                Verifier::with_config(&p, Backend::Destabilized, VerifierConfig::default())
+                    .verify_method_verdict("m")
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        match verdict {
+            Verdict::Failed { report, .. } => {
+                let [chunk] = &report.chunks[..] else {
+                    panic!("expected one chunk, got {:?}", report.chunks)
+                };
+                assert!(chunk.starts_with("acc("), "{}", chunk);
+                assert_eq!(chunk.matches(" + ").count(), n, "the whole term");
             }
             other => panic!("expected Failed, got {}", other),
         }

@@ -62,7 +62,7 @@ pub use stability::{
     FindingKind, SpecSite, SpecVerdict, StabilityClass,
 };
 pub use store::{StoredVerdict, VerdictStore};
-pub use sym::{Sort, Sym, SymExpr, SymSupply, Term, TermArena, TermId, Witness, MAX_TERM_DEPTH};
+pub use sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness, MAX_TERM_DEPTH};
 pub use translate::{
     env_of, full_ownership, obj_of, strip_old, translate_assertion, translate_expr, TEnv,
     TranslateError,

@@ -511,110 +511,142 @@ impl<'s> P<'s> {
         self.nested(at, P::stmts_until_rbrace)
     }
 
+    /// One statement. Each form is parsed by a function of its own, so
+    /// the frame that recurses once per block level (`stmt`, then
+    /// `if_stmt` or `while_stmt`) holds only that form's locals.
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let at = self.i;
         if self.eat_kw(Kw::Var) {
-            let x = self.ident()?.to_string();
-            self.expect_sym(Sy::Colon)?;
-            let ty = self.ty()?;
-            self.expect_sym(Sy::Assign)?;
-            let e = self.expr()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::VarDecl(x, ty, e));
+            return self.var_decl(at);
         }
         if self.eat_kw(Kw::Inhale) {
-            let a = self.assertion()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::Inhale(a));
+            return self.spec_stmt(at, Stmt::Inhale);
         }
         if self.eat_kw(Kw::Exhale) {
-            let a = self.assertion()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::Exhale(a));
+            return self.spec_stmt(at, Stmt::Exhale);
         }
         if self.eat_kw(Kw::Assert) {
-            let a = self.assertion()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::Assert(a));
+            return self.spec_stmt(at, Stmt::Assert);
         }
         if self.eat_kw(Kw::If) {
-            self.expect_sym(Sy::LParen)?;
-            let c = self.expr()?;
-            let hc = self.height;
-            self.expect_sym(Sy::RParen)?;
-            let then = self.block()?;
-            let ht = self.height;
-            let (els, he) = if self.eat_kw(Kw::Else) {
-                (self.block()?, self.height)
-            } else {
-                (Vec::new(), 0)
-            };
-            self.lift(at, hc.max(ht).max(he))?;
-            return Ok(Stmt::If(c, then, els));
+            return self.if_stmt(at);
         }
         if self.eat_kw(Kw::While) {
-            self.expect_sym(Sy::LParen)?;
-            let c = self.expr()?;
-            let hc = self.height;
-            self.expect_sym(Sy::RParen)?;
-            let (mut invs, mut hi) = (Vec::new(), 0);
-            loop {
-                let inv_at = self.i;
-                if !self.eat_kw(Kw::Invariant) {
-                    break;
-                }
-                self.clause(inv_at, &mut invs, &mut hi)?;
-            }
-            let body = self.block()?;
-            self.lift(at, hc.max(hi).max(self.height))?;
-            return Ok(Stmt::While(c, Assertion::all(invs), body));
+            return self.while_stmt(at);
         }
         if self.eat_kw(Kw::Call) {
-            // call [targets :=] m(args)
-            let first = self.ident()?.to_string();
-            let (targets, m) = if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
-                (Vec::new(), first)
-            } else {
-                let mut targets = vec![first];
-                while self.eat_sym(Sy::Comma) {
-                    targets.push(self.ident()?.to_string());
-                }
-                self.expect_sym(Sy::Assign)?;
-                (targets, self.ident()?.to_string())
-            };
-            let args = self.call_args()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::Call(targets, m, args));
+            return self.call_stmt(at);
         }
         // Assignment forms: `x := ...` or `e.f := e`.
-        if let (Some(Tok::Ident(x)), Some(Tok::Sym(Sy::Assign))) = (self.peek(), self.peek2()) {
-            let x = x.to_string();
-            self.i += 2;
-            if self.eat_kw(Kw::New) {
-                self.expect_sym(Sy::LParen)?;
-                let mut fields = Vec::new();
-                let mut height = 0;
-                if !self.eat_sym(Sy::RParen) {
-                    loop {
-                        let f = self.ident()?.to_string();
-                        self.expect_sym(Sy::Colon)?;
-                        let e = self.expr()?;
-                        fields.push((f, e));
-                        height = height.max(self.height);
-                        if self.eat_sym(Sy::RParen) {
-                            break;
-                        }
-                        self.expect_sym(Sy::Comma)?;
-                    }
-                }
-                self.lift(at, height)?;
-                return Ok(Stmt::New(x, fields));
-            }
-            let e = self.expr()?;
-            self.lift(at, self.height)?;
-            return Ok(Stmt::Assign(x, e));
+        if let (Some(Tok::Ident(_)), Some(Tok::Sym(Sy::Assign))) = (self.peek(), self.peek2()) {
+            return self.assign(at);
         }
-        // Field write: expr.f := e.
+        self.field_write(at)
+    }
+
+    /// `var x: T := e`, after the keyword.
+    fn var_decl(&mut self, at: usize) -> Result<Stmt, ParseError> {
+        let x = self.ident()?.to_string();
+        self.expect_sym(Sy::Colon)?;
+        let ty = self.ty()?;
+        self.expect_sym(Sy::Assign)?;
+        let e = self.expr()?;
+        self.lift(at, self.height)?;
+        Ok(Stmt::VarDecl(x, ty, e))
+    }
+
+    /// `inhale A`, `exhale A` or `assert A`, after the keyword.
+    fn spec_stmt(&mut self, at: usize, wrap: fn(Assertion) -> Stmt) -> Result<Stmt, ParseError> {
+        let a = self.assertion()?;
+        self.lift(at, self.height)?;
+        Ok(wrap(a))
+    }
+
+    /// `if (e) { … } [else { … }]`, after the keyword.
+    fn if_stmt(&mut self, at: usize) -> Result<Stmt, ParseError> {
+        self.expect_sym(Sy::LParen)?;
+        let c = self.expr()?;
+        let hc = self.height;
+        self.expect_sym(Sy::RParen)?;
+        let then = self.block()?;
+        let ht = self.height;
+        let (els, he) = if self.eat_kw(Kw::Else) {
+            (self.block()?, self.height)
+        } else {
+            (Vec::new(), 0)
+        };
+        self.lift(at, hc.max(ht).max(he))?;
+        Ok(Stmt::If(c, then, els))
+    }
+
+    /// `while (e) invariant A … { … }`, after the keyword.
+    fn while_stmt(&mut self, at: usize) -> Result<Stmt, ParseError> {
+        self.expect_sym(Sy::LParen)?;
+        let c = self.expr()?;
+        let hc = self.height;
+        self.expect_sym(Sy::RParen)?;
+        let (mut invs, mut hi) = (Vec::new(), 0);
+        loop {
+            let inv_at = self.i;
+            if !self.eat_kw(Kw::Invariant) {
+                break;
+            }
+            self.clause(inv_at, &mut invs, &mut hi)?;
+        }
+        let body = self.block()?;
+        self.lift(at, hc.max(hi).max(self.height))?;
+        Ok(Stmt::While(c, Assertion::all(invs), body))
+    }
+
+    /// `call [targets :=] m(args)`, after the keyword.
+    fn call_stmt(&mut self, at: usize) -> Result<Stmt, ParseError> {
+        let first = self.ident()?.to_string();
+        let (targets, m) = if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
+            (Vec::new(), first)
+        } else {
+            let mut targets = vec![first];
+            while self.eat_sym(Sy::Comma) {
+                targets.push(self.ident()?.to_string());
+            }
+            self.expect_sym(Sy::Assign)?;
+            (targets, self.ident()?.to_string())
+        };
+        let args = self.call_args()?;
+        self.lift(at, self.height)?;
+        Ok(Stmt::Call(targets, m, args))
+    }
+
+    /// `x := e` or `x := new(f: e, …)`, at the variable.
+    fn assign(&mut self, at: usize) -> Result<Stmt, ParseError> {
+        let x = self.ident()?.to_string();
+        self.expect_sym(Sy::Assign)?;
+        if self.eat_kw(Kw::New) {
+            self.expect_sym(Sy::LParen)?;
+            let mut fields = Vec::new();
+            let mut height = 0;
+            if !self.eat_sym(Sy::RParen) {
+                loop {
+                    let f = self.ident()?.to_string();
+                    self.expect_sym(Sy::Colon)?;
+                    let e = self.expr()?;
+                    fields.push((f, e));
+                    height = height.max(self.height);
+                    if self.eat_sym(Sy::RParen) {
+                        break;
+                    }
+                    self.expect_sym(Sy::Comma)?;
+                }
+            }
+            self.lift(at, height)?;
+            return Ok(Stmt::New(x, fields));
+        }
+        let e = self.expr()?;
+        self.lift(at, self.height)?;
+        Ok(Stmt::Assign(x, e))
+    }
+
+    /// `e.f := e`, at the receiver.
+    fn field_write(&mut self, at: usize) -> Result<Stmt, ParseError> {
         let lhs = self.expr()?;
         // The receiver sits one below the `Field` node it came in.
         let hr = self.height - 1;

@@ -30,7 +30,7 @@
 //! no theory verdict is remembered, so each one comes with the
 //! derivation that produced it.
 
-use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId, MAX_TERM_DEPTH};
+use crate::sym::{Sort, Sym, Term, TermArena, TermId, MAX_TERM_DEPTH};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -307,19 +307,6 @@ impl Solver {
     pub fn consistent(&mut self, arena: &mut TermArena, pc: &[TermId]) -> bool {
         let falsum = arena.bool(false);
         self.entails(arena, pc, falsum) != Answer::Valid
-    }
-
-    /// Tree-facade variant of [`Solver::entails`] for callers holding
-    /// owned [`SymExpr`]s (tests, one-off queries).
-    pub fn entails_exprs(
-        &mut self,
-        arena: &mut TermArena,
-        pc: &[SymExpr],
-        goal: &SymExpr,
-    ) -> Answer {
-        let pc_ids: Vec<TermId> = pc.iter().map(|e| arena.intern_expr(e)).collect();
-        let g = arena.intern_expr(goal);
-        self.entails(arena, &pc_ids, g)
     }
 
     /// Answers one satisfiability query.
@@ -1850,13 +1837,35 @@ impl UnionFind {
 }
 
 #[cfg(test)]
+use crate::ast::{Expr, Op};
+
+#[cfg(test)]
 #[path = "../tests/support/query_stream.rs"]
 mod query_stream;
 
 #[cfg(test)]
 mod tests {
+    use super::query_stream::{entails, intern};
     use super::*;
-    use crate::sym::SymSupply;
+    use crate::ast::Assertion;
+    use crate::parser::parse_assertion;
+
+    /// Parses an expression over the variables `x0, x1, …`, which
+    /// intern as the symbols `Sym(0), Sym(1), …`.
+    fn parse(src: &str) -> Expr {
+        match parse_assertion(src) {
+            Ok(Assertion::Expr(e)) => e,
+            other => panic!("{}: {:?}", src, other),
+        }
+    }
+
+    /// A query `pc ⊨ goal`, parsed.
+    fn query(pc: &[impl AsRef<str>], goal: &str) -> (Vec<Expr>, Expr) {
+        (pc.iter().map(|c| parse(c.as_ref())).collect(), parse(goal))
+    }
+
+    /// The empty path condition.
+    const NO_FACTS: [&str; 0] = [];
 
     struct Ctx {
         solver: Solver,
@@ -1864,200 +1873,121 @@ mod tests {
     }
 
     impl Ctx {
-        fn entails(&mut self, pc: &[SymExpr], goal: &SymExpr) -> Answer {
-            self.solver.entails_exprs(&mut self.arena, pc, goal)
-        }
-
-        fn consistent(&mut self, pc: &[SymExpr]) -> bool {
-            let ids: Vec<TermId> = pc.iter().map(|e| self.arena.intern_expr(e)).collect();
-            self.solver.consistent(&mut self.arena, &ids)
-        }
-    }
-
-    fn int_solver(n: usize) -> (Ctx, Vec<SymExpr>) {
-        let mut supply = SymSupply::new();
-        let mut solver = Solver::new();
-        let mut syms = Vec::new();
-        for _ in 0..n {
-            let s = supply.fresh();
-            solver.declare(s, Sort::Int);
-            syms.push(SymExpr::sym(s));
-        }
-        (
+        /// A solver whose symbols `x0..x<n-1>` have the sort `sort`.
+        fn new(n: u32, sort: Sort) -> Ctx {
+            let mut solver = Solver::new();
+            for i in 0..n {
+                solver.declare(Sym(i), sort);
+            }
             Ctx {
                 solver,
                 arena: TermArena::new(),
-            },
-            syms,
-        )
+            }
+        }
+
+        fn entails(&mut self, pc: &[impl AsRef<str>], goal: &str) -> Answer {
+            let (pc, goal) = query(pc, goal);
+            entails(&mut self.solver, &mut self.arena, &pc, &goal)
+        }
+
+        fn consistent(&mut self, pc: &[impl AsRef<str>]) -> bool {
+            let pc: Vec<TermId> = pc
+                .iter()
+                .map(|c| intern(&mut self.arena, &parse(c.as_ref())))
+                .collect();
+            self.solver.consistent(&mut self.arena, &pc)
+        }
     }
 
     #[test]
     fn linear_arithmetic() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
+        let mut cx = Ctx::new(2, Sort::Int);
         // x ≤ y ∧ y ≤ x ⊨ x = y
-        let pc = vec![
-            SymExpr::le(x.clone(), y.clone()),
-            SymExpr::le(y.clone(), x.clone()),
-        ];
         assert_eq!(
-            cx.entails(&pc, &SymExpr::eq(x.clone(), y.clone())),
+            cx.entails(&["x0 <= x1", "x1 <= x0"], "x0 == x1"),
             Answer::Valid
         );
         // x < y ⊨ x + 1 ≤ y (integer tightening).
-        let pc = vec![SymExpr::lt(x.clone(), y.clone())];
-        assert_eq!(
-            cx.entails(
-                &pc,
-                &SymExpr::le(SymExpr::add(x.clone(), SymExpr::int(1)), y.clone())
-            ),
-            Answer::Valid
-        );
+        assert_eq!(cx.entails(&["x0 < x1"], "x0 + 1 <= x1"), Answer::Valid);
         // x ≤ y ⊭ x < y.
-        let pc = vec![SymExpr::le(x.clone(), y.clone())];
-        assert_eq!(cx.entails(&pc, &SymExpr::lt(x, y)), Answer::Invalid);
+        assert_eq!(cx.entails(&["x0 <= x1"], "x0 < x1"), Answer::Invalid);
     }
 
     #[test]
     fn arithmetic_identities() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
+        let mut cx = Ctx::new(2, Sort::Int);
         // ⊨ x + y - y = x
-        let goal = SymExpr::eq(SymExpr::sub(SymExpr::add(x.clone(), y.clone()), y), x);
-        assert_eq!(cx.entails(&[], &goal), Answer::Valid);
+        assert_eq!(cx.entails(&NO_FACTS, "x0 + x1 - x1 == x0"), Answer::Valid);
     }
 
     #[test]
     fn scaled_constraints() {
-        let (mut cx, s) = int_solver(1);
-        let x = s[0].clone();
+        let mut cx = Ctx::new(1, Sort::Int);
         // 2x ≤ 5 ∧ 3 ≤ 2x is rationally satisfiable but the bounds on x
         // conflict after pairing: 3 ≤ 2x ≤ 5 — fine rationally, so the
         // solver must NOT claim validity of falsity.
-        let pc = vec![
-            SymExpr::le(SymExpr::mul(SymExpr::int(2), x.clone()), SymExpr::int(5)),
-            SymExpr::le(SymExpr::int(3), SymExpr::mul(SymExpr::int(2), x)),
-        ];
-        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Invalid);
+        assert_eq!(
+            cx.entails(&["2 * x0 <= 5", "3 <= 2 * x0"], "false"),
+            Answer::Invalid
+        );
     }
 
     #[test]
     fn boolean_structure() {
-        let mut supply = SymSupply::new();
-        let mut solver = Solver::new();
-        let p = supply.fresh();
-        let q = supply.fresh();
-        solver.declare(p, Sort::Bool);
-        solver.declare(q, Sort::Bool);
-        let mut cx = Ctx {
-            solver,
-            arena: TermArena::new(),
-        };
-        let sp = SymExpr::sym(p);
-        let sq = SymExpr::sym(q);
+        let mut cx = Ctx::new(2, Sort::Bool);
         // p ∨ q, ¬p ⊨ q.
-        let pc = vec![
-            SymExpr::or(sp.clone(), sq.clone()),
-            SymExpr::not(sp.clone()),
-        ];
-        assert_eq!(cx.entails(&pc, &sq), Answer::Valid);
+        assert_eq!(cx.entails(&["x0 || x1", "!x0"], "x1"), Answer::Valid);
         // p ⊭ q.
-        assert_eq!(cx.entails(&[sp], &sq), Answer::Invalid);
+        assert_eq!(cx.entails(&["x0"], "x1"), Answer::Invalid);
     }
 
     #[test]
     fn reference_reasoning() {
-        let mut supply = SymSupply::new();
-        let mut solver = Solver::new();
-        let a = supply.fresh();
-        let b = supply.fresh();
-        let c = supply.fresh();
-        for s in [a, b, c] {
-            solver.declare(s, Sort::Ref);
-        }
-        let mut cx = Ctx {
-            solver,
-            arena: TermArena::new(),
-        };
-        let (ea, eb, ec) = (SymExpr::sym(a), SymExpr::sym(b), SymExpr::sym(c));
+        let mut cx = Ctx::new(3, Sort::Ref);
         // a = b ∧ b = c ⊨ a = c.
-        let pc = vec![
-            SymExpr::eq(ea.clone(), eb.clone()),
-            SymExpr::eq(eb.clone(), ec.clone()),
-        ];
         assert_eq!(
-            cx.entails(&pc, &SymExpr::eq(ea.clone(), ec.clone())),
+            cx.entails(&["x0 == x1", "x1 == x2"], "x0 == x2"),
             Answer::Valid
         );
         // a = b ∧ a ≠ b is inconsistent.
-        let pc = vec![
-            SymExpr::eq(ea.clone(), eb.clone()),
-            SymExpr::not(SymExpr::eq(ea.clone(), eb.clone())),
-        ];
-        assert!(!cx.consistent(&pc));
+        assert!(!cx.consistent(&["x0 == x1", "!(x0 == x1)"]));
         // a ≠ null ⊭ a = b.
-        let pc = vec![SymExpr::not(SymExpr::eq(ea.clone(), SymExpr::Null))];
-        assert_eq!(cx.entails(&pc, &SymExpr::eq(ea, eb)), Answer::Invalid);
+        assert_eq!(cx.entails(&["!(x0 == null)"], "x0 == x1"), Answer::Invalid);
     }
 
     #[test]
     fn mixed_implication() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
+        let mut cx = Ctx::new(2, Sort::Int);
         // (x = 3 → y = 4) ∧ x = 3 ⊨ y = 4.
-        let pc = vec![
-            SymExpr::implies(
-                SymExpr::eq(x.clone(), SymExpr::int(3)),
-                SymExpr::eq(y.clone(), SymExpr::int(4)),
-            ),
-            SymExpr::eq(x, SymExpr::int(3)),
-        ];
         assert_eq!(
-            cx.entails(&pc, &SymExpr::eq(y, SymExpr::int(4))),
+            cx.entails(&["!(x0 == 3) || x1 == 4", "x0 == 3"], "x1 == 4"),
             Answer::Valid
         );
     }
 
     #[test]
     fn nonlinear_is_unknown_not_wrong() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
-        let sq = SymExpr::Mul(Box::new(x.clone()), Box::new(x.clone()));
+        let mut cx = Ctx::new(2, Sort::Int);
         // x*x ≥ 0 is true but nonlinear: must NOT be Invalid-with-
         // certainty... and must never be claimed Valid wrongly; Unknown
         // is the honest answer.
-        let goal = SymExpr::le(SymExpr::int(0), sq);
-        let ans = cx.entails(&[], &goal);
-        assert_ne!(ans, Answer::Invalid);
+        assert_ne!(cx.entails(&NO_FACTS, "0 <= x0 * x0"), Answer::Invalid);
         // And an actually-false nonlinear goal must not verify.
-        let bad = SymExpr::eq(SymExpr::Mul(Box::new(x), Box::new(y)), SymExpr::int(3));
-        assert_ne!(cx.entails(&[], &bad), Answer::Valid);
+        assert_ne!(cx.entails(&NO_FACTS, "x0 * x1 == 3"), Answer::Valid);
     }
 
     #[test]
     fn inconsistent_pc_proves_anything() {
-        let (mut cx, s) = int_solver(1);
-        let x = s[0].clone();
-        let pc = vec![
-            SymExpr::lt(x.clone(), SymExpr::int(0)),
-            SymExpr::lt(SymExpr::int(0), x),
-        ];
-        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Valid);
+        let mut cx = Ctx::new(1, Sort::Int);
+        let pc = ["x0 < 0", "0 < x0"];
+        assert_eq!(cx.entails(&pc, "false"), Answer::Valid);
         assert!(!cx.consistent(&pc));
     }
 
     #[test]
     fn query_stats_accumulate() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
-        let pc = vec![SymExpr::lt(x.clone(), y.clone())];
-        let _ = cx.entails(&pc, &SymExpr::le(x, y));
+        let mut cx = Ctx::new(2, Sort::Int);
+        let _ = cx.entails(&["x0 < x1"], "x0 <= x1");
         assert_eq!(cx.solver.queries, 1);
         // The fuel-unit counters must move.
         assert!(cx.solver.conflicts + cx.solver.propagations >= 1);
@@ -2065,14 +1995,10 @@ mod tests {
 
     #[test]
     fn repeat_queries_hit_the_cache() {
-        let (mut cx, s) = int_solver(2);
-        let x = s[0].clone();
-        let y = s[1].clone();
-        let pc = vec![SymExpr::lt(x.clone(), y.clone())];
-        let goal = SymExpr::le(x.clone(), y.clone());
-        let first = cx.entails(&pc, &goal);
+        let mut cx = Ctx::new(2, Sort::Int);
+        let first = cx.entails(&["x0 < x1"], "x0 <= x1");
         let branches_after_first = cx.solver.branches;
-        let second = cx.entails(&pc, &goal);
+        let second = cx.entails(&["x0 < x1"], "x0 <= x1");
         assert_eq!(first, second);
         assert_eq!(cx.solver.cache_hits, 1);
         assert_eq!(
@@ -2080,24 +2006,16 @@ mod tests {
             "a cache hit must not re-run the search"
         );
         // Same conditions in a different order share the entry.
-        let pc2 = vec![
-            SymExpr::lt(x.clone(), y.clone()),
-            SymExpr::lt(x.clone(), y.clone()),
-        ];
-        let third = cx.entails(&pc2, &goal);
+        let third = cx.entails(&["x0 < x1", "x0 < x1"], "x0 <= x1");
         assert_eq!(first, third);
         assert_eq!(cx.solver.cache_hits, 2);
     }
 
     #[test]
     fn consistency_checks_share_the_entailment_memo() {
-        let (mut cx, s) = int_solver(1);
-        let x = s[0].clone();
-        let pc = vec![
-            SymExpr::lt(x.clone(), SymExpr::int(0)),
-            SymExpr::lt(SymExpr::int(0), x),
-        ];
-        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Valid);
+        let mut cx = Ctx::new(1, Sort::Int);
+        let pc = ["x0 < 0", "0 < x0"];
+        assert_eq!(cx.entails(&pc, "false"), Answer::Valid);
         let branches = cx.solver.branches;
         assert!(!cx.consistent(&pc));
         assert_eq!(cx.solver.cache_hits, 1, "consistent(pc) is pc ⊨ false");
@@ -2107,30 +2025,19 @@ mod tests {
         );
     }
 
-    /// A diverging-style query set: each variable is pinned to `{0, 1}`
-    /// by a disjunction, and the goal bounds their sum from below.
-    fn diverging_queries(s: &[SymExpr]) -> (Vec<SymExpr>, SymExpr) {
-        let pc: Vec<SymExpr> = s
-            .iter()
-            .map(|x| {
-                SymExpr::or(
-                    SymExpr::eq(x.clone(), SymExpr::int(0)),
-                    SymExpr::eq(x.clone(), SymExpr::int(1)),
-                )
-            })
-            .collect();
-        let sum = s
-            .iter()
-            .cloned()
-            .reduce(SymExpr::add)
-            .expect("at least one symbol");
-        (pc, SymExpr::le(SymExpr::int(0), sum))
+    /// A diverging-style query over `x0..x<n-1>`: each variable is
+    /// pinned to `{0, 1}` by a disjunction, and the goal bounds their
+    /// sum from below.
+    fn diverging_queries(n: u32) -> (Vec<String>, String) {
+        let pc = (0..n).map(|i| format!("x{i} == 0 || x{i} == 1")).collect();
+        let sum: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+        (pc, format!("0 <= {}", sum.join(" + ")))
     }
 
     #[test]
     fn learned_clause_count_is_monotone_across_re_solves() {
-        let (mut cx, s) = int_solver(2);
-        let (pc, goal) = diverging_queries(&s);
+        let mut cx = Ctx::new(2, Sort::Int);
+        let (pc, goal) = diverging_queries(2);
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         let learned = cx.solver.learned_clauses;
         assert!(learned >= 1, "a theory conflict should learn a clause");
@@ -2146,40 +2053,24 @@ mod tests {
 
     /// A pigeonhole path condition over boolean symbols: each pigeon
     /// sits in some hole and no hole holds two, unsatisfiable when
-    /// there are more pigeons than holes.
-    fn pigeonhole(pigeons: usize, holes: usize) -> (Ctx, Vec<SymExpr>) {
-        let mut supply = SymSupply::new();
-        let mut solver = Solver::new();
-        let p: Vec<Vec<SymExpr>> = (0..pigeons)
-            .map(|_| {
-                (0..holes)
-                    .map(|_| {
-                        let s = supply.fresh();
-                        solver.declare(s, Sort::Bool);
-                        SymExpr::sym(s)
-                    })
-                    .collect()
+    /// there are more pigeons than holes. Pigeon `i` in hole `j` is
+    /// the symbol `x<i * holes + j>`.
+    fn pigeonhole(pigeons: u32, holes: u32) -> (Ctx, Vec<String>) {
+        let p = |i: u32, j: u32| i * holes + j;
+        let mut pc: Vec<String> = (0..pigeons)
+            .map(|i| {
+                let row: Vec<String> = (0..holes).map(|j| format!("x{}", p(i, j))).collect();
+                row.join(" || ")
             })
             .collect();
-        let mut pc: Vec<SymExpr> = p
-            .iter()
-            .map(|row| row.iter().cloned().reduce(SymExpr::or).expect("a hole"))
-            .collect();
         for j in 0..holes {
-            for (i, first) in p.iter().enumerate() {
-                for second in &p[i + 1..] {
-                    pc.push(SymExpr::or(
-                        SymExpr::not(first[j].clone()),
-                        SymExpr::not(second[j].clone()),
-                    ));
+            for i in 0..pigeons {
+                for k in i + 1..pigeons {
+                    pc.push(format!("!x{} || !x{}", p(i, j), p(k, j)));
                 }
             }
         }
-        let cx = Ctx {
-            solver,
-            arena: TermArena::new(),
-        };
-        (cx, pc)
+        (Ctx::new(pigeons * holes, Sort::Bool), pc)
     }
 
     /// One query that runs for thousands of conflicts keeps every
@@ -2190,7 +2081,7 @@ mod tests {
         let (mut cx, pc) = pigeonhole(8, 7);
         let budget = 1_000_000;
         cx.solver.fuel = Some(budget);
-        assert_eq!(cx.entails(&pc, &SymExpr::bool(false)), Answer::Valid);
+        assert_eq!(cx.entails(&pc, "false"), Answer::Valid);
         let fuel = budget - cx.solver.fuel.expect("a budgeted run");
         assert_eq!(cx.solver.conflicts, 2445);
         assert_eq!(fuel, 77_292);
@@ -2221,20 +2112,15 @@ mod tests {
         (answer, std::array::from_fn(|i| after[i] - before[i]))
     }
 
-    /// Two chained orderings, each broken unless a side variable is
-    /// non-positive: its conflicts are theory conflicts over a few
-    /// shared atoms.
-    fn chained_orderings(s: &[SymExpr]) -> (Vec<SymExpr>, SymExpr) {
-        let (x, y, z, w) = (s[0].clone(), s[1].clone(), s[2].clone(), s[3].clone());
-        let nonpos = |v: &SymExpr| SymExpr::le(v.clone(), SymExpr::int(0));
-        let pc = vec![
-            SymExpr::or(SymExpr::le(x.clone(), y.clone()), nonpos(&z)),
-            SymExpr::or(SymExpr::lt(y.clone(), x), nonpos(&z)),
-            SymExpr::or(SymExpr::le(y.clone(), z.clone()), nonpos(&w)),
-            SymExpr::or(SymExpr::lt(z.clone(), y), nonpos(&w)),
-        ];
-        (pc, nonpos(&SymExpr::add(z, w)))
-    }
+    /// Two chained orderings over `x0..x3`, each broken unless a side
+    /// variable is non-positive: its conflicts are theory conflicts
+    /// over a few shared atoms.
+    const CHAINED_ORDERINGS: [&str; 4] = [
+        "x0 <= x1 || x2 <= 0",
+        "x1 < x0 || x2 <= 0",
+        "x1 <= x2 || x3 <= 0",
+        "x2 < x1 || x3 <= 0",
+    ];
 
     /// Each query starts from an empty clause database: after other
     /// queries over the same atoms, a query searches exactly as it does
@@ -2242,28 +2128,28 @@ mod tests {
     /// changes cost, never the search of a query it does not answer).
     #[test]
     fn a_query_after_others_searches_as_on_a_fresh_solver() {
-        let falsum = SymExpr::bool(false);
         // Boolean atoms: the 6-pigeon pigeonhole, after two satisfiable
         // weakenings of it (one pigeon's placement dropped, then one
         // hole constraint dropped).
         let (mut fresh, pc) = pigeonhole(6, 5);
-        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, &falsum));
+        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, "false"));
         assert_eq!(cold.0, Answer::Valid);
         let (mut warm, pc) = pigeonhole(6, 5);
-        assert_eq!(warm.entails(&pc[1..], &falsum), Answer::Invalid);
-        assert_eq!(warm.entails(&pc[..pc.len() - 1], &falsum), Answer::Invalid);
+        assert_eq!(warm.entails(&pc[1..], "false"), Answer::Invalid);
+        assert_eq!(warm.entails(&pc[..pc.len() - 1], "false"), Answer::Invalid);
         assert!(warm.solver.conflicts > 0, "the earlier queries search");
-        assert_eq!(search_delta(&mut warm, |cx| cx.entails(&pc, &falsum)), cold);
+        assert_eq!(search_delta(&mut warm, |cx| cx.entails(&pc, "false")), cold);
 
         // Integer atoms with theory conflicts: the same query again,
         // re-solved once its memoized answer is forgotten.
-        let (mut cx, s) = int_solver(4);
-        let (pc, goal) = chained_orderings(&s);
-        let first = search_delta(&mut cx, |cx| cx.entails(&pc, &goal));
+        let mut cx = Ctx::new(4, Sort::Int);
+        let pc = CHAINED_ORDERINGS;
+        let goal = "x2 + x3 <= 0";
+        let first = search_delta(&mut cx, |cx| cx.entails(&pc, goal));
         assert_eq!(first.0, Answer::Valid);
         assert!(first.1[0] > 0, "the first solve branches");
         cx.solver.query_cache.clear();
-        assert_eq!(search_delta(&mut cx, |cx| cx.entails(&pc, &goal)), first);
+        assert_eq!(search_delta(&mut cx, |cx| cx.entails(&pc, goal)), first);
     }
 
     /// A query cut off by fuel mid-search leaves nothing behind but
@@ -2271,21 +2157,20 @@ mod tests {
     /// searches exactly as a fresh solver does.
     #[test]
     fn a_fuel_truncated_query_leaves_the_next_search_untouched() {
-        let falsum = SymExpr::bool(false);
         let (mut fresh, pc) = pigeonhole(8, 7);
-        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, &falsum));
+        let cold = search_delta(&mut fresh, |cx| cx.entails(&pc, "false"));
         assert_eq!(cold.0, Answer::Valid);
         assert_eq!(cold.1[1], 2445, "the pinned conflict count");
 
         let (mut starved, pc) = pigeonhole(8, 7);
         starved.solver.fuel = Some(40_000);
-        assert_eq!(starved.entails(&pc, &falsum), Answer::Unknown);
+        assert_eq!(starved.entails(&pc, "false"), Answer::Unknown);
         assert!(starved.solver.fuel_exhausted);
         assert!(starved.solver.conflicts > 0, "the truncated run searched");
         starved.solver.fuel = None;
         starved.solver.fuel_exhausted = false;
         assert_eq!(
-            search_delta(&mut starved, |cx| cx.entails(&pc, &falsum)),
+            search_delta(&mut starved, |cx| cx.entails(&pc, "false")),
             cold
         );
     }
@@ -2307,13 +2192,13 @@ mod tests {
     fn truth_table(
         solver: &mut Solver,
         arena: &mut TermArena,
-        pc: &[SymExpr],
-        goal: &SymExpr,
+        pc: &[Expr],
+        goal: &Expr,
     ) -> Option<Answer> {
-        let goal = arena.intern_expr(goal);
+        let goal = intern(arena, goal);
         let mut formula = arena.not(goal);
         for c in pc {
-            let c = arena.intern_expr(c);
+            let c = intern(arena, c);
             formula = arena.and(formula, c);
         }
         let mut atoms = AtomTable::default();
@@ -2357,44 +2242,24 @@ mod tests {
     /// the memo: both answers must be the oracle's.
     #[test]
     fn cdcl_matches_the_truth_table_oracle() {
-        let (mut cx, s) = int_solver(3);
+        let mut cx = Ctx::new(3, Sort::Int);
         let mut oracle = cx.solver.clone();
         let mut oracle_arena = TermArena::new();
-        let x = s[0].clone();
-        let y = s[1].clone();
-        let (dpc, dgoal) = diverging_queries(&s);
-        let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
-            (
-                vec![SymExpr::le(x.clone(), y.clone())],
-                SymExpr::lt(x.clone(), y.clone()),
-            ),
-            (
-                vec![SymExpr::lt(x.clone(), y.clone())],
-                SymExpr::le(x.clone(), y.clone()),
-            ),
-            (vec![], SymExpr::eq(x.clone(), x.clone())),
-            (
-                vec![
-                    SymExpr::lt(x.clone(), SymExpr::int(0)),
-                    SymExpr::lt(SymExpr::int(0), x.clone()),
-                ],
-                SymExpr::bool(false),
-            ),
-            (
-                vec![],
-                SymExpr::eq(
-                    SymExpr::Mul(Box::new(x.clone()), Box::new(y.clone())),
-                    SymExpr::int(3),
-                ),
-            ),
-            (dpc, dgoal),
+        let (dpc, dgoal) = diverging_queries(3);
+        let queries = [
+            query(&["x0 <= x1"], "x0 < x1"),
+            query(&["x0 < x1"], "x0 <= x1"),
+            query(&NO_FACTS, "x0 == x0"),
+            query(&["x0 < 0", "0 < x0"], "false"),
+            query(&NO_FACTS, "x0 * x1 == 3"),
+            query(&dpc, &dgoal),
         ];
         for pass in ["search", "memo"] {
             for (pc, goal) in &queries {
                 let expected = truth_table(&mut oracle, &mut oracle_arena, pc, goal)
                     .expect("every fixed query is small enough for the oracle");
                 assert_eq!(
-                    cx.entails(pc, goal),
+                    entails(&mut cx.solver, &mut cx.arena, pc, goal),
                     expected,
                     "{} pass: pc={:?} goal={:?}",
                     pass,
@@ -2414,76 +2279,31 @@ mod tests {
     /// own facts. When such clauses were carried into later queries,
     /// one refuted a real model of this pair's second query and turned
     /// `Invalid` into `Valid` (a case the stream oracle below found);
-    /// each query now learns from scratch. Here `x = -4, y = 0, z = -2`
-    /// satisfies the second query's path condition and violates its
-    /// goal.
+    /// each query now learns from scratch. Here `x0 = -4, x1 = 0,
+    /// x2 = -2` satisfies the second query's path condition and
+    /// violates its goal.
     #[test]
     fn lemmas_learned_under_one_querys_facts_stay_out_of_the_next() {
-        let (mut cx, s) = int_solver(3);
-        let (x, y, z) = (s[0].clone(), s[1].clone(), s[2].clone());
-        let int = SymExpr::int;
-        let first_pc = vec![
-            SymExpr::le(
-                SymExpr::add(x.clone(), y.clone()),
-                SymExpr::add(y.clone(), SymExpr::mul(int(2), z.clone())),
-            ),
-            SymExpr::eq(
-                int(2),
-                SymExpr::add(SymExpr::mul(int(-2), y.clone()), z.clone()),
-            ),
-            SymExpr::or(
-                SymExpr::le(y.clone(), SymExpr::add(y.clone(), int(3))),
-                SymExpr::and(
-                    SymExpr::le(
-                        SymExpr::add(SymExpr::mul(int(2), z.clone()), x.clone()),
-                        SymExpr::add(int(-6), y.clone()),
-                    ),
-                    SymExpr::eq(
-                        SymExpr::add(int(5), y.clone()),
-                        SymExpr::mul(int(2), z.clone()),
-                    ),
-                ),
-            ),
-        ];
-        let first_goal = SymExpr::or(
-            SymExpr::not(SymExpr::eq(
-                SymExpr::add(int(4), SymExpr::mul(int(2), y.clone())),
-                SymExpr::add(z.clone(), int(-2)),
-            )),
-            SymExpr::lt(
-                SymExpr::add(z.clone(), SymExpr::mul(int(-2), z.clone())),
-                int(6),
-            ),
+        let mut cx = Ctx::new(3, Sort::Int);
+        cx.entails(
+            &[
+                "x0 + x1 <= x1 + 2 * x2",
+                "2 == -2 * x1 + x2",
+                "x1 <= x1 + 3 || (2 * x2 + x0 <= -6 + x1 && 5 + x1 == 2 * x2)",
+            ],
+            "!(4 + 2 * x1 == x2 + -2) || x2 + -2 * x2 < 6",
         );
-        let second_pc = vec![
-            SymExpr::or(
-                SymExpr::eq(
-                    SymExpr::add(SymExpr::mul(int(-2), z.clone()), y.clone()),
-                    SymExpr::add(int(4), y.clone()),
-                ),
-                SymExpr::eq(
-                    SymExpr::add(SymExpr::mul(int(-2), z.clone()), z.clone()),
-                    int(-6),
-                ),
+        assert_eq!(
+            cx.entails(
+                &[
+                    "-2 * x2 + x1 == 4 + x1 || -2 * x2 + x2 == -6",
+                    "2 * x1 + x0 == -2 + x2",
+                    "!(x0 < x2 + 2 * x2) || x1 + x0 <= -1 * x0 + x1",
+                ],
+                "5 + x1 < x2 + x2",
             ),
-            SymExpr::eq(
-                SymExpr::add(SymExpr::mul(int(2), y.clone()), x.clone()),
-                SymExpr::add(int(-2), z.clone()),
-            ),
-            SymExpr::or(
-                SymExpr::not(SymExpr::lt(
-                    x.clone(),
-                    SymExpr::add(z.clone(), SymExpr::mul(int(2), z.clone())),
-                )),
-                SymExpr::le(
-                    SymExpr::add(y.clone(), x.clone()),
-                    SymExpr::add(SymExpr::mul(int(-1), x), y.clone()),
-                ),
-            ),
-        ];
-        let second_goal = SymExpr::lt(SymExpr::add(int(5), y), SymExpr::add(z.clone(), z));
-        cx.entails(&first_pc, &first_goal);
-        assert_eq!(cx.entails(&second_pc, &second_goal), Answer::Invalid);
+            Answer::Invalid
+        );
     }
 
     /// Differential: on random linear streams, the solver answers every
@@ -2521,7 +2341,7 @@ mod tests {
                     cdcl.query_cache.clear();
                 }
                 for ((pc, goal), want) in stream.iter().zip(&expected) {
-                    let got = cdcl.entails_exprs(&mut arena, pc, goal);
+                    let got = entails(&mut cdcl, &mut arena, pc, goal);
                     queries += 1;
                     let Some(want) = *want else { continue };
                     checked += 1;
@@ -2545,32 +2365,13 @@ mod tests {
 
     #[test]
     fn congruence_closure_merges_chains() {
-        let mut supply = SymSupply::new();
-        let mut solver = Solver::new();
-        let syms: Vec<Sym> = (0..4).map(|_| supply.fresh()).collect();
-        for s in &syms {
-            solver.declare(*s, Sort::Ref);
-        }
-        let mut cx = Ctx {
-            solver,
-            arena: TermArena::new(),
-        };
-        let e: Vec<SymExpr> = syms.iter().map(|s| SymExpr::sym(*s)).collect();
+        let mut cx = Ctx::new(4, Sort::Ref);
         // A chain of equalities merges into one class: a=b ∧ b=c ∧ c=d
         // entails a=d through two intermediate merges.
-        let pc = vec![
-            SymExpr::eq(e[0].clone(), e[1].clone()),
-            SymExpr::eq(e[1].clone(), e[2].clone()),
-            SymExpr::eq(e[2].clone(), e[3].clone()),
-        ];
-        assert_eq!(
-            cx.entails(&pc, &SymExpr::eq(e[0].clone(), e[3].clone())),
-            Answer::Valid
-        );
+        let chain = ["x0 == x1", "x1 == x2", "x2 == x3"];
+        assert_eq!(cx.entails(&chain, "x0 == x3"), Answer::Valid);
         // A disequality across the merged class is a theory conflict.
-        let mut pc = pc;
-        pc.push(SymExpr::not(SymExpr::eq(e[3].clone(), e[0].clone())));
-        assert!(!cx.consistent(&pc));
+        assert!(!cx.consistent(&[chain[0], chain[1], chain[2], "!(x3 == x0)"]));
         assert!(
             cx.solver.conflicts >= 1,
             "the diseq-in-class conflict should be counted"
@@ -2579,29 +2380,20 @@ mod tests {
 
     #[test]
     fn difference_bound_cycle_is_detected() {
-        let (mut cx, s) = int_solver(3);
-        let x = s[0].clone();
-        let y = s[1].clone();
-        let z = s[2].clone();
+        let mut cx = Ctx::new(3, Sort::Int);
         // x < y ∧ y < z entails x < z; closing the cycle with z < x is
         // a negative-weight loop and must be inconsistent.
-        let chain = vec![
-            SymExpr::lt(x.clone(), y.clone()),
-            SymExpr::lt(y.clone(), z.clone()),
-        ];
         assert_eq!(
-            cx.entails(&chain, &SymExpr::lt(x.clone(), z.clone())),
+            cx.entails(&["x0 < x1", "x1 < x2"], "x0 < x2"),
             Answer::Valid
         );
-        let mut cycle = chain;
-        cycle.push(SymExpr::lt(z, x));
-        assert!(!cx.consistent(&cycle));
+        assert!(!cx.consistent(&["x0 < x1", "x1 < x2", "x2 < x0"]));
     }
 
     #[test]
     fn theory_propagation_prunes_diverging_search() {
-        let (mut cx, s) = int_solver(4);
-        let (pc, goal) = diverging_queries(&s);
+        let mut cx = Ctx::new(4, Sort::Int);
+        let (pc, goal) = diverging_queries(4);
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
             cx.solver.theory_props >= 1,
@@ -2618,8 +2410,8 @@ mod tests {
 
     #[test]
     fn fuel_exhausted_cdcl_answers_are_not_cached() {
-        let (mut cx, s) = int_solver(3);
-        let (pc, goal) = diverging_queries(&s);
+        let mut cx = Ctx::new(3, Sort::Int);
+        let (pc, goal) = diverging_queries(3);
         cx.solver.fuel = Some(1);
         assert_eq!(
             cx.entails(&pc, &goal),
@@ -2640,8 +2432,8 @@ mod tests {
 
     #[test]
     fn deadline_exhausted_answers_are_not_cached() {
-        let (mut cx, s) = int_solver(3);
-        let (pc, goal) = diverging_queries(&s);
+        let mut cx = Ctx::new(3, Sort::Int);
+        let (pc, goal) = diverging_queries(3);
         // A deadline already in the past trips on the search's first
         // poll (the poll mask always checks the first iteration).
         cx.solver.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));

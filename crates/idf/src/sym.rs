@@ -4,14 +4,10 @@
 //! decision procedure in [`crate::smt`] discharges entailments between
 //! them. Symbols are typed (integer, boolean, reference) at creation.
 //!
-//! Terms come in two representations:
-//!
-//! * [`SymExpr`] — a plain owned tree, convenient for tests and for
-//!   building formulas by hand;
-//! * [`TermId`] into a [`TermArena`] — the hash-consed form the
-//!   verifier and solver use internally. Every structurally distinct
-//!   term is stored exactly once, so equality and hashing are O(1) id
-//!   comparisons and sub-term sharing is free.
+//! A term is a [`TermId`] into a [`TermArena`], the hash-consed form
+//! the executor, the solver and the failure reports all use. Every
+//! structurally distinct term is stored exactly once, so equality and
+//! hashing are O(1) id comparisons and sub-term sharing is free.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -54,204 +50,6 @@ pub struct Witness {
     pub sym: Sym,
     /// Whether invalidation scans may skip this witness.
     pub scan_exempt: bool,
-}
-
-/// A symbolic expression.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum SymExpr {
-    /// A symbol.
-    Sym(Sym),
-    /// An integer literal.
-    Int(i64),
-    /// A boolean literal.
-    Bool(bool),
-    /// The null reference.
-    Null,
-    /// Addition.
-    Add(Box<SymExpr>, Box<SymExpr>),
-    /// Subtraction.
-    Sub(Box<SymExpr>, Box<SymExpr>),
-    /// Multiplication (the decision procedure handles the linear
-    /// fragment; nonlinear goals may come back unknown).
-    Mul(Box<SymExpr>, Box<SymExpr>),
-    /// Equality (any shared sort).
-    Eq(Box<SymExpr>, Box<SymExpr>),
-    /// Integer `<`.
-    Lt(Box<SymExpr>, Box<SymExpr>),
-    /// Integer `<=`.
-    Le(Box<SymExpr>, Box<SymExpr>),
-    /// Negation.
-    Not(Box<SymExpr>),
-    /// Conjunction.
-    And(Box<SymExpr>, Box<SymExpr>),
-    /// Disjunction.
-    Or(Box<SymExpr>, Box<SymExpr>),
-    /// Implication.
-    Implies(Box<SymExpr>, Box<SymExpr>),
-    /// If-then-else on a boolean condition.
-    Ite(Box<SymExpr>, Box<SymExpr>, Box<SymExpr>),
-}
-
-#[allow(clippy::should_implement_trait)]
-impl SymExpr {
-    /// Integer literal.
-    pub fn int(n: i64) -> SymExpr {
-        SymExpr::Int(n)
-    }
-
-    /// Boolean literal.
-    pub fn bool(b: bool) -> SymExpr {
-        SymExpr::Bool(b)
-    }
-
-    /// Symbol reference.
-    pub fn sym(s: Sym) -> SymExpr {
-        SymExpr::Sym(s)
-    }
-
-    /// `a + b` with constant folding.
-    pub fn add(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Int(x.wrapping_add(*y)),
-            (SymExpr::Int(0), _) => b,
-            (_, SymExpr::Int(0)) => a,
-            _ => SymExpr::Add(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a - b` with constant folding.
-    pub fn sub(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Int(x.wrapping_sub(*y)),
-            (_, SymExpr::Int(0)) => a,
-            _ => SymExpr::Sub(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a * b` with constant folding.
-    pub fn mul(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Int(x.wrapping_mul(*y)),
-            (SymExpr::Int(1), _) => b,
-            (_, SymExpr::Int(1)) => a,
-            (SymExpr::Int(0), _) | (_, SymExpr::Int(0)) => SymExpr::Int(0),
-            _ => SymExpr::Mul(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a = b` with folding.
-    pub fn eq(a: SymExpr, b: SymExpr) -> SymExpr {
-        if a == b {
-            return SymExpr::Bool(true);
-        }
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Bool(x == y),
-            (SymExpr::Bool(x), SymExpr::Bool(y)) => SymExpr::Bool(x == y),
-            _ => SymExpr::Eq(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a < b` with folding.
-    pub fn lt(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Bool(x < y),
-            _ => SymExpr::Lt(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a <= b` with folding.
-    pub fn le(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Int(x), SymExpr::Int(y)) => SymExpr::Bool(x <= y),
-            _ => SymExpr::Le(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `¬a` with folding.
-    pub fn not(a: SymExpr) -> SymExpr {
-        match a {
-            SymExpr::Bool(b) => SymExpr::Bool(!b),
-            SymExpr::Not(inner) => *inner,
-            _ => SymExpr::Not(Box::new(a)),
-        }
-    }
-
-    /// `a ∧ b` with folding.
-    pub fn and(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Bool(true), _) => b,
-            (_, SymExpr::Bool(true)) => a,
-            (SymExpr::Bool(false), _) | (_, SymExpr::Bool(false)) => SymExpr::Bool(false),
-            _ => SymExpr::And(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a ∨ b` with folding.
-    pub fn or(a: SymExpr, b: SymExpr) -> SymExpr {
-        match (&a, &b) {
-            (SymExpr::Bool(false), _) => b,
-            (_, SymExpr::Bool(false)) => a,
-            (SymExpr::Bool(true), _) | (_, SymExpr::Bool(true)) => SymExpr::Bool(true),
-            _ => SymExpr::Or(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `a → b` with folding.
-    pub fn implies(a: SymExpr, b: SymExpr) -> SymExpr {
-        SymExpr::or(SymExpr::not(a), b)
-    }
-
-    /// The symbols occurring in the expression.
-    pub fn symbols(&self, out: &mut Vec<Sym>) {
-        match self {
-            SymExpr::Sym(s) => {
-                if !out.contains(s) {
-                    out.push(*s);
-                }
-            }
-            SymExpr::Int(_) | SymExpr::Bool(_) | SymExpr::Null => {}
-            SymExpr::Not(a) => a.symbols(out),
-            SymExpr::Add(a, b)
-            | SymExpr::Sub(a, b)
-            | SymExpr::Mul(a, b)
-            | SymExpr::Eq(a, b)
-            | SymExpr::Lt(a, b)
-            | SymExpr::Le(a, b)
-            | SymExpr::And(a, b)
-            | SymExpr::Or(a, b)
-            | SymExpr::Implies(a, b) => {
-                a.symbols(out);
-                b.symbols(out);
-            }
-            SymExpr::Ite(c, t, e) => {
-                c.symbols(out);
-                t.symbols(out);
-                e.symbols(out);
-            }
-        }
-    }
-}
-
-impl fmt::Display for SymExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SymExpr::Sym(s) => write!(f, "{}", s),
-            SymExpr::Int(n) => write!(f, "{}", n),
-            SymExpr::Bool(b) => write!(f, "{}", b),
-            SymExpr::Null => write!(f, "null"),
-            SymExpr::Add(a, b) => write!(f, "({} + {})", a, b),
-            SymExpr::Sub(a, b) => write!(f, "({} - {})", a, b),
-            SymExpr::Mul(a, b) => write!(f, "({} * {})", a, b),
-            SymExpr::Eq(a, b) => write!(f, "({} == {})", a, b),
-            SymExpr::Lt(a, b) => write!(f, "({} < {})", a, b),
-            SymExpr::Le(a, b) => write!(f, "({} <= {})", a, b),
-            SymExpr::Not(a) => write!(f, "!{}", a),
-            SymExpr::And(a, b) => write!(f, "({} && {})", a, b),
-            SymExpr::Or(a, b) => write!(f, "({} || {})", a, b),
-            SymExpr::Implies(a, b) => write!(f, "({} ==> {})", a, b),
-            SymExpr::Ite(c, t, e) => write!(f, "(ite {} {} {})", c, t, e),
-        }
-    }
 }
 
 /// An interned term: an index into a [`TermArena`].
@@ -305,38 +103,29 @@ pub enum Term {
     Ite(TermId, TermId, TermId),
 }
 
-/// Interns both children of a binary [`SymExpr`] node, then applies the
-/// arena constructor (keeps `intern_expr` readable).
-macro_rules! bin {
-    ($arena:expr, $ctor:ident, $a:expr, $b:expr) => {{
-        let ia = $arena.intern_expr($a);
-        let ib = $arena.intern_expr($b);
-        $arena.$ctor(ia, ib)
-    }};
-}
-
-/// The deepest term the solver and the failure reports accept. They
-/// walk a term recursively, one stack frame per level, and a term's
-/// depth grows with the number of statements that build it (`r := r +
-/// y; …`), not with the height of any one AST. Past this depth the
-/// verifier stops with `Unknown` on the `terms` budget axis, and the
-/// solver answers `Unknown`, instead of overflowing the thread's stack.
-/// The bound leaves room for the deepest accepted term on a 2 MiB
-/// thread in a debug build, where those walks overflow at about 5000
-/// levels.
+/// The deepest term the verifier accepts. Some of the solver's walks
+/// recurse once per level of a term, and a term's depth grows with the
+/// number of statements that build it (`r := r + y; …`), not with the
+/// height of any one AST. Past this depth the verifier stops with
+/// `Unknown` on the `terms` budget axis, and the solver answers
+/// `Unknown`, instead of overflowing the thread's stack. Failure
+/// reports print terms with an explicit stack ([`TermArena::display`]).
+/// On a 2 MiB thread in a debug build, with the bound lifted, those
+/// walks overflow at about 5000 levels of boolean and 5800 of
+/// arithmetic nesting: a method of `n` statements `c.val := c.val + y`
+/// and a false assertion reports `Failed` at n = 5843 and overflows at
+/// 5859, almost three times the bound.
 pub const MAX_TERM_DEPTH: u32 = 2000;
 
 /// A hash-consing arena for [`Term`]s.
 ///
-/// The constructors perform the same constant folding as the
-/// [`SymExpr`] smart constructors, then intern: structurally equal
-/// terms always receive the same [`TermId`]. The arena only ever
-/// grows; [`TermArena::len`] is the interned-term metric reported by
-/// the evaluation harness.
+/// The constructors fold constants (`2 + 3`, `x * 0`, `true && p`,
+/// `!!p`), then intern: structurally equal terms always receive the
+/// same [`TermId`]. The arena only ever grows; [`TermArena::len`] is
+/// the interned-term metric reported by the evaluation harness.
 ///
-/// The constructors additionally *canonicalize* at intern time —
-/// commutative arguments
-/// are ordered by id, idempotent and complementary boolean pairs
+/// The constructors also *canonicalize* at intern time — commutative
+/// arguments are ordered by id, idempotent and complementary boolean pairs
 /// collapse, self-comparisons fold (`x ≤ x`, `a − a`), and boolean
 /// `ite` shells reduce — so syntactically different but equal terms
 /// hash-cons to the same [`TermId`]. All the extra rules are semantic
@@ -637,83 +426,72 @@ impl TermArena {
         }
     }
 
-    /// Interns an owned [`SymExpr`] tree.
-    pub fn intern_expr(&mut self, e: &SymExpr) -> TermId {
-        match e {
-            SymExpr::Sym(s) => self.sym(*s),
-            SymExpr::Int(n) => self.int(*n),
-            SymExpr::Bool(b) => self.bool(*b),
-            SymExpr::Null => self.null(),
-            SymExpr::Add(a, b) => bin!(self, add, a, b),
-            SymExpr::Sub(a, b) => bin!(self, sub, a, b),
-            SymExpr::Mul(a, b) => bin!(self, mul, a, b),
-            SymExpr::Eq(a, b) => bin!(self, eq, a, b),
-            SymExpr::Lt(a, b) => bin!(self, lt, a, b),
-            SymExpr::Le(a, b) => bin!(self, le, a, b),
-            SymExpr::Not(a) => {
-                let ia = self.intern_expr(a);
-                self.not(ia)
-            }
-            SymExpr::And(a, b) => bin!(self, and, a, b),
-            SymExpr::Or(a, b) => bin!(self, or, a, b),
-            SymExpr::Implies(a, b) => bin!(self, implies, a, b),
-            SymExpr::Ite(c, t, el) => {
-                let ic = self.intern_expr(c);
-                let it = self.intern_expr(t);
-                let ie = self.intern_expr(el);
-                self.ite(ic, it, ie)
-            }
-        }
+    /// A [`fmt::Display`] view of the term `id`, as failure reports
+    /// print it: `s0`, `-3`, `null`, `(a + b)`, `!a`, `(ite c t e)`.
+    pub fn display(&self, id: TermId) -> impl fmt::Display + '_ {
+        TermDisplay { arena: self, id }
     }
+}
 
-    /// Reconstructs an owned tree (display, diagnostics, tests).
-    pub fn to_expr(&self, id: TermId) -> SymExpr {
-        let b = |x: &TermId| Box::new(self.to_expr(*x));
-        match &self.nodes[id.0 as usize] {
-            Term::Sym(s) => SymExpr::Sym(*s),
-            Term::Int(n) => SymExpr::Int(*n),
-            Term::Bool(v) => SymExpr::Bool(*v),
-            Term::Null => SymExpr::Null,
-            Term::Add(x, y) => SymExpr::Add(b(x), b(y)),
-            Term::Sub(x, y) => SymExpr::Sub(b(x), b(y)),
-            Term::Mul(x, y) => SymExpr::Mul(b(x), b(y)),
-            Term::Eq(x, y) => SymExpr::Eq(b(x), b(y)),
-            Term::Lt(x, y) => SymExpr::Lt(b(x), b(y)),
-            Term::Le(x, y) => SymExpr::Le(b(x), b(y)),
-            Term::Not(x) => SymExpr::Not(b(x)),
-            Term::And(x, y) => SymExpr::And(b(x), b(y)),
-            Term::Or(x, y) => SymExpr::Or(b(x), b(y)),
-            Term::Ite(c, t, e) => SymExpr::Ite(b(c), b(t), b(e)),
+/// See [`TermArena::display`].
+struct TermDisplay<'a> {
+    arena: &'a TermArena,
+    id: TermId,
+}
+
+impl fmt::Display for TermDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Nodes are visited with an explicit stack, so a term's depth
+        // costs heap, not thread stack. A node's pieces are pushed in
+        // reverse, to be popped in reading order.
+        enum Step {
+            Visit(TermId),
+            Text(&'static str),
         }
-    }
-
-    /// The symbols occurring in the term.
-    pub fn symbols(&self, id: TermId, out: &mut Vec<Sym>) {
-        match self.node(id) {
-            Term::Sym(s) => {
-                if !out.contains(&s) {
-                    out.push(s);
+        fn infix(todo: &mut Vec<Step>, a: TermId, op: &'static str, b: TermId) {
+            todo.extend([
+                Step::Text(")"),
+                Step::Visit(b),
+                Step::Text(op),
+                Step::Visit(a),
+                Step::Text("("),
+            ]);
+        }
+        let mut todo = vec![Step::Visit(self.id)];
+        while let Some(step) = todo.pop() {
+            let t = match step {
+                Step::Text(s) => {
+                    f.write_str(s)?;
+                    continue;
                 }
-            }
-            Term::Int(_) | Term::Bool(_) | Term::Null => {}
-            Term::Not(a) => self.symbols(a, out),
-            Term::Add(a, b)
-            | Term::Sub(a, b)
-            | Term::Mul(a, b)
-            | Term::Eq(a, b)
-            | Term::Lt(a, b)
-            | Term::Le(a, b)
-            | Term::And(a, b)
-            | Term::Or(a, b) => {
-                self.symbols(a, out);
-                self.symbols(b, out);
-            }
-            Term::Ite(c, t, e) => {
-                self.symbols(c, out);
-                self.symbols(t, out);
-                self.symbols(e, out);
+                Step::Visit(t) => t,
+            };
+            match self.arena.node(t) {
+                Term::Sym(s) => write!(f, "{}", s)?,
+                Term::Int(n) => write!(f, "{}", n)?,
+                Term::Bool(v) => write!(f, "{}", v)?,
+                Term::Null => f.write_str("null")?,
+                Term::Not(a) => todo.extend([Step::Visit(a), Step::Text("!")]),
+                Term::Ite(c, a, b) => todo.extend([
+                    Step::Text(")"),
+                    Step::Visit(b),
+                    Step::Text(" "),
+                    Step::Visit(a),
+                    Step::Text(" "),
+                    Step::Visit(c),
+                    Step::Text("(ite "),
+                ]),
+                Term::Add(a, b) => infix(&mut todo, a, " + ", b),
+                Term::Sub(a, b) => infix(&mut todo, a, " - ", b),
+                Term::Mul(a, b) => infix(&mut todo, a, " * ", b),
+                Term::Eq(a, b) => infix(&mut todo, a, " == ", b),
+                Term::Lt(a, b) => infix(&mut todo, a, " < ", b),
+                Term::Le(a, b) => infix(&mut todo, a, " <= ", b),
+                Term::And(a, b) => infix(&mut todo, a, " && ", b),
+                Term::Or(a, b) => infix(&mut todo, a, " || ", b),
             }
         }
+        Ok(())
     }
 }
 
@@ -748,41 +526,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn folding() {
-        assert_eq!(
-            SymExpr::add(SymExpr::int(2), SymExpr::int(3)),
-            SymExpr::int(5)
-        );
-        assert_eq!(
-            SymExpr::and(SymExpr::bool(true), SymExpr::sym(Sym(0))),
-            SymExpr::sym(Sym(0))
-        );
-        assert_eq!(
-            SymExpr::mul(SymExpr::int(0), SymExpr::sym(Sym(0))),
-            SymExpr::int(0)
-        );
-        assert_eq!(
-            SymExpr::eq(SymExpr::sym(Sym(1)), SymExpr::sym(Sym(1))),
-            SymExpr::bool(true)
-        );
-        assert_eq!(
-            SymExpr::not(SymExpr::not(SymExpr::sym(Sym(0)))),
-            SymExpr::sym(Sym(0))
-        );
-    }
-
-    #[test]
-    fn symbol_collection() {
-        let e = SymExpr::add(
-            SymExpr::sym(Sym(1)),
-            SymExpr::mul(SymExpr::sym(Sym(2)), SymExpr::sym(Sym(1))),
-        );
-        let mut syms = Vec::new();
-        e.symbols(&mut syms);
-        assert_eq!(syms, vec![Sym(1), Sym(2)]);
-    }
-
-    #[test]
     fn arena_hash_consing_dedups() {
         let mut a = TermArena::new();
         let x = a.sym(Sym(0));
@@ -796,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_folds_like_symexpr() {
+    fn arena_folds_constants() {
         let mut a = TermArena::new();
         let two = a.int(2);
         let three = a.int(3);
@@ -812,18 +555,42 @@ mod tests {
         assert_eq!(a.not(nx), x);
     }
 
+    /// The report printer's output on every term kind.
     #[test]
-    fn arena_roundtrips_symexpr() {
+    fn display_renders_every_term_kind() {
         let mut a = TermArena::new();
-        let e = SymExpr::implies(
-            SymExpr::lt(SymExpr::sym(Sym(0)), SymExpr::int(4)),
-            SymExpr::eq(SymExpr::sym(Sym(1)), SymExpr::int(0)),
-        );
-        let id = a.intern_expr(&e);
-        assert_eq!(a.to_expr(id), e);
-        let mut syms = Vec::new();
-        a.symbols(id, &mut syms);
-        assert_eq!(syms, vec![Sym(0), Sym(1)]);
+        let (x, y, p) = (a.sym(Sym(0)), a.sym(Sym(1)), a.sym(Sym(2)));
+        let minus_three = a.int(-3);
+        let null = a.null();
+        let f = a.bool(false);
+        let sum = a.add(x, minus_three);
+        let diff = a.sub(sum, y);
+        let prod = a.mul(y, x);
+        let lt = a.lt(diff, prod);
+        let le = a.le(y, minus_three);
+        let is_null = a.eq(x, null);
+        let conj = a.and(lt, le);
+        let disj = a.or(p, is_null);
+        let not_and = a.not(conj);
+        let not_or = a.not(disj);
+        let ite = a.ite(p, sum, y);
+        for (id, want) in [
+            (x, "s0"),
+            (minus_three, "-3"),
+            (null, "null"),
+            (f, "false"),
+            (sum, "(s0 + -3)"),
+            (diff, "((s0 + -3) - s1)"),
+            (prod, "(s0 * s1)"),
+            (lt, "(((s0 + -3) - s1) < (s0 * s1))"),
+            (le, "(s1 <= -3)"),
+            (is_null, "(s0 == null)"),
+            (not_and, "!((((s0 + -3) - s1) < (s0 * s1)) && (s1 <= -3))"),
+            (not_or, "!(s2 || (s0 == null))"),
+            (ite, "(ite s2 (s0 + -3) s1)"),
+        ] {
+            assert_eq!(a.display(id).to_string(), want);
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use daenerys_algebra::Q;
 use daenerys_idf::{
-    diverging_program, interface_fingerprint, method_fingerprint, parse_program, Assertion,
+    diverging_program, interface_fingerprint, method_fingerprint, parse_program, Answer, Assertion,
     Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op, Program, SessionHost,
-    Solver, Sort, Stmt, Sym, SymExpr, TermArena, Type, Verdict, VerifierConfig,
+    Solver, Sort, Stmt, Sym, Term, TermArena, TermId, Type, Verdict, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
@@ -14,7 +14,7 @@ use std::sync::{Arc, Once};
 
 #[path = "support/query_stream.rs"]
 mod query_stream;
-use query_stream::arb_query_stream;
+use query_stream::{arb_query_stream, entails, intern};
 
 /// Quiets the default panic hook for injected-fault payloads so the
 /// chaos property below does not spray backtraces; real panics still
@@ -294,24 +294,51 @@ fn stream_solver() -> Solver {
 
 /// A logically equivalent spelling of `e` that intern-time
 /// canonicalization must undo: the operands of `+`, `*` and `==` swap,
-/// `a ==> b` becomes `!a || b`, and each comparison gains a double
-/// negation.
-fn mirrored(e: &SymExpr) -> SymExpr {
-    let m = |x: &SymExpr| Box::new(mirrored(x));
-    let twice_negated = |x: SymExpr| SymExpr::Not(Box::new(SymExpr::Not(Box::new(x))));
+/// and each `<` and `<=` gains a double negation.
+fn mirrored(e: &Expr) -> Expr {
+    let twice_negated = |x: Expr| Expr::Not(Box::new(Expr::Not(Box::new(x))));
     match e {
-        SymExpr::Add(a, b) => SymExpr::Add(m(b), m(a)),
-        SymExpr::Mul(a, b) => SymExpr::Mul(m(b), m(a)),
-        SymExpr::Eq(a, b) => SymExpr::Eq(m(b), m(a)),
-        SymExpr::Sub(a, b) => SymExpr::Sub(m(a), m(b)),
-        SymExpr::Lt(a, b) => twice_negated(SymExpr::Lt(m(a), m(b))),
-        SymExpr::Le(a, b) => twice_negated(SymExpr::Le(m(a), m(b))),
-        SymExpr::Not(a) => SymExpr::Not(m(a)),
-        SymExpr::And(a, b) => SymExpr::And(m(a), m(b)),
-        SymExpr::Or(a, b) => SymExpr::Or(m(a), m(b)),
-        SymExpr::Implies(a, b) => SymExpr::Or(Box::new(SymExpr::Not(m(a))), m(b)),
-        SymExpr::Ite(c, t, el) => SymExpr::Ite(m(c), m(t), m(el)),
+        Expr::Bin(op @ (Op::Add | Op::Mul | Op::Eq), a, b) => {
+            Expr::bin(*op, mirrored(b), mirrored(a))
+        }
+        Expr::Bin(op @ (Op::Lt | Op::Le), a, b) => {
+            twice_negated(Expr::bin(*op, mirrored(a), mirrored(b)))
+        }
+        Expr::Bin(op, a, b) => Expr::bin(*op, mirrored(a), mirrored(b)),
+        Expr::Not(a) => Expr::Not(Box::new(mirrored(a))),
         leaf => leaf.clone(),
+    }
+}
+
+/// Rebuilds the term `t` node by node, leaves first, through the
+/// arena's public constructors.
+fn rebuilt(arena: &mut TermArena, t: TermId) -> TermId {
+    type Ctor = fn(&mut TermArena, TermId, TermId) -> TermId;
+    fn binary(arena: &mut TermArena, ctor: Ctor, a: TermId, b: TermId) -> TermId {
+        let (a, b) = (rebuilt(arena, a), rebuilt(arena, b));
+        ctor(arena, a, b)
+    }
+    match arena.node(t) {
+        Term::Sym(s) => arena.sym(s),
+        Term::Int(n) => arena.int(n),
+        Term::Bool(b) => arena.bool(b),
+        Term::Null => arena.null(),
+        Term::Not(a) => {
+            let a = rebuilt(arena, a);
+            arena.not(a)
+        }
+        Term::Ite(c, a, b) => {
+            let (c, a, b) = (rebuilt(arena, c), rebuilt(arena, a), rebuilt(arena, b));
+            arena.ite(c, a, b)
+        }
+        Term::Add(a, b) => binary(arena, TermArena::add, a, b),
+        Term::Sub(a, b) => binary(arena, TermArena::sub, a, b),
+        Term::Mul(a, b) => binary(arena, TermArena::mul, a, b),
+        Term::Eq(a, b) => binary(arena, TermArena::eq, a, b),
+        Term::Lt(a, b) => binary(arena, TermArena::lt, a, b),
+        Term::Le(a, b) => binary(arena, TermArena::le, a, b),
+        Term::And(a, b) => binary(arena, TermArena::and, a, b),
+        Term::Or(a, b) => binary(arena, TermArena::or, a, b),
     }
 }
 
@@ -328,8 +355,8 @@ proptest! {
         let mut shared = stream_solver();
         let mut arena = TermArena::new();
         for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let got = shared.entails_exprs(&mut arena, pc, goal);
-            let fresh = stream_solver().entails_exprs(&mut TermArena::new(), pc, goal);
+            let got = entails(&mut shared, &mut arena, pc, goal);
+            let fresh = entails(&mut stream_solver(), &mut TermArena::new(), pc, goal);
             prop_assert_eq!(got, fresh, "solver state changed answer for pc={:?}, goal={:?}", pc, goal);
         }
         // The replayed pass must have been served from the memo.
@@ -344,11 +371,11 @@ proptest! {
         let mut solver = stream_solver();
         let mut arena = TermArena::new();
         for (pc, goal) in &stream {
-            let first = solver.entails_exprs(&mut arena, pc, goal);
-            let mut reordered: Vec<SymExpr> = pc.iter().rev().cloned().collect();
+            let first = entails(&mut solver, &mut arena, pc, goal);
+            let mut reordered: Vec<Expr> = pc.iter().rev().cloned().collect();
             reordered.extend(pc.first().cloned());
             let (hits, branches) = (solver.cache_hits, solver.branches);
-            let again = solver.entails_exprs(&mut arena, &reordered, goal);
+            let again = entails(&mut solver, &mut arena, &reordered, goal);
             prop_assert_eq!(first, again, "reordering changed answer for pc={:?}, goal={:?}", pc, goal);
             prop_assert_eq!(solver.cache_hits, hits + 1, "reordered pc missed the memo: {:?}", reordered);
             prop_assert_eq!(solver.branches, branches, "a memo hit must not search");
@@ -367,12 +394,12 @@ proptest! {
         let mut arena = TermArena::new();
         for (pc, goal) in &stream {
             for e in pc.iter().chain(std::iter::once(goal)) {
-                let id = arena.intern_expr(e);
-                prop_assert_eq!(arena.intern_expr(&mirrored(e)), id, "mirror of {:?} interned apart", e);
+                let id = intern(&mut arena, e);
+                prop_assert_eq!(intern(&mut arena, &mirrored(e)), id, "mirror of {:?} interned apart", e);
             }
-            let mirrored_pc: Vec<SymExpr> = pc.iter().map(mirrored).collect();
-            let got = solver.entails_exprs(&mut arena, pc, goal);
-            let spelled = stream_solver().entails_exprs(&mut TermArena::new(), &mirrored_pc, &mirrored(goal));
+            let mirrored_pc: Vec<Expr> = pc.iter().map(mirrored).collect();
+            let got = entails(&mut solver, &mut arena, pc, goal);
+            let spelled = entails(&mut stream_solver(), &mut TermArena::new(), &mirrored_pc, &mirrored(goal));
             prop_assert_eq!(
                 got, spelled,
                 "spelling changed answer for pc={:?}, goal={:?}", pc, goal
@@ -380,16 +407,16 @@ proptest! {
         }
     }
 
-    /// Canonicalization is idempotent: reading an interned term back
-    /// out and interning it again lands on the same term.
+    /// Canonicalization is idempotent: rebuilding an interned term
+    /// through the constructors lands on the same term.
     #[test]
     fn canonical_terms_are_fixed_points(stream in arb_query_stream()) {
         let mut arena = TermArena::new();
         for (pc, goal) in &stream {
             for e in pc.iter().chain(std::iter::once(goal)) {
-                let id = arena.intern_expr(e);
-                let back = arena.to_expr(id);
-                prop_assert_eq!(arena.intern_expr(&back), id, "{:?} read back as {:?}", e, back);
+                let id = intern(&mut arena, e);
+                let back = rebuilt(&mut arena, id);
+                prop_assert_eq!(back, id, "{:?} rebuilt as {}", e, arena.display(back));
             }
         }
     }

@@ -7,15 +7,13 @@
 //! objects with [`Json::obj`] and scalars with the `From` conversions
 //! (`None` becomes `null`). There is no pretty printer and no option.
 //!
-//! Three encoders stay specialized, and they share [`escape_into`],
-//! the one string escaper:
+//! Two encoders stay specialized, and they share [`escape_into`], the
+//! one string escaper:
 //!
 //! * [`Event::to_jsonl`](crate::Event::to_jsonl) writes the trace line
 //!   schema in a fixed key order. Its fields carry `u64` values above
 //!   2⁵³ (`pc_hash`), which [`Json::Num`] cannot hold exactly.
 //! * The daemon's `trace_tail` page embeds those lines verbatim.
-//! * The dependency graph's node codec is a storage format whose fast
-//!   decoder reads a fixed field order.
 //!
 //! The reader ([`parse`]) is deliberately dependency-free (the build
 //! environment is offline) and small; [`validate_event_line`] checks a
