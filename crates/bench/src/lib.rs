@@ -71,9 +71,7 @@ pub fn run_backend_with(src: &str, backend: Backend, config: VerifierConfig) -> 
         let span = collector.span_start("parse");
         let program = parse_program(src);
         collector.span_end(span);
-        let (events, metrics) = collector.take();
-        config.trace.emit(events);
-        config.trace.merge_metrics(&metrics);
+        config.trace.emit(collector.take());
         program
     } else {
         parse_program(src)

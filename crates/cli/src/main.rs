@@ -22,7 +22,9 @@
 //! its verdict's statistics (restored from the warm store when the
 //! fingerprint matches). Exit codes: 0 clean, 1 diagnostics or failed
 //! verdicts (or a tripped watch gate; `cost` fails only on front-end
-//! errors), 2 usage.
+//! errors), 2 usage. A pass whose verdict-store commit fails prints
+//! one `warning:` line on stderr and keeps its verdicts; a failed final
+//! store flush exits 1.
 
 use daenerys_cli::{Debounce, Renderer, SourceFile};
 use daenerys_idf::{
@@ -312,6 +314,17 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
     !(cli.config.deny_unstable && unstable > 0)
 }
 
+/// Verifies a checked program through the warm host. A verdict store
+/// that could not be written is one warning on stderr: the verdicts
+/// stand, so stdout and the exit code do not change.
+fn verify(host: &SessionHost, program: &Program) -> VerifyOutcome {
+    let outcome = host.session().verify_program(program);
+    if let Some(e) = &outcome.store_write_error {
+        eprintln!("warning: verdict store not written: {e}");
+    }
+    outcome
+}
+
 /// `cost`: front end + verification through the warm host, reporting
 /// each method's measured work from its verdict's statistics. Fuel is
 /// conflicts + propagations, the unit of the solver-fuel budget; rows
@@ -325,7 +338,7 @@ fn cost_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer) 
     let Ok(program) = front_end(cli, &file, &text, renderer) else {
         return false;
     };
-    let outcome = host.session().verify_program(&program);
+    let outcome = verify(host, &program);
     let hot: BTreeSet<String> = analyze_program(&program)
         .into_iter()
         .filter(|v| v.class == StabilityClass::Unstable)
@@ -496,7 +509,7 @@ fn verify_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer
     let Ok(program) = front_end(cli, &file, &text, renderer) else {
         return false;
     };
-    let outcome = host.session().verify_program(&program);
+    let outcome = verify(host, &program);
     print_outcome(cli, &file, &outcome, renderer)
 }
 
@@ -511,7 +524,7 @@ fn watch_pass(cli: &Cli, host: &SessionHost, renderer: &Renderer) -> (bool, Opti
     let Ok(program) = front_end(cli, &file, &text, renderer) else {
         return (false, None, start.elapsed().as_secs_f64() * 1000.0);
     };
-    let outcome = host.session().verify_program(&program);
+    let outcome = verify(host, &program);
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     let clean = print_outcome(cli, &file, &outcome, renderer);
     if !cli.json {

@@ -476,3 +476,39 @@ fn closed_stdout_ends_the_cli_quietly() {
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert_ne!(out.status.code(), Some(101), "{:?}", out.status);
 }
+
+/// A verdict store that cannot be written is one warning per pass on
+/// stderr. The verdicts are still printed as a writable store prints
+/// them; the exit code stays the failed final flush's 1.
+#[test]
+fn a_failed_store_commit_is_one_warning_on_stderr() {
+    let dir = scratch("store-write");
+    std::fs::write(
+        dir.join("ok.idf"),
+        "field v: Int\nmethod m(c: Ref) requires acc(c.v) ensures acc(c.v) { c.v := 1 }\n",
+    )
+    .unwrap();
+    // The store file's path is a directory: every write to it fails.
+    std::fs::create_dir_all(dir.join("broken").join("verdicts.daes")).unwrap();
+    const WARNING: &str = "warning: verdict store not written: ";
+    let runs: [&[&str]; 4] = [
+        &["verify", "ok.idf", "--no-color"],
+        &["verify", "ok.idf", "--json"],
+        &["cost", "ok.idf", "--no-color"],
+        &["watch", "ok.idf", "--once", "--json"],
+    ];
+    for (i, args) in runs.iter().enumerate() {
+        let run = |store: &str| daenerys(&dir, &[args, &["--cache-dir", store][..]].concat());
+        let out = run("broken");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with(WARNING)).collect();
+        assert_eq!(warnings.len(), 1, "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: the flush fails");
+        if args[0] != "watch" {
+            let fresh = run(&format!("fresh-{i}"));
+            assert_eq!(fresh.status.code(), Some(0), "{args:?}");
+            assert!(fresh.stderr.is_empty(), "{args:?}");
+            assert_eq!(stdout(&out), stdout(&fresh), "{args:?}: stdout unchanged");
+        }
+    }
+}

@@ -14,6 +14,10 @@ use daenerys_idf::Budget;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// Fuel billed against the aggregate envelope for a request that asks
+/// for none.
+const DEFAULT_FUEL: u64 = 1_000_000;
+
 /// The per-tenant envelope (one policy applies to every tenant;
 /// tenants are isolated by *accounting*, not by bespoke limits).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,7 +26,7 @@ pub struct TenantPolicy {
     pub max_in_flight: usize,
     /// Aggregate solver fuel the tenant's in-flight requests may hold
     /// (`None` = unlimited). Requests without an explicit fuel ask are
-    /// accounted at [`TenantPolicy::default_fuel`].
+    /// accounted at 1 000 000, capped by `max_fuel_per_request`.
     pub max_fuel_in_flight: Option<u64>,
     /// Per-request ceiling on the solver-fuel ask (`None` =
     /// unlimited); larger asks are clamped, not refused.
@@ -31,8 +35,6 @@ pub struct TenantPolicy {
     /// asks are clamped. Also the default when a request asks for
     /// nothing — the server never runs a method without a deadline.
     pub max_deadline_ms: u64,
-    /// Fuel accounted for a request that asks for none.
-    pub default_fuel: u64,
 }
 
 impl Default for TenantPolicy {
@@ -42,7 +44,6 @@ impl Default for TenantPolicy {
             max_fuel_in_flight: None,
             max_fuel_per_request: None,
             max_deadline_ms: 10_000,
-            default_fuel: 1_000_000,
         }
     }
 }
@@ -66,7 +67,7 @@ impl TenantPolicy {
 
     /// The fuel a request bills against the aggregate envelope.
     fn billed_fuel(&self, solver_fuel: Option<u64>) -> u64 {
-        let ask = solver_fuel.unwrap_or(self.default_fuel);
+        let ask = solver_fuel.unwrap_or(DEFAULT_FUEL);
         match self.max_fuel_per_request {
             Some(cap) => ask.min(cap),
             None => ask,

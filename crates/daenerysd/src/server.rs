@@ -169,7 +169,9 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener and opens the warm store.
+    /// Binds the listener and opens the warm store. Damage found at
+    /// open is stamped once, unlabeled: `store.corrupt_lines` and
+    /// `store.truncated_tail`, each only when nonzero.
     ///
     /// # Errors
     ///
@@ -190,6 +192,16 @@ impl Server {
         }
         let trace = base.trace.clone();
         let host = SessionHost::new(config.backend, base);
+        {
+            let mut reg = telemetry.registry();
+            let corrupt = host.store_corrupt_lines() as u64;
+            if corrupt > 0 {
+                reg.add("store.corrupt_lines", &Labels::none(), corrupt);
+            }
+            if host.store_truncated_tail() {
+                reg.add("store.truncated_tail", &Labels::none(), 1);
+            }
+        }
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -414,7 +426,7 @@ fn draining(id: u64) -> Response {
 fn admin_response(shared: &Arc<Shared>, req: &AdminRequest) -> Response {
     let t = &shared.telemetry;
     let body = match req {
-        AdminRequest::Metrics { .. } => t.metrics_json(&shared.trace.metrics()),
+        AdminRequest::Metrics { .. } => t.metrics_json(),
         AdminRequest::Health { .. } => t.health_json(
             &shared.admission.stats(),
             shared.shutdown.load(Ordering::SeqCst),
@@ -487,6 +499,11 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
             }
             if let Some(dirty) = outcome.store_dirty_transitive {
                 reg.add("daenerysd.store_dirty_transitive", &labels, dirty as u64);
+            }
+            // A failed commit costs later re-verification, never the
+            // answer: the verdicts below are still served.
+            if outcome.store_write_error.is_some() {
+                reg.add("store.write_errors", &Labels::none(), 1);
             }
             let verdicts: BTreeMap<String, WireVerdict> = outcome
                 .verdicts

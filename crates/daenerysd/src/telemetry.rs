@@ -3,8 +3,11 @@
 //!
 //! One [`Telemetry`] instance lives for the daemon's lifetime. Its one
 //! [`MetricsRegistry`], behind one mutex, is the daemon's only ledger:
-//! session threads stamp every `daenerysd.*` cell into it, and the
-//! shutdown [`crate::server::MetricsSnapshot`] is read back from it.
+//! the daemon stamps every cell into it, a `metrics` scrape renders
+//! it, and the shutdown [`crate::server::MetricsSnapshot`] is read back
+//! from it. The verifier keeps no registry of its own; its counts reach
+//! the ledger as the `VerifyStats` and store fields of each request's
+//! `VerifyOutcome`.
 //! The trace pipeline tees every emitted event through a
 //! [`TelemetrySink`], which feeds the bounded per-tenant [`TraceRing`]
 //! and attributes span durations to per-phase histograms. The
@@ -14,7 +17,8 @@
 //!
 //! ## Metric names
 //!
-//! Stamped by the daemon, once per event (labels in braces):
+//! This is the one list of the cells a scrape can show. Each is
+//! stamped by the daemon, once per event (labels in braces):
 //!
 //! * `daenerysd.sessions_opened` / `daenerysd.sessions_closed` —
 //!   connections accepted, and sessions whose thread has finished
@@ -37,12 +41,17 @@
 //!   carried no tenant)
 //! * `daenerysd.latency_us{tenant}` — whole-request wall latency,
 //!   microseconds (histogram)
-//! * `daenerysd.fuel{tenant}` — solver fuel spent per request, in the
-//!   budget's unit: `conflicts + propagations` (histogram)
+//! * `daenerysd.fuel{tenant}` — one sample per request answered `ok`: the
+//!   solver fuel, in the budget's unit (`conflicts + propagations`),
+//!   summed over the request's `Verified` verdicts (histogram)
 //! * `daenerysd.cache_hits{tenant}` / `daenerysd.cache_misses{tenant}`
-//!   — solver query-cache traffic
-//! * `daenerysd.solver_conflicts{tenant}` /
-//!   `daenerysd.solver_restarts{tenant}` — CDCL search rates
+//!   — solver query-cache traffic, and
+//!   `daenerysd.solver_conflicts{tenant}` /
+//!   `daenerysd.solver_restarts{tenant}` — CDCL search counts; like
+//!   `daenerysd.fuel`, these sum the stats of the request's `Verified`
+//!   verdicts, restored ones included, so a warm request reports the
+//!   work its verdicts once cost, and `Failed` or `Unknown` methods
+//!   add nothing
 //! * `daenerysd.store_hits{tenant}` / `daenerysd.store_misses{tenant}`
 //!   / `daenerysd.store_dirty_transitive{tenant}` — incremental verdict
 //!   store traffic: methods served warm, genuine fingerprint misses,
@@ -53,16 +62,18 @@
 //!   (the span-name prefix before `:`, e.g. `exec:m` → `exec`),
 //!   recorded by the sink tee (histogram)
 //!
+//! Store upkeep, unlabeled, stamped only when nonzero:
+//!
+//! * `store.corrupt_lines` / `store.truncated_tail` — damage found when
+//!   the daemon opened its store (undecodable records skipped, and 1
+//!   when the last record was cut off mid-append), stamped once at bind
+//! * `store.write_errors` — requests whose store commit failed; their
+//!   verdicts are still served
+//!
 //! Each event lands in exactly one cell: the shutdown snapshot's
 //! `requests_refused` and `requests_errored` are the sums of
 //! `daenerysd.refused` and `daenerysd.errors` over every tenant, not
 //! cells of their own.
-//!
-//! The trace layer's run-global registry (`solver.conflict`,
-//! `theory.propagate`, …, `store.corrupt_lines` /
-//! `store.truncated_tail` when the store opened damaged, and
-//! `store.write_errors` when a pass's store commit failed) records
-//! with empty labels and is merged into every `metrics` scrape.
 //!
 //! ## Sampling policy
 //!
@@ -287,13 +298,11 @@ impl Telemetry {
         }
     }
 
-    /// The `metrics` body: a point-in-time copy of the ledger merged
-    /// with the trace layer's run-global registry (whose cells carry
-    /// empty labels).
-    pub fn metrics_json(&self, trace_global: &MetricsRegistry) -> String {
-        let mut snap = self.registry().clone();
-        snap.merge(trace_global);
-        snap.to_json().render()
+    /// The `metrics` body: the ledger as one JSON object, built under
+    /// the lock and written after it is released.
+    pub fn metrics_json(&self) -> String {
+        let body = self.registry().to_json();
+        body.render()
     }
 
     /// The `health` body: uptime, drain state, and the admission

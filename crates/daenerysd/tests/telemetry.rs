@@ -55,6 +55,14 @@ fn scrape(client: &Client, req: &AdminRequest) -> Json {
     }
 }
 
+/// The unlabeled store-upkeep cells the daemon stamps when nonzero;
+/// every other cell is named `daenerysd.*`.
+const STORE_UPKEEP: [&str; 3] = [
+    "store.corrupt_lines",
+    "store.truncated_tail",
+    "store.write_errors",
+];
+
 fn num(obj: &std::collections::BTreeMap<String, Json>, key: &str) -> f64 {
     obj.get(key)
         .and_then(Json::as_num)
@@ -204,13 +212,15 @@ fn metrics_scrape_carries_tenant_labels_and_monotone_quantiles() {
         );
     }
 
-    // The run-global trace registry folds in under empty labels.
-    assert!(
-        counters.iter().filter_map(Json::as_obj).any(|c| c["labels"]
-            .as_obj()
-            .is_some_and(std::collections::BTreeMap::is_empty)),
-        "unlabeled trace-layer counters fold into the scrape"
-    );
+    // One ledger: every cell is the daemon's own or a store-upkeep
+    // cell; the verifier's counts reach it only through the daemon.
+    for cell in counters.iter().chain(histograms).filter_map(Json::as_obj) {
+        let name = cell["name"].as_str().unwrap();
+        assert!(
+            name.starts_with("daenerysd.") || STORE_UPKEEP.contains(&name),
+            "{name} is outside the daemon's ledger"
+        );
+    }
 
     let snapshot = stop(&flag, handle);
     assert_eq!(snapshot.responses_ok, N);
@@ -414,5 +424,49 @@ fn torn_store_tail_is_reported_in_the_metrics_scrape() {
     assert_eq!(unlabeled("store.truncated_tail"), Some(1.0));
     assert_eq!(unlabeled("store.corrupt_lines"), Some(1.0));
     stop(&flag, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A verdict store the daemon cannot write costs nothing but reuse:
+/// the request is still answered `ok` with its verdicts, and the
+/// failed commit is counted once as unlabeled `store.write_errors`.
+#[test]
+fn failed_store_writes_are_counted_and_the_request_is_still_answered() {
+    let dir = std::env::temp_dir().join(format!("daenerysd-write-errors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The store file's path is a directory: every commit fails.
+    std::fs::create_dir_all(dir.join(daenerys_idf::VerdictStore::FILE_NAME)).unwrap();
+    let (addr, flag, handle) = start(ServerConfig {
+        base: daenerys_idf::VerifierConfig {
+            cache_dir: Some(dir.clone()),
+            ..daenerys_idf::VerifierConfig::default()
+        },
+        ..test_config()
+    });
+    let client = Client::new(addr);
+    match client.request_once(&Request::new(1, "acme", GOOD), 0) {
+        Ok(Response::Ok { verdicts, .. }) => assert_eq!(verdicts["set"].kind, "verified"),
+        other => panic!("expected an ok response, got {:?}", other),
+    }
+    let metrics = scrape(&client, &AdminRequest::Metrics { id: 2 });
+    let write_errors: Vec<f64> = metrics.as_obj().unwrap()["counters"]
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_obj)
+        .filter(|c| c["name"].as_str() == Some("store.write_errors"))
+        .map(|c| {
+            assert!(
+                c["labels"]
+                    .as_obj()
+                    .is_some_and(std::collections::BTreeMap::is_empty),
+                "store.write_errors is unlabeled"
+            );
+            num(c, "value")
+        })
+        .collect();
+    assert_eq!(write_errors, [1.0], "one failed commit, counted once");
+    let snapshot = stop(&flag, handle);
+    assert_eq!(snapshot.responses_ok, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

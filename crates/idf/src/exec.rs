@@ -33,7 +33,7 @@ use crate::stability::{self, StabilityClass};
 use crate::store::{lock, VerdictStore};
 use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness, MAX_TERM_DEPTH};
 use daenerys_algebra::Q;
-use daenerys_obs::{Event, Labels, MetricsRegistry, TraceCollector, TraceHandle, Value};
+use daenerys_obs::{Event, TraceCollector, TraceHandle, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,25 +324,52 @@ impl VerifyStats {
         }
     }
 
+    /// The one list of the 17 counters: every field but the wall time,
+    /// each named by its field name, in the verdict store's
+    /// serialization order (which must never change).
+    fn counter_fields(&mut self) -> [(&'static str, &mut usize); 17] {
+        [
+            ("obligations", &mut self.obligations),
+            ("solver_queries", &mut self.solver_queries),
+            ("solver_branches", &mut self.solver_branches),
+            ("solver_conflicts", &mut self.solver_conflicts),
+            ("solver_restarts", &mut self.solver_restarts),
+            ("solver_propagations", &mut self.solver_propagations),
+            ("theory_props", &mut self.theory_props),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("learned_clauses", &mut self.learned_clauses),
+            ("interned_terms", &mut self.interned_terms),
+            ("symbols", &mut self.symbols),
+            ("witnesses", &mut self.witnesses),
+            ("rebinds", &mut self.rebinds),
+            ("stability_skips", &mut self.stability_skips),
+            ("states", &mut self.states),
+            ("budget_exhausted", &mut self.budget_exhausted),
+        ]
+    }
+
+    /// The 17 counters as `(field name, value)` pairs, in the verdict
+    /// store's serialization order: every field but the wall time.
+    pub fn counters(&self) -> [(&'static str, usize); 17] {
+        self.clone().counter_fields().map(|(name, v)| (name, *v))
+    }
+
+    /// The stats whose [`VerifyStats::counters`] values are `values`,
+    /// with a zero wall time.
+    pub fn from_counters(values: [usize; 17]) -> VerifyStats {
+        let mut stats = VerifyStats::default();
+        for ((_, field), v) in stats.counter_fields().into_iter().zip(values) {
+            *field = v;
+        }
+        stats
+    }
+
     /// Accumulates another method's counters (wall times add).
     pub fn merge(&mut self, other: &VerifyStats) {
-        self.obligations += other.obligations;
-        self.solver_queries += other.solver_queries;
-        self.solver_branches += other.solver_branches;
-        self.solver_conflicts += other.solver_conflicts;
-        self.solver_restarts += other.solver_restarts;
-        self.solver_propagations += other.solver_propagations;
-        self.theory_props += other.theory_props;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.learned_clauses += other.learned_clauses;
-        self.interned_terms += other.interned_terms;
-        self.symbols += other.symbols;
-        self.witnesses += other.witnesses;
-        self.rebinds += other.rebinds;
-        self.stability_skips += other.stability_skips;
-        self.states += other.states;
-        self.budget_exhausted += other.budget_exhausted;
+        for ((_, mine), (_, theirs)) in self.counter_fields().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
         self.wall_nanos += other.wall_nanos;
     }
 }
@@ -388,14 +415,15 @@ pub(crate) struct StorePass {
     /// Matching entries discarded because a transitive callee's spec
     /// changed.
     pub(crate) dirty_transitive: usize,
+    /// Why the pass's store commit failed, if it did.
+    pub(crate) write_error: Option<String>,
 }
 
-/// The outcome of verifying one method in isolation. Trace events and
-/// metrics ride along so the fan-out can merge them in program order.
+/// The outcome of verifying one method in isolation. Trace events
+/// ride along so the fan-out can emit them in program order.
 struct MethodOutcome {
     verdict: Verdict,
     events: Vec<Event>,
-    metrics: MetricsRegistry,
 }
 
 /// The symbolic-execution engine for one method.
@@ -484,7 +512,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// [`Verifier::verify_method_verdict`], with the method's trace
-    /// events and metrics.
+    /// events.
     fn run(mut self, name: &str) -> MethodOutcome {
         let started = Instant::now();
         // Install the method's budget. The deadline is also handed to
@@ -515,11 +543,9 @@ impl<'a> Verifier<'a> {
         self.emit_budget_gauges();
         self.collector.span_end(span);
         let report = self.build_failure_report(name, &result);
-        let (events, metrics) = self.collector.take();
         MethodOutcome {
             verdict: classify(result, self.exhausted, report),
-            events,
-            metrics,
+            events: self.collector.take(),
         }
     }
 
@@ -702,33 +728,6 @@ impl<'a> Verifier<'a> {
             wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
 
-        if self.collector.is_enabled() {
-            self.collector.counter("verify.methods", 1);
-            self.collector
-                .counter("solver.queries", stats.solver_queries as u64);
-            self.collector
-                .counter("solver.cache_hits", stats.cache_hits as u64);
-            self.collector
-                .counter("solver.cache_misses", stats.cache_misses as u64);
-            self.collector
-                .counter("solver.branches", stats.solver_branches as u64);
-            self.collector
-                .counter("solver.conflict", stats.solver_conflicts as u64);
-            self.collector
-                .counter("solver.restart", stats.solver_restarts as u64);
-            self.collector
-                .counter("theory.propagate", stats.theory_props as u64);
-            self.collector
-                .counter("solver.learned_clauses", stats.learned_clauses as u64);
-            self.collector.counter("exec.states", stats.states as u64);
-            self.collector
-                .counter("stability.skips", stats.stability_skips as u64);
-            self.collector
-                .counter("exec.obligations", stats.obligations as u64);
-            self.collector
-                .counter("exec.interned_terms", stats.interned_terms as u64);
-        }
-
         if failed.is_empty() {
             Ok(stats)
         } else {
@@ -850,7 +849,6 @@ impl<'a> Verifier<'a> {
                         ("pc_hash".to_string(), Value::UInt(hash)),
                     ],
                 );
-                self.collector.histogram("solver.query_fuel", fuel);
             }
         }
         answer
@@ -1623,8 +1621,7 @@ impl<'a> Verifier<'a> {
 /// accounting. The lock is taken twice: once to plan (lookups and
 /// spec-dirty roots) and once to commit, so concurrent sessions
 /// share the store. A failed commit costs later re-verification,
-/// never a wrong verdict; it is counted as `store.write_errors` in
-/// the pass's trace metrics.
+/// never a wrong verdict; its error is the [`StorePass::write_error`].
 pub(crate) fn run_pass(
     program: &Program,
     backend: Backend,
@@ -1711,12 +1708,6 @@ pub(crate) fn run_pass(
                 hits += 1;
             }
         }
-        let mut m = MetricsRegistry::new();
-        let none = Labels::none();
-        m.add("store.hits", &none, hits as u64);
-        m.add("store.misses", &none, misses as u64);
-        m.add("store.dirty_transitive", &none, dirty_transitive as u64);
-        config.trace.merge_metrics(&m);
         accounting = Some(StorePass {
             reverified: (0..names.len())
                 .filter(|&i| restored[i].is_none())
@@ -1725,6 +1716,7 @@ pub(crate) fn run_pass(
             hits,
             misses,
             dirty_transitive,
+            write_error: None,
         });
     }
     let pending: Vec<usize> = (0..names.len())
@@ -1784,20 +1776,18 @@ pub(crate) fn run_pass(
         }
         let outcome = slot.expect("every scheduled method produced an outcome");
         config.trace.emit(outcome.events);
-        config.trace.merge_metrics(&outcome.metrics);
         out.push((names[i].clone(), outcome.verdict));
     }
-    if let (Some(store), Some(cur)) = (store, &cur_graph) {
+    if let (Some(store), Some(cur), Some(pass)) = (store, &cur_graph, &mut accounting) {
         let verdicts = pending
             .iter()
             .map(|&i| (keys[i].as_str(), fingerprints[i], &out[i].1));
-        if lock(store).commit(verdicts, cur).is_err() {
-            // An unwritable cache directory costs future reuse,
-            // never correctness.
-            let mut m = MetricsRegistry::new();
-            m.add("store.write_errors", &Labels::none(), 1);
-            config.trace.merge_metrics(&m);
-        }
+        // An unwritable cache directory costs future reuse, never
+        // correctness.
+        pass.write_error = lock(store)
+            .commit(verdicts, cur)
+            .err()
+            .map(|e| e.to_string());
     }
     config.trace.flush();
     (out, accounting)
@@ -1833,7 +1823,6 @@ fn run_isolated(
                 MethodOutcome {
                     verdict: Verdict::CrashedInternal { message },
                     events: Vec::new(),
-                    metrics: MetricsRegistry::new(),
                 }
             }
         }

@@ -26,7 +26,6 @@ use crate::exec::{run_pass, Backend, Verdict, VerifierConfig, VerifyStats};
 use crate::parser::{parse_program_with_recovery_capped, ParseError, DEFAULT_MAX_ERRORS};
 use crate::store::{lock, VerdictStore};
 use crate::wf::{check_program, WfError};
-use daenerys_obs::{Labels, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Mutex;
@@ -44,24 +43,11 @@ impl SessionHost {
     /// [`VerifierConfig::cache_dir`] is set, the persistent store is
     /// opened once here and shared (warm) across every session; the
     /// per-request config never reopens it. Damage found at open is
-    /// counted into `base.trace` as `store.corrupt_lines` (and
-    /// `store.truncated_tail` for a record cut off mid-append), only
-    /// when nonzero: a damaged store costs re-verification, never a
-    /// wrong verdict.
+    /// reported by [`SessionHost::store_corrupt_lines`] and
+    /// [`SessionHost::store_truncated_tail`]: a damaged store costs
+    /// re-verification, never a wrong verdict.
     pub fn new(backend: Backend, base: VerifierConfig) -> SessionHost {
         let store = base.cache_dir.as_deref().map(VerdictStore::open);
-        if let Some(s) = store.as_ref().filter(|s| s.corrupt_lines() > 0) {
-            let mut m = MetricsRegistry::new();
-            m.add(
-                "store.corrupt_lines",
-                &Labels::none(),
-                s.corrupt_lines() as u64,
-            );
-            if s.truncated_tail() {
-                m.add("store.truncated_tail", &Labels::none(), 1);
-            }
-            base.trace.merge_metrics(&m);
-        }
         SessionHost {
             backend,
             base,
@@ -83,6 +69,14 @@ impl SessionHost {
     /// a store).
     pub fn store_corrupt_lines(&self) -> usize {
         self.store.as_ref().map_or(0, |m| lock(m).corrupt_lines())
+    }
+
+    /// True when the store file ended in a record cut off mid-append
+    /// when it was opened (false without a store).
+    pub fn store_truncated_tail(&self) -> bool {
+        self.store
+            .as_ref()
+            .is_some_and(|m| lock(m).truncated_tail())
     }
 
     /// Entries currently in the warm store (0 without a store).
@@ -176,6 +170,10 @@ pub struct VerifyOutcome {
     /// fuel/cache/solver rates per tenant from this without reaching
     /// into individual verdicts.
     pub stats: VerifyStats,
+    /// Why the pass's verdict-store commit failed; `None` when it was
+    /// written or the host has no store. The verdicts stand either
+    /// way: a failed commit costs later re-verification only.
+    pub store_write_error: Option<String>,
 }
 
 /// Why a request produced no verdicts at all.
@@ -291,6 +289,7 @@ impl Session<'_> {
             store_hits: pass.as_ref().map(|p| p.hits),
             store_misses: pass.as_ref().map(|p| p.misses),
             store_dirty_transitive: pass.as_ref().map(|p| p.dirty_transitive),
+            store_write_error: pass.as_ref().and_then(|p| p.write_error.clone()),
             reverified_methods: pass.map(|p| p.reverified),
             stats,
         }
@@ -448,33 +447,25 @@ method set(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1 { c.val 
         // The store file's path is a directory: the pass's commit fails.
         let dir = temp_dir("write-errors");
         std::fs::create_dir_all(dir.join(VerdictStore::FILE_NAME)).unwrap();
-        let write_errors = |dir: &std::path::Path| {
-            let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 10));
-            let trace = daenerys_obs::TraceHandle::new(sink, daenerys_obs::ClockKind::Logical);
+        let write_error = |dir: &std::path::Path| {
             let host = SessionHost::new(
                 Backend::Destabilized,
                 VerifierConfig {
                     cache_dir: Some(dir.to_path_buf()),
-                    trace: trace.clone(),
                     ..VerifierConfig::default()
                 },
             );
             let out = host.session().verify_source(GOOD).unwrap();
             assert!(out.verdicts["set"].is_verified(), "the verdict stands");
-            let metrics = trace.metrics();
-            let names: Vec<&str> = metrics.counters().map(|(name, _, _)| name).collect();
-            assert!(names.contains(&"store.hits"), "the pass was traced");
-            names
-                .contains(&"store.write_errors")
-                .then(|| metrics.counter("store.write_errors", &Labels::none()))
+            assert_eq!(out.store_misses, Some(1), "the pass used the store");
+            out.store_write_error
         };
-        assert_eq!(
-            write_errors(&dir),
-            Some(1),
-            "one failed commit, counted once"
+        assert!(
+            write_error(&dir).is_some(),
+            "the failed commit is reported on the outcome"
         );
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(write_errors(&dir), None, "emitted only when nonzero");
+        assert_eq!(write_error(&dir), None, "a written store reports nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

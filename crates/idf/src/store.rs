@@ -330,8 +330,8 @@ fn dump_entry(name: &str, stored: &StoredVerdict) -> Json {
     match &stored.verdict {
         Verdict::Verified(stats) => {
             fields.push(("verdict", "verified".into()));
-            let values = STAT_KEYS.iter().zip(stat_values(stats));
-            fields.push(("stats", Json::obj(values.map(|(k, v)| (*k, v.into())))));
+            let values = stats.counters().map(|(k, v)| (k, v.into()));
+            fields.push(("stats", Json::obj(values)));
         }
         Verdict::Failed { failures, report } => {
             fields.push(("verdict", "failed".into()));
@@ -403,7 +403,8 @@ fn append(path: &Path, frames: &[u8]) -> io::Result<()> {
 //
 // Put payload: key string (u32 LE length + UTF-8 bytes), fingerprint
 // hi/lo u64 LE, verdict tag u8 (0 = verified, 1 = failed), then either
-// the 17 normalized stat counters (u64 LE each, STAT_KEYS order) or
+// the 17 normalized stat counters (u64 LE each, in
+// `VerifyStats::counters` order) or
 // the failure obligations + report with every integer fixed-width LE
 // and every string length-prefixed. Tombstone payload: the key string.
 // Node payload: the method name string, the interface fingerprint
@@ -501,7 +502,7 @@ fn encode_put_payload(key: &str, stored: &StoredVerdict) -> Vec<u8> {
     match &stored.verdict {
         Verdict::Verified(stats) => {
             out.push(VERDICT_VERIFIED);
-            for v in stat_values(stats) {
+            for (_, v) in stats.counters() {
                 put_u64(&mut out, v as u64);
             }
         }
@@ -618,7 +619,7 @@ fn decode_put_payload(payload: &[u8]) -> Option<(String, StoredVerdict)> {
             for v in &mut values {
                 *v = usize::try_from(r.u64()?).ok()?;
             }
-            Verdict::Verified(stats_from_values(values))
+            Verdict::Verified(VerifyStats::from_counters(values))
         }
         VERDICT_FAILED => {
             let n = r.u32()? as usize;
@@ -746,73 +747,6 @@ fn answer_name(a: Answer) -> &'static str {
         Answer::Valid => "valid",
         Answer::Invalid => "invalid",
         Answer::Unknown => "unknown",
-    }
-}
-
-/// The `(key, usize)` stat fields, in serialization order (wall time
-/// and thread count are normalized away before persisting).
-const STAT_KEYS: [&str; 17] = [
-    "obligations",
-    "solver_queries",
-    "solver_branches",
-    "solver_conflicts",
-    "solver_restarts",
-    "solver_propagations",
-    "theory_props",
-    "cache_hits",
-    "cache_misses",
-    "learned_clauses",
-    "interned_terms",
-    "symbols",
-    "witnesses",
-    "rebinds",
-    "stability_skips",
-    "states",
-    "budget_exhausted",
-];
-
-fn stat_values(s: &VerifyStats) -> [usize; 17] {
-    [
-        s.obligations,
-        s.solver_queries,
-        s.solver_branches,
-        s.solver_conflicts,
-        s.solver_restarts,
-        s.solver_propagations,
-        s.theory_props,
-        s.cache_hits,
-        s.cache_misses,
-        s.learned_clauses,
-        s.interned_terms,
-        s.symbols,
-        s.witnesses,
-        s.rebinds,
-        s.stability_skips,
-        s.states,
-        s.budget_exhausted,
-    ]
-}
-
-fn stats_from_values(v: [usize; 17]) -> VerifyStats {
-    VerifyStats {
-        obligations: v[0],
-        solver_queries: v[1],
-        solver_branches: v[2],
-        solver_conflicts: v[3],
-        solver_restarts: v[4],
-        solver_propagations: v[5],
-        theory_props: v[6],
-        cache_hits: v[7],
-        cache_misses: v[8],
-        learned_clauses: v[9],
-        interned_terms: v[10],
-        symbols: v[11],
-        witnesses: v[12],
-        rebinds: v[13],
-        stability_skips: v[14],
-        states: v[15],
-        budget_exhausted: v[16],
-        wall_nanos: 0,
     }
 }
 

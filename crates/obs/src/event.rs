@@ -72,9 +72,9 @@ pub struct Event {
     /// `stability.classify` — the verifier's per-spec classification
     /// point event, whose fields carry the spec site, its stability
     /// class, and its finding count). The CDCL core's search
-    /// counters arrive as `solver.conflict`, `solver.restart`, and
-    /// `theory.propagate` metric bumps rather than point events, so
-    /// hot search loops never pay for event construction.
+    /// counters are not events: they reach the method's `VerifyStats`
+    /// (`solver_conflicts`, `solver_restarts`, `theory_props`), so hot
+    /// search loops never pay for event construction.
     pub name: String,
     /// Structured payload, in insertion order.
     pub fields: Vec<(String, Value)>,

@@ -2,8 +2,8 @@
 //!
 //! Every [`crate::MetricsRegistry`] cell is keyed by a metric name and
 //! a [`Labels`] set (a sorted key→value map); the empty set
-//! ([`Labels::none`]) is how run-global, unattributed metrics — the
-//! whole trace layer — are recorded.
+//! ([`Labels::none`]) keys the daemon-wide cells that belong to no
+//! tenant or phase.
 //!
 //! ## Label schema
 //!
@@ -27,8 +27,7 @@ use std::collections::BTreeMap;
 pub struct Labels(BTreeMap<String, String>);
 
 impl Labels {
-    /// The empty label set: run-global metrics, including everything
-    /// the trace layer records.
+    /// The empty label set: daemon-wide cells with no attribution.
     pub fn none() -> Labels {
         Labels::default()
     }

@@ -3,9 +3,9 @@
 //! A zero-dependency observability layer for the Daenerys pipeline:
 //! structured [`Event`]s (span start/end, point events, gauges), one
 //! [`MetricsRegistry`] of counters and log₂ histograms keyed by name ×
-//! [`Labels`] (the trace layer records unlabeled cells, the daemon's
-//! telemetry plane tenant- and phase-stamped ones), pluggable
-//! [`Sink`]s (in-memory ring buffer, JSONL), and the workspace's one JSON writer, [`Json::render`] (see
+//! [`Labels`] (the daemon's telemetry ledger; the trace layer records
+//! events only), pluggable [`Sink`]s (in-memory ring buffer, JSONL),
+//! and the workspace's one JSON writer, [`Json::render`] (see
 //! [`json`]).
 //!
 //! ## Determinism contract

@@ -1,13 +1,12 @@
 //! Counters and log₂ histograms, keyed by metric name × [`Labels`].
 //!
-//! One [`MetricsRegistry`] type serves every producer. The trace
-//! layer's per-method and run-global registries record under
-//! [`Labels::none`] (attribution lives in the event stream); the
-//! daemon's telemetry plane stamps dimensional cells — the same
-//! `daenerysd.latency_us` histogram split by `tenant`, the same
-//! `daenerysd.phase_nanos` split by `phase` — into one registry of its
-//! own behind one mutex. A scrape merges both with
-//! [`MetricsRegistry::merge`].
+//! The daemon's telemetry plane is the one producer: it stamps
+//! dimensional cells — the `daenerysd.latency_us` histogram split by
+//! `tenant`, `daenerysd.phase_nanos` split by `phase` — and a few
+//! unlabeled ones into one registry behind one mutex, and a `metrics`
+//! scrape renders that registry. The verifier keeps no registry: its
+//! counts travel as `VerifyStats` values and its per-query facts as
+//! trace events.
 //!
 //! Each metric name owns a map from [`Labels`] to its counter or
 //! [`Histogram`]. Steady-state stamping is two `BTreeMap` lookups and
@@ -128,16 +127,9 @@ impl Histogram {
 
 /// A registry of `(name, labels) → counter/histogram` cells.
 ///
-/// Per-method registries are filled worker-side and merged on the
-/// deterministic program-order path, mirroring the event stream.
-/// Metric names are dotted paths owned by the emitting subsystem
-/// (e.g. `solver.queries`; `stability.skips` — invalidation scans the
-/// baseline backend elided because the static stability analyzer
-/// proved the governing spec (framed-)stable; and the CDCL core's
-/// search counters `solver.conflict`, `solver.restart`, and
-/// `theory.propagate` — one bump per learnt conflict, per Luby
-/// restart, and per theory-layer propagation respectively). See the
-/// [`crate::labels`] module for the label schema.
+/// Metric names are dotted paths owned by the stamping subsystem; the
+/// daemon's are listed in the `daenerysd::telemetry` module docs. See
+/// the [`crate::labels`] module for the label schema.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, BTreeMap<Labels, u64>>,
@@ -219,17 +211,6 @@ impl MetricsRegistry {
         self.histograms
             .iter()
             .flat_map(|(name, cells)| cells.iter().map(move |(l, h)| (name.as_str(), l, h)))
-    }
-
-    /// Folds another registry into this one (cell-wise saturating
-    /// add/merge).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, labels, v) in other.counters() {
-            self.add(name, labels, v);
-        }
-        for (name, labels, h) in other.histograms() {
-            self.merge_histogram(name, labels, h);
-        }
     }
 
     /// The whole registry as one JSON object:
@@ -361,9 +342,7 @@ mod tests {
         let none = Labels::none();
         let mut a = MetricsRegistry::new();
         a.add("c", &none, u64::MAX - 1);
-        let mut b = MetricsRegistry::new();
-        b.add("c", &none, u64::MAX);
-        a.merge(&b);
+        a.add("c", &none, u64::MAX);
         assert_eq!(a.counter("c", &none), u64::MAX);
         a.add("c", &none, 7);
         assert_eq!(a.counter("c", &none), u64::MAX);
@@ -383,24 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_is_additive() {
-        let none = Labels::none();
-        let mut a = MetricsRegistry::new();
-        a.add("queries", &none, 2);
-        a.record("fuel", &none, 5);
-        let mut b = MetricsRegistry::new();
-        b.add("queries", &none, 3);
-        b.add("states", &none, 1);
-        b.record("fuel", &none, 7);
-        a.merge(&b);
-        assert_eq!(a.counter("queries", &none), 5);
-        assert_eq!(a.counter("states", &none), 1);
-        let h = a.histogram("fuel", &none).unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 12);
-    }
-
-    #[test]
     fn cells_are_independent_per_label_set() {
         let mut r = MetricsRegistry::new();
         r.add("req", &t("a"), 2);
@@ -416,29 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_cellwise_and_saturating() {
-        let mut a = MetricsRegistry::new();
-        a.add("req", &t("a"), u64::MAX - 1);
-        let mut b = MetricsRegistry::new();
-        b.add("req", &t("a"), 5);
-        b.add("req", &t("b"), 1);
-        b.record("lat", &t("b"), 7);
-        a.merge(&b);
-        assert_eq!(a.counter("req", &t("a")), u64::MAX, "saturates");
-        assert_eq!(a.counter("req", &t("b")), 1);
-        assert_eq!(a.histogram("lat", &t("b")).unwrap().sum, 7);
-    }
-
-    #[test]
     fn unlabeled_and_labeled_cells_of_one_name_stay_apart() {
-        // A trace registry (unlabeled) merged into a tenant-stamped
-        // scrape keeps both cells of the same metric name.
-        let mut trace = MetricsRegistry::new();
-        trace.add("solver.conflict", &Labels::none(), 4);
-        trace.record("fuel", &Labels::none(), 9);
+        // An unlabeled cell and a tenant-stamped cell of the same
+        // metric name are two cells.
         let mut scrape = MetricsRegistry::new();
+        scrape.add("solver.conflict", &Labels::none(), 4);
+        scrape.record("fuel", &Labels::none(), 9);
         scrape.add("solver.conflict", &t("a"), 1);
-        scrape.merge(&trace);
         assert_eq!(scrape.counter("solver.conflict", &Labels::none()), 4);
         assert_eq!(scrape.counter("solver.conflict", &t("a")), 1);
         assert_eq!(scrape.histogram("fuel", &Labels::none()).unwrap().count, 1);

@@ -1,12 +1,10 @@
 //! The trace handle and per-worker collectors.
 
 use crate::event::{Event, EventKind, Value};
-use crate::labels::Labels;
-use crate::metrics::MetricsRegistry;
 use crate::sink::Sink;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Where timestamps come from.
@@ -82,7 +80,6 @@ pub struct TraceCollector {
     enabled: bool,
     clock: Clock,
     events: Vec<Event>,
-    metrics: MetricsRegistry,
 }
 
 impl TraceCollector {
@@ -92,7 +89,6 @@ impl TraceCollector {
             enabled: false,
             clock: Clock::Logical(0),
             events: Vec::new(),
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -101,7 +97,6 @@ impl TraceCollector {
             enabled: true,
             clock: Clock::new(kind),
             events: Vec::new(),
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -160,8 +155,7 @@ impl TraceCollector {
         self.push(EventKind::Point, name.to_string(), fields);
     }
 
-    /// Records a gauge sample (emitted as an event *and* folded into
-    /// the metrics registry, unlabeled).
+    /// Records a gauge sample as a `Gauge` event.
     pub fn gauge(&mut self, name: &str, value: u64) {
         if !self.enabled {
             return;
@@ -171,31 +165,11 @@ impl TraceCollector {
             name.to_string(),
             vec![("value".to_string(), Value::UInt(value))],
         );
-        self.metrics.record(name, &Labels::none(), value);
     }
 
-    /// Adds to a named, unlabeled counter (metrics only, no event).
-    pub fn counter(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.add(name, &Labels::none(), delta);
-    }
-
-    /// Records an unlabeled histogram sample (metrics only, no event).
-    pub fn histogram(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.record(name, &Labels::none(), value);
-    }
-
-    /// Drains the collector into its buffered events and metrics.
-    pub fn take(&mut self) -> (Vec<Event>, MetricsRegistry) {
-        (
-            std::mem::take(&mut self.events),
-            std::mem::take(&mut self.metrics),
-        )
+    /// Drains the collector's buffered events.
+    pub fn take(&mut self) -> Vec<Event> {
+        std::mem::take(&mut self.events)
     }
 }
 
@@ -204,7 +178,6 @@ struct Shared {
     sink: Arc<dyn Sink>,
     clock: ClockKind,
     next_seq: AtomicU64,
-    metrics: Mutex<MetricsRegistry>,
 }
 
 /// A cheap, cloneable handle to the trace pipeline, threaded through
@@ -220,9 +193,8 @@ struct Shared {
 /// [`TraceHandle::with_context`] derives a handle that additionally
 /// stamps fixed attribution fields (tenant/session/request ids) onto
 /// every event it emits — the daemon's per-request trace plumbing.
-/// Derived handles share the parent's sink, sequence counter, and
-/// metrics registry, so interleaved requests still produce one densely
-/// numbered stream.
+/// Derived handles share the parent's sink and sequence counter, so
+/// interleaved requests still produce one densely numbered stream.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     shared: Option<Arc<Shared>>,
@@ -277,7 +249,6 @@ impl TraceHandle {
                 sink,
                 clock,
                 next_seq: AtomicU64::new(0),
-                metrics: Mutex::new(MetricsRegistry::new()),
             })),
             context: Arc::new(Vec::new()),
         }
@@ -335,21 +306,6 @@ impl TraceHandle {
         s.sink.write(&events);
     }
 
-    /// Folds a per-method registry into the run-wide one.
-    pub fn merge_metrics(&self, m: &MetricsRegistry) {
-        if let Some(s) = &self.shared {
-            s.metrics.lock().expect("metrics poisoned").merge(m);
-        }
-    }
-
-    /// A snapshot of the run-wide metrics.
-    pub fn metrics(&self) -> MetricsRegistry {
-        match &self.shared {
-            None => MetricsRegistry::new(),
-            Some(s) => s.metrics.lock().expect("metrics poisoned").clone(),
-        }
-    }
-
     /// Flushes the sink.
     pub fn flush(&self) {
         if let Some(s) = &self.shared {
@@ -372,13 +328,9 @@ mod tests {
         let t = c.span_start("phase");
         c.event("x", vec![]);
         c.gauge("g", 1);
-        c.counter("n", 1);
         c.span_end(t);
-        let (events, metrics) = c.take();
-        assert!(events.is_empty());
-        assert!(metrics.is_empty());
+        assert!(c.take().is_empty());
         handle.emit(Vec::new());
-        assert!(handle.metrics().is_empty());
     }
 
     #[test]
@@ -391,16 +343,12 @@ mod tests {
             c.event("solver.query", vec![("fuel".to_string(), Value::UInt(3))]);
             c.gauge("budget.states", 2);
             c.span_end(t);
-            let (events, metrics) = c.take();
-            handle.emit(events);
-            handle.merge_metrics(&metrics);
-            (sink.events(), handle.metrics())
+            handle.emit(c.take());
+            sink.events()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "logical-clock traces must be byte-identical");
+        let events = run();
+        assert_eq!(events, run(), "logical-clock traces must be byte-identical");
         // Dense, zero-based sequence numbers; span durations recorded.
-        let events = &a.0;
         assert_eq!(
             events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             (0..events.len() as u64).collect::<Vec<_>>()
@@ -410,12 +358,11 @@ mod tests {
             .find(|e| e.kind == EventKind::SpanEnd)
             .unwrap();
         assert!(end.field_u64("duration_nanos").unwrap() > 0);
+        let gauge = events.iter().find(|e| e.kind == EventKind::Gauge).unwrap();
         assert_eq!(
-            a.1.counter("budget.states", &Labels::none()),
-            0,
-            "gauge is a histogram, not a counter"
+            (gauge.name.as_str(), gauge.field_u64("value")),
+            ("budget.states", Some(2))
         );
-        assert!(a.1.histogram("budget.states", &Labels::none()).is_some());
     }
 
     #[test]
@@ -426,8 +373,8 @@ mod tests {
             let mut c = handle.collector();
             c.event("a", vec![]);
             c.event("b", vec![]);
-            let (events, _) = c.take();
-            handle.emit(events);
+            handle.emit(c.take());
+            assert!(c.take().is_empty(), "take drains");
         }
         let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [0, 1, 2, 3]);
@@ -459,10 +406,10 @@ mod tests {
         // carry the attribution fields.
         let mut c = root.collector();
         c.event("plain", vec![]);
-        root.emit(c.take().0);
+        root.emit(c.take());
         let mut c = request.collector();
         c.event("attributed", vec![("own".to_string(), Value::UInt(1))]);
-        request.emit(c.take().0);
+        request.emit(c.take());
 
         let events = sink.events();
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
@@ -485,29 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_record_metrics_but_no_events() {
-        let handle = TraceHandle::new(Arc::new(MemorySink::new(4)), ClockKind::Logical);
-        let mut c = handle.collector();
-        c.counter("solver.conflict", 2);
-        c.counter("solver.conflict", 3);
-        c.histogram("query.fuel", 5);
-        let (events, metrics) = c.take();
-        assert!(events.is_empty());
-        assert_eq!(metrics.counter("solver.conflict", &Labels::none()), 5);
-        let h = metrics.histogram("query.fuel", &Labels::none()).unwrap();
-        assert_eq!((h.count, h.sum), (1, 5));
-
-        let (events, metrics) = c.take();
-        assert!(events.is_empty() && metrics.is_empty(), "take drains");
-    }
-
-    #[test]
     fn monotonic_span_durations_fit_between_their_events() {
         let handle = TraceHandle::new(Arc::new(MemorySink::new(4)), ClockKind::Monotonic);
         let mut c = handle.collector();
         let t = c.span_start("parse");
         c.span_end(t);
-        let (events, _) = c.take();
+        let events = c.take();
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].seq, events[1].seq), (0, 1));
         assert_eq!(events[1].name, "parse");

@@ -15,8 +15,8 @@
 # IDF source must be refused, and one over-deep term answered
 # `unknown`, without taking the daemon down.
 # Artifacts: BENCH_server.json, the daemon's final metrics snapshot,
-# the mid-run daenerys-top frames, the health body, the streamed trace
-# tail, and the four probe answers.
+# the mid-run daenerys-top frames, one raw metrics scrape, the health
+# body, the streamed trace tail, and the four probe answers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +76,17 @@ TOP_PID=""
 }
 grep -q 'conserved yes' "$OUT_DIR/daenerys-top.txt"
 grep -q '^tenant-' "$OUT_DIR/daenerys-top.txt"
+
+# One live scrape, kept raw. The daemon keeps one ledger: after the
+# replay it holds request latencies, and every cell is the daemon's own
+# (`daenerysd.*`) or a store-upkeep cell (`store.*`).
+./target/release/daenerys-top --addr "$ADDR" --raw --frames 1 \
+    > "$OUT_DIR/metrics_scrape.json"
+grep -q '"name":"daenerysd.latency_us"' "$OUT_DIR/metrics_scrape.json" \
+    || { echo "scrape has no daenerysd.latency_us:"; cat "$OUT_DIR/metrics_scrape.json"; exit 1; }
+FOREIGN=$(grep -o '"name":"[^"]*"' "$OUT_DIR/metrics_scrape.json" \
+    | grep -v '^"name":"\(daenerysd\|store\)\.' || true)
+[ -z "$FOREIGN" ] || { echo "scrape cells outside the daemon's ledger:"; echo "$FOREIGN"; exit 1; }
 
 # The replay's own conservation gate ran mid-chaos; the final ledger
 # must conserve too (daenerys-top --health exits non-zero otherwise).
