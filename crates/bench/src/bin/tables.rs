@@ -4,60 +4,40 @@
 //!
 //! ```text
 //! cargo run -p daenerys-bench --bin tables [--t1] [--t2] [--t3] [--t4] \
-//!     [--f1] [--f2] [--f3] [--f4] [--threads N] [--timeout-ms N] \
-//!     [--fuel N] [--repeat N] [--trace-out PATH] \
-//!     [--incremental] [--cache-dir PATH] [--expect-reverified N] \
-//!     [--deny-unstable] [--explain-stability]
+//!     [--f1] [--f2] [--f3] [--f4] [--repeat N] [--trace-out PATH]
 //! cargo run -p daenerys-bench --bin tables store dump <dir>
 //! ```
 //!
-//! With no table/figure flags, every table and figure is printed
-//! (`--explain-stability` alone prints only its report).
+//! With no table/figure flags, every table and figure is printed. T1
+//! and F1 verify on the default configuration; the verifier's own
+//! knobs (threads, budgets, the verdict store, `--deny-unstable`) and
+//! the stability report are `daenerys` CLI flags and subcommands.
 //!
-//! * `--threads N` pins the verification fan-out, which changes cost
-//!   only, never answers.
-//! * `--incremental` adds the F1 incremental section: each case is
-//!   verified against the persistent verdict store under `--cache-dir`
-//!   (default `target/ivc`), its restored verdicts are checked
-//!   bit-identical against a from-scratch run, and the number of
-//!   re-verified methods is reported. `--expect-reverified N` turns
-//!   that report into a hard assertion (exit 1 on mismatch) for CI.
-//! * `store dump <dir>` (subcommand) prints the verdict store under
-//!   `<dir>` as JSON, one object per live entry (a one-way export; the
-//!   store itself is only ever read and written as its `DAES1` file).
-//! * `--timeout-ms N` sets a per-method wall-clock deadline and
-//!   `--fuel N` a per-method solver-fuel budget (conflicts +
-//!   propagations); a method that blows its budget degrades to
-//!   `Unknown` and drops out of its row's counters instead of hanging
-//!   the harness.
 //! * `--repeat N` measures each timed row as the median of `N` runs
 //!   after one untimed warmup (default 5).
 //! * `--trace-out PATH` streams the flight-recorder trace (spans,
 //!   solver queries, budget gauges) of every verification as JSONL to
 //!   `PATH`; validate it with the `trace_validate` binary.
-//! * `--deny-unstable` makes every run fail methods whose contracts the
-//!   static stability analyzer classifies unstable (answer-affecting,
-//!   part of the incremental fingerprint); `--explain-stability` prints
-//!   the analyzer's lints for the examples corpus — classification,
-//!   spans, and fix hints.
+//! * `store dump <dir>` (subcommand) prints the verdict store under
+//!   `<dir>` as JSON, one object per live entry (a one-way export; the
+//!   store itself is only ever read and written as its `DAES1` file).
 
-use daenerys_bench::{measure_median, micros, run_backend_with, BackendRun};
+use daenerys_bench::{measure_median, micros, run_backend_with};
 use daenerys_core::check::{catalog, corpus, ghost_catalog, verify_catalog};
 use daenerys_core::{
     check_stable, entails, stabilize_fast, Assert, CameraKind, Res, Term, UniverseSpec,
 };
 use daenerys_heaplang::{explore, parse, Heap, Loc, Machine};
 use daenerys_idf::{
-    all_cases, analyze_program, chain_program, diverging_program, parse_program, positive_cases,
-    scaling_program, Backend, StabilityClass, VerdictStore, VerifierConfig,
+    chain_program, diverging_program, positive_cases, scaling_program, Backend, VerdictStore,
+    VerifierConfig,
 };
 use daenerys_obs::{ClockKind, JsonlSink, TraceHandle};
 use daenerys_proglog::MonMachine;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const KNOWN_FLAGS: [&str; 18] = [
+const KNOWN_FLAGS: [&str; 10] = [
     "--t1",
     "--t2",
     "--t3",
@@ -66,81 +46,35 @@ const KNOWN_FLAGS: [&str; 18] = [
     "--f2",
     "--f3",
     "--f4",
-    "--threads",
-    "--timeout-ms",
-    "--fuel",
     "--repeat",
     "--trace-out",
-    "--incremental",
-    "--cache-dir",
-    "--expect-reverified",
-    "--deny-unstable",
-    "--explain-stability",
 ];
 
 /// Parsed command line.
 struct Opts {
     selected: Vec<String>,
-    /// Print the static stability report (`--explain-stability`).
-    explain_stability: bool,
     repeat: usize,
     trace_out: Option<String>,
-    /// Verdict-store root for the incremental section (`Some` when
-    /// `--incremental` or `--cache-dir` is given). Kept out of
-    /// `config` so the timed rows never measure the restore path.
-    cache_dir: Option<std::path::PathBuf>,
-    /// Hard assertion on the incremental section's re-verified total.
-    expect_reverified: Option<usize>,
-    config: VerifierConfig,
 }
 
 impl Opts {
     /// Whether the table or figure behind `flag` (`--t1` … `--f4`) is
-    /// printed: every one when no selector is given, unless
-    /// `--explain-stability` asks for the report alone.
+    /// printed: every one when no selector is given.
     fn wants(&self, flag: &str) -> bool {
-        (self.selected.is_empty() && !self.explain_stability)
-            || self.selected.iter().any(|a| a == flag)
+        self.selected.is_empty() || self.selected.iter().any(|a| a == flag)
     }
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         selected: Vec::new(),
-        explain_stability: false,
         repeat: 5,
         trace_out: None,
-        cache_dir: None,
-        expect_reverified: None,
-        config: VerifierConfig::default(),
     };
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         match a {
-            "--deny-unstable" => opts.config.deny_unstable = true,
-            "--explain-stability" => opts.explain_stability = true,
-            "--incremental" => {
-                if opts.cache_dir.is_none() {
-                    opts.cache_dir = Some(std::path::PathBuf::from("target/ivc"));
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) if !path.starts_with("--") => {
-                        opts.cache_dir = Some(std::path::PathBuf::from(path));
-                    }
-                    _ => return Err("--cache-dir needs a directory path".to_string()),
-                }
-            }
-            "--expect-reverified" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => opts.expect_reverified = Some(n),
-                    None => return Err("--expect-reverified needs an integer".to_string()),
-                }
-            }
             "--repeat" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
@@ -155,32 +89,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                         opts.trace_out = Some(path.clone());
                     }
                     _ => return Err("--trace-out needs a file path".to_string()),
-                }
-            }
-            "--threads" => {
-                i += 1;
-                let n = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                match n {
-                    Some(n) if n > 0 => opts.config.threads = n,
-                    _ => return Err("--threads needs a positive integer".to_string()),
-                }
-            }
-            "--timeout-ms" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => {
-                        opts.config.budget = opts.config.budget.with_deadline_ms(ms);
-                    }
-                    _ => return Err("--timeout-ms needs a positive integer".to_string()),
-                }
-            }
-            "--fuel" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(fuel) if fuel > 0 => {
-                        opts.config.budget = opts.config.budget.with_solver_fuel(fuel);
-                    }
-                    _ => return Err("--fuel needs a positive integer".to_string()),
                 }
             }
             _ if KNOWN_FLAGS.contains(&a) => opts.selected.push(a.to_string()),
@@ -226,13 +134,14 @@ fn main() {
     if raw.first().map(String::as_str) == Some("store") {
         store_command(&raw[1..]);
     }
-    let mut opts = match parse_args(&raw) {
+    let opts = match parse_args(&raw) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("tables: {}", msg);
             std::process::exit(2);
         }
     };
+    let mut config = VerifierConfig::default();
     if let Some(path) = &opts.trace_out {
         if let Some(parent) = std::path::Path::new(path).parent() {
             if !parent.as_os_str().is_empty() {
@@ -246,18 +155,11 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        opts.config.trace = TraceHandle::new(sink, ClockKind::Monotonic);
-    }
-    if opts.expect_reverified.is_some() && (opts.cache_dir.is_none() || !opts.wants("--f1")) {
-        eprintln!("tables: --expect-reverified requires --f1 and --incremental/--cache-dir");
-        std::process::exit(2);
+        config.trace = TraceHandle::new(sink, ClockKind::Monotonic);
     }
 
-    if opts.explain_stability {
-        explain_stability(&opts);
-    }
     if opts.wants("--t1") {
-        table_t1(&opts);
+        table_t1(&config);
     }
     if opts.wants("--t2") {
         table_t2();
@@ -269,7 +171,7 @@ fn main() {
         table_t4(opts.repeat);
     }
     if opts.wants("--f1") {
-        figure_f1(&opts);
+        figure_f1(&config, opts.repeat);
     }
     if opts.wants("--f2") {
         figure_f2(opts.repeat);
@@ -281,61 +183,13 @@ fn main() {
         figure_f4(opts.repeat);
     }
     if let Some(path) = &opts.trace_out {
-        opts.config.trace.flush();
+        config.trace.flush();
         println!("\n    wrote {}", path);
     }
 }
 
-/// `--explain-stability`: prints the static stability analyzer's
-/// verdict for every spec assertion of the examples corpus —
-/// classification, provenance findings with spans, and fix hints —
-/// then a summary count per class. Purely static: no verification runs.
-fn explain_stability(opts: &Opts) {
-    println!("\nStability lints: static classification of the examples corpus");
-    println!("    (stable < framed-stable < unstable; see DESIGN.md §11)\n");
-    let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut unstable = 0usize;
-    for case in all_cases() {
-        let prog = match parse_program(case.source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("tables: case {} does not parse: {}", case.name, e);
-                std::process::exit(1);
-            }
-        };
-        for v in analyze_program(&prog) {
-            let class = match v.class {
-                StabilityClass::Stable => "stable",
-                StabilityClass::FramedStable => "framed-stable",
-                StabilityClass::Unstable => "unstable",
-            };
-            *counts.entry(class).or_default() += 1;
-            if v.class == StabilityClass::Unstable {
-                unstable += 1;
-            }
-            // Findings only for the noisy classes: stable assertions
-            // with no findings are summarized by the count line.
-            if v.class != StabilityClass::Stable || !v.findings.is_empty() {
-                for line in format!("[{}] {}", case.name, v).lines() {
-                    println!("    {}", line);
-                }
-            }
-        }
-    }
-    println!();
-    for (class, n) in &counts {
-        println!("    {:>14}: {}", class, n);
-    }
-    if opts.config.deny_unstable && unstable > 0 {
-        println!(
-            "    --deny-unstable: {} assertion(s) above would fail verification",
-            unstable
-        );
-    }
-}
-
 /// T1: case studies — destabilized vs stable-baseline cost.
-fn table_t1(opts: &Opts) {
+fn table_t1(config: &VerifierConfig) {
     println!("\nT1. Case studies: destabilized vs. stable-baseline encodings");
     println!("    (obl = obligations, q = solver queries, wit = witnesses, reb = rebinds)\n");
     println!(
@@ -346,8 +200,8 @@ fn table_t1(opts: &Opts) {
     let mut sum_d = 0usize;
     let mut sum_s = 0usize;
     for case in positive_cases() {
-        let d = run_backend_with(case.source, Backend::Destabilized, opts.config.clone());
-        let s = run_backend_with(case.source, Backend::StableBaseline, opts.config.clone());
+        let d = run_backend_with(case.source, Backend::Destabilized, config.clone());
+        let s = run_backend_with(case.source, Backend::StableBaseline, config.clone());
         let (od, qd) = (d.total(|x| x.obligations), d.total(|x| x.solver_queries));
         let (os, qs) = (s.total(|x| x.obligations), s.total(|x| x.solver_queries));
         let wit = s.total(|x| x.witnesses);
@@ -513,7 +367,7 @@ const CHAIN_SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
 /// F1: verifier scaling — time and work vs. program size, plus the
 /// chain sweep (solver memo counters) and the diverging sweep (search
 /// counters).
-fn figure_f1(opts: &Opts) {
+fn figure_f1(config: &VerifierConfig, repeat: usize) {
     println!("\nF1. Verifier scaling (n objects updated; spec reads every field)\n");
     println!(
         "    {:>4} | {:>9} {:>7} | {:>9} {:>7} {:>7} | {:>7}",
@@ -522,8 +376,8 @@ fn figure_f1(opts: &Opts) {
     println!("    {}", "-".repeat(66));
     for n in [1usize, 2, 4, 8, 16, 24] {
         let src = scaling_program(n);
-        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
-        let s = measure_median(&src, Backend::StableBaseline, &opts.config, opts.repeat);
+        let d = measure_median(&src, Backend::Destabilized, config, repeat);
+        let s = measure_median(&src, Backend::StableBaseline, config, repeat);
         let od = d.total(|x| x.obligations);
         let os = s.total(|x| x.obligations) + s.total(|x| x.rebinds);
         println!(
@@ -546,8 +400,8 @@ fn figure_f1(opts: &Opts) {
     println!("    {}", "-".repeat(50));
     for n in CHAIN_SIZES {
         let src = chain_program(n);
-        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
-        let s = measure_median(&src, Backend::StableBaseline, &opts.config, opts.repeat);
+        let d = measure_median(&src, Backend::Destabilized, config, repeat);
+        let s = measure_median(&src, Backend::StableBaseline, config, repeat);
         println!(
             "    {:>4} | {:>8} {:>8} | {:>6} {:>6} {:>6}",
             n,
@@ -567,7 +421,7 @@ fn figure_f1(opts: &Opts) {
     println!("    {}", "-".repeat(58));
     for k in DIVERGING_SIZES {
         let src = diverging_program(k);
-        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
+        let d = measure_median(&src, Backend::Destabilized, config, repeat);
         println!(
             "    {:>4} | {:>8} | {:>9} {:>6} {:>5} {:>6} {:>7}",
             k,
@@ -579,80 +433,10 @@ fn figure_f1(opts: &Opts) {
             d.total(|x| x.learned_clauses),
         );
     }
-
-    incremental_section(opts);
 }
 
 /// Sizes of the F1 diverging sweep (`2^k` propositional leaves each).
 const DIVERGING_SIZES: [usize; 4] = [2, 4, 6, 8];
-
-/// F1d (only with `--incremental`/`--cache-dir`): verifies each case
-/// against a per-case persistent verdict store, checks the outcome
-/// bit-identical to a from-scratch run, and reports how many methods
-/// the store could not absorb. Exits nonzero when the total disagrees
-/// with `--expect-reverified`.
-fn incremental_section(opts: &Opts) {
-    let Some(dir) = &opts.cache_dir else {
-        return;
-    };
-    println!(
-        "\nF1d. Incremental verification (verdict store under {})\n",
-        dir.display()
-    );
-    println!(
-        "    {:<18} {:>7} {:>10} {:>9}",
-        "case", "methods", "reverified", "µs"
-    );
-    println!("    {}", "-".repeat(48));
-    let mut corpus: Vec<(String, String)> = positive_cases()
-        .iter()
-        .map(|c| (c.name.to_string(), c.source.to_string()))
-        .collect();
-    corpus.push(("chain_32".to_string(), chain_program(32)));
-    corpus.push(("diverging_6".to_string(), diverging_program(6)));
-    let mut total = 0usize;
-    for (name, src) in &corpus {
-        let config = VerifierConfig {
-            cache_dir: Some(dir.join(name)),
-            ..opts.config.clone()
-        };
-        let inc = run_backend_with(src, Backend::Destabilized, config);
-        let direct = run_backend_with(src, Backend::Destabilized, opts.config.clone());
-        let normalize = |run: &BackendRun| -> BTreeMap<String, _> {
-            run.verdicts
-                .iter()
-                .map(|(m, v)| (m.clone(), v.normalized()))
-                .collect()
-        };
-        assert_eq!(
-            normalize(&inc),
-            normalize(&direct),
-            "incremental verdicts for {} are not bit-identical to a fresh run",
-            name
-        );
-        let reverified = inc.reverified.expect("incremental run reports a count");
-        total += reverified;
-        println!(
-            "    {:<18} {:>7} {:>10} {:>9}",
-            name,
-            inc.verdicts.len(),
-            reverified,
-            micros(inc.time)
-        );
-    }
-    println!("    {}", "-".repeat(48));
-    println!("    total methods re-verified: {}", total);
-    if let Some(expect) = opts.expect_reverified {
-        if total != expect {
-            eprintln!(
-                "tables: expected {} re-verified methods, got {}",
-                expect, total
-            );
-            std::process::exit(1);
-        }
-        println!("    matches --expect-reverified {}", expect);
-    }
-}
 
 /// F2: stabilization cost — semantic ⌊·⌋ vs. the syntactic stabilizer.
 fn figure_f2(repeat: usize) {
@@ -843,17 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_stability_alone_prints_only_the_report() {
-        let alone = parsed("--explain-stability");
-        assert!(alone.explain_stability);
-        assert!(!alone.wants("--t1") && !alone.wants("--f4"));
-
-        let with_f1 = parsed("--explain-stability --f1 --deny-unstable");
-        assert!(with_f1.wants("--f1") && !with_f1.wants("--t1"));
-        assert!(with_f1.config.deny_unstable);
-    }
-
-    #[test]
     fn deleted_artifact_flags_are_unknown() {
         for flag in ["--json", "--profile", "--out-dir"] {
             let err = parse_args(&args(flag)).err().expect("rejected");
@@ -866,45 +639,58 @@ mod tests {
         }
     }
 
+    /// The verifier knobs `tables` used to duplicate are `daenerys`
+    /// flags and subcommands now; the harness refuses every one.
     #[test]
-    fn numeric_flags_need_positive_values() {
+    fn removed_verifier_flags_are_refused() {
         for line in [
-            "--repeat 0",
-            "--repeat",
-            "--threads 0",
-            "--fuel x",
-            "--timeout-ms 0",
+            "--threads 2",
+            "--timeout-ms 500",
+            "--fuel 64",
+            "--incremental",
+            "--cache-dir target/ivc",
+            "--expect-reverified 0",
+            "--deny-unstable",
+            "--explain-stability",
         ] {
-            let err = parse_args(&args(line)).err().expect("rejected");
+            let flag = line.split_whitespace().next().unwrap();
+            let err = parse_args(&args(&format!("--f1 {}", line)))
+                .err()
+                .expect("rejected");
             assert!(
-                err.ends_with("needs a positive integer"),
+                err.starts_with(&format!("unknown flag {} ", flag)),
                 "{}: {}",
                 line,
                 err
             );
         }
-        let opts = parsed("--threads 2 --fuel 64 --timeout-ms 500");
-        assert_eq!(opts.config.threads, 2);
-        assert_eq!(opts.config.budget.solver_fuel, Some(64));
-        assert_eq!(opts.config.budget.deadline_ms, Some(500));
     }
 
     #[test]
-    fn incremental_defaults_the_store_but_keeps_an_explicit_one() {
-        let default = parsed("--f1 --incremental --expect-reverified 0");
-        assert_eq!(default.cache_dir, Some("target/ivc".into()));
-        assert_eq!(default.expect_reverified, Some(0));
+    fn selectors_repeat_and_trace_out_still_parse() {
+        let opts = parsed("--t1 --f1 --repeat 1 --trace-out target/bench/trace.jsonl --f3");
+        assert_eq!(opts.selected, ["--t1", "--f1", "--f3"]);
+        assert_eq!(opts.repeat, 1);
+        assert_eq!(opts.trace_out.as_deref(), Some("target/bench/trace.jsonl"));
+        assert!(opts.wants("--f3") && !opts.wants("--t2"));
+    }
 
-        let explicit = parsed("--cache-dir /tmp/store --incremental");
-        assert_eq!(explicit.cache_dir, Some("/tmp/store".into()));
+    #[test]
+    fn numeric_flags_need_positive_values() {
+        for line in [
+            "--repeat 0",
+            "--repeat",
+            "--repeat x",
+            "--repeat -1",
+            "--repeat --f1",
+        ] {
+            let err = parse_args(&args(line)).err().expect("rejected");
+            assert_eq!(err, "--repeat needs a positive integer", "{}", line);
+        }
     }
 
     #[test]
     fn path_flags_refuse_a_following_flag_as_their_value() {
-        assert_eq!(
-            parse_args(&args("--cache-dir --f1")).err().as_deref(),
-            Some("--cache-dir needs a directory path")
-        );
         assert_eq!(
             parse_args(&args("--trace-out --f1")).err().as_deref(),
             Some("--trace-out needs a file path")

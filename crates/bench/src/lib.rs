@@ -17,15 +17,8 @@ use std::time::{Duration, Instant};
 pub struct BackendRun {
     /// Wall-clock verification time.
     pub time: Duration,
-    /// Per-method statistics (verified methods only).
+    /// Per-method statistics; every method verified.
     pub stats: BTreeMap<String, VerifyStats>,
-    /// Per-method verdicts, including methods degraded to `Unknown`
-    /// under a finite budget.
-    pub verdicts: BTreeMap<String, Verdict>,
-    /// How many methods were actually re-verified (`Some` only for
-    /// incremental runs, i.e. when the config has a `cache_dir`; the
-    /// rest were restored from the persistent verdict store).
-    pub reverified: Option<usize>,
 }
 
 impl BackendRun {
@@ -35,10 +28,9 @@ impl BackendRun {
     }
 
     /// Hard counter invariant: every solver query is answered either
-    /// by the memo table or by a fresh decision, in *every* mode —
-    /// single- or multi-threaded, incremental. A violation means a
-    /// counting path regressed, so the harness refuses to emit numbers
-    /// built on it.
+    /// by the memo table or by a fresh decision, at any thread count.
+    /// A violation means a counting path regressed, so the harness
+    /// refuses to emit numbers built on it.
     ///
     /// # Panics
     ///
@@ -57,14 +49,12 @@ impl BackendRun {
     }
 }
 
-/// Verifies a program on one backend under `config` (worker-thread
-/// count, budget, verdict store), timing it.
+/// Verifies a program on one backend under `config`, timing it.
 ///
 /// # Panics
 ///
-/// Panics when the program does not parse, or when any method fails or
-/// crashes. Methods degraded to `Unknown` under a finite budget are
-/// tolerated and reported through [`BackendRun::verdicts`].
+/// Panics when the program does not parse, or when any method does not
+/// verify (fails, crashes, or ends `Unknown`).
 pub fn run_backend_with(src: &str, backend: Backend, config: VerifierConfig) -> BackendRun {
     let program = if config.trace.is_enabled() {
         let mut collector = config.trace.collector();
@@ -78,31 +68,21 @@ pub fn run_backend_with(src: &str, backend: Backend, config: VerifierConfig) -> 
     }
     .expect("harness program parses");
     // The harness is a Session client like every other front end (the
-    // CLI, the daemon): the host owns the warm store when the config
-    // has a `cache_dir`, and the timed region covers store open +
+    // CLI, the daemon); the timed region covers host set-up +
     // verification.
     let start = Instant::now();
     let host = SessionHost::new(backend, config);
     let outcome = host.session().verify_program(&program);
     let time = start.elapsed();
-    let verdicts = outcome.verdicts;
-    let reverified = outcome.reverified;
-    let mut stats = BTreeMap::new();
-    for (name, verdict) in &verdicts {
-        match verdict {
-            Verdict::Verified(s) => {
-                stats.insert(name.clone(), s.clone());
-            }
-            Verdict::Unknown { .. } => {}
+    let stats = outcome
+        .verdicts
+        .into_iter()
+        .map(|(name, verdict)| match verdict {
+            Verdict::Verified(s) => (name, s),
             other => panic!("harness program must verify: {} is {}", name, other),
-        }
-    }
-    let run = BackendRun {
-        time,
-        stats,
-        verdicts,
-        reverified,
-    };
+        })
+        .collect();
+    let run = BackendRun { time, stats };
     run.check_cache_accounting();
     run
 }
@@ -198,7 +178,6 @@ pub fn profile_events(events: &[Event]) -> ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daenerys_idf::Budget;
     use daenerys_obs::Value;
 
     #[test]
@@ -208,21 +187,6 @@ mod tests {
         let run = run_backend_with(src, Backend::Destabilized, VerifierConfig::default());
         assert_eq!(run.stats.len(), 1);
         assert!(run.total(|s| s.obligations) >= 1);
-        assert_eq!(run.verdicts.len(), 1);
-    }
-
-    #[test]
-    fn budgeted_runs_report_unknowns_instead_of_panicking() {
-        let src = daenerys_idf::diverging_program(10);
-        let config = VerifierConfig {
-            budget: Budget::unlimited().with_solver_fuel(64),
-            retry_unknown: false,
-            ..VerifierConfig::default()
-        };
-        let run = run_backend_with(&src, Backend::Destabilized, config);
-        let exhausted = run.verdicts.values().filter(|v| v.is_budget_exhausted());
-        assert_eq!(exhausted.count(), 1);
-        assert_eq!(run.stats.len(), 2, "siblings still measured");
     }
 
     #[test]
@@ -328,8 +292,6 @@ mod tests {
         BackendRun {
             time: Duration::ZERO,
             stats,
-            verdicts: BTreeMap::new(),
-            reverified: None,
         }
     }
 
@@ -345,29 +307,5 @@ mod tests {
     #[should_panic(expected = "hits(1) + misses(1) != queries(3)")]
     fn unbalanced_cache_accounts_are_refused() {
         run_with(&[(1, 1, 3)]).check_cache_accounting();
-    }
-
-    #[test]
-    fn incremental_runs_report_how_many_methods_were_reverified() {
-        let dir = std::env::temp_dir().join(format!("bench-lib-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = VerifierConfig {
-            cache_dir: Some(dir.clone()),
-            ..VerifierConfig::default()
-        };
-        let src = daenerys_idf::scaling_program(2);
-        let cold = run_backend_with(&src, Backend::Destabilized, config.clone());
-        let warm = run_backend_with(&src, Backend::Destabilized, config);
-        assert_eq!(cold.reverified, Some(cold.verdicts.len()));
-        assert_eq!(warm.reverified, Some(0));
-        let normalized = |run: &BackendRun| -> Vec<Verdict> {
-            run.verdicts.values().map(Verdict::normalized).collect()
-        };
-        assert_eq!(normalized(&warm), normalized(&cold));
-        assert_eq!(
-            run_backend_with(&src, Backend::Destabilized, VerifierConfig::default()).reverified,
-            None
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

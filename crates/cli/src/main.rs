@@ -23,8 +23,9 @@
 //! fingerprint matches). Exit codes: 0 clean, 1 diagnostics or failed
 //! verdicts (or a tripped watch gate; `cost` fails only on front-end
 //! errors), 2 usage. A pass whose verdict-store commit fails prints
-//! one `warning:` line on stderr and keeps its verdicts; a failed final
-//! store flush exits 1.
+//! one `warning:` line on stderr, keeps its verdicts and stdout, and
+//! exits 1. Each pass's commit is the store's only write: a pass that
+//! restores every method leaves the store file untouched.
 
 use daenerys_cli::{Debounce, Renderer, SourceFile};
 use daenerys_idf::{
@@ -79,7 +80,7 @@ fn usage() -> ! {
          \x20 --timeout-ms N         per-method wall-clock budget\n\
          \x20 --fuel N               per-method solver-fuel budget\n\
          \x20 --deny-unstable        fail methods with unstable contracts\n\
-         \x20 --cache-dir PATH       persistent verdict store (incremental)\n\
+         \x20 --cache-dir PATH       persistent verdict store, one per program (incremental)\n\
          \x20 --max-errors N         parse-diagnostic cap (default {DEFAULT_MAX_ERRORS})\n\
          \n\
          watch flags:\n\
@@ -316,7 +317,8 @@ fn check_one(cli: &Cli, path: &PathBuf, renderer: &Renderer, verbose: bool) -> b
 
 /// Verifies a checked program through the warm host. A verdict store
 /// that could not be written is one warning on stderr: the verdicts
-/// stand, so stdout and the exit code do not change.
+/// stand, so stdout does not change, but the caller counts the file as
+/// failed.
 fn verify(host: &SessionHost, program: &Program) -> VerifyOutcome {
     let outcome = host.session().verify_program(program);
     if let Some(e) = &outcome.store_write_error {
@@ -331,7 +333,7 @@ fn verify(host: &SessionHost, program: &Program) -> VerifyOutcome {
 /// sort by fuel (highest first, ties by name) and methods that did not
 /// verify follow with their verdict word alone. Hot methods are those
 /// with an unstable spec site, the ones `--deny-unstable` rejects.
-/// Fails only on front-end errors.
+/// Fails only on front-end errors and on a failed store commit.
 fn cost_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer) -> bool {
     let text = read_file(path);
     let file = SourceFile::new(path.display().to_string(), &text);
@@ -393,7 +395,7 @@ fn cost_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer) 
             ("methods", Json::Arr(methods.collect())),
         ]);
         println!("{}", doc.render());
-        return true;
+        return outcome.store_write_error.is_none();
     }
     let color = renderer.color;
     println!("{}:", file.name);
@@ -422,11 +424,12 @@ fn cost_one(cli: &Cli, host: &SessionHost, path: &PathBuf, renderer: &Renderer) 
             );
         }
     }
-    true
+    outcome.store_write_error.is_none()
 }
 
 /// Prints one verification outcome: failures in full, then the
-/// summary line (and the dirty cone for incremental runs).
+/// summary line (and the dirty cone for incremental runs). Clean when
+/// every method verified and the pass's store commit succeeded.
 fn print_outcome(
     cli: &Cli,
     file: &SourceFile,
@@ -483,7 +486,7 @@ fn print_outcome(
             print_cone(cone);
         }
     }
-    verified == total
+    verified == total && outcome.store_write_error.is_none()
 }
 
 /// Prints the dirty cone, capped so hub edits on monorepo-scale
@@ -636,21 +639,12 @@ fn main() {
             for path in &cli.files {
                 ok &= run(&cli, &host, path, &renderer);
             }
-            if let Err(e) = host.flush_store() {
-                eprintln!("daenerys: store flush failed: {e}");
-                ok = false;
-            }
             i32::from(!ok)
         }
         Cmd::Watch => {
             let host = SessionHost::new(cli.backend, cli.config.clone());
             if cli.once {
-                let mut code = watch_once(&cli, &host, &renderer);
-                if let Err(e) = host.flush_store() {
-                    eprintln!("daenerys: store flush failed: {e}");
-                    code = 1;
-                }
-                code
+                watch_once(&cli, &host, &renderer)
             } else {
                 watch_loop(&cli, &host, &renderer)
             }

@@ -512,3 +512,43 @@ fn a_failed_store_commit_is_one_warning_on_stderr() {
         }
     }
 }
+
+/// Each pass's commit is the store's only write: a warm pass that
+/// restores every method neither replaces nor rewrites the file.
+#[test]
+fn a_warm_pass_leaves_the_store_file_untouched() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = scratch("warm-store");
+    std::fs::write(
+        dir.join("ok.idf"),
+        "field v: Int\nmethod m(c: Ref) requires acc(c.v) ensures acc(c.v) { c.v := 1 }\n\
+         method n(c: Ref) requires acc(c.v) ensures acc(c.v) { call m(c) }\n",
+    )
+    .unwrap();
+    let cold = daenerys(&dir, &["verify", "ok.idf", "--cache-dir", "store"]);
+    assert_eq!(cold.status.code(), Some(0));
+    let file = dir.join("store").join("verdicts.daes");
+    let runs: [&[&str]; 3] = [
+        &["verify", "ok.idf", "--json"],
+        &["cost", "ok.idf", "--no-color"],
+        &["watch", "ok.idf", "--once", "--expect-reverified", "0"],
+    ];
+    for args in runs {
+        let (inode, bytes) = (
+            std::fs::metadata(&file).unwrap().ino(),
+            std::fs::read(&file).unwrap(),
+        );
+        let out = daenerys(&dir, &[args, &["--cache-dir", "store"][..]].concat());
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert_eq!(
+            std::fs::metadata(&file).unwrap().ino(),
+            inode,
+            "{args:?}: the file was replaced"
+        );
+        assert_eq!(
+            std::fs::read(&file).unwrap(),
+            bytes,
+            "{args:?}: the file was rewritten"
+        );
+    }
+}

@@ -17,8 +17,9 @@
 //! - over-budget tenants are refused immediately (`status:"refused"`)
 //!   and never verified;
 //! - shutdown stops intake, lets every session answer the request it
-//!   is verifying, flushes the verdict store, and reports zero leaked
-//!   sessions in the final [`MetricsSnapshot`].
+//!   is verifying, and reports zero leaked sessions in the final
+//!   [`MetricsSnapshot`]; each request's own store commit has already
+//!   written its verdicts.
 
 use crate::admission::{Admission, TenantPolicy};
 use crate::protocol::{
@@ -104,7 +105,7 @@ pub struct MetricsSnapshot {
     /// counted separately from `requests_received`, which stays a
     /// verification-traffic measure.
     pub admin_frames: u64,
-    /// Entries in the verdict store after the final flush.
+    /// Entries in the verdict store after the drain.
     pub store_entries: u64,
     /// Undecodable store records skipped when the store was opened.
     pub store_corrupt_lines: u64,
@@ -238,8 +239,8 @@ impl Server {
         Arc::clone(&self.shared.snapshot_flag)
     }
 
-    /// Serves until shutdown, then drains in-flight sessions, flushes
-    /// the verdict store, and returns the final metrics snapshot.
+    /// Serves until shutdown, then drains in-flight sessions and
+    /// returns the final metrics snapshot.
     pub fn run(self) -> MetricsSnapshot {
         let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut next_session: u64 = 0;
@@ -276,7 +277,6 @@ impl Server {
         for handle in sessions {
             let _ = handle.join();
         }
-        let _ = self.shared.host.flush_store();
         self.shared.trace.flush();
         self.snapshot()
     }

@@ -84,8 +84,10 @@ impl SessionHost {
         self.store.as_ref().map_or(0, |m| lock(m).len())
     }
 
-    /// Compacts the store to disk — the graceful-shutdown flush. A
-    /// no-op without a store.
+    /// Compacts the store to disk (see [`VerdictStore::save`]); a no-op
+    /// without a store. No front end calls it: every pass's commit
+    /// already persists its verdicts. It stays public for the
+    /// `perfbench` harness, which times a compaction as its own layer.
     ///
     /// # Errors
     ///

@@ -6,9 +6,9 @@
 
 use daenerys_core::{check_stable, UniverseSpec};
 use daenerys_idf::{
-    agrees_with_oracle, alloc_object, classify, parse_program, positive_cases, translate_assertion,
-    Assertion, Backend, Expr, Op, Program, SessionHost, Span, StabilityClass, TEnv, Verdict,
-    VerifierConfig, VerifyStats,
+    agrees_with_oracle, alloc_object, chain_program, classify, diverging_program, parse_program,
+    positive_cases, scaling_program, translate_assertion, Assertion, Backend, Expr, Op, Program,
+    SessionHost, Span, StabilityClass, TEnv, Verdict, VerifierConfig, VerifyStats,
 };
 use daenerys_idf::{env_of, ConcreteVal};
 use proptest::prelude::*;
@@ -125,9 +125,44 @@ fn verdicts_with(src: &str, backend: Backend, config: VerifierConfig) -> BTreeMa
 /// `--deny-unstable` is answer-transparent on stable-only programs: the
 /// whole positive corpus classifies (framed-)stable, so flipping the
 /// gate must not move a single verdict — on either backend, at any
-/// thread count.
+/// thread count. The F1 sweep programs (every size the evaluation
+/// prints) must also verify in full under the gate, on both backends.
 #[test]
 fn deny_unstable_is_transparent_on_stable_programs() {
+    let family = |name: &str, sizes: &[usize], program: fn(usize) -> String| {
+        let sized = sizes.iter().map(|&n| (format!("{name}_{n}"), program(n)));
+        sized.collect::<Vec<_>>()
+    };
+    let sweep = [
+        family("scaling", &[1, 2, 4, 8, 16, 24], scaling_program),
+        family("chain", &[2, 4, 8, 16, 32, 64, 128], chain_program),
+        family("diverging", &[2, 4, 6, 8], diverging_program),
+    ];
+    for (name, src) in sweep.iter().flatten() {
+        for backend in [Backend::Destabilized, Backend::StableBaseline] {
+            let base = VerifierConfig {
+                threads: 1,
+                ..VerifierConfig::default()
+            };
+            let off = verdicts_with(src, backend, base.clone());
+            let on = verdicts_with(
+                src,
+                backend,
+                VerifierConfig {
+                    deny_unstable: true,
+                    ..base
+                },
+            );
+            assert!(
+                on.values().all(Verdict::is_verified),
+                "{name} ({backend:?}): {on:?}"
+            );
+            assert_eq!(
+                off, on,
+                "{name}: verdicts moved under --deny-unstable ({backend:?})"
+            );
+        }
+    }
     for case in positive_cases() {
         for backend in [Backend::Destabilized, Backend::StableBaseline] {
             for threads in [1usize, 2, 8] {

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CLI smoke: drive every `daenerys` subcommand over the F1 corpus as
-# files, then stage the watch-mode incremental gate — cold-verify a
+# files and gate it: a warm pass over each positive file re-verifies
+# nothing, its restored `cost` counters equal a storeless run's byte
+# for byte, and the positive files verify under `--deny-unstable`.
+# Then stage the watch-mode incremental gate — cold-verify a
 # generated 1k-method corpus into a fresh store, apply a leaf-body
 # edit, and require `daenerys watch --once` to re-verify EXACTLY the
 # generator's ground-truth cone (1 method) through the warm store,
@@ -31,7 +34,7 @@ CORPUS_GEN=./target/release/corpus_gen
 # negative alike: lints never run the solver, and cost reports a method
 # that fails verification as a verdict-only row instead of failing.
 "$DAENERYS" check "$F1_DIR"/pos/*.idf "$F1_DIR"/neg/*.idf --no-color > "$OUT_DIR/check.txt"
-"$DAENERYS" explain "$F1_DIR"/pos/*.idf --no-color > "$OUT_DIR/explain.txt"
+"$DAENERYS" explain "$F1_DIR"/pos/*.idf "$F1_DIR"/neg/*.idf --no-color > "$OUT_DIR/explain.txt"
 "$DAENERYS" cost "$F1_DIR"/pos/*.idf "$F1_DIR"/neg/*.idf --no-color > "$OUT_DIR/cost.txt"
 
 # verify: every positive case passes (exit 0)...
@@ -49,6 +52,43 @@ for f in "$F1_DIR"/neg/*.idf; do
         cat "$OUT_DIR/verify_neg.txt"; exit 1;
     }
 done
+
+# The F1 corpus is free of unstable contracts: every positive case
+# still verifies with them refused.
+"$DAENERYS" verify "$F1_DIR"/pos/*.idf --deny-unstable --no-color > "$OUT_DIR/verify_deny.txt" || {
+    echo "the positive F1 cases do not verify under --deny-unstable"
+    cat "$OUT_DIR/verify_deny.txt"; exit 1;
+}
+
+# --- F1 incremental gate -----------------------------------------------
+# Store keys are `{method}@{config}`, so a cache directory serves one
+# program's method names: each positive file gets its own. After a
+# cold pass, the warm pass must restore every method, and `cost`
+# through the warm store must print the counters of a storeless run.
+IVC_DIR="$OUT_DIR/ivc"
+for f in "$F1_DIR"/pos/*.idf; do
+    name=$(basename "$f" .idf)
+    "$DAENERYS" verify "$f" --json --cache-dir "$IVC_DIR/$name" > "$OUT_DIR/ivc_cold.json"
+    "$DAENERYS" verify "$f" --json --cache-dir "$IVC_DIR/$name" > "$OUT_DIR/ivc_warm.json"
+    grep -q '"reverified":0,' "$OUT_DIR/ivc_warm.json" || {
+        echo "warm pass over $f re-verified methods:"
+        cat "$OUT_DIR/ivc_warm.json"; exit 1;
+    }
+    "$DAENERYS" cost "$f" --json --cache-dir "$IVC_DIR/$name" > "$OUT_DIR/ivc_cost_warm.json"
+    "$DAENERYS" cost "$f" --json > "$OUT_DIR/ivc_cost_fresh.json"
+    cmp "$OUT_DIR/ivc_cost_warm.json" "$OUT_DIR/ivc_cost_fresh.json" || {
+        echo "restored cost of $f differs from a storeless run"; exit 1;
+    }
+done
+# Verdicts and the dependency graph live in one DAES1 file per cache
+# directory; the retired line-JSON graph file and the retired
+# `verdicts-*.daes` shards must never be written again.
+if find "$IVC_DIR" \( -name depgraph.jsonl -o -name 'verdicts-*.daes' \) | grep .; then
+    echo "retired store files written under $IVC_DIR"; exit 1
+fi
+[ "$(find "$IVC_DIR" -name verdicts.daes | wc -l)" -eq "$(ls "$F1_DIR"/pos/*.idf | wc -l)" ] || {
+    echo "want one verdicts.daes per positive file under $IVC_DIR"; exit 1;
+}
 
 # Usage errors exit 2, not 1.
 STATUS=0

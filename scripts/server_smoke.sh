@@ -2,10 +2,11 @@
 # Server smoke: start the daemon, chaos-replay the F1 corpus over it
 # (full wire-fault matrix + a fault-free reference pass), SIGTERM, and
 # assert a graceful drain — the daemon exits 0 on its own, reports
-# zero leaked sessions, and leaves a flushed, uncorrupted verdict
-# store. The replay driver enforces the bit-identical chaos gate AND
-# the admission conservation invariant (its mid-run health scrapes)
-# via its own exit code.
+# zero leaked sessions, and leaves an uncorrupted verdict store (each
+# request's commit wrote it; the drain writes nothing). The replay
+# driver enforces the bit-identical chaos gate AND the admission
+# conservation invariant (its mid-run health scrapes) via its own exit
+# code.
 #
 # The admin plane is smoked alongside: daenerys-top scrapes live
 # metrics/health while the chaos replay hammers the daemon, the trace
@@ -154,7 +155,7 @@ grep -q '"phases":{' "$OUT_DIR/BENCH_server.json"
 grep -q '"conserved_failures":0' "$OUT_DIR/BENCH_server.json"
 
 # Graceful drain: on SIGTERM the daemon must finish in-flight work,
-# flush the store, write its snapshot, and exit 0 by itself.
+# write its snapshot, and exit 0 by itself.
 kill -TERM "$DAEMON_PID"
 DAEMON_STATUS=0
 wait "$DAEMON_PID" || DAEMON_STATUS=$?
@@ -164,8 +165,8 @@ DAEMON_PID=""
 }
 
 # Zero leaked sessions and zero contained panics (the external-daemon
-# replay cannot see either), store flushed and clean, written as the
-# one DAES1 file (the store's only encoding).
+# replay cannot see either), store clean, written as the one DAES1
+# file (the store's only encoding).
 grep -q '"leaked_sessions":0' "$OUT_DIR/metrics.json"
 grep -q '"internal_crashes":0' "$OUT_DIR/metrics.json"
 grep -q '"store_corrupt_lines":0' "$OUT_DIR/metrics.json"
